@@ -3,8 +3,8 @@
 Records ``benchmarks/BENCH_kernels_timed.json`` (a *timed* record like
 ``als_dimtree_timing.json``: wall-clock numbers vary run to run, so the file
 is gitignored and never byte-checked in CI).  Sparse rows race the unchunked
-reference kernel against the chunked kernel on every requested backend (and,
-for the threaded rows, at every requested thread count); dense rows race the
+reference kernel against the chunked kernel (for the threaded rows, at every
+requested thread count); dense rows race the
 monolithic einsum kernel against the cache-blocked tiled GEMM of
 :mod:`repro.core.blocked_mttkrp`.  Every candidate takes the median of at
 least three repetitions (:func:`repro.observe.median_time`) with
@@ -28,10 +28,6 @@ Environment knobs (CI-friendly, mirroring the other benchmarks' style):
 ``BENCH_KERNELS_QUICK=1``
     Run only the decisive quick rows (sparse chunked/unchunked wins, dense
     blocked/einsum wins, one threaded-overhead row).
-``BENCH_KERNELS_BACKENDS=numpy,numba``
-    Comma-separated backends to race on the sparse rows (default ``numpy``;
-    unavailable backends are skipped with a note in the JSON, never a
-    failure).
 ``BENCH_KERNELS_TIMED_JSON=/path/to.json``
     Output path override.
 """
@@ -45,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from conftest import emit
-from repro.backend import available_backend_names, get_backend
 from repro.backend.parallel import effective_cpu_count
 from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.core.kernels import mttkrp
@@ -122,11 +117,6 @@ def _sparse_problem(shape, nnz, rank, seed):
     return tensor, factors
 
 
-def _requested_backends():
-    raw = os.environ.get("BENCH_KERNELS_BACKENDS", "numpy")
-    return [name.strip() for name in raw.split(",") if name.strip()]
-
-
 def _race(candidates, rtol=0.0, atol=1e-12):
     """Median-time every candidate once warmed; cross-check the results."""
     measured = {}
@@ -134,9 +124,8 @@ def _race(candidates, rtol=0.0, atol=1e-12):
     reference = None
     with tracing() as session:
         for label, fn in candidates.items():
-            # Warm once outside the timed repetitions (Numba JIT, CuPy
-            # transfers, einsum path planning) so the medians time the
-            # steady state.
+            # Warm once outside the timed repetitions (einsum path planning,
+            # executor start) so the medians time the steady state.
             warm = fn()
             if reference is None:
                 reference = warm
@@ -154,23 +143,16 @@ def _race(candidates, rtol=0.0, atol=1e-12):
     return measured, percentiles
 
 
-def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, backends, seed):
+def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed):
     tensor, factors = _sparse_problem(shape, nnz, rank, seed)
     nzchunk, rchunk = forced if forced else (None, None)
     mode = 0
 
     candidates = {UNCHUNKED_LABEL: lambda: sparse_mttkrp_unchunked(tensor, factors, mode)}
-    for backend_name in backends:
-        # Threaded chunk execution is numpy-only (it must preserve the
-        # serial accumulation order); other backends race serially.
-        row_threads = threads_options if backend_name == "numpy" else (1,)
-        for threads in row_threads:
-            candidates[chunked_label(backend_name, threads)] = (
-                lambda b=backend_name, t=threads: sparse_mttkrp(
-                    tensor, factors, mode,
-                    nzchunk=nzchunk, rchunk=rchunk, backend=b, threads=t,
-                )
-            )
+    for threads in threads_options:
+        candidates[chunked_label(threads)] = lambda t=threads: sparse_mttkrp(
+            tensor, factors, mode, nzchunk=nzchunk, rchunk=rchunk, threads=t
+        )
 
     measured, percentiles = _race(candidates)
     predicted = predicted_sparse_timings(
@@ -179,13 +161,9 @@ def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, backends, 
         len(shape),
         nzchunk=nzchunk,
         rchunk=rchunk,
-        backends=backends,
         threads_options=threads_options,
         out_rows=shape[mode],
     )
-    # Only hold the model to candidates that actually ran (non-numpy
-    # backends race serially).
-    predicted = {label: predicted[label] for label in measured if label in predicted}
     return {
         "kind": "sparse",
         "case": name,
@@ -194,7 +172,6 @@ def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, backends, 
         "rank": rank,
         "nzchunk": nzchunk,
         "rchunk": rchunk,
-        "backends": list(backends),
         "threads_options": list(threads_options),
         "median_seconds": measured,
         "span_percentiles": percentiles,
@@ -250,12 +227,6 @@ def _winner_threads(label):
 def test_bench_kernels_timed_json():
     """Race the kernels, record the JSON, and hold the model to its winners."""
     quick = os.environ.get("BENCH_KERNELS_QUICK", "") not in ("", "0")
-    requested = _requested_backends()
-    installed = available_backend_names()
-    backends = [name for name in requested if name in installed]
-    skipped_backends = sorted(set(requested) - set(backends))
-    if not backends:
-        backends = ["numpy"]
     cores = effective_cpu_count()
 
     rows = []
@@ -269,9 +240,7 @@ def test_bench_kernels_timed_json():
             )
             continue
         rows.append(
-            _race_sparse_row(
-                name, shape, nnz, rank, forced, threads_options, backends, seed=5
-            )
+            _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed=5)
         )
     for name, shape, rank, tiles, threads_options, min_cores in DENSE_CASES:
         if quick and name not in QUICK_CASE_NAMES:
@@ -293,8 +262,6 @@ def test_bench_kernels_timed_json():
         "note": "timed record (wall-clock medians): not byte-checked in CI",
         "repeats": REPEATS,
         "quick": quick,
-        "backends": backends,
-        "skipped_backends": skipped_backends,
         "cpu_count": cores,
         "rows": rows,
         "skipped_rows": skipped_rows,
@@ -337,9 +304,3 @@ def test_bench_kernels_timed_json():
             _winner_threads(row["measured_winner"]) > 1 for row in rows
         ), "multi-core machine but no recorded row where threads > 1 wins"
 
-
-def test_backend_registry_reachable():
-    """The raced backends resolve through the registry (smoke check)."""
-    for name in _requested_backends():
-        if name in available_backend_names():
-            assert get_backend(name).name == name

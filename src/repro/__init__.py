@@ -26,12 +26,6 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure and comparison.
 """
 
-from repro.backend import (
-    Backend,
-    available_backend_names,
-    backend_names,
-    get_backend,
-)
 from repro.core import (
     DimensionTree,
     DimensionTreeKernel,
@@ -67,10 +61,6 @@ from repro.sketch import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "Backend",
-    "available_backend_names",
-    "backend_names",
-    "get_backend",
     "mttkrp",
     "mttkrp_reference",
     "mttkrp_via_matmul",

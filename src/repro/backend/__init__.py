@@ -1,31 +1,12 @@
-"""Multi-backend execution layer for the MTTKRP kernels.
+"""Execution services shared by the MTTKRP kernels.
 
-One registry of named :class:`Backend` instances — NumPy always, Numba and
-CuPy when importable — resolved by :func:`get_backend` and threaded through
-:func:`repro.core.kernels.mttkrp`, the blocked dense and chunked sparse
-kernels, the dimension-tree engines, and both CP-ALS drivers via their
-``backend=`` parameter.  Kernel registry names stay backend-agnostic:
-``kernel="einsum"`` means the same contraction on whichever backend is
-selected.
-
-Two execution services live beside the registry: the thread-parallel chunk
-executor of :mod:`repro.backend.parallel` (deterministic fixed-order
-reduction, thread count from ``REPRO_THREADS``) and the workspace pool of
-:mod:`repro.backend.workspace` (reusable chunk/tile temporaries and
-backend-resident factor mirrors shared across chunks and ALS sweeps).
+Two services live here: the thread-parallel chunk executor of
+:mod:`repro.backend.parallel` (deterministic fixed-order reduction, thread
+count from ``REPRO_THREADS``) and the workspace pool of
+:mod:`repro.backend.workspace` (reusable chunk/tile temporaries shared
+across chunks and ALS sweeps).  The kernels themselves call NumPy directly.
 """
 
-from repro.backend.base import (
-    Backend,
-    DEFAULT_BACKEND_NAME,
-    available_backend_names,
-    backend_names,
-    get_backend,
-    register_backend,
-)
-from repro.backend.cupy_backend import CupyBackend
-from repro.backend.numba_backend import NumbaBackend
-from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.parallel import (
     MAX_THREADS,
     THREADS_ENV_VAR,
@@ -36,27 +17,12 @@ from repro.backend.parallel import (
 )
 from repro.backend.workspace import (
     DEFAULT_WORKSPACE_CAPACITY_WORDS,
-    ResidentFactors,
     WorkspacePool,
     default_pool,
     reset_default_pool,
 )
 
-# Registration order is the preference order reports/benchmarks display.
-register_backend(NumpyBackend())
-register_backend(NumbaBackend())
-register_backend(CupyBackend())
-
 __all__ = [
-    "Backend",
-    "DEFAULT_BACKEND_NAME",
-    "NumpyBackend",
-    "NumbaBackend",
-    "CupyBackend",
-    "available_backend_names",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "THREADS_ENV_VAR",
     "MAX_THREADS",
     "effective_cpu_count",
@@ -65,7 +31,6 @@ __all__ = [
     "ordered_reduce",
     "DEFAULT_WORKSPACE_CAPACITY_WORDS",
     "WorkspacePool",
-    "ResidentFactors",
     "default_pool",
     "reset_default_pool",
 ]

@@ -1,11 +1,11 @@
-"""Workspace pool: reusable tile/chunk temporaries and resident factor buffers.
+"""Workspace pool: reusable tile/chunk temporaries.
 
 The blocked dense kernel and the chunked sparse kernel allocate the same
 small set of scratch shapes over and over — a gathered-factor block, a
 contribution block, a matricized tile, a Khatri-Rao row block — once per
 chunk, thousands of chunks per ALS sweep, dozens of sweeps per run.  A
 :class:`WorkspacePool` turns those allocations into checkouts from a
-per-``(backend, shape, dtype)`` arena: the first borrow of a shape allocates
+per-``(shape, dtype)`` arena: the first borrow of a shape allocates
 (``workspace.miss``), every later borrow reuses a released buffer
 (``workspace.hit``), and buffers whose shape has gone cold are dropped when
 the pooled free words exceed the capacity (``workspace.evict``) — oldest
@@ -14,19 +14,6 @@ path cache's LRU.  The pool is thread-safe: chunk tasks running on the
 shared executor of :mod:`repro.backend.parallel` borrow and release
 concurrently under one lock (the lock guards free-list bookkeeping only,
 never the arithmetic on borrowed buffers, which each task owns exclusively).
-
-:class:`ResidentFactors` is the pool's cross-sweep companion — the
-"device-resident factors" remainder of ROADMAP item 2.  The dimension-tree
-engine keeps its cached *partials* backend-native across sweeps, but it used
-to re-upload every *factor matrix* on every contraction.  A
-:class:`ResidentFactors` mirror holds one backend-native copy per mode and
-re-converts only when the host array is actually replaced (detected by
-identity, the same discipline :class:`repro.core.dimtree.FactorGate` uses):
-during one ALS sweep each factor is consumed by ``N - 1`` mode updates but
-replaced once, so most lookups are hits (``workspace.factor.hit`` /
-``workspace.factor.miss``).  On the NumPy backend the conversion is free and
-the mirror only contributes counters; on a device backend every hit is one
-host-to-device transfer saved.
 """
 
 from __future__ import annotations
@@ -34,18 +21,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.base import Backend, get_backend
 from repro.exceptions import ParameterError
 from repro.observe.instrument import inc as observe_inc, observe_value
 
 __all__ = [
     "DEFAULT_WORKSPACE_CAPACITY_WORDS",
     "WorkspacePool",
-    "ResidentFactors",
     "default_pool",
     "reset_default_pool",
 ]
@@ -65,7 +50,7 @@ def _words(shape: Tuple[int, ...]) -> int:
 
 
 class WorkspacePool:
-    """Per-``(backend, shape, dtype)`` arena of reusable scratch buffers."""
+    """Per-``(shape, dtype)`` arena of reusable scratch buffers."""
 
     def __init__(self, capacity_words: int = DEFAULT_WORKSPACE_CAPACITY_WORDS) -> None:
         if int(capacity_words) < 1:
@@ -73,9 +58,9 @@ class WorkspacePool:
         self.capacity_words = int(capacity_words)
         #: key -> free buffers of that key; the OrderedDict order over keys is
         #: release recency (oldest first), the eviction order.
-        self._free: "OrderedDict[Tuple[str, Tuple[int, ...], str], List]" = OrderedDict()
+        self._free: "OrderedDict[Tuple[Tuple[int, ...], str], List]" = OrderedDict()
         #: id(buffer) -> key for buffers currently checked out.
-        self._borrowed: Dict[int, Tuple[str, Tuple[int, ...], str]] = {}
+        self._borrowed: Dict[int, Tuple[Tuple[int, ...], str]] = {}
         self._lock = threading.Lock()
         self._free_words = 0
         self._borrowed_words = 0
@@ -96,24 +81,16 @@ class WorkspacePool:
         return self._borrowed_words
 
     # -- borrow / release ----------------------------------------------------
-    def borrow(
-        self,
-        shape: Sequence[int],
-        dtype=np.float64,
-        *,
-        backend: Union[None, str, Backend] = None,
-        zero: bool = False,
-    ):
-        """Check out a buffer of ``shape``/``dtype`` on ``backend``.
+    def borrow(self, shape: Sequence[int], dtype=np.float64, *, zero: bool = False):
+        """Check out a buffer of ``shape``/``dtype``.
 
         Reused buffers carry stale contents unless ``zero=True``; callers
         that overwrite every element (``np.matmul(..., out=...)``,
         ``np.copyto``) should leave ``zero`` off.
         """
-        exec_backend = get_backend(backend)
         shape = tuple(int(dim) for dim in shape)
         dtype_name = str(np.dtype(dtype))
-        key = (exec_backend.name, shape, dtype_name)
+        key = (shape, dtype_name)
         words = _words(shape)
         with self._lock:
             free_list = self._free.get(key)
@@ -137,7 +114,7 @@ class WorkspacePool:
         if new_high_water:
             observe_value("workspace.high_water_words", float(self.high_water_words))
         if buffer is None:
-            buffer = exec_backend.zeros(shape, dtype=np.dtype(dtype_name))
+            buffer = np.zeros(shape, dtype=np.dtype(dtype_name))
         elif zero:
             buffer[...] = 0
         with self._lock:
@@ -151,7 +128,7 @@ class WorkspacePool:
             key = self._borrowed.pop(id(buffer), None)
             if key is None:
                 raise ParameterError("release of a buffer this pool did not lend")
-            words = _words(key[1])
+            words = _words(key[0])
             self._borrowed_words -= words
             self._free.setdefault(key, []).append(buffer)
             self._free.move_to_end(key)
@@ -162,85 +139,20 @@ class WorkspacePool:
                 old_list.pop(0)
                 if not old_list:
                     del self._free[old_key]
-                self._free_words -= _words(old_key[1])
+                self._free_words -= _words(old_key[0])
                 self.evictions += 1
                 evicted += 1
         if evicted:
             observe_inc("workspace.evict", evicted)
 
     @contextmanager
-    def lease(
-        self,
-        shape: Sequence[int],
-        dtype=np.float64,
-        *,
-        backend: Union[None, str, Backend] = None,
-        zero: bool = False,
-    ):
+    def lease(self, shape: Sequence[int], dtype=np.float64, *, zero: bool = False):
         """Context-managed :meth:`borrow` — released on exit, even on error."""
-        buffer = self.borrow(shape, dtype, backend=backend, zero=zero)
+        buffer = self.borrow(shape, dtype, zero=zero)
         try:
             yield buffer
         finally:
             self.release(buffer)
-
-
-class ResidentFactors:
-    """Backend-native mirrors of a factor list, refreshed on identity change.
-
-    One slot per mode: :meth:`native` converts the host factor on first sight
-    or whenever the host array object is replaced (``workspace.factor.miss``)
-    and serves the cached native array otherwise (``workspace.factor.hit``).
-    In-place mutations are invisible to the identity check — exactly the
-    contract :class:`~repro.core.dimtree.FactorGate` already imposes on the
-    ALS drivers, which always rebind factor slots to fresh arrays.
-    """
-
-    def __init__(self, n_modes: int, backend: Union[None, str, Backend] = None) -> None:
-        if int(n_modes) < 1:
-            raise ParameterError("n_modes must be positive")
-        self._backend = get_backend(backend)
-        self._hosts: List[Optional[np.ndarray]] = [None] * int(n_modes)
-        self._natives: List[Optional[object]] = [None] * int(n_modes)
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def backend(self) -> Backend:
-        return self._backend
-
-    def native(self, mode: int, host: np.ndarray):
-        """The backend-native array for ``host``, uploaded at most once per replacement."""
-        if host is None:
-            raise ParameterError("cannot make a None factor resident")
-        if not 0 <= int(mode) < len(self._hosts):
-            raise ParameterError(
-                f"mode {mode} out of range for {len(self._hosts)} resident slots"
-            )
-        mode = int(mode)
-        if self._hosts[mode] is host:
-            self.hits += 1
-            observe_inc("workspace.factor.hit")
-        else:
-            self.misses += 1
-            observe_inc("workspace.factor.miss")
-            self._natives[mode] = self._backend.asarray(np.asarray(host))
-            self._hosts[mode] = host
-        return self._natives[mode]
-
-    def invalidate(self, mode: Optional[int] = None) -> None:
-        """Drop one slot's mirror (or all of them) — next lookup re-uploads."""
-        if mode is None:
-            for k in range(len(self._hosts)):
-                self._hosts[k] = None
-                self._natives[k] = None
-            return
-        if not 0 <= int(mode) < len(self._hosts):
-            raise ParameterError(
-                f"mode {mode} out of range for {len(self._hosts)} resident slots"
-            )
-        self._hosts[int(mode)] = None
-        self._natives[int(mode)] = None
 
 
 #: Process-wide default pool, shared by every kernel call that does not pass

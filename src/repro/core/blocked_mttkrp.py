@@ -41,7 +41,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.backend.parallel import parallel_map, resolve_threads
 from repro.backend.workspace import WorkspacePool, default_pool
 from repro.exceptions import ParameterError
@@ -123,7 +122,6 @@ def blocked_mttkrp(
     *,
     tiles: Union[None, int, Sequence[int]] = None,
     memory_words: Optional[int] = None,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
     pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
@@ -144,11 +142,6 @@ def blocked_mttkrp(
     memory_words:
         Fast-memory budget for the default tile choice (default:
         :data:`repro.sequential.block_size.DEFAULT_DENSE_TILE_MEMORY_WORDS`).
-    backend:
-        Execution backend; the tiled path runs on host-namespace backends
-        (NumPy/Numba — a device backend would bounce every tile over the
-        bus, defeating the blocking) and the fallback honours whatever the
-        einsum kernel supports.
     threads:
         Thread count for output-mode tile tasks (``None`` consults
         ``REPRO_THREADS``, default 1).  Results are bitwise identical for
@@ -180,19 +173,8 @@ def blocked_mttkrp(
         # verbatim (bitwise), mirroring the sparse kernel's single-chunk
         # fallback.
         observe_inc("blocked_mttkrp.fallback")
-        return np.ascontiguousarray(
-            np.asarray(
-                _einsum_mttkrp(data, factors, mode, backend)
-            )
-        )
+        return _einsum_mttkrp(data, factors, mode)
 
-    exec_backend = get_backend(backend)
-    if not isinstance(exec_backend.asarray(np.zeros(0)), np.ndarray):
-        raise ParameterError(
-            f"the blocked dense kernel runs on host-namespace backends only; "
-            f"backend {exec_backend.name!r} is device-resident — use the "
-            "einsum path for it"
-        )
     threads = resolve_threads(threads)
     if pool is None:
         pool = default_pool()
@@ -240,11 +222,11 @@ def blocked_mttkrp(
     return output
 
 
-def _einsum_mttkrp(data, factors, mode, backend):
+def _einsum_mttkrp(data, factors, mode):
     """The einsum kernel (deferred call site to keep one import direction)."""
     from repro.core.kernels import mttkrp
 
-    return mttkrp(data, factors, mode, backend=backend)
+    return mttkrp(data, factors, mode)
 
 
 def dense_mttkrp(
@@ -255,7 +237,6 @@ def dense_mttkrp(
     method: str = "auto",
     tiles: Union[None, int, Sequence[int]] = None,
     memory_words: Optional[int] = None,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
     pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
@@ -273,7 +254,7 @@ def dense_mttkrp(
             f"method must be one of {', '.join(DENSE_METHODS)}, got {method!r}"
         )
     if method == "einsum":
-        return _einsum_mttkrp(tensor, factors, mode, backend)
+        return _einsum_mttkrp(tensor, factors, mode)
     if method == "blocked":
         return blocked_mttkrp(
             tensor,
@@ -281,7 +262,6 @@ def dense_mttkrp(
             mode,
             tiles=tiles,
             memory_words=memory_words,
-            backend=backend,
             threads=threads,
             pool=pool,
         )
@@ -304,7 +284,7 @@ def dense_mttkrp(
     )
     if winner == EINSUM_LABEL:
         observe_inc("dense_dispatch.einsum")
-        return _einsum_mttkrp(data, factors, mode, backend)
+        return _einsum_mttkrp(data, factors, mode)
     observe_inc("dense_dispatch.blocked")
     winner_threads = int(winner.rsplit(":t", 1)[1])
     return blocked_mttkrp(
@@ -313,7 +293,6 @@ def dense_mttkrp(
         mode,
         tiles=tiles,
         memory_words=memory_words,
-        backend=backend,
         threads=winner_threads,
         pool=pool,
     )

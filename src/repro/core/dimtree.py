@@ -39,8 +39,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
-from repro.backend.workspace import ResidentFactors
 from repro.core.multi_mode import contract_mode_step
 from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import ParameterError
@@ -326,11 +324,6 @@ class DimensionTree:
         bounded staleness on nearly-converged ALS runs.
     residual_tol:
         Accumulated relative-drift tolerance of ``invalidation="residual"``.
-    backend:
-        Execution backend name or instance for the contraction steps
-        (:func:`repro.backend.get_backend`).  Non-default backends keep the
-        cached partials native (e.g. on-device for CuPy) and convert only
-        the leaves they serve; the counted ledgers are backend-independent.
 
     Notes
     -----
@@ -349,10 +342,8 @@ class DimensionTree:
         cache: bool = True,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
-        backend=None,
     ) -> None:
         self._data = as_ndarray(tensor)
-        self._backend: Backend = get_backend(backend)
         if self._data.ndim < 2:
             raise ParameterError("DimensionTree requires a tensor with at least 2 modes")
         if invalidation not in ("exact", "residual"):
@@ -370,12 +361,6 @@ class DimensionTree:
         # Aliases of the gate's state: the gate mutates, the tree reads.
         self._factors = self._gate.factors
         self._versions = self._gate.versions
-        # Backend-native factor mirrors, refreshed on identity change: a
-        # device backend uploads each factor once per ALS update instead of
-        # once per contraction (the "device-resident factors" of ROADMAP
-        # item 2); on the host backend the mirror is a no-op pass-through
-        # that still counts hits for the observability layer.
-        self._resident = ResidentFactors(self._n, self._backend)
         #: node key -> (data, modes, has_rank, complement-version snapshot)
         self._cache: Dict[Tuple[int, ...], Tuple[np.ndarray, Tuple[int, ...], bool, Tuple[int, ...]]] = {}
         self.contractions = 0
@@ -548,7 +533,7 @@ class DimensionTree:
         mode = check_mode(mode, self._n)
         self.register_factors(factors, mode)
         value, _, _ = self._value((mode,))
-        return np.ascontiguousarray(self._backend.to_numpy(value)).copy()
+        return np.ascontiguousarray(value).copy()
 
     # -- internals -----------------------------------------------------------
     def _value(self, key: Tuple[int, ...]):
@@ -573,13 +558,13 @@ class DimensionTree:
 
     def _contract_one(self, data: np.ndarray, modes: List[int], has_rank: bool, k: int):
         axis = modes.index(k)
-        factor = self._resident.native(k, self._factors[k])
+        factor = np.asarray(self._factors[k])
         rank = int(factor.shape[1])
         dims = [data.shape[i] for i in range(len(modes))]
         flops, words = _step_cost(dims, data.shape[axis], rank, has_rank)
         if data is self._data:
             self.root_reads += 1
-        out = contract_mode_step(data, axis, factor, has_rank, backend=self._backend)
+        out = contract_mode_step(data, axis, factor, has_rank)
         self.contractions += 1
         self.flops += flops
         self.words += words
@@ -721,13 +706,11 @@ class DimensionTreeKernel(SweepKernel):
         cache: bool = True,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
-        backend=None,
     ) -> None:
         self._split = split
         self._cache = bool(cache)
         self._invalidation = invalidation
         self._residual_tol = float(residual_tol)
-        self._backend = get_backend(backend)
         self.tree: Optional[DimensionTree] = None
         self._sweep_marks: List[SweepCost] = []
         self._pending_state: Optional[dict] = None
@@ -773,7 +756,6 @@ class DimensionTreeKernel(SweepKernel):
                 cache=self._cache,
                 invalidation=self._invalidation,
                 residual_tol=self._residual_tol,
-                backend=self._backend,
             )
             # A rebuild starts a fresh counter stream: marks taken against the
             # previous tree's totals would otherwise make per-sweep deltas

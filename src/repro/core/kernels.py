@@ -18,11 +18,10 @@ from __future__ import annotations
 import string
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.observe.instrument import inc as observe_inc
 from repro.tensor.dense import as_ndarray
 from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
@@ -37,10 +36,9 @@ MAX_MODES = len(string.ascii_lowercase) - 1
 #: ``optimize=True`` is pure Python and, inside ALS hot loops, was re-run on
 #: every MTTKRP call even though the operand shapes repeat identically sweep
 #: after sweep; the cache makes the search a once-per-problem cost.  Keys
-#: include the operand dtypes and the execution backend name alongside
-#: ``(shape, mode, rank)``: a path planned for NumPy/float64 operands must
-#: never be served to a CuPy/float32 call, whose intermediate-size tradeoffs
-#: (and einsum implementation) differ.  Bounded as an LRU (insertion order
+#: include the operand dtypes alongside ``(shape, mode, rank)``: a path
+#: planned for float64 operands must never be served to a float32 call,
+#: whose intermediate-size tradeoffs differ.  Bounded as an LRU (insertion order
 #: doubles as recency order: hits are moved to the end, overflow evicts the
 #: oldest entry) so a long multi-problem process sheds cold one-off shapes
 #: while the hot steady-state ALS paths survive.  Shared mutable state the
@@ -54,9 +52,9 @@ _PATH_CACHE_MAX_ENTRIES = 512
 _PATH_CACHE_LOCK = threading.Lock()
 
 
-def _path_cache_key(base, operands, backend_name: str):
-    """Full cache key: the call-site ``base`` plus operand dtypes and backend."""
-    return (backend_name, base, tuple(str(op.dtype) for op in operands))
+def _path_cache_key(base, operands):
+    """Full cache key: the call-site ``base`` plus the operand dtypes."""
+    return (base, tuple(str(op.dtype) for op in operands))
 
 
 def _contraction_path(key, spec: str, operands) -> list:
@@ -69,8 +67,7 @@ def _contraction_path(key, spec: str, operands) -> list:
             return path
     observe_inc("path_cache.miss")
     # Path planning reads only shapes and dtypes, so plan over
-    # zero-strided host dummies: free of data movement, and valid even
-    # when the operands live on a device backend.
+    # zero-strided dummies: free of data movement.
     dummies = [
         np.lib.stride_tricks.as_strided(
             np.empty(1, dtype=np.dtype(str(op.dtype))),
@@ -109,11 +106,7 @@ def _einsum_spec(ndim: int, mode: int) -> str:
 
 
 def mttkrp(
-    tensor,
-    factors: Sequence[Optional[np.ndarray]],
-    mode: int,
-    *,
-    backend: Union[None, str, Backend] = None,
+    tensor, factors: Sequence[Optional[np.ndarray]], mode: int
 ) -> np.ndarray:
     """Vectorised dense MTTKRP.
 
@@ -125,13 +118,8 @@ def mttkrp(
         One factor matrix per mode (``I_k x R``); the entry for ``mode`` is
         ignored and may be ``None``.
     mode:
-        The output mode ``n``.
-    backend:
-        Execution backend name or instance
-        (:func:`repro.backend.get_backend`); the contraction path is planned
-        once per (backend, shapes, dtypes) and the einsum itself is evaluated
-        by the selected backend.  Inputs and the returned array are host
-        NumPy regardless of the backend.
+        The output mode ``n``.  The contraction path is planned once per
+        (shapes, dtypes) and memoized.
 
     Returns
     -------
@@ -146,7 +134,6 @@ def mttkrp(
     mode = check_mode(mode, data.ndim)
     rank = _infer_rank(factors, mode)
     check_factor_matrices(factors, data.shape, rank, skip_mode=mode)
-    exec_backend = get_backend(backend)
 
     operands = [data]
     for k in range(data.ndim):
@@ -154,21 +141,13 @@ def mttkrp(
             continue
         operands.append(np.asarray(factors[k]))
     spec = _einsum_spec(data.ndim, mode)
-    key = _path_cache_key(
-        (tuple(data.shape), mode, rank), operands, exec_backend.name
-    )
+    key = _path_cache_key((tuple(data.shape), mode, rank), operands)
     path = _contraction_path(key, spec, operands)
-    native = [exec_backend.asarray(op) for op in operands]
-    result = exec_backend.to_numpy(exec_backend.einsum(spec, *native, optimize=path))
-    return np.ascontiguousarray(result)
+    return np.ascontiguousarray(np.einsum(spec, *operands, optimize=path))
 
 
 def local_mttkrp(
-    local_tensor: np.ndarray,
-    local_factors: Sequence[Optional[np.ndarray]],
-    mode: int,
-    *,
-    backend: Union[None, str, Backend] = None,
+    local_tensor: np.ndarray, local_factors: Sequence[Optional[np.ndarray]], mode: int
 ) -> np.ndarray:
     """Local MTTKRP used inside the parallel algorithms.
 
@@ -178,7 +157,7 @@ def local_mttkrp(
     under its own name so the parallel algorithms read like the paper's
     pseudocode (``Local-MTTKRP``).
     """
-    return mttkrp(local_tensor, local_factors, mode, backend=backend)
+    return mttkrp(local_tensor, local_factors, mode)
 
 
 def mttkrp_flops(shape: Sequence[int], rank: int, *, atomic: bool = True) -> int:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.core.kernels import _contraction_path, _path_cache_key
 from repro.exceptions import ParameterError
 from repro.tensor.dense import as_ndarray
@@ -38,12 +37,7 @@ _RANK_LETTER = "z"
 
 
 def contract_mode_step(
-    data: np.ndarray,
-    axis: int,
-    factor: np.ndarray,
-    has_rank: bool,
-    *,
-    backend: Union[None, "Backend"] = None,
+    data: np.ndarray, axis: int, factor: np.ndarray, has_rank: bool
 ) -> np.ndarray:
     """Contract one mode axis of a partial tensor against a factor matrix.
 
@@ -54,34 +48,18 @@ def contract_mode_step(
     element-wise along the rank axis, as a two-operand einsum whose
     contraction path is memoized (the operand shapes repeat identically
     sweep after sweep inside ALS).
-
-    With a non-default ``backend`` (an already-resolved
-    :class:`~repro.backend.Backend` instance) the contraction runs in the
-    backend's namespace and the result *stays native* — the dimension tree
-    keeps its cached partials on-device and converts only served leaves.
     """
-    if backend is None or backend.name == "numpy":
-        if not has_rank:
-            return np.tensordot(data, factor, axes=([axis], [0]))
-        exec_backend = get_backend(backend)
-        native_data, native_factor = data, factor
-    else:
-        exec_backend = backend
-        native_data = exec_backend.asarray(data)
-        native_factor = exec_backend.asarray(factor)
-        if not has_rank:
-            return exec_backend.tensordot(native_data, native_factor, ([axis], [0]))
-    letters = list(string.ascii_lowercase[: native_data.ndim - 1])
+    if not has_rank:
+        return np.tensordot(data, factor, axes=([axis], [0]))
+    letters = list(string.ascii_lowercase[: data.ndim - 1])
     input_sub = "".join(letters) + _RANK_LETTER
     output_sub = "".join(letters[:axis] + letters[axis + 1 :]) + _RANK_LETTER
     spec = f"{input_sub},{letters[axis]}{_RANK_LETTER}->{output_sub}"
     key = _path_cache_key(
-        ("contract-step", tuple(int(d) for d in native_data.shape), axis),
-        (native_data, native_factor),
-        exec_backend.name,
+        ("contract-step", tuple(int(d) for d in data.shape), axis), (data, factor)
     )
-    path = _contraction_path(key, spec, (native_data, native_factor))
-    return exec_backend.einsum(spec, native_data, native_factor, optimize=path)
+    path = _contraction_path(key, spec, (data, factor))
+    return np.einsum(spec, data, factor, optimize=path)
 
 
 @dataclass

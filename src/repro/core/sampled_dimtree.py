@@ -53,7 +53,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.core.dimtree import DimensionTree, FactorGate, ModeSplit
 from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import ParameterError
@@ -423,7 +422,6 @@ class SampledDimtreeKernel(SweepKernel):
         cache: bool = True,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
-        backend=None,
     ) -> None:
         from repro.sketch.sampling import _as_generator
 
@@ -439,7 +437,6 @@ class SampledDimtreeKernel(SweepKernel):
         self._cache = bool(cache)
         self._invalidation = invalidation
         self._residual_tol = float(residual_tol)
-        self._backend = get_backend(backend)
         self.tree: Optional[DimensionTree] = None
         self.samplers = FusedSamplerCache(distribution)
         self.draw_log: List[FusedDrawRecord] = []
@@ -633,7 +630,6 @@ class SampledDimtreeKernel(SweepKernel):
                 split=self._split,
                 invalidation=self._invalidation,
                 residual_tol=self._residual_tol,
-                backend=self._backend,
             )
             self.samplers = FusedSamplerCache(self._distribution)
             self.draw_log = []

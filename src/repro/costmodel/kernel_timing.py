@@ -3,9 +3,9 @@
 Unlike the counted models in the rest of this subpackage, this module
 predicts *seconds*: which execution path of
 :func:`repro.tensor.sparse.sparse_mttkrp` — the legacy ``np.add.at`` kernel
-or the chunked scatter kernel on a given backend, serial or thread-parallel —
-and which dense path of :func:`repro.core.blocked_mttkrp.dense_mttkrp` —
-the monolithic einsum contraction or the cache-blocked tiled GEMM — wins on
+or the chunked scatter kernel, serial or thread-parallel — and which
+dense path of :func:`repro.core.blocked_mttkrp.dense_mttkrp` — the
+monolithic einsum contraction or the cache-blocked tiled GEMM — wins on
 a given problem.  The model has deliberately few terms, each tied to a
 mechanism the implementation actually exhibits:
 
@@ -17,9 +17,8 @@ mechanism the implementation actually exhibits:
   it spills (the very blow-up the chunked kernel exists to avoid) — a
   two-level memory model in the spirit of
   :mod:`repro.sequential.block_size`, with the same default capacity;
-* the chunked path pays a constant per-element scatter rate (backend
-  dependent: per-column ``np.bincount``, a compiled loop, or
-  ``cupyx.scatter_add``) plus per-chunk Python-loop and per-scatter-call
+* the chunked path pays a constant per-element scatter rate (per-column
+  ``np.bincount``) plus per-chunk Python-loop and per-scatter-call
   overheads that dominate only when chunks are tiny;
 * the dense einsum path is a BLAS contraction
   (:attr:`KernelTimingParams.gemm_seconds_per_flop`) followed by a non-BLAS
@@ -43,8 +42,8 @@ modelled winner matches the measured winner on every recorded row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ParameterError
 from repro.sequential.block_size import (
@@ -66,7 +65,7 @@ __all__ = [
 
 #: Kernel labels used by :func:`predicted_sparse_timings` /
 #: :func:`predict_sparse_winner`: the legacy path is ``"unchunked"``, the
-#: chunked path is ``"chunked:<backend>"`` (with a ``:t<threads>`` suffix for
+#: chunked path is ``"chunked:numpy"`` (with a ``:t<threads>`` suffix for
 #: thread-parallel chunk execution).
 UNCHUNKED_LABEL = "unchunked"
 
@@ -74,15 +73,15 @@ UNCHUNKED_LABEL = "unchunked"
 EINSUM_LABEL = "einsum"
 
 
-def chunked_label(backend_name: str, threads: int = 1) -> str:
-    """The timing-table label of the chunked kernel on ``backend_name``.
+def chunked_label(threads: int = 1) -> str:
+    """The timing-table label of the chunked kernel at ``threads``.
 
-    Serial execution keeps the historical ``"chunked:<backend>"`` label;
+    Serial execution keeps the historical ``"chunked:numpy"`` label;
     thread-parallel chunk execution appends ``":t<threads>"``.
     """
     if threads > 1:
-        return f"chunked:{backend_name}:t{threads}"
-    return f"chunked:{backend_name}"
+        return f"chunked:numpy:t{threads}"
+    return "chunked:numpy"
 
 
 def dense_blocked_label(threads: int = 1) -> str:
@@ -115,15 +114,10 @@ class KernelTimingParams:
     addat_seconds_in_cache: float = 1.0e-9
     #: ``np.add.at`` seconds per element once the temporary spills.
     addat_seconds_out_of_cache: float = 2.1e-8
-    #: Per-element scatter rate of the chunked kernel, by backend name.
-    scatter_seconds_per_element: Mapping[str, float] = field(
-        default_factory=lambda: {"numpy": 6.0e-9, "numba": 1.5e-9, "cupy": 1.0e-10}
-    )
-    #: Fixed cost of one scatter call (one ``np.bincount`` per block column
-    #: on the CPU backends; one kernel launch per block on CuPy).
-    scatter_call_seconds: Mapping[str, float] = field(
-        default_factory=lambda: {"numpy": 2.5e-7, "numba": 2.5e-7, "cupy": 5.0e-6}
-    )
+    #: Per-element scatter rate of the chunked kernel.
+    scatter_seconds_per_element: float = 6.0e-9
+    #: Fixed cost of one scatter call (one ``np.bincount`` per block column).
+    scatter_call_seconds: float = 2.5e-7
     #: Python-loop overhead per (nzchunk, rchunk) block.
     chunk_overhead_seconds: float = 5.0e-7
     #: Cache capacity (words) separating the two ``np.add.at`` regimes;
@@ -174,7 +168,6 @@ def predicted_sparse_mttkrp_seconds(
     n_modes: int,
     *,
     kernel: str = "chunked",
-    backend: str = "numpy",
     nzchunk: Optional[int] = None,
     rchunk: Optional[int] = None,
     threads: int = 1,
@@ -189,9 +182,6 @@ def predicted_sparse_mttkrp_seconds(
         Problem size: stored nonzeros, CP rank ``R``, tensor order ``N``.
     kernel:
         ``"unchunked"`` (the legacy ``np.add.at`` path) or ``"chunked"``.
-    backend:
-        Execution backend of the chunked kernel (ignored for
-        ``"unchunked"``); must have an entry in the params' rate tables.
     nzchunk, rchunk:
         Chunk sizes of the chunked kernel; defaults come from
         :func:`repro.sequential.block_size.choose_sparse_chunks`, exactly as
@@ -240,20 +230,15 @@ def predicted_sparse_mttkrp_seconds(
         return predicted_sparse_mttkrp_seconds(
             nnz, rank, n_modes, kernel=UNCHUNKED_LABEL, params=params
         )
-    try:
-        scatter_rate = params.scatter_seconds_per_element[backend]
-        call_seconds = params.scatter_call_seconds[backend]
-    except KeyError:
-        raise ParameterError(
-            f"no timing calibration for backend {backend!r}; "
-            f"known: {sorted(params.scatter_seconds_per_element)}"
-        ) from None
     n_z = math.ceil(nnz / nzchunk)
     n_r = math.ceil(rank / rchunk)
-    # CPU backends issue one bincount per block column; CuPy launches one
-    # scatter_add kernel per block.
-    n_calls = n_z * n_r if backend == "cupy" else n_z * rank
-    compute = stream + scatter_rate * elements + call_seconds * n_calls
+    # One bincount per block column.
+    n_calls = n_z * rank
+    compute = (
+        stream
+        + params.scatter_seconds_per_element * elements
+        + params.scatter_call_seconds * n_calls
+    )
     overhead = params.chunk_overhead_seconds * n_z * n_r
     if threads == 1:
         return compute + overhead
@@ -276,36 +261,33 @@ def predicted_sparse_timings(
     *,
     nzchunk: Optional[int] = None,
     rchunk: Optional[int] = None,
-    backends: Sequence[str] = ("numpy",),
     threads_options: Sequence[int] = (1,),
     out_rows: Optional[int] = None,
     params: Optional[KernelTimingParams] = None,
 ) -> Dict[str, float]:
     """Modelled seconds of every candidate kernel, keyed by timing label.
 
-    ``threads_options`` adds one chunked candidate per thread count and
-    backend (serial counts keep the historical ``chunked:<backend>`` label);
-    ``out_rows`` is required as soon as any option exceeds 1.
+    ``threads_options`` adds one chunked candidate per thread count (serial
+    counts keep the historical ``chunked:numpy`` label); ``out_rows`` is
+    required as soon as any option exceeds 1.
     """
     timings = {
         UNCHUNKED_LABEL: predicted_sparse_mttkrp_seconds(
             nnz, rank, n_modes, kernel=UNCHUNKED_LABEL, params=params
         )
     }
-    for backend in backends:
-        for threads in threads_options:
-            timings[chunked_label(backend, threads)] = predicted_sparse_mttkrp_seconds(
-                nnz,
-                rank,
-                n_modes,
-                kernel="chunked",
-                backend=backend,
-                nzchunk=nzchunk,
-                rchunk=rchunk,
-                threads=threads,
-                out_rows=out_rows,
-                params=params,
-            )
+    for threads in threads_options:
+        timings[chunked_label(threads)] = predicted_sparse_mttkrp_seconds(
+            nnz,
+            rank,
+            n_modes,
+            kernel="chunked",
+            nzchunk=nzchunk,
+            rchunk=rchunk,
+            threads=threads,
+            out_rows=out_rows,
+            params=params,
+        )
     return timings
 
 
@@ -316,7 +298,6 @@ def predict_sparse_winner(
     *,
     nzchunk: Optional[int] = None,
     rchunk: Optional[int] = None,
-    backends: Sequence[str] = ("numpy",),
     threads_options: Sequence[int] = (1,),
     out_rows: Optional[int] = None,
     params: Optional[KernelTimingParams] = None,
@@ -328,7 +309,6 @@ def predict_sparse_winner(
         n_modes,
         nzchunk=nzchunk,
         rchunk=rchunk,
-        backends=backends,
         threads_options=threads_options,
         out_rows=out_rows,
         params=params,

@@ -13,13 +13,14 @@ user-supplied (e.g. counted) kernel.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
+from repro.backend.parallel import resolve_threads
 from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
 from repro.core.dimtree import DimensionTreeKernel
 from repro.core.kernels import mttkrp
@@ -37,14 +38,14 @@ from repro.observe.tracer import trace
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
 from repro.tensor.dense import as_ndarray
 from repro.tensor.kruskal import KruskalTensor
-from repro.utils.validation import check_rank
+from repro.utils.validation import check_positive_int, check_rank
 
 #: Signature of a pluggable MTTKRP kernel: (tensor, factors, mode) -> (I_mode, R) array.
 MTTKRPKernel = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.ndarray]
 
 _KERNELS = {
     "einsum": mttkrp,
-    "matmul": lambda tensor, factors, mode: mttkrp_via_matmul(tensor, factors, mode),
+    "matmul": mttkrp_via_matmul,
 }
 
 #: Kernel names resolvable by :func:`cp_als` (``"sampled"``, ``"sampled-tree"``
@@ -69,11 +70,63 @@ KERNEL_NAMES = (
 #: Graceful-degradation policies for a poisoned (non-finite) MTTKRP output.
 FAULT_POLICIES = ("raise", "retry", "degrade")
 
+#: Cache-invalidation policies of the dimension-tree kernels.
+INVALIDATION_POLICIES = ("exact", "residual")
+
 
 def _check_finite(name: str, array: np.ndarray) -> None:
     """Reject NaN/Inf inputs up front (they silently poison every sweep)."""
     if not np.all(np.isfinite(array)):
         raise ParameterError(f"{name} contains non-finite values (NaN or Inf)")
+
+
+def _check_tolerance(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+        raise ParameterError(f"{name} must be a non-negative number, got {value!r}")
+
+
+def check_als_arguments(
+    shape: Sequence[int],
+    rank: int,
+    *,
+    n_iter_max: int,
+    tol: float,
+    init: Union[str, Sequence[np.ndarray]],
+    invalidation: str,
+    invalidation_tol: float,
+    threads: Optional[int],
+) -> None:
+    """Reject bad ALS driver arguments before any initialisation or kernel work.
+
+    The one argument check of :func:`cp_als` and
+    :func:`repro.cp.parallel_als.parallel_cp_als`: every value is checked
+    whichever kernel the run would use, so an argument that a kernel
+    ignores (``invalidation`` for a per-call kernel, ``threads`` for
+    ``"einsum"``) still fails with :class:`ParameterError` when it is
+    invalid.  An explicit ``init`` must hold one finite ``(I_k, rank)``
+    matrix per mode.
+    """
+    check_positive_int(n_iter_max, "n_iter_max")
+    _check_tolerance(tol, "tol")
+    _check_tolerance(invalidation_tol, "invalidation_tol")
+    if invalidation not in INVALIDATION_POLICIES:
+        raise ParameterError(
+            f"invalidation must be one of {INVALIDATION_POLICIES}, got {invalidation!r}"
+        )
+    if threads is not None:
+        resolve_threads(check_positive_int(threads, "threads"))
+    if isinstance(init, str):
+        return
+    if len(init) != len(shape):
+        raise ParameterError("explicit init must provide one factor matrix per mode")
+    for mode, factor in enumerate(init):
+        factor = np.asarray(factor)
+        if factor.shape != (shape[mode], rank):
+            raise ParameterError(
+                f"init factor for mode {mode} must have shape "
+                f"({shape[mode]}, {rank}), got {factor.shape}"
+            )
+        _check_finite(f"init factor for mode {mode}", factor)
 
 
 def _solve_normal_equations(gram: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
@@ -188,35 +241,15 @@ def _resolve_kernel(
     seed: Union[None, int, np.random.Generator] = None,
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
 ) -> SweepKernel:
     if isinstance(kernel, SweepKernel) or callable(kernel):
-        if backend is not None and get_backend(backend).name != "numpy":
-            raise ParameterError(
-                "backend selection applies only to named kernels; "
-                "explicit kernel objects manage their own execution backend"
-            )
         return as_sweep_kernel(kernel)
     check_kernel_name(kernel, KERNEL_NAMES)
-    exec_backend = get_backend(backend)
-    if exec_backend.name != "numpy" and kernel not in (
-        "einsum",
-        "dimtree",
-        "sampled-dimtree",
-    ):
-        raise ParameterError(
-            f"kernel {kernel!r} does not support non-default execution backends; "
-            "use 'einsum', 'dimtree', or 'sampled-dimtree'"
-        )
     if kernel == "dimtree":
         # A fresh engine per run: the tree binds to the run's tensor on the
         # first call and caches partial contractions across the whole run.
-        return DimensionTreeKernel(
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
-            backend=exec_backend,
-        )
+        return DimensionTreeKernel(invalidation=invalidation, residual_tol=invalidation_tol)
     if kernel == "sampled-dimtree":
         # The fused engine: leverage draws served from the dimension tree's
         # cached partial contractions (lazy import for the same layering
@@ -227,24 +260,17 @@ def _resolve_kernel(
             seed=_kernel_seed(seed),
             invalidation=invalidation,
             residual_tol=invalidation_tol,
-            backend=exec_backend,
-        )
-    if kernel == "einsum":
-        return PerCallKernel(
-            lambda tensor, factors, mode: mttkrp(
-                tensor, factors, mode, backend=exec_backend
-            )
         )
     if kernel == "blocked":
         return PerCallKernel(
             lambda tensor, factors, mode: blocked_mttkrp(
-                tensor, factors, mode, backend=exec_backend, threads=threads
+                tensor, factors, mode, threads=threads
             )
         )
     if kernel == "auto":
         return PerCallKernel(
             lambda tensor, factors, mode: dense_mttkrp(
-                tensor, factors, mode, backend=exec_backend, threads=threads
+                tensor, factors, mode, threads=threads
             )
         )
     if kernel in ("sampled", "sampled-tree"):
@@ -276,7 +302,6 @@ def cp_als(
     kernel: Union[str, MTTKRPKernel] = "einsum",
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
     warn_on_nonconvergence: bool = False,
     on_fault: str = "raise",
@@ -315,12 +340,6 @@ def cp_als(
         drift stays within ``invalidation_tol`` (see
         :class:`~repro.core.dimtree.FactorGate`).  Ignored by the per-call
         kernels and by explicitly constructed kernel instances.
-    backend:
-        Execution backend name or instance
-        (:func:`repro.backend.get_backend`) used by the named kernels that
-        support backend dispatch (``"einsum"``, ``"dimtree"``,
-        ``"sampled-dimtree"``).  Selecting a non-default backend for any
-        other kernel raises :class:`~repro.exceptions.ParameterError`.
     threads:
         Thread count for the kernels that execute chunks on the shared
         thread executor (``"blocked"`` / ``"auto"``; ``None`` consults the
@@ -361,19 +380,23 @@ def cp_als(
         raise ParameterError(
             f"unknown on_fault policy {on_fault!r}; use one of {FAULT_POLICIES}"
         )
-    _check_finite("tensor", data)
-    sweep_kernel = _resolve_kernel(
-        kernel, seed, invalidation, invalidation_tol, backend, threads
+    check_als_arguments(
+        data.shape,
+        rank,
+        n_iter_max=n_iter_max,
+        tol=tol,
+        init=init,
+        invalidation=invalidation,
+        invalidation_tol=invalidation_tol,
+        threads=threads,
     )
+    _check_finite("tensor", data)
+    sweep_kernel = _resolve_kernel(kernel, seed, invalidation, invalidation_tol, threads)
 
     if isinstance(init, str):
         factors = initialize_factors(data, rank, method=init, seed=seed)
     else:
         factors = [np.asarray(f, dtype=np.float64).copy() for f in init]
-        if len(factors) != data.ndim:
-            raise ParameterError("explicit init must provide one factor matrix per mode")
-        for mode, factor in enumerate(factors):
-            _check_finite(f"init factor for mode {mode}", factor)
 
     norm_x = float(np.linalg.norm(data.ravel()))
     weights = np.ones(rank, dtype=np.float64)

@@ -16,9 +16,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.core.sweep_kernel import PerCallKernel, SweepKernel, check_kernel_name
-from repro.cp.als import cp_als, CPALSResult
+from repro.cp.als import check_als_arguments, cp_als, CPALSResult
 from repro.exceptions import DistributionError, ParameterError
 from repro.observe.tracer import trace
 from repro.parallel.dimtree import DistributedDimtreeKernel
@@ -147,7 +146,6 @@ def parallel_cp_als(
     init: Union[str, Sequence[np.ndarray]] = "random",
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
     machine: Optional[SimulatedMachine] = None,
     fault_schedule=None,
@@ -194,12 +192,6 @@ def parallel_cp_als(
         :func:`repro.cp.als.cp_als`: ``"residual"`` gates re-gathers, Gram
         All-Reduces, and cached partials on the factor's accumulated
         relative drift instead of invalidating on every replacement.
-    backend:
-        Execution backend for the per-rank local MTTKRPs of the ``"exact"``
-        kernel (:func:`repro.backend.get_backend`).  The sampled and
-        dimension-tree kernels manage their own execution; selecting a
-        non-default backend with them raises
-        :class:`~repro.exceptions.ParameterError`.
     threads:
         Thread count for the ``"exact"`` kernel's per-rank local MTTKRPs
         (``None`` consults ``REPRO_THREADS``, default 1); simulated ranks
@@ -234,12 +226,16 @@ def parallel_cp_als(
     if algorithm not in ("stationary", "general"):
         raise ParameterError("algorithm must be 'stationary' or 'general'")
     check_kernel_name(kernel, PARALLEL_KERNEL_NAMES, registry="parallel", allow_callable=False)
-    exec_backend = get_backend(backend)
-    if exec_backend.name != "numpy" and kernel != "exact":
-        raise ParameterError(
-            f"parallel kernel {kernel!r} does not support non-default execution "
-            "backends; use kernel='exact'"
-        )
+    check_als_arguments(
+        data.shape,
+        rank,
+        n_iter_max=n_iter_max,
+        tol=tol,
+        init=init,
+        invalidation=invalidation,
+        invalidation_tol=invalidation_tol,
+        threads=threads,
+    )
     sampled = kernel in ("sampled", "sampled-tree")
     fused = kernel == "sampled-dimtree"
     if kernel != "exact" and algorithm != "stationary":
@@ -342,13 +338,11 @@ def parallel_cp_als(
         def exact_kernel(local_tensor, factors, mode):
             if algorithm == "stationary":
                 result = stationary_mttkrp(
-                    local_tensor, factors, mode, grid,
-                    machine=machine, backend=exec_backend, threads=threads,
+                    local_tensor, factors, mode, grid, machine=machine, threads=threads
                 )
             else:
                 result = general_mttkrp(
-                    local_tensor, factors, mode, grid,
-                    machine=machine, backend=exec_backend, threads=threads,
+                    local_tensor, factors, mode, grid, machine=machine, threads=threads
                 )
             return result.assemble()
 

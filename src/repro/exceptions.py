@@ -36,10 +36,6 @@ class GridError(ReproError, ValueError):
     """A processor grid cannot be formed with the requested parameters."""
 
 
-class BackendUnavailableError(ReproError, RuntimeError):
-    """A registered execution backend's optional dependency is not installed."""
-
-
 class FaultError(ReproError, RuntimeError):
     """An injected or detected fault could not be recovered from."""
 

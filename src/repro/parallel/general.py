@@ -11,11 +11,10 @@ is large relative to ``I / P`` (Section V-D, Section VI-B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.backend.parallel import parallel_map
 from repro.core.kernels import local_mttkrp, mttkrp_flops
 from repro.exceptions import DistributionError
@@ -40,7 +39,6 @@ def general_mttkrp(
     *,
     machine: Optional[SimulatedMachine] = None,
     count_local_flops: bool = True,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
 ) -> ParallelMTTKRPResult:
     """Run Algorithm 4 on a simulated machine.
@@ -61,10 +59,6 @@ def general_mttkrp(
         Optional pre-existing :class:`SimulatedMachine`.
     count_local_flops:
         Charge the atomic-multiply arithmetic cost of the local MTTKRPs.
-    backend:
-        Execution backend for the per-rank local MTTKRPs
-        (:func:`repro.backend.get_backend`); counted communication and
-        storage are backend-independent.
     threads:
         Thread count for the per-rank local MTTKRPs (``None`` consults
         ``REPRO_THREADS``, default 1); as in
@@ -77,7 +71,6 @@ def general_mttkrp(
     """
     data = as_ndarray(tensor)
     mode = check_mode(mode, data.ndim)
-    exec_backend = get_backend(backend)
     grid = ProcessorGrid(grid_dims)
     if len(grid.dims) != data.ndim + 1:
         raise DistributionError(
@@ -138,9 +131,7 @@ def general_mttkrp(
         ]
 
     def run_local(rank: int) -> np.ndarray:
-        return local_mttkrp(
-            gathered_tensors[rank], rank_factors[rank], mode, backend=exec_backend
-        )
+        return local_mttkrp(gathered_tensors[rank], rank_factors[rank], mode)
 
     results = parallel_map(run_local, range(grid.n_procs), threads=threads)
     local_outputs: Dict[int, np.ndarray] = dict(enumerate(results))

@@ -14,11 +14,10 @@ can be reassembled and compared against a single-node reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.backend.parallel import parallel_map
 from repro.core.kernels import local_mttkrp, mttkrp_flops
 from repro.exceptions import DistributionError
@@ -73,7 +72,6 @@ def stationary_mttkrp(
     *,
     machine: Optional[SimulatedMachine] = None,
     count_local_flops: bool = True,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
 ) -> ParallelMTTKRPResult:
     """Run Algorithm 3 on a simulated machine.
@@ -95,10 +93,6 @@ def stationary_mttkrp(
     count_local_flops:
         Charge the atomic-multiply arithmetic cost of the local MTTKRPs to the
         machine's per-rank flop counters.
-    backend:
-        Execution backend for the per-rank local MTTKRPs
-        (:func:`repro.backend.get_backend`); counted communication and
-        storage are backend-independent.
     threads:
         Thread count for the per-rank local MTTKRPs (``None`` consults
         ``REPRO_THREADS``, default 1).  Each simulated rank's local kernel
@@ -112,7 +106,6 @@ def stationary_mttkrp(
     """
     data = as_ndarray(tensor)
     mode = check_mode(mode, data.ndim)
-    exec_backend = get_backend(backend)
     grid = ProcessorGrid(grid_dims)
     if machine is None:
         machine = SimulatedMachine(grid.n_procs)
@@ -151,9 +144,7 @@ def stationary_mttkrp(
         ]
 
     def run_local(rank: int) -> np.ndarray:
-        return local_mttkrp(
-            tensor_blocks[rank].data, rank_factors[rank], mode, backend=exec_backend
-        )
+        return local_mttkrp(tensor_blocks[rank].data, rank_factors[rank], mode)
 
     results = parallel_map(run_local, range(grid.n_procs), threads=threads)
     local_outputs: Dict[int, np.ndarray] = dict(enumerate(results))

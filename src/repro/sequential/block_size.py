@@ -111,7 +111,7 @@ def choose_sparse_chunks(
     memory_words:
         Fast-memory budget ``M`` in words (default: last-level-cache scale).
     alpha:
-        Fraction of ``M`` the chunk may occupy, as in Theorem 6.1's
+        Fraction of ``M`` the chunk may fill, as in Theorem 6.1's
         ``b = floor((alpha * M)^(1/N))``.
     """
     n_modes = check_positive_int(n_modes, "n_modes", minimum=2)
@@ -187,7 +187,7 @@ def choose_dense_tiles(
     memory_words:
         Fast-memory budget ``M`` in words (default: last-level-cache scale).
     alpha:
-        Fraction of ``M`` the working set may occupy, as in Theorem 6.1.
+        Fraction of ``M`` the working set may fill, as in Theorem 6.1.
     """
     shape = [check_positive_int(dim, "extent") for dim in shape]
     if len(shape) < 2:

@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ShapeError
+from repro.exceptions import ParameterError, ShapeError
 from repro.tensor.matricization import fold, unfold
 from repro.utils.validation import check_mode, check_shape
 
@@ -36,7 +36,7 @@ class DenseTensor:
     __slots__ = ("data",)
 
     def __init__(self, data) -> None:
-        arr = np.asarray(data)
+        arr = _numeric_array(data)
         if arr.ndim < 1:
             raise ShapeError("DenseTensor requires at least a 1-way array")
         if not np.issubdtype(arr.dtype, np.floating):
@@ -144,8 +144,42 @@ class DenseTensor:
         return cls(out)
 
 
+#: dtype kinds the real-valued kernels accept: bool, signed and unsigned
+#: integer, and floating point.
+_NUMERIC_KINDS = "biuf"
+
+
+def _numeric_array(tensor) -> np.ndarray:
+    """``np.asarray(tensor)``, rejecting data the real-valued kernels cannot use.
+
+    Object, string, complex, and other non-numeric dtypes raise
+    :class:`~repro.exceptions.ParameterError` naming the input's type and
+    dtype, instead of failing later with a misleading shape error (a
+    :class:`~repro.tensor.sparse.SparseTensor` converts to a 0-d object
+    array) or silently dropping an imaginary part.
+    """
+    arr = np.asarray(tensor)
+    if arr.dtype.kind in _NUMERIC_KINDS:
+        return arr
+    from repro.tensor.sparse import SparseTensor  # deferred: error path only
+
+    if isinstance(tensor, SparseTensor):
+        raise ParameterError(
+            "this entry point takes a dense tensor, got SparseTensor; "
+            "use repro.tensor.sparse.sparse_mttkrp for a sparse MTTKRP"
+        )
+    raise ParameterError(
+        "expected a tensor of bool, int, uint or float dtype, got "
+        f"{type(tensor).__name__} with dtype {arr.dtype}"
+    )
+
+
 def as_ndarray(tensor) -> np.ndarray:
-    """Return the underlying numpy array of a ``DenseTensor`` or array-like."""
+    """Return the underlying numpy array of a ``DenseTensor`` or array-like.
+
+    Raises :class:`~repro.exceptions.ParameterError` for non-numeric input
+    (see :func:`_numeric_array`).
+    """
     if isinstance(tensor, DenseTensor):
         return tensor.data
-    return np.asarray(tensor)
+    return _numeric_array(tensor)

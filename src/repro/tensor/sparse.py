@@ -16,8 +16,8 @@ dense ``(nnz, R)`` contributions array up front (literally
 ``np.add.at`` — peak temporary memory ``O(nnz * R)`` and the slowest scatter
 NumPy offers, which out-of-memories or crawls at production nonzero counts.
 The chunked kernel bounds peak temporaries at ``O(nzchunk * rchunk)`` and
-accumulates each chunk at C speed through the execution backend's
-scatter-add, while :func:`sparse_mttkrp_unchunked` keeps the single-pass
+accumulates each chunk at C speed with a per-column ``bincount`` scatter,
+while :func:`sparse_mttkrp_unchunked` keeps the single-pass
 broadcast path (no dense temp before the first factor is applied) as the
 exact-equality fallback the chunked kernel dispatches to when one chunk
 covers everything.
@@ -26,11 +26,10 @@ covers everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
 from repro.backend.parallel import parallel_map, resolve_threads
 from repro.backend.workspace import WorkspacePool, default_pool
 from repro.exceptions import ParameterError, ShapeError
@@ -146,6 +145,19 @@ def _default_chunks(n_modes: int, rank: int, memory_words: Optional[int]) -> Tup
     return choose_sparse_chunks(n_modes, rank, memory_words)
 
 
+def _scatter_add_rows(out: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
+    """Accumulate ``out[rows[i], :] += block[i, :]`` with duplicates summed.
+
+    One ``bincount`` per column: C-speed duplicate-summing accumulation, far
+    faster than buffered ``np.add.at`` on the same rows.  The column count is
+    the kernel's rchunk, so the loop stays short.  ``out`` may be a writable
+    column-slice view.
+    """
+    minlength = out.shape[0]
+    for j in range(block.shape[1]):
+        out[:, j] += np.bincount(rows, weights=block[:, j], minlength=minlength)
+
+
 def sparse_mttkrp_unchunked(
     tensor: SparseTensor, factors: Sequence[Optional[np.ndarray]], mode: int
 ) -> np.ndarray:
@@ -188,7 +200,6 @@ def sparse_mttkrp(
     nzchunk: Optional[int] = None,
     rchunk: Optional[int] = None,
     memory_words: Optional[int] = None,
-    backend: Union[None, str, Backend] = None,
     threads: Optional[int] = None,
     pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
@@ -198,7 +209,7 @@ def sparse_mttkrp(
     columns (``rchunk`` at a time): one chunk iteration gathers the factor
     rows of ``nzchunk`` nonzeros restricted to ``rchunk`` columns, multiplies
     them into a ``(nzchunk, rchunk)`` contribution block, and scatter-adds
-    the block into the output through the execution backend — peak temporary
+    the block into the output with one ``bincount`` per column — peak temporary
     memory is ``O(nzchunk * rchunk)`` regardless of ``nnz`` and ``R``, where
     the unchunked path peaks at ``O(nnz * R)``.
 
@@ -217,10 +228,6 @@ def sparse_mttkrp(
     memory_words:
         Fast-memory budget for the default chunk choice (default:
         :data:`repro.sequential.block_size.DEFAULT_SPARSE_CHUNK_MEMORY_WORDS`).
-    backend:
-        Execution backend name or instance (:func:`repro.backend.get_backend`);
-        the default NumPy backend accumulates each chunk with per-column
-        ``bincount``, Numba with a compiled scatter loop, CuPy device-side.
     threads:
         Thread count for the nonzero-chunk tasks (``None`` consults
         ``REPRO_THREADS``, default 1).  With ``threads > 1`` each z-block
@@ -228,11 +235,7 @@ def sparse_mttkrp(
         ``pool``) and the coordinating thread folds the partials back in
         submission order — bitwise identical to the serial path for every
         thread count, because ``bincount`` already sums each chunk before a
-        single add and ``0 + x == x`` exactly.  That guarantee holds for the
-        per-column-``bincount`` NumPy backend only, so threaded execution
-        requires it; compiled/device backends (whose scatter accumulates
-        element-by-element or device-side) raise
-        :class:`~repro.exceptions.ParameterError`.
+        single add and ``0 + x == x`` exactly.
     pool:
         Workspace pool for the threaded path's partial accumulators
         (default: the process pool); unused when ``threads == 1``.
@@ -240,7 +243,7 @@ def sparse_mttkrp(
     Returns
     -------
     numpy.ndarray
-        ``(I_mode, R)`` float64 output on the host, whichever backend ran.
+        ``(I_mode, R)`` float64 output.
     """
     mode = check_mode(mode, tensor.ndim)
     rank = infer_rank(factors, mode)
@@ -262,31 +265,21 @@ def sparse_mttkrp(
         observe_inc("sparse_mttkrp.fallback")
         return sparse_mttkrp_unchunked(tensor, factors, mode)
 
-    exec_backend = get_backend(backend)
     threads = resolve_threads(threads)
-    if threads > 1 and exec_backend.name != "numpy":
-        raise ParameterError(
-            "thread-parallel chunk execution preserves the serial accumulation "
-            "order only on the per-column-bincount numpy backend; backend "
-            f"{exec_backend.name!r} must run serially (threads=1)"
-        )
     if pool is None:
         pool = default_pool()
     inputs = [k for k in range(tensor.ndim) if k != mode]
-    values = exec_backend.asarray(tensor.values)
-    rows = exec_backend.asarray(tensor.coords[:, mode])
-    columns = {k: exec_backend.asarray(tensor.coords[:, k]) for k in inputs}
-    native_factors = {k: exec_backend.asarray(factors[k]) for k in inputs}
-    output = exec_backend.zeros((tensor.shape[mode], rank), dtype=np.float64)
+    values = tensor.values
+    rows = tensor.coords[:, mode]
+    columns = {k: tensor.coords[:, k] for k in inputs}
+    host_factors = {k: np.asarray(factors[k]) for k in inputs}
+    output = np.zeros((tensor.shape[mode], rank), dtype=np.float64)
     first = inputs[0]
 
     def contribution_block(z0: int, z1: int, r0: int, r1: int):
-        block = (
-            values[z0:z1, None]
-            * native_factors[first][columns[first][z0:z1], r0:r1]
-        )
+        block = values[z0:z1, None] * host_factors[first][columns[first][z0:z1], r0:r1]
         for k in inputs[1:]:
-            block = block * native_factors[k][columns[k][z0:z1], r0:r1]
+            block = block * host_factors[k][columns[k][z0:z1], r0:r1]
         return block
 
     z_starts = list(range(0, nnz, nzchunk))
@@ -299,14 +292,14 @@ def sparse_mttkrp(
             for z0 in z_starts:
                 z1 = min(z0 + nzchunk, nnz)
                 block = contribution_block(z0, z1, r0, r1)
-                exec_backend.scatter_add_rows(out_block, rows[z0:z1], block)
+                _scatter_add_rows(out_block, rows[z0:z1], block)
             continue
 
         def run_zblock(z0: int) -> np.ndarray:
             z1 = min(z0 + nzchunk, nnz)
             block = contribution_block(z0, z1, r0, r1)
             partial = pool.borrow((tensor.shape[mode], r1 - r0), zero=True)
-            exec_backend.scatter_add_rows(partial, rows[z0:z1], block)
+            _scatter_add_rows(partial, rows[z0:z1], block)
             return partial
 
         # Fold the per-z-block partials in submission (= serial z) order:
@@ -317,8 +310,7 @@ def sparse_mttkrp(
             pool.release(partial)
     observe_inc("sparse_mttkrp.chunks", n_chunks)
     observe_inc("sparse_mttkrp.threads", threads)
-    exec_backend.synchronize()
-    return np.ascontiguousarray(exec_backend.to_numpy(output))
+    return output
 
 
 def stationary_sparse_communication(

@@ -1,12 +1,10 @@
-"""Tests for the workspace pool and the cross-sweep resident-factor mirrors.
+"""Tests for the workspace pool.
 
 The pool's contract: first borrow of a shape allocates (miss), later borrows
 reuse released buffers (hit), the free arena is capacity-bounded with
 oldest-released-first eviction, the high-water mark tracks total checked-out
 plus pooled words, and all of it is safe under concurrent borrow/release
-from the chunk executor's worker threads.  ``ResidentFactors`` re-converts a
-factor only when the host array object is replaced — the identity discipline
-the ALS drivers already follow.
+from the chunk executor's worker threads.
 """
 
 import numpy as np
@@ -15,7 +13,6 @@ import pytest
 from repro.backend.parallel import parallel_map
 from repro.backend.workspace import (
     DEFAULT_WORKSPACE_CAPACITY_WORDS,
-    ResidentFactors,
     WorkspacePool,
     default_pool,
     reset_default_pool,
@@ -149,51 +146,6 @@ class TestThreadSafety:
         assert pool.hits + pool.misses == 8 * 50
         # At most a handful of distinct buffers per shape were ever created.
         assert pool.misses <= 2 * 4 * 2  # shapes x max workers, generous
-
-
-class TestResidentFactors:
-    def test_hit_on_same_object_miss_on_replacement(self):
-        resident = ResidentFactors(3)
-        a = np.ones((4, 2))
-        with tracing() as session:
-            first = resident.native(0, a)
-            second = resident.native(0, a)
-            replaced = resident.native(0, np.ones((4, 2)))
-        assert first is second
-        assert (resident.hits, resident.misses) == (1, 2)
-        assert session.metrics.counter("workspace.factor.hit") == 1
-        assert session.metrics.counter("workspace.factor.miss") == 2
-        assert replaced is not None
-
-    def test_slots_are_independent(self):
-        resident = ResidentFactors(2)
-        a, b = np.ones((3, 2)), np.ones((4, 2))
-        resident.native(0, a)
-        resident.native(1, b)
-        resident.native(0, a)
-        assert (resident.hits, resident.misses) == (1, 2)
-
-    def test_invalidate_forces_reupload(self):
-        resident = ResidentFactors(2)
-        a = np.ones((3, 2))
-        resident.native(0, a)
-        resident.invalidate(0)
-        resident.native(0, a)
-        assert resident.misses == 2
-        resident.invalidate()  # all slots
-        resident.native(0, a)
-        assert resident.misses == 3
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            ResidentFactors(0)
-        resident = ResidentFactors(2)
-        with pytest.raises(ParameterError):
-            resident.native(5, np.ones((2, 2)))
-        with pytest.raises(ParameterError):
-            resident.native(0, None)
-        with pytest.raises(ParameterError):
-            resident.invalidate(9)
 
 
 class TestDefaultPool:

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend.base import Backend
 from repro.backend.workspace import WorkspacePool
 from repro.core.blocked_mttkrp import DENSE_METHODS, blocked_mttkrp, dense_mttkrp
 from repro.core.kernels import mttkrp
@@ -144,26 +143,6 @@ class TestFallbackAndValidation:
     def test_vector_tensor_raises(self):
         with pytest.raises(ParameterError):
             blocked_mttkrp(np.arange(4.0), [np.ones((4, 2))], 0)
-
-    def test_device_backend_rejected(self):
-        """A device-resident backend must be refused, not silently bounced."""
-
-        class _DeviceArray:
-            def __init__(self, array):
-                self._array = array
-
-        class _FakeDeviceBackend(Backend):
-            name = "fake-device"
-
-            def available(self):
-                return True
-
-            def asarray(self, array, dtype=None):
-                return _DeviceArray(np.asarray(array))
-
-        data, factors = _integer_problem((6, 5, 4), 2, seed=0)
-        with pytest.raises(ParameterError, match="device-resident"):
-            blocked_mttkrp(data, factors, 0, tiles=2, backend=_FakeDeviceBackend())
 
 
 class TestThreadsBitwise:

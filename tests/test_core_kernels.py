@@ -146,8 +146,8 @@ class TestFlopCounts:
 
 
 def _float64_key(shape, mode, rank, n_operands):
-    """The cache key of an all-float64 NumPy-backend MTTKRP call."""
-    return ("numpy", (shape, mode, rank), ("float64",) * n_operands)
+    """The cache key of an all-float64 MTTKRP call."""
+    return ((shape, mode, rank), ("float64",) * n_operands)
 
 
 class TestContractionPathCache:
@@ -184,7 +184,7 @@ class TestContractionPathCache:
         )
         assert len(_PATH_CACHE) == 2
         key64 = _float64_key((4, 5, 6), 1, 3, 3)
-        key32 = ("numpy", ((4, 5, 6), 1, 3), ("float32",) * 3)
+        key32 = (((4, 5, 6), 1, 3), ("float32",) * 3)
         assert key64 in _PATH_CACHE and key32 in _PATH_CACHE
         assert np.allclose(wide, narrow, atol=1e-4)
 

@@ -3,10 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import mttkrp
 from repro.cp.als import cp_als
 from repro.cp.initialization import initialize_factors
 from repro.exceptions import ParameterError
 from repro.tensor.random import noisy_low_rank_tensor, random_low_rank_tensor, random_tensor
+
+#: (keyword arguments, error-message pattern) of driver misuse on a
+#: (6, 5, 4) tensor at rank 2.
+BAD_DRIVER_ARGUMENTS = [
+    ({"n_iter_max": -1}, "n_iter_max"),
+    ({"n_iter_max": 0}, "n_iter_max"),
+    ({"n_iter_max": 2.5}, "n_iter_max"),
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": -1e-3}, "tol"),
+    ({"invalidation_tol": -1}, "invalidation_tol"),
+    ({"invalidation_tol": float("nan")}, "invalidation_tol"),
+    ({"invalidation": "bogus"}, "invalidation"),
+    ({"threads": 0}, "threads"),
+    ({"threads": 1.5}, "threads"),
+    # One tile covers the tensor, so the blocked kernel never reads threads.
+    ({"kernel": "blocked", "threads": 0}, "threads"),
+    ({"init": [np.ones((7, 2)), np.ones((5, 2)), np.ones((4, 2))]}, "mode 0"),
+    ({"init": [np.ones(6), np.ones((5, 2)), np.ones((4, 2))]}, "mode 0"),
+    ({"init": [np.ones((6, 2)), np.ones((5, 2)), np.ones((4, 3))]}, "mode 2"),
+]
 
 
 class TestInitialization:
@@ -105,8 +126,6 @@ class TestCPALSOptions:
             cp_als(random_tensor((3, 3), seed=0), 2, kernel="gpu")
 
     def test_custom_kernel_callable(self):
-        from repro.core.kernels import mttkrp
-
         calls = []
 
         def counting_kernel(tensor, factors, mode):
@@ -122,45 +141,6 @@ class TestCPALSOptions:
         with pytest.raises(ParameterError):
             cp_als(random_tensor((3, 3), seed=0), 2, kernel="gpu")
 
-    def test_explicit_numpy_backend_matches_default(self):
-        tensor = random_low_rank_tensor((6, 5, 4), 2, seed=40)
-        a = cp_als(tensor, 2, n_iter_max=8, seed=41, kernel="einsum")
-        b = cp_als(tensor, 2, n_iter_max=8, seed=41, kernel="einsum", backend="numpy")
-        assert np.allclose(a.fits, b.fits, atol=1e-12)
-
-    def test_backend_accepted_by_dimtree_kernels(self):
-        tensor = random_low_rank_tensor((6, 5, 4), 2, seed=42)
-        result = cp_als(
-            tensor, 2, n_iter_max=5, seed=43, kernel="dimtree", backend="numpy"
-        )
-        assert result.n_iterations >= 1
-
-    def test_non_default_backend_rejected_for_numpy_bound_kernels(self):
-        from repro.backend.numpy_backend import NumpyBackend
-
-        class OtherBackend(NumpyBackend):
-            name = "other"
-
-        tensor = random_tensor((4, 4, 4), seed=44)
-        for kernel in ("matmul", "sampled", "sampled-tree", "blocked", "auto"):
-            with pytest.raises(ParameterError, match="does not support"):
-                cp_als(tensor, 2, kernel=kernel, backend=OtherBackend())
-
-    def test_non_default_backend_rejected_for_kernel_instances(self):
-        from repro.backend.numpy_backend import NumpyBackend
-        from repro.core.dimtree import DimensionTreeKernel
-
-        class OtherBackend(NumpyBackend):
-            name = "other"
-
-        tensor = random_tensor((4, 4, 4), seed=45)
-        with pytest.raises(ParameterError, match="manage their own"):
-            cp_als(tensor, 2, kernel=DimensionTreeKernel(), backend=OtherBackend())
-
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(ParameterError, match="unknown execution backend"):
-            cp_als(random_tensor((3, 3), seed=0), 2, backend="tpu")
-
     def test_explicit_initial_factors(self):
         tensor = random_low_rank_tensor((5, 5, 5), 2, seed=16)
         init = initialize_factors(tensor, 2, method="svd")
@@ -171,6 +151,20 @@ class TestCPALSOptions:
         tensor = random_tensor((4, 4, 4), seed=17)
         with pytest.raises(ParameterError):
             cp_als(tensor, 2, init=[np.zeros((4, 2))])
+
+    @pytest.mark.parametrize("kwargs, match", BAD_DRIVER_ARGUMENTS)
+    def test_bad_driver_arguments_rejected_before_any_work(self, kwargs, match):
+        """Every bad value fails up front, even where the kernel ignores it."""
+        calls = []
+
+        def counting_kernel(tensor, factors, mode):
+            calls.append(mode)
+            return mttkrp(tensor, factors, mode)
+
+        tensor = random_tensor((6, 5, 4), seed=46)
+        with pytest.raises(ParameterError, match=match):
+            cp_als(tensor, 2, **{"kernel": counting_kernel, **kwargs})
+        assert calls == []
 
     def test_svd_init_string(self):
         tensor = random_low_rank_tensor((6, 5, 4), 2, seed=18)

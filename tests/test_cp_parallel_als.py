@@ -6,7 +6,8 @@ import pytest
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import parallel_cp_als
 from repro.exceptions import ParameterError
-from repro.tensor.random import random_low_rank_tensor
+from repro.parallel.machine import SimulatedMachine
+from repro.tensor.random import random_low_rank_tensor, random_tensor
 
 
 class TestParallelCPALS:
@@ -30,26 +31,6 @@ class TestParallelCPALS:
         result = parallel_cp_als(tensor, 2, n_procs=8, n_iter_max=4, tol=0.0, seed=3)
         assert len(set(result.words_per_iteration)) == 1
 
-    def test_explicit_numpy_backend_matches_default(self, tensor):
-        default = parallel_cp_als(tensor, 2, n_procs=8, n_iter_max=3, tol=0.0, seed=2)
-        explicit = parallel_cp_als(
-            tensor, 2, n_procs=8, n_iter_max=3, tol=0.0, seed=2, backend="numpy"
-        )
-        assert np.allclose(default.als.fits, explicit.als.fits, atol=1e-12)
-        assert default.total_words == explicit.total_words
-
-    def test_non_default_backend_rejected_for_non_exact_kernels(self, tensor):
-        from repro.backend.numpy_backend import NumpyBackend
-
-        class OtherBackend(NumpyBackend):
-            name = "other"
-
-        for kernel in ("dimtree", "sampled", "sampled-tree", "sampled-dimtree"):
-            with pytest.raises(ParameterError, match="does not support"):
-                parallel_cp_als(
-                    tensor, 2, n_procs=8, kernel=kernel, backend=OtherBackend()
-                )
-
     def test_general_algorithm_option(self, tensor):
         result = parallel_cp_als(
             tensor, 2, n_procs=8, algorithm="general", n_iter_max=2, tol=0.0, seed=4
@@ -68,6 +49,27 @@ class TestParallelCPALS:
     def test_invalid_algorithm(self, tensor):
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 2, n_procs=4, algorithm="hybrid")
+
+    @pytest.mark.parametrize("kernel", ["exact", "dimtree"])
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_iter_max": -1}, "n_iter_max"),
+            ({"tol": float("nan")}, "tol"),
+            ({"invalidation_tol": -1}, "invalidation_tol"),
+            ({"invalidation": "bogus"}, "invalidation"),
+            ({"threads": 0}, "threads"),
+            ({"init": [np.ones((7, 2)), np.ones((5, 2)), np.ones((4, 2))]}, "mode 0"),
+            ({"init": [np.ones((6, 2)), np.ones((5, 2)), np.ones((4, 3))]}, "mode 2"),
+        ],
+    )
+    def test_bad_driver_arguments_rejected_before_any_work(self, kernel, kwargs, match):
+        """The sequential driver's argument check runs before any collective."""
+        machine = SimulatedMachine(4)
+        tensor = random_tensor((6, 5, 4), seed=8)
+        with pytest.raises(ParameterError, match=match):
+            parallel_cp_als(tensor, 2, n_procs=4, kernel=kernel, machine=machine, **kwargs)
+        assert machine.max_words_communicated == 0
 
     def test_grid_recorded(self, tensor):
         result = parallel_cp_als(tensor, 2, n_procs=8, n_iter_max=1, tol=0.0, seed=7)

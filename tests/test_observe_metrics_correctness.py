@@ -238,19 +238,3 @@ class TestWorkspaceAndThreadCounters:
             dense_mttkrp(small, small_factors, 0, method="auto", tiles=2)
         assert session.metrics.counters()["dense_dispatch.einsum"] == 1
         assert "dense_dispatch.blocked" not in session.metrics.counters()
-
-    @pytest.mark.parametrize("sweeps", [1, 2, 3])
-    def test_dimtree_resident_factor_counters(self, sweeps):
-        """Resident-factor lookups track partial rebuilds exactly.
-
-        The dimension tree consults its :class:`ResidentFactors` mirror only
-        inside ``_contract_one``, i.e. once per factor consumed by a partial
-        rebuild.  For the seeded 3-mode problem (cold: 4 misses + 1 hit;
-        each later sweep: 4 stale rebuilds consuming 3 replaced + 2 reused
-        factors) the closed forms are ``factor.hit = 2 S - 1`` and
-        ``factor.miss = 3 S + 1``.
-        """
-        session = traced_sweeps("dimtree", sweeps=sweeps)
-        counters = session.metrics.counters()
-        assert counters["workspace.factor.hit"] == 2 * sweeps - 1
-        assert counters["workspace.factor.miss"] == 3 * sweeps + 1

@@ -3,22 +3,24 @@
 The load-bearing invariant: for *every* chunking ``(nzchunk, rchunk)`` —
 including degenerate ones (chunks larger than the problem, single-column
 rank chunks, empty tensors) — the chunked kernel agrees with the single-pass
-reference to tight tolerance, and available non-default backends agree with
-NumPy.  A tracemalloc test pins the acceptance claim that peak temporary
+reference to tight tolerance.  A tracemalloc test pins the acceptance claim that peak temporary
 memory scales with ``nzchunk * rchunk``, not ``nnz * R``.
 """
 
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import available_backend_names
 from repro.observe import tracing
 from repro.tensor.random import random_factors
-from repro.tensor.sparse import SparseTensor, sparse_mttkrp, sparse_mttkrp_unchunked
+from repro.tensor.sparse import (
+    SparseTensor,
+    _scatter_add_rows,
+    sparse_mttkrp,
+    sparse_mttkrp_unchunked,
+)
 
 
 def _problem(shape, nnz, rank, seed, *, with_duplicates=False):
@@ -110,20 +112,22 @@ class TestChunkedEqualsUnchunked:
         assert session.metrics.counters()["sparse_mttkrp.chunks"] == 8
 
 
-class TestBackendParity:
-    @pytest.mark.parametrize("name", ["numba", "cupy"])
-    def test_optional_backend_matches_numpy(self, name):
-        if name not in available_backend_names():
-            pytest.skip(f"backend {name!r} not installed")
-        tensor, factors = _problem((12, 11, 10), 400, 9, seed=9, with_duplicates=True)
-        for mode in range(3):
-            expected = sparse_mttkrp(
-                tensor, factors, mode, nzchunk=64, rchunk=4, backend="numpy"
-            )
-            actual = sparse_mttkrp(
-                tensor, factors, mode, nzchunk=64, rchunk=4, backend=name
-            )
-            np.testing.assert_allclose(actual, expected, atol=1e-10, rtol=0.0)
+class TestScatterAddRows:
+    def test_sums_duplicates(self):
+        out = np.zeros((3, 2))
+        rows = np.array([0, 2, 0])
+        block = np.array([[1.0, 10.0], [2.0, 20.0], [4.0, 40.0]])
+        _scatter_add_rows(out, rows, block)
+        expected = np.array([[5.0, 50.0], [0.0, 0.0], [2.0, 20.0]])
+        assert np.array_equal(out, expected)
+
+    def test_accepts_column_slice_view(self):
+        full = np.zeros((4, 6))
+        rows = np.array([1, 1, 3])
+        block = np.ones((3, 2))
+        _scatter_add_rows(full[:, 2:4], rows, block)
+        assert full[1, 2] == 2.0 and full[3, 3] == 1.0
+        assert np.all(full[:, :2] == 0.0) and np.all(full[:, 4:] == 0.0)
 
 
 class TestPeakMemory:
@@ -176,21 +180,6 @@ class TestThreadedChunks:
         serial = sparse_mttkrp(tensor, factors, 1, threads=1)
         threaded = sparse_mttkrp(tensor, factors, 1, threads=4)
         assert threaded.tobytes() == serial.tobytes()
-
-    def test_threaded_requires_numpy_backend(self):
-        """Compiled scatters accumulate element-wise straight into the output,
-        which would reassociate across threads — non-NumPy backends must
-        refuse threads > 1 instead of silently losing determinism."""
-        from repro.exceptions import ParameterError
-
-        tensor, factors = _problem((10, 9, 8), 200, 4, seed=14)
-        for name in available_backend_names():
-            if name == "numpy":
-                continue
-            with pytest.raises(ParameterError, match="threads"):
-                sparse_mttkrp(
-                    tensor, factors, 0, nzchunk=32, rchunk=2, backend=name, threads=2
-                )
 
     def test_thread_and_chunk_counters(self):
         tensor, factors = _problem((8, 8, 8), 100, 6, seed=15)

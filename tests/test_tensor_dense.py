@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ShapeError
+from repro.core.dimtree import DimensionTree
+from repro.core.kernels import mttkrp
+from repro.cp import cp_als, parallel_cp_als
+from repro.exceptions import ParameterError, ShapeError
 from repro.tensor.dense import DenseTensor, as_ndarray
+from repro.tensor.random import random_factors
+from repro.tensor.sparse import SparseTensor
 
 
 class TestConstruction:
@@ -17,6 +22,10 @@ class TestConstruction:
     def test_integer_input_promoted_to_float(self):
         t = DenseTensor(np.arange(6).reshape(2, 3))
         assert np.issubdtype(t.dtype, np.floating)
+
+    def test_complex_input_rejected(self):
+        with pytest.raises(ParameterError, match="complex128"):
+            DenseTensor(np.ones((2, 2), dtype=complex))
 
     def test_scalar_rejected(self):
         with pytest.raises(ShapeError):
@@ -96,3 +105,27 @@ class TestAsNdarray:
 
     def test_converts_lists(self):
         assert as_ndarray([[1.0, 2.0]]).shape == (1, 2)
+
+
+_ENTRY_POINTS = {
+    "cp_als": lambda t: cp_als(t, 2, n_iter_max=2),
+    "parallel_cp_als": lambda t: parallel_cp_als(t, 2, 4, n_iter_max=2),
+    "mttkrp": lambda t: mttkrp(t, random_factors((4, 5, 6), 2, seed=0), 0),
+    "DimensionTree": DimensionTree,
+}
+
+_NON_NUMERIC = {
+    "SparseTensor": (SparseTensor.random((4, 5, 6), 0.3, seed=0), "sparse_mttkrp"),
+    "str": (np.full((4, 5, 6), "x"), "ndarray with dtype <U1"),
+    "complex": (np.ones((4, 5, 6), dtype=complex), "ndarray with dtype complex128"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", sorted(_NON_NUMERIC))
+def test_non_numeric_tensor_rejected_up_front(entry, kind):
+    """Non-real input fails with a ParameterError naming what was passed,
+    not a misleading mode-count error or a silently dropped imaginary part."""
+    tensor, match = _NON_NUMERIC[kind]
+    with pytest.raises(ParameterError, match=match):
+        _ENTRY_POINTS[entry](tensor)
