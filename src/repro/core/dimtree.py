@@ -17,12 +17,19 @@ root children, so per-sweep MTTKRP flops and tensor reads drop from ``N``
 full contractions to ``2`` (plus lower-order subtree work) — the classic
 order-``N/2`` ALS speedup.
 
-Every contraction is *counted* as it executes (flops, words moved in a flat
-read-everything model, root-tensor reads), and
-:func:`dimtree_sweep_cost` replays the same caching schedule symbolically, so
-the modelled per-sweep cost equals the counted ledger exactly — the tests
-assert ``==``, not ``<=``.  Counting conventions (shared by executor and
-model):
+Each root child is built with one BLAS GEMM between a free reshape of the
+tensor and the Khatri-Rao product of the modes it removes (the fast-gradient
+form of Phan, Tichavský and Cichocki, arXiv 1204.1586, that Tensor Toolbox's
+``mttkrp`` uses) when the removed modes are a leading or trailing block of a
+C-contiguous tensor and ``R`` is at most both the kept and the removed
+extent products; every other node contracts one mode at a time.  The ledger
+charges every node recomputation as that single-mode chain (flops, words
+moved in a flat read-everything model, root-tensor reads) whichever way it
+ran, so the GEMM step is counted as the chain it replaces and the
+paper-facing frontiers keep their numbers.  :func:`dimtree_sweep_cost`
+replays the same caching schedule symbolically, so the modelled per-sweep
+cost equals the counted ledger exactly — the tests assert ``==``, not
+``<=``.  Counting conventions (shared by executor and model):
 
 * contracting one mode of extent ``I_k`` out of a partial with uncontracted
   extent product ``T`` costs ``2 T R`` flops (the GEMM/einsum multiply-add
@@ -34,6 +41,7 @@ model):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +52,7 @@ from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, inc as observe_inc
 from repro.tensor.dense import as_ndarray
+from repro.tensor.khatri_rao import khatri_rao
 from repro.utils.validation import check_factor_matrices, check_mode, check_rank, check_shape
 
 #: A split rule: mode subset (sorted tuple) -> (left, right) non-empty partition.
@@ -95,6 +104,14 @@ class SweepCost:
     flops: int = 0
     words: int = 0
     root_reads: int = 0
+
+    def __add__(self, other: "SweepCost") -> "SweepCost":
+        return SweepCost(
+            contractions=self.contractions + other.contractions,
+            flops=self.flops + other.flops,
+            words=self.words + other.words,
+            root_reads=self.root_reads + other.root_reads,
+        )
 
     def __sub__(self, other: "SweepCost") -> "SweepCost":
         return SweepCost(
@@ -157,6 +174,29 @@ def _step_cost(
     out_words = (total // int(extent)) * rank
     words = in_words + int(extent) * rank + out_words
     return flops, words
+
+
+def _recompute_cost(
+    shape: Sequence[int], parent_key: Tuple[int, ...], key: Tuple[int, ...], rank: int
+) -> SweepCost:
+    """Counted cost of recomputing node ``key`` from its parent ``parent_key``.
+
+    The charge is the single-mode chain, which contracts the modes the node
+    removes out of the parent one at a time in descending order, whichever
+    way the engine runs the step.
+    """
+    dims = [int(shape[k]) for k in parent_key]
+    modes = list(parent_key)
+    has_rank = len(parent_key) < len(shape)  # only the root has no rank axis
+    cost = SweepCost(root_reads=0 if has_rank else 1)
+    for k in sorted(set(parent_key) - set(key), reverse=True):
+        axis = modes.index(k)
+        flops, words = _step_cost(dims, dims[axis], rank, has_rank)
+        cost = cost + SweepCost(contractions=1, flops=flops, words=words)
+        has_rank = True
+        dims.pop(axis)
+        modes.pop(axis)
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +372,13 @@ class DimensionTree:
     invalidates every cached partial that consumed it.  Callers must
     therefore replace factor matrices (as CP-ALS does) rather than mutate
     them in place.
+
+    Each child of the root runs as one GEMM against the Khatri-Rao product
+    of the modes it removes when those modes are a leading or trailing block
+    of a C-contiguous tensor and ``R`` is at most both the kept and the
+    removed extent products; otherwise it runs the single-mode chain, as
+    every other node does.  The counters charge the chain either way, so
+    the ledger equals :func:`dimtree_sweep_cost_sequence` on both paths.
     """
 
     def __init__(
@@ -481,8 +528,11 @@ class DimensionTree:
     def capture_state(self) -> dict:
         """Snapshot the cache, gate stamps, and counters for bitwise resume."""
         return {
+            # order="K" keeps each partial's memory layout (a trailing root
+            # child is a transposed GEMM product), so the einsums that
+            # consume it after a resume sum in the same order as before.
             "cache": {
-                key: (entry[0].copy(), entry[1], entry[2], entry[3])
+                key: (entry[0].copy(order="K"), entry[1], entry[2], entry[3])
                 for key, entry in self._cache.items()
             },
             "gate": self._gate.capture_state(),
@@ -501,7 +551,7 @@ class DimensionTree:
         """
         self._cache.clear()
         for key, entry in state["cache"].items():
-            self._cache[key] = (entry[0].copy(), entry[1], entry[2], entry[3])
+            self._cache[key] = (entry[0].copy(order="K"), entry[1], entry[2], entry[3])
         self._gate.restore_state(state["gate"], factors)
         self.contractions, self.flops, self.words, self.root_reads = (
             int(v) for v in state["counters"]
@@ -547,30 +597,75 @@ class DimensionTree:
             return entry[0], entry[1], entry[2]
         observe_inc("dimtree.partial.stale" if entry is not None else "dimtree.partial.miss")
         parent_key = self._parents[key]
-        data, modes_tuple, has_rank = self._value(parent_key)
-        modes = list(modes_tuple)
-        for k in sorted(set(parent_key) - set(key), reverse=True):
-            data, modes, has_rank = self._contract_one(data, modes, has_rank, k)
-        result = (data, tuple(modes), has_rank, versions)
+        data, modes, has_rank = self._value(parent_key)
+        removed = [k for k in parent_key if k not in key]
+        rank = int(np.asarray(self._factors[removed[0]]).shape[1])
+        out = None
+        if parent_key == self._root_key:
+            out = self._root_gemm(key, removed, rank)
+            observe_inc("dimtree.root.chain" if out is None else "dimtree.root.gemm")
+        if out is None:
+            out = self._contract_chain(data, modes, removed, has_rank)
+        # A GEMM step is charged as the single-mode chain it replaces.
+        self._charge(_recompute_cost(self._data.shape, parent_key, key, rank))
         if self._cache_enabled:
-            self._cache[key] = result
-        return data, tuple(modes), has_rank
+            self._cache[key] = (out, key, True, versions)
+        return out, key, True
 
-    def _contract_one(self, data: np.ndarray, modes: List[int], has_rank: bool, k: int):
-        axis = modes.index(k)
-        factor = np.asarray(self._factors[k])
-        rank = int(factor.shape[1])
-        dims = [data.shape[i] for i in range(len(modes))]
-        flops, words = _step_cost(dims, data.shape[axis], rank, has_rank)
-        if data is self._data:
-            self.root_reads += 1
-        out = contract_mode_step(data, axis, factor, has_rank)
-        self.contractions += 1
-        self.flops += flops
-        self.words += words
-        add_cost(flops=flops, words=words)
-        modes = modes[:axis] + modes[axis + 1 :]
-        return out, modes, True
+    def _contract_chain(
+        self, data: np.ndarray, modes: Sequence[int], removed: Sequence[int], has_rank: bool
+    ) -> np.ndarray:
+        """Contract ``removed`` out of ``data`` one mode at a time, last mode first."""
+        modes = list(modes)
+        for k in sorted(removed, reverse=True):
+            axis = modes.index(k)
+            data = contract_mode_step(data, axis, np.asarray(self._factors[k]), has_rank)
+            has_rank = True
+            modes.pop(axis)
+        return data
+
+    def _root_gemm(
+        self, key: Tuple[int, ...], removed: Sequence[int], rank: int
+    ) -> Optional[np.ndarray]:
+        """Root child ``key`` as one GEMM against the removed modes' KRP.
+
+        ``(KRP.T @ X_removed).T``, where ``X_removed`` is the unfolding with
+        the removed modes as rows: ``X.reshape(kept, -1).T`` when ``key``
+        leads and ``X.reshape(-1, kept)`` when it trails.  One BLAS call,
+        with no copy of the tensor and no rank-wide partial of it; the
+        result is a rank-major view, the layout in which both this GEMM and
+        the einsums that contract the child further run fastest.  Returns
+        ``None``, and the caller runs the chain, unless the tensor is
+        C-contiguous (both unfoldings are free reshapes), the removed modes
+        form its leading or trailing block, and ``R`` is at most both the
+        kept and the removed extent products, so that neither the KRP nor
+        the output outgrows the tensor.
+        """
+        data = self._data
+        kept = math.prod(data.shape[k] for k in key)
+        contracted = math.prod(data.shape[k] for k in removed)
+        leads = key == tuple(range(len(key)))
+        trails = key == tuple(range(self._n - len(key), self._n))
+        if (
+            not (leads or trails)
+            or not data.flags.c_contiguous
+            or rank > min(kept, contracted)
+        ):
+            return None
+        krp = khatri_rao([np.asarray(self._factors[k]) for k in removed])
+        if leads:
+            unfolding = data.reshape(kept, contracted).T
+        else:
+            unfolding = data.reshape(contracted, kept)
+        out = (krp.T @ unfolding).T
+        return out.reshape(tuple(data.shape[k] for k in key) + (rank,))
+
+    def _charge(self, cost: SweepCost) -> None:
+        self.contractions += cost.contractions
+        self.flops += cost.flops
+        self.words += cost.words
+        self.root_reads += cost.root_reads
+        add_cost(flops=cost.flops, words=cost.words)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +703,11 @@ def dimtree_sweep_cost_sequence(
 
     versions = [0] * n_modes
     cached: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    cost = {"contractions": 0, "flops": 0, "words": 0, "root_reads": 0}
+    total = SweepCost()
 
     def node_cost(key: Tuple[int, ...]) -> None:
         """Ensure ``key`` is valid, charging any recomputation (recursive)."""
+        nonlocal total
         if key == root_key:
             return
         complement = [k for k in range(n_modes) if k not in key]
@@ -620,31 +716,17 @@ def dimtree_sweep_cost_sequence(
             return
         parent_key = parents[key]
         node_cost(parent_key)
-        dims = [shape[k] for k in parent_key]
-        modes = list(parent_key)
-        has_rank = parent_key != root_key
-        for k in sorted(set(parent_key) - set(key), reverse=True):
-            axis = modes.index(k)
-            flops, words = _step_cost(dims, dims[axis], rank, has_rank)
-            cost["contractions"] += 1
-            cost["flops"] += flops
-            cost["words"] += words
-            if not has_rank:
-                cost["root_reads"] += 1
-            has_rank = True
-            dims.pop(axis)
-            modes.pop(axis)
+        total = total + _recompute_cost(shape, parent_key, key, rank)
         if cache:
             cached[key] = snapshot
 
     per_sweep: List[SweepCost] = []
     for _ in range(n_sweeps):
-        for name in cost:
-            cost[name] = 0
+        start = total
         for mode in range(n_modes):
             node_cost((mode,))
             versions[mode] += 1
-        per_sweep.append(SweepCost(**cost))
+        per_sweep.append(total - start)
     return per_sweep
 
 

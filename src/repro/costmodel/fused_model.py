@@ -34,7 +34,7 @@ from repro.core.dimtree import (
     _STEADY_SWEEPS,
     ModeSplit,
     _build_parents,
-    _step_cost,
+    _recompute_cost,
     split_half,
 )
 from repro.core.sampled_dimtree import (
@@ -136,20 +136,11 @@ def sampled_dimtree_sweep_cost(
             return
         parent_key = parents[key]
         node_cost(parent_key)
-        dims = [shape[k] for k in parent_key]
-        modes = list(parent_key)
-        has_rank = parent_key != root_key
-        for k in sorted(set(parent_key) - set(key), reverse=True):
-            axis = modes.index(k)
-            flops, words = _step_cost(dims, dims[axis], rank, has_rank)
-            cost["contractions"] += 1
-            cost["tree_flops"] += flops
-            cost["tree_words"] += words
-            if not has_rank:
-                cost["root_reads"] += 1
-            has_rank = True
-            dims.pop(axis)
-            modes.pop(axis)
+        chain = _recompute_cost(shape, parent_key, key, rank)
+        cost["contractions"] += chain.contractions
+        cost["tree_flops"] += chain.flops
+        cost["tree_words"] += chain.words
+        cost["root_reads"] += chain.root_reads
         cached[key] = snapshot
 
     n_sweeps = 1 if first_sweep else _STEADY_SWEEPS

@@ -1,5 +1,7 @@
 """Unit tests for the dimension-tree MTTKRP engine (repro.core.dimtree)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,15 +19,49 @@ from repro.core.reference import mttkrp_reference
 from repro.core.sweep_kernel import PerCallKernel, SweepKernel, as_sweep_kernel, check_kernel_name
 from repro.cp.als import cp_als
 from repro.exceptions import ParameterError
+from repro.observe import tracing
+from repro.tensor.dense import as_ndarray
 from repro.tensor.random import noisy_low_rank_tensor, random_factors, random_tensor
 
 SHAPES = [(3, 4, 5), (3, 2, 4, 2), (2, 3, 2, 2, 3)]
 
+#: ``(shape, rank, memory order)`` inputs on both sides of the guard of the
+#: root children's one-GEMM step.
+GUARD_CASES = [
+    # Lopsided 4-way: both root children run as one GEMM.
+    pytest.param((12, 4, 4, 3), 4, "C", id="lopsided-gemm"),
+    # R exceeds a root child's kept (and the other's removed) extent product,
+    # so an unguarded GEMM would form a KRP twice the tensor's size.
+    pytest.param((2, 30, 30), 4, "C", id="rank-chain"),
+    # A Fortran-ordered tensor has no free C-order unfolding.
+    pytest.param((12, 4, 4, 3), 4, "F", id="fortran-chain"),
+]
 
-def problem(shape, rank, seed=0):
-    tensor = random_tensor(shape, seed=seed)
+
+def in_order(tensor, order):
+    """``tensor`` itself, or its data as a Fortran-ordered array for ``"F"``."""
+    return np.asfortranarray(as_ndarray(tensor)) if order == "F" else tensor
+
+
+def problem(shape, rank, seed=0, order="C"):
+    tensor = in_order(random_tensor(shape, seed=seed), order)
     factors = random_factors(shape, rank, seed=seed + 1)
     return tensor, factors
+
+
+def assert_matches_reference(tree, tensor, factors):
+    """Every mode's MTTKRP equals Definition 2.1 within 1e-12 relative."""
+    for mode in range(len(factors)):
+        ref = mttkrp_reference(tensor, factors, mode)
+        got = tree.mttkrp(factors, mode)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def als_sweep(kernel, tensor, factors):
+    """One sweep in ALS order: each mode's MTTKRP, then a new factor object."""
+    for mode in range(len(factors)):
+        kernel.mttkrp(tensor, factors, mode)
+        factors[mode] = 0.5 * factors[mode]
 
 
 def make_rng_split(seed):
@@ -40,14 +76,16 @@ def make_rng_split(seed):
 
 
 class TestDimensionTreeCorrectness:
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_matches_reference_all_modes(self, shape):
-        """3-, 4-, and 5-way: every mode equals Definition 2.1 up to association."""
-        tensor, factors = problem(shape, 3)
-        tree = DimensionTree(tensor)
-        for mode in range(len(shape)):
-            ref = mttkrp_reference(tensor, factors, mode)
-            assert np.allclose(tree.mttkrp(factors, mode), ref, atol=1e-10)
+    @pytest.mark.parametrize(
+        "shape,rank,order",
+        [pytest.param(shape, 3, "C", id=f"shape{i}") for i, shape in enumerate(SHAPES)]
+        + GUARD_CASES,
+    )
+    def test_matches_reference_all_modes(self, shape, rank, order):
+        """3-, 4-, and 5-way, on both sides of the root-GEMM guard: every mode
+        equals Definition 2.1 up to association."""
+        tensor, factors = problem(shape, rank, order=order)
+        assert_matches_reference(DimensionTree(tensor), tensor, factors)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_cached_second_call_matches(self, shape):
@@ -234,6 +272,15 @@ class TestSweepKernelProtocol:
 class TestSplitInvariance:
     """Hypothesis sweep: ALS results do not depend on the tree split choice."""
 
+    @pytest.mark.parametrize(
+        "shape,rank,order",
+        [
+            pytest.param((4, 3, 5), 2, "C", id="3way"),
+            pytest.param((4, 3, 5, 2), 2, "C", id="4way"),
+            pytest.param((4, 3, 5, 2, 3), 2, "C", id="5way"),
+        ]
+        + GUARD_CASES,
+    )
     @settings(
         max_examples=12,
         deadline=None,
@@ -241,30 +288,84 @@ class TestSplitInvariance:
     )
     @given(
         split_seed=st.integers(min_value=0, max_value=2**31 - 1),
-        n_modes=st.integers(min_value=3, max_value=5),
         problem_seed=st.integers(min_value=0, max_value=1000),
     )
-    def test_sweep_results_invariant_to_split(self, split_seed, n_modes, problem_seed):
-        shape = tuple([4, 3, 5, 2, 3][:n_modes])
-        tensor = noisy_low_rank_tensor(shape, 2, noise_level=0.05, seed=problem_seed)
-        reference = cp_als(tensor, 2, n_iter_max=5, tol=0.0, seed=problem_seed + 1, kernel="einsum")
+    def test_sweep_results_invariant_to_split(self, shape, rank, order, split_seed, problem_seed):
+        tensor = in_order(
+            noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=problem_seed), order
+        )
+        reference = cp_als(
+            tensor, rank, n_iter_max=5, tol=0.0, seed=problem_seed + 1, kernel="einsum"
+        )
         kernel = DimensionTreeKernel(split=make_rng_split(split_seed))
-        result = cp_als(tensor, 2, n_iter_max=5, tol=0.0, seed=problem_seed + 1, kernel=kernel)
+        result = cp_als(tensor, rank, n_iter_max=5, tol=0.0, seed=problem_seed + 1, kernel=kernel)
         assert np.allclose(result.fits, reference.fits, atol=1e-10)
         # and the engine itself: every mode equals the reference MTTKRP
-        factors = random_factors(shape, 2, seed=problem_seed + 2)
+        factors = random_factors(shape, rank, seed=problem_seed + 2)
         tree = DimensionTree(tensor, split=make_rng_split(split_seed + 1))
-        for mode in range(n_modes):
-            ref = mttkrp_reference(tensor, factors, mode)
-            assert np.allclose(tree.mttkrp(factors, mode), ref, atol=1e-10)
+        assert_matches_reference(tree, tensor, factors)
 
+    @pytest.mark.parametrize(
+        "shape,rank,order", [pytest.param((3, 2, 4, 2), 2, "C", id="4way")] + GUARD_CASES
+    )
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(split_seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_counted_cost_matches_replay_for_any_split(self, split_seed):
+    def test_counted_cost_matches_replay_for_any_split(self, shape, rank, order, split_seed):
         """Counted ledger == symbolic replay for arbitrary split rules too."""
-        shape, rank = (3, 2, 4, 2), 2
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=22)
+        tensor = in_order(noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=22), order)
         kernel = DimensionTreeKernel(split=make_rng_split(split_seed))
         cp_als(tensor, rank, n_iter_max=5, tol=0.0, seed=23, kernel=kernel)
         model = dimtree_sweep_cost(shape, rank, split=make_rng_split(split_seed))
         assert kernel.per_sweep_costs()[-1] == model
+
+
+class TestRootGemm:
+    """The root children's one-GEMM step, its guard, and its memory."""
+
+    @pytest.mark.parametrize(
+        "shape,rank,order,path",
+        [
+            pytest.param((12, 4, 4, 3), 4, "C", "gemm", id="lopsided-gemm"),
+            pytest.param((6, 5), 2, "C", "gemm", id="matrix-gemm"),
+            pytest.param((2, 30, 30), 4, "C", "chain", id="rank-chain"),
+            pytest.param((12, 4, 4, 3), 4, "F", "chain", id="fortran-chain"),
+        ],
+    )
+    def test_root_path_counters_per_steady_sweep(self, shape, rank, order, path):
+        """Two root children per steady sweep, all on the path the guard picks."""
+        tensor, factors = problem(shape, rank, seed=30, order=order)
+        kernel = DimensionTreeKernel()
+        als_sweep(kernel, tensor, factors)
+        with tracing() as session:
+            als_sweep(kernel, tensor, factors)
+        other = "chain" if path == "gemm" else "gemm"
+        assert session.metrics.counter(f"dimtree.root.{path}") == 2
+        assert session.metrics.counter(f"dimtree.root.{other}") == 0
+
+    def test_interleaved_split_runs_the_chain(self):
+        """Removed modes that are no leading or trailing block take the chain."""
+        shape, rank = (12, 4, 4, 3), 4
+
+        def interleaved(modes):
+            return (modes[::2], modes[1::2]) if len(modes) == 4 else split_half(modes)
+
+        tensor, factors = problem(shape, rank, seed=31)
+        with tracing() as session:
+            assert_matches_reference(DimensionTree(tensor, split=interleaved), tensor, factors)
+        assert session.metrics.counter("dimtree.root.chain") == 2
+        assert session.metrics.counter("dimtree.root.gemm") == 0
+
+    def test_steady_sweep_peak_stays_below_tensor_bytes(self):
+        """Regression: the chain's first partial of this shape is R / I_3 = 1.33x
+        the tensor, and a steady sweep peaked at 1.98x the tensor's bytes."""
+        shape, rank = (80, 10, 10, 6), 8
+        tensor, factors = problem(shape, rank, seed=32)
+        kernel = DimensionTreeKernel()
+        als_sweep(kernel, tensor, factors)
+        tracemalloc.start()
+        try:
+            als_sweep(kernel, tensor, factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < as_ndarray(tensor).nbytes

@@ -18,6 +18,7 @@ from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
 from repro.observe import tracing
 from repro.resilience import CheckpointState, CheckpointStore
+from repro.tensor.random import noisy_low_rank_tensor
 
 SHAPE = (6, 5, 4)
 RANK = 3
@@ -180,6 +181,25 @@ def test_resume_bitwise_identical_random_seeds(seed, stop_at, kernel):
 )
 def test_parallel_resume_bitwise_identical_random_seeds(seed, stop_at, kernel):
     _assert_parallel_resume_matches(kernel, seed=seed, stop_at=stop_at)
+
+
+@pytest.mark.parametrize("kernel", ("dimtree", "sampled-dimtree"))
+@pytest.mark.parametrize("stop_at", [1, 3])
+def test_residual_gate_resume_bitwise_identical(kernel, stop_at):
+    """Regression: the residual gate serves cached partials across sweeps, so
+    a restored partial must keep its memory layout for the einsums that
+    consume it to sum in the uninterrupted run's order."""
+    tensor = noisy_low_rank_tensor((5, 6, 40, 30), RANK, noise_level=0.1, seed=1)
+    kwargs = dict(
+        n_iter_max=N_SWEEPS, tol=0.0, seed=1, kernel=kernel,
+        invalidation="residual", invalidation_tol=1e-2,
+    )
+    store = CheckpointStore()
+    full = cp_als(tensor, RANK, checkpoint_store=store, **kwargs)
+    resumed = cp_als(tensor, RANK, resume_from=store.at_sweep(stop_at), **kwargs)
+    assert resumed.fits == full.fits
+    for a, b in zip(resumed.model.factors, full.model.factors):
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_counters_traced():
