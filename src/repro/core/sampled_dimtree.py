@@ -183,6 +183,28 @@ def sampler_build_cost(extent: int, rank: int, distribution: str) -> Tuple[int, 
     return flops, words
 
 
+def estimator_cost(
+    out_extent: int, rank: int, n_free: int, distinct: int, *, has_rank: bool
+) -> Tuple[int, int]:
+    """(flops, words) of the estimator on ``distinct`` sampled rows.
+
+    The **estimator** convention of :class:`FusedSweepCost`, written once:
+    the sequential kernel counts it, the distributed kernel charges its flops
+    per rank, and :mod:`repro.costmodel.fused_model` replays it.
+    """
+    flops = (
+        max(n_free - 1, 0) * distinct * rank
+        + distinct * rank
+        + 2 * out_extent * distinct * rank
+    )
+    words = (
+        distinct * out_extent * (rank if has_rank else 1)
+        + distinct * n_free * rank
+        + out_extent * rank
+    )
+    return flops, words
+
+
 def tree_draw_cost(
     extents: Sequence[int], rank: int, n_draws: int
 ) -> Tuple[int, int]:
@@ -430,6 +452,8 @@ class SampledDimtreeKernel(SweepKernel):
                 f"unknown fused sampling distribution {distribution!r}; "
                 f"use one of {FUSED_DISTRIBUTIONS}"
             )
+        if n_samples is not None:
+            n_samples = check_positive_int(n_samples, "n_samples")
         self._n_samples = n_samples
         self._distribution = distribution
         self._rng = _as_generator(seed)
@@ -604,15 +628,8 @@ class SampledDimtreeKernel(SweepKernel):
     def _count_eval(
         self, out_extent: int, rank: int, n_free: int, distinct: int, *, has_rank: bool
     ) -> None:
-        flops = (
-            max(n_free - 1, 0) * distinct * rank
-            + distinct * rank
-            + 2 * out_extent * distinct * rank
-        )
-        words = (
-            distinct * out_extent * (rank if has_rank else 1)
-            + distinct * n_free * rank
-            + out_extent * rank
+        flops, words = estimator_cost(
+            out_extent, rank, n_free, distinct, has_rank=has_rank
         )
         self.eval_flops += flops
         self.eval_words += words

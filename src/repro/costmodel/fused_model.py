@@ -39,6 +39,7 @@ from repro.core.dimtree import (
 )
 from repro.core.sampled_dimtree import (
     FusedSweepCost,
+    estimator_cost,
     sampler_build_cost,
     tree_draw_cost,
 )
@@ -64,23 +65,6 @@ def _check_distinct(distinct_rows: Sequence[int], n_modes: int) -> List[int]:
     if any(u < 0 for u in distinct):
         raise ParameterError("distinct_rows must be non-negative")
     return distinct
-
-
-def _eval_terms(
-    out_extent: int, rank: int, n_free: int, distinct: int, has_rank: bool
-) -> Tuple[int, int]:
-    """(flops, words) of the estimator on ``distinct`` rows — the counted convention."""
-    flops = (
-        max(n_free - 1, 0) * distinct * rank
-        + distinct * rank
-        + 2 * out_extent * distinct * rank
-    )
-    words = (
-        distinct * out_extent * (rank if has_rank else 1)
-        + distinct * n_free * rank
-        + out_extent * rank
-    )
-    return flops, words
 
 
 def sampled_dimtree_sweep_cost(
@@ -174,8 +158,8 @@ def sampled_dimtree_sweep_cost(
             flops, words = tree_draw_cost([shape[k] for k in free], rank, n_draws)
             draw_flops += flops
             draw_words += words
-        flops, words = _eval_terms(
-            int(shape[mode]), rank, len(free), distinct[mode], has_rank
+        flops, words = estimator_cost(
+            int(shape[mode]), rank, len(free), distinct[mode], has_rank=has_rank
         )
         eval_flops += flops
         eval_words += words
@@ -237,7 +221,7 @@ def sampled_tree_sweep_cost(
             flops, words = tree_draw_cost([shape[k] for k in free], rank, n_draws)
             draw_flops += flops
             draw_words += words
-        flops, words = _eval_terms(
+        flops, words = estimator_cost(
             int(shape[mode]), rank, len(free), distinct[mode], has_rank=False
         )
         eval_flops += flops

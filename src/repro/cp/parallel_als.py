@@ -180,7 +180,8 @@ def parallel_cp_als(
         :func:`repro.sketch.parallel.parallel_randomized_cp_als` for the full
         randomized driver with an exact-solve fallback).
     n_samples, sample_distribution:
-        Draw count and sampling distribution for the sampled kernels
+        Draw count (``None`` or a positive int, checked whichever kernel
+        runs) and sampling distribution for the sampled kernels
         (defaults mirror the sequential registry entry;
         ``sample_distribution`` is pinned to ``"tree-leverage"`` by the
         tree-backed kernels ``"sampled-tree"`` and ``"sampled-dimtree"``).
@@ -236,6 +237,8 @@ def parallel_cp_als(
         invalidation_tol=invalidation_tol,
         threads=threads,
     )
+    if n_samples is not None:
+        n_samples = check_positive_int(n_samples, "n_samples")
     sampled = kernel in ("sampled", "sampled-tree")
     fused = kernel == "sampled-dimtree"
     if kernel != "exact" and algorithm != "stationary":

@@ -16,7 +16,9 @@ Provided algorithms:
   rank dimension);
 * :class:`DistributedDimtreeKernel` — the sweep-aware CP-ALS kernel of
   :mod:`repro.parallel.dimtree` (per-sweep gather caching + per-rank
-  dimension trees), with its exact ledger predictor.
+  dimension trees), with its exact ledger predictor; the distributed fused
+  sampled kernel of :mod:`repro.sketch.parallel.sampled_dimtree` subclasses
+  it.
 """
 
 from repro.parallel.machine import SimulatedMachine, CommunicationRecord

@@ -38,7 +38,7 @@ import numpy as np
 from repro.exceptions import MachineError, RankFailureError, RetryExhaustedError
 from repro.observe.instrument import inc as observe_inc, record_collective
 from repro.parallel.machine import CommunicationRecord, SimulatedMachine
-from repro.utils.partition import partition_bounds
+from repro.utils.partition import partition_bounds, partition_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +57,20 @@ def bucket_reduce_scatter_cost(group_size: int, max_result_words: int) -> int:
     if group_size < 1:
         raise MachineError("group size must be >= 1")
     return (group_size - 1) * int(max_result_words)
+
+
+def bucket_all_reduce_cost(group_size: int, n_words: int) -> int:
+    """Per-rank words sent (= received) by :func:`all_reduce` of ``n`` words.
+
+    A Reduce-Scatter then an All-Gather of the ``ceil(n / q)``-word pieces:
+    ``2 (q-1) * ceil(n / q)``.
+    """
+    if group_size < 1:
+        raise MachineError("group size must be >= 1")
+    piece = max(partition_sizes(int(n_words), group_size))
+    return bucket_reduce_scatter_cost(group_size, piece) + bucket_all_gather_cost(
+        group_size, piece
+    )
 
 
 def _drive_with_retries(

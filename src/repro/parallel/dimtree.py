@@ -21,22 +21,32 @@ exploits both redundancies at once:
 The output Reduce-Scatter per mode is unchanged from Algorithm 3 (the output
 rows must still be summed and redistributed).
 
-:func:`predicted_dimtree_ledger` replays every collective the kernel issues
+The fused sampled kernel of :mod:`repro.sketch.parallel.sampled_dimtree` is a
+subclass: it keeps the setup, gather cache, checkpoint state and
+Reduce-Scatter defined here and replaces only the per-rank local step.
+
+:func:`replay_dimtree_ledger` replays every collective the kernel issues
 — same groups, same block sizes, same bucket costs, same staleness schedule
-— so the machine's word ledger matches it exactly (the tests assert ``==``,
-PR-2 style).
+— so the machine's word ledger matches :func:`predicted_dimtree_ledger`
+exactly (the tests assert ``==``); the fused kernel's replay is the same loop
+plus its Gram All-Reduces.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dimtree import DimensionTree, FactorGate, ModeSplit
 from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import DistributionError
-from repro.parallel.collectives import all_gather, reduce_scatter
+from repro.parallel.collectives import (
+    all_gather,
+    bucket_all_gather_cost,
+    bucket_reduce_scatter_cost,
+    reduce_scatter,
+)
 from repro.parallel.distribution import (
     DistributedMTTKRPOutput,
     LocalFactorBlock,
@@ -46,11 +56,19 @@ from repro.parallel.grid import ProcessorGrid
 from repro.parallel.machine import SimulatedMachine
 from repro.tensor.dense import as_ndarray
 from repro.utils.partition import partition_bounds
-from repro.utils.validation import check_mode, check_rank, check_shape
+from repro.utils.validation import check_mode, check_positive_int, check_rank, check_shape
 
 #: Trace-label prefixes (the reconciliation tests split the ledger on these).
 GATHER_LABEL = "dimtree all_gather"
 REDUCE_LABEL = "dimtree reduce_scatter"
+
+
+def _check_grid_modes(grid: ProcessorGrid, ndim: int) -> None:
+    if len(grid.dims) != ndim:
+        raise DistributionError(
+            f"grid must have one dimension per tensor mode: got {len(grid.dims)} "
+            f"grid dims for a {ndim}-way tensor"
+        )
 
 
 class DistributedDimtreeKernel(SweepKernel):
@@ -78,7 +96,15 @@ class DistributedDimtreeKernel(SweepKernel):
         within tolerance.  The default ``"exact"`` reproduces plain array
         identity, so the ledger still matches
         :func:`predicted_dimtree_ledger` word for word.
+
+    Subclasses name their collectives through :attr:`gather_label` and
+    :attr:`reduce_label`, may add a collective after each factor gather
+    (:meth:`_gather_factor`), and may replace the per-rank local step
+    (:meth:`_local_outputs`).
     """
+
+    gather_label = GATHER_LABEL
+    reduce_label = REDUCE_LABEL
 
     def __init__(
         self,
@@ -160,18 +186,14 @@ class DistributedDimtreeKernel(SweepKernel):
             ]
             tree.restore_state(state["trees"][r], local)
 
-    def _ensure_setup(self, data: np.ndarray, rank: int) -> None:
-        if self.dist is not None:
-            if self._tensor is data and self.dist.rank == rank:
-                return
-            # New problem: rebuild the distribution, trees, and gather cache.
-            self._gathered.clear()
-            self._gathered_version.clear()
-        if len(self.grid.dims) != data.ndim:
-            raise DistributionError(
-                f"grid must have one dimension per tensor mode: got "
-                f"{len(self.grid.dims)} grid dims for a {data.ndim}-way tensor"
-            )
+    def _ensure_setup(self, data: np.ndarray, rank: int) -> bool:
+        """Distribute ``data`` for ``rank`` unless done; return whether it (re)built."""
+        if self.dist is not None and self._tensor is data and self.dist.rank == rank:
+            return False
+        _check_grid_modes(self.grid, data.ndim)
+        # A new problem: rebuild the distribution, trees, gate, and gather cache.
+        self._gathered.clear()
+        self._gathered_version.clear()
         self.dist = StationaryDistribution(data.shape, rank, 0, self.grid)
         self._tensor = data
         self._tensor_blocks = self.dist.distribute_tensor(data)
@@ -184,6 +206,7 @@ class DistributedDimtreeKernel(SweepKernel):
             invalidation=self._invalidation,
             residual_tol=self._residual_tol,
         )
+        return True
 
     def _gather_factor(self, k: int, factor: np.ndarray) -> None:
         """All-Gather factor ``k``'s block rows within each mode-``k`` hyperslice."""
@@ -198,10 +221,49 @@ class DistributedDimtreeKernel(SweepKernel):
                 group,
                 local,
                 axis=0,
-                label=f"{GATHER_LABEL} A^({k}) p_{k}={pk}",
+                label=f"{self.gather_label} A^({k}) p_{k}={pk}",
             )
             gathered.update(result)
         self._gathered[k] = gathered
+
+    def _local_factors(self, r: int, mode: int) -> List[Optional[np.ndarray]]:
+        """Rank ``r``'s gathered input blocks (``None`` at ``mode``)."""
+        return [
+            None if k == mode else self._gathered[k][r]
+            for k in range(len(self.grid.dims))
+        ]
+
+    def _charge_local(
+        self,
+        r: int,
+        flops: int,
+        local_factors: Sequence[Optional[np.ndarray]],
+        output: np.ndarray,
+    ) -> None:
+        """Charge rank ``r``'s local flops and the words it holds.
+
+        Held words: the tensor block, the gathered input blocks, the tree's
+        cached partials, and the local output.
+        """
+        self.machine.charge_flops(r, flops)
+        storage = int(self._tensor_blocks[r].data.size) + int(output.size)
+        for block in local_factors:
+            if block is not None:
+                storage += int(block.size)
+        storage += self._trees[r].cached_words()
+        self.machine.charge_storage(r, storage)
+
+    def _local_outputs(
+        self, factors: Sequence[Optional[np.ndarray]], mode: int
+    ) -> Dict[int, np.ndarray]:
+        """Every rank's local dimension-tree MTTKRP (counted flops)."""
+        outputs: Dict[int, np.ndarray] = {}
+        for r, tree in self._trees.items():
+            local_factors = self._local_factors(r, mode)
+            flops_before = tree.flops
+            outputs[r] = tree.mttkrp(local_factors, mode)
+            self._charge_local(r, tree.flops - flops_before, local_factors, outputs[r])
+        return outputs
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
@@ -229,25 +291,7 @@ class DistributedDimtreeKernel(SweepKernel):
                 self._gather_factor(k, np.asarray(factors[k]))
                 self._gathered_version[k] = self.gate.versions[k]
 
-        # -- local dimension-tree MTTKRP on every rank (counted flops).
-        local_outputs: Dict[int, np.ndarray] = {}
-        for r in range(self.grid.n_procs):
-            tree = self._trees[r]
-            local_factors: List[Optional[np.ndarray]] = [None] * data.ndim
-            for k in range(data.ndim):
-                if k != mode:
-                    local_factors[k] = self._gathered[k][r]
-            flops_before = tree.flops
-            local_outputs[r] = tree.mttkrp(local_factors, mode)
-            self.machine.charge_flops(r, tree.flops - flops_before)
-            storage = int(self._tensor_blocks[r].data.size) + int(
-                local_outputs[r].size
-            )
-            for k in range(data.ndim):
-                if k != mode:
-                    storage += int(self._gathered[k][r].size)
-            storage += tree.cached_words()
-            self.machine.charge_storage(r, storage)
+        local_outputs = self._local_outputs(factors, mode)
 
         # -- output Reduce-Scatter within each mode hyperslice (Algorithm 3).
         output = DistributedMTTKRPOutput(shape=(data.shape[mode], rank))
@@ -258,7 +302,7 @@ class DistributedDimtreeKernel(SweepKernel):
                 group,
                 {r: local_outputs[r] for r in group},
                 axis=0,
-                label=f"{REDUCE_LABEL} B mode {mode} p_{mode}={pn}",
+                label=f"{self.reduce_label} B mode {mode} p_{mode}={pn}",
             )
             for r in group:
                 output.pieces[r] = LocalFactorBlock(
@@ -273,6 +317,63 @@ class DistributedDimtreeKernel(SweepKernel):
         return max((tree.flops for tree in self._trees.values()), default=0)
 
 
+def output_reduce_scatter_words(dist: StationaryDistribution, mode: int) -> np.ndarray:
+    """Per-rank words of Algorithm 3's output Reduce-Scatter for ``mode``.
+
+    One bucket Reduce-Scatter per mode-``mode`` hyperslice, its pieces whole
+    output rows of ``R`` words.
+    """
+    words = np.zeros(dist.grid.n_procs, dtype=np.int64)
+    for pn in range(dist.grid.dims[mode]):
+        group = dist.grid.slice_group({mode: pn})
+        start, stop = dist.mode_partitions[mode][pn]
+        piece_rows = max(b - a for a, b in partition_bounds(stop - start, len(group)))
+        words[group] += bucket_reduce_scatter_cost(len(group), piece_rows * dist.rank)
+    return words
+
+
+def replay_dimtree_ledger(
+    shape: Sequence[int],
+    rank: int,
+    grid_dims: Sequence[int],
+    n_sweeps: int,
+) -> Tuple[np.ndarray, int]:
+    """Replay the dimtree kernel's collectives; return per-rank words and gathers.
+
+    The one replay loop of both distributed tree kernels: the ALS schedule
+    (modes ``0..N-1`` per sweep, each factor replaced after its solve), the
+    gather-staleness bookkeeping, the per-hyperslice All-Gather block sizes,
+    and the output Reduce-Scatters.  The second value counts factor gather
+    events, on each of which the fused sampled kernel adds one Gram
+    All-Reduce.
+    """
+    shape = check_shape(shape, min_ndim=2)
+    rank = check_rank(rank)
+    n_sweeps = check_positive_int(n_sweeps, "n_sweeps")
+    grid = ProcessorGrid(grid_dims)
+    _check_grid_modes(grid, len(shape))
+    dist = StationaryDistribution(shape, rank, 0, grid)
+    words = np.zeros(grid.n_procs, dtype=np.int64)
+    ndim = len(shape)
+    versions = [0] * ndim
+    gathered_at: Dict[int, int] = {}
+    gathers = 0
+    for _ in range(n_sweeps):
+        for mode in range(ndim):
+            for k in range(ndim):
+                if k == mode or gathered_at.get(k) == versions[k]:
+                    continue
+                for pk in range(grid.dims[k]):
+                    group = grid.slice_group({k: pk})
+                    block = max(len(dist.factor_local_rows(k, r)) for r in group) * rank
+                    words[group] += bucket_all_gather_cost(len(group), block)
+                gathered_at[k] = versions[k]
+                gathers += 1
+            words += output_reduce_scatter_words(dist, mode)
+            versions[mode] += 1
+    return words, gathers
+
+
 def predicted_dimtree_ledger(
     shape: Sequence[int],
     rank: int,
@@ -282,51 +383,12 @@ def predicted_dimtree_ledger(
     """Per-rank words sent (= received) the dimtree kernel charges over a run.
 
     Replays every collective of :class:`DistributedDimtreeKernel` under the
-    ALS schedule (modes ``0..N-1`` per sweep, each factor replaced after its
-    solve) symbolically: the gather-staleness bookkeeping, the per-hyperslice
-    All-Gather block sizes, and the per-hyperslice Reduce-Scatter piece sizes
-    are all reproduced from the bucket cost formulas alone, so the returned
-    array equals the machine's ``words_sent`` (and ``words_received``)
-    exactly — the PR-2-style "measured == predicted" reconciliation target.
+    ALS schedule symbolically (:func:`replay_dimtree_ledger`) from the bucket
+    cost formulas alone, so the returned array equals the machine's
+    ``words_sent`` (and ``words_received``) exactly — the "measured ==
+    predicted" reconciliation target.
     """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    grid = ProcessorGrid(grid_dims)
-    if len(grid.dims) != len(shape):
-        raise DistributionError(
-            f"grid must have one dimension per tensor mode: got {len(grid.dims)} "
-            f"grid dims for a {len(shape)}-way tensor"
-        )
-    dist = StationaryDistribution(shape, rank, 0, grid)
-    words = np.zeros(grid.n_procs, dtype=np.int64)
-    ndim = len(shape)
-    versions = [0] * ndim
-    gathered_at: Dict[int, int] = {}
-
-    def charge_gather(k: int) -> None:
-        for pk in range(grid.dims[k]):
-            group = grid.slice_group({k: pk})
-            w = max(len(dist.factor_local_rows(k, r)) for r in group) * rank
-            words[group] += (len(group) - 1) * w
-
-    def charge_reduce_scatter(mode: int) -> None:
-        for pn in range(grid.dims[mode]):
-            group = grid.slice_group({mode: pn})
-            start, stop = dist.mode_partitions[mode][pn]
-            piece_rows = max(b - a for a, b in partition_bounds(stop - start, len(group)))
-            words[group] += (len(group) - 1) * piece_rows * rank
-
-    for _ in range(int(n_sweeps)):
-        for mode in range(ndim):
-            for k in range(ndim):
-                if k == mode:
-                    continue
-                if gathered_at.get(k) != versions[k]:
-                    charge_gather(k)
-                    gathered_at[k] = versions[k]
-            charge_reduce_scatter(mode)
-            versions[mode] += 1
-    return words
+    return replay_dimtree_ledger(shape, rank, grid_dims, n_sweeps)[0]
 
 
 def predicted_dimtree_sweep_words(

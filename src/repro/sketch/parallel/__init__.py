@@ -20,7 +20,11 @@ charged to a per-rank ledger instead of a formula:
 * :mod:`repro.sketch.parallel.reconcile` — measured-vs-modelled
   reconciliation: ledger word counts against the exact collective-replay
   predictor, the closed-form sketch cost model, the measured exact
-  algorithm, and the paper's parallel lower bounds.
+  algorithm, and the paper's parallel lower bounds;
+* :mod:`repro.sketch.parallel.sampled_dimtree` — the distributed fused
+  sampled-dimtree kernel: the dimtree kernel of :mod:`repro.parallel.dimtree`
+  (a subclass of it) plus a Gram All-Reduce per factor gather and a sampled
+  local step, with the dimtree ledger replay plus those All-Reduces.
 """
 
 from repro.sketch.parallel.distribution import (

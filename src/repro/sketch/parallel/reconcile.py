@@ -32,6 +32,8 @@ import numpy as np
 
 from repro.bounds.parallel import combined_parallel_lower_bound
 from repro.core.kernels import mttkrp
+from repro.parallel.collectives import bucket_all_reduce_cost
+from repro.parallel.dimtree import output_reduce_scatter_words
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.distribution import StationaryDistribution
 from repro.parallel.grid_selection import choose_stationary_grid, stationary_grid_cost
@@ -47,7 +49,6 @@ from repro.sketch.sampled_mttkrp import _resolve_rank, default_sample_count
 from repro.sketch.sampling import SampleSet, SeedLike
 from repro.tensor.dense import as_ndarray
 from repro.tensor.sparse import SparseTensor, sparse_mttkrp
-from repro.utils.partition import partition_bounds
 from repro.utils.validation import check_mode
 
 
@@ -86,12 +87,8 @@ def predicted_sampled_ledger(
                 # full factor All-Gather: blocks of (chunk_rows x R)
                 w = max(chunk_rows) * rank
                 words[group] += (n_procs - 1) * w
-            else:  # product-leverage / tree-leverage
-                # Gram All-Reduce = Reduce-Scatter + All-Gather on R*R words
-                piece = max(
-                    stop - start for start, stop in partition_bounds(rank * rank, n_procs)
-                )
-                words[group] += 2 * (n_procs - 1) * piece
+            else:  # product-leverage / tree-leverage: Gram All-Reduce
+                words[group] += bucket_all_reduce_cost(n_procs, rank * rank)
                 if samples.distribution != "tree-leverage":
                     # per-row leverage score All-Gather: 1-D chunks (the
                     # setup term the tree sampler eliminates)
@@ -108,13 +105,7 @@ def predicted_sampled_ledger(
             ) * rank
             words[group] += (len(group) - 1) * w
 
-    # output Reduce-Scatter per output-mode hyperslice (row-granular pieces)
-    for pn in range(grid.dims[mode]):
-        group = grid.slice_group({mode: pn})
-        start, stop = dist.mode_partitions[mode][pn]
-        piece_rows = max(b - a for a, b in partition_bounds(stop - start, len(group)))
-        words[group] += (len(group) - 1) * piece_rows * rank
-    return words
+    return words + output_reduce_scatter_words(dist, mode)
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,35 @@
 """Distributed fused sampled-dimtree CP-ALS kernel on the simulated machine.
 
-The distributed face of :mod:`repro.core.sampled_dimtree`, combining the
-communication pattern of :class:`repro.parallel.dimtree.DistributedDimtreeKernel`
-with the replicated-draw discipline of :mod:`repro.sketch.parallel`:
+The distributed face of :mod:`repro.core.sampled_dimtree`: the exact
+distributed dimtree kernel
+(:class:`repro.parallel.dimtree.DistributedDimtreeKernel`) plus a Gram
+All-Reduce per factor gather and a sampled local step.  The subclass inherits
+everything else — the stationary distribution, per-rank trees, the
+:class:`~repro.core.dimtree.FactorGate` and its gather cache (one All-Gather
+per factor update; under ``invalidation="residual"`` even those are gated),
+checkpoint and cache invalidation, and the output Reduce-Scatter per mode
+hyperslice, unchanged from Algorithm 3.  It adds two things:
 
-* **cached per-update All-Gathers** — gathered factor block rows are reused
-  across the sweep and re-gathered only when the kernel's
-  :class:`~repro.core.dimtree.FactorGate` invalidates that factor (one
-  All-Gather per factor update instead of ``N - 1`` per sweep, exactly as in
-  the exact dimtree kernel; under ``invalidation="residual"`` even those are
-  gated);
-* **the tree sampler's Gram All-Reduce only** — each invalidated factor
+* **the tree sampler's Gram All-Reduce only** — each gathered factor
   additionally All-Reduces its ``R x R`` block Gram (the reduced Gram is what
   the shared sampler cache derives its segment trees / leverage
   distributions from), and *nothing else*: there is no leverage-score or
   sampled-row gather, because every rank evaluates its draws against its own
-  local partials.  As in PR 3, the draw itself is replicated from the shared
-  seed on every rank (rank-consistent seeding) rather than routed, so the
-  per-draw cross-rank descent messages of a physically distributed sampler
-  are not charged — the same documented idealization;
-* **local fused evaluation** — each rank holds a
-  :class:`~repro.core.dimtree.DimensionTree` over its stationary sub-tensor,
-  serves the leaf-parent partial from its cache, and evaluates exactly the
-  draws whose free-mode indices fall inside its block ranges;
-* **output Reduce-Scatter** per mode hyperslice, unchanged from Algorithm 3.
+  local partials.  The draw itself is replicated from the shared seed on
+  every rank (rank-consistent seeding) rather than routed, so the per-draw
+  cross-rank descent messages of a physically distributed sampler are not
+  charged — the same documented idealization as the distributed sampled
+  MTTKRP of :mod:`repro.sketch.parallel.sampled_mttkrp`;
+* **the sampled local step** — one draw from the shared stream per call;
+  each rank serves the leaf-parent partial from its tree cache and evaluates
+  exactly the draws whose free-mode indices fall inside its block ranges.
 
 Under the same seed the shared :class:`~repro.core.sampled_dimtree.FusedSamplerCache`
 walks the same rebuild schedule as the sequential kernel over the same
 global factors, so the draws are **bitwise identical to sequential**.
-:func:`predicted_sampled_dimtree_ledger` replays every collective — the
-gather staleness schedule plus the per-update Gram All-Reduce — so the
-machine ledger matches it word for word (the tests assert ``==``).
+:func:`predicted_sampled_dimtree_ledger` is the dimtree replay plus one Gram
+All-Reduce per gather event, so the machine ledger matches it word for word
+(the tests assert ``==``).
 """
 
 from __future__ import annotations
@@ -40,29 +39,18 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dimtree import (
-    DimensionTree,
-    FactorGate,
-    ModeSplit,
-    _build_parents,
-    split_half,
+from repro.core.dimtree import ModeSplit
+from repro.core.sampled_dimtree import (
+    FusedSamplerCache,
+    estimator_cost,
+    fused_estimator_gemm,
 )
-from repro.core.sampled_dimtree import FusedSamplerCache, fused_estimator_gemm
-from repro.core.sweep_kernel import SweepKernel
-from repro.exceptions import DistributionError
-from repro.parallel.collectives import all_gather, all_reduce, reduce_scatter
-from repro.parallel.distribution import (
-    DistributedMTTKRPOutput,
-    LocalFactorBlock,
-    StationaryDistribution,
-)
-from repro.parallel.grid import ProcessorGrid
+from repro.parallel.collectives import all_reduce, bucket_all_reduce_cost
+from repro.parallel.dimtree import DistributedDimtreeKernel, replay_dimtree_ledger
 from repro.parallel.machine import SimulatedMachine
 from repro.sketch.sampled_mttkrp import default_sample_count, estimator_gemm
 from repro.sketch.sampling import SeedLike, _as_generator
-from repro.tensor.dense import as_ndarray
-from repro.utils.partition import partition_bounds
-from repro.utils.validation import check_mode, check_rank, check_shape
+from repro.utils.validation import check_positive_int
 
 #: Trace-label prefixes (the reconciliation tests split the ledger on these).
 GATHER_LABEL = "sampled-dimtree all_gather"
@@ -70,7 +58,7 @@ GRAM_LABEL = "sampled-dimtree gram all_reduce"
 REDUCE_LABEL = "sampled-dimtree reduce_scatter"
 
 
-class DistributedSampledDimtreeKernel(SweepKernel):
+class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
     """Sweep-aware distributed fused sampled MTTKRP (``"sampled-dimtree"``).
 
     Registered in :data:`repro.cp.parallel_als.PARALLEL_KERNEL_NAMES`
@@ -101,6 +89,9 @@ class DistributedSampledDimtreeKernel(SweepKernel):
         identity, so they follow the same schedule).
     """
 
+    gather_label = GATHER_LABEL
+    reduce_label = REDUCE_LABEL
+
     def __init__(
         self,
         grid_dims: Sequence[int],
@@ -113,123 +104,65 @@ class DistributedSampledDimtreeKernel(SweepKernel):
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
     ) -> None:
-        self.grid = ProcessorGrid(grid_dims)
-        if machine is None:
-            machine = SimulatedMachine(self.grid.n_procs)
-        elif machine.n_procs != self.grid.n_procs:
-            raise DistributionError(
-                f"machine has {machine.n_procs} processors but the grid needs "
-                f"{self.grid.n_procs}"
-            )
-        self.machine = machine
+        super().__init__(
+            grid_dims,
+            machine=machine,
+            split=split,
+            invalidation=invalidation,
+            residual_tol=residual_tol,
+        )
+        if n_samples is not None:
+            n_samples = check_positive_int(n_samples, "n_samples")
         self._n_samples = n_samples
         self._distribution = distribution
         self._rng = _as_generator(seed)
-        self._split = split
-        self._invalidation = invalidation
-        self._residual_tol = float(residual_tol)
         self.samplers = FusedSamplerCache(distribution)
-        self.gate: Optional[FactorGate] = None
-        self.dist: Optional[StationaryDistribution] = None
-        self._parents: Optional[dict] = None
-        self._tensor: Optional[np.ndarray] = None
-        self._tensor_blocks = None
-        self._trees: Dict[int, DimensionTree] = {}
-        self._gathered: Dict[int, Dict[int, np.ndarray]] = {}
-        self._gathered_version: Dict[int, int] = {}
         self.draw_log: List[tuple] = []
-        self._pending_state: Optional[dict] = None
 
-    # -- checkpoint/restore ---------------------------------------------------
-    def capture_state(self) -> Optional[dict]:
-        """RNG position + sampler cache + gate/gathered/tree snapshots."""
-        return {
-            "kind": "parallel-sampled-dimtree",
-            "rng": copy.deepcopy(self._rng.bit_generator.state),
-            "samplers": self.samplers.capture_state(),
-            "draw_log": list(self.draw_log),
-            "gate": self.gate.capture_state() if self.gate is not None else None,
-            "gathered": {
-                k: {r: block.copy() for r, block in blocks.items()}
-                for k, blocks in self._gathered.items()
-            },
-            "gathered_version": dict(self._gathered_version),
-            "trees": {r: tree.capture_state() for r, tree in self._trees.items()},
-        }
+    # -- checkpoint/restore: the RNG, sampler cache and draw log on top -------
+    def capture_state(self) -> dict:
+        """RNG position + sampler cache + draw log + the base snapshot."""
+        state = super().capture_state() or {"gate": None}
+        state.update(
+            kind="parallel-sampled-dimtree",
+            rng=copy.deepcopy(self._rng.bit_generator.state),
+            samplers=self.samplers.capture_state(),
+            draw_log=list(self.draw_log),
+        )
+        return state
 
     def restore_state(self, state: Optional[dict]) -> None:
-        """Adopt a snapshot now (RNG) and lazily (caches, next mttkrp)."""
+        """Adopt the RNG now; the caches with the next mttkrp (or now, if none)."""
         self._pending_state = None
         if state is None:
             return
         self._rng.bit_generator.state = copy.deepcopy(state["rng"])
-        if state["gate"] is not None:
-            self._pending_state = state
+        if state["gate"] is None:
+            self._restore_sampling(state)
         else:
-            self.samplers.restore_state(state["samplers"])
-            self.draw_log = list(state["draw_log"])
+            self._pending_state = state
 
-    def invalidate_caches(self) -> bool:
-        invalidated = self.samplers.invalidate_all()
-        if self.gate is not None:
-            self._gathered.clear()
-            self._gathered_version.clear()
-            for tree in self._trees.values():
-                tree.invalidate_all()
-            self.gate.invalidate_all()
-            invalidated = True
-        return invalidated
-
-    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
-        state = self._pending_state
-        self._pending_state = None
-        self.gate.restore_state(state["gate"], factors)
+    def _restore_sampling(self, state: dict) -> None:
         self.samplers.restore_state(state["samplers"])
         self.draw_log = list(state["draw_log"])
-        self._gathered = {
-            k: {r: block.copy() for r, block in blocks.items()}
-            for k, blocks in state["gathered"].items()
-        }
-        self._gathered_version = dict(state["gathered_version"])
-        ndim = len(self.grid.dims)
-        for r, tree in self._trees.items():
-            local = [
-                self._gathered[k][r] if k in self._gathered else None
-                for k in range(ndim)
-            ]
-            tree.restore_state(state["trees"][r], local)
 
-    def _ensure_setup(self, data: np.ndarray, rank: int) -> None:
-        if self.dist is not None:
-            if self._tensor is data and self.dist.rank == rank:
-                return
-            self._gathered.clear()
-            self._gathered_version.clear()
-            # A new problem restarts the gate's version sequence at zero, so
-            # the sampler cache's version stamps (and factor snapshots) from
-            # the previous problem must not be mistaken for fresh ones.
-            self.samplers = FusedSamplerCache(self._distribution)
-            self.draw_log = []
-        if len(self.grid.dims) != data.ndim:
-            raise DistributionError(
-                f"grid must have one dimension per tensor mode: got "
-                f"{len(self.grid.dims)} grid dims for a {data.ndim}-way tensor"
-            )
-        self.dist = StationaryDistribution(data.shape, rank, 0, self.grid)
-        self._tensor = data
-        self._tensor_blocks = self.dist.distribute_tensor(data)
-        self._trees = {
-            r: DimensionTree(self._tensor_blocks[r].data, split=self._split)
-            for r in range(self.grid.n_procs)
-        }
-        self._parents = _build_parents(
-            data.ndim, self._split if self._split is not None else split_half
-        )
-        self.gate = FactorGate(
-            data.ndim,
-            invalidation=self._invalidation,
-            residual_tol=self._residual_tol,
-        )
+    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
+        self._restore_sampling(self._pending_state)
+        super()._apply_pending(factors)
+
+    def invalidate_caches(self) -> bool:
+        sampled = self.samplers.invalidate_all()
+        return super().invalidate_caches() or sampled
+
+    def _ensure_setup(self, data: np.ndarray, rank: int) -> bool:
+        if not super()._ensure_setup(data, rank):
+            return False
+        # A new problem restarts the gate's version sequence at zero, so the
+        # sampler cache's version stamps (and factor snapshots) from an
+        # earlier problem must not be mistaken for fresh ones.
+        self.samplers = FusedSamplerCache(self._distribution)
+        self.draw_log = []
+        return True
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
         # force: an explicit update always invalidates even for the same
@@ -238,63 +171,29 @@ class DistributedSampledDimtreeKernel(SweepKernel):
         if self.gate is not None:
             self.gate.register(mode, np.asarray(factor), force=True)
 
+    # -- the two additions ----------------------------------------------------
     def _gather_factor(self, k: int, factor: np.ndarray) -> None:
         """All-Gather factor ``k``'s block rows, then All-Reduce its Gram."""
-        gathered: Dict[int, np.ndarray] = {}
-        for pk in range(self.grid.dims[k]):
-            group = self.grid.slice_group({k: pk})
-            local = {r: factor[self.dist.factor_local_rows(k, r), :] for r in group}
-            result = all_gather(
-                self.machine,
-                group,
-                local,
-                axis=0,
-                label=f"{GATHER_LABEL} A^({k}) p_{k}={pk}",
-            )
-            gathered.update(result)
-        self._gathered[k] = gathered
+        super()._gather_factor(k, factor)
         # The sampler-setup collective: every rank contributes its owned row
         # chunk's R x R Gram (each factor row is owned by exactly one rank,
         # so the sum is the full factor Gram the shared sampler cache needs).
         group = list(range(self.grid.n_procs))
-        grams = {
-            r: factor[self.dist.factor_local_rows(k, r), :].T
-            @ factor[self.dist.factor_local_rows(k, r), :]
-            for r in group
-        }
+        grams = {}
+        for r in group:
+            block = factor[self.dist.factor_local_rows(k, r), :]
+            grams[r] = block.T @ block
         all_reduce(self.machine, group, grams, label=f"{GRAM_LABEL} A^({k})")
 
-    def mttkrp(
-        self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
-    ) -> np.ndarray:
-        data = as_ndarray(tensor)
-        mode = check_mode(mode, data.ndim)
-        rank = None
-        for k, f in enumerate(factors):
-            if k != mode and f is not None:
-                rank = int(np.asarray(f).shape[1])
-                break
-        if rank is None:
-            raise DistributionError("at least one input factor matrix is required")
-        self._ensure_setup(data, rank)
-        if self._pending_state is not None:
-            self._apply_pending(factors)
-        n_draws = (
-            default_sample_count(rank) if self._n_samples is None else self._n_samples
-        )
-
-        # -- gate the staleness, re-gather (and re-reduce Grams) per update.
-        for k in range(data.ndim):
-            if k == mode:
-                continue
-            self.gate.register(k, factors[k])
-            if self._gathered_version.get(k) != self.gate.versions[k]:
-                self._gather_factor(k, np.asarray(factors[k]))
-                self._gathered_version[k] = self.gate.versions[k]
-
-        # -- replicated draw from the shared stream (bitwise == sequential).
-        parent = self._parents[(mode,)]
+    def _local_outputs(
+        self, factors: Sequence[Optional[np.ndarray]], mode: int
+    ) -> Dict[int, np.ndarray]:
+        """One replicated draw, evaluated on every rank's leaf-parent partial."""
+        rank = self.dist.rank
+        n_draws = default_sample_count(rank) if self._n_samples is None else self._n_samples
+        parent = self._trees[0].leaf_parent(mode)
         free = tuple(k for k in parent if k != mode)
+        # The draw comes from the shared stream (bitwise == sequential).
         samples = self.samplers.draw(
             factors,
             free,
@@ -303,75 +202,39 @@ class DistributedSampledDimtreeKernel(SweepKernel):
             self._rng,
             [self.gate.versions[k] for k in free],
         )
-        krp_rows = samples.krp_rows(factors)
-        weighted = krp_rows * samples.weights[:, None]
+        weighted = samples.krp_rows(factors) * samples.weights[:, None]
         self.draw_log.append((mode, free, n_draws, samples.n_distinct))
 
-        # -- local fused evaluation on every rank's cached partial.
-        local_outputs: Dict[int, np.ndarray] = {}
-        for r in range(self.grid.n_procs):
-            tree = self._trees[r]
-            ranges = self.dist.subtensor_ranges(r)
-            local_factors: List[Optional[np.ndarray]] = [None] * data.ndim
-            for k in range(data.ndim):
-                if k != mode:
-                    local_factors[k] = self._gathered[k][r]
+        outputs: Dict[int, np.ndarray] = {}
+        for r, tree in self._trees.items():
+            local_factors = self._local_factors(r, mode)
             flops_before = tree.flops
             tree.register_factors(local_factors, mode)
             data_p, modes_p, has_rank = tree.node_value(parent)
 
+            ranges = self.dist.subtensor_ranges(r)
             mask = np.ones(samples.n_distinct, dtype=bool)
             for t, k in enumerate(free):
                 start, stop = ranges[k]
                 idx = samples.indices[:, t]
                 mask &= (idx >= start) & (idx < stop)
-            axis = modes_p.index(mode)
-            moved = np.moveaxis(data_p, axis, 0)
+            moved = np.moveaxis(data_p, modes_p.index(mode), 0)
             picker = (slice(None),) + tuple(
-                samples.indices[mask, t] - ranges[k][0]
-                for t, k in enumerate(free)
+                samples.indices[mask, t] - ranges[k][0] for t, k in enumerate(free)
             )
-            fibers = moved[picker]
-            if has_rank:
-                partial = np.ascontiguousarray(
-                    fused_estimator_gemm(fibers, weighted[mask])
-                )
-            else:
-                partial = np.ascontiguousarray(estimator_gemm(fibers, weighted[mask]))
-            local_outputs[r] = partial
-            owned = int(np.count_nonzero(mask))
-            self.machine.charge_flops(
-                r,
-                (tree.flops - flops_before)
-                + max(len(free) - 1, 0) * owned * rank
-                + owned * rank
-                + 2 * partial.shape[0] * owned * rank,
+            gemm = fused_estimator_gemm if has_rank else estimator_gemm
+            outputs[r] = np.ascontiguousarray(gemm(moved[picker], weighted[mask]))
+            eval_flops, _ = estimator_cost(
+                outputs[r].shape[0],
+                rank,
+                len(free),
+                int(np.count_nonzero(mask)),
+                has_rank=has_rank,
             )
-            storage = int(self._tensor_blocks[r].data.size) + int(partial.size)
-            for k in range(data.ndim):
-                if k != mode:
-                    storage += int(self._gathered[k][r].size)
-            storage += tree.cached_words()
-            self.machine.charge_storage(r, storage)
-
-        # -- output Reduce-Scatter within each mode hyperslice (Algorithm 3).
-        output = DistributedMTTKRPOutput(shape=(data.shape[mode], rank))
-        for pn in range(self.grid.dims[mode]):
-            group = self.grid.slice_group({mode: pn})
-            scattered = reduce_scatter(
-                self.machine,
-                group,
-                {r: local_outputs[r] for r in group},
-                axis=0,
-                label=f"{REDUCE_LABEL} B mode {mode} p_{mode}={pn}",
+            self._charge_local(
+                r, tree.flops - flops_before + eval_flops, local_factors, outputs[r]
             )
-            for r in group:
-                output.pieces[r] = LocalFactorBlock(
-                    rows=self.dist.factor_local_rows(mode, r),
-                    cols=np.arange(rank),
-                    data=scattered[r],
-                )
-        return output.assemble()
+        return outputs
 
 
 def predicted_sampled_dimtree_ledger(
@@ -382,60 +245,17 @@ def predicted_sampled_dimtree_ledger(
 ) -> np.ndarray:
     """Per-rank words sent (= received) the fused kernel charges over a run.
 
-    Replays every collective of :class:`DistributedSampledDimtreeKernel`
-    under the ALS schedule with exact invalidation: the per-update factor
-    All-Gathers (identical staleness bookkeeping to
-    :func:`repro.parallel.dimtree.predicted_dimtree_ledger`), one global
-    ``R x R`` Gram All-Reduce per gather event (the sampler setup — the
-    *only* sampling-induced communication), and the per-mode output
-    Reduce-Scatters.  Draw counts never appear: fibers and partials are
-    local, factor rows are gathered per update rather than per sample, so
-    the ledger is draw-independent and the returned array equals the
-    machine's ``words_sent`` (and ``words_received``) exactly.
+    The dimtree replay (:func:`repro.parallel.dimtree.replay_dimtree_ledger`:
+    the per-update factor All-Gathers and the per-mode output
+    Reduce-Scatters) plus one global ``R x R`` Gram All-Reduce per gather
+    event (the sampler setup — the *only* sampling-induced communication).
+    Draw counts never appear: fibers and partials are local, factor rows are
+    gathered per update rather than per sample, so the ledger is
+    draw-independent and the returned array equals the machine's
+    ``words_sent`` (and ``words_received``) exactly.
     """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    grid = ProcessorGrid(grid_dims)
-    if len(grid.dims) != len(shape):
-        raise DistributionError(
-            f"grid must have one dimension per tensor mode: got {len(grid.dims)} "
-            f"grid dims for a {len(shape)}-way tensor"
-        )
-    dist = StationaryDistribution(shape, rank, 0, grid)
-    words = np.zeros(grid.n_procs, dtype=np.int64)
-    n_procs = grid.n_procs
-    ndim = len(shape)
-    versions = [0] * ndim
-    gathered_at: Dict[int, int] = {}
-    gram_piece = max(
-        stop - start for start, stop in partition_bounds(rank * rank, n_procs)
-    )
-
-    def charge_gather(k: int) -> None:
-        for pk in range(grid.dims[k]):
-            group = grid.slice_group({k: pk})
-            w = max(len(dist.factor_local_rows(k, r)) for r in group) * rank
-            words[group] += (len(group) - 1) * w
-        words[:] += 2 * (n_procs - 1) * gram_piece
-
-    def charge_reduce_scatter(mode: int) -> None:
-        for pn in range(grid.dims[mode]):
-            group = grid.slice_group({mode: pn})
-            start, stop = dist.mode_partitions[mode][pn]
-            piece_rows = max(b - a for a, b in partition_bounds(stop - start, len(group)))
-            words[group] += (len(group) - 1) * piece_rows * rank
-
-    for _ in range(int(n_sweeps)):
-        for mode in range(ndim):
-            for k in range(ndim):
-                if k == mode:
-                    continue
-                if gathered_at.get(k) != versions[k]:
-                    charge_gather(k)
-                    gathered_at[k] = versions[k]
-            charge_reduce_scatter(mode)
-            versions[mode] += 1
-    return words
+    words, gathers = replay_dimtree_ledger(shape, rank, grid_dims, n_sweeps)
+    return words + gathers * bucket_all_reduce_cost(len(words), int(rank) ** 2)
 
 
 def predicted_sampled_dimtree_sweep_words(

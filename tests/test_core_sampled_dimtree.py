@@ -17,6 +17,7 @@ from repro.costmodel.fused_model import (
 )
 from repro.cp.als import KERNEL_NAMES, cp_als
 from repro.exceptions import ParameterError
+from repro.sketch.parallel.sampled_dimtree import DistributedSampledDimtreeKernel
 from repro.tensor.random import noisy_low_rank_tensor, random_factors, random_tensor
 
 
@@ -182,6 +183,19 @@ class TestFusedEstimator:
             SampledDimtreeKernel(distribution="leverage")
         with pytest.raises(ParameterError):
             FusedSamplerCache("importance")
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: SampledDimtreeKernel(n_samples=n),
+            lambda n: DistributedSampledDimtreeKernel((2, 1, 1), n_samples=n),
+        ],
+        ids=["sequential", "distributed"],
+    )
+    def test_rejects_bad_n_samples(self, make, n_samples):
+        with pytest.raises(ParameterError, match="n_samples"):
+            make(n_samples)
 
 
 class TestCountedEqualsReplay:

@@ -50,7 +50,7 @@ class TestParallelCPALS:
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 2, n_procs=4, algorithm="hybrid")
 
-    @pytest.mark.parametrize("kernel", ["exact", "dimtree"])
+    @pytest.mark.parametrize("kernel", ["exact", "dimtree", "sampled-dimtree"])
     @pytest.mark.parametrize(
         "kwargs, match",
         [
@@ -61,6 +61,10 @@ class TestParallelCPALS:
             ({"threads": 0}, "threads"),
             ({"init": [np.ones((7, 2)), np.ones((5, 2)), np.ones((4, 2))]}, "mode 0"),
             ({"init": [np.ones((6, 2)), np.ones((5, 2)), np.ones((4, 3))]}, "mode 2"),
+            ({"n_samples": 0}, "n_samples"),
+            ({"n_samples": -3}, "n_samples"),
+            ({"n_samples": 2.5}, "n_samples"),
+            ({"n_samples": True}, "n_samples"),
         ],
     )
     def test_bad_driver_arguments_rejected_before_any_work(self, kernel, kwargs, match):

@@ -9,6 +9,7 @@ from repro.parallel.collectives import (
     all_reduce,
     broadcast,
     bucket_all_gather_cost,
+    bucket_all_reduce_cost,
     bucket_reduce_scatter_cost,
     gather_to_root,
     reduce_scatter,
@@ -137,6 +138,13 @@ class TestAllReduceAndBroadcast:
         all_reduce(machine, [0, 1], contributions)
         # reduce-scatter (1*4) + all-gather (1*4) = 8 per rank
         assert machine.words_sent[0] == 8
+
+    @pytest.mark.parametrize("q, n", [(2, 8), (3, 9), (4, 9), (8, 3), (1, 5)])
+    def test_all_reduce_cost_helper_matches_charge(self, q, n):
+        """The replay formula equals what ``all_reduce`` charges, uneven pieces included."""
+        machine = SimulatedMachine(q)
+        all_reduce(machine, list(range(q)), {r: np.ones(n) for r in range(q)})
+        assert np.all(machine.words_sent == bucket_all_reduce_cost(q, n))
 
     def test_broadcast_delivers_value(self):
         machine = SimulatedMachine(3)

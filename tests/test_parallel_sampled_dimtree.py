@@ -7,10 +7,12 @@ from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
-from repro.parallel.dimtree import predicted_dimtree_ledger
+from repro.parallel import dimtree as exact_dimtree
+from repro.parallel.dimtree import DistributedDimtreeKernel, predicted_dimtree_ledger
 from repro.sketch.parallel.sampled_dimtree import (
     GATHER_LABEL,
     GRAM_LABEL,
+    REDUCE_LABEL,
     DistributedSampledDimtreeKernel,
     predicted_sampled_dimtree_ledger,
     predicted_sampled_dimtree_sweep_words,
@@ -68,6 +70,14 @@ class TestLedgerReconciliation:
         # every rank pays the same Gram All-Reduce cost at every event
         assert len(set(extra.tolist())) == 1
 
+    @pytest.mark.parametrize(
+        "replay", [predicted_dimtree_ledger, predicted_sampled_dimtree_ledger]
+    )
+    @pytest.mark.parametrize("n_sweeps", [0, -1, 2.5, "2"])
+    def test_replay_rejects_bad_n_sweeps(self, replay, n_sweeps):
+        with pytest.raises(ParameterError, match="n_sweeps"):
+            replay((12, 10, 8), 3, (2, 2, 2), n_sweeps)
+
     def test_sweep_words_helper_positive_and_consistent(self):
         shape, rank, grid = (12, 10, 8), 3, (2, 2, 2)
         steady = predicted_sampled_dimtree_sweep_words(shape, rank, grid)
@@ -86,6 +96,59 @@ class TestLedgerReconciliation:
         labels = [record.label for record in run.machine.records]
         assert any(label.startswith(GATHER_LABEL) for label in labels)
         assert any(label.startswith(GRAM_LABEL) for label in labels)
+
+
+def _collectives_without_gram(run, gather_label, reduce_label):
+    """(label minus its kernel prefix, group, words per rank) of every record
+    except the Gram All-Reduces."""
+    out = []
+    for record in run.machine.records:
+        if record.label.startswith(GRAM_LABEL):
+            continue
+        for prefix in (gather_label, reduce_label):
+            if record.label.startswith(prefix):
+                out.append(
+                    (record.label[len(prefix):], tuple(record.group), record.words_per_rank)
+                )
+                break
+        else:
+            raise AssertionError(f"unexpected collective {record.label!r}")
+    return out
+
+
+class TestSubclassContract:
+    def test_subclasses_the_exact_kernel(self):
+        assert issubclass(DistributedSampledDimtreeKernel, DistributedDimtreeKernel)
+
+    @pytest.mark.parametrize(
+        "shape,rank,n_procs",
+        [((12, 10, 8), 3, 8), ((6, 5, 4, 5), 2, 6), ((16, 16, 16), 4, 8)],
+    )
+    def test_measured_collectives_are_dimtree_plus_gram(self, shape, rank, n_procs):
+        """Without its Gram All-Reduces, a sampled-dimtree run issues the exact
+        dimtree run's collectives one for one: same label, group and words.
+
+        Holds under ``invalidation="exact"`` only.  Under ``"residual"`` the
+        two runs follow different factors (sampled versus exact MTTKRPs), so
+        their gates absorb different updates and gather on different
+        schedules.
+        """
+        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=0)
+        runs = {
+            kernel: parallel_cp_als(
+                tensor, rank, n_procs, kernel=kernel, n_samples=16,
+                n_iter_max=SWEEPS, tol=0.0, seed=5, invalidation="exact",
+            )
+            for kernel in ("dimtree", "sampled-dimtree")
+        }
+        exact = _collectives_without_gram(
+            runs["dimtree"], exact_dimtree.GATHER_LABEL, exact_dimtree.REDUCE_LABEL
+        )
+        fused = _collectives_without_gram(
+            runs["sampled-dimtree"], GATHER_LABEL, REDUCE_LABEL
+        )
+        assert exact
+        assert fused == exact
 
 
 class TestSequentialEquivalence:
