@@ -1,33 +1,41 @@
-"""Timed MTTKRP kernel races: sparse chunked vs. legacy, dense blocked vs. einsum.
+"""Timed MTTKRP kernel races: sparse chunked vs. legacy, dense einsum vs. blocked vs. auto.
 
 Records ``benchmarks/BENCH_kernels_timed.json`` (a *timed* record like
 ``als_dimtree_timing.json``: wall-clock numbers vary run to run, so the file
 is gitignored and never byte-checked in CI).  Sparse rows race the unchunked
 reference kernel against the chunked kernel (for the threaded rows, at every
-requested thread count); dense rows race the
-monolithic einsum kernel against the cache-blocked tiled GEMM of
-:mod:`repro.core.blocked_mttkrp`.  Every candidate takes the median of at
-least three repetitions (:func:`repro.observe.median_time`) with
-per-repetition p50/p99 sourced from the tracer's span histograms, and then
-the wall-clock model of :mod:`repro.costmodel.kernel_timing` is held against
-reality:
+requested thread count); dense rows race, in every mode, the monolithic
+einsum kernel, the cache-blocked tiled GEMM of
+:mod:`repro.core.blocked_mttkrp` (at every requested thread count) and the
+``kernel="auto"`` rule :func:`repro.core.kernels.dense_mttkrp`, recording one
+entry per (row, mode).  Every candidate takes the median of at least three
+repetitions (:func:`repro.observe.median_time`) with per-repetition p50/p99
+sourced from the tracer's span histograms.  The run then asserts:
 
-* the modelled winner must equal the measured winner on **every** row,
-* at least one sparse row must have the chunked kernel beating ``np.add.at``,
-* at least one dense row must have the blocked kernel beating einsum, and
-* on a multi-core machine, at least one row must have a threaded candidate
-  beating serial execution.  On a single-core machine (the recording
-  container has one CPU) a threaded candidate can never genuinely win — the
-  core-count-aware model predicts exactly that, so threaded rows there
-  demonstrate the model pricing executor dispatch and partial-fold overhead
-  correctly instead; rows that *need* real parallelism to be decisive are
-  skipped and recorded with a reason.
+* the wall-clock model of :mod:`repro.costmodel.kernel_timing` calls the
+  measured winner on **every** sparse row (dense kernels have no model:
+  ``auto`` is a fixed per-mode rule),
+* at least one sparse row has the chunked kernel beating ``np.add.at``,
+* at least one dense entry has the blocked kernel beating einsum,
+* ``auto`` counts its GEMM in mode 0 and einsum in every other mode, and
+  beats einsum in mode 0 of ``dense-large-lowR``, where the einsum path
+  copies the whole tensor transposed, and
+* on a multi-core machine, at least one row has a threaded candidate
+  beating serial execution.  On a single-core machine a threaded candidate
+  can never genuinely win — the core-count-aware sparse model predicts
+  exactly that, so threaded sparse rows there demonstrate the model pricing
+  executor dispatch and partial-fold overhead correctly instead; rows that
+  *need* real parallelism to be decisive are skipped and recorded with a
+  reason.
+
+The summary printed before the assertions reports the outcome of each dense
+claim.
 
 Environment knobs (CI-friendly, mirroring the other benchmarks' style):
 
 ``BENCH_KERNELS_QUICK=1``
-    Run only the decisive quick rows (sparse chunked/unchunked wins, dense
-    blocked/einsum wins, one threaded-overhead row).
+    Run only the decisive quick rows (sparse chunked/unchunked wins, the two
+    serial dense rows, one threaded-overhead row).
 ``BENCH_KERNELS_TIMED_JSON=/path/to.json``
     Output path override.
 """
@@ -43,13 +51,10 @@ import numpy as np
 from conftest import emit
 from repro.backend.parallel import effective_cpu_count
 from repro.core.blocked_mttkrp import blocked_mttkrp
-from repro.core.kernels import mttkrp
+from repro.core.kernels import dense_mttkrp, mttkrp
 from repro.costmodel.kernel_timing import (
-    EINSUM_LABEL,
     UNCHUNKED_LABEL,
     chunked_label,
-    dense_blocked_label,
-    predicted_dense_timings,
     predicted_sparse_timings,
 )
 from repro.observe.tracer import median_time, trace, tracing
@@ -84,13 +89,15 @@ SPARSE_CASES = [
 ]
 
 #: name, shape, rank, forced tiles (int or None for the machine model's
-#: choice), thread counts to race, minimum cores the row needs.
+#: choice), blocked-kernel thread counts to race, minimum cores the row needs.
 DENSE_CASES = [
-    # Big tensor at low rank: einsum's non-BLAS reduce pass over the
-    # contraction intermediate crawls and the tiled GEMM wins ~2x.
+    # Big tensor at low rank: in mode 0 the einsum path copies the whole
+    # tensor transposed, and auto's one GEMM of the free unfolding (and the
+    # tiled GEMM) beat it; in modes 1 and 2 einsum starts with a GEMM
+    # against mode 0 and auto returns its bytes.
     ("dense-large-lowR", (300, 300, 300), 16, None, (1,), 1),
     # Deliberately tiny forced tiles: a thousand tile iterations of Python
-    # overhead — the monolithic einsum wins decisively.
+    # overhead — the blocked kernel loses every mode decisively.
     ("dense-tiny-tiles", (80, 80, 80), 32, 8, (1,), 1),
     # The blocked win re-raced with 2 threads over disjoint output-row
     # tiles: pure parallel speedup, decisive only with real cores.
@@ -182,39 +189,48 @@ def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed):
 
 
 def _race_dense_row(name, shape, rank, tiles, threads_options, seed):
+    """One entry per mode: einsum, blocked at each thread count, and auto."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(shape)
     factors = random_factors(shape, rank, seed=seed + 1)
-    mode = 0
 
-    candidates = {EINSUM_LABEL: lambda: mttkrp(data, factors, mode)}
-    for threads in threads_options:
-        candidates[dense_blocked_label(threads)] = (
-            lambda t=threads: blocked_mttkrp(
-                data, factors, mode, tiles=tiles, threads=t
+    entries = []
+    for mode in range(len(shape)):
+        candidates = {"einsum": lambda m=mode: mttkrp(data, factors, m)}
+        for threads in threads_options:
+            candidates[f"blocked:t{threads}"] = (
+                lambda t=threads, m=mode: blocked_mttkrp(
+                    data, factors, m, tiles=tiles, threads=t
+                )
             )
-        )
+        candidates["auto"] = lambda m=mode: dense_mttkrp(data, factors, m)
 
-    # The blocked kernel reassociates the per-row sums over non-output
-    # tiles, so cross-check with a reassociation-sized tolerance (the
-    # bitwise contracts are covered by the unit tests).
-    measured, percentiles = _race(candidates, rtol=1e-9, atol=1e-8)
-    predicted = predicted_dense_timings(
-        shape, rank, mode=mode, tiles=tiles, threads_options=threads_options
-    )
-    return {
-        "kind": "dense",
-        "case": name,
-        "shape": list(shape),
-        "rank": rank,
-        "tiles": tiles,
-        "threads_options": list(threads_options),
-        "median_seconds": measured,
-        "span_percentiles": percentiles,
-        "predicted_seconds": predicted,
-        "measured_winner": min(measured, key=measured.get),
-        "predicted_winner": min(predicted, key=predicted.get),
-    }
+        # The blocked kernel and auto's GEMM reassociate the sums, so
+        # cross-check with a reassociation-sized tolerance (the bitwise
+        # contracts are covered by the unit tests).
+        measured, percentiles = _race(candidates, rtol=1e-9, atol=1e-8)
+        with tracing() as session:
+            dense_mttkrp(data, factors, mode)
+        dispatch = {
+            path: session.metrics.counter(f"dense_dispatch.{path}")
+            for path in ("gemm", "einsum")
+        }
+        entries.append(
+            {
+                "kind": "dense",
+                "case": name,
+                "mode": mode,
+                "shape": list(shape),
+                "rank": rank,
+                "tiles": tiles,
+                "threads_options": list(threads_options),
+                "median_seconds": measured,
+                "span_percentiles": percentiles,
+                "measured_winner": min(measured, key=measured.get),
+                "auto_dispatch": dispatch,
+            }
+        )
+    return entries
 
 
 def _winner_threads(label):
@@ -250,7 +266,7 @@ def test_bench_kernels_timed_json():
                 {"case": name, "reason": f"needs >= {min_cores} cores, have {cores}"}
             )
             continue
-        rows.append(_race_dense_row(name, shape, rank, tiles, threads_options, seed=7))
+        rows.extend(_race_dense_row(name, shape, rank, tiles, threads_options, seed=7))
 
     target = Path(
         os.environ.get(
@@ -270,32 +286,63 @@ def test_bench_kernels_timed_json():
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
+    sparse_rows = [row for row in rows if row["kind"] == "sparse"]
+    dense_rows = [row for row in rows if row["kind"] == "dense"]
+    blocked_wins = [
+        f"{row['case']}/mode{row['mode']}"
+        for row in dense_rows
+        if min(
+            seconds
+            for label, seconds in row["median_seconds"].items()
+            if label.startswith("blocked:")
+        )
+        < row["median_seconds"]["einsum"]
+    ]
+    low_rank_mode0 = next(
+        row for row in dense_rows if row["case"] == "dense-large-lowR" and row["mode"] == 0
+    )
+
     lines = []
     for row in rows:
         timing = "  ".join(
             f"{label} {seconds * 1e3:9.3f}ms" for label, seconds in row["median_seconds"].items()
         )
-        lines.append(
-            f"  {row['case']:>20} {timing}  winner={row['measured_winner']}"
-            f" (predicted {row['predicted_winner']})"
-        )
+        if row["kind"] == "sparse":
+            lines.append(
+                f"  {row['case']:>20} {timing}  winner={row['measured_winner']}"
+                f" (predicted {row['predicted_winner']})"
+            )
+        else:
+            auto_path = "gemm" if row["auto_dispatch"]["gemm"] else "einsum"
+            lines.append(
+                f"  {row['case'] + '/mode' + str(row['mode']):>20} {timing}"
+                f"  winner={row['measured_winner']} (auto ran {auto_path})"
+            )
     for row in skipped_rows:
         lines.append(f"  {row['case']:>20} skipped: {row['reason']}")
+    lines.append(f"  blocked beats einsum on: {', '.join(blocked_wins) or 'no dense entry'}")
+    lines.append(
+        "  auto beats einsum in dense-large-lowR/mode0: "
+        f"{low_rank_mode0['median_seconds']['auto'] < low_rank_mode0['median_seconds']['einsum']}"
+    )
     emit("timed MTTKRP kernel races", "\n".join(lines))
 
-    # The cost model must call every recorded row correctly; the chunked
-    # kernel must demonstrably beat the legacy np.add.at path somewhere, and
-    # the blocked dense kernel must beat einsum somewhere.
-    for row in rows:
+    # The cost model must call every recorded sparse row correctly; the
+    # chunked kernel must demonstrably beat the legacy np.add.at path
+    # somewhere, and the blocked dense kernel must beat einsum somewhere.
+    for row in sparse_rows:
         assert row["predicted_winner"] == row["measured_winner"], row["case"]
-    sparse_rows = [row for row in rows if row["kind"] == "sparse"]
-    dense_rows = [row for row in rows if row["kind"] == "dense"]
     assert any(
         row["measured_winner"] != UNCHUNKED_LABEL for row in sparse_rows
     ), "no recorded configuration where the chunked kernel wins"
-    assert any(
-        row["measured_winner"] != EINSUM_LABEL for row in dense_rows
-    ), "no recorded configuration where the blocked dense kernel wins"
+    assert blocked_wins, "no recorded configuration where the blocked dense kernel wins"
+    # auto runs its GEMM in mode 0 only, and there it beats einsum.
+    for row in dense_rows:
+        expected = {"gemm": 1, "einsum": 0} if row["mode"] == 0 else {"gemm": 0, "einsum": 1}
+        assert row["auto_dispatch"] == expected, (row["case"], row["mode"])
+    assert (
+        low_rank_mode0["median_seconds"]["auto"] < low_rank_mode0["median_seconds"]["einsum"]
+    ), "auto does not beat einsum in mode 0 of dense-large-lowR"
     # Threaded candidates can only genuinely win with real cores; on a
     # single-core machine the model predicts (and the rows confirm) that
     # serial execution keeps every row.
@@ -303,4 +350,3 @@ def test_bench_kernels_timed_json():
         assert any(
             _winner_threads(row["measured_winner"]) > 1 for row in rows
         ), "multi-core machine but no recorded row where threads > 1 wins"
-

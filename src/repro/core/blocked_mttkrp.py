@@ -29,9 +29,11 @@ argument, the dense sibling of the chunked sparse kernel
 When one tile covers the whole tensor the kernel dispatches to the einsum
 path verbatim — the same bitwise single-chunk fallback contract the sparse
 kernel keeps with :func:`repro.tensor.sparse.sparse_mttkrp_unchunked`.
-:func:`dense_mttkrp` adds the ``method="auto"`` dispatch: the wall-clock
-model of :mod:`repro.costmodel.kernel_timing` picks einsum or blocked (and
-the thread count's worth) per problem.
+
+``kernel="auto"`` does not run this kernel.  Its MTTKRP,
+:func:`repro.core.kernels.dense_mttkrp` (mode 0 as one GEMM of the free
+unfolding, einsum in every other mode), is re-exported here because the
+sweep benchmark (``bench/layers.py``) imports both kernels from this module.
 """
 
 from __future__ import annotations
@@ -43,15 +45,18 @@ import numpy as np
 
 from repro.backend.parallel import parallel_map, resolve_threads
 from repro.backend.workspace import WorkspacePool, default_pool
+from repro.core.kernels import dense_mttkrp, mttkrp
 from repro.exceptions import ParameterError
 from repro.observe.instrument import inc as observe_inc
 from repro.tensor.dense import as_ndarray
-from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
+from repro.utils.validation import (
+    check_factor_matrices,
+    check_mode,
+    check_positive_int,
+    infer_rank,
+)
 
-__all__ = ["DENSE_METHODS", "blocked_mttkrp", "dense_mttkrp"]
-
-#: Dispatch methods accepted by :func:`dense_mttkrp`.
-DENSE_METHODS = ("auto", "einsum", "blocked")
+__all__ = ["blocked_mttkrp", "dense_mttkrp"]
 
 
 def _default_tiles(
@@ -69,15 +74,13 @@ def _default_tiles(
 
 
 def _check_tiles(tiles, shape: Sequence[int]) -> Tuple[int, ...]:
-    if isinstance(tiles, (int, np.integer)):
-        tiles = (int(tiles),) * len(shape)
-    tiles = tuple(int(t) for t in tiles)
+    if np.ndim(tiles) == 0:
+        tiles = (tiles,) * len(shape)
+    tiles = tuple(check_positive_int(t, "tile size") for t in tiles)
     if len(tiles) != len(shape):
         raise ParameterError(
             f"expected one tile size per mode ({len(shape)}), got {len(tiles)}"
         )
-    if any(t < 1 for t in tiles):
-        raise ParameterError(f"tile sizes must be positive, got {tiles}")
     return tuple(min(t, int(dim)) for t, dim in zip(tiles, shape))
 
 
@@ -173,7 +176,7 @@ def blocked_mttkrp(
         # verbatim (bitwise), mirroring the sparse kernel's single-chunk
         # fallback.
         observe_inc("blocked_mttkrp.fallback")
-        return _einsum_mttkrp(data, factors, mode)
+        return mttkrp(data, factors, mode)
 
     threads = resolve_threads(threads)
     if pool is None:
@@ -220,79 +223,3 @@ def blocked_mttkrp(
     observe_inc("blocked_mttkrp.tiles", len(out_ranges) * len(combos))
     observe_inc("blocked_mttkrp.threads", threads)
     return output
-
-
-def _einsum_mttkrp(data, factors, mode):
-    """The einsum kernel (deferred call site to keep one import direction)."""
-    from repro.core.kernels import mttkrp
-
-    return mttkrp(data, factors, mode)
-
-
-def dense_mttkrp(
-    tensor,
-    factors: Sequence[Optional[np.ndarray]],
-    mode: int,
-    *,
-    method: str = "auto",
-    tiles: Union[None, int, Sequence[int]] = None,
-    memory_words: Optional[int] = None,
-    threads: Optional[int] = None,
-    pool: Optional[WorkspacePool] = None,
-) -> np.ndarray:
-    """Dense MTTKRP with method dispatch: einsum, blocked, or cost-model auto.
-
-    ``method="auto"`` asks :func:`repro.costmodel.kernel_timing.predict_dense_winner`
-    which path the wall-clock model expects to win for this problem size,
-    tile choice, and (resolved) thread count — on a single-core machine the
-    model never picks a threaded candidate — and runs it.  The decision is
-    recorded as ``dense_dispatch.einsum`` / ``dense_dispatch.blocked``
-    counters so traced runs can audit the dispatch.
-    """
-    if method not in DENSE_METHODS:
-        raise ParameterError(
-            f"method must be one of {', '.join(DENSE_METHODS)}, got {method!r}"
-        )
-    if method == "einsum":
-        return _einsum_mttkrp(tensor, factors, mode)
-    if method == "blocked":
-        return blocked_mttkrp(
-            tensor,
-            factors,
-            mode,
-            tiles=tiles,
-            memory_words=memory_words,
-            threads=threads,
-            pool=pool,
-        )
-
-    # Deferred import: costmodel layers on sequential which layers on core.
-    from repro.costmodel.kernel_timing import EINSUM_LABEL, predict_dense_winner
-
-    data = as_ndarray(tensor)
-    mode = check_mode(mode, data.ndim)
-    rank = infer_rank(factors, mode)
-    resolved_threads = resolve_threads(threads)
-    thread_options = (1,) if resolved_threads == 1 else (1, resolved_threads)
-    winner = predict_dense_winner(
-        data.shape,
-        rank,
-        mode=mode,
-        tiles=tiles,
-        memory_words=memory_words,
-        threads_options=thread_options,
-    )
-    if winner == EINSUM_LABEL:
-        observe_inc("dense_dispatch.einsum")
-        return _einsum_mttkrp(data, factors, mode)
-    observe_inc("dense_dispatch.blocked")
-    winner_threads = int(winner.rsplit(":t", 1)[1])
-    return blocked_mttkrp(
-        data,
-        factors,
-        mode,
-        tiles=tiles,
-        memory_words=memory_words,
-        threads=winner_threads,
-        pool=pool,
-    )

@@ -17,12 +17,14 @@ root children, so per-sweep MTTKRP flops and tensor reads drop from ``N``
 full contractions to ``2`` (plus lower-order subtree work) — the classic
 order-``N/2`` ALS speedup.
 
-Each root child is built with one BLAS GEMM between a free reshape of the
-tensor and the Khatri-Rao product of the modes it removes (the fast-gradient
-form of Phan, Tichavský and Cichocki, arXiv 1204.1586, that Tensor Toolbox's
-``mttkrp`` uses) when the removed modes are a leading or trailing block of a
-C-contiguous tensor and ``R`` is at most both the kept and the removed
-extent products; every other node contracts one mode at a time.  The ledger
+Each root child is built with :func:`repro.core.kernels.gemm_mttkrp`, one
+BLAS GEMM between a free reshape of the tensor and the Khatri-Rao product of
+the modes it removes (the fast-gradient form of Phan, Tichavský and
+Cichocki, arXiv 1204.1586, that Tensor Toolbox's ``mttkrp`` uses), when the
+removed modes are a leading or trailing block of a C-contiguous tensor and
+``R`` is at most both the kept and the removed extent products; every other
+node contracts one mode at a time.  ``kernel="auto"`` runs mode 0 of a
+single MTTKRP with the same GEMM.  The ledger
 charges every node recomputation as that single-mode chain (flops, words
 moved in a flat read-everything model, root-tensor reads) whichever way it
 ran, so the GEMM step is counted as the chain it replaces and the
@@ -41,18 +43,17 @@ cost equals the counted ledger exactly — the tests assert ``==``, not
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.kernels import gemm_mttkrp
 from repro.core.multi_mode import contract_mode_step
 from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, inc as observe_inc
 from repro.tensor.dense import as_ndarray
-from repro.tensor.khatri_rao import khatri_rao
 from repro.utils.validation import check_factor_matrices, check_mode, check_rank, check_shape
 
 #: A split rule: mode subset (sorted tuple) -> (left, right) non-empty partition.
@@ -602,7 +603,7 @@ class DimensionTree:
         rank = int(np.asarray(self._factors[removed[0]]).shape[1])
         out = None
         if parent_key == self._root_key:
-            out = self._root_gemm(key, removed, rank)
+            out = gemm_mttkrp(self._data, self._factors, key, rank)
             observe_inc("dimtree.root.chain" if out is None else "dimtree.root.gemm")
         if out is None:
             out = self._contract_chain(data, modes, removed, has_rank)
@@ -623,42 +624,6 @@ class DimensionTree:
             has_rank = True
             modes.pop(axis)
         return data
-
-    def _root_gemm(
-        self, key: Tuple[int, ...], removed: Sequence[int], rank: int
-    ) -> Optional[np.ndarray]:
-        """Root child ``key`` as one GEMM against the removed modes' KRP.
-
-        ``(KRP.T @ X_removed).T``, where ``X_removed`` is the unfolding with
-        the removed modes as rows: ``X.reshape(kept, -1).T`` when ``key``
-        leads and ``X.reshape(-1, kept)`` when it trails.  One BLAS call,
-        with no copy of the tensor and no rank-wide partial of it; the
-        result is a rank-major view, the layout in which both this GEMM and
-        the einsums that contract the child further run fastest.  Returns
-        ``None``, and the caller runs the chain, unless the tensor is
-        C-contiguous (both unfoldings are free reshapes), the removed modes
-        form its leading or trailing block, and ``R`` is at most both the
-        kept and the removed extent products, so that neither the KRP nor
-        the output outgrows the tensor.
-        """
-        data = self._data
-        kept = math.prod(data.shape[k] for k in key)
-        contracted = math.prod(data.shape[k] for k in removed)
-        leads = key == tuple(range(len(key)))
-        trails = key == tuple(range(self._n - len(key), self._n))
-        if (
-            not (leads or trails)
-            or not data.flags.c_contiguous
-            or rank > min(kept, contracted)
-        ):
-            return None
-        krp = khatri_rao([np.asarray(self._factors[k]) for k in removed])
-        if leads:
-            unfolding = data.reshape(kept, contracted).T
-        else:
-            unfolding = data.reshape(contracted, kept)
-        out = (krp.T @ unfolding).T
-        return out.reshape(tuple(data.shape[k] for k in key) + (rank,))
 
     def _charge(self, cost: SweepCost) -> None:
         self.contractions += cost.contractions

@@ -8,6 +8,20 @@ optimised contraction path; the *result* is identical to the atomic
 N-ary-multiply definition (Definition 2.1), only the association of the
 arithmetic differs.
 
+:func:`gemm_mttkrp` is the partial MTTKRP that keeps a leading or trailing
+block of modes, run as one BLAS GEMM between a free reshape of a C-contiguous
+tensor and the Khatri-Rao product of the removed modes' factors (Tensor
+Toolbox's ``mttkrp``, the fast-gradient form of Phan, Tichavský and
+Cichocki, arXiv 1204.1586).  It never permutes or copies the tensor, and it
+declines (returns ``None``) whenever that is impossible or the Khatri-Rao
+product or the output would outgrow the tensor.  The dimension tree builds
+its root children with it, and :func:`dense_mttkrp` (``kernel="auto"``)
+runs mode 0 with it: there the einsum path contracts a middle mode first and
+copies the whole tensor transposed, while in every other mode its greedy
+path already starts with a GEMM against mode 0, so ``dense_mttkrp`` returns
+:func:`mttkrp`'s bytes.  The rule reads only shape, mode, rank and memory
+layout, so its results never depend on a thread count or a timing.
+
 :func:`local_mttkrp` is the same computation exposed under the name the
 parallel algorithms use for their local step (Line 6 of Algorithm 3 / Line 7
 of Algorithm 4).
@@ -15,6 +29,7 @@ of Algorithm 4).
 
 from __future__ import annotations
 
+import math
 import string
 import threading
 from collections import OrderedDict
@@ -24,6 +39,7 @@ import numpy as np
 
 from repro.observe.instrument import inc as observe_inc
 from repro.tensor.dense import as_ndarray
+from repro.tensor.khatri_rao import khatri_rao
 from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
 
 #: Index letter reserved for the rank dimension in the einsum specification.
@@ -128,13 +144,23 @@ def mttkrp(
         ``B[i, r] = sum X[i_1..i_N] prod_{k != mode} A_k[i_k, r]`` where the
         sum runs over all indices with ``i_mode = i``.
     """
+    data, mode, rank = _checked_operands(tensor, factors, mode)
+    return _einsum_mttkrp(data, factors, mode, rank)
+
+
+def _checked_operands(tensor, factors, mode):
+    """``(data, mode, rank)`` after every argument check :func:`mttkrp` makes."""
     data = as_ndarray(tensor)
     if data.ndim > MAX_MODES:
         raise ValueError(f"mttkrp supports at most {MAX_MODES} modes, got {data.ndim}")
     mode = check_mode(mode, data.ndim)
     rank = _infer_rank(factors, mode)
     check_factor_matrices(factors, data.shape, rank, skip_mode=mode)
+    return data, mode, rank
 
+
+def _einsum_mttkrp(data: np.ndarray, factors, mode: int, rank: int) -> np.ndarray:
+    """The einsum contraction of :func:`mttkrp` on checked operands."""
     operands = [data]
     for k in range(data.ndim):
         if k == mode:
@@ -144,6 +170,81 @@ def mttkrp(
     key = _path_cache_key((tuple(data.shape), mode, rank), operands)
     path = _contraction_path(key, spec, operands)
     return np.ascontiguousarray(np.einsum(spec, *operands, optimize=path))
+
+
+def gemm_mttkrp(
+    data: np.ndarray,
+    factors: Sequence[Optional[np.ndarray]],
+    kept: Sequence[int],
+    rank: int,
+) -> Optional[np.ndarray]:
+    """Partial MTTKRP keeping the modes ``kept``, as one GEMM, or ``None``.
+
+    Every mode not in ``kept`` (ascending) is contracted with its factor:
+    ``(KRP.T @ X_removed).T``, where ``KRP`` is the Khatri-Rao product of
+    the removed modes' factors (first mode slowest) and ``X_removed`` the
+    unfolding with the removed modes as rows: ``X.reshape(kept, -1).T`` when
+    ``kept`` leads and ``X.reshape(-1, kept)`` when it trails.  One BLAS
+    call, with no copy of a tensor in the factors' dtype and no rank-wide
+    partial of it; the
+    result, of shape ``(I_k for k in kept) + (R,)``, is a rank-major view,
+    the layout in which both this GEMM and the einsums that contract it
+    further run fastest.
+
+    ``kept`` must be a non-empty proper subset of the modes.  Returns
+    ``None``, and the caller contracts some other way, unless the guard
+    holds: ``data`` is C-contiguous (both unfoldings are free reshapes),
+    ``kept`` is a leading or trailing block of the modes, and ``R`` is at
+    most both the kept and the removed extent products, so that neither the
+    Khatri-Rao product nor the output outgrows the tensor.  The factors are
+    not checked here.
+    """
+    kept = tuple(kept)
+    n_modes = data.ndim
+    removed = [k for k in range(n_modes) if k not in kept]
+    kept_size = math.prod(data.shape[k] for k in kept)
+    removed_size = math.prod(data.shape[k] for k in removed)
+    leads = kept == tuple(range(len(kept)))
+    trails = kept == tuple(range(n_modes - len(kept), n_modes))
+    if (
+        not (leads or trails)
+        or not data.flags.c_contiguous
+        or rank > min(kept_size, removed_size)
+    ):
+        return None
+    krp = khatri_rao([np.asarray(factors[k]) for k in removed])
+    if leads:
+        unfolding = data.reshape(kept_size, removed_size).T
+    else:
+        unfolding = data.reshape(removed_size, kept_size)
+    out = (krp.T @ unfolding).T
+    return out.reshape(tuple(data.shape[k] for k in kept) + (rank,))
+
+
+def dense_mttkrp(
+    tensor, factors: Sequence[Optional[np.ndarray]], mode: int
+) -> np.ndarray:
+    """The ``kernel="auto"`` MTTKRP: mode 0 as one GEMM, every other mode by einsum.
+
+    Mode 0 runs :func:`gemm_mttkrp` whenever its guard holds, one GEMM of
+    the free unfolding ``X.reshape(I_0, -1)`` against the Khatri-Rao
+    product of the other modes' factors; the result equals :func:`mttkrp`
+    up to the association of the sums.  Every other mode, and mode 0 when
+    the guard fails (a tensor that is not C-contiguous, ``R > I_0``, or
+    ``R`` above the product of the other extents), returns :func:`mttkrp`'s
+    bytes.  Arguments are checked exactly as :func:`mttkrp` checks them.
+    The rule reads only shape, mode, rank and memory layout, never a thread
+    count or a timing.  Each call counts ``dense_dispatch.gemm`` or
+    ``dense_dispatch.einsum``.
+    """
+    data, mode, rank = _checked_operands(tensor, factors, mode)
+    if mode == 0:
+        out = gemm_mttkrp(data, factors, (0,), rank)
+        if out is not None:
+            observe_inc("dense_dispatch.gemm")
+            return np.ascontiguousarray(out)
+    observe_inc("dense_dispatch.einsum")
+    return _einsum_mttkrp(data, factors, mode, rank)
 
 
 def local_mttkrp(

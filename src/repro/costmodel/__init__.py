@@ -41,9 +41,6 @@ from repro.costmodel.kernel_timing import (
     predicted_sparse_mttkrp_seconds,
     predicted_sparse_timings,
     predict_sparse_winner,
-    predicted_dense_mttkrp_seconds,
-    predicted_dense_timings,
-    predict_dense_winner,
 )
 from repro.costmodel.dimtree_model import (
     dimtree_sweep_flops,
@@ -87,7 +84,4 @@ __all__ = [
     "predicted_sparse_mttkrp_seconds",
     "predicted_sparse_timings",
     "predict_sparse_winner",
-    "predicted_dense_mttkrp_seconds",
-    "predicted_dense_timings",
-    "predict_dense_winner",
 ]

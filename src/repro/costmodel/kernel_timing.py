@@ -1,17 +1,14 @@
-"""Wall-clock model of the MTTKRP execution paths (sparse and dense).
+"""Wall-clock model of the sparse MTTKRP execution paths.
 
 Unlike the counted models in the rest of this subpackage, this module
 predicts *seconds*: which execution path of
 :func:`repro.tensor.sparse.sparse_mttkrp` — the legacy ``np.add.at`` kernel
-or the chunked scatter kernel, serial or thread-parallel — and which
-dense path of :func:`repro.core.blocked_mttkrp.dense_mttkrp` — the
-monolithic einsum contraction or the cache-blocked tiled GEMM — wins on
-a given problem.  The model has deliberately few terms, each tied to a
-mechanism the implementation actually exhibits:
+or the chunked scatter kernel, serial or thread-parallel — wins on a given
+problem.  The model has deliberately few terms, each tied to a mechanism the
+implementation actually exhibits:
 
-* every sparse path streams ``nnz * R`` elements through ``N - 1``
-  factor-gather multiplies
-  (:attr:`KernelTimingParams.stream_seconds_per_element`);
+* every path streams ``nnz * R`` elements through ``N - 1`` factor-gather
+  multiplies (:attr:`KernelTimingParams.stream_seconds_per_element`);
 * the unchunked path's ``np.add.at`` scatter is fast while its dense
   ``(nnz, R)`` temporary fits in cache and an order of magnitude slower once
   it spills (the very blow-up the chunked kernel exists to avoid) — a
@@ -20,35 +17,27 @@ mechanism the implementation actually exhibits:
 * the chunked path pays a constant per-element scatter rate (per-column
   ``np.bincount``) plus per-chunk Python-loop and per-scatter-call
   overheads that dominate only when chunks are tiny;
-* the dense einsum path is a BLAS contraction
-  (:attr:`KernelTimingParams.gemm_seconds_per_flop`) followed by a non-BLAS
-  reduce pass over the ``prod(shape) * R / max_other_extent`` intermediate
-  whose measured per-word rate falls off roughly as ``1 / R**2`` — slow at
-  low rank, amortised at high rank;
-* the blocked dense path trades that intermediate for tile copies, per-tile
-  Khatri-Rao row blocks, and per-tile Python overhead — the same GEMM flops,
-  different traffic;
 * thread-parallel variants divide the releases-the-GIL compute by
-  ``min(threads, cpu_count)`` and pay per-task executor dispatch (plus, for
-  the sparse kernel, zeroing and folding one partial accumulator per task) —
-  on a single-core machine the model therefore never picks a threaded
-  candidate.
+  ``min(threads, cpu_count)`` and pay per-task executor dispatch plus
+  zeroing and folding one partial accumulator per task — on a single-core
+  machine the model therefore never picks a threaded candidate.
 
 The constants are calibrated on the container that records
 ``benchmarks/BENCH_kernels_timed.json``; the benchmark asserts that the
-modelled winner matches the measured winner on every recorded row.
+modelled winner matches the measured winner on every sparse row.  Dense
+kernels have no wall-clock model: ``kernel="auto"`` is a fixed per-mode rule
+(:func:`repro.core.kernels.dense_mttkrp`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
 from repro.sequential.block_size import (
     DEFAULT_SPARSE_CHUNK_MEMORY_WORDS,
-    choose_dense_tiles,
     choose_sparse_chunks,
 )
 from repro.utils.validation import check_positive_int
@@ -58,9 +47,6 @@ __all__ = [
     "predicted_sparse_mttkrp_seconds",
     "predicted_sparse_timings",
     "predict_sparse_winner",
-    "predicted_dense_mttkrp_seconds",
-    "predicted_dense_timings",
-    "predict_dense_winner",
 ]
 
 #: Kernel labels used by :func:`predicted_sparse_timings` /
@@ -68,9 +54,6 @@ __all__ = [
 #: chunked path is ``"chunked:numpy"`` (with a ``:t<threads>`` suffix for
 #: thread-parallel chunk execution).
 UNCHUNKED_LABEL = "unchunked"
-
-#: Label of the monolithic einsum contraction in the dense timing tables.
-EINSUM_LABEL = "einsum"
 
 
 def chunked_label(threads: int = 1) -> str:
@@ -82,11 +65,6 @@ def chunked_label(threads: int = 1) -> str:
     if threads > 1:
         return f"chunked:numpy:t{threads}"
     return "chunked:numpy"
-
-
-def dense_blocked_label(threads: int = 1) -> str:
-    """The timing-table label of the blocked dense kernel at ``threads``."""
-    return f"blocked:t{threads}"
 
 
 def _effective_cores(params: "KernelTimingParams") -> int:
@@ -123,23 +101,6 @@ class KernelTimingParams:
     #: Cache capacity (words) separating the two ``np.add.at`` regimes;
     #: defaults to the machine model's sparse-chunk budget.
     cache_words: int = DEFAULT_SPARSE_CHUNK_MEMORY_WORDS
-    #: BLAS GEMM rate (seconds per flop) of the dense contraction — both the
-    #: einsum path's big contraction and the blocked path's tile GEMMs.
-    gemm_seconds_per_flop: float = 2.5e-11
-    #: Per-word floor of the einsum path's non-BLAS reduce pass over the
-    #: contraction intermediate (the rate at large ``R``).
-    einsum_reduce_seconds_per_element: float = 3.0e-9
-    #: Rank-dependent coefficient of the reduce pass: measured per-word rates
-    #: fall off roughly as ``coeff / R**2`` on top of the floor (132 ns/word
-    #: at ``R=16`` down to 12 ns/word at ``R=64`` on the calibration box).
-    einsum_reduce_rank_seconds: float = 3.3e-5
-    #: Streaming copy rate (seconds per word) of the blocked kernel's tile
-    #: matricization copies, Khatri-Rao row-block builds, and output
-    #: accumulation.
-    dense_copy_seconds_per_element: float = 1.5e-9
-    #: Python/pool overhead per dense tile iteration (slicing, ``moveaxis``,
-    #: workspace borrow/release).
-    dense_tile_overhead_seconds: float = 2.0e-5
     #: Executor dispatch cost per thread task (submit + future result).
     thread_task_seconds: float = 2.0e-5
     #: Per-word cost of zeroing and folding one thread task's partial
@@ -311,183 +272,6 @@ def predict_sparse_winner(
         rchunk=rchunk,
         threads_options=threads_options,
         out_rows=out_rows,
-        params=params,
-    )
-    return min(timings, key=timings.get)
-
-
-def _resolved_tiles(
-    shape: Sequence[int],
-    rank: int,
-    mode: int,
-    tiles: Union[None, int, Sequence[int]],
-    memory_words: Optional[int],
-) -> Tuple[int, ...]:
-    """Tile sizes exactly as :func:`repro.core.blocked_mttkrp.blocked_mttkrp`
-    resolves them: machine-model defaults, int broadcast, extent clamping."""
-    if tiles is None:
-        if memory_words is None:
-            return choose_dense_tiles(shape, rank, mode)
-        return choose_dense_tiles(shape, rank, mode, memory_words)
-    if isinstance(tiles, int):
-        tiles = (tiles,) * len(shape)
-    tiles = tuple(check_positive_int(t, "tile") for t in tiles)
-    if len(tiles) != len(shape):
-        raise ParameterError(
-            f"expected one tile size per mode ({len(shape)}), got {len(tiles)}"
-        )
-    return tuple(min(t, int(dim)) for t, dim in zip(tiles, shape))
-
-
-def predicted_dense_mttkrp_seconds(
-    shape: Sequence[int],
-    rank: int,
-    *,
-    mode: int = 0,
-    kernel: str = "blocked",
-    tiles: Union[None, int, Sequence[int]] = None,
-    memory_words: Optional[int] = None,
-    threads: int = 1,
-    params: Optional[KernelTimingParams] = None,
-) -> float:
-    """Modelled wall-clock seconds of one dense MTTKRP.
-
-    Parameters
-    ----------
-    shape, rank, mode:
-        Problem size: tensor extents, CP rank ``R``, output mode.
-    kernel:
-        ``"einsum"`` (the monolithic contraction of
-        :func:`repro.core.kernels.mttkrp`) or ``"blocked"`` (the tiled GEMM
-        of :func:`repro.core.blocked_mttkrp.blocked_mttkrp`).
-    tiles, memory_words:
-        Tile configuration of the blocked kernel, resolved exactly as the
-        implementation resolves it.  Tiles covering every extent dispatch to
-        the einsum path bit-for-bit, and so does the model.
-    threads:
-        Thread count of the blocked kernel's output-row tile tasks; the
-        einsum path ignores it.
-    params:
-        Calibration constants (default :class:`KernelTimingParams`).
-    """
-    if params is None:
-        params = KernelTimingParams()
-    shape = tuple(check_positive_int(dim, "extent") for dim in shape)
-    if len(shape) < 2:
-        raise ParameterError("dense predictions need at least 2 modes")
-    rank = check_positive_int(rank, "rank")
-    if not 0 <= int(mode) < len(shape):
-        raise ParameterError(f"mode {mode} out of range for {len(shape)} modes")
-    mode = int(mode)
-    threads = check_positive_int(threads, "threads")
-    if kernel not in ("blocked", EINSUM_LABEL):
-        raise ParameterError(f"kernel must be 'blocked' or 'einsum', got {kernel!r}")
-
-    total = 1
-    for dim in shape:
-        total *= dim
-    elements = total * rank
-    gemm = params.gemm_seconds_per_flop * 2.0 * elements
-
-    if kernel == EINSUM_LABEL:
-        # The optimized path contracts the largest non-output mode first,
-        # then reduces the (total / contracted_extent) * R intermediate in a
-        # non-BLAS pass whose per-word rate is rank-dependent.
-        other_extents = [shape[k] for k in range(len(shape)) if k != mode]
-        interm_words = (total // max(other_extents)) * rank
-        reduce_rate = (
-            params.einsum_reduce_rank_seconds / float(rank) ** 2
-            + params.einsum_reduce_seconds_per_element
-        )
-        return gemm + reduce_rate * interm_words
-
-    tiles = _resolved_tiles(shape, rank, mode, tiles, memory_words)
-    if all(t >= dim for t, dim in zip(tiles, shape)):
-        # The implementation dispatches to the einsum path verbatim.
-        return predicted_dense_mttkrp_seconds(
-            shape, rank, mode=mode, kernel=EINSUM_LABEL, params=params
-        )
-    n_out = math.ceil(shape[mode] / tiles[mode])
-    combos = 1
-    other_words = 1
-    for k, (dim, tile) in enumerate(zip(shape, tiles)):
-        if k == mode:
-            continue
-        combos *= math.ceil(dim / tile)
-        other_words *= dim
-    n_tiles = n_out * combos
-    copy = params.dense_copy_seconds_per_element * total
-    # The Khatri-Rao row block is rebuilt for every output tile (written once
-    # per non-output word and rank column); a 2-way problem needs none.
-    krp_words = n_out * other_words * rank if len(shape) > 2 else 0
-    krp = params.dense_copy_seconds_per_element * krp_words
-    accumulate = params.dense_copy_seconds_per_element * combos * shape[mode] * rank
-    compute = copy + krp + gemm + accumulate
-    overhead = params.dense_tile_overhead_seconds * n_tiles
-    if threads == 1:
-        return compute + overhead
-    # Tile tasks hold the GIL for their Python overhead; only the array
-    # compute parallelises.  Dispatch is one task per output-row tile.
-    dispatch = params.thread_task_seconds * n_out
-    return compute / min(threads, _effective_cores(params)) + overhead + dispatch
-
-
-def predicted_dense_timings(
-    shape: Sequence[int],
-    rank: int,
-    *,
-    mode: int = 0,
-    tiles: Union[None, int, Sequence[int]] = None,
-    memory_words: Optional[int] = None,
-    threads_options: Sequence[int] = (1,),
-    params: Optional[KernelTimingParams] = None,
-) -> Dict[str, float]:
-    """Modelled seconds of every dense candidate, keyed by timing label."""
-    timings = {
-        EINSUM_LABEL: predicted_dense_mttkrp_seconds(
-            shape, rank, mode=mode, kernel=EINSUM_LABEL, params=params
-        )
-    }
-    for threads in threads_options:
-        timings[dense_blocked_label(threads)] = predicted_dense_mttkrp_seconds(
-            shape,
-            rank,
-            mode=mode,
-            kernel="blocked",
-            tiles=tiles,
-            memory_words=memory_words,
-            threads=threads,
-            params=params,
-        )
-    return timings
-
-
-def predict_dense_winner(
-    shape: Sequence[int],
-    rank: int,
-    *,
-    mode: int = 0,
-    tiles: Union[None, int, Sequence[int]] = None,
-    memory_words: Optional[int] = None,
-    threads_options: Sequence[int] = (1,),
-    params: Optional[KernelTimingParams] = None,
-) -> str:
-    """The dense timing label the model expects to win (minimum seconds).
-
-    This is the decision procedure behind
-    :func:`repro.core.blocked_mttkrp.dense_mttkrp`'s ``method="auto"``: when
-    a blocked candidate's tiles cover the tensor its prediction collapses to
-    the einsum prediction, and the einsum label wins the tie — ``min`` over
-    an insertion-ordered dict keeps the first of equal values, and the
-    einsum entry is inserted first.
-    """
-    timings = predicted_dense_timings(
-        shape,
-        rank,
-        mode=mode,
-        tiles=tiles,
-        memory_words=memory_words,
-        threads_options=threads_options,
         params=params,
     )
     return min(timings, key=timings.get)

@@ -21,9 +21,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.backend.parallel import resolve_threads
-from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
+from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.core.dimtree import DimensionTreeKernel
-from repro.core.kernels import mttkrp
+from repro.core.kernels import dense_mttkrp, mttkrp
 from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.sweep_kernel import (
     PerCallKernel,
@@ -46,6 +46,7 @@ MTTKRPKernel = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.nd
 _KERNELS = {
     "einsum": mttkrp,
     "matmul": mttkrp_via_matmul,
+    "auto": dense_mttkrp,
 }
 
 #: Kernel names resolvable by :func:`cp_als` (``"sampled"``, ``"sampled-tree"``
@@ -54,8 +55,10 @@ _KERNELS = {
 #: engine of :mod:`repro.core.dimtree`, ``"sampled-dimtree"`` the fused
 #: sampled engine of :mod:`repro.core.sampled_dimtree` that serves leverage
 #: draws from the tree's cached partial contractions; ``"blocked"`` is the
-#: cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp` and
-#: ``"auto"`` its cost-model dispatch between einsum and blocked).
+#: cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp`, and
+#: ``"auto"`` is :func:`repro.core.kernels.dense_mttkrp`, a fixed per-mode
+#: rule: mode 0 as one GEMM of the free unfolding, einsum in every other
+#: mode).
 KERNEL_NAMES = (
     "einsum",
     "matmul",
@@ -267,12 +270,6 @@ def _resolve_kernel(
                 tensor, factors, mode, threads=threads
             )
         )
-    if kernel == "auto":
-        return PerCallKernel(
-            lambda tensor, factors, mode: dense_mttkrp(
-                tensor, factors, mode, threads=threads
-            )
-        )
     if kernel in ("sampled", "sampled-tree"):
         # Imported lazily: repro.sketch layers on this driver, so a module-level
         # import would be circular.  A fresh kernel is built per run so that an
@@ -341,11 +338,11 @@ def cp_als(
         :class:`~repro.core.dimtree.FactorGate`).  Ignored by the per-call
         kernels and by explicitly constructed kernel instances.
     threads:
-        Thread count for the kernels that execute chunks on the shared
-        thread executor (``"blocked"`` / ``"auto"``; ``None`` consults the
-        ``REPRO_THREADS`` environment variable, default 1).  Results are
-        bitwise identical for every value — the blocked kernel parallelises
-        only over disjoint output-row tiles.  Ignored by the other kernels.
+        Thread count of the ``"blocked"`` kernel's tile tasks on the shared
+        thread executor (``None`` consults the ``REPRO_THREADS`` environment
+        variable, default 1).  Results are bitwise identical for every
+        value — the blocked kernel parallelises only over disjoint
+        output-row tiles.  Ignored by the other kernels.
     warn_on_nonconvergence:
         Emit a :class:`~repro.exceptions.ConvergenceWarning` when the loop
         exhausts ``n_iter_max`` without meeting ``tol``.

@@ -1,4 +1,4 @@
-"""Parity, fallback, threading, and dispatch tests for the blocked dense MTTKRP.
+"""Parity, fallback, threading, and dispatch tests for the dense MTTKRPs.
 
 The load-bearing contract mirrors the sparse chunked kernel's: for *every*
 tiling — including tiles of 1, tiles covering the tensor, and every output
@@ -7,9 +7,10 @@ runs on integer-valued float64 data, where every partial sum is an exactly
 representable integer, so reassociating the per-row sums over non-output
 tiles cannot change a bit and the comparison is *exact* (``atol=0``), not
 approximate.  Covering tiles must dispatch to the einsum path verbatim
-(bitwise on arbitrary real data), threads must never change a bit (tasks own
-disjoint output rows), and ``method="auto"`` must run the cost model's
-pick and record the decision.
+(bitwise on arbitrary real data), and threads must never change a bit
+(tasks own disjoint output rows).  ``dense_mttkrp`` (``kernel="auto"``)
+must run mode 0 as one GEMM whenever its guard holds and return the einsum
+kernel's bytes in every other case.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.workspace import WorkspacePool
-from repro.core.blocked_mttkrp import DENSE_METHODS, blocked_mttkrp, dense_mttkrp
+from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
 from repro.core.kernels import mttkrp
 from repro.exceptions import ParameterError
 from repro.observe import tracing
@@ -140,6 +141,20 @@ class TestFallbackAndValidation:
         with pytest.raises(ParameterError):
             blocked_mttkrp(data, factors, 0, tiles=0)
 
+    @pytest.mark.parametrize(
+        "tiles",
+        [
+            pytest.param(True, id="bool"),
+            pytest.param((2, 2.5, 2), id="fractional-entry"),
+            pytest.param(2.7, id="fractional-scalar"),
+        ],
+    )
+    def test_non_integer_tiles_raise(self, tiles):
+        """Every tile size must be a positive int: no bool, no truncation."""
+        data, factors = _integer_problem((6, 5, 4), 2, seed=0)
+        with pytest.raises(ParameterError, match="tile size"):
+            blocked_mttkrp(data, factors, 0, tiles=tiles)
+
     def test_vector_tensor_raises(self):
         with pytest.raises(ParameterError):
             blocked_mttkrp(np.arange(4.0), [np.ones((4, 2))], 0)
@@ -173,55 +188,89 @@ class TestThreadsBitwise:
 
 
 class TestDenseDispatch:
-    def test_method_registry(self):
-        assert DENSE_METHODS == ("auto", "einsum", "blocked")
-        data, factors = _integer_problem((5, 4, 3), 2, seed=0)
-        with pytest.raises(ParameterError):
-            dense_mttkrp(data, factors, 0, method="nope")
+    """``dense_mttkrp``: mode 0 as one GEMM when the guard holds, else einsum bytes."""
 
-    def test_explicit_methods_match_their_kernels(self):
-        data, factors = _real_problem((10, 9, 8), 4, seed=3)
-        assert (
-            dense_mttkrp(data, factors, 1, method="einsum").tobytes()
-            == mttkrp(data, factors, 1).tobytes()
-        )
-        assert (
-            dense_mttkrp(data, factors, 1, method="blocked", tiles=3).tobytes()
-            == blocked_mttkrp(data, factors, 1, tiles=3).tobytes()
-        )
-
-    def test_auto_small_problem_picks_einsum(self):
-        """Tiny problems: tile overhead dominates, the model picks einsum."""
-        data, factors = _real_problem((8, 7, 6), 4, seed=2)
+    @staticmethod
+    def _dispatched(data, factors, mode):
+        """The result and the (gemm, einsum) dispatch counts of one call."""
         with tracing() as session:
-            result = dense_mttkrp(data, factors, 0, method="auto", tiles=2)
-        assert session.metrics.counter("dense_dispatch.einsum") == 1
-        assert session.metrics.counter("dense_dispatch.blocked") == 0
+            result = dense_mttkrp(data, factors, mode)
+        counts = tuple(
+            session.metrics.counter(f"dense_dispatch.{path}") for path in ("gemm", "einsum")
+        )
+        return result, counts
+
+    @pytest.mark.parametrize(
+        "shape,rank",
+        [pytest.param((10, 9, 8), 4, id="3way"), pytest.param((6, 5, 4, 3), 3, id="4way")],
+    )
+    def test_mode0_is_one_gemm(self, shape, rank):
+        data, factors = _real_problem(shape, rank, seed=3)
+        result, counts = self._dispatched(data, factors, 0)
+        assert counts == (1, 0)
+        expected = mttkrp(data, factors, 0)
+        assert result.shape == expected.shape
+        assert result.flags.c_contiguous
+        assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "shape,rank,mode",
+        [
+            ((10, 9, 8), 4, 1),
+            ((10, 9, 8), 4, 2),
+            ((6, 5, 4, 3), 3, 1),
+            ((6, 5, 4, 3), 3, 2),
+            ((6, 5, 4, 3), 3, 3),
+            ((32, 31, 30), 8, 2),
+            ((9, 7), 2, 1),
+        ],
+    )
+    def test_other_modes_are_einsum_bytes(self, shape, rank, mode):
+        data, factors = _real_problem(shape, rank, seed=4)
+        result, counts = self._dispatched(data, factors, mode)
+        assert counts == (0, 1)
+        assert result.tobytes() == mttkrp(data, factors, mode).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape,rank,order",
+        [
+            pytest.param((10, 9, 8), 4, "F", id="fortran-order"),
+            pytest.param((3, 8, 7), 4, "C", id="rank-above-mode0-extent"),
+            pytest.param((20, 2, 3), 8, "C", id="rank-above-other-extents"),
+        ],
+    )
+    def test_guard_falls_back_to_einsum_bytes(self, shape, rank, order):
+        data, factors = _real_problem(shape, rank, seed=5)
+        data = np.asarray(data, order=order)
+        result, counts = self._dispatched(data, factors, 0)
+        assert counts == (0, 1)
         assert result.tobytes() == mttkrp(data, factors, 0).tobytes()
 
-    def test_auto_agrees_with_predicted_winner(self):
-        """The dispatch counter always matches the model's announced pick."""
-        from repro.costmodel.kernel_timing import EINSUM_LABEL, predict_dense_winner
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_int_and_float32_tensors_give_float64(self, dtype):
+        rng = np.random.default_rng(6)
+        data = rng.integers(-3, 4, size=(10, 9, 8)).astype(dtype)
+        factors = random_factors(data.shape, 4, seed=7)
+        for mode in range(data.ndim):
+            result = dense_mttkrp(data, factors, mode)
+            expected = mttkrp(data, factors, mode)
+            assert result.dtype == expected.dtype == np.float64
+            assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
 
-        for shape, rank, tiles in [
-            ((8, 7, 6), 4, 2),
-            ((64, 64, 64), 16, None),
-            ((40, 40, 40), 8, 40),
-        ]:
-            data, factors = _real_problem(shape, rank, seed=1)
-            winner = predict_dense_winner(shape, rank, mode=0, tiles=tiles)
-            with tracing() as session:
-                dense_mttkrp(data, factors, 0, method="auto", tiles=tiles)
-            expected_counter = (
-                "dense_dispatch.einsum" if winner == EINSUM_LABEL else "dense_dispatch.blocked"
-            )
-            assert session.metrics.counter(expected_counter) == 1
-
-    def test_auto_result_matches_einsum_numerically(self):
-        data, factors = _real_problem((32, 31, 30), 8, seed=7)
-        np.testing.assert_allclose(
-            dense_mttkrp(data, factors, 2, method="auto"),
-            mttkrp(data, factors, 2),
-            atol=1e-12,
-            rtol=0.0,
-        )
+    @pytest.mark.parametrize(
+        "mode,factor_shapes",
+        [
+            pytest.param(3, [(10, 4), (9, 4), (8, 4)], id="mode-out-of-range"),
+            pytest.param(0, [(10, 4), (9, 4), (7, 4)], id="factor-rows"),
+            pytest.param(0, [(10, 4), (9, 4), (8, 3)], id="factor-rank"),
+            pytest.param(0, [None, None, None], id="no-input-factor"),
+        ],
+    )
+    def test_rejects_what_mttkrp_rejects(self, mode, factor_shapes):
+        data = np.ones((10, 9, 8))
+        factors = [None if s is None else np.ones(s) for s in factor_shapes]
+        with pytest.raises(ValueError) as einsum_error:
+            mttkrp(data, factors, mode)
+        with pytest.raises(einsum_error.type) as auto_error:
+            dense_mttkrp(data, factors, mode)
+        assert str(auto_error.value) == str(einsum_error.value)

@@ -138,95 +138,3 @@ class TestThreadedSparseModel:
             chunked_label(2),
             chunked_label(4),
         }
-
-
-class TestDenseModel:
-    def test_einsum_label_and_validation(self):
-        from repro.costmodel.kernel_timing import (
-            EINSUM_LABEL,
-            dense_blocked_label,
-            predicted_dense_mttkrp_seconds,
-        )
-
-        assert EINSUM_LABEL == "einsum"
-        assert dense_blocked_label(1) == "blocked:t1"
-        assert dense_blocked_label(3) == "blocked:t3"
-        with pytest.raises(ParameterError):
-            predicted_dense_mttkrp_seconds((10,), 4)
-        with pytest.raises(ParameterError):
-            predicted_dense_mttkrp_seconds((10, 10), 4, kernel="nope")
-        with pytest.raises(ParameterError):
-            predicted_dense_mttkrp_seconds((10, 10), 4, mode=5)
-
-    def test_covering_tiles_predict_exactly_the_einsum_cost(self):
-        """The model mirrors the implementation's bitwise fallback."""
-        from repro.costmodel.kernel_timing import predicted_dense_mttkrp_seconds
-
-        shape = (20, 19, 18)
-        einsum = predicted_dense_mttkrp_seconds(shape, 8, kernel="einsum")
-        covering = predicted_dense_mttkrp_seconds(shape, 8, kernel="blocked", tiles=1000)
-        assert covering == einsum
-
-    def test_blocked_wins_large_low_rank(self):
-        """The recorded benchmark regime: big tensor, small R, einsum's
-        reduce pass dominates and the tiled GEMM wins."""
-        from repro.costmodel.kernel_timing import predict_dense_winner
-
-        assert predict_dense_winner((300, 300, 300), 16) == "blocked:t1"
-
-    def test_einsum_wins_tiny_tiles(self):
-        """Forced tiny tiles drown the blocked path in per-tile overhead."""
-        from repro.costmodel.kernel_timing import EINSUM_LABEL, predict_dense_winner
-
-        assert predict_dense_winner((80, 80, 80), 32, tiles=8) == EINSUM_LABEL
-
-    def test_einsum_wins_small_problems(self):
-        from repro.costmodel.kernel_timing import EINSUM_LABEL, predict_dense_winner
-
-        assert predict_dense_winner((8, 7, 6), 4, tiles=2) == EINSUM_LABEL
-
-    def test_threads_never_pay_on_one_core_but_do_on_four(self):
-        from repro.costmodel.kernel_timing import predict_dense_winner
-
-        shape, rank = (300, 300, 300), 16
-        one_core = KernelTimingParams(cpu_count=1)
-        assert (
-            predict_dense_winner(shape, rank, threads_options=(1, 2), params=one_core)
-            == "blocked:t1"
-        )
-        four_cores = KernelTimingParams(cpu_count=4)
-        assert (
-            predict_dense_winner(shape, rank, threads_options=(1, 2), params=four_cores)
-            == "blocked:t2"
-        )
-
-    def test_timings_table_has_einsum_plus_one_row_per_thread_option(self):
-        from repro.costmodel.kernel_timing import (
-            EINSUM_LABEL,
-            predicted_dense_timings,
-        )
-
-        timings = predicted_dense_timings((50, 50, 50), 8, threads_options=(1, 2))
-        assert set(timings) == {EINSUM_LABEL, "blocked:t1", "blocked:t2"}
-        assert all(t > 0.0 for t in timings.values())
-        # Insertion order starts with einsum: ties break toward einsum.
-        assert next(iter(timings)) == EINSUM_LABEL
-
-    def test_two_way_problems_have_no_krp_cost(self):
-        """N=2 skips the KRP rebuild: the blocked prediction must reflect
-        the implementation's zero-copy factor-block path."""
-        from repro.costmodel.kernel_timing import predicted_dense_mttkrp_seconds
-
-        params = KernelTimingParams(
-            gemm_seconds_per_flop=0.0,
-            dense_tile_overhead_seconds=0.0,
-        )
-        rate = params.dense_copy_seconds_per_element
-        shape, rank, tiles = (100, 80), 4, 50
-        cost = predicted_dense_mttkrp_seconds(
-            shape, rank, kernel="blocked", tiles=tiles, params=params
-        )
-        total = shape[0] * shape[1]
-        combos = 2  # ceil(80/50)
-        expected = rate * total + rate * combos * shape[0] * rank
-        assert cost == pytest.approx(expected)

@@ -7,6 +7,7 @@ from repro.core.kernels import mttkrp
 from repro.cp.als import cp_als
 from repro.cp.initialization import initialize_factors
 from repro.exceptions import ParameterError
+from repro.observe import tracing
 from repro.tensor.random import noisy_low_rank_tensor, random_low_rank_tensor, random_tensor
 
 #: (keyword arguments, error-message pattern) of driver misuse on a
@@ -112,11 +113,18 @@ class TestCPALSOptions:
             b = cp_als(tensor, 3, n_iter_max=15, tol=0.0, seed=31, kernel=kernel)
             assert np.allclose(a.fits, b.fits, atol=1e-10), kernel
 
-    def test_blocked_kernel_threads_do_not_change_the_trajectory(self):
-        """Thread counts change scheduling, never fits — bitwise contract."""
+    @pytest.mark.parametrize("kernel", ["blocked", "auto"])
+    def test_blocked_kernel_threads_do_not_change_the_trajectory(self, kernel):
+        """Thread counts change scheduling, never fits — bitwise contract.
+
+        On this shape ``auto`` runs every mode-0 MTTKRP as one GEMM.
+        """
         tensor = noisy_low_rank_tensor((10, 9, 8), 3, noise_level=0.02, seed=32)
-        serial = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel="blocked", threads=1)
-        threaded = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel="blocked", threads=3)
+        serial = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel=kernel, threads=1)
+        with tracing() as session:
+            threaded = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel=kernel, threads=3)
+        if kernel == "auto":
+            assert session.metrics.counter("dense_dispatch.gemm") == 8
         assert np.array_equal(serial.fits, threaded.fits)
         for a, b in zip(serial.model.factors, threaded.model.factors):
             assert a.tobytes() == b.tobytes()

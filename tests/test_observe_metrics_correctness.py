@@ -232,9 +232,14 @@ class TestWorkspaceAndThreadCounters:
         from repro.core.blocked_mttkrp import dense_mttkrp
 
         rng = np.random.default_rng(7)
-        small = rng.standard_normal((8, 7, 6))
-        small_factors = random_factors((8, 7, 6), 4, seed=8)
+        data = rng.standard_normal((8, 7, 6))
+        factors = random_factors((8, 7, 6), 4, seed=8)
         with tracing() as session:
-            dense_mttkrp(small, small_factors, 0, method="auto", tiles=2)
-        assert session.metrics.counters()["dense_dispatch.einsum"] == 1
-        assert "dense_dispatch.blocked" not in session.metrics.counters()
+            for mode in range(3):
+                dense_mttkrp(data, factors, mode)
+            # No free C-order unfolding: mode 0 falls back to einsum.
+            dense_mttkrp(np.asfortranarray(data), factors, 0)
+        counters = session.metrics.counters()
+        assert counters["dense_dispatch.gemm"] == 1
+        assert counters["dense_dispatch.einsum"] == 3
+        assert "dense_dispatch.blocked" not in counters
