@@ -387,7 +387,11 @@ def cp_als(
         invalidation_tol=invalidation_tol,
         threads=threads,
     )
-    _check_finite("tensor", data)
+    # One read of the tensor before sweep 1: its norm is NaN or Inf whenever
+    # an entry is, and only then does the full scan run (for the error).
+    norm_x = float(np.linalg.norm(data.ravel()))
+    if not np.isfinite(norm_x):
+        _check_finite("tensor", data)
     sweep_kernel = _resolve_kernel(kernel, seed, invalidation, invalidation_tol, threads)
 
     if isinstance(init, str):
@@ -395,7 +399,6 @@ def cp_als(
     else:
         factors = [np.asarray(f, dtype=np.float64).copy() for f in init]
 
-    norm_x = float(np.linalg.norm(data.ravel()))
     weights = np.ones(rank, dtype=np.float64)
     grams = [f.T @ f for f in factors]
 

@@ -3,7 +3,11 @@
 This driver measures the communication that the MTTKRP kernels contribute to
 a full CP-ALS workload: every mode update performs its MTTKRP with
 Algorithm 3 (or Algorithm 4) on a :class:`~repro.parallel.SimulatedMachine`
-and the per-iteration word counts are recorded.  The small dense linear
+and the per-iteration word counts are recorded.  The exact kernels
+(:class:`~repro.parallel.stationary.StationaryKernel`,
+:class:`~repro.parallel.general.GeneralKernel`) scatter the tensor once per
+run, as the paper's stationary tensor implies, and run each MTTKRP's
+collectives and local kernels on those blocks.  The small dense linear
 algebra of the normal equations (R x R solves and Gram updates) is treated as
 replicated — its communication is lower order, exactly as in the paper's
 discussion of the CP-ALS context (Section VII).
@@ -21,17 +25,19 @@ from repro.cp.als import check_als_arguments, cp_als, CPALSResult
 from repro.exceptions import DistributionError, ParameterError
 from repro.observe.tracer import trace
 from repro.parallel.dimtree import DistributedDimtreeKernel
-from repro.parallel.general import general_mttkrp
+from repro.parallel.distribution import check_block_extents
+from repro.parallel.general import GeneralKernel
 from repro.parallel.grid_selection import choose_general_grid, choose_stationary_grid
 from repro.parallel.machine import SimulatedMachine
-from repro.parallel.stationary import stationary_mttkrp
+from repro.parallel.stationary import StationaryKernel
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
 from repro.tensor.dense import as_ndarray
 from repro.utils.validation import check_positive_int, check_rank
 
 #: MTTKRP kernels resolvable by :func:`parallel_cp_als`, mirroring the
 #: sequential registry (:data:`repro.cp.als.KERNEL_NAMES`): ``"exact"`` runs
-#: Algorithm 3/4, ``"dimtree"`` the sweep-aware distributed dimension-tree
+#: Algorithm 3/4 as a sweep kernel that scatters the tensor once per run,
+#: ``"dimtree"`` the sweep-aware distributed dimension-tree
 #: kernel of :mod:`repro.parallel.dimtree` (gathers each factor once per
 #: update instead of once per mode, local trees reuse partial contractions),
 #: ``"sampled"`` the distributed sampled kernel of
@@ -162,11 +168,16 @@ def parallel_cp_als(
     rank:
         Target CP rank ``R``.
     n_procs:
-        Number of simulated processors ``P``.
+        Number of simulated processors ``P``.  When the grid chosen for
+        ``P`` splits a dimension into more parts than it has indices, every
+        kernel but ``"sampled"`` and ``"sampled-tree"`` (which run on empty
+        blocks) raises :class:`~repro.exceptions.DistributionError` before
+        the first sweep.
     algorithm:
         ``"stationary"`` (Algorithm 3) or ``"general"`` (Algorithm 4).
     kernel:
-        ``"exact"`` (the selected algorithm), ``"dimtree"`` (the sweep-aware
+        ``"exact"`` (the selected algorithm, with the tensor scattered once
+        per run), ``"dimtree"`` (the sweep-aware
         distributed dimension-tree kernel — each factor is All-Gathered once
         per update instead of once per mode and the local MTTKRPs reuse
         cached partial contractions; requires ``algorithm="stationary"``),
@@ -197,7 +208,9 @@ def parallel_cp_als(
         Thread count for the ``"exact"`` kernel's per-rank local MTTKRPs
         (``None`` consults ``REPRO_THREADS``, default 1); simulated ranks
         run as independent tasks, so fits, factors, and counted
-        communication are bitwise identical for every value.  The other
+        communication are bitwise identical for every value.  The tensor is
+        scattered once per run, outside this fan-out, so the local MTTKRPs
+        the threads share are most of an exact sweep's time.  The other
         kernels ignore it.
     machine:
         A pre-existing :class:`SimulatedMachine` (or
@@ -275,6 +288,9 @@ def parallel_cp_als(
     else:
         grid = choose_general_grid(data.shape, rank, n_procs)
     grids.append(grid)
+    if not sampled:
+        # The per-call sampled kernels run on empty blocks; the others cannot.
+        check_block_extents(data.shape, rank, grid)
 
     sampled_mttkrp_parallel = None
     sample_rng: Union[None, np.random.SeedSequence, np.random.Generator] = None
@@ -337,19 +353,8 @@ def parallel_cp_als(
         # hand it to the adapter so checkpoints capture the stream position.
         inner = PerCallKernel(sampled_kernel, rng=sample_rng)
     else:
-
-        def exact_kernel(local_tensor, factors, mode):
-            if algorithm == "stationary":
-                result = stationary_mttkrp(
-                    local_tensor, factors, mode, grid, machine=machine, threads=threads
-                )
-            else:
-                result = general_mttkrp(
-                    local_tensor, factors, mode, grid, machine=machine, threads=threads
-                )
-            return result.assemble()
-
-        inner = PerCallKernel(exact_kernel)
+        exact_kernel = StationaryKernel if algorithm == "stationary" else GeneralKernel
+        inner = exact_kernel(grid, machine=machine, threads=threads)
 
     with trace(
         "parallel-als",

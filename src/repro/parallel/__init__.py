@@ -11,9 +11,10 @@ bandwidth cost ``(q - 1) * w`` used in the paper's upper-bound analysis
 Provided algorithms:
 
 * :func:`stationary_mttkrp` — Algorithm 3 (N-way processor grid, tensor never
-  communicated);
+  communicated), and :class:`StationaryKernel`, the same step as a CP-ALS
+  sweep kernel that scatters the tensor once per run;
 * :func:`general_mttkrp` — Algorithm 4 ((N+1)-way grid, also partitions the
-  rank dimension);
+  rank dimension), and its sweep kernel :class:`GeneralKernel`;
 * :class:`DistributedDimtreeKernel` — the sweep-aware CP-ALS kernel of
   :mod:`repro.parallel.dimtree` (per-sweep gather caching + per-rank
   dimension trees), with its exact ledger predictor; the distributed fused
@@ -36,8 +37,8 @@ from repro.parallel.distribution import (
     GeneralDistribution,
     DistributedMTTKRPOutput,
 )
-from repro.parallel.stationary import stationary_mttkrp
-from repro.parallel.general import general_mttkrp
+from repro.parallel.stationary import StationaryKernel, stationary_mttkrp
+from repro.parallel.general import GeneralKernel, general_mttkrp
 from repro.parallel.dimtree import (
     DistributedDimtreeKernel,
     predicted_dimtree_ledger,
@@ -65,7 +66,9 @@ __all__ = [
     "GeneralDistribution",
     "DistributedMTTKRPOutput",
     "stationary_mttkrp",
+    "StationaryKernel",
     "general_mttkrp",
+    "GeneralKernel",
     "DistributedDimtreeKernel",
     "predicted_dimtree_ledger",
     "predicted_dimtree_sweep_words",

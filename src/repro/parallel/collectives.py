@@ -186,7 +186,8 @@ def all_gather(
     if missing:
         raise MachineError(f"all_gather: missing local blocks for ranks {missing}")
     blocks = [np.asarray(local_blocks[r]) for r in group]
-    gathered = np.concatenate(blocks, axis=axis) if len(blocks) > 1 else blocks[0].copy()
+    # A one-rank group's block is copied once, by the per-rank copy below.
+    gathered = np.concatenate(blocks, axis=axis) if len(blocks) > 1 else blocks[0]
     max_local = max(int(b.size) for b in blocks)
     words = bucket_all_gather_cost(len(group), max_local)
     _charge_group(machine, "all_gather", group, words, label)

@@ -1,7 +1,7 @@
 """Distributed dimension-tree CP-ALS kernel on the simulated machine.
 
-The exact parallel driver (Algorithm 3 via
-:func:`~repro.parallel.stationary.stationary_mttkrp`) All-Gathers every input
+The exact parallel kernel (Algorithm 3,
+:class:`~repro.parallel.stationary.StationaryKernel`) All-Gathers every input
 factor for every mode update: ``N (N - 1)`` factor All-Gathers per ALS sweep.
 Across a sweep those gathers are almost entirely redundant — a factor matrix
 only changes when its own mode is solved.  This module's
@@ -18,8 +18,12 @@ exploits both redundancies at once:
   and the counted local flops drop by the same ``~N/2`` factor as in the
   sequential engine.
 
-The output Reduce-Scatter per mode is unchanged from Algorithm 3 (the output
-rows must still be summed and redistributed).
+The output Reduce-Scatter per mode is Algorithm 3's
+(:func:`~repro.parallel.stationary.reduce_scatter_output`: the output rows
+must still be summed and redistributed), and the setup — grid and machine
+checks, the one-buffer scatter once per run, the storage charge — is the one
+:class:`~repro.parallel.distribution.DistributedKernel` gives every
+distributed kernel; this kernel adds its per-rank trees and gate to it.
 
 The fused sampled kernel of :mod:`repro.sketch.parallel.sampled_dimtree` is a
 subclass: it keeps the setup, gather cache, checkpoint state and
@@ -39,39 +43,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dimtree import DimensionTree, FactorGate, ModeSplit
-from repro.core.sweep_kernel import SweepKernel
-from repro.exceptions import DistributionError
 from repro.parallel.collectives import (
     all_gather,
     bucket_all_gather_cost,
     bucket_reduce_scatter_cost,
-    reduce_scatter,
 )
 from repro.parallel.distribution import (
+    DistributedKernel,
     DistributedMTTKRPOutput,
-    LocalFactorBlock,
     StationaryDistribution,
 )
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.machine import SimulatedMachine
-from repro.tensor.dense import as_ndarray
+from repro.parallel.stationary import reduce_scatter_output
 from repro.utils.partition import partition_bounds
-from repro.utils.validation import check_mode, check_positive_int, check_rank, check_shape
+from repro.utils.validation import check_positive_int, check_rank, check_shape
 
 #: Trace-label prefixes (the reconciliation tests split the ledger on these).
 GATHER_LABEL = "dimtree all_gather"
 REDUCE_LABEL = "dimtree reduce_scatter"
 
 
-def _check_grid_modes(grid: ProcessorGrid, ndim: int) -> None:
-    if len(grid.dims) != ndim:
-        raise DistributionError(
-            f"grid must have one dimension per tensor mode: got {len(grid.dims)} "
-            f"grid dims for a {ndim}-way tensor"
-        )
-
-
-class DistributedDimtreeKernel(SweepKernel):
+class DistributedDimtreeKernel(DistributedKernel):
     """Sweep-aware distributed MTTKRP with cached gathers and per-rank trees.
 
     Registered in :data:`repro.cp.parallel_als.PARALLEL_KERNEL_NAMES` as
@@ -115,23 +108,12 @@ class DistributedDimtreeKernel(SweepKernel):
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
     ) -> None:
-        self.grid = ProcessorGrid(grid_dims)
-        if machine is None:
-            machine = SimulatedMachine(self.grid.n_procs)
-        elif machine.n_procs != self.grid.n_procs:
-            raise DistributionError(
-                f"machine has {machine.n_procs} processors but the grid needs "
-                f"{self.grid.n_procs}"
-            )
-        self.machine = machine
+        super().__init__(grid_dims, machine=machine)
         self._split = split
         self._invalidation = invalidation
         self._residual_tol = float(residual_tol)
         self.gate: Optional[FactorGate] = None
-        self.dist: Optional[StationaryDistribution] = None
-        self._tensor: Optional[np.ndarray] = None
         self._trees: Dict[int, DimensionTree] = {}
-        self._tensor_blocks = None
         self._gathered: Dict[int, Dict[int, np.ndarray]] = {}
         self._gathered_version: Dict[int, int] = {}
         self._pending_state: Optional[dict] = None
@@ -186,20 +168,15 @@ class DistributedDimtreeKernel(SweepKernel):
             ]
             tree.restore_state(state["trees"][r], local)
 
-    def _ensure_setup(self, data: np.ndarray, rank: int) -> bool:
-        """Distribute ``data`` for ``rank`` unless done; return whether it (re)built."""
-        if self.dist is not None and self._tensor is data and self.dist.rank == rank:
+    def setup(self, data: np.ndarray, rank: int, mode: int = 0) -> bool:
+        if not super().setup(data, rank, mode):
             return False
-        _check_grid_modes(self.grid, data.ndim)
-        # A new problem: rebuild the distribution, trees, gate, and gather cache.
+        # A new problem: rebuild the trees, gate, and gather cache.
         self._gathered.clear()
         self._gathered_version.clear()
-        self.dist = StationaryDistribution(data.shape, rank, 0, self.grid)
-        self._tensor = data
-        self._tensor_blocks = self.dist.distribute_tensor(data)
         self._trees = {
-            r: DimensionTree(self._tensor_blocks[r].data, split=self._split)
-            for r in range(self.grid.n_procs)
+            r: DimensionTree(block.data, split=self._split)
+            for r, block in self.tensor_blocks.items()
         }
         self.gate = FactorGate(
             data.ndim,
@@ -233,26 +210,6 @@ class DistributedDimtreeKernel(SweepKernel):
             for k in range(len(self.grid.dims))
         ]
 
-    def _charge_local(
-        self,
-        r: int,
-        flops: int,
-        local_factors: Sequence[Optional[np.ndarray]],
-        output: np.ndarray,
-    ) -> None:
-        """Charge rank ``r``'s local flops and the words it holds.
-
-        Held words: the tensor block, the gathered input blocks, the tree's
-        cached partials, and the local output.
-        """
-        self.machine.charge_flops(r, flops)
-        storage = int(self._tensor_blocks[r].data.size) + int(output.size)
-        for block in local_factors:
-            if block is not None:
-                storage += int(block.size)
-        storage += self._trees[r].cached_words()
-        self.machine.charge_storage(r, storage)
-
     def _local_outputs(
         self, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> Dict[int, np.ndarray]:
@@ -262,28 +219,25 @@ class DistributedDimtreeKernel(SweepKernel):
             local_factors = self._local_factors(r, mode)
             flops_before = tree.flops
             outputs[r] = tree.mttkrp(local_factors, mode)
-            self._charge_local(r, tree.flops - flops_before, local_factors, outputs[r])
+            self._charge_local(
+                r,
+                tree.flops - flops_before,
+                self.tensor_blocks[r].data,
+                local_factors,
+                outputs[r],
+                tree.cached_words(),
+            )
         return outputs
 
-    def mttkrp(
-        self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
-    ) -> np.ndarray:
-        data = as_ndarray(tensor)
-        mode = check_mode(mode, data.ndim)
-        rank = None
-        for k, f in enumerate(factors):
-            if k != mode and f is not None:
-                rank = int(np.asarray(f).shape[1])
-                break
-        if rank is None:
-            raise DistributionError("at least one input factor matrix is required")
-        self._ensure_setup(data, rank)
+    def step(
+        self, factors: Sequence[Optional[np.ndarray]], mode: int
+    ) -> DistributedMTTKRPOutput:
         if self._pending_state is not None:
             self._apply_pending(factors)
 
         # -- re-gather only the factors the gate declares stale (under the
         #    default exact policy: exactly the ones the driver has replaced).
-        for k in range(data.ndim):
+        for k in range(len(self.grid.dims)):
             if k == mode:
                 continue
             self.gate.register(k, factors[k])
@@ -294,23 +248,13 @@ class DistributedDimtreeKernel(SweepKernel):
         local_outputs = self._local_outputs(factors, mode)
 
         # -- output Reduce-Scatter within each mode hyperslice (Algorithm 3).
-        output = DistributedMTTKRPOutput(shape=(data.shape[mode], rank))
-        for pn in range(self.grid.dims[mode]):
-            group = self.grid.slice_group({mode: pn})
-            scattered = reduce_scatter(
-                self.machine,
-                group,
-                {r: local_outputs[r] for r in group},
-                axis=0,
-                label=f"{self.reduce_label} B mode {mode} p_{mode}={pn}",
-            )
-            for r in group:
-                output.pieces[r] = LocalFactorBlock(
-                    rows=self.dist.factor_local_rows(mode, r),
-                    cols=np.arange(rank),
-                    data=scattered[r],
-                )
-        return output.assemble()
+        return reduce_scatter_output(
+            self.machine,
+            self.dist,
+            local_outputs,
+            mode,
+            lambda pn: f"{self.reduce_label} B mode {mode} p_{mode}={pn}",
+        )
 
     def local_flops(self) -> int:
         """Max over ranks of the counted local contraction flops."""
@@ -351,7 +295,6 @@ def replay_dimtree_ledger(
     rank = check_rank(rank)
     n_sweeps = check_positive_int(n_sweeps, "n_sweeps")
     grid = ProcessorGrid(grid_dims)
-    _check_grid_modes(grid, len(shape))
     dist = StationaryDistribution(shape, rank, 0, grid)
     words = np.zeros(grid.n_procs, dtype=np.int64)
     ndim = len(shape)

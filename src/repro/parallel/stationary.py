@@ -9,82 +9,65 @@ The implementation is SPMD-by-simulation: per-rank buffers live in Python
 dictionaries, the collectives of :mod:`repro.parallel.collectives` move the
 data and charge the bucket-algorithm costs, and the final distributed output
 can be reassembled and compared against a single-node reference.
+
+:class:`StationaryKernel` is Algorithm 3 as a CP-ALS sweep kernel (what
+``parallel_cp_als(kernel="exact")`` runs): it scatters the tensor once per
+run through the shared setup of
+:class:`~repro.parallel.distribution.DistributedKernel`, so only factor rows
+and outputs move between MTTKRPs, as the paper's stationary tensor implies.
+:func:`stationary_mttkrp` is the same step run once on a fresh kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backend.parallel import parallel_map
 from repro.core.kernels import local_mttkrp, mttkrp_flops
-from repro.exceptions import DistributionError
 from repro.parallel.collectives import all_gather, reduce_scatter
 from repro.parallel.distribution import (
+    DistributedKernel,
     DistributedMTTKRPOutput,
     LocalFactorBlock,
+    ParallelMTTKRPResult,
     StationaryDistribution,
 )
-from repro.parallel.grid import ProcessorGrid
 from repro.parallel.machine import SimulatedMachine
-from repro.tensor.dense import as_ndarray
-from repro.utils.validation import check_mode, infer_rank as _infer_rank
 
 
-@dataclass
-class ParallelMTTKRPResult:
-    """Result of a simulated parallel MTTKRP run.
-
-    Attributes
-    ----------
-    output:
-        The distributed output (reassemble with ``output.assemble()``).
-    machine:
-        The simulated machine holding per-rank communication counters.
-    distribution:
-        The data distribution object used (stationary or general).
-    grid_dims:
-        The processor grid extents used.
-    """
-
-    output: DistributedMTTKRPOutput
-    machine: SimulatedMachine
-    distribution: object
-    grid_dims: Sequence[int]
-
-    @property
-    def max_words_communicated(self) -> int:
-        """Critical-path words (max over ranks of max(sent, received))."""
-        return self.machine.max_words_communicated
-
-    def assemble(self) -> np.ndarray:
-        """Assemble the global output matrix."""
-        return self.output.assemble()
-
-
-def stationary_mttkrp(
-    tensor,
-    factors: Sequence[Optional[np.ndarray]],
+def reduce_scatter_output(
+    machine: SimulatedMachine,
+    dist: StationaryDistribution,
+    local_outputs: Dict[int, np.ndarray],
     mode: int,
-    grid_dims: Sequence[int],
-    *,
-    machine: Optional[SimulatedMachine] = None,
-    count_local_flops: bool = True,
-    threads: Optional[int] = None,
-) -> ParallelMTTKRPResult:
-    """Run Algorithm 3 on a simulated machine.
+    label: Callable[[int], str],
+) -> DistributedMTTKRPOutput:
+    """Line 7: Reduce-Scatter the local outputs within each mode-``mode`` hyperslice.
+
+    ``label(p_n)`` names the collective of hyperslice ``p_n``.
+    """
+    output = DistributedMTTKRPOutput(shape=(dist.shape[mode], dist.rank))
+    for pn in range(dist.grid.dims[mode]):
+        group = dist.grid.slice_group({mode: pn})
+        scattered = reduce_scatter(
+            machine, group, {r: local_outputs[r] for r in group}, axis=0, label=label(pn)
+        )
+        for r in group:
+            output.pieces[r] = LocalFactorBlock(
+                rows=dist.factor_local_rows(mode, r),
+                cols=np.arange(dist.rank),
+                data=scattered[r],
+            )
+    return output
+
+
+class StationaryKernel(DistributedKernel):
+    """Algorithm 3 as a sweep kernel: the tensor is scattered once per run.
 
     Parameters
     ----------
-    tensor:
-        Dense ``N``-way tensor (held globally only to set up the distribution;
-        the algorithm itself only touches per-rank shares).
-    factors:
-        One factor matrix per mode; entry for ``mode`` ignored.
-    mode:
-        Output mode ``n``.
     grid_dims:
         The ``N``-way processor grid ``(P_1, ..., P_N)``.
     machine:
@@ -99,92 +82,100 @@ def stationary_mttkrp(
         is an independent task writing its own output slot, and the
         machine's counters are charged serially afterwards — results and
         counted ledgers are bitwise identical for every thread count.
+    """
+
+    def __init__(
+        self,
+        grid_dims: Sequence[int],
+        *,
+        machine: Optional[SimulatedMachine] = None,
+        count_local_flops: bool = True,
+        threads: Optional[int] = None,
+    ) -> None:
+        super().__init__(grid_dims, machine=machine)
+        self.count_local_flops = count_local_flops
+        self.threads = threads
+
+    def step(
+        self, factors: Sequence[Optional[np.ndarray]], mode: int
+    ) -> DistributedMTTKRPOutput:
+        dist, grid, machine = self.dist, self.grid, self.machine
+        ndim = len(dist.shape)
+        factor_blocks = [
+            None if k == mode else dist.distribute_factor(k, factors[k]) for k in range(ndim)
+        ]
+
+        # -- Line 4: All-Gather each input factor matrix's block row within its hyperslice.
+        rank_factors: Dict[int, List[Optional[np.ndarray]]] = {
+            rank: [None] * ndim for rank in range(grid.n_procs)
+        }
+        for k in range(ndim):
+            if k == mode:
+                continue
+            for pk in range(grid.dims[k]):
+                group = grid.slice_group({k: pk})
+                local = {rank: factor_blocks[k][rank].data for rank in group}
+                gathered = all_gather(
+                    machine, group, local, axis=0, label=f"all_gather A^({k}) slice p_{k}={pk}"
+                )
+                for rank in group:
+                    rank_factors[rank][k] = gathered[rank]
+
+        # -- Line 6: local MTTKRP on each rank.  Each rank's kernel is a pure,
+        # independent task, so the compute fans out on the thread executor;
+        # machine counters are charged serially afterwards, keeping the counted
+        # ledgers (and the outputs) bitwise independent of the thread count.
+        def run_local(rank: int) -> np.ndarray:
+            return local_mttkrp(self.tensor_blocks[rank].data, rank_factors[rank], mode)
+
+        results = parallel_map(run_local, range(grid.n_procs), threads=self.threads)
+        local_outputs: Dict[int, np.ndarray] = dict(enumerate(results))
+        for rank in range(grid.n_procs):
+            block = self.tensor_blocks[rank].data
+            flops = mttkrp_flops(block.shape, dist.rank) if self.count_local_flops else 0
+            self._charge_local(rank, flops, block, rank_factors[rank], local_outputs[rank])
+
+        # -- Line 7: Reduce-Scatter within each mode-n hyperslice.
+        return reduce_scatter_output(
+            machine, dist, local_outputs, mode, lambda pn: f"reduce_scatter B slice p_{mode}={pn}"
+        )
+
+
+def stationary_mttkrp(
+    tensor,
+    factors: Sequence[Optional[np.ndarray]],
+    mode: int,
+    grid_dims: Sequence[int],
+    *,
+    machine: Optional[SimulatedMachine] = None,
+    count_local_flops: bool = True,
+    threads: Optional[int] = None,
+) -> ParallelMTTKRPResult:
+    """Run Algorithm 3 once on a simulated machine.
+
+    One :meth:`StationaryKernel.step` on a fresh kernel, so the tensor is
+    scattered for this call alone; use :class:`StationaryKernel` to keep it
+    scattered across calls.
+
+    Parameters
+    ----------
+    tensor:
+        Dense ``N``-way tensor (held globally only to set up the distribution;
+        the algorithm itself only touches per-rank shares).
+    factors:
+        One factor matrix per mode; entry for ``mode`` ignored.
+    mode:
+        Output mode ``n``.
+    grid_dims:
+        The ``N``-way processor grid ``(P_1, ..., P_N)``.
+    machine, count_local_flops, threads:
+        As for :class:`StationaryKernel`.
 
     Returns
     -------
     ParallelMTTKRPResult
     """
-    data = as_ndarray(tensor)
-    mode = check_mode(mode, data.ndim)
-    grid = ProcessorGrid(grid_dims)
-    if machine is None:
-        machine = SimulatedMachine(grid.n_procs)
-    elif machine.n_procs != grid.n_procs:
-        raise DistributionError(
-            f"machine has {machine.n_procs} processors but the grid needs {grid.n_procs}"
-        )
-
-    dist = StationaryDistribution(data.shape, _infer_rank(factors, mode), mode, grid)
-    tensor_blocks, factor_blocks = dist.distribute(data, factors)
-
-    # -- Line 4: All-Gather each input factor matrix's block row within its hyperslice.
-    gathered_factors: Dict[int, List[Optional[np.ndarray]]] = {
-        rank: [None] * data.ndim for rank in range(grid.n_procs)
-    }
-    for k in range(data.ndim):
-        if k == mode:
-            continue
-        for pk in range(grid.dims[k]):
-            group = grid.slice_group({k: pk})
-            local = {rank: factor_blocks[k][rank].data for rank in group}
-            gathered = all_gather(
-                machine, group, local, axis=0, label=f"all_gather A^({k}) slice p_{k}={pk}"
-            )
-            for rank in group:
-                gathered_factors[rank][k] = gathered[rank]
-
-    # -- Line 6: local MTTKRP on each rank.  Each rank's kernel is a pure,
-    # independent task, so the compute fans out on the thread executor;
-    # machine counters are charged serially afterwards, keeping the counted
-    # ledgers (and the outputs) bitwise independent of the thread count.
-    rank_factors: Dict[int, List[Optional[np.ndarray]]] = {}
-    for rank in range(grid.n_procs):
-        rank_factors[rank] = [
-            None if k == mode else gathered_factors[rank][k] for k in range(data.ndim)
-        ]
-
-    def run_local(rank: int) -> np.ndarray:
-        return local_mttkrp(tensor_blocks[rank].data, rank_factors[rank], mode)
-
-    results = parallel_map(run_local, range(grid.n_procs), threads=threads)
-    local_outputs: Dict[int, np.ndarray] = dict(enumerate(results))
-    for rank in range(grid.n_procs):
-        block = tensor_blocks[rank]
-        if count_local_flops:
-            machine.charge_flops(rank, mttkrp_flops(block.data.shape, dist.rank))
-        _charge_stationary_storage(
-            machine, rank, block.data, rank_factors[rank], local_outputs[rank]
-        )
-
-    # -- Line 7: Reduce-Scatter within each mode-n hyperslice.
-    output = DistributedMTTKRPOutput(shape=(data.shape[mode], dist.rank))
-    for pn in range(grid.dims[mode]):
-        group = grid.slice_group({mode: pn})
-        contributions = {rank: local_outputs[rank] for rank in group}
-        scattered = reduce_scatter(
-            machine, group, contributions, axis=0, label=f"reduce_scatter B slice p_{mode}={pn}"
-        )
-        for rank in group:
-            rows = dist.factor_local_rows(mode, rank)
-            output.pieces[rank] = LocalFactorBlock(
-                rows=rows, cols=np.arange(dist.rank), data=scattered[rank]
-            )
-
-    return ParallelMTTKRPResult(
-        output=output, machine=machine, distribution=dist, grid_dims=tuple(grid.dims)
+    kernel = StationaryKernel(
+        grid_dims, machine=machine, count_local_flops=count_local_flops, threads=threads
     )
-
-
-def _charge_stationary_storage(
-    machine: SimulatedMachine,
-    rank: int,
-    subtensor: np.ndarray,
-    local_factors: Sequence[Optional[np.ndarray]],
-    local_output: np.ndarray,
-) -> None:
-    """Record the per-rank storage high-water mark (Eq. (16))."""
-    words = int(subtensor.size) + int(local_output.size)
-    for factor in local_factors:
-        if factor is not None:
-            words += int(factor.size)
-    machine.charge_storage(rank, words)
+    return kernel.run(tensor, factors, mode)

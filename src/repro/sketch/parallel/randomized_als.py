@@ -14,7 +14,9 @@ measured on a :class:`~repro.parallel.machine.SimulatedMachine` ledger:
   reproducible from one seed;
 * **exact-solve fallback** — when the sketched model misses ``min_fit`` (or
   goes non-finite), a few Algorithm 3 exact-kernel sweeps polish it *on the
-  same machine*, so the ledger also shows what the rescue cost.
+  same machine* and grid, so the ledger also shows what the rescue cost; the
+  fallback's :class:`~repro.parallel.stationary.StationaryKernel` scatters
+  the tensor once for all of its sweeps.
 
 The generator-consumption order matches the sequential randomized driver
 exactly (initialisation first, then one draw per kernel call), so under the
@@ -33,7 +35,7 @@ from repro.cp.als import CPALSResult, cp_als
 from repro.exceptions import ParameterError
 from repro.parallel.grid_selection import choose_stationary_grid
 from repro.parallel.machine import SimulatedMachine
-from repro.parallel.stationary import stationary_mttkrp
+from repro.parallel.stationary import StationaryKernel
 from repro.sketch.parallel.sampled_mttkrp import parallel_sampled_mttkrp
 from repro.sketch.randomized_als import _weighted_init
 from repro.sketch.sampled_mttkrp import default_sample_count
@@ -219,12 +221,6 @@ def parallel_randomized_cp_als(
     needs_fallback = (not finite) or (min_fit is not None and exact_fit < min_fit)
     if needs_fallback and fallback_sweeps > 0:
         words_before = machine.max_words_communicated
-
-        def exact_kernel(local_tensor, factors, mode):
-            return stationary_mttkrp(
-                local_tensor, factors, mode, grid, machine=machine
-            ).assemble()
-
         fallback_init: Union[str, Sequence[np.ndarray]]
         fallback_init = _weighted_init(model) if finite else "random"
         fallback_result = cp_als(
@@ -234,7 +230,7 @@ def parallel_randomized_cp_als(
             tol=tol,
             init=fallback_init,
             seed=rng,
-            kernel=exact_kernel,
+            kernel=StationaryKernel(grid, machine=machine),
         )
         model = fallback_result.model
         exact_fit = model.fit(data)

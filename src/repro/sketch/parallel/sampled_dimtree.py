@@ -154,8 +154,8 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         sampled = self.samplers.invalidate_all()
         return super().invalidate_caches() or sampled
 
-    def _ensure_setup(self, data: np.ndarray, rank: int) -> bool:
-        if not super()._ensure_setup(data, rank):
+    def setup(self, data: np.ndarray, rank: int, mode: int = 0) -> bool:
+        if not super().setup(data, rank, mode):
             return False
         # A new problem restarts the gate's version sequence at zero, so the
         # sampler cache's version stamps (and factor snapshots) from an
@@ -232,7 +232,12 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
                 has_rank=has_rank,
             )
             self._charge_local(
-                r, tree.flops - flops_before + eval_flops, local_factors, outputs[r]
+                r,
+                tree.flops - flops_before + eval_flops,
+                self.tensor_blocks[r].data,
+                local_factors,
+                outputs[r],
+                tree.cached_words(),
             )
         return outputs
 

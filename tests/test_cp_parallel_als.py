@@ -5,9 +5,19 @@ import pytest
 
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import parallel_cp_als
-from repro.exceptions import ParameterError
+from repro.exceptions import DistributionError, ParameterError
+from repro.observe import tracing
 from repro.parallel.machine import SimulatedMachine
+from repro.resilience import CheckpointStore
 from repro.tensor.random import random_low_rank_tensor, random_tensor
+
+#: The (kernel, algorithm) pairs that run on a scattered tensor.
+SCATTERING_KERNELS = [
+    pytest.param("exact", "stationary", id="exact-stationary"),
+    pytest.param("exact", "general", id="exact-general"),
+    pytest.param("dimtree", "stationary", id="dimtree"),
+    pytest.param("sampled-dimtree", "stationary", id="sampled-dimtree"),
+]
 
 
 class TestParallelCPALS:
@@ -74,6 +84,43 @@ class TestParallelCPALS:
         with pytest.raises(ParameterError, match=match):
             parallel_cp_als(tensor, 2, n_procs=4, kernel=kernel, machine=machine, **kwargs)
         assert machine.max_words_communicated == 0
+
+    @pytest.mark.parametrize("kernel, algorithm", SCATTERING_KERNELS)
+    def test_grid_with_more_parts_than_indices_fails_before_the_loop(self, kernel, algorithm):
+        """P=7 on a 6x5x4 tensor picks a grid that splits mode 2 seven ways."""
+        machine = SimulatedMachine(7)
+        with tracing() as session:
+            with pytest.raises(
+                DistributionError, match=r"splits mode 2 \(extent 4\) into 7 parts"
+            ):
+                parallel_cp_als(
+                    random_tensor((6, 5, 4), seed=10), 2, 7,
+                    kernel=kernel, algorithm=algorithm, machine=machine,
+                )
+        assert session.spans_named("sweep") == []
+        assert machine.records == []
+
+    @pytest.mark.parametrize("kernel", ["sampled", "sampled-tree"])
+    def test_sampled_kernels_run_on_empty_blocks(self, kernel):
+        result = parallel_cp_als(
+            random_tensor((6, 5, 4), seed=10), 2, 7, kernel=kernel, n_iter_max=2, tol=0.0
+        )
+        assert result.grids == [(1, 1, 7)]
+        assert len(result.als.fits) == 2
+        assert np.all(np.isfinite(result.als.fits))
+
+    @pytest.mark.parametrize("kernel, algorithm", SCATTERING_KERNELS)
+    def test_tensor_scattered_once_per_run_and_once_per_resume(self, kernel, algorithm):
+        tensor = random_tensor((6, 5, 4), seed=11)
+        kwargs = dict(kernel=kernel, algorithm=algorithm, n_iter_max=3, tol=0.0, seed=3)
+        store = CheckpointStore()
+        with tracing() as session:
+            parallel_cp_als(tensor, 2, 4, checkpoint_store=store, **kwargs)
+        assert session.metrics.counters()["parallel.tensor_scatter"] == 1
+        with tracing() as session:
+            parallel_cp_als(random_tensor((6, 5, 4), seed=12), 2, 4, **kwargs)
+            parallel_cp_als(tensor, 2, 4, resume_from=store.at_sweep(1), **kwargs)
+        assert session.metrics.counters()["parallel.tensor_scatter"] == 2
 
     def test_grid_recorded(self, tensor):
         result = parallel_cp_als(tensor, 2, n_procs=8, n_iter_max=1, tol=0.0, seed=7)

@@ -6,10 +6,13 @@ import pytest
 from repro.bounds.parallel import combined_parallel_lower_bound
 from repro.core.kernels import mttkrp
 from repro.exceptions import DistributionError
-from repro.parallel.general import general_mttkrp
+from repro.observe import tracing
+from repro.parallel.dimtree import DistributedDimtreeKernel
+from repro.parallel.general import GeneralKernel, general_mttkrp
 from repro.parallel.grid_selection import general_grid_cost, stationary_grid_cost
 from repro.parallel.machine import SimulatedMachine
-from repro.parallel.stationary import stationary_mttkrp
+from repro.parallel.stationary import StationaryKernel, stationary_mttkrp
+from repro.sketch.parallel.sampled_dimtree import DistributedSampledDimtreeKernel
 from repro.tensor.random import random_factors, random_tensor
 
 
@@ -178,3 +181,104 @@ class TestThreadedLocalMTTKRPs:
             np.testing.assert_array_equal(
                 getattr(threaded.machine, field), getattr(serial.machine, field)
             )
+
+
+LEDGER_FIELDS = (
+    "words_sent",
+    "words_received",
+    "messages_sent",
+    "flops",
+    "storage_high_water",
+)
+
+
+class TestSweepKernels:
+    """Algorithms 3 and 4 as sweep kernels: one scatter, the same per-call step."""
+
+    @pytest.mark.parametrize(
+        "kernel_class, per_call, grid",
+        [
+            (StationaryKernel, stationary_mttkrp, (2, 3, 1)),
+            (StationaryKernel, stationary_mttkrp, (1, 2, 2)),
+            (GeneralKernel, general_mttkrp, (2, 1, 2, 1)),
+            (GeneralKernel, general_mttkrp, (1, 2, 2, 1)),
+        ],
+    )
+    def test_matches_per_call_function_bitwise(self, kernel_class, per_call, grid):
+        tensor, factors = problem((8, 6, 4), 4, seed=14)
+        kernel = kernel_class(grid, threads=2)
+        machine = SimulatedMachine(kernel.grid.n_procs)
+        for mode in (0, 1, 2, 0):
+            out = kernel.mttkrp(tensor, factors, mode)
+            reference = per_call(tensor, factors, mode, grid, machine=machine)
+            assert out.tobytes() == reference.assemble().tobytes()
+        for field in LEDGER_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(kernel.machine, field), getattr(machine, field)
+            )
+        assert [(r.kind, r.label, r.words_per_rank) for r in kernel.machine.records] == [
+            (r.kind, r.label, r.words_per_rank) for r in machine.records
+        ]
+
+    @pytest.mark.parametrize(
+        "kernel_class, grid",
+        [
+            (StationaryKernel, (2, 2, 1)),
+            (GeneralKernel, (2, 1, 2, 1)),
+            (DistributedDimtreeKernel, (2, 2, 1)),
+            (DistributedSampledDimtreeKernel, (2, 2, 1)),
+        ],
+    )
+    def test_scatters_once_per_tensor_and_rank(self, kernel_class, grid):
+        tensor, factors = problem((8, 6, 4), 2, seed=15)
+        _, wider = problem((8, 6, 4), 3, seed=16)
+        kernel = kernel_class(grid)
+        with tracing() as session:
+            for mode in (0, 1, 2, 0, 1, 2):
+                kernel.mttkrp(tensor, factors, mode)
+            scatters = [session.metrics.counters()["parallel.tensor_scatter"]]
+            kernel.mttkrp(tensor.data.copy(), factors, 0)
+            scatters.append(session.metrics.counters()["parallel.tensor_scatter"])
+            kernel.mttkrp(tensor, wider, 0)
+            scatters.append(session.metrics.counters()["parallel.tensor_scatter"])
+        assert scatters == [1, 2, 3]
+
+
+OVERSIZED_GRID_CALLS = {
+    "stationary_mttkrp": lambda x, f, m: stationary_mttkrp(x, f, 0, (7, 1, 1), machine=m),
+    "general_mttkrp": lambda x, f, m: general_mttkrp(x, f, 0, (1, 7, 1, 1), machine=m),
+    "StationaryKernel": lambda x, f, m: StationaryKernel((7, 1, 1), machine=m).mttkrp(x, f, 0),
+    "GeneralKernel": lambda x, f, m: GeneralKernel((1, 7, 1, 1), machine=m).mttkrp(x, f, 0),
+    "DistributedDimtreeKernel": lambda x, f, m: DistributedDimtreeKernel(
+        (7, 1, 1), machine=m
+    ).mttkrp(x, f, 0),
+    "DistributedSampledDimtreeKernel": lambda x, f, m: DistributedSampledDimtreeKernel(
+        (7, 1, 1), machine=m, seed=0
+    ).mttkrp(x, f, 0),
+}
+
+
+class TestOversizedGrids:
+    """A grid with more parts than indices fails before any collective."""
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED_GRID_CALLS))
+    def test_mode_split_into_more_parts_than_indices(self, name):
+        tensor, factors = problem((6, 5, 4), 2, seed=17)
+        machine = SimulatedMachine(7)
+        with pytest.raises(
+            DistributionError,
+            match=r"grid \((1, )?7, 1, 1\) splits mode 0 \(extent 6\) into 7 parts",
+        ):
+            OVERSIZED_GRID_CALLS[name](tensor, factors, machine)
+        assert machine.records == []
+        assert machine.flops.sum() == 0
+
+    def test_rank_split_into_more_parts_than_columns(self):
+        tensor, factors = problem((6, 5, 4), 2, seed=18)
+        machine = SimulatedMachine(3)
+        with pytest.raises(
+            DistributionError,
+            match=r"grid \(3, 1, 1, 1\) splits the rank dimension \(extent 2\) into 3 parts",
+        ):
+            general_mttkrp(tensor, factors, 0, (3, 1, 1, 1), machine=machine)
+        assert machine.records == []

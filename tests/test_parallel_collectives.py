@@ -61,9 +61,12 @@ class TestAllGather:
 
     def test_single_rank_group_is_free(self):
         machine = SimulatedMachine(2)
-        out = all_gather(machine, [1], {1: np.ones(5)})
+        block = np.ones(5)
+        out = all_gather(machine, [1], {1: block})
         assert machine.total_words_sent == 0
-        assert np.array_equal(out[1], np.ones(5))
+        assert machine.messages_sent.sum() == 0
+        assert np.array_equal(out[1], block)
+        assert not np.shares_memory(out[1], block)
 
     def test_missing_block_raises(self):
         machine = SimulatedMachine(2)

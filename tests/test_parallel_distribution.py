@@ -51,11 +51,6 @@ class TestStationaryDistribution:
             reconstructed[block.rows, :] = block.data
         assert np.allclose(reconstructed, self.factors[1])
 
-    def test_distribute_skips_output_mode(self):
-        _, factor_blocks = self.dist.distribute(self.tensor, self.factors)
-        assert factor_blocks[self.mode] is None
-        assert factor_blocks[1] is not None
-
     def test_wrong_tensor_shape(self):
         with pytest.raises(DistributionError):
             self.dist.distribute_tensor(random_tensor((4, 4, 4), seed=2))
@@ -134,6 +129,37 @@ class TestGeneralDistribution:
     def test_balance_diagnostics(self):
         assert self.dist.max_tensor_words() >= 1
         assert self.dist.max_factor_words() >= 1
+
+
+ONE_BUFFER_CASES = [
+    (StationaryDistribution, (8, 6, 4), (2, 3, 2)),
+    (StationaryDistribution, (7, 5, 3), (3, 2, 1)),
+    # More parts than indices: empty blocks, which the sampled kernels accept.
+    (StationaryDistribution, (6, 5, 4), (1, 1, 7)),
+    (GeneralDistribution, (8, 6, 4), (2, 2, 3, 1)),
+    (GeneralDistribution, (7, 5, 3), (3, 1, 2, 1)),
+    (GeneralDistribution, (7, 5, 3), (1, 2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("cls, shape, grid_dims", ONE_BUFFER_CASES)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blocks_are_contiguous_slabs_of_one_buffer(cls, shape, grid_dims, order):
+    """Every rank's block is a C-contiguous view of one tensor-sized buffer,
+    bytewise equal to a separate copy of its slice of the tensor."""
+    data = np.asarray(random_tensor(shape, seed=5).data, order=order)
+    blocks = cls(shape, 3, 0, ProcessorGrid(grid_dims)).distribute_tensor(data)
+    buffer = blocks[0].data.base
+    assert buffer is not None and buffer.size == data.size
+    for block in blocks.values():
+        assert block.data.base is buffer
+        assert block.data.flags.c_contiguous
+        separate = data[tuple(slice(start, stop) for start, stop in block.ranges)].copy()
+        if block.flat_range is not None:
+            separate = separate.reshape(-1)[slice(*block.flat_range)].copy()
+        assert block.data.shape == separate.shape
+        assert block.data.dtype == separate.dtype
+        assert block.data.tobytes() == separate.tobytes()
 
 
 class TestDistributedOutput:

@@ -24,6 +24,7 @@ from repro.cp.parallel_als import parallel_cp_als
 from repro.exceptions import FaultError, ParameterError
 from repro.observe import tracing
 from repro.observe.drift import retry_ledger_drift
+from repro.parallel.machine import SimulatedMachine
 from repro.resilience import (
     FAULT_SEED_ENV,
     FaultSchedule,
@@ -207,12 +208,17 @@ class TestInjectedFaultExactness:
             outcome.machine.injected
         )
 
-    def test_env_seeded_harness(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kernel, algorithm",
+        [("exact", "stationary"), ("exact", "general"), ("dimtree", "stationary")],
+        ids=["exact-stationary", "exact-general", "dimtree"],
+    )
+    def test_env_seeded_harness(self, monkeypatch, kernel, algorithm):
         """The CI leg's wiring: REPRO_FAULT_SEED seeds a schedule from_env."""
         monkeypatch.setenv(FAULT_SEED_ENV, "23")
         schedule = FaultSchedule.from_env(n_faults=4)
         tensor = _tensor(4)
-        kwargs = dict(n_iter_max=3, tol=0.0, seed=4, kernel="dimtree")
+        kwargs = dict(n_iter_max=3, tol=0.0, seed=4, kernel=kernel, algorithm=algorithm)
         baseline = parallel_cp_als(tensor, RANK, N_PROCS, **kwargs)
         faulted = parallel_cp_als(
             tensor, RANK, N_PROCS, fault_schedule=schedule, on_fault="retry",
@@ -242,11 +248,27 @@ class TestSolveEscalationAndValidation:
         assert session.metrics.counters()["als.solve.fallback"] >= 1
         assert np.all(np.isfinite(result.model.factors[0]))
 
-    def test_non_finite_tensor_rejected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("driver", ["cp_als", "parallel_cp_als"])
+    def test_non_finite_tensor_rejected(self, driver, value):
         bad = _tensor(6)
-        bad[1, 2, 3] = np.inf
-        with pytest.raises(ParameterError, match="non-finite"):
-            cp_als(bad, RANK, n_iter_max=2, seed=0)
+        bad[1, 2, 3] = value
+        machine = SimulatedMachine(N_PROCS)
+        with pytest.raises(
+            ParameterError, match=r"^tensor contains non-finite values \(NaN or Inf\)$"
+        ):
+            if driver == "cp_als":
+                cp_als(bad, RANK, n_iter_max=2, seed=0)
+            else:
+                parallel_cp_als(bad, RANK, N_PROCS, n_iter_max=2, seed=0, machine=machine)
+        assert machine.max_words_communicated == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_tensor_with_overflowing_squared_norm_passes(self):
+        """The squared norm overflows to Inf; the full scan finds no bad entry."""
+        result = cp_als(np.full(SHAPE, 1e160), 1, n_iter_max=1, tol=0.0, seed=0)
+        assert result.n_iterations == 1
+        assert np.all(np.isfinite(result.model.factors[0]))
 
     def test_non_finite_init_rejected(self):
         init = [

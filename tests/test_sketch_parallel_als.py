@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.cp.als import cp_als
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
+from repro.observe import tracing
+from repro.parallel.machine import SimulatedMachine
+from repro.parallel.stationary import stationary_mttkrp
 from repro.sketch.parallel.randomized_als import parallel_randomized_cp_als
-from repro.sketch.randomized_als import randomized_cp_als
+from repro.sketch.randomized_als import _weighted_init, randomized_cp_als
 from repro.tensor.random import random_low_rank_tensor
 
 
@@ -67,6 +71,30 @@ class TestParallelRandomizedCPALS:
         assert result.fallback_words > 0
         assert result.exact_fit > 0.5
         assert result.n_iterations == 2 + result.fallback.n_iterations
+
+    def test_fallback_scatters_once_and_matches_per_call_algorithm_3(self, tensor):
+        """The fallback's sweep kernel equals per-call stationary_mttkrp bitwise."""
+        with tracing() as session:
+            result = parallel_randomized_cp_als(
+                tensor, 3, 6, n_samples=16, seed=7, n_iter_max=2, tol=0.0,
+                min_fit=1.01, fallback_sweeps=3,
+            )
+        assert session.metrics.counters()["parallel.tensor_scatter"] == 1
+        machine = SimulatedMachine(6)
+
+        def per_call(local_tensor, factors, mode):
+            return stationary_mttkrp(
+                local_tensor, factors, mode, result.grid, machine=machine
+            ).assemble()
+
+        reference = cp_als(
+            tensor, 3, n_iter_max=3, tol=0.0,
+            init=_weighted_init(result.sketched.model), kernel=per_call,
+        )
+        assert result.fallback.fits == reference.fits
+        for a, b in zip(result.fallback.model.factors, reference.model.factors):
+            assert np.array_equal(a, b)
+        assert result.fallback_words == machine.max_words_communicated
 
     def test_no_fallback_when_fit_reached(self, tensor):
         result = parallel_randomized_cp_als(
