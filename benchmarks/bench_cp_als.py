@@ -123,7 +123,9 @@ FRONTIER_SWEEPS = 4
 
 def _sequential_row(shape, rank, seed):
     tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=seed)
-    einsum_run = cp_als(tensor, rank, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1)
+    einsum_run = cp_als(
+        tensor, rank, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1, kernel="einsum"
+    )
     tree_kernel = DimensionTreeKernel()
     tree_run = cp_als(
         tensor, rank, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1, kernel=tree_kernel

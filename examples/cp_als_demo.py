@@ -5,7 +5,8 @@ MTTKRP is the bottleneck of CP-ALS (Section II of the paper); this example
 shows the workload end to end:
 
 1. build a synthetic rank-5 tensor with 1% noise,
-2. recover it with sequential CP-ALS,
+2. recover it with sequential CP-ALS, which runs the dimension-tree kernel
+   when none is named,
 3. run the same decomposition with every MTTKRP executed on the simulated
    distributed machine (Algorithm 3), and
 4. report the fit and the communication the MTTKRPs required per iteration.

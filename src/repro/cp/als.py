@@ -8,7 +8,11 @@ the free one via the normal equations:
 
 The MTTKRP dominates the cost; which kernel evaluates it is selectable so the
 same driver exercises the vectorised kernel, the matmul baseline, or a
-user-supplied (e.g. counted) kernel.
+user-supplied (e.g. counted) kernel.  A caller who names no kernel gets the
+dimension tree (``kernel="dimtree"``), which shares partial contractions
+across the modes of a sweep (Section VII): it reads the tensor twice per
+sweep instead of ``N`` times.  ``"einsum"`` stays registered by name as the
+reference kernel and is the ``on_fault`` fallback.
 """
 
 from __future__ import annotations
@@ -51,14 +55,15 @@ _KERNELS = {
 
 #: Kernel names resolvable by :func:`cp_als` (``"sampled"``, ``"sampled-tree"``
 #: and ``"sampled-dimtree"`` are registered lazily — see
-#: :func:`_resolve_kernel`; ``"dimtree"`` is the sweep-aware dimension-tree
-#: engine of :mod:`repro.core.dimtree`, ``"sampled-dimtree"`` the fused
-#: sampled engine of :mod:`repro.core.sampled_dimtree` that serves leverage
-#: draws from the tree's cached partial contractions; ``"blocked"`` is the
-#: cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp`, and
-#: ``"auto"`` is :func:`repro.core.kernels.dense_mttkrp`, a fixed per-mode
-#: rule: mode 0 as one GEMM of the free unfolding, einsum in every other
-#: mode).
+#: :func:`_resolve_kernel`; ``"dimtree"``, the default, is the sweep-aware
+#: dimension-tree engine of :mod:`repro.core.dimtree`; ``"einsum"`` is the
+#: reference kernel and the ``on_fault`` fallback; ``"sampled-dimtree"`` is
+#: the fused sampled engine of :mod:`repro.core.sampled_dimtree` that serves
+#: leverage draws from the tree's cached partial contractions; ``"blocked"``
+#: is the cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp`,
+#: and ``"auto"`` is :func:`repro.core.kernels.dense_mttkrp`, a fixed
+#: per-mode rule: mode 0 as one GEMM of the free unfolding, einsum in every
+#: other mode).
 KERNEL_NAMES = (
     "einsum",
     "matmul",
@@ -296,7 +301,7 @@ def cp_als(
     tol: float = 1e-7,
     init: Union[str, Sequence[np.ndarray]] = "random",
     seed: Union[None, int, np.random.Generator] = None,
-    kernel: Union[str, MTTKRPKernel] = "einsum",
+    kernel: Union[str, MTTKRPKernel] = "dimtree",
     invalidation: str = "exact",
     invalidation_tol: float = 1e-2,
     threads: Optional[int] = None,
@@ -323,20 +328,23 @@ def cp_als(
     seed:
         Seed for random initialisation.
     kernel:
-        Which MTTKRP kernel to use: a name from :data:`KERNEL_NAMES`
-        (``"dimtree"`` caches partial contractions across the sweep via
-        :class:`~repro.core.dimtree.DimensionTreeKernel`), a per-call
-        callable, or a :class:`~repro.core.sweep_kernel.SweepKernel`
+        Which MTTKRP kernel to use: a name from :data:`KERNEL_NAMES`, a
+        per-call callable, or a :class:`~repro.core.sweep_kernel.SweepKernel`
         instance (the driver announces sweep starts and factor updates to
-        sweep-aware kernels).
+        sweep-aware kernels).  The default ``"dimtree"`` caches partial
+        contractions across the sweep via
+        :class:`~repro.core.dimtree.DimensionTreeKernel`, and a checkpoint
+        of it carries the cached partials; ``"einsum"`` is the reference
+        kernel.
     invalidation, invalidation_tol:
-        Cache-invalidation policy of the dimension-tree kernels
-        (``"dimtree"`` / ``"sampled-dimtree"``): the default ``"exact"``
-        invalidates dependent cached partials on every factor replacement;
-        ``"residual"`` keeps them while the factor's accumulated relative
-        drift stays within ``invalidation_tol`` (see
-        :class:`~repro.core.dimtree.FactorGate`).  Ignored by the per-call
-        kernels and by explicitly constructed kernel instances.
+        Cache-invalidation policy of the dimension-tree kernels (the
+        default ``"dimtree"`` and ``"sampled-dimtree"``): the default
+        ``"exact"`` invalidates dependent cached partials on every factor
+        replacement; ``"residual"`` keeps them while the factor's
+        accumulated relative drift stays within ``invalidation_tol`` (see
+        :class:`~repro.core.dimtree.FactorGate`), so it applies when no
+        kernel is named.  Ignored by the per-call kernels and by explicitly
+        constructed kernel instances.
     threads:
         Thread count of the ``"blocked"`` kernel's tile tasks on the shared
         thread executor (``None`` consults the ``REPRO_THREADS`` environment

@@ -122,9 +122,9 @@ def randomized_cp_als(
     min_fit:
         When set, the exact fit of the sketched model is required to reach
         this value; otherwise the exact-solve fallback polishes the model
-        with up to ``fallback_sweeps`` exact-kernel ALS sweeps.  The fallback
-        also triggers on non-finite sketched results regardless of the
-        threshold.
+        with up to ``fallback_sweeps`` ALS sweeps of the default exact
+        kernel of :func:`~repro.cp.als.cp_als`.  The fallback also triggers
+        on non-finite sketched results regardless of the threshold.
     fallback_sweeps:
         Maximum exact sweeps the fallback may spend.
     warn_on_nonconvergence:
@@ -174,7 +174,6 @@ def randomized_cp_als(
             tol=tol,
             init=fallback_init,
             seed=rng,
-            kernel="einsum",
             warn_on_nonconvergence=warn_on_nonconvergence,
         )
         model = fallback_result.model

@@ -1,5 +1,7 @@
 """Unit tests for the CP-ALS driver."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,51 @@ class TestCPALSOptions:
     def test_rejects_one_way_tensor(self):
         with pytest.raises(ParameterError):
             cp_als(np.ones(5), 2)
+
+
+#: Inputs of the default-kernel checks: 3-, 4- and 2-way C-ordered tensors,
+#: whose root children the tree builds as one GEMM, and a Fortran-ordered
+#: one, whose root children take the one-mode-at-a-time chain.
+DEFAULT_KERNEL_INPUTS = {
+    "3way": noisy_low_rank_tensor((9, 8, 7), 3, noise_level=0.02, seed=50),
+    "4way": noisy_low_rank_tensor((6, 5, 4, 3), 3, noise_level=0.02, seed=51),
+    "2way": noisy_low_rank_tensor((12, 10), 3, noise_level=0.02, seed=52),
+    "fortran": np.asfortranarray(
+        noisy_low_rank_tensor((9, 8, 7), 3, noise_level=0.02, seed=53).data
+    ),
+}
+
+
+class TestDefaultKernel:
+    """``cp_als`` without ``kernel=`` runs the dimension tree."""
+
+    def test_default_is_dimtree(self):
+        assert inspect.signature(cp_als).parameters["kernel"].default == "dimtree"
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_KERNEL_INPUTS))
+    def test_default_is_bitwise_dimtree(self, name):
+        tensor = DEFAULT_KERNEL_INPUTS[name]
+        with tracing() as session:
+            default = cp_als(tensor, 3, n_iter_max=6, tol=0.0, seed=54)
+        named = cp_als(tensor, 3, n_iter_max=6, tol=0.0, seed=54, kernel="dimtree")
+        root = "dimtree.root.chain" if name == "fortran" else "dimtree.root.gemm"
+        assert session.metrics.counter(root) > 0
+        assert default.fits == named.fits
+        assert default.mttkrp_calls == named.mttkrp_calls
+        assert default.model.weights.tobytes() == named.model.weights.tobytes()
+        for a, b in zip(default.model.factors, named.model.factors):
+            assert a.tobytes() == b.tobytes()
+
+    def test_residual_invalidation_applies_by_default(self):
+        """``invalidation`` reaches the default kernel; einsum ignores it."""
+        tensor = DEFAULT_KERNEL_INPUTS["3way"]
+        kwargs = dict(n_iter_max=6, tol=0.0, seed=55)
+        residual = dict(invalidation="residual", invalidation_tol=10.0)
+        with tracing() as session:
+            kept = cp_als(tensor, 3, **kwargs, **residual)
+        assert session.metrics.counter("factor_gate.keep") > 0
+        assert kept.fits != cp_als(tensor, 3, **kwargs).fits
+        with tracing() as session:
+            einsum = cp_als(tensor, 3, kernel="einsum", **kwargs, **residual)
+        assert session.metrics.counter("factor_gate.keep") == 0
+        assert einsum.fits == cp_als(tensor, 3, kernel="einsum", **kwargs).fits

@@ -148,7 +148,7 @@ class TestOnFaultPolicies:
             return out
 
         tensor = _tensor(1)
-        clean = cp_als(tensor, RANK, n_iter_max=3, tol=0.0, seed=1)
+        clean = cp_als(tensor, RANK, n_iter_max=3, tol=0.0, seed=1, kernel="einsum")
         with tracing() as session:
             recovered = cp_als(
                 tensor, RANK, n_iter_max=3, tol=0.0, seed=1, kernel=flaky,

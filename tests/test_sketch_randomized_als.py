@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cp.als import cp_als
 from repro.exceptions import ParameterError
-from repro.sketch.randomized_als import randomized_cp_als
+from repro.sketch.randomized_als import _weighted_init, randomized_cp_als
 from repro.sketch.sampled_mttkrp import default_sample_count
 from repro.tensor.random import random_low_rank_tensor
 
@@ -75,6 +76,21 @@ class TestRandomizedCPALS:
             result.mttkrp_calls
             == result.sketched.mttkrp_calls + result.fallback.mttkrp_calls
         )
+
+    def test_fallback_runs_the_default_exact_kernel(self, tensor):
+        """The exact polish is ``cp_als``'s default, the dimension tree."""
+        result = randomized_cp_als(
+            tensor, RANK, n_samples=4, seed=8, n_iter_max=3, tol=0.0,
+            min_fit=1.1, fallback_sweeps=4,
+        )
+        polish = cp_als(
+            tensor, RANK, n_iter_max=4, tol=0.0,
+            init=_weighted_init(result.sketched.model), kernel="dimtree",
+        )
+        assert result.fallback.fits == polish.fits
+        assert result.fallback.model.weights.tobytes() == polish.model.weights.tobytes()
+        for a, b in zip(result.fallback.model.factors, polish.model.factors):
+            assert a.tobytes() == b.tobytes()
 
     def test_seeded_reproducibility(self, tensor):
         a = randomized_cp_als(tensor, RANK, n_samples=256, seed=6, n_iter_max=10)
