@@ -14,12 +14,13 @@ sourced from the tracer's span histograms.  The run then asserts:
 
 * the wall-clock model of :mod:`repro.costmodel.kernel_timing` calls the
   measured winner on **every** sparse row (dense kernels have no model:
-  ``auto`` is a fixed per-mode rule),
+  ``auto`` is a fixed rule of shape, mode, rank and memory layout),
 * at least one sparse row has the chunked kernel beating ``np.add.at``,
 * at least one dense entry has the blocked kernel beating einsum,
-* ``auto`` counts its GEMM in mode 0 and einsum in every other mode, and
-  beats einsum in mode 0 of ``dense-large-lowR``, where the einsum path
-  copies the whole tensor transposed, and
+* ``auto`` counts its GEMM in mode 0 and einsum in every other mode (on
+  both dense rows einsum's path copies the tensor in mode 0 only), and
+  beats einsum in mode 0 of ``dense-large-lowR``, where that copy is the
+  whole tensor transposed, and
 * on a multi-core machine, at least one row has a threaded candidate
   beating serial execution.  On a single-core machine a threaded candidate
   can never genuinely win — the core-count-aware sparse model predicts

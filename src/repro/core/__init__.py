@@ -4,16 +4,20 @@ Three single-node kernels are provided:
 
 * :func:`mttkrp_reference` — a literal transcription of Definition 2.1
   (atomic N-ary multiplies, triple loop), used as the oracle in tests;
-* :func:`mttkrp` — the fast vectorised kernel (einsum-based) used as the
-  local computation inside the blocked and parallel algorithms;
+* :func:`mttkrp` — the fast vectorised kernel (einsum-based):
+  ``kernel="einsum"``, the reference kernel and the ``on_fault`` fallback;
 * :func:`mttkrp_via_matmul` — the "MTTKRP via matrix multiplication"
   baseline of Section III-B: explicit mode-n unfolding, explicit Khatri-Rao
   product, then a single GEMM.
 
-:func:`dense_mttkrp` (``kernel="auto"``) runs mode 0 as one GEMM of the
-free unfolding against the other modes' Khatri-Rao product
-(:func:`repro.core.kernels.gemm_mttkrp`) and every other mode with
-:func:`mttkrp`.  :mod:`repro.core.blocked_mttkrp` adds the cache-blocked
+:func:`dense_mttkrp` is the one dense dispatch rule, run by
+``kernel="auto"`` and, as :func:`local_mttkrp`, as the local computation
+inside the blocked and parallel algorithms.  Where einsum's planned path
+would copy the tensor (its first step contracts the tensor with the factor
+of a middle mode) it runs one GEMM of the free unfolding against the other
+modes' Khatri-Rao product (:func:`repro.core.kernels.gemm_mttkrp`);
+everywhere else it returns :func:`mttkrp`'s bytes.
+:mod:`repro.core.blocked_mttkrp` adds the cache-blocked
 tiled-GEMM kernel (:func:`blocked_mttkrp`) — the executable form of the
 sequential blocking argument at wall-clock scale.
 

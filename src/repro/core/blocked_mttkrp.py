@@ -31,9 +31,10 @@ path verbatim — the same bitwise single-chunk fallback contract the sparse
 kernel keeps with :func:`repro.tensor.sparse.sparse_mttkrp_unchunked`.
 
 ``kernel="auto"`` does not run this kernel.  Its MTTKRP,
-:func:`repro.core.kernels.dense_mttkrp` (mode 0 as one GEMM of the free
-unfolding, einsum in every other mode), is re-exported here because the
-sweep benchmark (``bench/layers.py``) imports both kernels from this module.
+:func:`repro.core.kernels.dense_mttkrp` (one GEMM of the free unfolding
+where einsum's path would copy the tensor, einsum everywhere else), is
+re-exported here because the sweep benchmark (``bench/layers.py``) imports
+both kernels from this module.
 """
 
 from __future__ import annotations

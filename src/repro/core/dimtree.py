@@ -23,8 +23,10 @@ the modes it removes (the fast-gradient form of Phan, Tichavský and
 Cichocki, arXiv 1204.1586, that Tensor Toolbox's ``mttkrp`` uses), when the
 removed modes are a leading or trailing block of a C-contiguous tensor and
 ``R`` is at most both the kept and the removed extent products; every other
-node contracts one mode at a time.  ``kernel="auto"`` runs mode 0 of a
-single MTTKRP with the same GEMM.  The ledger
+node contracts one mode at a time.  :func:`repro.core.kernels.dense_mttkrp`
+(``kernel="auto"`` and the local step of the blocked and parallel
+algorithms) runs a single MTTKRP with the same GEMM where einsum's path
+would copy the tensor.  The ledger
 charges every node recomputation as that single-mode chain (flops, words
 moved in a flat read-everything model, root-tensor reads) whichever way it
 ran, so the GEMM step is counted as the chain it replaces and the

@@ -1,12 +1,9 @@
 """Fast single-node MTTKRP kernels.
 
-:func:`mttkrp` is the vectorised kernel used throughout the package whenever a
-*local* MTTKRP must actually be computed (inside the blocked sequential
-algorithm, inside the per-processor step of the parallel algorithms, and
-inside CP-ALS).  It expresses the contraction as a single ``einsum`` with an
-optimised contraction path; the *result* is identical to the atomic
-N-ary-multiply definition (Definition 2.1), only the association of the
-arithmetic differs.
+:func:`mttkrp` is the vectorised reference kernel.  It expresses the
+contraction as a single ``einsum`` with an optimised contraction path; the
+*result* is identical to the atomic N-ary-multiply definition (Definition
+2.1), only the association of the arithmetic differs.
 
 :func:`gemm_mttkrp` is the partial MTTKRP that keeps a leading or trailing
 block of modes, run as one BLAS GEMM between a free reshape of a C-contiguous
@@ -15,16 +12,21 @@ Toolbox's ``mttkrp``, the fast-gradient form of Phan, Tichavský and
 Cichocki, arXiv 1204.1586).  It never permutes or copies the tensor, and it
 declines (returns ``None``) whenever that is impossible or the Khatri-Rao
 product or the output would outgrow the tensor.  The dimension tree builds
-its root children with it, and :func:`dense_mttkrp` (``kernel="auto"``)
-runs mode 0 with it: there the einsum path contracts a middle mode first and
-copies the whole tensor transposed, while in every other mode its greedy
-path already starts with a GEMM against mode 0, so ``dense_mttkrp`` returns
-:func:`mttkrp`'s bytes.  The rule reads only shape, mode, rank and memory
-layout, so its results never depend on a thread count or a timing.
+its root children with it.
 
-:func:`local_mttkrp` is the same computation exposed under the name the
-parallel algorithms use for their local step (Line 6 of Algorithm 3 / Line 7
-of Algorithm 4).
+:func:`dense_mttkrp` is the one dense dispatch rule, shared by
+``kernel="auto"`` and by :func:`local_mttkrp`.  A call runs as one
+:func:`gemm_mttkrp` of the free unfolding exactly where einsum's planned
+path would copy the tensor: its first step contracts the tensor with the
+factor of a middle mode, which numpy can only run on a transposed copy of
+the whole tensor.  Every other call returns :func:`mttkrp`'s bytes from the
+same cached path; a first step against the leading or the trailing mode
+reshapes the tensor for free.  The rule reads only shape, mode, rank and
+memory layout, so its results never depend on a thread count or a timing.
+
+:func:`local_mttkrp` is :func:`dense_mttkrp` under the name the blocked and
+parallel algorithms use for their local step (the block step of Algorithm
+2, Line 6 of Algorithm 3 and Line 7 of Algorithm 4).
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ def mttkrp(
         sum runs over all indices with ``i_mode = i``.
     """
     data, mode, rank = _checked_operands(tensor, factors, mode)
-    return _einsum_mttkrp(data, factors, mode, rank)
+    operands = _einsum_operands(data, factors, mode)
+    return _einsum_mttkrp(operands, mode, _mttkrp_path(operands, mode, rank))
 
 
 def _checked_operands(tensor, factors, mode):
@@ -159,17 +162,44 @@ def _checked_operands(tensor, factors, mode):
     return data, mode, rank
 
 
-def _einsum_mttkrp(data: np.ndarray, factors, mode: int, rank: int) -> np.ndarray:
-    """The einsum contraction of :func:`mttkrp` on checked operands."""
-    operands = [data]
-    for k in range(data.ndim):
-        if k == mode:
-            continue
-        operands.append(np.asarray(factors[k]))
-    spec = _einsum_spec(data.ndim, mode)
-    key = _path_cache_key((tuple(data.shape), mode, rank), operands)
-    path = _contraction_path(key, spec, operands)
+def _einsum_operands(data: np.ndarray, factors, mode: int) -> list:
+    """The einsum operands of a mode-``mode`` MTTKRP: the tensor, then the other factors."""
+    return [data] + [np.asarray(factors[k]) for k in range(data.ndim) if k != mode]
+
+
+def _mttkrp_path(operands, mode: int, rank: int) -> list:
+    """The cached einsum path of :func:`mttkrp` over ``operands``.
+
+    Reads only the operands' shapes and dtypes, so zero-strided stand-ins
+    (``np.broadcast_to(0.0, shape)``) plan the same path as the arrays.
+    """
+    tensor = operands[0]
+    key = _path_cache_key((tuple(tensor.shape), mode, rank), operands)
+    return _contraction_path(key, _einsum_spec(tensor.ndim, mode), operands)
+
+
+def _einsum_mttkrp(operands, mode: int, path: list) -> np.ndarray:
+    """The einsum contraction of :func:`mttkrp` along ``path``."""
+    spec = _einsum_spec(operands[0].ndim, mode)
     return np.ascontiguousarray(np.einsum(spec, *operands, optimize=path))
+
+
+def _path_copies_tensor(shape: Sequence[int], mode: int, path: list) -> bool:
+    """Whether einsum ``path`` of a mode-``mode`` MTTKRP copies the tensor.
+
+    numpy runs a two-operand step as one BLAS product with the contracted
+    mode moved last.  When the first step pairs the tensor (operand 0) with the
+    factor of a middle mode ``k`` (``0 < k < N - 1``), that move is a
+    transposed copy of the whole tensor; against the leading or the
+    trailing mode it is a free reshape.  A first step over more operands
+    runs without a matmul.  (A mode of extent 1 is not considered: numpy
+    copies the tensor to drop it, whichever mode the first step contracts.)
+    """
+    first = path[1]
+    if len(first) != 2 or 0 not in first:
+        return False
+    k = [j for j in range(len(shape)) if j != mode][max(first) - 1]
+    return 0 < k < len(shape) - 1
 
 
 def gemm_mttkrp(
@@ -224,41 +254,49 @@ def gemm_mttkrp(
 def dense_mttkrp(
     tensor, factors: Sequence[Optional[np.ndarray]], mode: int
 ) -> np.ndarray:
-    """The ``kernel="auto"`` MTTKRP: mode 0 as one GEMM, every other mode by einsum.
+    """The dense MTTKRP: one GEMM exactly where einsum's path would copy the tensor.
 
-    Mode 0 runs :func:`gemm_mttkrp` whenever its guard holds, one GEMM of
-    the free unfolding ``X.reshape(I_0, -1)`` against the Khatri-Rao
-    product of the other modes' factors; the result equals :func:`mttkrp`
-    up to the association of the sums.  Every other mode, and mode 0 when
-    the guard fails (a tensor that is not C-contiguous, ``R > I_0``, or
-    ``R`` above the product of the other extents), returns :func:`mttkrp`'s
-    bytes.  Arguments are checked exactly as :func:`mttkrp` checks them.
-    The rule reads only shape, mode, rank and memory layout, never a thread
-    count or a timing.  Each call counts ``dense_dispatch.gemm`` or
-    ``dense_dispatch.einsum``.
+    A call runs as :func:`gemm_mttkrp` of the free unfolding when the
+    tensor is C-contiguous, the cached einsum path of :func:`mttkrp` starts
+    with a step that copies the tensor (its first step contracts the tensor
+    with the factor of a middle mode) and the GEMM's guard holds (``mode``
+    is the leading or the trailing mode, and ``R`` is at most both
+    ``I_mode`` and the product of the other extents); the result equals
+    :func:`mttkrp` up to the association of the sums.  Every other call
+    returns :func:`mttkrp`'s bytes from the same path.  At 300³ with
+    ``R = 16`` the path copies in mode 0 only; at 4×4×6 with ``R = 3`` in no
+    mode; at 3×8×7 with ``R = 4`` in modes 0 and 2, of which only mode 2
+    passes the guard.  Arguments are checked exactly as :func:`mttkrp`
+    checks them.  The rule reads only shape, mode, rank and memory layout,
+    never a thread count or a timing.  Each call counts
+    ``dense_dispatch.gemm`` or ``dense_dispatch.einsum``.
     """
     data, mode, rank = _checked_operands(tensor, factors, mode)
-    if mode == 0:
-        out = gemm_mttkrp(data, factors, (0,), rank)
+    operands = _einsum_operands(data, factors, mode)
+    path = _mttkrp_path(operands, mode, rank)
+    if data.flags.c_contiguous and _path_copies_tensor(data.shape, mode, path):
+        out = gemm_mttkrp(data, factors, (mode,), rank)
         if out is not None:
             observe_inc("dense_dispatch.gemm")
             return np.ascontiguousarray(out)
     observe_inc("dense_dispatch.einsum")
-    return _einsum_mttkrp(data, factors, mode, rank)
+    return _einsum_mttkrp(operands, mode, path)
 
 
 def local_mttkrp(
     local_tensor: np.ndarray, local_factors: Sequence[Optional[np.ndarray]], mode: int
 ) -> np.ndarray:
-    """Local MTTKRP used inside the parallel algorithms.
+    """Local MTTKRP of the blocked and parallel algorithms.
 
-    ``local_tensor`` is a processor's sub-tensor and ``local_factors`` are the
-    gathered sub-matrices whose row counts match the sub-tensor dimensions.
-    This is simply :func:`mttkrp` applied to the local data; it is exposed
-    under its own name so the parallel algorithms read like the paper's
+    ``local_tensor`` is a block of the tensor (a processor's sub-tensor, or
+    one block of the sequential Algorithm 2) and ``local_factors`` are the
+    sub-matrices whose row counts match its dimensions.  This is
+    :func:`dense_mttkrp` on the local data: one GEMM where einsum's path
+    would copy the block, :func:`mttkrp`'s bytes everywhere else.  It is
+    exposed under its own name so the algorithms read like the paper's
     pseudocode (``Local-MTTKRP``).
     """
-    return mttkrp(local_tensor, local_factors, mode)
+    return dense_mttkrp(local_tensor, local_factors, mode)
 
 
 def mttkrp_flops(shape: Sequence[int], rank: int, *, atomic: bool = True) -> int:

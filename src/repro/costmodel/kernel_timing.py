@@ -25,8 +25,10 @@ implementation actually exhibits:
 The constants are calibrated on the container that records
 ``benchmarks/BENCH_kernels_timed.json``; the benchmark asserts that the
 modelled winner matches the measured winner on every sparse row.  Dense
-kernels have no wall-clock model: ``kernel="auto"`` is a fixed per-mode rule
-(:func:`repro.core.kernels.dense_mttkrp`).
+kernels have no wall-clock model: ``kernel="auto"`` is a fixed rule that
+reads shape, mode, rank and memory layout
+(:func:`repro.core.kernels.dense_mttkrp`: one GEMM where einsum's path would
+copy the tensor).
 """
 
 from __future__ import annotations

@@ -61,9 +61,10 @@ _KERNELS = {
 #: the fused sampled engine of :mod:`repro.core.sampled_dimtree` that serves
 #: leverage draws from the tree's cached partial contractions; ``"blocked"``
 #: is the cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp`,
-#: and ``"auto"`` is :func:`repro.core.kernels.dense_mttkrp`, a fixed
-#: per-mode rule: mode 0 as one GEMM of the free unfolding, einsum in every
-#: other mode).
+#: and ``"auto"`` is :func:`repro.core.kernels.dense_mttkrp`, the dense rule
+#: the blocked and parallel algorithms also run as their local step: one GEMM
+#: of the free unfolding where einsum's path would copy the tensor, einsum
+#: everywhere else).
 KERNEL_NAMES = (
     "einsum",
     "matmul",

@@ -107,7 +107,8 @@ class GeneralKernel(DistributedKernel):
                 for r in group:
                     rank_factors[r][k] = gathered[r]
 
-        # -- Line 7: local MTTKRP on each rank (columns restricted to T_{p_0}).
+        # -- Line 7: local MTTKRP on each rank (columns restricted to T_{p_0}),
+        # by the dense rule of ``local_mttkrp``, as in Algorithm 3's Line 6.
         # Pure independent tasks fan out on the thread executor; the machine's
         # counters are charged serially afterwards (see StationaryKernel).
         def run_local(rank: int) -> np.ndarray:

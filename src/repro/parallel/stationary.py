@@ -121,7 +121,9 @@ class StationaryKernel(DistributedKernel):
                 for rank in group:
                     rank_factors[rank][k] = gathered[rank]
 
-        # -- Line 6: local MTTKRP on each rank.  Each rank's kernel is a pure,
+        # -- Line 6: local MTTKRP on each rank, by the dense rule
+        # (``local_mttkrp``: one GEMM where einsum's path would copy the
+        # block, einsum's bytes elsewhere).  Each rank's kernel is a pure,
         # independent task, so the compute fans out on the thread executor;
         # machine counters are charged serially afterwards, keeping the counted
         # ledgers (and the outputs) bitwise independent of the thread count.

@@ -8,10 +8,13 @@ representable integer, so reassociating the per-row sums over non-output
 tiles cannot change a bit and the comparison is *exact* (``atol=0``), not
 approximate.  Covering tiles must dispatch to the einsum path verbatim
 (bitwise on arbitrary real data), and threads must never change a bit
-(tasks own disjoint output rows).  ``dense_mttkrp`` (``kernel="auto"``)
-must run mode 0 as one GEMM whenever its guard holds and return the einsum
-kernel's bytes in every other case.
+(tasks own disjoint output rows).  ``dense_mttkrp`` (``kernel="auto"``
+and the local step of the blocked and parallel algorithms) must run one
+GEMM where einsum's planned path copies the tensor and the GEMM's guard
+holds, and return the einsum kernel's bytes in every other case.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.backend.workspace import WorkspacePool
 from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
-from repro.core.kernels import mttkrp
+from repro.core.kernels import _mttkrp_path, _path_copies_tensor, mttkrp
 from repro.exceptions import ParameterError
 from repro.observe import tracing
 from repro.tensor.random import random_factors
@@ -188,7 +191,14 @@ class TestThreadsBitwise:
 
 
 class TestDenseDispatch:
-    """``dense_mttkrp``: mode 0 as one GEMM when the guard holds, else einsum bytes."""
+    """``dense_mttkrp``: one GEMM where einsum's path copies the tensor, else einsum bytes.
+
+    The path copies when its first step contracts the tensor with the factor
+    of a middle mode.  On the cubic and 4-way shapes below that happens in
+    mode 0 only, but not on every shape: 4×4×6 at R=3 first contracts the
+    trailing mode in mode 0 and copies nothing, and 3×8×7 at R=4 first
+    contracts mode 1 in mode 2, where the GEMM of the trailing mode runs.
+    """
 
     @staticmethod
     def _dispatched(data, factors, mode):
@@ -201,14 +211,18 @@ class TestDenseDispatch:
         return result, counts
 
     @pytest.mark.parametrize(
-        "shape,rank",
-        [pytest.param((10, 9, 8), 4, id="3way"), pytest.param((6, 5, 4, 3), 3, id="4way")],
+        "shape,rank,mode",
+        [
+            pytest.param((10, 9, 8), 4, 0, id="3way"),
+            pytest.param((6, 5, 4, 3), 3, 0, id="4way"),
+            pytest.param((3, 8, 7), 4, 2, id="trailing-mode"),
+        ],
     )
-    def test_mode0_is_one_gemm(self, shape, rank):
+    def test_copying_path_is_one_gemm(self, shape, rank, mode):
         data, factors = _real_problem(shape, rank, seed=3)
-        result, counts = self._dispatched(data, factors, 0)
+        result, counts = self._dispatched(data, factors, mode)
         assert counts == (1, 0)
-        expected = mttkrp(data, factors, 0)
+        expected = mttkrp(data, factors, mode)
         assert result.shape == expected.shape
         assert result.flags.c_contiguous
         assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -223,13 +237,42 @@ class TestDenseDispatch:
             ((6, 5, 4, 3), 3, 3),
             ((32, 31, 30), 8, 2),
             ((9, 7), 2, 1),
+            ((9, 7), 2, 0),
+            ((4, 4, 6), 3, 0),
         ],
     )
-    def test_other_modes_are_einsum_bytes(self, shape, rank, mode):
+    def test_copy_free_path_is_einsum_bytes(self, shape, rank, mode):
         data, factors = _real_problem(shape, rank, seed=4)
         result, counts = self._dispatched(data, factors, mode)
         assert counts == (0, 1)
         assert result.tobytes() == mttkrp(data, factors, mode).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape,rank",
+        [
+            pytest.param((300, 300, 300), 16, id="cubic-300"),
+            pytest.param((320, 40, 40, 24), 32, id="lopsided-4way"),
+            pytest.param((240, 240, 240), 16, id="parallel-p4"),
+            pytest.param((240, 120, 120), 16, id="parallel-p4-block"),
+        ],
+    )
+    def test_benchmark_inputs_take_the_gemm_in_mode0_only(self, shape, rank):
+        """Read from shape, mode and rank alone: no input is allocated.
+
+        Zero-strided stand-ins plan the same einsum path as the arrays, and
+        every extent is at least ``R``, so mode 0 meets the GEMM's guard.
+        If a numpy release plans these paths differently, this fails before
+        the sweep benchmark would.
+        """
+        copies = []
+        for mode in range(len(shape)):
+            operands = [np.broadcast_to(0.0, shape)] + [
+                np.broadcast_to(0.0, (shape[k], rank)) for k in range(len(shape)) if k != mode
+            ]
+            path = _mttkrp_path(operands, mode, rank)
+            copies.append(_path_copies_tensor(shape, mode, path))
+        assert copies == [True] + [False] * (len(shape) - 1)
+        assert rank <= min(shape[0], math.prod(shape[1:]))
 
     @pytest.mark.parametrize(
         "shape,rank,order",
