@@ -10,11 +10,11 @@ einsum kernel, the cache-blocked tiled GEMM of
 ``kernel="auto"`` rule :func:`repro.core.kernels.dense_mttkrp`, recording one
 entry per (row, mode).  Every candidate takes the median of at least three
 repetitions (:func:`repro.observe.median_time`) with per-repetition p50/p99
-sourced from the tracer's span histograms.  The run then asserts:
+sourced from the tracer's span histograms.  No wall-clock model predicts
+these winners: the chunk and tile sizes come from the machine model of
+:mod:`repro.sequential.block_size`, and ``auto`` is a fixed rule of shape,
+mode, rank and memory layout.  The run asserts:
 
-* the wall-clock model of :mod:`repro.costmodel.kernel_timing` calls the
-  measured winner on **every** sparse row (dense kernels have no model:
-  ``auto`` is a fixed rule of shape, mode, rank and memory layout),
 * at least one sparse row has the chunked kernel beating ``np.add.at``,
 * at least one dense entry has the blocked kernel beating einsum,
 * ``auto`` counts its GEMM in mode 0 and einsum in every other mode (on
@@ -23,9 +23,7 @@ sourced from the tracer's span histograms.  The run then asserts:
   whole tensor transposed, and
 * on a multi-core machine, at least one row has a threaded candidate
   beating serial execution.  On a single-core machine a threaded candidate
-  can never genuinely win — the core-count-aware sparse model predicts
-  exactly that, so threaded sparse rows there demonstrate the model pricing
-  executor dispatch and partial-fold overhead correctly instead; rows that
+  can never genuinely win, so no threaded row is asserted there; rows that
   *need* real parallelism to be decisive are skipped and recorded with a
   reason.
 
@@ -53,16 +51,20 @@ from conftest import emit
 from repro.backend.parallel import effective_cpu_count
 from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.core.kernels import dense_mttkrp, mttkrp
-from repro.costmodel.kernel_timing import (
-    UNCHUNKED_LABEL,
-    chunked_label,
-    predicted_sparse_timings,
-)
 from repro.observe.tracer import median_time, trace, tracing
 from repro.tensor.random import random_factors
 from repro.tensor.sparse import SparseTensor, sparse_mttkrp, sparse_mttkrp_unchunked
 
 REPEATS = 3
+
+#: Timing-table label of the legacy single-pass sparse kernel.
+UNCHUNKED_LABEL = "unchunked"
+
+
+def chunked_label(threads: int) -> str:
+    """Timing-table label of the chunked sparse kernel at ``threads``."""
+    return f"chunked:numpy:t{threads}" if threads > 1 else "chunked:numpy"
+
 
 #: name, shape, nnz, rank, forced (nzchunk, rchunk) or None for the machine
 #: model's choice, thread counts to race, minimum cores the row needs to be
@@ -81,8 +83,8 @@ SPARSE_CASES = [
     ("4way", (40, 40, 40, 40), 100_000, 24, None, (1,), 1),
     # Forced tiny chunks with 2 threads: hundreds of tasks, each paying
     # dispatch plus a zeroed-and-folded partial accumulator.  On one core
-    # the serial chunked path wins decisively (the model prices the thread
-    # overhead); with real cores the compute halves and t2 takes the row.
+    # the serial chunked path wins decisively; with real cores the compute
+    # halves and t2 may take the row.
     ("threaded-tiny-chunks", (200, 200, 200), 200_000, 32, (2_000, 8), (1, 2), 1),
     # Default chunks with 2 threads: only ~20 fat tasks, so the serial/t2
     # margin is pure parallel speedup — decisive only with real cores.
@@ -163,15 +165,6 @@ def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed):
         )
 
     measured, percentiles = _race(candidates)
-    predicted = predicted_sparse_timings(
-        nnz,
-        rank,
-        len(shape),
-        nzchunk=nzchunk,
-        rchunk=rchunk,
-        threads_options=threads_options,
-        out_rows=shape[mode],
-    )
     return {
         "kind": "sparse",
         "case": name,
@@ -183,9 +176,7 @@ def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed):
         "threads_options": list(threads_options),
         "median_seconds": measured,
         "span_percentiles": percentiles,
-        "predicted_seconds": predicted,
         "measured_winner": min(measured, key=measured.get),
-        "predicted_winner": min(predicted, key=predicted.get),
     }
 
 
@@ -242,7 +233,7 @@ def _winner_threads(label):
 
 
 def test_bench_kernels_timed_json():
-    """Race the kernels, record the JSON, and hold the model to its winners."""
+    """Race the kernels, record the JSON, and check the recorded winners."""
     quick = os.environ.get("BENCH_KERNELS_QUICK", "") not in ("", "0")
     cores = effective_cpu_count()
 
@@ -309,10 +300,7 @@ def test_bench_kernels_timed_json():
             f"{label} {seconds * 1e3:9.3f}ms" for label, seconds in row["median_seconds"].items()
         )
         if row["kind"] == "sparse":
-            lines.append(
-                f"  {row['case']:>20} {timing}  winner={row['measured_winner']}"
-                f" (predicted {row['predicted_winner']})"
-            )
+            lines.append(f"  {row['case']:>20} {timing}  winner={row['measured_winner']}")
         else:
             auto_path = "gemm" if row["auto_dispatch"]["gemm"] else "einsum"
             lines.append(
@@ -328,11 +316,8 @@ def test_bench_kernels_timed_json():
     )
     emit("timed MTTKRP kernel races", "\n".join(lines))
 
-    # The cost model must call every recorded sparse row correctly; the
-    # chunked kernel must demonstrably beat the legacy np.add.at path
+    # The chunked kernel must demonstrably beat the legacy np.add.at path
     # somewhere, and the blocked dense kernel must beat einsum somewhere.
-    for row in sparse_rows:
-        assert row["predicted_winner"] == row["measured_winner"], row["case"]
     assert any(
         row["measured_winner"] != UNCHUNKED_LABEL for row in sparse_rows
     ), "no recorded configuration where the chunked kernel wins"
@@ -345,8 +330,7 @@ def test_bench_kernels_timed_json():
         low_rank_mode0["median_seconds"]["auto"] < low_rank_mode0["median_seconds"]["einsum"]
     ), "auto does not beat einsum in mode 0 of dense-large-lowR"
     # Threaded candidates can only genuinely win with real cores; on a
-    # single-core machine the model predicts (and the rows confirm) that
-    # serial execution keeps every row.
+    # single-core machine serial execution keeps every row.
     if cores > 1:
         assert any(
             _winner_threads(row["measured_winner"]) > 1 for row in rows

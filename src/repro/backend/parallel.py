@@ -1,35 +1,34 @@
-"""Thread-parallel chunk executor shared by the blocked/chunked kernels.
+"""Thread-parallel task executor shared by the chunked and distributed kernels.
 
-Both chunked kernels — the blocked dense MTTKRP of
-:mod:`repro.core.blocked_mttkrp` and the chunked sparse MTTKRP of
-:mod:`repro.tensor.sparse` — decompose their work into *independent* chunk
-tasks and run them through :func:`parallel_map`.  The executor's contract is
-deliberately stronger than "runs things concurrently":
+Four kernels decompose their work into *independent* tasks and run them
+through :func:`parallel_map`: the blocked dense MTTKRP of
+:mod:`repro.core.blocked_mttkrp` (one task per output-row tile), the chunked
+sparse MTTKRP of :mod:`repro.tensor.sparse` (one task per nonzero block),
+and Algorithms 3 and 4 of :mod:`repro.parallel` (one task per simulated
+rank's local MTTKRP).  The executor's contract is deliberately stronger
+than "runs things concurrently":
 
 * **Results are returned in task-index order**, whatever order the tasks
   finished in.
 * **The arithmetic performed is identical for every thread count** (including
   the inline ``threads=1`` path): a task computes the same values no matter
-  which worker runs it, and any cross-task accumulation goes through
-  :func:`ordered_reduce` — a *fixed-order* linear reduction tree that folds
-  partial results in task order on the calling thread.  Folding partial ``i``
-  into an accumulator that started from partial ``0`` reproduces the serial
-  left-to-right accumulation bit for bit (IEEE-754 addition of the first
-  operand onto a fresh zero buffer is exact), so the threaded kernels are
-  bitwise equal to their serial counterparts for any thread count.  This is
-  the same determinism discipline the chunked sparse kernel's single-chunk
-  fallback already follows, lifted to the thread dimension.
+  which worker runs it, and any cross-task accumulation happens on the
+  calling thread, in task order.  The sparse kernel folds its per-task
+  partials that way: adding a partial onto a fresh zero buffer is exact in
+  IEEE-754, so the fold replays the serial left-to-right accumulation bit
+  for bit and the threaded kernels are bitwise equal to their serial
+  counterparts for any thread count.
 
 Thread counts resolve through :func:`resolve_threads`: an explicit argument
 wins, otherwise the ``REPRO_THREADS`` environment variable, otherwise 1
 (serial).  :func:`effective_cpu_count` reports the cores the process may
-actually use (CPU affinity aware) — the quantity the wall-clock model of
-:mod:`repro.costmodel.kernel_timing` uses to predict whether threading can
-pay at all: on a single-core machine it never does, and the model says so.
+actually use (CPU affinity aware).
 
-Worker tasks must not touch the observability layer (the tracer's span stack
-is context-local to the calling thread); callers tally chunk/task counters in
-bulk from the coordinating thread instead.
+Worker tasks may bump the observability layer's counters: the trace session
+is process-wide and its metrics registry takes a lock, so a counter reads
+the same total at every thread count.  Spans are another matter: the span
+stack is context-local to the calling thread, so a task opens no span and
+charges no flops or words; the coordinating thread charges those ledgers.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import ParameterError
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "THREADS_ENV_VAR",
@@ -47,7 +47,6 @@ __all__ = [
     "effective_cpu_count",
     "resolve_threads",
     "parallel_map",
-    "ordered_reduce",
 ]
 
 T = TypeVar("T")
@@ -77,11 +76,13 @@ def effective_cpu_count() -> int:
 def resolve_threads(threads: Optional[int] = None) -> int:
     """Resolve a thread-count request to a validated positive integer.
 
-    ``None`` falls back to the :data:`THREADS_ENV_VAR` environment variable
-    (itself defaulting to 1 when unset or empty).  The result is *not*
-    clamped to the machine's core count: requesting more threads than cores
-    is legal (the kernels stay bitwise identical), merely unprofitable — the
-    cost model, not the resolver, is the judge of what pays.
+    An explicit ``threads`` must be an integer (a bool, a string or a
+    fractional float raises :class:`ParameterError`; an integral float such
+    as ``2.0`` is accepted).  ``None`` falls back to the
+    :data:`THREADS_ENV_VAR` environment variable (itself defaulting to 1
+    when unset or empty).  The result is *not* clamped to the machine's
+    core count: requesting more threads than cores is legal (the kernels
+    stay bitwise identical), merely unprofitable.
     """
     if threads is None:
         raw = os.environ.get(THREADS_ENV_VAR, "").strip()
@@ -93,7 +94,8 @@ def resolve_threads(threads: Optional[int] = None) -> int:
             raise ParameterError(
                 f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
             ) from None
-    threads = int(threads)
+    else:
+        threads = check_positive_int(threads, "threads")
     if threads < 1 or threads > MAX_THREADS:
         raise ParameterError(
             f"threads must be in [1, {MAX_THREADS}], got {threads}"
@@ -128,8 +130,8 @@ def parallel_map(
     1 (or fewer items than 2) runs inline on the calling thread — the same
     code path, no executor involved.  Tasks must be independent: they may not
     rely on execution order, and any shared accumulation must happen on the
-    caller's side (see :func:`ordered_reduce`).  The first task exception is
-    re-raised after all submitted tasks have settled.
+    caller's side, in task order.  The first task exception is re-raised
+    after all submitted tasks have settled.
     """
     threads = resolve_threads(threads)
     items = list(items)
@@ -148,21 +150,3 @@ def parallel_map(
     if first_error is not None:
         raise first_error
     return results
-
-
-def ordered_reduce(partials: Sequence, combine: Callable) -> object:
-    """Fold ``partials`` left to right with ``combine`` (fixed reduction order).
-
-    The reduction tree is linear and fixed by task index — independent of
-    which threads produced the partials and of the thread count — so a
-    threaded kernel that accumulates through this function is bitwise
-    deterministic.  ``combine(accumulator, partial)`` may update the
-    accumulator in place and must return it.
-    """
-    partials = list(partials)
-    if not partials:
-        raise ParameterError("ordered_reduce needs at least one partial result")
-    accumulator = partials[0]
-    for partial in partials[1:]:
-        accumulator = combine(accumulator, partial)
-    return accumulator

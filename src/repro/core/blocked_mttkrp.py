@@ -17,9 +17,9 @@ argument, the dense sibling of the chunked sparse kernel
   factor row tiles, multiply ``(b_n x prod(b_k)) @ (prod(b_k) x R)`` at BLAS
   speed, and accumulate into the output rows — the Tensor Toolbox lineage's
   reformulation of MTTKRP as tiled GEMMs instead of one giant ``einsum``;
-* tile scratch (matricized tile, KRP block, GEMM output) is borrowed from
-  the :mod:`repro.backend.workspace` pool, so steady-state sweeps allocate
-  nothing;
+* each tile-row task allocates its scratch (matricized tile, Khatri-Rao
+  block, GEMM output) once, sized for its largest tile, and reuses views of
+  it across its tiles;
 * output-mode tiles write disjoint output rows, so they run as independent
   tasks on the thread executor of :mod:`repro.backend.parallel` — the
   result is bitwise identical for every thread count because no arithmetic
@@ -40,12 +40,12 @@ both kernels from this module.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backend.parallel import parallel_map, resolve_threads
-from repro.backend.workspace import WorkspacePool, default_pool
 from repro.core.kernels import dense_mttkrp, mttkrp
 from repro.exceptions import ParameterError
 from repro.observe.instrument import inc as observe_inc
@@ -90,33 +90,24 @@ def _tile_ranges(extent: int, tile: int) -> List[Tuple[int, int]]:
 
 
 def _krp_rows(
-    factor_tiles: Sequence[np.ndarray], rank: int, pool: WorkspacePool
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    factor_tiles: Sequence[np.ndarray], scratch: Sequence[np.ndarray]
+) -> np.ndarray:
     """Khatri-Rao product of factor row tiles (first factor slowest-varying).
 
-    Returns ``(krp, lease)``: the row block to multiply against the
-    matricized tile, and the pooled buffer backing it (``None`` when the
-    block is just a view of the single input tile) for the caller to
-    release.  Row ordering matches the row-major flattening of the tile's
-    non-output axes in ascending mode order.
+    Each step writes into one of the two flat ``scratch`` buffers in turn
+    (the previous step's block is an input, so it cannot be the output); a
+    single tile is returned as is.  Row ordering matches the row-major
+    flattening of the tile's non-output axes in ascending mode order.
     """
     krp = factor_tiles[0]
-    rows = int(krp.shape[0])
-    lease: Optional[np.ndarray] = None
-    for factor_tile in factor_tiles[1:]:
+    rows, rank = krp.shape
+    for step, factor_tile in enumerate(factor_tiles[1:]):
         extent = int(factor_tile.shape[0])
-        grown = pool.borrow((rows * extent, rank))
-        np.multiply(
-            krp[:, None, :],
-            factor_tile[None, :, :],
-            out=grown.reshape(rows, extent, rank),
-        )
-        if lease is not None:
-            pool.release(lease)
-        lease = grown
-        krp = grown
+        grown = scratch[step % 2][: rows * extent * rank].reshape(rows, extent, rank)
+        np.multiply(krp[:, None, :], factor_tile[None, :, :], out=grown)
         rows *= extent
-    return krp, lease
+        krp = grown.reshape(rows, rank)
+    return krp
 
 
 def blocked_mttkrp(
@@ -127,7 +118,6 @@ def blocked_mttkrp(
     tiles: Union[None, int, Sequence[int]] = None,
     memory_words: Optional[int] = None,
     threads: Optional[int] = None,
-    pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Cache-blocked dense MTTKRP (tiled matricized GEMM).
 
@@ -150,8 +140,6 @@ def blocked_mttkrp(
         Thread count for output-mode tile tasks (``None`` consults
         ``REPRO_THREADS``, default 1).  Results are bitwise identical for
         every value — tasks own disjoint output rows.
-    pool:
-        Workspace pool for tile scratch (default: the process pool).
 
     Returns
     -------
@@ -167,6 +155,7 @@ def blocked_mttkrp(
     rank = infer_rank(factors, mode)
     check_factor_matrices(factors, data.shape, rank, skip_mode=mode)
 
+    threads = resolve_threads(threads)
     if tiles is None:
         tiles = _default_tiles(data.shape, rank, mode, memory_words)
     tiles = _check_tiles(tiles, data.shape)
@@ -179,10 +168,6 @@ def blocked_mttkrp(
         observe_inc("blocked_mttkrp.fallback")
         return mttkrp(data, factors, mode)
 
-    threads = resolve_threads(threads)
-    if pool is None:
-        pool = default_pool()
-
     others = [k for k in range(data.ndim) if k != mode]
     host_factors = {k: np.asarray(factors[k]) for k in others}
     output = np.zeros((data.shape[mode], rank), dtype=np.float64)
@@ -190,35 +175,31 @@ def blocked_mttkrp(
     out_ranges = _tile_ranges(data.shape[mode], tiles[mode])
     other_ranges = [_tile_ranges(data.shape[k], tiles[k]) for k in others]
     combos = list(itertools.product(*other_ranges))
+    max_extent = math.prod(tiles[k] for k in others)
 
     def run_tile_row(out_range: Tuple[int, int]) -> None:
         i0, i1 = out_range
         rows = i1 - i0
         out_rows = output[i0:i1]
-        gemm = pool.borrow((rows, rank))
-        try:
-            for combo in combos:
-                slices = [slice(None)] * data.ndim
-                slices[mode] = slice(i0, i1)
-                extent = 1
-                for k, (j0, j1) in zip(others, combo):
-                    slices[k] = slice(j0, j1)
-                    extent *= j1 - j0
-                moved = np.moveaxis(data[tuple(slices)], mode, 0)
-                mat = pool.borrow((rows, extent))
-                np.copyto(mat.reshape(moved.shape), moved)
-                krp, krp_lease = _krp_rows(
-                    [host_factors[k][j0:j1] for k, (j0, j1) in zip(others, combo)],
-                    rank,
-                    pool,
-                )
-                np.matmul(mat, krp, out=gemm)
-                np.add(out_rows, gemm, out=out_rows)
-                if krp_lease is not None:
-                    pool.release(krp_lease)
-                pool.release(mat)
-        finally:
-            pool.release(gemm)
+        gemm = np.empty((rows, rank))
+        mat_scratch = np.empty(rows * max_extent)
+        krp_scratch = [np.empty(max_extent * rank) for _ in range(min(2, len(others) - 1))]
+        for combo in combos:
+            slices = [slice(None)] * data.ndim
+            slices[mode] = slice(i0, i1)
+            extent = 1
+            for k, (j0, j1) in zip(others, combo):
+                slices[k] = slice(j0, j1)
+                extent *= j1 - j0
+            moved = np.moveaxis(data[tuple(slices)], mode, 0)
+            mat = mat_scratch[: rows * extent].reshape(rows, extent)
+            np.copyto(mat.reshape(moved.shape), moved)
+            krp = _krp_rows(
+                [host_factors[k][j0:j1] for k, (j0, j1) in zip(others, combo)],
+                krp_scratch,
+            )
+            np.matmul(mat, krp, out=gemm)
+            np.add(out_rows, gemm, out=out_rows)
 
     parallel_map(run_tile_row, out_ranges, threads=threads)
     observe_inc("blocked_mttkrp.tiles", len(out_ranges) * len(combos))

@@ -1,14 +1,15 @@
 """Dimension-tree MTTKRP engine: cached partial contractions across ALS sweeps.
 
-:func:`repro.core.multi_mode.multi_mode_mttkrp` computes all ``N`` mode
-MTTKRPs of *fixed* factor matrices with a dimension tree, but inside CP-ALS
-the factors change between mode updates, so that kernel cannot be used as-is
-(Section VII of the paper leaves the scheduling as future work).  This module
-closes that gap: :class:`DimensionTree` keeps the tree's internal nodes —
-partial contractions of the tensor with the Khatri-Rao product of an excluded
-mode subset — *cached across calls*, invalidates exactly the nodes that
-depend on a factor matrix the driver has replaced, and serves every mode's
-MTTKRP from the deepest still-valid ancestor.
+The one dimension tree of the package.  With *fixed* factor matrices it
+computes several mode MTTKRPs sharing their partial contractions, which is
+all :func:`repro.core.multi_mode.multi_mode_mttkrp` asks of it.  Inside
+CP-ALS the factors change between mode updates (Section VII of the paper
+leaves that scheduling as future work), and :class:`DimensionTree` handles
+that too: it keeps the tree's internal nodes — partial contractions of the
+tensor with the Khatri-Rao product of an excluded mode subset — *cached
+across calls*, invalidates exactly the nodes that depend on a factor matrix
+the driver has replaced, and serves every mode's MTTKRP from the deepest
+still-valid ancestor.
 
 Under the ALS update order (modes ``0, 1, ..., N-1``, each factor replaced
 right after its solve) the default half-split tree recomputes each internal
@@ -50,8 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import gemm_mttkrp
-from repro.core.multi_mode import contract_mode_step
+from repro.core.kernels import contract_mode_step, gemm_mttkrp
 from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, inc as observe_inc

@@ -12,7 +12,8 @@ Toolbox's ``mttkrp``, the fast-gradient form of Phan, Tichavský and
 Cichocki, arXiv 1204.1586).  It never permutes or copies the tensor, and it
 declines (returns ``None``) whenever that is impossible or the Khatri-Rao
 product or the output would outgrow the tensor.  The dimension tree builds
-its root children with it.
+its root children with it; :func:`contract_mode_step`, which contracts one
+mode of a partial against its factor, builds every other node.
 
 :func:`dense_mttkrp` is the one dense dispatch rule, shared by
 ``kernel="auto"`` and by :func:`local_mttkrp`.  A call runs as one
@@ -60,11 +61,11 @@ MAX_MODES = len(string.ascii_lowercase) - 1
 #: doubles as recency order: hits are moved to the end, overflow evicts the
 #: oldest entry) so a long multi-problem process sheds cold one-off shapes
 #: while the hot steady-state ALS paths survive.  Shared mutable state the
-#: moment kernels run on the thread executor (tile tasks of the blocked
-#: kernel may plan paths concurrently), so every lookup/move-to-end/evict
-#: happens under ``_PATH_CACHE_LOCK`` — path *planning* itself runs outside
-#: the lock (it is pure), at worst duplicating a plan that the last writer
-#: then wins.
+#: moment kernels run on the thread executor (the per-rank local MTTKRPs of
+#: Algorithms 3 and 4 may plan paths concurrently), so every
+#: lookup/move-to-end/evict happens under ``_PATH_CACHE_LOCK`` — path
+#: *planning* itself runs outside the lock (it is pure), at worst
+#: duplicating a plan that the last writer then wins.
 _PATH_CACHE: OrderedDict = OrderedDict()
 _PATH_CACHE_MAX_ENTRIES = 512
 _PATH_CACHE_LOCK = threading.Lock()
@@ -249,6 +250,31 @@ def gemm_mttkrp(
         unfolding = data.reshape(removed_size, kept_size)
     out = (krp.T @ unfolding).T
     return out.reshape(tuple(data.shape[k] for k in kept) + (rank,))
+
+
+def contract_mode_step(
+    data: np.ndarray, axis: int, factor: np.ndarray, has_rank: bool
+) -> np.ndarray:
+    """Contract one mode axis of a partial tensor against a factor matrix.
+
+    The single-mode step of the dimension tree
+    (:class:`repro.core.dimtree.DimensionTree`): the first contraction of a
+    chain introduces the trailing rank axis via ``tensordot``; every later
+    one sums over the mode axis while multiplying element-wise along the
+    rank axis, as a two-operand einsum whose contraction path is memoized
+    (the operand shapes repeat identically sweep after sweep inside ALS).
+    """
+    if not has_rank:
+        return np.tensordot(data, factor, axes=([axis], [0]))
+    letters = list(string.ascii_lowercase[: data.ndim - 1])
+    input_sub = "".join(letters) + _RANK_LETTER
+    output_sub = "".join(letters[:axis] + letters[axis + 1 :]) + _RANK_LETTER
+    spec = f"{input_sub},{letters[axis]}{_RANK_LETTER}->{output_sub}"
+    key = _path_cache_key(
+        ("contract-step", tuple(int(d) for d in data.shape), axis), (data, factor)
+    )
+    path = _contraction_path(key, spec, (data, factor))
+    return np.einsum(spec, data, factor, optimize=path)
 
 
 def dense_mttkrp(

@@ -36,12 +36,6 @@ from repro.costmodel.fused_model import (
     sampled_tree_sweep_cost,
     three_way_crossover,
 )
-from repro.costmodel.kernel_timing import (
-    KernelTimingParams,
-    predicted_sparse_mttkrp_seconds,
-    predicted_sparse_timings,
-    predict_sparse_winner,
-)
 from repro.costmodel.dimtree_model import (
     dimtree_sweep_flops,
     dimtree_sweep_words,
@@ -80,8 +74,4 @@ __all__ = [
     "sampled_dimtree_sweep_cost",
     "sampled_tree_sweep_cost",
     "three_way_crossover",
-    "KernelTimingParams",
-    "predicted_sparse_mttkrp_seconds",
-    "predicted_sparse_timings",
-    "predict_sparse_winner",
 ]

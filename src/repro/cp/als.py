@@ -123,7 +123,7 @@ def check_als_arguments(
             f"invalidation must be one of {INVALIDATION_POLICIES}, got {invalidation!r}"
         )
     if threads is not None:
-        resolve_threads(check_positive_int(threads, "threads"))
+        resolve_threads(threads)
     if isinstance(init, str):
         return
     if len(init) != len(shape):

@@ -46,8 +46,9 @@ def hit_rate(hits: float, misses: float) -> float:
 class MetricsRegistry:
     """Named counters and histograms with a deterministic snapshot.
 
-    Recording is thread-safe: the workspace pool is borrowed from (and
-    counters bumped) by chunk tasks on the shared thread executor, and the
+    Recording is thread-safe: tasks on the shared thread executor bump
+    counters from worker threads (the per-rank local MTTKRPs of Algorithms 3
+    and 4 count ``dense_dispatch.*`` and ``path_cache.*`` there), and the
     unlocked ``dict`` read-modify-write of ``inc`` would lose increments
     under that interleaving.  One lock covers both maps; reads take it too so
     a snapshot never observes a half-applied increment.

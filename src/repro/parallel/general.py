@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend.parallel import parallel_map
+from repro.backend.parallel import parallel_map, resolve_threads
 from repro.core.kernels import local_mttkrp, mttkrp_flops
 from repro.parallel.collectives import all_gather, reduce_scatter
 from repro.parallel.distribution import (
@@ -61,7 +61,8 @@ class GeneralKernel(DistributedKernel):
     ) -> None:
         super().__init__(grid_dims, machine=machine)
         self.count_local_flops = count_local_flops
-        self.threads = threads
+        # An explicit count is checked here, before any collective is charged.
+        self.threads = None if threads is None else resolve_threads(threads)
 
     def step(
         self, factors: Sequence[Optional[np.ndarray]], mode: int

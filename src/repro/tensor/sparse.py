@@ -20,7 +20,10 @@ accumulates each chunk at C speed with a per-column ``bincount`` scatter,
 while :func:`sparse_mttkrp_unchunked` keeps the single-pass
 broadcast path (no dense temp before the first factor is applied) as the
 exact-equality fallback the chunked kernel dispatches to when one chunk
-covers everything.
+covers everything.  With ``threads > 1`` each nonzero block is a task on the
+executor of :mod:`repro.backend.parallel` that allocates its own zeroed
+partial accumulator; the calling thread folds the partials in block order,
+so the result is bitwise that of the serial loop.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend.parallel import parallel_map, resolve_threads
-from repro.backend.workspace import WorkspacePool, default_pool
 from repro.exceptions import ParameterError, ShapeError
 from repro.observe.instrument import inc as observe_inc
 from repro.utils.partition import partition_bounds
 from repro.utils.validation import (
     check_factor_matrices,
     check_mode,
+    check_positive_int,
     check_shape,
     infer_rank,
 )
@@ -201,7 +204,6 @@ def sparse_mttkrp(
     rchunk: Optional[int] = None,
     memory_words: Optional[int] = None,
     threads: Optional[int] = None,
-    pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Chunked MTTKRP for a COO sparse tensor (Tensor Toolbox v3.3 design).
 
@@ -231,14 +233,11 @@ def sparse_mttkrp(
     threads:
         Thread count for the nonzero-chunk tasks (``None`` consults
         ``REPRO_THREADS``, default 1).  With ``threads > 1`` each z-block
-        task scatters into its own zeroed partial accumulator (borrowed from
-        ``pool``) and the coordinating thread folds the partials back in
-        submission order — bitwise identical to the serial path for every
-        thread count, because ``bincount`` already sums each chunk before a
-        single add and ``0 + x == x`` exactly.
-    pool:
-        Workspace pool for the threaded path's partial accumulators
-        (default: the process pool); unused when ``threads == 1``.
+        task scatters into its own freshly zeroed partial accumulator and
+        the coordinating thread folds the partials back in submission order
+        — bitwise identical to the serial path for every thread count,
+        because ``bincount`` already sums each chunk before a single add and
+        ``0 + x == x`` exactly.
 
     Returns
     -------
@@ -249,15 +248,15 @@ def sparse_mttkrp(
     rank = infer_rank(factors, mode)
     check_factor_matrices(factors, tensor.shape, rank, skip_mode=mode)
 
+    threads = resolve_threads(threads)
+
     nnz = tensor.nnz
     if nzchunk is None or rchunk is None:
         chosen_nz, chosen_r = _default_chunks(tensor.ndim, rank, memory_words)
         nzchunk = chosen_nz if nzchunk is None else nzchunk
         rchunk = chosen_r if rchunk is None else rchunk
-    if nzchunk < 1 or rchunk < 1:
-        raise ParameterError(
-            f"chunk sizes must be positive, got nzchunk={nzchunk}, rchunk={rchunk}"
-        )
+    nzchunk = check_positive_int(nzchunk, "nzchunk")
+    rchunk = check_positive_int(rchunk, "rchunk")
 
     if nnz == 0:
         return np.zeros((tensor.shape[mode], rank), dtype=np.float64)
@@ -265,9 +264,6 @@ def sparse_mttkrp(
         observe_inc("sparse_mttkrp.fallback")
         return sparse_mttkrp_unchunked(tensor, factors, mode)
 
-    threads = resolve_threads(threads)
-    if pool is None:
-        pool = default_pool()
     inputs = [k for k in range(tensor.ndim) if k != mode]
     values = tensor.values
     rows = tensor.coords[:, mode]
@@ -298,7 +294,7 @@ def sparse_mttkrp(
         def run_zblock(z0: int) -> np.ndarray:
             z1 = min(z0 + nzchunk, nnz)
             block = contribution_block(z0, z1, r0, r1)
-            partial = pool.borrow((tensor.shape[mode], r1 - r0), zero=True)
+            partial = np.zeros((tensor.shape[mode], r1 - r0))
             _scatter_add_rows(partial, rows[z0:z1], block)
             return partial
 
@@ -307,7 +303,6 @@ def sparse_mttkrp(
         # replays the serial adds bit for bit, whatever the thread count.
         for partial in parallel_map(run_zblock, z_starts, threads=threads):
             np.add(out_block, partial, out=out_block)
-            pool.release(partial)
     observe_inc("sparse_mttkrp.chunks", n_chunks)
     observe_inc("sparse_mttkrp.threads", threads)
     return output

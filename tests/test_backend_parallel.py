@@ -2,27 +2,31 @@
 
 The executor's promises are stronger than "runs concurrently": results come
 back in task-index order regardless of completion order, thread-count
-resolution is explicit-arg > ``REPRO_THREADS`` > 1, errors propagate after
-all tasks settle, and :func:`ordered_reduce` folds partials in a fixed
-left-to-right order — the properties the bitwise-determinism claims of the
-blocked/chunked kernels rest on.
+resolution is explicit-arg > ``REPRO_THREADS`` > 1, an explicit count that
+is not an integer is rejected by every kernel that takes one, and errors
+propagate after all tasks settle — the properties the bitwise-determinism
+claims of the blocked/chunked kernels rest on.
 """
 
+import re
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.backend.parallel import (
     MAX_THREADS,
     THREADS_ENV_VAR,
     effective_cpu_count,
-    ordered_reduce,
     parallel_map,
     resolve_threads,
 )
+from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.exceptions import ParameterError
+from repro.parallel.general import GeneralKernel, general_mttkrp
+from repro.parallel.stationary import StationaryKernel, stationary_mttkrp
+from repro.tensor.random import random_factors, random_tensor
+from repro.tensor.sparse import SparseTensor, sparse_mttkrp
 
 
 class TestResolveThreads:
@@ -56,6 +60,35 @@ class TestResolveThreads:
 
     def test_effective_cpu_count_positive(self):
         assert effective_cpu_count() >= 1
+
+
+_SHAPE = (4, 6, 5)
+_TENSOR = random_tensor(_SHAPE, seed=0)
+_FACTORS = random_factors(_SHAPE, 2, seed=1)
+_SPARSE = SparseTensor.from_dense(_TENSOR.data)
+
+#: Every kernel that takes ``threads=``, run on a small problem whose
+#: chunking, tiling and grids would otherwise succeed.
+THREADED_ENTRY_POINTS = {
+    "sparse_mttkrp": lambda t: sparse_mttkrp(_SPARSE, _FACTORS, 0, nzchunk=16, threads=t),
+    "blocked_mttkrp": lambda t: blocked_mttkrp(_TENSOR, _FACTORS, 0, tiles=2, threads=t),
+    "stationary_mttkrp": lambda t: stationary_mttkrp(_TENSOR, _FACTORS, 0, (2, 1, 1), threads=t),
+    "general_mttkrp": lambda t: general_mttkrp(_TENSOR, _FACTORS, 0, (1, 2, 1, 1), threads=t),
+    "StationaryKernel": lambda t: StationaryKernel((2, 1, 1), threads=t).mttkrp(
+        _TENSOR, _FACTORS, 0
+    ),
+    "GeneralKernel": lambda t: GeneralKernel((1, 2, 1, 1), threads=t).mttkrp(
+        _TENSOR, _FACTORS, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(THREADED_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [2.7, True, "3", 0.5], ids=repr)
+def test_non_integer_thread_count_rejected(entry, bad):
+    """No truncation, no bool-as-int, no string parse: the value is named as given."""
+    with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+        THREADED_ENTRY_POINTS[entry](bad)
 
 
 class TestParallelMap:
@@ -109,31 +142,3 @@ class TestParallelMap:
 
     def test_accepts_range_and_generators(self):
         assert parallel_map(lambda i: -i, (i for i in range(3)), threads=2) == [0, -1, -2]
-
-
-class TestOrderedReduce:
-    def test_left_to_right_fold(self):
-        trace = []
-
-        def combine(acc, item):
-            trace.append((acc, item))
-            return acc + item
-
-        assert ordered_reduce([1, 2, 3, 4], combine) == 10
-        assert trace == [(1, 2), (3, 3), (6, 4)]
-
-    def test_matches_serial_float_accumulation_bitwise(self):
-        """The fixed fold reproduces serial left-to-right summation exactly."""
-        rng = np.random.default_rng(0)
-        partials = [rng.standard_normal((5, 3)) for _ in range(9)]
-        serial = np.zeros((5, 3))
-        for p in partials:
-            serial = serial + p
-        folded = ordered_reduce(
-            [np.zeros((5, 3))] + partials, lambda acc, p: np.add(acc, p, out=acc)
-        )
-        assert folded.tobytes() == serial.tobytes()
-
-    def test_empty_raises(self):
-        with pytest.raises(ParameterError):
-            ordered_reduce([], lambda a, b: a)

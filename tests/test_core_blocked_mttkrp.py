@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend.workspace import WorkspacePool
 from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
 from repro.core.kernels import _mttkrp_path, _path_copies_tensor, mttkrp
 from repro.exceptions import ParameterError
@@ -179,15 +178,6 @@ class TestThreadsBitwise:
         assert session.metrics.counter("blocked_mttkrp.threads") == 3
         # 3 output-row tiles x (3 x 3) non-output combos
         assert session.metrics.counter("blocked_mttkrp.tiles") == 3 * 9
-
-    def test_workers_reuse_the_pool(self):
-        """Tile scratch comes from the shared pool even on worker threads."""
-        data, factors = _real_problem((16, 15, 14), 4, seed=6)
-        pool = WorkspacePool()
-        blocked_mttkrp(data, factors, 0, tiles=4, threads=2, pool=pool)
-        first_hits = pool.hits
-        blocked_mttkrp(data, factors, 0, tiles=4, threads=2, pool=pool)
-        assert pool.hits > first_hits  # steady state borrows, doesn't allocate
 
 
 class TestDenseDispatch:

@@ -59,6 +59,25 @@ class TestReuse:
         # each output needs exactly one contraction for N = 2
         assert result.partial_contractions == 2
 
+    @pytest.mark.parametrize(
+        "shape,modes,steps",
+        [
+            ((3, 4, 5), None, 5),
+            ((3, 4, 2, 5), None, 8),
+            ((2, 3, 2, 3, 2), None, 12),
+            ((3,) * 6, None, 16),
+            ((4, 5, 6), [0, 2], 4),
+            ((4, 5, 6), [1], 2),
+            ((4, 5, 6), [], 0),
+        ],
+    )
+    def test_step_counts(self, shape, modes, steps):
+        """Half-split counts; only the paths to the requested leaves are built."""
+        tensor, factors = problem(shape, 2, seed=10)
+        result = multi_mode_mttkrp(tensor, factors, modes=modes)
+        assert result.partial_contractions == steps
+        assert set(result.outputs) == set(range(len(shape)) if modes is None else modes)
+
     def test_independent_step_formula(self):
         assert independent_contraction_steps(4) == 12
         with pytest.raises(ParameterError):

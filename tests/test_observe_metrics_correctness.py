@@ -24,6 +24,7 @@ from repro.core.kernels import mttkrp
 from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
+from repro.parallel.stationary import stationary_mttkrp
 from repro.observe import tracing
 from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.random import noisy_low_rank_tensor, random_factors
@@ -174,8 +175,38 @@ class TestLabeledCollectiveAudit:
         assert traced_words == ledger_words
 
 
-class TestWorkspaceAndThreadCounters:
-    """Exact counter values for the workspace pool and threaded kernels."""
+class TestThreadedKernelCounters:
+    """Exact counter values for the threaded kernels.
+
+    Tasks on the thread executor bump counters from worker threads (the
+    metrics registry's lock keeps every increment), so a count must not
+    depend on the thread count.
+    """
+
+    @staticmethod
+    def _worker_counts(run, threads):
+        """``dense_dispatch.*`` counts and path-cache lookups of one traced run."""
+        tensor = noisy_low_rank_tensor((8, 6, 5), 2, noise_level=0.05, seed=2)
+        factors = random_factors(tensor.shape, 2, seed=3)
+        with tracing() as session:
+            if run == "stationary_mttkrp":
+                stationary_mttkrp(tensor, factors, 0, (2, 2, 1), threads=threads)
+            else:
+                parallel_cp_als(
+                    tensor, 2, 4, kernel="exact", n_iter_max=2, tol=0.0, threads=threads
+                )
+        counters = session.metrics.counters()
+        dispatch = {k: v for k, v in counters.items() if k.startswith("dense_dispatch.")}
+        # Two workers may both plan a cold path, so only the lookup total is
+        # fixed, not its hit/miss split.
+        lookups = counters.get("path_cache.hit", 0) + counters.get("path_cache.miss", 0)
+        return dispatch, lookups
+
+    @pytest.mark.parametrize("run", ["stationary_mttkrp", "parallel_cp_als"])
+    def test_worker_counts_match_serial(self, run):
+        serial = self._worker_counts(run, threads=1)
+        assert sum(serial[0].values()) > 0 and serial[1] > 0
+        assert self._worker_counts(run, threads=2) == serial
 
     def test_sparse_thread_and_chunk_counters_are_exact(self):
         from repro.tensor.sparse import SparseTensor, sparse_mttkrp
@@ -193,25 +224,6 @@ class TestWorkspaceAndThreadCounters:
         assert counters["sparse_mttkrp.chunks"] == 12
         # One bulk increment of the resolved count per call: 2 + 1.
         assert counters["sparse_mttkrp.threads"] == 3
-
-    def test_workspace_counters_are_exact(self):
-        from repro.backend.workspace import WorkspacePool
-
-        pool = WorkspacePool(capacity_words=16)
-        with tracing() as session:
-            a = pool.borrow((4, 2))  # miss
-            pool.release(a)  # free=8, fits
-            b = pool.borrow((4, 2))  # hit
-            c = pool.borrow((3, 4))  # miss
-            pool.release(b)  # free=8, fits
-            pool.release(c)  # free=20 > 16: evict oldest shape once (8 words)
-        counters = session.metrics.counters()
-        assert counters["workspace.miss"] == 2
-        assert counters["workspace.hit"] == 1
-        assert counters["workspace.evict"] == 1
-        # High-water = both buffers checked out at once: 8 + 12 words.
-        summary = session.metrics.histogram_summary("workspace.high_water_words")
-        assert summary["max"] == 20.0
 
     def test_blocked_dense_counters_are_exact(self):
         from repro.core.blocked_mttkrp import blocked_mttkrp

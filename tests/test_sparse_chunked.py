@@ -10,9 +10,11 @@ memory scales with ``nzchunk * rchunk``, not ``nnz * R``.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ParameterError
 from repro.observe import tracing
 from repro.tensor.random import random_factors
 from repro.tensor.sparse import (
@@ -110,6 +112,14 @@ class TestChunkedEqualsUnchunked:
             sparse_mttkrp(tensor, factors, 0, nzchunk=30, rchunk=4)
         # ceil(100/30) * ceil(6/4) = 4 * 2
         assert session.metrics.counters()["sparse_mttkrp.chunks"] == 8
+
+    @pytest.mark.parametrize("name", ["nzchunk", "rchunk"])
+    @pytest.mark.parametrize("bad", [2.5, True, 0, "4"], ids=repr)
+    def test_non_integer_chunk_rejected(self, name, bad):
+        """No ``TypeError`` from ``range``, no bool run as 1: a ParameterError naming it."""
+        tensor, factors = _problem((8, 8, 8), 100, 6, seed=8)
+        with pytest.raises(ParameterError, match=name):
+            sparse_mttkrp(tensor, factors, 0, **{name: bad})
 
 
 class TestScatterAddRows:
