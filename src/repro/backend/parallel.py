@@ -103,21 +103,23 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     return threads
 
 
-#: Shared executors keyed by worker count.  Pool threads are started once and
-#: reused across kernel calls (an MTTKRP inside an ALS sweep runs thousands
-#: of times; per-call pool construction would dominate small problems).
+#: Shared executors, one per resolved thread count whatever a call's task
+#: count (a pool starts a worker only when no idle one can take a task).
+#: Pool threads are started once and reused across kernel calls (an MTTKRP
+#: inside an ALS sweep runs thousands of times; per-call pool construction
+#: would dominate small problems).
 _EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
 _EXECUTORS_LOCK = threading.Lock()
 
 
-def _executor(workers: int) -> ThreadPoolExecutor:
+def _executor(threads: int) -> ThreadPoolExecutor:
     with _EXECUTORS_LOCK:
-        pool = _EXECUTORS.get(workers)
+        pool = _EXECUTORS.get(threads)
         if pool is None:
             pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"repro-chunk-{workers}"
+                max_workers=threads, thread_name_prefix=f"repro-chunk-{threads}"
             )
-            _EXECUTORS[workers] = pool
+            _EXECUTORS[threads] = pool
         return pool
 
 
@@ -137,8 +139,7 @@ def parallel_map(
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    workers = min(threads, len(items))
-    futures = [_executor(workers).submit(fn, item) for item in items]
+    futures = [_executor(threads).submit(fn, item) for item in items]
     results: List[R] = []
     first_error: Optional[BaseException] = None
     for future in futures:

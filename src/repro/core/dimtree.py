@@ -42,6 +42,12 @@ cost equals the counted ledger exactly — the tests assert ``==``, not
 * the same step moves ``T`` (or ``T R`` once the rank axis exists) words of
   input partial, ``I_k R`` words of factor, and ``(T / I_k) R`` words of
   output.
+
+:class:`DimensionTreeKernel` runs the tree as the sweep kernel ``"dimtree"``:
+it builds the tree on a run's tensor, marks the sweeps and restores a
+checkpoint lazily.  The fused sampled kernel of
+:mod:`repro.core.sampled_dimtree` is a subclass that keeps that lifecycle
+and replaces only the step.
 """
 
 from __future__ import annotations
@@ -746,6 +752,13 @@ class DimensionTreeKernel(SweepKernel):
     With ``cache=False`` the kernel degenerates to ``N`` independent
     per-mode contraction chains with identical counting — the measured
     baseline the benchmarks compare the tree against.
+
+    The fused sampled kernel
+    (:class:`~repro.core.sampled_dimtree.SampledDimtreeKernel`) is a
+    subclass: it keeps the tree lifecycle defined here — the (re)build on a
+    new tensor, the sweep marks, the lazy checkpoint restore — and extends
+    :meth:`counters`, :meth:`_reset_run_state` and :meth:`_apply_pending`
+    with its own state.
     """
 
     def __init__(
@@ -765,9 +778,7 @@ class DimensionTreeKernel(SweepKernel):
         self._pending_state: Optional[dict] = None
 
     def begin_sweep(self, iteration: int) -> None:
-        self._sweep_marks.append(
-            self.tree.counters() if self.tree is not None else SweepCost()
-        )
+        self._sweep_marks.append(self.counters())
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
         if self.tree is not None:
@@ -794,29 +805,41 @@ class DimensionTreeKernel(SweepKernel):
         self.tree.invalidate_all()
         return True
 
+    def _bind(self, data: np.ndarray, factors: Sequence[Optional[np.ndarray]]) -> None:
+        """Build the tree on ``data`` unless bound to it; apply a stashed snapshot."""
+        if self.tree is not None and self.tree.tensor is data:
+            return
+        self.tree = DimensionTree(
+            data,
+            split=self._split,
+            cache=self._cache,
+            invalidation=self._invalidation,
+            residual_tol=self._residual_tol,
+        )
+        self._reset_run_state()
+        # A rebuild starts a fresh counter stream: marks taken against the
+        # previous tree's totals would otherwise make per-sweep deltas
+        # negative.  Re-open the sweep the driver already announced at
+        # zero; earlier runs' sweeps are dropped.
+        self._sweep_marks = [self.counters()] if self._sweep_marks else []
+        if self._pending_state is not None:
+            self._apply_pending(factors)
+            self._pending_state = None
+            # The resumed sweep opens at the restored totals, not zero.
+            if self._sweep_marks:
+                self._sweep_marks[-1] = self.counters()
+
+    def _reset_run_state(self) -> None:
+        """Restart whatever a subclass keeps beside the tree (a new tree, a new run)."""
+
+    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
+        """Adopt the stashed snapshot into the freshly built tree."""
+        self.tree.restore_state(self._pending_state["tree"], factors)
+
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> np.ndarray:
-        data = as_ndarray(tensor)
-        if self.tree is None or self.tree.tensor is not data:
-            self.tree = DimensionTree(
-                data,
-                split=self._split,
-                cache=self._cache,
-                invalidation=self._invalidation,
-                residual_tol=self._residual_tol,
-            )
-            # A rebuild starts a fresh counter stream: marks taken against the
-            # previous tree's totals would otherwise make per-sweep deltas
-            # negative.  Re-open the sweep the driver already announced at
-            # zero; earlier runs' sweeps are dropped.
-            self._sweep_marks = [SweepCost()] if self._sweep_marks else []
-            if self._pending_state is not None:
-                self.tree.restore_state(self._pending_state["tree"], factors)
-                self._pending_state = None
-                # The resumed sweep opens at the restored totals, not zero.
-                if self._sweep_marks:
-                    self._sweep_marks[-1] = self.tree.counters()
+        self._bind(as_ndarray(tensor), factors)
         return self.tree.mttkrp(factors, mode)
 
     def counters(self) -> SweepCost:

@@ -104,12 +104,6 @@ def _contraction_path(key, spec: str, operands) -> list:
     return path
 
 
-#: Shared rank-inference helper (one error type and message package-wide);
-#: re-exported here under the historical private name for call sites that
-#: imported it from this module.
-_infer_rank = infer_rank
-
-
 def _einsum_spec(ndim: int, mode: int) -> str:
     """Einsum specification string for an ``ndim``-way MTTKRP in mode ``mode``.
 
@@ -158,7 +152,7 @@ def _checked_operands(tensor, factors, mode):
     if data.ndim > MAX_MODES:
         raise ValueError(f"mttkrp supports at most {MAX_MODES} modes, got {data.ndim}")
     mode = check_mode(mode, data.ndim)
-    rank = _infer_rank(factors, mode)
+    rank = infer_rank(factors, mode)
     check_factor_matrices(factors, data.shape, rank, skip_mode=mode)
     return data, mode, rank
 

@@ -37,6 +37,13 @@ tensor, same generator consumption — fits are bitwise those of the
 ``"sampled"`` / ``"sampled-tree"`` registry kernels under the same seed),
 which doubles as the counted baseline the fused frontier compares against.
 
+The kernel extends the code it builds on rather than copying it:
+:class:`SampledDimtreeKernel` subclasses
+:class:`~repro.core.dimtree.DimensionTreeKernel` and keeps its tree
+lifecycle, :class:`FusedSamplerCache` hands its cached per-factor state to
+the one draw path of :mod:`repro.sketch.sampling`, and the fibers come from
+the sequential sampled kernel's gather.
+
 Everything is counted as it executes (tree contractions via the
 ``DimensionTree`` ledger; sampler builds, descents, and estimator work via
 the conventions documented on :class:`FusedSweepCost`), and
@@ -53,12 +60,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dimtree import DimensionTree, FactorGate, ModeSplit
-from repro.core.sweep_kernel import SweepKernel
+from repro.core.dimtree import DimensionTreeKernel, ModeSplit
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, annotate, inc as observe_inc
 from repro.tensor.dense import as_ndarray
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, infer_rank
 
 #: Distributions the fused sampler cache can serve (a subset of
 #: :data:`repro.sketch.sampling.DISTRIBUTIONS`: the joint-materializing
@@ -333,7 +339,7 @@ class FusedSamplerCache:
         rebuild from the *current* factor (counted).  Probabilities come from
         the same cached snapshot the indices were drawn from.
         """
-        from repro.sketch.sampling import SampleSet
+        from repro.sketch.sampling import _draw_sample_set
 
         free_modes = tuple(int(k) for k in free_modes)
         if not free_modes:
@@ -343,68 +349,28 @@ class FusedSamplerCache:
             self._refresh(k, factors[k], version)
         snapshots = [self._cache[k][1] for k in free_modes]
         dims = tuple(int(s.shape[0]) for s in snapshots)
-        rank = int(snapshots[0].shape[1])
-
+        # The cached per-factor states: leverage distributions or segment trees.
+        state = [self._cache[k][2] for k in free_modes]
         if self.distribution == "tree-leverage":
             from repro.sketch.treesample import KRPTreeSampler
 
-            sampler = KRPTreeSampler(
-                snapshots + [None],
-                len(free_modes),
-                trees=[self._cache[k][2] for k in free_modes],
-            )
-            drawn = sampler.draw_indices(n_draws, rng)
-            flops, words = tree_draw_cost(dims, rank, n_draws)
+            state = KRPTreeSampler(snapshots + [None], len(free_modes), trees=state)
+            flops, words = tree_draw_cost(dims, state.rank, n_draws)
             self.draw_flops += flops
             self.draw_words += words
             add_cost(flops=flops, words=words)
-        elif self.distribution == "product-leverage":
-            per_mode = [self._cache[k][2] for k in free_modes]
-            drawn = np.stack(
-                [rng.choice(dim, size=n_draws, p=p) for dim, p in zip(dims, per_mode)],
-                axis=1,
-            )
-        else:  # uniform
-            drawn = np.stack(
-                [rng.integers(0, dim, size=n_draws) for dim in dims], axis=1
-            )
-
-        keys = np.ravel_multi_index(
-            tuple(drawn[:, t] for t in range(len(free_modes))), dims, order="F"
-        )
-        unique_keys, counts = np.unique(keys, return_counts=True)
-        observe_inc("sampler.draws", n_draws)
-        observe_inc("sampler.distinct", int(unique_keys.shape[0]))
-        indices = np.stack(
-            np.unravel_index(unique_keys, dims, order="F"), axis=1
-        ).astype(np.int64)
-
-        if self.distribution == "tree-leverage":
-            probabilities = sampler.row_probabilities(indices)
-        elif self.distribution == "product-leverage":
-            probabilities = np.ones(unique_keys.shape[0])
-            for t, p in enumerate(per_mode):
-                probabilities = probabilities * p[indices[:, t]]
-        else:
-            total = 1
-            for dim in dims:
-                total *= dim
-            probabilities = np.full(unique_keys.shape[0], 1.0 / total)
-
-        return SampleSet(
-            mode=mode,
-            modes=free_modes,
-            dims=dims,
-            n_draws=n_draws,
-            indices=indices,
-            counts=counts.astype(np.int64),
-            probabilities=probabilities,
-            distribution=self.distribution,
-        )
+        return _draw_sample_set(self.distribution, state, mode, free_modes, dims, n_draws, rng)
 
 
-class SampledDimtreeKernel(SweepKernel):
+class SampledDimtreeKernel(DimensionTreeKernel):
     """Sweep-aware fused sampled MTTKRP kernel (registry name ``"sampled-dimtree"``).
+
+    A :class:`~repro.core.dimtree.DimensionTreeKernel` whose step samples the
+    leaf-parent partial instead of contracting it.  The exact kernel's tree
+    lifecycle is inherited: the (re)build on a new tensor, the re-opened
+    sweep mark, the lazy checkpoint restore, :meth:`factor_updated` and
+    :meth:`per_sweep_costs`.  This class adds the RNG, the sampler cache,
+    the draw log and the sampling counters.
 
     Parameters
     ----------
@@ -420,7 +386,8 @@ class SampledDimtreeKernel(SweepKernel):
         (draws included) reproducible, and the distributed kernel under the
         same seed takes bitwise-identical draws.
     split:
-        Tree split rule, forwarded to the :class:`DimensionTree`.
+        Tree split rule, forwarded to the
+        :class:`~repro.core.dimtree.DimensionTree`.
     cache:
         ``False`` degenerates to the plain per-call sampled kernel on the raw
         tensor — under the same seed its generator consumption, draws, and
@@ -454,57 +421,40 @@ class SampledDimtreeKernel(SweepKernel):
             )
         if n_samples is not None:
             n_samples = check_positive_int(n_samples, "n_samples")
+        rng = _as_generator(seed)
+        super().__init__(
+            split=split, cache=cache, invalidation=invalidation, residual_tol=residual_tol
+        )
         self._n_samples = n_samples
         self._distribution = distribution
-        self._rng = _as_generator(seed)
-        self._split = split
-        self._cache = bool(cache)
-        self._invalidation = invalidation
-        self._residual_tol = float(residual_tol)
-        self.tree: Optional[DimensionTree] = None
-        self.samplers = FusedSamplerCache(distribution)
+        self._rng = rng
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        self.samplers = FusedSamplerCache(self._distribution)
         self.draw_log: List[FusedDrawRecord] = []
-        self._sweep_marks: List[FusedSweepCost] = []
         self.eval_flops = 0
         self.eval_words = 0
         self.total_draws = 0
         self.total_distinct = 0
-        self._pending_state: Optional[dict] = None
 
-    # -- sweep protocol ------------------------------------------------------
-    def begin_sweep(self, iteration: int) -> None:
-        self._sweep_marks.append(self.counters())
-
-    def factor_updated(self, mode: int, factor: np.ndarray) -> None:
-        if self.tree is not None:
-            self.tree.update_factor(mode, factor)
-
-    # -- checkpoint/restore ---------------------------------------------------
-    def capture_state(self) -> Optional[dict]:
+    # -- checkpoint/restore: the RNG, sampler cache and draw log on top -------
+    def capture_state(self) -> dict:
         """RNG bit-stream position + tree/sampler caches + counters."""
-        return {
-            "kind": "sampled-dimtree",
-            "rng": copy.deepcopy(self._rng.bit_generator.state),
-            "samplers": self.samplers.capture_state(),
-            "draw_log": list(self.draw_log),
-            "eval": (
-                self.eval_flops,
-                self.eval_words,
-                self.total_draws,
-                self.total_distinct,
-            ),
-            "tree": self.tree.capture_state() if self.tree is not None else None,
-        }
+        state = super().capture_state() or {"tree": None}
+        state.update(
+            kind="sampled-dimtree",
+            rng=copy.deepcopy(self._rng.bit_generator.state),
+            samplers=self.samplers.capture_state(),
+            draw_log=list(self.draw_log),
+            eval=(self.eval_flops, self.eval_words, self.total_draws, self.total_distinct),
+        )
+        return state
 
-    def _apply_counters(self, state: dict) -> None:
+    def _restore_sampling(self, state: dict) -> None:
         self.samplers.restore_state(state["samplers"])
         self.draw_log = list(state["draw_log"])
-        (
-            self.eval_flops,
-            self.eval_words,
-            self.total_draws,
-            self.total_distinct,
-        ) = state["eval"]
+        self.eval_flops, self.eval_words, self.total_draws, self.total_distinct = state["eval"]
 
     def restore_state(self, state: Optional[dict]) -> None:
         """Adopt a snapshot now (RNG) and lazily (tree caches, next mttkrp).
@@ -520,15 +470,17 @@ class SampledDimtreeKernel(SweepKernel):
             return
         self._rng.bit_generator.state = copy.deepcopy(state["rng"])
         if state["tree"] is None:
-            self._apply_counters(state)
+            self._restore_sampling(state)
         else:
             self._pending_state = state
 
+    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
+        super()._apply_pending(factors)
+        self._restore_sampling(self._pending_state)
+
     def invalidate_caches(self) -> bool:
-        invalidated = self.samplers.invalidate_all()
-        if self.tree is not None:
-            self.tree.invalidate_all()
-            invalidated = True
+        sampled = self.samplers.invalidate_all()
+        invalidated = super().invalidate_caches() or sampled
         if invalidated:
             observe_inc("recovery.sampler_invalidate")
         return invalidated
@@ -536,12 +488,12 @@ class SampledDimtreeKernel(SweepKernel):
     # -- counters ------------------------------------------------------------
     def counters(self) -> FusedSweepCost:
         """Running totals of every counted cost component."""
-        tree = self.tree.counters() if self.tree is not None else None
+        tree = super().counters()
         return FusedSweepCost(
-            contractions=tree.contractions if tree else 0,
-            tree_flops=tree.flops if tree else 0,
-            tree_words=tree.words if tree else 0,
-            root_reads=tree.root_reads if tree else 0,
+            contractions=tree.contractions,
+            tree_flops=tree.flops,
+            tree_words=tree.words,
+            root_reads=tree.root_reads,
             build_flops=self.samplers.build_flops,
             build_words=self.samplers.build_words,
             draw_flops=self.samplers.draw_flops,
@@ -552,13 +504,6 @@ class SampledDimtreeKernel(SweepKernel):
             distinct_rows=self.total_distinct,
         )
 
-    def per_sweep_costs(self) -> List[FusedSweepCost]:
-        """Counted cost of each completed sweep (driver must call the hooks)."""
-        if not self._sweep_marks:
-            return []
-        marks = self._sweep_marks + [self.counters()]
-        return [later - earlier for earlier, later in zip(marks, marks[1:])]
-
     # -- the kernel ----------------------------------------------------------
     def _default_draws(self, rank: int) -> int:
         from repro.sketch.sampled_mttkrp import default_sample_count
@@ -567,17 +512,34 @@ class SampledDimtreeKernel(SweepKernel):
             default_sample_count(rank) if self._n_samples is None else self._n_samples
         )
 
+    def _record(
+        self,
+        mode: int,
+        free: Tuple[int, ...],
+        n_draws: int,
+        distinct: int,
+        rank: int,
+        out_extent: int,
+        *,
+        has_rank: bool,
+    ) -> None:
+        """Count one call's estimator and log its draw."""
+        flops, words = estimator_cost(out_extent, rank, len(free), distinct, has_rank=has_rank)
+        self.eval_flops += flops
+        self.eval_words += words
+        add_cost(flops=flops, words=words)
+        self.draw_log.append(
+            FusedDrawRecord(mode=mode, free_modes=free, n_draws=n_draws, n_distinct=distinct)
+        )
+        self.total_draws += n_draws
+        self.total_distinct += distinct
+        annotate(mode=mode, n_draws=n_draws, distinct_rows=distinct)
+
     def _degenerate_mttkrp(self, data, factors, mode: int) -> np.ndarray:
         """The ``cache=False`` path: the plain per-call sampled kernel, counted."""
         from repro.sketch.sampled_mttkrp import sampled_mttkrp
 
-        rank = None
-        for k, f in enumerate(factors):
-            if k != mode and f is not None:
-                rank = int(np.asarray(f).shape[1])
-                break
-        if rank is None:
-            raise ParameterError("at least one input factor matrix is required")
+        rank = infer_rank(factors, mode)
         n_draws = self._default_draws(rank)
         report = sampled_mttkrp(
             data,
@@ -609,61 +571,20 @@ class SampledDimtreeKernel(SweepKernel):
             self.samplers.draw_flops += flops
             self.samplers.draw_words += words
             add_cost(flops=flops, words=words)
-        self._count_eval(
-            data.shape[mode], rank, len(free), report.distinct_rows, has_rank=False
+        self._record(
+            mode, free, n_draws, report.distinct_rows, rank, data.shape[mode], has_rank=False
         )
-        self.draw_log.append(
-            FusedDrawRecord(
-                mode=mode,
-                free_modes=free,
-                n_draws=n_draws,
-                n_distinct=report.distinct_rows,
-            )
-        )
-        self.total_draws += n_draws
-        self.total_distinct += report.distinct_rows
-        annotate(mode=mode, n_draws=n_draws, distinct_rows=report.distinct_rows)
         return report.result
-
-    def _count_eval(
-        self, out_extent: int, rank: int, n_free: int, distinct: int, *, has_rank: bool
-    ) -> None:
-        flops, words = estimator_cost(
-            out_extent, rank, n_free, distinct, has_rank=has_rank
-        )
-        self.eval_flops += flops
-        self.eval_words += words
-        add_cost(flops=flops, words=words)
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> np.ndarray:
+        from repro.sketch.sampled_mttkrp import _gather_fibers_dense, estimator_gemm
+
         data = as_ndarray(tensor)
         if not self._cache:
             return self._degenerate_mttkrp(data, factors, mode)
-        if self.tree is None or self.tree.tensor is not data:
-            self.tree = DimensionTree(
-                data,
-                split=self._split,
-                invalidation=self._invalidation,
-                residual_tol=self._residual_tol,
-            )
-            self.samplers = FusedSamplerCache(self._distribution)
-            self.draw_log = []
-            # Mirror DimensionTreeKernel: a rebuild starts a fresh counter
-            # stream; re-open the already-announced sweep at zero.
-            self._sweep_marks = [FusedSweepCost()] if self._sweep_marks else []
-            self.eval_flops = 0
-            self.eval_words = 0
-            self.total_draws = 0
-            self.total_distinct = 0
-            if self._pending_state is not None:
-                self.tree.restore_state(self._pending_state["tree"], factors)
-                self._apply_counters(self._pending_state)
-                self._pending_state = None
-                # The resumed sweep opens at the restored totals, not zero.
-                if self._sweep_marks:
-                    self._sweep_marks[-1] = self.counters()
+        self._bind(data, factors)
         rank = self.tree.register_factors(factors, mode)
         n_draws = self._default_draws(rank)
 
@@ -681,30 +602,11 @@ class SampledDimtreeKernel(SweepKernel):
             self._rng,
             [self.tree.factor_version(k) for k in free],
         )
-        krp_rows = samples.krp_rows(factors)
-        weighted = krp_rows * samples.weights[:, None]
-
-        axis = modes_p.index(mode)
-        moved = np.moveaxis(data_p, axis, 0)
-        picker = (slice(None),) + tuple(
-            samples.indices[:, t] for t in range(len(free))
+        weighted = samples.krp_rows(factors) * samples.weights[:, None]
+        fibers = _gather_fibers_dense(data_p, modes_p.index(mode), samples)
+        gemm = fused_estimator_gemm if has_rank else estimator_gemm
+        result = gemm(fibers, weighted)
+        self._record(
+            mode, free, n_draws, samples.n_distinct, rank, data.shape[mode], has_rank=has_rank
         )
-        fibers = moved[picker]
-        if has_rank:
-            result = fused_estimator_gemm(fibers, weighted)
-        else:
-            from repro.sketch.sampled_mttkrp import estimator_gemm
-
-            result = estimator_gemm(fibers, weighted)
-
-        distinct = samples.n_distinct
-        self._count_eval(data.shape[mode], rank, len(free), distinct, has_rank=has_rank)
-        self.draw_log.append(
-            FusedDrawRecord(
-                mode=mode, free_modes=free, n_draws=n_draws, n_distinct=distinct
-            )
-        )
-        self.total_draws += n_draws
-        self.total_distinct += distinct
-        annotate(mode=mode, n_draws=n_draws, distinct_rows=distinct)
         return np.ascontiguousarray(result)

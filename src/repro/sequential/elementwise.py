@@ -25,14 +25,7 @@ from repro.sequential.machine import TwoLevelMemory
 from repro.sequential.unblocked import SequentialResult
 from repro.tensor.dense import as_ndarray
 from repro.utils.indexing import iter_block_multi_ranges, iter_multi_indices
-from repro.utils.validation import check_mode, check_positive_int
-
-
-def _infer_rank(factors: Sequence[Optional[np.ndarray]], mode: int) -> int:
-    for k, f in enumerate(factors):
-        if k != mode and f is not None:
-            return int(np.asarray(f).shape[1])
-    raise ValueError("at least one input factor matrix is required")
+from repro.utils.validation import check_mode, check_positive_int, infer_rank
 
 
 def elementwise_unblocked_mttkrp(
@@ -53,7 +46,7 @@ def elementwise_unblocked_mttkrp(
     """
     data = as_ndarray(tensor)
     mode = check_mode(mode, data.ndim)
-    rank = _infer_rank(factors, mode)
+    rank = infer_rank(factors, mode)
     if memory is None:
         memory = TwoLevelMemory()
 
@@ -96,7 +89,7 @@ def elementwise_blocked_mttkrp(
     data = as_ndarray(tensor)
     mode = check_mode(mode, data.ndim)
     block = check_positive_int(block, "block")
-    rank = _infer_rank(factors, mode)
+    rank = infer_rank(factors, mode)
     if memory is None:
         memory = TwoLevelMemory()
 

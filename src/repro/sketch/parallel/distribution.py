@@ -85,13 +85,7 @@ class SampleAssignment:
         ``P_n`` ranks (one per grid coordinate along the output mode), which
         together hold the whole fiber.
         """
-        ranges = self.dist.subtensor_ranges(rank)
-        mask = np.ones(self.samples.n_distinct, dtype=bool)
-        for t, k in enumerate(self.samples.modes):
-            start, stop = ranges[k]
-            column = self.samples.indices[:, t]
-            mask &= (column >= start) & (column < stop)
-        return mask
+        return self.samples.in_block(self.dist.subtensor_ranges(rank))
 
     def owned_count(self, rank: int) -> int:
         """Number of distinct samples owned by ``rank``."""

@@ -22,6 +22,10 @@ The generator-consumption order matches the sequential randomized driver
 exactly (initialisation first, then one draw per kernel call), so under the
 same seed the distributed run sees the same draws and reproduces the
 sequential fits to machine precision.
+
+The sketched run's per-sweep words are counted the way
+:func:`~repro.cp.parallel_als.parallel_cp_als` counts them, by wrapping the
+kernel in that driver's sweep word counter.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.sweep_kernel import PerCallKernel
 from repro.cp.als import CPALSResult, cp_als
+from repro.cp.parallel_als import _SweepWordCounter
 from repro.exceptions import ParameterError
 from repro.parallel.grid_selection import choose_stationary_grid
 from repro.parallel.machine import SimulatedMachine
@@ -178,11 +184,8 @@ def parallel_randomized_cp_als(
     machine = SimulatedMachine(n_procs)
     rng = _as_generator(seed)
 
-    words_per_iteration: List[int] = []
-    sweep_state = {"value": 0, "mttkrps_in_sweep": 0}
-
     def sampled_kernel(local_tensor, factors, mode):
-        result = parallel_sampled_mttkrp(
+        return parallel_sampled_mttkrp(
             local_tensor,
             factors,
             mode,
@@ -192,14 +195,9 @@ def parallel_randomized_cp_als(
             seed=rng,
             machine=machine,
             charge_setup=charge_setup,
-        )
-        sweep_state["mttkrps_in_sweep"] += 1
-        if sweep_state["mttkrps_in_sweep"] % data.ndim == 0:
-            current = machine.max_words_communicated
-            words_per_iteration.append(current - sweep_state["value"])
-            sweep_state["value"] = current
-        return result.assemble()
+        ).assemble()
 
+    words_per_iteration: List[int] = []
     sketched = cp_als(
         data,
         rank,
@@ -207,7 +205,9 @@ def parallel_randomized_cp_als(
         tol=tol,
         init=init,
         seed=rng,
-        kernel=sampled_kernel,
+        kernel=_SweepWordCounter(
+            PerCallKernel(sampled_kernel), machine, data.ndim, words_per_iteration
+        ),
     )
 
     model = sketched.model

@@ -45,11 +45,11 @@ from repro.sketch.parallel.sampled_mttkrp import (
     SETUP_LABEL,
     parallel_sampled_mttkrp,
 )
-from repro.sketch.sampled_mttkrp import _resolve_rank, default_sample_count
+from repro.sketch.sampled_mttkrp import default_sample_count
 from repro.sketch.sampling import SampleSet, SeedLike
 from repro.tensor.dense import as_ndarray
 from repro.tensor.sparse import SparseTensor, sparse_mttkrp
-from repro.utils.validation import check_mode
+from repro.utils.validation import check_mode, infer_rank
 
 
 def predicted_sampled_ledger(
@@ -216,7 +216,7 @@ def reconcile_sampled_mttkrp(
         tensor = as_ndarray(tensor)
     shape = tensor.shape
     mode = check_mode(mode, len(shape))
-    rank = _resolve_rank(factors, mode)
+    rank = infer_rank(factors, mode)
     if n_samples is None:
         n_samples = default_sample_count(rank)
     if grid_dims is None:

@@ -22,7 +22,8 @@ hyperslice, unchanged from Algorithm 3.  It adds two things:
   MTTKRP of :mod:`repro.sketch.parallel.sampled_mttkrp`;
 * **the sampled local step** — one draw from the shared stream per call;
   each rank serves the leaf-parent partial from its tree cache and evaluates
-  exactly the draws whose free-mode indices fall inside its block ranges.
+  exactly the draws whose free-mode indices fall inside its block ranges,
+  gathering their fibers with the sequential sampled kernel's gather.
 
 Under the same seed the shared :class:`~repro.core.sampled_dimtree.FusedSamplerCache`
 walks the same rebuild schedule as the sequential kernel over the same
@@ -48,7 +49,11 @@ from repro.core.sampled_dimtree import (
 from repro.parallel.collectives import all_reduce, bucket_all_reduce_cost
 from repro.parallel.dimtree import DistributedDimtreeKernel, replay_dimtree_ledger
 from repro.parallel.machine import SimulatedMachine
-from repro.sketch.sampled_mttkrp import default_sample_count, estimator_gemm
+from repro.sketch.sampled_mttkrp import (
+    _gather_fibers_dense,
+    default_sample_count,
+    estimator_gemm,
+)
 from repro.sketch.sampling import SeedLike, _as_generator
 from repro.utils.validation import check_positive_int
 
@@ -213,17 +218,10 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
             data_p, modes_p, has_rank = tree.node_value(parent)
 
             ranges = self.dist.subtensor_ranges(r)
-            mask = np.ones(samples.n_distinct, dtype=bool)
-            for t, k in enumerate(free):
-                start, stop = ranges[k]
-                idx = samples.indices[:, t]
-                mask &= (idx >= start) & (idx < stop)
-            moved = np.moveaxis(data_p, modes_p.index(mode), 0)
-            picker = (slice(None),) + tuple(
-                samples.indices[mask, t] - ranges[k][0] for t, k in enumerate(free)
-            )
+            mask = samples.in_block(ranges)
+            fibers = _gather_fibers_dense(data_p, modes_p.index(mode), samples, mask, ranges)
             gemm = fused_estimator_gemm if has_rank else estimator_gemm
-            outputs[r] = np.ascontiguousarray(gemm(moved[picker], weighted[mask]))
+            outputs[r] = np.ascontiguousarray(gemm(fibers, weighted[mask]))
             eval_flops, _ = estimator_cost(
                 outputs[r].shape[0],
                 rank,

@@ -20,11 +20,16 @@ ledger:
    the distinct sampled rows of the block are gathered (bucket cost on the
    sampled blocks), instead of Algorithm 3's full block rows;
 3. *local sampled MTTKRP* — each rank forms the Khatri-Rao rows of the
-   samples its sub-tensor owns, gathers the matching local fiber segments
-   (dense slab or COO nonzeros), and multiplies;
-4. *output Reduce-Scatter* — partial outputs are summed and redistributed
-   within each output-mode hyperslice, leaving the output distributed exactly
-   like Algorithm 3's.
+   samples its sub-tensor owns, gathers the matching local fiber segments,
+   and multiplies.  A dense tensor stays where it is, as Algorithm 3's
+   stationary tensor does: each rank reads its block as a view, so a call
+   copies no block (a COO tensor's nonzeros are split among the ranks).  The
+   fibers come from the sequential kernel's gathers, given the rank's block
+   ranges and the mask of the samples it owns;
+4. *output Reduce-Scatter* — Algorithm 3's Line 7
+   (:func:`~repro.parallel.stationary.reduce_scatter_output`): partial
+   outputs are summed and redistributed within each output-mode hyperslice,
+   leaving the output distributed exactly like Algorithm 3's.
 
 Every per-rank input of the local GEMM (sampled Khatri-Rao rows, estimator
 weights, fiber segments) is bitwise identical to the corresponding slice of
@@ -41,27 +46,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import DistributionError, ParameterError
-from repro.parallel.collectives import all_gather, all_reduce, reduce_scatter
-from repro.parallel.distribution import (
-    DistributedMTTKRPOutput,
-    LocalFactorBlock,
-    StationaryDistribution,
-)
+from repro.parallel.collectives import all_gather, all_reduce
+from repro.parallel.distribution import DistributedMTTKRPOutput, StationaryDistribution
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.machine import SimulatedMachine
+from repro.parallel.stationary import reduce_scatter_output
 from repro.sketch.parallel.distribution import (
     SampleAssignment,
     distribute_sparse_stationary,
 )
 from repro.sketch.sampled_mttkrp import (
-    _resolve_rank,
+    _gather_fibers_dense,
+    _gather_fibers_sparse,
     default_sample_count,
     estimator_gemm,
 )
 from repro.sketch.sampling import SampleSet, SeedLike, draw_krp_samples
 from repro.tensor.dense import as_ndarray
 from repro.tensor.sparse import SparseTensor
-from repro.utils.validation import check_factor_matrices, check_mode
+from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
 
 #: Trace-label prefixes used to separate the ledger into phases.
 SETUP_LABEL = "sketch-setup"
@@ -192,54 +195,6 @@ def charge_sampling_setup(
         )
 
 
-def _gather_local_fibers_dense(
-    block_data: np.ndarray,
-    ranges: Sequence[Tuple[int, int]],
-    mode: int,
-    samples: SampleSet,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """Local fiber segments of the owned samples from a dense sub-tensor block."""
-    moved = np.moveaxis(block_data, mode, 0)
-    picker: List[np.ndarray] = []
-    for t, k in enumerate(samples.modes):
-        start = ranges[k][0]
-        picker.append(samples.indices[mask, t] - start)
-    return moved[(slice(None),) + tuple(picker)]
-
-
-def _gather_local_fibers_sparse(
-    local: SparseTensor,
-    ranges: Sequence[Tuple[int, int]],
-    mode: int,
-    samples: SampleSet,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """Local fiber segments of the owned samples from a rank's COO share.
-
-    Duplicate coordinates accumulate in the rank-local nonzero order, which
-    (because :func:`distribute_sparse_stationary` preserves the global order)
-    matches the sequential kernel's accumulation order cell for cell.
-    """
-    start_n, stop_n = ranges[mode]
-    output = np.zeros((stop_n - start_n, int(np.count_nonzero(mask))))
-    if local.nnz == 0 or output.shape[1] == 0:
-        return output
-    nnz_keys = np.ravel_multi_index(
-        tuple(local.coords[:, k] for k in samples.modes), samples.dims, order="F"
-    )
-    sample_keys = samples.linear_rows()[mask]
-    positions = np.searchsorted(sample_keys, nnz_keys)
-    positions = np.clip(positions, 0, sample_keys.shape[0] - 1)
-    matched = sample_keys[positions] == nnz_keys
-    np.add.at(
-        output,
-        (local.coords[matched, mode] - start_n, positions[matched]),
-        local.values[matched],
-    )
-    return output
-
-
 def parallel_sampled_mttkrp(
     tensor,
     factors: Sequence[Optional[np.ndarray]],
@@ -259,9 +214,10 @@ def parallel_sampled_mttkrp(
     Parameters
     ----------
     tensor:
-        Dense ``N``-way tensor (array-like / ``DenseTensor``) or a
-        :class:`~repro.tensor.sparse.SparseTensor`; held globally only to set
-        up the distribution, as in :func:`repro.parallel.stationary_mttkrp`.
+        Dense ``N``-way tensor (array-like / ``DenseTensor``), whose blocks
+        the ranks read in place, or a
+        :class:`~repro.tensor.sparse.SparseTensor`, whose nonzeros are split
+        among the ranks.
     factors:
         One factor matrix per mode; entry for ``mode`` ignored.
     mode:
@@ -301,7 +257,7 @@ def parallel_sampled_mttkrp(
         data = as_ndarray(tensor)
         shape, ndim = data.shape, data.ndim
     mode = check_mode(mode, ndim)
-    rank = _resolve_rank(factors, mode)
+    rank = infer_rank(factors, mode)
     check_factor_matrices(factors, shape, rank, skip_mode=mode)
 
     grid = ProcessorGrid(grid_dims)
@@ -335,13 +291,9 @@ def parallel_sampled_mttkrp(
     if charge_setup:
         charge_sampling_setup(machine, dist, factors, samples.distribution)
 
-    # -- Scatter the tensor (one copy overall; never communicated afterwards).
-    if is_sparse:
-        sparse_blocks = distribute_sparse_stationary(dist, tensor)
-        dense_blocks = None
-    else:
-        dense_blocks = dist.distribute_tensor(data)
-        sparse_blocks = None
+    # A COO tensor's nonzeros go to the ranks owning their coordinates; a
+    # dense tensor stays put, each rank reading its block in place below.
+    sparse_blocks = distribute_sparse_stationary(dist, tensor) if is_sparse else None
 
     # -- Phase 2: All-Gather only the sampled factor rows within each hyperslice.
     gathered: Dict[int, List[Optional[Tuple[np.ndarray, np.ndarray]]]] = {
@@ -383,15 +335,12 @@ def parallel_sampled_mttkrp(
             raise ParameterError("sampled MTTKRP requires at least two modes")
         weighted = krp * weights[mask][:, None]
         if is_sparse:
-            fibers = _gather_local_fibers_sparse(
-                sparse_blocks[r], ranges, mode, samples, mask
-            )
+            fibers = _gather_fibers_sparse(sparse_blocks[r], mode, samples, mask, ranges)
             tensor_words = sparse_blocks[r].nnz * (ndim + 1)
         else:
-            fibers = _gather_local_fibers_dense(
-                dense_blocks[r].data, ranges, mode, samples, mask
-            )
-            tensor_words = int(dense_blocks[r].data.size)
+            block = data[tuple(slice(start, stop) for start, stop in ranges)]
+            fibers = _gather_fibers_dense(block, mode, samples, mask, ranges)
+            tensor_words = int(block.size)
         partial = np.ascontiguousarray(estimator_gemm(fibers, weighted))
         local_outputs[r] = partial
         owned = int(np.count_nonzero(mask))
@@ -408,24 +357,11 @@ def parallel_sampled_mttkrp(
                 storage += int(entry[1].size)
         machine.charge_storage(r, storage)
 
-    # -- Phase 4: Reduce-Scatter within each output-mode hyperslice.
-    output = DistributedMTTKRPOutput(shape=(shape[mode], rank))
-    for pn in range(grid.dims[mode]):
-        group = grid.slice_group({mode: pn})
-        contributions = {r: local_outputs[r] for r in group}
-        scattered = reduce_scatter(
-            machine,
-            group,
-            contributions,
-            axis=0,
-            label=f"{OUTPUT_LABEL} B p_{mode}={pn}",
-        )
-        for r in group:
-            output.pieces[r] = LocalFactorBlock(
-                rows=dist.factor_local_rows(mode, r),
-                cols=np.arange(rank),
-                data=scattered[r],
-            )
+    # -- Phase 4: Reduce-Scatter within each output-mode hyperslice (Line 7
+    #    of Algorithm 3).
+    output = reduce_scatter_output(
+        machine, dist, local_outputs, mode, lambda pn: f"{OUTPUT_LABEL} B p_{mode}={pn}"
+    )
 
     return ParallelSampledMTTKRPResult(
         output=output,

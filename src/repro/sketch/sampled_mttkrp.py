@@ -18,12 +18,19 @@ which assume every entry of the iteration space is touched.
 :func:`make_sampled_kernel` wraps the estimator in a closure conforming to the
 :data:`repro.cp.als.MTTKRPKernel` signature, resampling on every call, so the
 existing CP-ALS driver can run sketched (``kernel="sampled"``).
+
+The fiber gathers, :func:`_gather_fibers_dense` and
+:func:`_gather_fibers_sparse`, serve every sampled kernel: this one on the
+whole tensor, the fused kernel of :mod:`repro.core.sampled_dimtree` on a
+dimension-tree partial, and the distributed kernels of
+:mod:`repro.sketch.parallel` on each rank's block, which they name by its
+index ranges together with a mask of the samples the rank owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +38,7 @@ from repro.exceptions import ParameterError
 from repro.sketch.sampling import SampleSet, SeedLike, _as_generator, draw_krp_samples
 from repro.tensor.dense import as_ndarray
 from repro.tensor.sparse import SparseTensor
-from repro.utils.validation import check_factor_matrices, check_mode
+from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
 
 
 @dataclass(frozen=True)
@@ -73,13 +80,6 @@ def default_sample_count(rank: int) -> int:
     return 128 * int(rank)
 
 
-def _resolve_rank(factors: Sequence[Optional[np.ndarray]], mode: int) -> int:
-    for k, f in enumerate(factors):
-        if k != mode and f is not None:
-            return int(np.asarray(f).shape[1])
-    raise ParameterError("at least one input factor matrix is required")
-
-
 def estimator_gemm(fibers: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     """The sampled-estimator product ``fibers @ weighted``, row-deterministically.
 
@@ -93,22 +93,53 @@ def estimator_gemm(fibers: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     return np.einsum("iu,ur->ir", fibers, weighted)
 
 
-def _gather_fibers_dense(data: np.ndarray, mode: int, samples: SampleSet) -> np.ndarray:
-    """Columns of the mode-``mode`` unfolding at the sampled rows (``I_mode x U``)."""
-    moved = np.moveaxis(data, mode, 0)
-    picker = (slice(None),) + tuple(samples.indices[:, t] for t in range(len(samples.modes)))
-    return moved[picker]
+def _gather_fibers_dense(
+    data: np.ndarray,
+    axis: int,
+    samples: SampleSet,
+    mask: Optional[np.ndarray] = None,
+    ranges: Optional[Sequence[Tuple[int, int]]] = None,
+) -> np.ndarray:
+    """Fibers of ``data`` at the sampled rows (``I x U``, or ``I x U x R``).
+
+    ``data`` holds the output mode at ``axis`` and the sampled modes, in
+    order, on its other leading axes: the tensor itself, or a dimension-tree
+    partial with a trailing rank axis.  ``mask`` keeps only the masked
+    samples.  ``ranges`` (every tensor mode's global ``(start, stop)``) says
+    ``data`` is the block at those ranges, so sample indices are taken
+    relative to each block's start.
+    """
+    moved = np.moveaxis(data, axis, 0)
+    indices = samples.indices if mask is None else samples.indices[mask]
+    picker = tuple(
+        indices[:, t] if ranges is None else indices[:, t] - ranges[k][0]
+        for t, k in enumerate(samples.modes)
+    )
+    return moved[(slice(None),) + picker]
 
 
-def _gather_fibers_sparse(tensor: SparseTensor, mode: int, samples: SampleSet) -> np.ndarray:
-    """Sparse analogue of :func:`_gather_fibers_dense` (duplicates are summed)."""
-    output = np.zeros((tensor.shape[mode], samples.n_distinct))
-    if tensor.nnz == 0 or samples.n_distinct == 0:
+def _gather_fibers_sparse(
+    tensor: SparseTensor,
+    mode: int,
+    samples: SampleSet,
+    mask: Optional[np.ndarray] = None,
+    ranges: Optional[Sequence[Tuple[int, int]]] = None,
+) -> np.ndarray:
+    """Sparse analogue of :func:`_gather_fibers_dense` (duplicates are summed).
+
+    With ``ranges`` the tensor is one block's share of the nonzeros, at
+    global coordinates, and the output holds that block's rows of ``mode``.
+    Duplicate coordinates accumulate in nonzero order, so a share that keeps
+    the global order gathers each cell bitwise as the whole tensor does.
+    """
+    start, stop = (0, tensor.shape[mode]) if ranges is None else ranges[mode]
+    sample_keys = samples.linear_rows() if mask is None else samples.linear_rows()[mask]
+    output = np.zeros((stop - start, sample_keys.shape[0]))
+    if tensor.nnz == 0 or sample_keys.shape[0] == 0:
         return output
     nnz_keys = np.ravel_multi_index(
         tuple(tensor.coords[:, k] for k in samples.modes), samples.dims, order="F"
     )
-    sample_keys = samples.linear_rows()
     order = np.argsort(sample_keys)
     sorted_keys = sample_keys[order]
     positions = np.searchsorted(sorted_keys, nnz_keys)
@@ -116,7 +147,7 @@ def _gather_fibers_sparse(tensor: SparseTensor, mode: int, samples: SampleSet) -
     matched = sorted_keys[positions] == nnz_keys
     np.add.at(
         output,
-        (tensor.coords[matched, mode], order[positions[matched]]),
+        (tensor.coords[matched, mode] - start, order[positions[matched]]),
         tensor.values[matched],
     )
     return output
@@ -166,7 +197,7 @@ def sampled_mttkrp(
         data = as_ndarray(tensor)
         shape, ndim = data.shape, data.ndim
     mode = check_mode(mode, ndim)
-    rank = _resolve_rank(factors, mode)
+    rank = infer_rank(factors, mode)
     check_factor_matrices(factors, shape, rank, skip_mode=mode)
 
     if samples is None:

@@ -29,6 +29,13 @@ Khatri-Rao product materialized, tensor fibers gathered, words moved) scales
 with the number of distinct rows, not the number of draws.  On coherent
 problems — exactly the ones leverage sampling is designed for — the
 distinction is dramatic.
+
+Every draw goes through one path, :func:`_draw_sample_set`, which draws,
+de-duplicates and assembles the :class:`SampleSet` from a prepared
+distribution state.  :func:`draw_krp_samples` prepares that state from the
+factors on every call; the fused kernel's
+:class:`~repro.core.sampled_dimtree.FusedSamplerCache` passes the state it
+keeps across mode updates.
 """
 
 from __future__ import annotations
@@ -228,6 +235,19 @@ class SampleSet:
             tuple(self.indices[:, t] for t in range(len(self.modes))), self.dims, order="F"
         )
 
+    def in_block(self, ranges: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Mask of the distinct rows whose every index lies in ``ranges``.
+
+        ``ranges`` holds every tensor mode's global ``(start, stop)``, as a
+        block of a distributed tensor does; only the sampled modes are read.
+        """
+        mask = np.ones(self.n_distinct, dtype=bool)
+        for t, k in enumerate(self.modes):
+            start, stop = ranges[k]
+            column = self.indices[:, t]
+            mask &= (column >= start) & (column < stop)
+        return mask
+
     def krp_rows(self, factors: Sequence[Optional[np.ndarray]]) -> np.ndarray:
         """Materialize the distinct sampled Khatri-Rao rows (``U x R``)."""
         result: Optional[np.ndarray] = None
@@ -275,30 +295,59 @@ def draw_krp_samples(
     if not modes:
         raise ParameterError("sampling requires a tensor with at least two modes")
     dims = tuple(int(np.asarray(factors[k]).shape[0]) for k in modes)
-    total = 1
-    for dim in dims:
-        total *= dim
 
     if distribution == "uniform":
-        drawn = np.stack([rng.integers(0, dim, size=n_draws) for dim in dims], axis=1)
+        state = None
     elif distribution == "leverage":
-        joint = krp_row_distribution(factors, mode, "leverage")
-        linear = rng.choice(total, size=n_draws, p=joint)
-        drawn = np.stack(np.unravel_index(linear, dims, order="F"), axis=1)
+        state = krp_row_distribution(factors, mode, "leverage")
     elif distribution == "product-leverage":
-        per_mode = [factor_leverage_distribution(np.asarray(factors[k])) for k in modes]
-        drawn = np.stack(
-            [rng.choice(dim, size=n_draws, p=p) for dim, p in zip(dims, per_mode)], axis=1
-        )
+        state = [factor_leverage_distribution(np.asarray(factors[k])) for k in modes]
     elif distribution == "tree-leverage":
         from repro.sketch.treesample import KRPTreeSampler
 
-        tree_sampler = KRPTreeSampler(factors, mode)
-        drawn = tree_sampler.draw_indices(n_draws, rng)
+        state = KRPTreeSampler(factors, mode)
     else:
         raise ParameterError(
             f"unknown sampling distribution {distribution!r}; use one of {DISTRIBUTIONS}"
         )
+    return _draw_sample_set(distribution, state, mode, modes, dims, n_draws, rng)
+
+
+def _draw_sample_set(
+    distribution: str,
+    state,
+    mode: int,
+    modes: Tuple[int, ...],
+    dims: Tuple[int, ...],
+    n_draws: int,
+    rng: np.random.Generator,
+) -> SampleSet:
+    """Draw ``n_draws`` rows from a prepared distribution; aggregate the distinct ones.
+
+    The one draw path of :func:`draw_krp_samples` and of the fused kernel's
+    :class:`~repro.core.sampled_dimtree.FusedSamplerCache`: the per-mode
+    draws, the de-duplication, the probabilities of the distinct rows and
+    the :class:`SampleSet`.  Each caller prepares ``state`` for the rows of
+    the Khatri-Rao product over ``modes`` (extents ``dims``): the joint
+    length-``J`` vector for ``"leverage"``, the per-mode row distributions
+    for ``"product-leverage"`` and a
+    :class:`~repro.sketch.treesample.KRPTreeSampler` for ``"tree-leverage"``;
+    ``"uniform"`` reads no state.
+    """
+    total = 1
+    for dim in dims:
+        total *= dim
+    if distribution == "uniform":
+        drawn = np.stack([rng.integers(0, dim, size=n_draws) for dim in dims], axis=1)
+    elif distribution == "leverage":
+        linear = rng.choice(total, size=n_draws, p=state)
+        drawn = np.stack(np.unravel_index(linear, dims, order="F"), axis=1)
+    elif distribution == "product-leverage":
+        drawn = np.stack(
+            [rng.choice(dim, size=n_draws, p=p) for dim, p in zip(dims, state)], axis=1
+        )
+    else:
+        drawn = state.draw_indices(n_draws, rng)
 
     keys = np.ravel_multi_index(tuple(drawn[:, t] for t in range(len(modes))), dims, order="F")
     unique_keys, counts = np.unique(keys, return_counts=True)
@@ -309,12 +358,12 @@ def draw_krp_samples(
     if distribution == "uniform":
         probabilities = np.full(unique_keys.shape[0], 1.0 / total)
     elif distribution == "leverage":
-        probabilities = joint[unique_keys]
+        probabilities = state[unique_keys]
     elif distribution == "tree-leverage":
-        probabilities = tree_sampler.row_probabilities(indices)
+        probabilities = state.row_probabilities(indices)
     else:
         probabilities = np.ones(unique_keys.shape[0])
-        for t, p in enumerate(per_mode):
+        for t, p in enumerate(state):
             probabilities = probabilities * p[indices[:, t]]
 
     return SampleSet(

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.backend import parallel as backend_parallel
 from repro.backend.parallel import (
     MAX_THREADS,
     THREADS_ENV_VAR,
@@ -142,3 +143,15 @@ class TestParallelMap:
 
     def test_accepts_range_and_generators(self):
         assert parallel_map(lambda i: -i, (i for i in range(3)), threads=2) == [0, -1, -2]
+
+    def test_one_pool_per_thread_count(self, monkeypatch):
+        """Calls with fewer tasks than threads reuse the thread count's pool."""
+        monkeypatch.setattr(backend_parallel, "_EXECUTORS", {})
+        try:
+            for n_items in (2, 3, 4):
+                results = parallel_map(lambda i: i * i, range(n_items), threads=4)
+                assert results == [i * i for i in range(n_items)]
+            assert len(backend_parallel._EXECUTORS) <= 1
+        finally:
+            for pool in backend_parallel._EXECUTORS.values():
+                pool.shutdown(wait=True)

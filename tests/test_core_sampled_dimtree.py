@@ -18,6 +18,7 @@ from repro.costmodel.fused_model import (
 from repro.cp.als import KERNEL_NAMES, cp_als
 from repro.exceptions import ParameterError
 from repro.sketch.parallel.sampled_dimtree import DistributedSampledDimtreeKernel
+from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.random import noisy_low_rank_tensor, random_factors, random_tensor
 
 
@@ -279,6 +280,45 @@ class TestSamplerCacheSharing:
             assert sweep.tree_flops == 0
             assert sweep.build_flops == 0
         assert kernel.tree.skipped_invalidations > 0
+
+    @pytest.mark.parametrize("distribution", ["uniform", "product-leverage"])
+    def test_cache_draws_like_a_fresh_draw(self, distribution):
+        """The cache and ``draw_krp_samples`` share one draw path.
+
+        For these distributions the cached per-factor state is what a fresh
+        draw prepares, so the same stream gives bitwise the same sample set.
+        """
+        factors = random_factors((7, 8, 9), 3, seed=4)
+        cached = FusedSamplerCache(distribution).draw(
+            factors, (1, 2), 0, 50, np.random.default_rng(6), [0, 0]
+        )
+        fresh = draw_krp_samples(
+            factors, 0, 50, distribution=distribution, seed=np.random.default_rng(6)
+        )
+        for name in ("mode", "modes", "dims", "n_draws", "distribution"):
+            assert getattr(cached, name) == getattr(fresh, name)
+        for name in ("indices", "counts", "probabilities"):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+
+    def test_rebind_restarts_what_is_counted_beside_the_tree(self):
+        """A new tensor rebuilds the tree, as in ``DimensionTreeKernel``, and
+        restarts the sweeps, the draw log and the sampling counters."""
+        t1 = noisy_low_rank_tensor((5, 4, 3), 2, noise_level=0.05, seed=18)
+        t2 = noisy_low_rank_tensor((6, 5, 4), 2, noise_level=0.05, seed=19)
+        kernel = SampledDimtreeKernel(n_samples=8, seed=2)
+        fixed_sweeps(t1, 2, kernel, sweeps=2)
+        fixed_sweeps(t2, 2, kernel, sweeps=3)
+        fresh = SampledDimtreeKernel(n_samples=8, seed=2)
+        fixed_sweeps(t2, 2, fresh, sweeps=3)
+        assert len(kernel.per_sweep_costs()) == 3
+        assert len(kernel.draw_log) == 9
+        assert kernel.counters().n_draws == 9 * 8
+        for mine, theirs in zip(kernel.per_sweep_costs(), fresh.per_sweep_costs()):
+            assert (mine.tree_flops, mine.build_flops, mine.n_draws) == (
+                theirs.tree_flops,
+                theirs.build_flops,
+                theirs.n_draws,
+            )
 
 
 class TestResidualGatedALS:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import mttkrp
-from repro.exceptions import MemoryModelError
+from repro.exceptions import MemoryModelError, ParameterError
 from repro.sequential.blocked import sequential_blocked_mttkrp
 from repro.sequential.elementwise import elementwise_blocked_mttkrp, elementwise_unblocked_mttkrp
 from repro.sequential.machine import TwoLevelMemory
@@ -81,3 +81,18 @@ class TestElementwiseBlocked:
         tensor, factors = problem((6, 5), 2, seed=5)
         result = elementwise_blocked_mttkrp(tensor, factors, 0, 2)
         assert np.allclose(result.result, mttkrp(tensor, factors, 0))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        elementwise_unblocked_mttkrp,
+        lambda tensor, factors, mode: elementwise_blocked_mttkrp(tensor, factors, mode, 2),
+    ],
+    ids=["unblocked", "blocked"],
+)
+def test_no_input_factor_raises_parameter_error(kernel):
+    """Rank inference is the package's one helper, with its error type and message."""
+    tensor, _ = problem()
+    with pytest.raises(ParameterError, match="at least one input factor matrix is required"):
+        kernel(tensor, [None, None, None], 0)

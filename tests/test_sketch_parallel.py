@@ -1,5 +1,8 @@
 """Unit tests for the distributed sampled MTTKRP subsystem (repro.sketch.parallel)."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from repro.sketch.parallel.sampled_mttkrp import (
 )
 from repro.sketch.sampled_mttkrp import sampled_mttkrp
 from repro.sketch.sampling import DISTRIBUTIONS, draw_krp_samples
+from repro.tensor.dense import as_ndarray
 from repro.tensor.random import random_factors, random_tensor
 from repro.tensor.sparse import SparseTensor
 
@@ -187,6 +191,53 @@ class TestSeedEquivalence:
         sequential = sampled_mttkrp(tensor, factors, 0, samples=samples)
         assert run.samples is samples
         assert np.allclose(run.assemble(), sequential, rtol=1e-12, atol=1e-12)
+
+
+class TestCallerSampleSets:
+    """A caller's SampleSet may list its rows in any order."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("grid", [(1, 2, 3), (2, 1, 3), (6, 1, 1)], ids=str)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["drawn", "reversed"])
+    def test_matches_sequential(self, sparse, grid, reverse):
+        tensor = (
+            SparseTensor.random(SHAPE, density=0.5, seed=2)
+            if sparse
+            else random_tensor(SHAPE, seed=0)
+        )
+        factors = random_factors(SHAPE, 3, seed=1)
+        samples = draw_krp_samples(factors, 0, 40, distribution="uniform", seed=5)
+        if reverse:
+            samples = dataclasses.replace(
+                samples,
+                indices=samples.indices[::-1],
+                counts=samples.counts[::-1],
+                probabilities=samples.probabilities[::-1],
+            )
+        run = parallel_sampled_mttkrp(tensor, factors, 0, grid, samples=samples)
+        sequential = sampled_mttkrp(tensor, factors, 0, samples=samples)
+        assert np.max(np.abs(run.assemble() - sequential)) <= 1e-12
+
+
+def test_dense_blocks_read_in_place():
+    """A call reads every rank's dense block where it lies, copying none."""
+    shape = (40, 40, 40)
+    tensor = random_tensor(shape, seed=0)
+    factors = random_factors(shape, 4, seed=1)
+
+    def call():
+        return parallel_sampled_mttkrp(tensor, factors, 0, (2, 2, 1), n_samples=64, seed=2)
+
+    call()
+    tracemalloc.start()
+    try:
+        run = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < as_ndarray(tensor).nbytes / 2
+    # The storage charge still holds each rank's whole block.
+    assert run.machine.storage_high_water.min() >= 20 * 20 * 40
 
 
 class TestLedger:
