@@ -158,7 +158,8 @@ def _sequential_row(shape, rank, seed):
 def _parallel_row(shape, rank, n_procs, seed):
     tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=seed)
     exact = parallel_cp_als(
-        tensor, rank, n_procs, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1
+        tensor, rank, n_procs, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1,
+        kernel="exact",
     )
     tree = parallel_cp_als(
         tensor, rank, n_procs, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1,

@@ -807,27 +807,28 @@ class DimensionTreeKernel(SweepKernel):
 
     def _bind(self, data: np.ndarray, factors: Sequence[Optional[np.ndarray]]) -> None:
         """Build the tree on ``data`` unless bound to it; apply a stashed snapshot."""
-        if self.tree is not None and self.tree.tensor is data:
-            return
-        self.tree = DimensionTree(
-            data,
-            split=self._split,
-            cache=self._cache,
-            invalidation=self._invalidation,
-            residual_tol=self._residual_tol,
-        )
-        self._reset_run_state()
-        # A rebuild starts a fresh counter stream: marks taken against the
-        # previous tree's totals would otherwise make per-sweep deltas
-        # negative.  Re-open the sweep the driver already announced at
-        # zero; earlier runs' sweeps are dropped.
-        self._sweep_marks = [self.counters()] if self._sweep_marks else []
-        if self._pending_state is not None:
+        rebuild = self.tree is None or self.tree.tensor is not data
+        if rebuild:
+            self.tree = DimensionTree(
+                data,
+                split=self._split,
+                cache=self._cache,
+                invalidation=self._invalidation,
+                residual_tol=self._residual_tol,
+            )
+            self._reset_run_state()
+        restore = self._pending_state is not None
+        if restore:
+            # Applied whether or not the tree was rebuilt, so a resume on the
+            # instance still bound to this tensor restarts from the snapshot.
             self._apply_pending(factors)
             self._pending_state = None
-            # The resumed sweep opens at the restored totals, not zero.
-            if self._sweep_marks:
-                self._sweep_marks[-1] = self.counters()
+        if rebuild or restore:
+            # A new counter stream: marks taken against the earlier totals
+            # would make per-sweep deltas wrong (negative after a rebuild).
+            # Re-open the sweep the driver already announced at the current
+            # totals, zero or restored; earlier runs' sweeps are dropped.
+            self._sweep_marks = [self.counters()] if self._sweep_marks else []
 
     def _reset_run_state(self) -> None:
         """Restart whatever a subclass keeps beside the tree (a new tree, a new run)."""

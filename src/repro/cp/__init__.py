@@ -6,8 +6,10 @@ provides the workload that motivates the paper:
 * :func:`cp_als` — the alternating-least-squares algorithm for dense tensors,
   with a pluggable MTTKRP kernel;
 * :func:`parallel_cp_als` — CP-ALS whose MTTKRPs run on the simulated
-  distributed machine (Algorithm 3), so per-iteration communication can be
-  measured and compared against the bounds.
+  distributed machine (the distributed dimension tree unless a kernel is
+  named; Algorithms 3 and 4 as ``kernel="exact"`` and ``kernel="general"``),
+  so per-iteration communication can be measured and compared against the
+  bounds.
 """
 
 from repro.cp.initialization import initialize_factors

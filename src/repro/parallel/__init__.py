@@ -17,7 +17,8 @@ Provided algorithms:
   rank dimension), and its sweep kernel :class:`GeneralKernel`;
 * :class:`DistributedDimtreeKernel` — the sweep-aware CP-ALS kernel of
   :mod:`repro.parallel.dimtree` (per-sweep gather caching + per-rank
-  dimension trees), with its exact ledger predictor; the distributed fused
+  dimension trees) that :func:`repro.cp.parallel_cp_als` runs when no kernel
+  is named, with its exact ledger predictor; the distributed fused
   sampled kernel of :mod:`repro.sketch.parallel.sampled_dimtree` subclasses
   it.
 """

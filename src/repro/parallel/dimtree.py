@@ -68,8 +68,9 @@ class DistributedDimtreeKernel(DistributedKernel):
     """Sweep-aware distributed MTTKRP with cached gathers and per-rank trees.
 
     Registered in :data:`repro.cp.parallel_als.PARALLEL_KERNEL_NAMES` as
-    ``"dimtree"`` (stationary distribution only — the tensor stays put, as in
-    Algorithm 3).
+    ``"dimtree"``, the kernel :func:`~repro.cp.parallel_als.parallel_cp_als`
+    runs when no kernel is named (stationary distribution only — the tensor
+    stays put, as in Algorithm 3).
 
     Parameters
     ----------

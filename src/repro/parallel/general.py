@@ -9,7 +9,7 @@ collectives.  It is more communication-efficient than Algorithm 3 when ``NR``
 is large relative to ``I / P`` (Section V-D, Section VI-B).
 
 :class:`GeneralKernel` is Algorithm 4 as a CP-ALS sweep kernel
-(``parallel_cp_als(algorithm="general")``): the initial scatter happens once
+(``parallel_cp_als(kernel="general")``): the initial scatter happens once
 per run, through the setup shared with Algorithm 3, while the Line-3 fiber
 All-Gather is still run and charged on every call, as the algorithm
 prescribes.  :func:`general_mttkrp` is the same step run once on a fresh

@@ -14,9 +14,10 @@ This module provides the sample-index layer of that algorithm:
   distinct samples (a sample is owned by the ``P_n`` ranks whose sub-tensor
   blocks contain its fiber segments), which sampled factor rows fall in each
   grid block, and what each rank contributes to the sampled-row All-Gathers;
-* :func:`distribute_sparse_stationary` — the COO-sparse analogue of
-  ``StationaryDistribution.distribute_tensor`` (each nonzero goes to exactly
-  the rank whose block ranges contain its coordinates);
+* :func:`sparse_share` — one rank's nonzeros of a COO tensor under the
+  stationary distribution (the nonzeros its block ranges contain), and
+  :func:`distribute_sparse_stationary`, every rank's share at once — the
+  COO-sparse analogue of ``StationaryDistribution.distribute_tensor``;
 * :func:`choose_sampled_grid` / :func:`sampled_grid_cost` — integer grid
   selection minimising the estimated bucket-collective cost of the *sampled*
   algorithm (small sample counts push processors onto the output mode, where
@@ -128,34 +129,39 @@ class SampleAssignment:
         return sampled[lo:hi]
 
 
+def sparse_share(
+    dist: StationaryDistribution, tensor: SparseTensor, rank: int
+) -> SparseTensor:
+    """The nonzeros of a COO tensor that ``rank``'s sub-tensor block contains.
+
+    Each nonzero is owned by exactly the rank whose sub-tensor block ranges
+    contain its coordinates.  The share keeps *global* coordinates (the
+    kernels offset them against the block ranges), so its relative nonzero
+    order matches the global tensor — duplicate coordinates are therefore
+    accumulated in the same order as a sequential kernel would, keeping the
+    local fiber gathers bitwise reproducible.
+    """
+    mask = np.ones(tensor.nnz, dtype=bool)
+    for k, (start, stop) in enumerate(dist.subtensor_ranges(rank)):
+        mask &= (tensor.coords[:, k] >= start) & (tensor.coords[:, k] < stop)
+    return SparseTensor(
+        shape=tensor.shape, coords=tensor.coords[mask], values=tensor.values[mask]
+    )
+
+
 def distribute_sparse_stationary(
     dist: StationaryDistribution, tensor: SparseTensor
 ) -> Dict[int, SparseTensor]:
     """Scatter a COO tensor under the stationary distribution (one copy overall).
 
-    Each nonzero is owned by exactly the rank whose sub-tensor block ranges
-    contain its coordinates.  Local tensors keep *global* coordinates (the
-    kernels offset them against the block ranges), so the relative nonzero
-    order of every rank's share matches the global tensor — duplicate
-    coordinates are therefore accumulated in the same order as a sequential
-    kernel would, keeping the local fiber gathers bitwise reproducible.
+    Every rank's :func:`sparse_share` at once; a kernel that visits the ranks
+    in turn builds one share at a time instead, holding one rank's copy.
     """
     if tuple(tensor.shape) != tuple(dist.shape):
         raise DistributionError(
             f"sparse tensor shape {tensor.shape} does not match {dist.shape}"
         )
-    out: Dict[int, SparseTensor] = {}
-    for rank in range(dist.grid.n_procs):
-        ranges = dist.subtensor_ranges(rank)
-        mask = np.ones(tensor.nnz, dtype=bool)
-        for k, (start, stop) in enumerate(ranges):
-            mask &= (tensor.coords[:, k] >= start) & (tensor.coords[:, k] < stop)
-        out[rank] = SparseTensor(
-            shape=tensor.shape,
-            coords=tensor.coords[mask],
-            values=tensor.values[mask],
-        )
-    return out
+    return {rank: sparse_share(dist, tensor, rank) for rank in range(dist.grid.n_procs)}
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ ledger:
    samples its sub-tensor owns, gathers the matching local fiber segments,
    and multiplies.  A dense tensor stays where it is, as Algorithm 3's
    stationary tensor does: each rank reads its block as a view, so a call
-   copies no block (a COO tensor's nonzeros are split among the ranks).  The
-   fibers come from the sequential kernel's gathers, given the rank's block
-   ranges and the mask of the samples it owns;
+   copies no block (a COO tensor's nonzeros are selected for one rank at a
+   time, so a call holds one rank's share).  The fibers come from the
+   sequential kernel's gathers, given the rank's block ranges and the mask
+   of the samples it owns;
 4. *output Reduce-Scatter* — Algorithm 3's Line 7
    (:func:`~repro.parallel.stationary.reduce_scatter_output`): partial
    outputs are summed and redistributed within each output-mode hyperslice,
@@ -51,10 +52,7 @@ from repro.parallel.distribution import DistributedMTTKRPOutput, StationaryDistr
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.machine import SimulatedMachine
 from repro.parallel.stationary import reduce_scatter_output
-from repro.sketch.parallel.distribution import (
-    SampleAssignment,
-    distribute_sparse_stationary,
-)
+from repro.sketch.parallel.distribution import SampleAssignment, sparse_share
 from repro.sketch.sampled_mttkrp import (
     _gather_fibers_dense,
     _gather_fibers_sparse,
@@ -291,10 +289,6 @@ def parallel_sampled_mttkrp(
     if charge_setup:
         charge_sampling_setup(machine, dist, factors, samples.distribution)
 
-    # A COO tensor's nonzeros go to the ranks owning their coordinates; a
-    # dense tensor stays put, each rank reading its block in place below.
-    sparse_blocks = distribute_sparse_stationary(dist, tensor) if is_sparse else None
-
     # -- Phase 2: All-Gather only the sampled factor rows within each hyperslice.
     gathered: Dict[int, List[Optional[Tuple[np.ndarray, np.ndarray]]]] = {
         r: [None] * ndim for r in range(grid.n_procs)
@@ -319,7 +313,9 @@ def parallel_sampled_mttkrp(
             for r in group:
                 gathered[r][k] = (block_rows, result[r])
 
-    # -- Phase 3: local sampled MTTKRP on each rank's owned samples.
+    # -- Phase 3: local sampled MTTKRP on each rank's owned samples.  A dense
+    #    rank reads its block in place; a sparse rank's share of the nonzeros
+    #    is built when its turn comes, so one share is alive at a time.
     weights = samples.weights
     local_outputs: Dict[int, np.ndarray] = {}
     for r in range(grid.n_procs):
@@ -335,8 +331,9 @@ def parallel_sampled_mttkrp(
             raise ParameterError("sampled MTTKRP requires at least two modes")
         weighted = krp * weights[mask][:, None]
         if is_sparse:
-            fibers = _gather_fibers_sparse(sparse_blocks[r], mode, samples, mask, ranges)
-            tensor_words = sparse_blocks[r].nnz * (ndim + 1)
+            share = sparse_share(dist, tensor, r)
+            fibers = _gather_fibers_sparse(share, mode, samples, mask, ranges)
+            tensor_words = share.nnz * (ndim + 1)
         else:
             block = data[tuple(slice(start, stop) for start, stop in ranges)]
             fibers = _gather_fibers_dense(block, mode, samples, mask, ranges)

@@ -20,6 +20,7 @@ from repro.core.sweep_kernel import PerCallKernel, SweepKernel, as_sweep_kernel,
 from repro.cp.als import cp_als
 from repro.exceptions import ParameterError
 from repro.observe import tracing
+from repro.resilience import CheckpointStore
 from repro.tensor.dense import as_ndarray
 from repro.tensor.random import noisy_low_rank_tensor, random_factors, random_tensor
 
@@ -230,6 +231,22 @@ class TestDimtreeKernelInALS:
         for sweep in per_sweep:
             assert sweep.flops > 0 and sweep.words > 0
             assert sweep == model
+
+    def test_resume_on_the_bound_instance_restarts_from_the_snapshot(self):
+        """Regression: a resume with the instance still bound to the tensor
+        kept the first run's sweeps and counters instead of the snapshot's."""
+        tensor = noisy_low_rank_tensor((12, 10, 8), 3, noise_level=0.05, seed=22)
+        kwargs = dict(n_iter_max=5, tol=0.0, seed=23)
+        kernel = DimensionTreeKernel()
+        store = CheckpointStore()
+        cp_als(tensor, 3, kernel=kernel, checkpoint_store=store, **kwargs)
+        resumed = cp_als(tensor, 3, kernel=kernel, resume_from=store.at_sweep(2), **kwargs)
+        fresh = DimensionTreeKernel()
+        expected = cp_als(tensor, 3, kernel=fresh, resume_from=store.at_sweep(2), **kwargs)
+        assert resumed.fits == expected.fits
+        assert len(kernel.per_sweep_costs()) == 3
+        assert kernel.per_sweep_costs() == fresh.per_sweep_costs()
+        assert kernel.counters() == fresh.counters()
 
     def test_dimtree_name_registered(self):
         from repro.cp.als import KERNEL_NAMES

@@ -17,6 +17,7 @@ from repro.costmodel.fused_model import (
 )
 from repro.cp.als import KERNEL_NAMES, cp_als
 from repro.exceptions import ParameterError
+from repro.resilience import CheckpointStore
 from repro.sketch.parallel.sampled_dimtree import DistributedSampledDimtreeKernel
 from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.random import noisy_low_rank_tensor, random_factors, random_tensor
@@ -319,6 +320,23 @@ class TestSamplerCacheSharing:
                 theirs.build_flops,
                 theirs.n_draws,
             )
+
+    def test_resume_on_the_bound_instance_restarts_from_the_snapshot(self):
+        """Regression: a resume with the instance still bound to the tensor
+        kept the first run's draw log and counters instead of the snapshot's."""
+        tensor = noisy_low_rank_tensor((12, 10, 8), 3, noise_level=0.05, seed=22)
+        kwargs = dict(n_iter_max=5, tol=0.0, seed=23)
+        kernel = SampledDimtreeKernel(n_samples=16, seed=4)
+        store = CheckpointStore()
+        cp_als(tensor, 3, kernel=kernel, checkpoint_store=store, **kwargs)
+        resumed = cp_als(tensor, 3, kernel=kernel, resume_from=store.at_sweep(2), **kwargs)
+        fresh = SampledDimtreeKernel(n_samples=16, seed=4)
+        expected = cp_als(tensor, 3, kernel=fresh, resume_from=store.at_sweep(2), **kwargs)
+        assert resumed.fits == expected.fits
+        assert len(kernel.draw_log) == 15
+        assert kernel.draw_log == fresh.draw_log
+        assert kernel.per_sweep_costs() == fresh.per_sweep_costs()
+        assert kernel.counters() == fresh.counters()
 
 
 class TestResidualGatedALS:

@@ -1,5 +1,7 @@
 """Unit tests for CP-ALS on the simulated parallel machine."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,14 @@ from repro.cp.als import cp_als
 from repro.cp.parallel_als import parallel_cp_als
 from repro.exceptions import DistributionError, ParameterError
 from repro.observe import tracing
+from repro.parallel.dimtree import predicted_dimtree_ledger, predicted_dimtree_sweep_words
+from repro.parallel.grid_selection import choose_general_grid
 from repro.parallel.machine import SimulatedMachine
 from repro.resilience import CheckpointStore
-from repro.tensor.random import random_low_rank_tensor, random_tensor
+from repro.tensor.random import noisy_low_rank_tensor, random_low_rank_tensor, random_tensor
 
-#: The (kernel, algorithm) pairs that run on a scattered tensor.
-SCATTERING_KERNELS = [
-    pytest.param("exact", "stationary", id="exact-stationary"),
-    pytest.param("exact", "general", id="exact-general"),
-    pytest.param("dimtree", "stationary", id="dimtree"),
-    pytest.param("sampled-dimtree", "stationary", id="sampled-dimtree"),
-]
+#: The kernels that run on a scattered tensor.
+SCATTERING_KERNELS = ["exact", "general", "dimtree", "sampled-dimtree"]
 
 
 class TestParallelCPALS:
@@ -38,12 +37,14 @@ class TestParallelCPALS:
 
     def test_words_per_iteration_constant(self, tensor):
         """Every ALS sweep performs the same MTTKRPs, hence the same communication."""
-        result = parallel_cp_als(tensor, 2, n_procs=8, n_iter_max=4, tol=0.0, seed=3)
+        result = parallel_cp_als(
+            tensor, 2, n_procs=8, kernel="exact", n_iter_max=4, tol=0.0, seed=3
+        )
         assert len(set(result.words_per_iteration)) == 1
 
     def test_general_algorithm_option(self, tensor):
         result = parallel_cp_als(
-            tensor, 2, n_procs=8, algorithm="general", n_iter_max=2, tol=0.0, seed=4
+            tensor, 2, n_procs=8, kernel="general", n_iter_max=2, tol=0.0, seed=4
         )
         assert result.algorithm == "general"
         assert result.als.final_fit > 0.5
@@ -55,10 +56,6 @@ class TestParallelCPALS:
     def test_single_processor_has_no_communication(self, tensor):
         result = parallel_cp_als(tensor, 2, n_procs=1, n_iter_max=2, tol=0.0, seed=6)
         assert result.total_words == 0
-
-    def test_invalid_algorithm(self, tensor):
-        with pytest.raises(ParameterError):
-            parallel_cp_als(tensor, 2, n_procs=4, algorithm="hybrid")
 
     @pytest.mark.parametrize("kernel", ["exact", "dimtree", "sampled-dimtree"])
     @pytest.mark.parametrize(
@@ -85,8 +82,8 @@ class TestParallelCPALS:
             parallel_cp_als(tensor, 2, n_procs=4, kernel=kernel, machine=machine, **kwargs)
         assert machine.max_words_communicated == 0
 
-    @pytest.mark.parametrize("kernel, algorithm", SCATTERING_KERNELS)
-    def test_grid_with_more_parts_than_indices_fails_before_the_loop(self, kernel, algorithm):
+    @pytest.mark.parametrize("kernel", SCATTERING_KERNELS)
+    def test_grid_with_more_parts_than_indices_fails_before_the_loop(self, kernel):
         """P=7 on a 6x5x4 tensor picks a grid that splits mode 2 seven ways."""
         machine = SimulatedMachine(7)
         with tracing() as session:
@@ -95,7 +92,7 @@ class TestParallelCPALS:
             ):
                 parallel_cp_als(
                     random_tensor((6, 5, 4), seed=10), 2, 7,
-                    kernel=kernel, algorithm=algorithm, machine=machine,
+                    kernel=kernel, machine=machine,
                 )
         assert session.spans_named("sweep") == []
         assert machine.records == []
@@ -109,10 +106,10 @@ class TestParallelCPALS:
         assert len(result.als.fits) == 2
         assert np.all(np.isfinite(result.als.fits))
 
-    @pytest.mark.parametrize("kernel, algorithm", SCATTERING_KERNELS)
-    def test_tensor_scattered_once_per_run_and_once_per_resume(self, kernel, algorithm):
+    @pytest.mark.parametrize("kernel", SCATTERING_KERNELS)
+    def test_tensor_scattered_once_per_run_and_once_per_resume(self, kernel):
         tensor = random_tensor((6, 5, 4), seed=11)
-        kwargs = dict(kernel=kernel, algorithm=algorithm, n_iter_max=3, tol=0.0, seed=3)
+        kwargs = dict(kernel=kernel, n_iter_max=3, tol=0.0, seed=3)
         store = CheckpointStore()
         with tracing() as session:
             parallel_cp_als(tensor, 2, 4, checkpoint_store=store, **kwargs)
@@ -127,15 +124,15 @@ class TestParallelCPALS:
         assert len(result.grids) == 1
         assert int(np.prod(result.grids[0])) == 8
 
-    @pytest.mark.parametrize("algorithm", ["stationary", "general"])
-    def test_threads_leave_fits_and_ledger_bitwise(self, tensor, algorithm):
+    @pytest.mark.parametrize("kernel", ["exact", "general"])
+    def test_threads_leave_fits_and_ledger_bitwise(self, tensor, kernel):
         """Per-rank local MTTKRPs fan out on threads; nothing observable moves."""
         serial = parallel_cp_als(
-            tensor, 2, n_procs=8, algorithm=algorithm,
+            tensor, 2, n_procs=8, kernel=kernel,
             n_iter_max=4, tol=0.0, seed=8, threads=1,
         )
         threaded = parallel_cp_als(
-            tensor, 2, n_procs=8, algorithm=algorithm,
+            tensor, 2, n_procs=8, kernel=kernel,
             n_iter_max=4, tol=0.0, seed=8, threads=4,
         )
         assert np.array_equal(serial.als.fits, threaded.als.fits)
@@ -144,3 +141,61 @@ class TestParallelCPALS:
             np.testing.assert_array_equal(
                 getattr(serial.machine, field), getattr(threaded.machine, field)
             )
+
+
+class TestDefaultKernel:
+    """A call that names no kernel runs the distributed dimension tree."""
+
+    def test_signature_defaults_to_dimtree_without_algorithm(self):
+        parameters = inspect.signature(parallel_cp_als).parameters
+        assert parameters["kernel"].default == "dimtree"
+        assert "algorithm" not in parameters
+        with pytest.raises(TypeError, match="algorithm"):
+            parallel_cp_als(random_tensor((6, 5, 4), seed=0), 2, 4, algorithm="general")
+
+    @pytest.mark.parametrize(
+        "shape, rank, n_procs", [((12, 10, 8), 3, 8), ((6, 5, 4, 5), 2, 6)]
+    )
+    def test_default_is_bitwise_dimtree(self, shape, rank, n_procs):
+        data = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=1)
+        kwargs = dict(n_iter_max=4, tol=0.0, seed=2)
+        default = parallel_cp_als(data, rank, n_procs, **kwargs)
+        tree = parallel_cp_als(data, rank, n_procs, kernel="dimtree", **kwargs)
+        assert default.als.fits == tree.als.fits
+        assert np.array_equal(default.als.model.weights, tree.als.model.weights)
+        for a, b in zip(default.als.model.factors, tree.als.model.factors):
+            assert np.array_equal(a, b)
+        assert default.words_per_iteration == tree.words_per_iteration
+        assert np.array_equal(default.machine.words_sent, tree.machine.words_sent)
+
+    def test_default_ledger_is_the_dimtree_replay(self):
+        shape, rank, n_sweeps = (12, 10, 8), 3, 4
+        data = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=3)
+        result = parallel_cp_als(data, rank, 8, n_iter_max=n_sweeps, tol=0.0, seed=4)
+        grid = result.grids[0]
+        predicted = predicted_dimtree_ledger(shape, rank, grid, n_sweeps)
+        assert np.array_equal(result.machine.words_sent, predicted)
+        assert np.array_equal(result.machine.words_received, predicted)
+        assert result.words_per_iteration[-1] == predicted_dimtree_sweep_words(
+            shape, rank, grid
+        )
+
+    def test_general_kernel_runs_algorithm_4_on_its_grid(self):
+        shape, rank, n_procs = (4, 4, 4), 8, 8
+        result = parallel_cp_als(
+            random_tensor(shape, seed=5), rank, n_procs, kernel="general",
+            n_iter_max=2, tol=0.0, seed=6,
+        )
+        assert result.algorithm == "general"
+        assert result.grids == [choose_general_grid(shape, rank, n_procs)]
+        assert result.grids[0][0] > 1  # the rank dimension is split
+        assert any(r.label == "all_gather X fiber" for r in result.machine.records)
+
+    def test_residual_invalidation_applies_by_default(self):
+        data = noisy_low_rank_tensor((12, 10, 8), 3, noise_level=0.01, seed=7)
+        with tracing() as session:
+            parallel_cp_als(
+                data, 3, 8, n_iter_max=4, tol=0.0, seed=8,
+                invalidation="residual", invalidation_tol=1e3,
+            )
+        assert session.metrics.counters()["factor_gate.keep"] > 0

@@ -14,10 +14,10 @@ from repro.exceptions import ParameterError
 from repro.tensor.random import noisy_low_rank_tensor
 
 #: Parallel names with no same-named sequential registry entry, and why:
-#: ``"exact"`` selects the distributed Algorithm 3/4 pipeline, whose
-#: sequential-quality arithmetic is the per-call ``"einsum"`` / ``"matmul"``
-#: kernels of the sequential registry.
-DOCUMENTED_EXCEPTIONS = {"exact": ("einsum", "matmul")}
+#: ``"exact"`` and ``"general"`` select the distributed Algorithm 3 and 4
+#: pipelines, whose sequential-quality arithmetic is the per-call
+#: ``"einsum"`` / ``"matmul"`` kernels of the sequential registry.
+DOCUMENTED_EXCEPTIONS = {"exact": ("einsum", "matmul"), "general": ("einsum", "matmul")}
 
 
 class TestRegistryConsistency:

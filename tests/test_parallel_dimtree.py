@@ -13,6 +13,7 @@ from repro.parallel.dimtree import (
     predicted_dimtree_sweep_words,
 )
 from repro.parallel.grid_selection import choose_stationary_grid
+from repro.resilience import CheckpointStore
 from repro.tensor.random import noisy_low_rank_tensor, random_factors, random_tensor
 
 
@@ -61,13 +62,9 @@ class TestParallelALSDimtree:
         assert "dimtree" in PARALLEL_KERNEL_NAMES
 
     def test_fits_match_exact_kernel(self, tensor):
-        exact = parallel_cp_als(tensor, 3, 8, n_iter_max=5, tol=0.0, seed=1)
+        exact = parallel_cp_als(tensor, 3, 8, n_iter_max=5, tol=0.0, seed=1, kernel="exact")
         tree = parallel_cp_als(tensor, 3, 8, n_iter_max=5, tol=0.0, seed=1, kernel="dimtree")
         assert np.allclose(exact.als.fits, tree.als.fits, atol=1e-10)
-
-    def test_requires_stationary(self, tensor):
-        with pytest.raises(ParameterError):
-            parallel_cp_als(tensor, 3, 8, kernel="dimtree", algorithm="general")
 
     def test_unknown_kernel_message_unified(self, tensor):
         with pytest.raises(ParameterError, match="unknown parallel MTTKRP kernel"):
@@ -89,7 +86,9 @@ class TestParallelALSDimtree:
     def test_steady_sweep_words_below_exact(self, shape, rank, n_procs):
         """One gather per update instead of N - 1: strictly fewer sweep words."""
         data = noisy_low_rank_tensor(shape, rank, noise_level=0.01, seed=3)
-        exact = parallel_cp_als(data, rank, n_procs, n_iter_max=3, tol=0.0, seed=4)
+        exact = parallel_cp_als(
+            data, rank, n_procs, n_iter_max=3, tol=0.0, seed=4, kernel="exact"
+        )
         tree = parallel_cp_als(
             data, rank, n_procs, n_iter_max=3, tol=0.0, seed=4, kernel="dimtree"
         )
@@ -104,9 +103,26 @@ class TestParallelALSDimtree:
 
     def test_local_flops_below_exact_atomic_count(self, tensor):
         """The per-rank trees reuse partials, so counted local flops drop too."""
-        exact = parallel_cp_als(tensor, 3, 8, n_iter_max=3, tol=0.0, seed=6)
+        exact = parallel_cp_als(tensor, 3, 8, n_iter_max=3, tol=0.0, seed=6, kernel="exact")
         tree = parallel_cp_als(tensor, 3, 8, n_iter_max=3, tol=0.0, seed=6, kernel="dimtree")
         assert tree.machine.max_flops < exact.machine.max_flops
+
+    def test_resume_on_the_bound_instance_restarts_from_the_snapshot(self, tensor):
+        """The kernel applies a snapshot in ``step``, bound or not."""
+        from repro.cp.als import cp_als
+
+        kwargs = dict(n_iter_max=5, tol=0.0, seed=9)
+        grid = choose_stationary_grid(tensor.shape, 3, 8)
+        kernel = DistributedDimtreeKernel(grid)
+        store = CheckpointStore()
+        cp_als(tensor, 3, kernel=kernel, checkpoint_store=store, **kwargs)
+        words_before = kernel.machine.words_sent.copy()
+        resumed = cp_als(tensor, 3, kernel=kernel, resume_from=store.at_sweep(2), **kwargs)
+        fresh = DistributedDimtreeKernel(grid)
+        expected = cp_als(tensor, 3, kernel=fresh, resume_from=store.at_sweep(2), **kwargs)
+        assert resumed.fits == expected.fits
+        assert np.array_equal(kernel.machine.words_sent - words_before, fresh.machine.words_sent)
+        assert kernel.local_flops() == fresh.local_flops()
 
 
 class TestPredictor:

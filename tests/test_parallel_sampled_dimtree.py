@@ -204,13 +204,6 @@ class TestDriverIntegration:
     def test_registered_in_parallel_registry(self):
         assert "sampled-dimtree" in PARALLEL_KERNEL_NAMES
 
-    def test_requires_stationary_algorithm(self):
-        tensor = noisy_low_rank_tensor((6, 5, 4), 2, noise_level=0.02, seed=0)
-        with pytest.raises(ParameterError):
-            parallel_cp_als(
-                tensor, 2, 4, kernel="sampled-dimtree", algorithm="general"
-            )
-
     def test_residual_gating_reduces_communication(self):
         """Residual-gated gathers move strictly fewer words than the exact
         predictor on a converging run."""

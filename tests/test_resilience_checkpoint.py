@@ -123,9 +123,9 @@ def _assert_sequential_resume_matches(kernel, seed, stop_at):
         assert np.array_equal(a, b)
 
 
-def _assert_parallel_resume_matches(kernel, seed, stop_at, algorithm="stationary"):
+def _assert_parallel_resume_matches(kernel, seed, stop_at):
     tensor = _tensor(seed)
-    kwargs = dict(tol=0.0, seed=seed, kernel=kernel, algorithm=algorithm)
+    kwargs = dict(tol=0.0, seed=seed, kernel=kernel)
     full = parallel_cp_als(tensor, RANK, N_PROCS, n_iter_max=N_SWEEPS, **kwargs)
     store = CheckpointStore()
     partial = parallel_cp_als(
@@ -152,14 +152,10 @@ def test_sequential_resume_bitwise_identical(kernel, stop_at):
     _assert_sequential_resume_matches(kernel, seed=0, stop_at=stop_at)
 
 
-@pytest.mark.parametrize(
-    "kernel, algorithm",
-    [pytest.param(kernel, "stationary", id=kernel) for kernel in PARALLEL_KERNEL_NAMES]
-    + [pytest.param("exact", "general", id="exact-general")],
-)
+@pytest.mark.parametrize("kernel", PARALLEL_KERNEL_NAMES)
 @pytest.mark.parametrize("stop_at", [1, 2])
-def test_parallel_resume_bitwise_identical(kernel, algorithm, stop_at):
-    _assert_parallel_resume_matches(kernel, seed=0, stop_at=stop_at, algorithm=algorithm)
+def test_parallel_resume_bitwise_identical(kernel, stop_at):
+    _assert_parallel_resume_matches(kernel, seed=0, stop_at=stop_at)
 
 
 @settings(

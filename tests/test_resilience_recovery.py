@@ -208,17 +208,13 @@ class TestInjectedFaultExactness:
             outcome.machine.injected
         )
 
-    @pytest.mark.parametrize(
-        "kernel, algorithm",
-        [("exact", "stationary"), ("exact", "general"), ("dimtree", "stationary")],
-        ids=["exact-stationary", "exact-general", "dimtree"],
-    )
-    def test_env_seeded_harness(self, monkeypatch, kernel, algorithm):
+    @pytest.mark.parametrize("kernel", ["exact", "general", "dimtree"])
+    def test_env_seeded_harness(self, monkeypatch, kernel):
         """The CI leg's wiring: REPRO_FAULT_SEED seeds a schedule from_env."""
         monkeypatch.setenv(FAULT_SEED_ENV, "23")
         schedule = FaultSchedule.from_env(n_faults=4)
         tensor = _tensor(4)
-        kwargs = dict(n_iter_max=3, tol=0.0, seed=4, kernel=kernel, algorithm=algorithm)
+        kwargs = dict(n_iter_max=3, tol=0.0, seed=4, kernel=kernel)
         baseline = parallel_cp_als(tensor, RANK, N_PROCS, **kwargs)
         faulted = parallel_cp_als(
             tensor, RANK, N_PROCS, fault_schedule=schedule, on_fault="retry",

@@ -240,6 +240,25 @@ def test_dense_blocks_read_in_place():
     assert run.machine.storage_high_water.min() >= 20 * 20 * 40
 
 
+def test_sparse_shares_built_one_rank_at_a_time():
+    """A call holds one rank's share of a COO tensor's nonzeros, not all of them."""
+    shape = (40, 40, 40)
+    tensor = SparseTensor.random(shape, 0.2, seed=0)
+    factors = random_factors(shape, 4, seed=1)
+
+    def call():
+        return parallel_sampled_mttkrp(tensor, factors, 0, (2, 2, 1), n_samples=64, seed=2)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor.coords.nbytes + tensor.values.nbytes
+
+
 class TestLedger:
     """Ledger totals must match the collectives cost helpers exactly."""
 

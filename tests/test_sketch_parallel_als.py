@@ -121,6 +121,7 @@ class TestParallelKernelRegistry:
     def test_registry_names(self):
         assert PARALLEL_KERNEL_NAMES == (
             "exact",
+            "general",
             "dimtree",
             "sampled",
             "sampled-tree",
@@ -148,11 +149,9 @@ class TestParallelKernelRegistry:
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 3, n_procs=4, kernel="sketchy")
 
-    def test_sampled_requires_stationary(self, tensor):
-        with pytest.raises(ParameterError):
-            parallel_cp_als(tensor, 3, n_procs=4, kernel="sampled", algorithm="general")
-
     def test_exact_kernel_unchanged(self, tensor):
-        """The default path is byte-compatible with the pre-registry driver."""
-        result = parallel_cp_als(tensor, 3, n_procs=4, n_iter_max=2, tol=0.0, seed=1)
+        """Algorithm 3 is byte-compatible with the pre-registry driver."""
+        result = parallel_cp_als(
+            tensor, 3, n_procs=4, kernel="exact", n_iter_max=2, tol=0.0, seed=1
+        )
         assert result.als.final_fit > 0.5
