@@ -49,13 +49,11 @@ from repro.tensor import (
 from repro.cp import cp_als, parallel_cp_als
 from repro.sketch import (
     draw_krp_samples,
-    krp_projection,
     parallel_randomized_cp_als,
     parallel_sampled_mttkrp,
     randomized_cp_als,
     reconcile_sampled_mttkrp,
     sampled_mttkrp,
-    sketched_mttkrp,
 )
 
 __version__ = "1.1.0"
@@ -80,9 +78,7 @@ __all__ = [
     "cp_als",
     "parallel_cp_als",
     "sampled_mttkrp",
-    "sketched_mttkrp",
     "draw_krp_samples",
-    "krp_projection",
     "randomized_cp_als",
     "parallel_sampled_mttkrp",
     "parallel_randomized_cp_als",

@@ -127,7 +127,7 @@ def blocked_mttkrp(
         As in :func:`repro.core.kernels.mttkrp`; the entry of ``factors`` at
         ``mode`` is ignored and may be ``None``.
     tiles:
-        Per-mode tile sizes (an int is broadcast to every mode; values are
+        Per-mode tile sizes (an int applies to every mode; values are
         clamped to the tensor extents).  When omitted they come from
         :func:`repro.sequential.block_size.choose_dense_tiles` so one tile
         iteration's working set fits the fast memory ``memory_words``.  Tiles

@@ -39,9 +39,6 @@ from repro.costmodel.fused_model import (
 from repro.costmodel.dimtree_model import (
     dimtree_sweep_flops,
     dimtree_sweep_words,
-    independent_sweep_flops,
-    independent_sweep_words,
-    dimtree_sweep_speedup,
     dimtree_crossover_rank,
     dimtree_vs_independent,
 )
@@ -65,9 +62,6 @@ __all__ = [
     "StrongScalingPoint",
     "dimtree_sweep_flops",
     "dimtree_sweep_words",
-    "independent_sweep_flops",
-    "independent_sweep_words",
-    "dimtree_sweep_speedup",
     "dimtree_crossover_rank",
     "dimtree_vs_independent",
     "expected_distinct_rows",

@@ -34,9 +34,6 @@ from repro.utils.validation import check_rank, check_shape
 __all__ = [
     "dimtree_sweep_flops",
     "dimtree_sweep_words",
-    "independent_sweep_flops",
-    "independent_sweep_words",
-    "dimtree_sweep_speedup",
     "dimtree_crossover_rank",
     "dimtree_vs_independent",
     "predicted_dimtree_ledger",
@@ -56,34 +53,6 @@ def dimtree_sweep_words(
 ) -> int:
     """Counted words of one steady-state ALS sweep of the dimension tree."""
     return dimtree_sweep_cost(shape, rank, split=split).words
-
-
-def independent_sweep_flops(shape: Sequence[int], rank: int) -> int:
-    """Counted flops of ``N`` independent per-mode contraction chains.
-
-    The cache-disabled comb-split engine under identical counting
-    conventions: every mode contracts the other ``N - 1`` modes one at a
-    time in descending order, touching the tensor once per mode — the
-    baseline a per-call kernel pays every sweep.
-    """
-    return dimtree_sweep_cost(shape, rank, split=split_chain, cache=False).flops
-
-
-def independent_sweep_words(shape: Sequence[int], rank: int) -> int:
-    """Counted words of ``N`` independent per-mode contraction chains."""
-    return dimtree_sweep_cost(shape, rank, split=split_chain, cache=False).words
-
-
-def dimtree_sweep_speedup(
-    shape: Sequence[int], rank: int, *, split: Optional[ModeSplit] = None
-) -> float:
-    """Per-sweep flop ratio ``independent / dimtree`` (> 1 means the tree wins).
-
-    Approaches ``N / 2`` for cubic shapes as the mode extents grow — the
-    classic dimension-tree ALS speedup.
-    """
-    tree = dimtree_sweep_flops(shape, rank, split=split)
-    return independent_sweep_flops(shape, rank) / max(tree, 1)
 
 
 def _affine_words(shape: Sequence[int], cache: bool, split: Optional[ModeSplit]):

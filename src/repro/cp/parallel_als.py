@@ -208,8 +208,9 @@ def parallel_cp_als(
         ``"general"`` runs on the stationary grid of
         :func:`~repro.parallel.grid_selection.choose_stationary_grid`.
     n_samples, sample_distribution:
-        Draw count (``None`` or a positive int, checked whichever kernel
-        runs) and sampling distribution for the sampled kernels
+        Draw count (``None`` or a positive int) and sampling distribution
+        (one of :data:`~repro.sketch.sampling.DISTRIBUTIONS`) for the
+        sampled kernels, both checked whichever kernel runs
         (defaults mirror the sequential registry entry;
         ``sample_distribution`` is pinned to ``"tree-leverage"`` by the
         tree-backed kernels ``"sampled-tree"`` and ``"sampled-dimtree"``).
@@ -273,6 +274,11 @@ def parallel_cp_als(
     )
     if n_samples is not None:
         n_samples = check_positive_int(n_samples, "n_samples")
+    # Lazy import, like the sampled kernels below: repro.sketch layers on
+    # this driver.
+    from repro.sketch.sampling import check_distribution
+
+    check_distribution(sample_distribution)
     sampled = kernel in ("sampled", "sampled-tree")
     fused = kernel == "sampled-dimtree"
     if kernel in ("sampled-tree", "sampled-dimtree"):

@@ -29,7 +29,6 @@ from repro.parallel.collectives import (
     all_gather,
     reduce_scatter,
     all_reduce,
-    broadcast,
     bucket_all_gather_cost,
     bucket_reduce_scatter_cost,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "all_gather",
     "reduce_scatter",
     "all_reduce",
-    "broadcast",
     "bucket_all_gather_cost",
     "bucket_reduce_scatter_cost",
     "StationaryDistribution",

@@ -31,7 +31,7 @@ invariant :func:`repro.observe.drift.retry_ledger_drift` asserts).  A
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -39,6 +39,10 @@ from repro.exceptions import MachineError, RankFailureError, RetryExhaustedError
 from repro.observe.instrument import inc as observe_inc, record_collective
 from repro.parallel.machine import CommunicationRecord, SimulatedMachine
 from repro.utils.partition import partition_bounds, partition_sizes
+
+#: The collective kinds this module emits (the ``kind`` a fault schedule
+#: matches); :func:`all_reduce` runs as one of each.
+COLLECTIVE_KINDS = ("all_gather", "reduce_scatter")
 
 
 # ---------------------------------------------------------------------------
@@ -73,26 +77,27 @@ def bucket_all_reduce_cost(group_size: int, n_words: int) -> int:
     )
 
 
-def _drive_with_retries(
+def _charge_group(
     machine: SimulatedMachine,
     kind: str,
     group: Sequence[int],
+    words_per_rank: int,
     label: str,
-    charge_wasted_attempt: Callable[[int], None],
 ) -> None:
-    """Poll the machine's fault hook until an attempt goes through.
+    """Charge one bucket collective to every rank of ``group``.
 
-    ``charge_wasted_attempt(backoff)`` charges one dropped/corrupted
-    attempt's traffic (main + retry ledgers); this helper owns the shared
-    retry policy — exponential backoff, the retry budget, delay charging,
-    and rank-failure propagation — so the symmetric bucket collectives and
-    the asymmetric root gather behave identically under faults.
+    Polls the machine's fault hook first, until an attempt goes through:
+    each dropped or corrupted attempt's traffic is charged to the main and
+    retry ledgers with exponential backoff, a delay is charged as latency
+    units, and a rank failure or an exhausted retry budget raises.
     """
+    # Bucket algorithms proceed in q-1 steps; each step is one message per rank.
+    messages = max(len(group) - 1, 0)
     attempt = 0
     while True:
         fault = machine.consult_fault(kind, label, group, attempt)
         if fault is None:
-            return
+            break
         if fault.kind == "rank-failure":
             raise RankFailureError(
                 f"rank failure injected into {kind} ({label!r}); "
@@ -102,30 +107,9 @@ def _drive_with_retries(
             for rank in group:
                 machine.charge_delay(rank, fault.delay_units)
             observe_inc("retry.delay_units", int(fault.delay_units) * len(group))
-            return
+            break
         # drop / corrupt: the attempt is wasted; charge it and re-drive.
-        charge_wasted_attempt(2**attempt)
-        observe_inc("retry.count")
-        observe_inc("retry.backoff_units", 2**attempt)
-        attempt += 1
-        if attempt >= machine.max_attempts:
-            raise RetryExhaustedError(
-                f"{kind} ({label!r}) failed {attempt} times, exhausting the "
-                f"retry budget of {machine.max_attempts} attempts"
-            )
-
-
-def _charge_group(
-    machine: SimulatedMachine,
-    kind: str,
-    group: Sequence[int],
-    words_per_rank: int,
-    label: str,
-) -> None:
-    # Bucket algorithms proceed in q-1 steps; each step is one message per rank.
-    messages = max(len(group) - 1, 0)
-
-    def charge_wasted_attempt(backoff: int) -> None:
+        backoff = 2**attempt
         for rank in group:
             machine.charge_retry(rank, words_per_rank, messages, backoff=backoff)
         machine.log(
@@ -137,8 +121,14 @@ def _charge_group(
             )
         )
         record_collective(f"{kind}.retry", f"{label}/retry", len(group), words_per_rank, messages)
-
-    _drive_with_retries(machine, kind, group, label, charge_wasted_attempt)
+        observe_inc("retry.count")
+        observe_inc("retry.backoff_units", backoff)
+        attempt += 1
+        if attempt >= machine.max_attempts:
+            raise RetryExhaustedError(
+                f"{kind} ({label!r}) failed {attempt} times, exhausting the "
+                f"retry budget of {machine.max_attempts} attempts"
+            )
     for rank in group:
         machine.charge_send(rank, words_per_rank)
         machine.charge_receive(rank, words_per_rank)
@@ -267,89 +257,3 @@ def all_reduce(
     scattered = reduce_scatter(machine, group, arrays, axis=0, label=label + "/rs")
     gathered = all_gather(machine, group, scattered, axis=0, label=label + "/ag")
     return {rank: gathered[rank].reshape(shape0) for rank in group}
-
-
-def broadcast(
-    machine: SimulatedMachine,
-    group: Sequence[int],
-    root: int,
-    value: np.ndarray,
-    *,
-    label: str = "",
-) -> Dict[int, np.ndarray]:
-    """Broadcast ``value`` from ``root`` to every rank in ``group``.
-
-    Costed as the bandwidth-optimal Scatter + All-Gather composition:
-    ``2 (q - 1) * ceil(n / q)`` words per rank (``n`` = array size).
-    """
-    group = machine.check_group(group)
-    root = machine.check_rank(root)
-    if root not in group:
-        raise MachineError(f"broadcast root {root} is not in the group {group}")
-    value = np.asarray(value)
-    q = len(group)
-    chunk = -(-int(value.size) // q) if value.size else 0
-    words = 2 * (q - 1) * chunk
-    _charge_group(machine, "broadcast", group, words, label)
-    return {rank: value.copy() for rank in group}
-
-
-def gather_to_root(
-    machine: SimulatedMachine,
-    group: Sequence[int],
-    root: int,
-    local_blocks: Dict[int, np.ndarray],
-    *,
-    axis: int = 0,
-    label: str = "",
-) -> Optional[np.ndarray]:
-    """Gather blocks to ``root`` only (used for collecting final results).
-
-    The root receives everything (cost ``sum of other blocks`` received); the
-    other ranks send their own block.  Returned array is only meaningful at
-    the root; other ranks receive ``None``.
-    """
-    group = machine.check_group(group)
-    root = machine.check_rank(root)
-    if root not in group:
-        raise MachineError(f"gather root {root} is not in the group {group}")
-    blocks = [np.asarray(local_blocks[r]) for r in group]
-    max_block = max(int(b.size) for b in blocks)
-
-    def charge_wasted_attempt(backoff: int) -> None:
-        # The gather's charging is asymmetric (root receives everything), and
-        # so is a wasted attempt's: non-root ranks re-send their block, the
-        # root re-receives it — charged on the main ledgers through the
-        # normal paths and mirrored on the retry ledgers.
-        for rank, block in zip(group, blocks):
-            if rank == root:
-                continue
-            words = int(block.size)
-            machine.charge_send(rank, words)
-            machine.charge_receive(root, words)
-            machine.retry_words_sent[rank] += words
-            machine.retry_words_received[root] += words
-        for rank in group:
-            machine.backoff_units[rank] += int(backoff)
-        machine.log(
-            CommunicationRecord(
-                kind="gather.retry",
-                group=tuple(group),
-                words_per_rank=max_block,
-                label=f"{label}/retry",
-            )
-        )
-        record_collective("gather.retry", f"{label}/retry", len(group), max_block, 0)
-
-    _drive_with_retries(machine, "gather", group, label, charge_wasted_attempt)
-    for rank, block in zip(group, blocks):
-        if rank == root:
-            continue
-        machine.charge_send(rank, int(block.size))
-        machine.charge_receive(root, int(block.size))
-    machine.log(
-        CommunicationRecord(
-            kind="gather", group=tuple(group), words_per_rank=max_block, label=label
-        )
-    )
-    return np.concatenate(blocks, axis=axis) if len(blocks) > 1 else blocks[0].copy()

@@ -39,6 +39,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.parallel.collectives import COLLECTIVE_KINDS
 
 #: Injectable fault kinds.
 FAULT_KINDS = ("drop", "corrupt", "delay", "rank-failure")
@@ -60,8 +61,9 @@ class FaultSpec:
         number the collectives of a run in execution order, shared across
         retries of the same collective.
     collective:
-        Collective kind to hit (``"all_gather"``, ``"reduce_scatter"``,
-        ``"broadcast"``, ``"gather"``; ``None`` matches any).
+        Collective kind to hit, one of
+        :data:`~repro.parallel.collectives.COLLECTIVE_KINDS`
+        (``"all_gather"``, ``"reduce_scatter"``; ``None`` matches any).
     label:
         Substring of the trace label to hit (``None`` matches any).
     rank:
@@ -88,6 +90,10 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ParameterError(
                 f"unknown fault kind {self.kind!r}; use one of {FAULT_KINDS}"
+            )
+        if self.collective is not None and self.collective not in COLLECTIVE_KINDS:
+            raise ParameterError(
+                f"unknown collective {self.collective!r}; use one of {COLLECTIVE_KINDS}"
             )
         if self.n_failures < 1:
             raise ParameterError("n_failures must be at least 1")

@@ -16,11 +16,10 @@ route around those bounds:
   exact leverage draws in ``O(R^2 log I_k)`` per draw without materializing
   the Khatri-Rao product, dropping both the sequential "read every score"
   setup and the distributed leverage-score gather;
-* :mod:`repro.sketch.projections` — Khatri-Rao structured random projections
-  (Gaussian and sign-flip) per Saibaba, Verma & Ballard (2025);
-* :mod:`repro.sketch.costmodel` — flop/word costs of the sampled kernel,
-  parameterized by sample count and wired against the exact cost models and
-  the paper's sequential/parallel lower bounds;
+* :mod:`repro.sketch.costmodel` — word costs of the sampled kernel,
+  sequential and per processor, parameterized by sample count, and the
+  crossover sample count against the words of the paper's optimal blocked
+  algorithm (Eq. (13));
 * :mod:`repro.sketch.randomized_als` — sketched CP-ALS with per-iteration
   resampling and an exact-solve fallback;
 * :mod:`repro.sketch.parallel` — the distributed-memory subsystem: sampled
@@ -47,38 +46,18 @@ from repro.sketch.sampled_mttkrp import (
     make_sampled_kernel,
     sampled_mttkrp,
 )
-from repro.sketch.projections import (
-    KRPProjection,
-    PROJECTION_KINDS,
-    krp_projection,
-    sketch_krp,
-    sketch_unfolding,
-    sketched_mttkrp,
-)
 from repro.sketch.treesample import (
     TREE_DISTRIBUTION,
     GramSegmentTree,
     KRPTreeSampler,
-    draw_krp_samples_tree,
     tree_joint_distribution,
 )
 from repro.sketch.costmodel import (
-    SampledVsExact,
     crossover_sample_count,
-    exact_leverage_setup_words,
     optimal_sample_grid,
-    parallel_sampled_vs_bound,
     parallel_sampled_words,
-    parallel_tree_setup_words,
-    sampled_mttkrp_flops,
     sampled_mttkrp_words,
-    sampled_vs_exact,
     sampling_setup_words,
-    tree_build_flops,
-    tree_crossover_sample_count,
-    tree_draw_flops,
-    tree_draw_words,
-    tree_sampling_setup_words,
 )
 from repro.sketch.randomized_als import RandomizedCPALSResult, randomized_cp_als
 from repro.sketch.parallel import (
@@ -91,7 +70,6 @@ from repro.sketch.parallel import (
     parallel_randomized_cp_als,
     parallel_sampled_mttkrp,
     predicted_sampled_dimtree_ledger,
-    predicted_sampled_dimtree_sweep_words,
     predicted_sampled_ledger,
     reconcile_sampled_mttkrp,
 )
@@ -108,33 +86,15 @@ __all__ = [
     "default_sample_count",
     "make_sampled_kernel",
     "sampled_mttkrp",
-    "KRPProjection",
-    "PROJECTION_KINDS",
-    "krp_projection",
-    "sketch_krp",
-    "sketch_unfolding",
-    "sketched_mttkrp",
     "TREE_DISTRIBUTION",
     "GramSegmentTree",
     "KRPTreeSampler",
-    "draw_krp_samples_tree",
     "tree_joint_distribution",
-    "SampledVsExact",
     "crossover_sample_count",
-    "exact_leverage_setup_words",
     "optimal_sample_grid",
-    "parallel_sampled_vs_bound",
     "parallel_sampled_words",
-    "parallel_tree_setup_words",
-    "sampled_mttkrp_flops",
     "sampled_mttkrp_words",
-    "sampled_vs_exact",
     "sampling_setup_words",
-    "tree_build_flops",
-    "tree_crossover_sample_count",
-    "tree_draw_flops",
-    "tree_draw_words",
-    "tree_sampling_setup_words",
     "RandomizedCPALSResult",
     "randomized_cp_als",
     "ParallelRandomizedCPALSResult",
@@ -148,5 +108,4 @@ __all__ = [
     "reconcile_sampled_mttkrp",
     "DistributedSampledDimtreeKernel",
     "predicted_sampled_dimtree_ledger",
-    "predicted_sampled_dimtree_sweep_words",
 ]

@@ -1,17 +1,17 @@
-"""Flop/word cost model for sampled MTTKRP, wired against the paper's bounds.
+"""Word cost model for sampled MTTKRP, set against the exact blocked algorithm.
 
 The paper's lower bounds (Section IV) assume every point of the MTTKRP
 iteration space ``[I_1] x ... x [I_N] x [R]`` is evaluated atomically; the
 sampled kernel of :mod:`repro.sketch.sampled_mttkrp` evaluates only the
 ``S`` distinct sampled columns of the unfolding, so its costs are linear in
 ``S`` and escape those bounds entirely.  This module provides the closed-form
-costs of the sampled kernel, parameterized by the number of materialized rows
-``S``, and the crossover sample counts at which sampling stops paying off
-against the paper's exact-algorithm costs and lower bounds
-(:mod:`repro.costmodel` and :mod:`repro.bounds`).
+words of the sampled kernel, parameterized by the number of materialized rows
+``S``, sequentially and per processor of a distributed run, and the crossover
+sample count at which sampling stops paying off against the words of the
+paper's optimal blocked algorithm (Eq. (13), :mod:`repro.costmodel`).
 
-Accuracy is the resource being traded: halving ``S`` halves both flop and
-word costs but raises the estimator's variance (relative error decays like
+Accuracy is the resource being traded: halving ``S`` halves the word cost
+but raises the estimator's variance (relative error decays like
 ``1/sqrt(S)``), so every model here should be read jointly with the measured
 error frontier of ``experiments/sketch_crossover``.
 """
@@ -19,34 +19,10 @@ error frontier of ``experiments/sketch_crossover``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bounds.parallel import combined_parallel_lower_bound
-from repro.bounds.sequential import sequential_lower_bound
 from repro.costmodel.sequential_model import blocked_cost_simplified
-from repro.sketch.treesample import tree_descent_levels
-from repro.utils.partition import max_part_size
 from repro.utils.validation import check_mode, check_positive_int, check_rank, check_shape
-
-
-def sampled_mttkrp_flops(
-    shape: Sequence[int], rank: int, mode: int, n_samples: int
-) -> int:
-    """Arithmetic cost of the sampled kernel with ``S`` materialized rows.
-
-    Forming ``S`` Khatri-Rao rows costs ``(N - 2) S R`` multiplies, weighting
-    them ``S R``, and the sampled GEMM ``2 I_mode S R`` — linear in ``S``
-    where the exact kernel (Eq. (15)) is linear in ``J = prod_{k != mode} I_k``.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    n_samples = check_positive_int(n_samples, "n_samples")
-    n_modes = len(shape)
-    row_cost = (n_modes - 1) * n_samples * rank
-    gemm_cost = 2 * int(shape[mode]) * n_samples * rank
-    return row_cost + gemm_cost
 
 
 def sampling_setup_words(shape: Sequence[int], rank: int, mode: int) -> int:
@@ -61,156 +37,6 @@ def sampling_setup_words(shape: Sequence[int], rank: int, mode: int) -> int:
     rank = check_rank(rank)
     mode = check_mode(mode, len(shape))
     return sum(int(dim) * rank for k, dim in enumerate(shape) if k != mode)
-
-
-# ---------------------------------------------------------------------------
-# tree-based exact leverage sampling (Bharadwaj et al., 2023)
-# ---------------------------------------------------------------------------
-
-#: Descent depth of the padded segment tree — shared with the sampler so the
-#: modelled node counts track the implementation's actual tree layout.
-_tree_levels = tree_descent_levels
-
-
-def exact_leverage_setup_words(shape: Sequence[int], rank: int, mode: int) -> int:
-    """Words of the "read every score" setup of ``distribution="leverage"``.
-
-    Drawing from the exact Khatri-Rao leverage distribution by materialization
-    streams the input factors (``sum_k I_k R``), writes and re-reads the full
-    ``J x R`` Khatri-Rao row block to score it, and keeps the length-``J``
-    score vector — the setup the tree sampler eliminates.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    krp_rows = 1
-    for k, dim in enumerate(shape):
-        if k != mode:
-            krp_rows *= int(dim)
-    factor_words = sum(int(dim) * rank for k, dim in enumerate(shape) if k != mode)
-    return factor_words + krp_rows * rank + krp_rows
-
-
-def tree_sampling_setup_words(shape: Sequence[int], rank: int, mode: int) -> int:
-    """One-time words to build the segment trees of ``"tree-leverage"``.
-
-    Each input factor is streamed once (``I_k R``) and its ``~2 I_k`` node
-    Grams of ``R^2`` words are written — everything is linear in the factor
-    extents, never in ``J``, which is the whole point of the tree: it
-    replaces the ``J``-linear "read every score" setup of
-    :func:`exact_leverage_setup_words` at exact-leverage sampling quality.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    return sum(
-        int(dim) * rank + 2 * int(dim) * rank * rank
-        for k, dim in enumerate(shape)
-        if k != mode
-    )
-
-
-def tree_build_flops(shape: Sequence[int], rank: int, mode: int) -> int:
-    """Arithmetic of the tree build: ``~2 I_k R^2`` per input factor.
-
-    ``I_k R^2`` multiplies for the leaf outer products plus ``~I_k R^2``
-    additions aggregating them up the tree.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    return sum(
-        2 * int(dim) * rank * rank for k, dim in enumerate(shape) if k != mode
-    )
-
-
-def tree_draw_flops(
-    shape: Sequence[int], rank: int, mode: int, n_draws: int
-) -> int:
-    """Arithmetic of ``S`` tree draws: ``O(R^2 log I_k)`` per draw per mode.
-
-    Each draw evaluates one node mass per descent level plus the root
-    (``2 R^2 + R`` flops each: the ``R x R`` Hadamard-and-contract quadratic
-    form) and updates the length-``R`` conditioning vector once per mode —
-    matching :meth:`repro.sketch.treesample.KRPTreeSampler.draw_flops`.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    n_draws = check_positive_int(n_draws, "n_draws")
-    per_node = 2 * rank * rank + rank
-    per_draw = sum(
-        (_tree_levels(dim) + 1) * per_node + rank
-        for k, dim in enumerate(shape)
-        if k != mode
-    )
-    return n_draws * per_draw
-
-
-def tree_draw_words(
-    shape: Sequence[int], rank: int, mode: int, n_draws: int
-) -> int:
-    """Words the descents read in the two-level model: one node Gram per level.
-
-    When the trees (``~2 sum_k I_k R^2`` words) exceed fast memory, each draw
-    reads ``ceil(log2 I_k)`` node Grams of ``R^2`` words per mode.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    n_draws = check_positive_int(n_draws, "n_draws")
-    per_draw = sum(
-        _tree_levels(dim) * rank * rank for k, dim in enumerate(shape) if k != mode
-    )
-    return n_draws * per_draw
-
-
-def tree_crossover_sample_count(
-    shape: Sequence[int],
-    rank: int,
-    mode: int,
-    memory_words: int,
-) -> float:
-    """Sample count where tree-leverage words match the exact blocked cost.
-
-    Solves ``W(S) + tree draw words(S) + tree setup = `` Eq. (13) for ``S``.
-    Unlike :func:`crossover_sample_count` with the "read every score" setup
-    (which subtracts a ``J``-linear constant and can hit zero), the tree
-    setup is factor-linear, so exact-leverage sampling keeps a usable
-    crossover window on exactly the large-``J`` problems the lower bounds
-    target.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    exact = blocked_cost_simplified(shape, rank, memory_words)
-    per_sample = (
-        int(shape[mode])
-        + (len(shape) - 1) * rank
-        + sum(_tree_levels(dim) * rank * rank for k, dim in enumerate(shape) if k != mode)
-    )
-    fixed = int(shape[mode]) * rank + tree_sampling_setup_words(shape, rank, mode)
-    return max((exact - fixed) / per_sample, 0.0)
-
-
-def parallel_tree_setup_words(
-    shape: Sequence[int], rank: int, mode: int, n_procs: int
-) -> int:
-    """Per-rank setup words of the distributed tree sampler.
-
-    One ``R x R`` Gram All-Reduce per input factor (bucket Reduce-Scatter +
-    All-Gather: ``2 (P - 1) ceil(R^2 / P)`` words per rank) and *nothing
-    else* — no leverage-score All-Gather (``"product-leverage"``) and no full
-    factor All-Gather (``"leverage"``), so the setup is independent of every
-    factor extent.  This is the closed-form the reconcile predictor charges
-    collective-for-collective.
-    """
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    n_procs = check_positive_int(n_procs, "n_procs")
-    piece = max_part_size(rank * rank, n_procs)
-    return (len(shape) - 1) * 2 * (n_procs - 1) * piece
 
 
 def sampled_mttkrp_words(
@@ -268,73 +94,6 @@ def crossover_sample_count(
     return max((exact - fixed) / per_sample, 0.0)
 
 
-@dataclass(frozen=True)
-class SampledVsExact:
-    """Sampled-vs-exact cost comparison for one configuration.
-
-    Attributes
-    ----------
-    sampled_flops, sampled_words:
-        Costs of the sampled kernel at the given sample count.
-    exact_flops:
-        Factored exact-kernel arithmetic ``2 I R`` (Eq. (17) association).
-    exact_words:
-        Communication of the optimal blocked algorithm (Eq. (13)).
-    lower_bound_words:
-        The paper's sequential lower bound (max of Eqs. (23) and (24)).
-    word_ratio, flop_ratio:
-        ``sampled / exact`` ratios (< 1 means sampling wins).
-    beats_lower_bound:
-        Whether the sampled kernel moves fewer words than exact MTTKRP is
-        *provably required* to — the quantitative sense in which randomization
-        escapes the paper's model.
-    """
-
-    sampled_flops: int
-    sampled_words: int
-    exact_flops: int
-    exact_words: float
-    lower_bound_words: float
-    word_ratio: float
-    flop_ratio: float
-    beats_lower_bound: bool
-
-
-def sampled_vs_exact(
-    shape: Sequence[int],
-    rank: int,
-    mode: int,
-    n_samples: int,
-    memory_words: int,
-    *,
-    include_setup: bool = False,
-) -> SampledVsExact:
-    """Evaluate the sampled kernel against the exact costs and the lower bound."""
-    shape = check_shape(shape, min_ndim=2)
-    rank = check_rank(rank)
-    mode = check_mode(mode, len(shape))
-    total = 1
-    for dim in shape:
-        total *= int(dim)
-    sampled_f = sampled_mttkrp_flops(shape, rank, mode, n_samples)
-    sampled_w = sampled_mttkrp_words(
-        shape, rank, mode, n_samples, include_setup=include_setup
-    )
-    exact_f = 2 * total * rank
-    exact_w = blocked_cost_simplified(shape, rank, memory_words)
-    bound = sequential_lower_bound(shape, rank, memory_words).combined
-    return SampledVsExact(
-        sampled_flops=sampled_f,
-        sampled_words=sampled_w,
-        exact_flops=exact_f,
-        exact_words=exact_w,
-        lower_bound_words=bound,
-        word_ratio=sampled_w / max(exact_w, 1e-12),
-        flop_ratio=sampled_f / max(exact_f, 1),
-        beats_lower_bound=bool(sampled_w < bound),
-    )
-
-
 def optimal_sample_grid(
     shape: Sequence[int], mode: int, n_samples: int, n_procs: int
 ) -> float:
@@ -374,16 +133,3 @@ def parallel_sampled_words(
     reduce_scatter = (p_s - 1.0) * int(shape[mode]) * rank / n_procs
     return float(allgather + reduce_scatter)
 
-
-def parallel_sampled_vs_bound(
-    shape: Sequence[int], rank: int, mode: int, n_samples: int, n_procs: int
-) -> float:
-    """Ratio of the parallel sampled words to the paper's combined parallel bound.
-
-    Values below 1 mean the sampled algorithm communicates less per processor
-    than any exact MTTKRP may (Section IV's memory-independent bounds) — the
-    parallel face of the randomization trade-off.
-    """
-    sampled = parallel_sampled_words(shape, rank, mode, n_samples, n_procs)
-    bound = combined_parallel_lower_bound(shape, rank, n_procs).combined
-    return sampled / max(bound, 1e-12)

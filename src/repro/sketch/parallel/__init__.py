@@ -8,7 +8,7 @@ charged to a per-rank ledger instead of a formula:
 
 * :mod:`repro.sketch.parallel.distribution` — the sample-index layer: which
   ranks own which drawn Khatri-Rao rows under the stationary grid/block
-  distribution, the COO-sparse scatter, and sampled-grid selection;
+  distribution, one rank's COO-sparse share, and sampled-grid selection;
 * :mod:`repro.sketch.parallel.sampled_mttkrp` — the distributed sampled
   MTTKRP (dense + COO sparse): bucket All-Gathers of only the *sampled*
   factor-row blocks, local sampled GEMMs on owned fiber segments, and an
@@ -30,7 +30,6 @@ charged to a per-rank ledger instead of a formula:
 from repro.sketch.parallel.distribution import (
     SampleAssignment,
     choose_sampled_grid,
-    distribute_sparse_stationary,
     sampled_grid_cost,
 )
 from repro.sketch.parallel.sampled_mttkrp import (
@@ -50,13 +49,11 @@ from repro.sketch.parallel.reconcile import (
 from repro.sketch.parallel.sampled_dimtree import (
     DistributedSampledDimtreeKernel,
     predicted_sampled_dimtree_ledger,
-    predicted_sampled_dimtree_sweep_words,
 )
 
 __all__ = [
     "SampleAssignment",
     "choose_sampled_grid",
-    "distribute_sparse_stationary",
     "sampled_grid_cost",
     "ParallelSampledMTTKRPResult",
     "charge_sampling_setup",
@@ -68,5 +65,4 @@ __all__ = [
     "reconcile_sampled_mttkrp",
     "DistributedSampledDimtreeKernel",
     "predicted_sampled_dimtree_ledger",
-    "predicted_sampled_dimtree_sweep_words",
 ]

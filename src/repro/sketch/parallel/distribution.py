@@ -15,9 +15,9 @@ This module provides the sample-index layer of that algorithm:
   blocks contain its fiber segments), which sampled factor rows fall in each
   grid block, and what each rank contributes to the sampled-row All-Gathers;
 * :func:`sparse_share` — one rank's nonzeros of a COO tensor under the
-  stationary distribution (the nonzeros its block ranges contain), and
-  :func:`distribute_sparse_stationary`, every rank's share at once — the
-  COO-sparse analogue of ``StationaryDistribution.distribute_tensor``;
+  stationary distribution (the nonzeros its block ranges contain), the
+  COO-sparse analogue of one block of
+  ``StationaryDistribution.distribute_tensor``;
 * :func:`choose_sampled_grid` / :func:`sampled_grid_cost` — integer grid
   selection minimising the estimated bucket-collective cost of the *sampled*
   algorithm (small sample counts push processors onto the output mode, where
@@ -147,21 +147,6 @@ def sparse_share(
     return SparseTensor(
         shape=tensor.shape, coords=tensor.coords[mask], values=tensor.values[mask]
     )
-
-
-def distribute_sparse_stationary(
-    dist: StationaryDistribution, tensor: SparseTensor
-) -> Dict[int, SparseTensor]:
-    """Scatter a COO tensor under the stationary distribution (one copy overall).
-
-    Every rank's :func:`sparse_share` at once; a kernel that visits the ranks
-    in turn builds one share at a time instead, holding one rank's copy.
-    """
-    if tuple(tensor.shape) != tuple(dist.shape):
-        raise DistributionError(
-            f"sparse tensor shape {tensor.shape} does not match {dist.shape}"
-        )
-    return {rank: sparse_share(dist, tensor, rank) for rank in range(dist.grid.n_procs)}
 
 
 # ---------------------------------------------------------------------------

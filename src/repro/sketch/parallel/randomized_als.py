@@ -10,7 +10,7 @@ measured on a :class:`~repro.parallel.machine.SimulatedMachine` ledger:
 * **rank-consistent seeding** — the draw is replicated on every simulated
   rank from that shared stream (charged via the setup collectives of
   :func:`~repro.sketch.parallel.sampled_mttkrp.charge_sampling_setup`), so
-  all ranks agree on the samples without a broadcast, and the whole run is
+  all ranks agree on the samples without sending them, and the whole run is
   reproducible from one seed;
 * **exact-solve fallback** — when the sketched model misses ``min_fit`` (or
   goes non-finite), a few Algorithm 3 exact-kernel sweeps polish it *on the
@@ -38,14 +38,13 @@ import numpy as np
 from repro.core.sweep_kernel import PerCallKernel
 from repro.cp.als import CPALSResult, cp_als
 from repro.cp.parallel_als import _SweepWordCounter
-from repro.exceptions import ParameterError
 from repro.parallel.grid_selection import choose_stationary_grid
 from repro.parallel.machine import SimulatedMachine
 from repro.parallel.stationary import StationaryKernel
 from repro.sketch.parallel.sampled_mttkrp import parallel_sampled_mttkrp
-from repro.sketch.randomized_als import _weighted_init
+from repro.sketch.randomized_als import _check_randomized_options, _weighted_init
 from repro.sketch.sampled_mttkrp import default_sample_count
-from repro.sketch.sampling import DISTRIBUTIONS, SeedLike, _as_generator
+from repro.sketch.sampling import SeedLike, _as_generator, check_distribution
 from repro.tensor.dense import as_ndarray
 from repro.tensor.kruskal import KruskalTensor
 from repro.utils.validation import check_positive_int, check_rank
@@ -142,7 +141,7 @@ def parallel_randomized_cp_als(
     n_procs:
         Number of simulated processors ``P``.
     n_samples:
-        Draws per MTTKRP invocation (default
+        Draws per MTTKRP invocation, a positive int (default
         :func:`~repro.sketch.sampled_mttkrp.default_sample_count`).
     distribution:
         Sampling distribution for the kernel.
@@ -152,12 +151,13 @@ def parallel_randomized_cp_als(
         Seed or generator driving initialisation *and* all resampling (the
         rank-consistent shared stream).
     min_fit:
-        When set, the exact fit of the sketched model must reach this value
-        or the exact-solve fallback polishes it with up to
-        ``fallback_sweeps`` Algorithm 3 sweeps on the same machine.  The
-        fallback also triggers on non-finite sketched results.
+        ``None`` or a finite real.  When set, the exact fit of the sketched
+        model must reach this value or the exact-solve fallback polishes it
+        with up to ``fallback_sweeps`` Algorithm 3 sweeps on the same
+        machine.  The fallback also triggers on non-finite sketched results.
     fallback_sweeps:
-        Maximum exact sweeps the fallback may spend.
+        Maximum exact sweeps the fallback may spend, a non-negative int
+        (0 never falls back).
     grid_dims:
         Explicit ``N``-way processor grid (default: the exact stationary
         grid — a single grid must serve every output mode of the sweep).
@@ -172,10 +172,10 @@ def parallel_randomized_cp_als(
     data = as_ndarray(tensor)
     rank = check_rank(rank)
     n_procs = check_positive_int(n_procs, "n_procs")
-    if distribution not in DISTRIBUTIONS:
-        raise ParameterError(
-            f"unknown sampling distribution {distribution!r}; use one of {DISTRIBUTIONS}"
-        )
+    check_distribution(distribution)
+    n_samples, min_fit, fallback_sweeps = _check_randomized_options(
+        n_samples, min_fit, fallback_sweeps
+    )
     if n_samples is None:
         n_samples = default_sample_count(rank)
     grid = tuple(grid_dims) if grid_dims is not None else choose_stationary_grid(

@@ -259,17 +259,3 @@ def predicted_sampled_dimtree_ledger(
     """
     words, gathers = replay_dimtree_ledger(shape, rank, grid_dims, n_sweeps)
     return words + gathers * bucket_all_reduce_cost(len(words), int(rank) ** 2)
-
-
-def predicted_sampled_dimtree_sweep_words(
-    shape: Sequence[int], rank: int, grid_dims: Sequence[int]
-) -> int:
-    """Max-per-rank words of one steady-state fused ALS sweep.
-
-    One All-Gather plus one Gram All-Reduce per mode update and ``N`` output
-    Reduce-Scatters — the fused analogue of
-    :func:`repro.parallel.dimtree.predicted_dimtree_sweep_words`.
-    """
-    two = predicted_sampled_dimtree_ledger(shape, rank, grid_dims, 2)
-    one = predicted_sampled_dimtree_ledger(shape, rank, grid_dims, 1)
-    return int((two - one).max())

@@ -17,18 +17,20 @@ sketched factors with a few exact-kernel sweeps.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cp.als import CPALSResult, cp_als
 from repro.exceptions import ParameterError
 from repro.sketch.sampled_mttkrp import default_sample_count, make_sampled_kernel
-from repro.sketch.sampling import DISTRIBUTIONS, SeedLike, _as_generator
+from repro.sketch.sampling import SeedLike, _as_generator, check_distribution
 from repro.tensor.dense import as_ndarray
 from repro.tensor.kruskal import KruskalTensor
-from repro.utils.validation import check_rank
+from repro.utils.validation import check_positive_int, check_rank
 
 
 @dataclass
@@ -79,6 +81,26 @@ class RandomizedCPALSResult:
         )
 
 
+def _check_randomized_options(
+    n_samples: Optional[int], min_fit: Optional[float], fallback_sweeps: int
+) -> Tuple[Optional[int], Optional[float], int]:
+    """Validate the randomized drivers' sampling and fallback options.
+
+    Both drivers call this before any work, so a bad value fails up front
+    instead of after the sketched run (or, for ``min_fit``, never).
+    """
+    if n_samples is not None:
+        n_samples = check_positive_int(n_samples, "n_samples")
+    if min_fit is not None:
+        if isinstance(min_fit, bool) or not isinstance(min_fit, numbers.Real):
+            raise ParameterError(f"min_fit must be None or a real number, got {min_fit!r}")
+        if not math.isfinite(min_fit):
+            raise ParameterError(f"min_fit must be finite, got {min_fit!r}")
+        min_fit = float(min_fit)
+    fallback_sweeps = check_positive_int(fallback_sweeps, "fallback_sweeps", minimum=0)
+    return n_samples, min_fit, fallback_sweeps
+
+
 def _weighted_init(model: KruskalTensor) -> list:
     """Factor matrices with the weights folded into mode 0, for warm-starting."""
     factors = [f.copy() for f in model.factors]
@@ -109,7 +131,7 @@ def randomized_cp_als(
     rank:
         Target CP rank ``R``.
     n_samples:
-        Draws per MTTKRP invocation (default
+        Draws per MTTKRP invocation, a positive int (default
         :func:`~repro.sketch.sampled_mttkrp.default_sample_count`).
     distribution:
         Sampling distribution for the kernel (``"product-leverage"`` by
@@ -120,13 +142,15 @@ def randomized_cp_als(
     seed:
         Seed or generator driving initialisation *and* all resampling.
     min_fit:
-        When set, the exact fit of the sketched model is required to reach
-        this value; otherwise the exact-solve fallback polishes the model
-        with up to ``fallback_sweeps`` ALS sweeps of the default exact
-        kernel of :func:`~repro.cp.als.cp_als`.  The fallback also triggers
-        on non-finite sketched results regardless of the threshold.
+        ``None`` or a finite real.  When set, the exact fit of the sketched
+        model is required to reach this value; otherwise the exact-solve
+        fallback polishes the model with up to ``fallback_sweeps`` ALS
+        sweeps of the default exact kernel of :func:`~repro.cp.als.cp_als`.
+        The fallback also triggers on non-finite sketched results regardless
+        of the threshold.
     fallback_sweeps:
-        Maximum exact sweeps the fallback may spend.
+        Maximum exact sweeps the fallback may spend, a non-negative int
+        (0 never falls back).
     warn_on_nonconvergence:
         Forwarded to the underlying driver.
 
@@ -136,10 +160,10 @@ def randomized_cp_als(
     """
     data = as_ndarray(tensor)
     rank = check_rank(rank)
-    if distribution not in DISTRIBUTIONS:
-        raise ParameterError(
-            f"unknown sampling distribution {distribution!r}; use one of {DISTRIBUTIONS}"
-        )
+    check_distribution(distribution)
+    n_samples, min_fit, fallback_sweeps = _check_randomized_options(
+        n_samples, min_fit, fallback_sweeps
+    )
     if n_samples is None:
         n_samples = default_sample_count(rank)
     rng = _as_generator(seed)

@@ -56,6 +56,15 @@ SeedLike = Union[None, int, np.random.Generator]
 DISTRIBUTIONS = ("uniform", "leverage", "product-leverage", "tree-leverage")
 
 
+def check_distribution(distribution: str) -> str:
+    """Validate a sampling distribution name against :data:`DISTRIBUTIONS`."""
+    if distribution not in DISTRIBUTIONS:
+        raise ParameterError(
+            f"unknown sampling distribution {distribution!r}; use one of {DISTRIBUTIONS}"
+        )
+    return distribution
+
+
 def _as_generator(seed: SeedLike) -> np.random.Generator:
     """Normalise a seed-like argument into a :class:`numpy.random.Generator`."""
     if isinstance(seed, np.random.Generator):
@@ -142,6 +151,7 @@ def krp_row_distribution(
     form this vector for ``"leverage"``).
     """
     mode = check_mode(mode, len(factors))
+    check_distribution(distribution)
     if distribution == "uniform":
         count = 1
         for k, f in enumerate(factors):
@@ -165,15 +175,11 @@ def krp_row_distribution(
             if k != mode:
                 columns[k] = factor_leverage_distribution(np.asarray(f))[:, None]
         return khatri_rao_excluding(columns, mode).ravel()
-    if distribution == "tree-leverage":
-        # Same distribution as "leverage", evaluated through the Hadamard
-        # factor-Gram pseudoinverse the tree sampler descends with.
-        from repro.sketch.treesample import tree_joint_distribution
+    # "tree-leverage": the same distribution as "leverage", evaluated through
+    # the Hadamard factor-Gram pseudoinverse the tree sampler descends with.
+    from repro.sketch.treesample import tree_joint_distribution
 
-        return tree_joint_distribution(factors, mode)
-    raise ParameterError(
-        f"unknown sampling distribution {distribution!r}; use one of {DISTRIBUTIONS}"
-    )
+    return tree_joint_distribution(factors, mode)
 
 
 @dataclass(frozen=True)
@@ -296,20 +302,17 @@ def draw_krp_samples(
         raise ParameterError("sampling requires a tensor with at least two modes")
     dims = tuple(int(np.asarray(factors[k]).shape[0]) for k in modes)
 
+    check_distribution(distribution)
     if distribution == "uniform":
         state = None
     elif distribution == "leverage":
         state = krp_row_distribution(factors, mode, "leverage")
     elif distribution == "product-leverage":
         state = [factor_leverage_distribution(np.asarray(factors[k])) for k in modes]
-    elif distribution == "tree-leverage":
+    else:  # "tree-leverage"
         from repro.sketch.treesample import KRPTreeSampler
 
         state = KRPTreeSampler(factors, mode)
-    else:
-        raise ParameterError(
-            f"unknown sampling distribution {distribution!r}; use one of {DISTRIBUTIONS}"
-        )
     return _draw_sample_set(distribution, state, mode, modes, dims, n_draws, rng)
 
 

@@ -324,8 +324,9 @@ class KRPTreeSampler:
         """Arithmetic of ``n_draws`` draws: ``O(R^2 log I_k)`` per mode each.
 
         Counts ``2 R^2 + R`` per node-mass evaluation (one per descent level
-        plus the root) and ``R`` per conditioning update — the measured
-        counterpart of :func:`repro.sketch.costmodel.tree_draw_flops`.
+        plus the root) and ``R`` per conditioning update — the flops of
+        :func:`repro.core.sampled_dimtree.tree_draw_cost`, which the fused
+        kernel and its replay charge.
         """
         per_node = 2 * self.rank * self.rank + self.rank
         per_draw = sum((tree.levels + 1) * per_node + self.rank for tree in self.trees)
@@ -349,21 +350,6 @@ def tree_joint_distribution(
     krp = khatri_rao_excluding(factors, mode)
     scores = np.einsum("jr,rs,js->j", krp, sampler.gram_pinv, krp)
     return np.clip(scores, 0.0, None) / sampler.total_mass
-
-
-def draw_krp_samples_tree(
-    factors: Sequence[Optional[np.ndarray]],
-    mode: int,
-    n_draws: int,
-    *,
-    seed=None,
-):
-    """Convenience wrapper: ``draw_krp_samples(..., distribution="tree-leverage")``."""
-    from repro.sketch.sampling import draw_krp_samples
-
-    return draw_krp_samples(
-        factors, mode, n_draws, distribution=TREE_DISTRIBUTION, seed=seed
-    )
 
 
 def tree_descent_levels(extent: int) -> int:

@@ -6,9 +6,7 @@ structure).  This module provides the executable substrate for that
 direction: a coordinate-format sparse tensor, a *chunked* sparse MTTKRP
 kernel that blocks over nonzeros and rank columns (the Tensor Toolbox v3.3
 ``nzchunk``/``rchunk`` design) with chunk sizes chosen from the sequential
-machine model, and a nonzero-aware per-processor communication estimate for
-the stationary distribution, so sparse experiments layer on the same
-machinery.
+machine model, so sparse experiments layer on the same machinery.
 
 The kernel history matters here: the original implementation materialised a
 dense ``(nnz, R)`` contributions array up front (literally
@@ -18,7 +16,7 @@ NumPy offers, which out-of-memories or crawls at production nonzero counts.
 The chunked kernel bounds peak temporaries at ``O(nzchunk * rchunk)`` and
 accumulates each chunk at C speed with a per-column ``bincount`` scatter,
 while :func:`sparse_mttkrp_unchunked` keeps the single-pass
-broadcast path (no dense temp before the first factor is applied) as the
+broadcasting path (no dense temp before the first factor is applied) as the
 exact-equality fallback the chunked kernel dispatches to when one chunk
 covers everything.  With ``threads > 1`` each nonzero block is a task on the
 executor of :mod:`repro.backend.parallel` that allocates its own zeroed
@@ -29,14 +27,13 @@ so the result is bitwise that of the serial loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend.parallel import parallel_map, resolve_threads
 from repro.exceptions import ParameterError, ShapeError
 from repro.observe.instrument import inc as observe_inc
-from repro.utils.partition import partition_bounds
 from repro.utils.validation import (
     check_factor_matrices,
     check_mode,
@@ -170,9 +167,10 @@ def sparse_mttkrp_unchunked(
     ``x * prod_{k != mode} A_k[i_k, :]`` into row ``i_mode`` of the output —
     the sparse analogue of Definition 2.1 (only nonzero N-ary multiplies are
     evaluated); duplicate coordinates sum, per the :class:`SparseTensor`
-    contract.  The first factor gather is broadcast directly against the
-    values (the historical ``values[:, None] * np.ones((1, rank))`` dense
-    temp is gone), but the contribution array is still ``(nnz, R)`` and the
+    contract.  The first factor gather multiplies the values directly, by
+    numpy broadcasting (the historical
+    ``values[:, None] * np.ones((1, rank))`` dense temp is gone), but the
+    contribution array is still ``(nnz, R)`` and the
     scatter is still buffered ``np.add.at`` — this is the reference path the
     chunked kernel falls back to (bitwise) when a single chunk covers the
     whole problem, and the baseline the timed benchmarks race it against.
@@ -306,45 +304,3 @@ def sparse_mttkrp(
     observe_inc("sparse_mttkrp.chunks", n_chunks)
     observe_inc("sparse_mttkrp.threads", threads)
     return output
-
-
-def stationary_sparse_communication(
-    tensor: SparseTensor, rank: int, grid_dims: Sequence[int]
-) -> List[int]:
-    """Per-processor factor-matrix words a stationary sparse MTTKRP would move.
-
-    For a sparse tensor the stationary algorithm only needs, for each
-    processor and each mode, the factor rows indexed by nonzeros in its
-    sub-tensor.  This estimator partitions the nonzeros with the same block
-    grid used for dense tensors and counts the *distinct* factor rows each
-    processor touches — the quantity whose sum the paper's conclusion says is
-    governed by the nonzero structure (and, in general, by a hypergraph
-    partitioning problem).
-
-    Returns a list with one entry per processor: the number of factor-matrix
-    words it must receive (gather) to perform its local computation.
-    """
-    shape = tensor.shape
-    if len(grid_dims) != len(shape):
-        raise ParameterError("grid must have one dimension per tensor mode")
-    bounds = [partition_bounds(shape[k], int(grid_dims[k])) for k in range(len(shape))]
-    n_procs = 1
-    for g in grid_dims:
-        n_procs *= int(g)
-
-    # assign each nonzero to its owning processor
-    owners = np.zeros(tensor.nnz, dtype=np.int64)
-    for k in range(len(shape)):
-        starts = np.array([b[0] for b in bounds[k]] + [shape[k]])
-        block_of = np.searchsorted(starts, tensor.coords[:, k], side="right") - 1
-        owners = owners * int(grid_dims[k]) + block_of
-
-    words = []
-    for proc in range(n_procs):
-        mask = owners == proc
-        total = 0
-        for k in range(len(shape)):
-            touched = np.unique(tensor.coords[mask, k]).size
-            total += touched * rank
-        words.append(int(total))
-    return words

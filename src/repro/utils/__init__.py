@@ -5,22 +5,15 @@ from repro.utils.validation import (
     check_positive_int,
     check_rank,
     check_shape,
-    check_probability_like,
 )
 from repro.utils.indexing import (
-    linear_index,
-    multi_index,
     iter_multi_indices,
     block_ranges,
     block_starts,
-    num_blocks,
 )
 from repro.utils.partition import (
-    block_partition,
     partition_sizes,
     partition_bounds,
-    owner_of_index,
-    balanced_split,
 )
 
 __all__ = [
@@ -28,16 +21,9 @@ __all__ = [
     "check_positive_int",
     "check_rank",
     "check_shape",
-    "check_probability_like",
-    "linear_index",
-    "multi_index",
     "iter_multi_indices",
     "block_ranges",
     "block_starts",
-    "num_blocks",
-    "block_partition",
     "partition_sizes",
     "partition_bounds",
-    "owner_of_index",
-    "balanced_split",
 ]

@@ -2,9 +2,9 @@
 
 The MTTKRP iteration space is ``[I_1] x ... x [I_N] x [R]``.  The sequential
 algorithms sweep this space either element by element (Algorithm 1) or block
-by block (Algorithm 2).  These helpers centralise the conversions between
-linear and multi indices and the enumeration of block ranges so the algorithm
-implementations stay readable.
+by block (Algorithm 2).  These helpers centralise the enumeration of
+multi-indices and block ranges so the algorithm implementations stay
+readable.
 """
 
 from __future__ import annotations
@@ -16,47 +16,10 @@ from repro.exceptions import ParameterError
 from repro.utils.validation import check_positive_int, check_shape
 
 
-def linear_index(index: Sequence[int], shape: Sequence[int]) -> int:
-    """Convert a multi-index to a row-major (C-order) linear index."""
-    shape = check_shape(shape)
-    if len(index) != len(shape):
-        raise ParameterError(
-            f"index length {len(index)} does not match shape length {len(shape)}"
-        )
-    lin = 0
-    for i, (idx, dim) in enumerate(zip(index, shape)):
-        if not 0 <= idx < dim:
-            raise ParameterError(f"index[{i}]={idx} out of range [0, {dim})")
-        lin = lin * dim + idx
-    return lin
-
-
-def multi_index(linear: int, shape: Sequence[int]) -> Tuple[int, ...]:
-    """Convert a row-major linear index back to a multi-index."""
-    shape = check_shape(shape)
-    total = 1
-    for dim in shape:
-        total *= dim
-    if not 0 <= linear < total:
-        raise ParameterError(f"linear index {linear} out of range [0, {total})")
-    out = []
-    for dim in reversed(shape):
-        out.append(linear % dim)
-        linear //= dim
-    return tuple(reversed(out))
-
-
 def iter_multi_indices(shape: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """Iterate over all multi-indices of ``shape`` in row-major order."""
     shape = check_shape(shape)
     return product(*(range(dim) for dim in shape))
-
-
-def num_blocks(extent: int, block: int) -> int:
-    """Number of blocks of size ``block`` covering ``extent`` (``ceil`` division)."""
-    extent = check_positive_int(extent, "extent")
-    block = check_positive_int(block, "block")
-    return -(-extent // block)
 
 
 def block_starts(extent: int, block: int) -> List[int]:

@@ -9,11 +9,8 @@ extra element, so part sizes differ by at most one.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.exceptions import ParameterError
 from repro.utils.validation import check_positive_int
 
 
@@ -38,27 +35,6 @@ def partition_bounds(extent: int, parts: int) -> List[Tuple[int, int]]:
         bounds.append((start, start + size))
         start += size
     return bounds
-
-
-def block_partition(extent: int, parts: int) -> List[np.ndarray]:
-    """Index sets (as integer arrays) of a balanced block partition of ``range(extent)``."""
-    return [np.arange(start, stop) for start, stop in partition_bounds(extent, parts)]
-
-
-def owner_of_index(index: int, extent: int, parts: int) -> int:
-    """Which part of a balanced block partition owns global index ``index``."""
-    if not 0 <= index < extent:
-        raise ParameterError(f"index {index} out of range [0, {extent})")
-    for part, (start, stop) in enumerate(partition_bounds(extent, parts)):
-        if start <= index < stop:
-            return part
-    raise ParameterError("unreachable: index not owned by any part")  # pragma: no cover
-
-
-def balanced_split(items: Sequence, parts: int) -> List[list]:
-    """Split an arbitrary sequence into ``parts`` balanced contiguous chunks."""
-    bounds = partition_bounds(len(items), parts)
-    return [list(items[start:stop]) for start, stop in bounds]
 
 
 def max_part_size(extent: int, parts: int) -> int:

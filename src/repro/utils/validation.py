@@ -96,17 +96,6 @@ def check_shape(shape: Sequence[int], *, min_ndim: int = 1, name: str = "shape")
     return tuple(out)
 
 
-def check_probability_like(value, name: str, *, minimum: float = 0.0, maximum: float = 1.0) -> float:
-    """Validate a float lying in ``[minimum, maximum]`` and return it."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be a float, got {value!r}") from exc
-    if not (minimum <= value <= maximum):
-        raise ParameterError(f"{name} must lie in [{minimum}, {maximum}], got {value}")
-    return value
-
-
 def check_factor_matrices(factors, shape: Sequence[int], rank: int, *, skip_mode=None):
     """Validate a collection of factor matrices against ``shape`` and ``rank``.
 

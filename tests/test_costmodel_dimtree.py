@@ -9,12 +9,14 @@ from repro.core.dimtree import dimtree_sweep_cost, split_chain
 from repro.costmodel import (
     dimtree_crossover_rank,
     dimtree_sweep_flops,
-    dimtree_sweep_speedup,
     dimtree_sweep_words,
     dimtree_vs_independent,
-    independent_sweep_flops,
-    independent_sweep_words,
 )
+
+
+def independent(shape, rank):
+    """``N`` independent per-mode chains: the cache-disabled comb-split engine."""
+    return dimtree_sweep_cost(shape, rank, split=split_chain, cache=False)
 
 
 class TestSweepTerms:
@@ -24,24 +26,23 @@ class TestSweepTerms:
     )
     def test_tree_flops_strictly_below_independent(self, shape, rank):
         """Acceptance: per-sweep flops strictly below N independent kernels (N >= 3)."""
-        assert dimtree_sweep_flops(shape, rank) < independent_sweep_flops(shape, rank)
+        assert dimtree_sweep_flops(shape, rank) < independent(shape, rank).flops
 
     def test_two_way_schedules_coincide(self):
         """N = 2 has no shareable partials: tree == independent exactly."""
-        assert dimtree_sweep_flops((9, 7), 3) == independent_sweep_flops((9, 7), 3)
-        assert dimtree_sweep_words((9, 7), 3) == independent_sweep_words((9, 7), 3)
+        assert dimtree_sweep_flops((9, 7), 3) == independent((9, 7), 3).flops
+        assert dimtree_sweep_words((9, 7), 3) == independent((9, 7), 3).words
 
     def test_root_reads_two_vs_n(self):
         tree = dimtree_sweep_cost((6, 6, 6, 6), 3)
-        independent = dimtree_sweep_cost((6, 6, 6, 6), 3, split=split_chain, cache=False)
         assert tree.root_reads == 2
-        assert independent.root_reads == 4
+        assert independent((6, 6, 6, 6), 3).root_reads == 4
 
     def test_speedup_approaches_n_over_2_for_cubic(self):
         """The classic dimension-tree gain: ~N/2 on large cubic problems."""
-        speedup = dimtree_sweep_speedup((30, 30, 30, 30), 2)
+        speedup = dimtree_vs_independent((30, 30, 30, 30), 2)["flop_speedup"]
         assert 1.8 < speedup <= 2.0
-        speedup6 = dimtree_sweep_speedup((8, 8, 8, 8, 8, 8), 2)
+        speedup6 = dimtree_vs_independent((8, 8, 8, 8, 8, 8), 2)["flop_speedup"]
         assert speedup6 > 2.5
 
 
@@ -75,15 +76,15 @@ class TestAffinityAndCrossover:
         below = max(int(math.floor(crossover)), 1)
         above = int(math.ceil(crossover)) + 1
         if below <= crossover:
-            assert dimtree_sweep_words(shape, below) <= independent_sweep_words(shape, below)
-        assert dimtree_sweep_words(shape, above) > independent_sweep_words(shape, above)
+            assert dimtree_sweep_words(shape, below) <= independent(shape, below).words
+        assert dimtree_sweep_words(shape, above) > independent(shape, above).words
 
     def test_flops_still_win_past_the_word_crossover(self):
         """The trade is words-for-flops: even above the word crossover the
         tree performs strictly less arithmetic."""
         shape = (2, 4, 100)
         rank = int(math.ceil(dimtree_crossover_rank(shape))) + 5
-        assert dimtree_sweep_flops(shape, rank) < independent_sweep_flops(shape, rank)
+        assert dimtree_sweep_flops(shape, rank) < independent(shape, rank).flops
 
     def test_two_way_crossover_is_inf(self):
         assert dimtree_crossover_rank((6, 8)) == math.inf
@@ -104,7 +105,4 @@ class TestComparisonDict:
         bench columns (counted vs modelled) can only agree exactly."""
         shape, rank = (5, 4, 6, 3), 2
         assert dimtree_sweep_flops(shape, rank) == dimtree_sweep_cost(shape, rank).flops
-        assert (
-            independent_sweep_words(shape, rank)
-            == dimtree_sweep_cost(shape, rank, split=split_chain, cache=False).words
-        )
+        assert dimtree_sweep_words(shape, rank) == dimtree_sweep_cost(shape, rank).words

@@ -7,11 +7,9 @@ from repro.exceptions import MachineError
 from repro.parallel.collectives import (
     all_gather,
     all_reduce,
-    broadcast,
     bucket_all_gather_cost,
     bucket_all_reduce_cost,
     bucket_reduce_scatter_cost,
-    gather_to_root,
     reduce_scatter,
 )
 from repro.parallel.machine import SimulatedMachine
@@ -127,7 +125,7 @@ class TestReduceScatter:
             reduce_scatter(machine, [0, 1], {0: np.ones(4), 1: np.ones(5)})
 
 
-class TestAllReduceAndBroadcast:
+class TestAllReduce:
     def test_all_reduce_result(self):
         machine = SimulatedMachine(3)
         contributions = {r: np.full((2, 2), float(r + 1)) for r in range(3)}
@@ -148,23 +146,3 @@ class TestAllReduceAndBroadcast:
         machine = SimulatedMachine(q)
         all_reduce(machine, list(range(q)), {r: np.ones(n) for r in range(q)})
         assert np.all(machine.words_sent == bucket_all_reduce_cost(q, n))
-
-    def test_broadcast_delivers_value(self):
-        machine = SimulatedMachine(3)
-        out = broadcast(machine, [0, 1, 2], root=1, value=np.arange(6))
-        for rank in range(3):
-            assert np.array_equal(out[rank], np.arange(6))
-
-    def test_broadcast_root_must_be_member(self):
-        machine = SimulatedMachine(3)
-        with pytest.raises(MachineError):
-            broadcast(machine, [0, 1], root=2, value=np.ones(2))
-
-    def test_gather_to_root(self):
-        machine = SimulatedMachine(3)
-        blocks = {0: np.array([1.0]), 1: np.array([2.0]), 2: np.array([3.0])}
-        out = gather_to_root(machine, [0, 1, 2], 0, blocks)
-        assert np.array_equal(out, np.array([1.0, 2.0, 3.0]))
-        assert machine.words_received[0] == 2
-        assert machine.words_sent[1] == 1
-        assert machine.words_sent[0] == 0

@@ -15,7 +15,6 @@ from repro.sketch.parallel.sampled_dimtree import (
     REDUCE_LABEL,
     DistributedSampledDimtreeKernel,
     predicted_sampled_dimtree_ledger,
-    predicted_sampled_dimtree_sweep_words,
 )
 from repro.tensor.random import noisy_low_rank_tensor
 
@@ -78,13 +77,13 @@ class TestLedgerReconciliation:
         with pytest.raises(ParameterError, match="n_sweeps"):
             replay((12, 10, 8), 3, (2, 2, 2), n_sweeps)
 
-    def test_sweep_words_helper_positive_and_consistent(self):
+    def test_steady_sweep_words_constant_and_positive(self):
+        """After the first sweep every sweep adds the same positive words."""
         shape, rank, grid = (12, 10, 8), 3, (2, 2, 2)
-        steady = predicted_sampled_dimtree_sweep_words(shape, rank, grid)
-        three = predicted_sampled_dimtree_ledger(shape, rank, grid, 3)
-        two = predicted_sampled_dimtree_ledger(shape, rank, grid, 2)
-        assert steady == int((three - two).max())
-        assert steady > 0
+        ledgers = [predicted_sampled_dimtree_ledger(shape, rank, grid, n) for n in (2, 3, 4)]
+        third, fourth = ledgers[1] - ledgers[0], ledgers[2] - ledgers[1]
+        assert np.array_equal(third, fourth)
+        assert np.all(third > 0)
 
     def test_phase_labels_present(self):
         shape, rank, n_procs = (6, 5, 4), 2, 4

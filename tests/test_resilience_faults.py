@@ -11,7 +11,12 @@ import pytest
 
 from repro.exceptions import ParameterError, RankFailureError, RetryExhaustedError
 from repro.observe.drift import retry_ledger_drift
-from repro.parallel.collectives import all_gather, gather_to_root, reduce_scatter
+from repro.parallel.collectives import (
+    COLLECTIVE_KINDS,
+    all_gather,
+    all_reduce,
+    reduce_scatter,
+)
 from repro.parallel.machine import SimulatedMachine
 from repro.resilience import (
     FAULT_KINDS,
@@ -37,6 +42,27 @@ class TestFaultSpec:
             FaultSpec("drop", n_failures=0)
         with pytest.raises(ParameterError, match="delay_units"):
             FaultSpec("delay", delay_units=0)
+
+    @pytest.mark.parametrize("collective", ["allgather", "gather", "broadcast"])
+    def test_rejects_unknown_collective(self, collective):
+        """A kind no collective emits would match nothing and inject no fault."""
+        with pytest.raises(ParameterError, match="unknown collective"):
+            FaultSpec("drop", collective=collective)
+
+    def test_collective_kinds_are_the_kinds_emitted(self):
+        machine = FaultyMachine(4)
+        blocks = _blocks(4)
+        all_gather(machine, range(4), blocks)
+        reduce_scatter(machine, range(4), blocks)
+        all_reduce(machine, range(4), blocks)
+        assert {kind for _, kind, _ in machine.step_log} == set(COLLECTIVE_KINDS)
+
+    @pytest.mark.parametrize("collective", COLLECTIVE_KINDS)
+    def test_schedule_naming_an_emitted_kind_fires(self, collective):
+        """An All-Reduce runs both kinds; a drop aimed at one hits only it."""
+        machine = FaultyMachine(4, FaultSchedule([FaultSpec("drop", collective=collective)]))
+        all_reduce(machine, range(4), _blocks(4))
+        assert [(f.collective, f.fault_kind) for f in machine.injected] == [(collective, "drop")]
 
     def test_matching_filters(self):
         spec = FaultSpec(
@@ -211,7 +237,7 @@ class TestRetryLedgerDrift:
         blocks = _blocks(machine.n_procs, seed=3)
         all_gather(machine, range(machine.n_procs), blocks, label="gather")
         reduce_scatter(machine, range(machine.n_procs), blocks, label="rs")
-        gather_to_root(machine, range(machine.n_procs), 0, blocks, label="root")
+        all_reduce(machine, range(machine.n_procs), blocks, label="ar")
 
     def test_faulted_ledger_reconciles_exactly(self):
         base = SimulatedMachine(4)
@@ -220,7 +246,7 @@ class TestRetryLedgerDrift:
             [
                 FaultSpec("drop", step=0, n_failures=2),
                 FaultSpec("corrupt", step=1),
-                FaultSpec("drop", step=2),  # the asymmetric gather retry path
+                FaultSpec("drop", step=2),  # the All-Reduce's Reduce-Scatter
                 FaultSpec("delay", step=2, delay_units=3),
             ]
         )

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.bounds.parallel import combined_parallel_lower_bound
 from repro.bounds.sequential import sequential_lower_bound
 from repro.costmodel.sequential_model import blocked_cost_simplified
 from repro.exceptions import ParameterError
 from repro.sketch.costmodel import (
     crossover_sample_count,
     optimal_sample_grid,
-    parallel_sampled_vs_bound,
     parallel_sampled_words,
-    sampled_mttkrp_flops,
     sampled_mttkrp_words,
-    sampled_vs_exact,
     sampling_setup_words,
 )
 
@@ -23,11 +21,6 @@ MEMORY = 2**20
 
 
 class TestSequentialModel:
-    def test_flops_linear_in_samples(self):
-        f1 = sampled_mttkrp_flops(SHAPE, RANK, 0, 1000)
-        f2 = sampled_mttkrp_flops(SHAPE, RANK, 0, 2000)
-        assert f2 == 2 * f1
-
     def test_words_linear_plus_output(self):
         w1 = sampled_mttkrp_words(SHAPE, RANK, 0, 1000)
         w2 = sampled_mttkrp_words(SHAPE, RANK, 0, 2000)
@@ -60,33 +53,35 @@ class TestSequentialModel:
         with pytest.raises(ParameterError):
             sampled_mttkrp_words(SHAPE, RANK, 0, 0)
         with pytest.raises(ParameterError):
-            sampled_mttkrp_flops(SHAPE, RANK, 9, 10)
+            sampled_mttkrp_words(SHAPE, RANK, 9, 10)
 
 
 class TestSampledVsExact:
+    """The sampled words set against the paper's bound and its optimal algorithm."""
+
     def test_small_sample_beats_lower_bound(self):
-        comparison = sampled_vs_exact(SHAPE, RANK, 0, 4096, MEMORY)
-        assert comparison.word_ratio < 1.0
-        assert comparison.flop_ratio < 1.0
-        assert comparison.beats_lower_bound
+        sampled = sampled_mttkrp_words(SHAPE, RANK, 0, 4096)
         bound = sequential_lower_bound(SHAPE, RANK, MEMORY).combined
-        assert np.isclose(comparison.lower_bound_words, bound)
+        exact = blocked_cost_simplified(SHAPE, RANK, MEMORY)
+        assert sampled < bound <= exact
 
     def test_oversampling_loses(self):
         # Sampling more rows than the Khatri-Rao product has cannot win.
         total_rows = SHAPE[1] * SHAPE[2]
-        comparison = sampled_vs_exact(SHAPE, RANK, 0, 4 * total_rows, MEMORY)
-        assert comparison.word_ratio > 1.0
-        assert not comparison.beats_lower_bound
+        sampled = sampled_mttkrp_words(SHAPE, RANK, 0, 4 * total_rows)
+        assert sampled > blocked_cost_simplified(SHAPE, RANK, MEMORY)
+        assert sampled > sequential_lower_bound(SHAPE, RANK, MEMORY).combined
 
-    def test_ratios_consistent(self):
-        comparison = sampled_vs_exact(SHAPE, RANK, 0, 1000, MEMORY)
-        assert np.isclose(
-            comparison.word_ratio, comparison.sampled_words / comparison.exact_words
-        )
-        assert np.isclose(
-            comparison.flop_ratio, comparison.sampled_flops / comparison.exact_flops
-        )
+    def test_setup_keeps_small_sample_below_bound(self):
+        """The factor-linear setup does not close the gap to the bound."""
+        sampled = sampled_mttkrp_words(SHAPE, RANK, 0, 4096, include_setup=True)
+        assert sampled < sequential_lower_bound(SHAPE, RANK, MEMORY).combined
+
+    def test_setup_lowers_crossover_by_its_words(self):
+        plain = crossover_sample_count(SHAPE, RANK, 0, MEMORY)
+        with_setup = crossover_sample_count(SHAPE, RANK, 0, MEMORY, include_setup=True)
+        per_sample = SHAPE[0] + (len(SHAPE) - 1) * RANK
+        assert np.isclose(plain - with_setup, sampling_setup_words(SHAPE, RANK, 0) / per_sample)
 
 
 class TestParallelModel:
@@ -115,10 +110,10 @@ class TestParallelModel:
         assert np.isclose(words, 2 * 2 * RANK)
 
     def test_small_sample_beats_parallel_bound(self):
-        ratio = parallel_sampled_vs_bound(SHAPE, RANK, 0, 2**10, 64)
-        assert ratio < 1.0
+        words = parallel_sampled_words(SHAPE, RANK, 0, 2**10, 64)
+        assert words < combined_parallel_lower_bound(SHAPE, RANK, 64).combined
 
     def test_huge_sample_loses_to_parallel_bound(self):
         total_rows = SHAPE[1] * SHAPE[2]
-        ratio = parallel_sampled_vs_bound(SHAPE, RANK, 0, 8 * total_rows, 2)
-        assert ratio > 1.0
+        words = parallel_sampled_words(SHAPE, RANK, 0, 8 * total_rows, 2)
+        assert words > combined_parallel_lower_bound(SHAPE, RANK, 2).combined

@@ -18,8 +18,8 @@ from repro.parallel.stationary import stationary_mttkrp
 from repro.sketch.parallel.distribution import (
     SampleAssignment,
     choose_sampled_grid,
-    distribute_sparse_stationary,
     sampled_grid_cost,
+    sparse_share,
 )
 from repro.sketch.parallel.reconcile import (
     predicted_sampled_ledger,
@@ -105,17 +105,25 @@ class TestSparseScatter:
     def test_partition_of_nonzeros(self, sparse_problem):
         tensor, _ = sparse_problem
         dist = StationaryDistribution(SHAPE, RANK, 0, ProcessorGrid((2, 3, 1)))
-        blocks = distribute_sparse_stationary(dist, tensor)
-        assert sum(b.nnz for b in blocks.values()) == tensor.nnz
-        assert np.allclose(
-            sum(b.to_dense() for b in blocks.values()), tensor.to_dense()
-        )
+        blocks = [sparse_share(dist, tensor, rank) for rank in range(dist.grid.n_procs)]
+        assert sum(b.nnz for b in blocks) == tensor.nnz
+        assert np.allclose(sum(b.to_dense() for b in blocks), tensor.to_dense())
 
-    def test_shape_mismatch_rejected(self, sparse_problem):
+    def test_share_keeps_global_coordinates_in_order(self, sparse_problem):
+        """Each share holds only its block's nonzeros, at their global
+        coordinates and in the global tensor's order."""
         tensor, _ = sparse_problem
-        dist = StationaryDistribution((8, 9, 11), RANK, 0, ProcessorGrid((2, 3, 1)))
-        with pytest.raises(DistributionError):
-            distribute_sparse_stationary(dist, tensor)
+        dist = StationaryDistribution(SHAPE, RANK, 0, ProcessorGrid((2, 3, 1)))
+        position = {tuple(c): i for i, c in enumerate(tensor.coords.tolist())}
+        assert len(position) == tensor.nnz  # no duplicate coordinates here
+        for rank in range(dist.grid.n_procs):
+            share = sparse_share(dist, tensor, rank)
+            assert share.shape == tensor.shape
+            for k, (start, stop) in enumerate(dist.subtensor_ranges(rank)):
+                assert np.all((share.coords[:, k] >= start) & (share.coords[:, k] < stop))
+            order = [position[tuple(c)] for c in share.coords.tolist()]
+            assert order == sorted(order)
+            assert np.array_equal(share.values, tensor.values[order])
 
 
 class TestSeedEquivalence:

@@ -9,6 +9,7 @@ from repro.exceptions import ParameterError
 from repro.observe import tracing
 from repro.parallel.machine import SimulatedMachine
 from repro.parallel.stationary import stationary_mttkrp
+from repro.sketch.parallel import randomized_als as parallel_randomized_als
 from repro.sketch.parallel.randomized_als import parallel_randomized_cp_als
 from repro.sketch.randomized_als import _weighted_init, randomized_cp_als
 from repro.tensor.random import random_low_rank_tensor
@@ -116,6 +117,44 @@ class TestParallelRandomizedCPALS:
         with pytest.raises(ParameterError):
             parallel_randomized_cp_als(tensor, 3, 4, distribution="importance")
 
+    @pytest.mark.parametrize(
+        "options,name",
+        [
+            ({"min_fit": 0.999, "fallback_sweeps": -1}, "fallback_sweeps"),
+            ({"min_fit": 0.999, "fallback_sweeps": 2.5}, "fallback_sweeps"),
+            ({"min_fit": float("nan")}, "min_fit"),
+            ({"min_fit": "0.5"}, "min_fit"),
+            ({"n_samples": 0}, "n_samples"),
+            ({"n_samples": 2.5}, "n_samples"),
+            ({"min_fit": True}, "min_fit"),
+            ({"min_fit": float("inf")}, "min_fit"),
+            ({"min_fit": 0.5, "fallback_sweeps": None}, "fallback_sweeps"),
+        ],
+    )
+    def test_bad_options_fail_before_the_sketched_run(self, tensor, monkeypatch, options, name):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sketched run started")
+
+        monkeypatch.setattr(parallel_randomized_als, "cp_als", no_sweep)
+        with pytest.raises(ParameterError, match=name):
+            parallel_randomized_cp_als(tensor, 3, 4, n_iter_max=3, seed=0, **options)
+
+    @pytest.mark.parametrize(
+        "options,used_fallback",
+        [
+            ({"n_samples": np.int64(40)}, False),
+            ({"min_fit": 0}, False),
+            ({"min_fit": np.float64(1.1), "fallback_sweeps": np.int64(2)}, True),
+        ],
+    )
+    def test_numpy_and_int_options_accepted(self, tensor, options, used_fallback):
+        result = parallel_randomized_cp_als(tensor, 3, 4, n_iter_max=3, seed=0, **options)
+        assert result.used_fallback is used_fallback
+        if "n_samples" in options:
+            assert result.n_samples == 40
+        if used_fallback:
+            assert result.fallback.n_iterations <= 2
+
 
 class TestParallelKernelRegistry:
     def test_registry_names(self):
@@ -148,6 +187,13 @@ class TestParallelKernelRegistry:
     def test_unknown_kernel_rejected(self, tensor):
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 3, n_procs=4, kernel="sketchy")
+
+    @pytest.mark.parametrize("kernel", PARALLEL_KERNEL_NAMES)
+    def test_unknown_sample_distribution_rejected_by_every_kernel(self, tensor, kernel):
+        with pytest.raises(ParameterError, match="unknown sampling distribution 'bogus'"):
+            parallel_cp_als(
+                tensor, 3, n_procs=4, kernel=kernel, sample_distribution="bogus", n_iter_max=2
+            )
 
     def test_exact_kernel_unchanged(self, tensor):
         """Algorithm 3 is byte-compatible with the pre-registry driver."""

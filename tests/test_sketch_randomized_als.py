@@ -5,12 +5,26 @@ import pytest
 
 from repro.cp.als import cp_als
 from repro.exceptions import ParameterError
+from repro.sketch import randomized_als
 from repro.sketch.randomized_als import _weighted_init, randomized_cp_als
 from repro.sketch.sampled_mttkrp import default_sample_count
 from repro.tensor.random import random_low_rank_tensor
 
 SHAPE = (16, 14, 12)
 RANK = 3
+
+#: Misused sampling and fallback options, each with the option its error names.
+BAD_OPTIONS = [
+    ({"min_fit": 0.999, "fallback_sweeps": -1}, "fallback_sweeps"),
+    ({"min_fit": 0.999, "fallback_sweeps": 2.5}, "fallback_sweeps"),
+    ({"min_fit": float("nan")}, "min_fit"),
+    ({"min_fit": "0.5"}, "min_fit"),
+    ({"n_samples": 0}, "n_samples"),
+    ({"n_samples": 2.5}, "n_samples"),
+    ({"min_fit": True}, "min_fit"),
+    ({"min_fit": float("inf")}, "min_fit"),
+    ({"min_fit": 0.5, "fallback_sweeps": None}, "fallback_sweeps"),
+]
 
 
 @pytest.fixture()
@@ -110,3 +124,33 @@ class TestRandomizedCPALS:
     def test_unknown_distribution_rejected(self, tensor):
         with pytest.raises(ParameterError):
             randomized_cp_als(tensor, RANK, distribution="bogus")
+
+    @pytest.mark.parametrize("options,name", BAD_OPTIONS)
+    def test_bad_options_fail_before_the_sketched_run(self, tensor, monkeypatch, options, name):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sketched run started")
+
+        monkeypatch.setattr(randomized_als, "cp_als", no_sweep)
+        with pytest.raises(ParameterError, match=name):
+            randomized_cp_als(tensor, RANK, n_iter_max=3, seed=0, **options)
+
+    @pytest.mark.parametrize(
+        "options,used_fallback",
+        [
+            ({"n_samples": np.int64(40)}, False),
+            ({"min_fit": 0}, False),
+            ({"min_fit": np.float64(1.1), "fallback_sweeps": np.int64(2)}, True),
+        ],
+    )
+    def test_numpy_and_int_options_accepted(self, tensor, options, used_fallback):
+        result = randomized_cp_als(tensor, RANK, n_iter_max=3, seed=0, **options)
+        assert result.used_fallback is used_fallback
+        assert result.n_samples == options.get("n_samples", default_sample_count(RANK))
+        if used_fallback:
+            assert result.fallback.n_iterations <= 2
+
+    def test_zero_fallback_sweeps_never_falls_back(self, tensor):
+        result = randomized_cp_als(
+            tensor, RANK, n_samples=4, seed=3, n_iter_max=3, min_fit=1.01, fallback_sweeps=0
+        )
+        assert not result.used_fallback

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.sketch.sampling import (
     DISTRIBUTIONS,
+    check_distribution,
     draw_krp_samples,
     factor_leverage_distribution,
     krp_leverage_scores,
@@ -142,3 +143,28 @@ class TestDrawKRPSamples:
             draw_krp_samples(factors, 0, 0)
         with pytest.raises(ParameterError):
             draw_krp_samples(factors, 0, 10, distribution="nope")
+
+
+class TestCheckDistribution:
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_accepts_every_distribution(self, distribution):
+        assert check_distribution(distribution) == distribution
+
+    def test_rejection_names_the_choices(self):
+        with pytest.raises(ParameterError, match="unknown sampling distribution 'sobol'") as info:
+            check_distribution("sobol")
+        for distribution in DISTRIBUTIONS:
+            assert repr(distribution) in str(info.value)
+
+    def test_entry_points_share_the_message(self, factors):
+        messages = []
+        for call in (
+            lambda: draw_krp_samples(factors, 0, 10, distribution="sobol"),
+            lambda: krp_row_distribution(factors, 0, "sobol"),
+            lambda: check_distribution("sobol"),
+        ):
+            with pytest.raises(ParameterError) as info:
+                call()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+

@@ -21,23 +21,19 @@ import pytest
 from repro.core.kernels import mttkrp
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import parallel_cp_als
+from repro.core.sampled_dimtree import sampler_build_cost, tree_draw_cost
 from repro.exceptions import ParameterError
-from repro.sketch.costmodel import (
-    exact_leverage_setup_words,
-    parallel_tree_setup_words,
-    tree_build_flops,
-    tree_crossover_sample_count,
-    tree_draw_flops,
-    tree_draw_words,
-    tree_sampling_setup_words,
-)
+from repro.parallel.collectives import bucket_all_reduce_cost
+from repro.parallel.distribution import StationaryDistribution
+from repro.parallel.grid import ProcessorGrid
+from repro.parallel.machine import SimulatedMachine
 from repro.sketch.parallel import (
     parallel_randomized_cp_als,
     parallel_sampled_mttkrp,
     predicted_sampled_ledger,
     reconcile_sampled_mttkrp,
 )
-from repro.sketch.parallel.sampled_mttkrp import SETUP_LABEL
+from repro.sketch.parallel.sampled_mttkrp import SETUP_LABEL, charge_sampling_setup
 from repro.sketch.randomized_als import randomized_cp_als
 from repro.sketch.sampled_mttkrp import sampled_mttkrp
 from repro.sketch.sampling import (
@@ -51,7 +47,6 @@ from repro.sketch.treesample import (
     TREE_DISTRIBUTION,
     GramSegmentTree,
     KRPTreeSampler,
-    draw_krp_samples_tree,
     tree_descent_levels,
     tree_joint_distribution,
 )
@@ -220,17 +215,23 @@ class TestExactnessOracle:
         assert np.allclose(w1, sampler.gram_pinv)
 
     def test_row_probabilities_match_sample_set(self, factors):
-        samples = draw_krp_samples_tree(factors, 1, 300, seed=9)
+        samples = draw_krp_samples(factors, 1, 300, distribution=TREE_DISTRIBUTION, seed=9)
         assert samples.distribution == TREE_DISTRIBUTION
         joint = krp_row_distribution(factors, 1, "leverage")
         assert np.allclose(samples.probabilities, joint[samples.linear_rows()])
 
     def test_draws_seed_reproducible(self, factors):
-        a = draw_krp_samples_tree(factors, 2, 64, seed=21)
+        a = draw_krp_samples(factors, 2, 64, distribution=TREE_DISTRIBUTION, seed=21)
         b = draw_krp_samples(factors, 2, 64, distribution=TREE_DISTRIBUTION, seed=21)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.probabilities, b.probabilities)
+
+    def test_draws_reject_bad_arguments(self, factors):
+        with pytest.raises(ParameterError, match="n_draws"):
+            draw_krp_samples(factors, 0, 0, distribution=TREE_DISTRIBUTION)
+        with pytest.raises(ParameterError, match="mode"):
+            draw_krp_samples(factors, 5, 10, distribution=TREE_DISTRIBUTION)
 
 
 class TestStatisticalHarness:
@@ -239,7 +240,7 @@ class TestStatisticalHarness:
     def test_tv_smoke(self, factors):
         """Tier-1 smoke: 20k draws stay within TV 0.08 of the exact joint."""
         joint = krp_row_distribution(factors, 0, "leverage")
-        samples = draw_krp_samples_tree(factors, 0, 20000, seed=13)
+        samples = draw_krp_samples(factors, 0, 20000, distribution=TREE_DISTRIBUTION, seed=13)
         tv = total_variation(empirical_frequencies(samples, joint.shape[0]), joint)
         assert tv < 0.08
 
@@ -258,7 +259,9 @@ class TestStatisticalHarness:
         TV_TOLERANCE = 0.05
         facs = coherent_factors if coherent else factors
         joint = krp_row_distribution(facs, mode, "leverage")
-        samples = draw_krp_samples_tree(facs, mode, 40000, seed=base_seed + 17 * mode)
+        samples = draw_krp_samples(
+            facs, mode, 40000, distribution=TREE_DISTRIBUTION, seed=base_seed + 17 * mode
+        )
         tv = total_variation(empirical_frequencies(samples, joint.shape[0]), joint)
         assert tv < TV_TOLERANCE
 
@@ -269,7 +272,9 @@ class TestStatisticalHarness:
         stats = pytest.importorskip("scipy.stats")
         joint = krp_row_distribution(factors, mode, "leverage")
         n_draws = 40000
-        samples = draw_krp_samples_tree(factors, mode, n_draws, seed=base_seed + 29 * mode)
+        samples = draw_krp_samples(
+            factors, mode, n_draws, distribution=TREE_DISTRIBUTION, seed=base_seed + 29 * mode
+        )
         counts = np.zeros(joint.shape[0])
         counts[samples.linear_rows()] = samples.counts
         stat, dof = chi_squared_statistic(counts, n_draws * joint)
@@ -284,7 +289,9 @@ class TestStatisticalHarness:
         frequency vectors stay within the same TV ball of the same target.
         """
         joint = krp_row_distribution(factors, 0, "leverage")
-        tree = draw_krp_samples_tree(factors, 0, 40000, seed=base_seed + 101)
+        tree = draw_krp_samples(
+            factors, 0, 40000, distribution=TREE_DISTRIBUTION, seed=base_seed + 101
+        )
         mat = draw_krp_samples(
             factors, 0, 40000, distribution="leverage", seed=base_seed + 101
         )
@@ -394,8 +401,8 @@ class TestDistributedTree:
         assert setups["tree-leverage"] > 0
         assert setups["tree-leverage"] < setups["product-leverage"]
         assert setups["tree-leverage"] < setups["leverage"]
-        # the measured Gram-All-Reduce-only setup equals the closed form
-        assert setups["tree-leverage"] == parallel_tree_setup_words((8, 9, 10), RANK, 0, 6)
+        # the measured setup is one R x R Gram All-Reduce per input factor
+        assert setups["tree-leverage"] == 2 * bucket_all_reduce_cost(6, RANK**2)
 
     def test_reconcile_measured_equals_predicted(self, problem):
         tensor, factors = problem
@@ -410,61 +417,52 @@ class TestDistributedTree:
 
 class TestTreeCostModel:
     def test_setup_linear_in_factors_not_in_krp(self):
-        """Tree setup words are factor-linear; the replaced setup is J-linear."""
-        small = (20, 20, 20)
-        big = (20, 200, 200)
-        assert tree_sampling_setup_words(big, 4, 0) < exact_leverage_setup_words(big, 4, 0)
-        # growing J 100x grows the tree setup only 10x (factor extents), but
-        # the read-every-score setup ~100x.
-        tree_growth = tree_sampling_setup_words(big, 4, 0) / tree_sampling_setup_words(small, 4, 0)
-        exact_growth = exact_leverage_setup_words(big, 4, 0) / exact_leverage_setup_words(small, 4, 0)
-        assert tree_growth < 11
-        assert exact_growth > 50
+        """Tree setup words are factor-linear: 10x the extents is 100x the
+        Khatri-Rao rows but only 10x the words."""
+
+        def setup_words(extents):
+            return sum(sampler_build_cost(dim, 4, TREE_DISTRIBUTION)[1] for dim in extents)
+
+        assert setup_words((200, 200)) == 10 * setup_words((20, 20))
+
+    def test_build_cost_by_distribution(self):
+        """Same build arithmetic as the leverage pass; the tree also writes
+        its ``2 I R^2`` node-Gram words, and uniform keeps no state."""
+        tree = sampler_build_cost(7, RANK, TREE_DISTRIBUTION)
+        product = sampler_build_cost(7, RANK, "product-leverage")
+        assert tree[0] == product[0] == 2 * 7 * RANK * RANK
+        assert product[1] == 7 * RANK
+        assert tree[1] - product[1] == 2 * 7 * RANK * RANK
+        assert sampler_build_cost(7, RANK, "uniform") == (0, 0)
 
     def test_draw_flops_logarithmic(self):
         """Per-draw arithmetic grows with log I, not I."""
-        base = tree_draw_flops((2, 64, 64), 4, 0, 1)
-        wider = tree_draw_flops((2, 4096, 4096), 4, 0, 1)
+        base = tree_draw_cost((64, 64), 4, 1)[0]
+        wider = tree_draw_cost((4096, 4096), 4, 1)[0]
         # 64x wider factors: a linear-in-I draw would cost 64x, the tree's
         # log2(4096)/log2(64) = 2x bound is not even reached (constant root
         # and h-update terms), and the count is linear in the draw count.
         assert base < wider < 2 * base
-        assert tree_draw_flops((2, 64, 64), 4, 0, 10) == 10 * base
+        assert tree_draw_cost((64, 64), 4, 10)[0] == 10 * base
 
     def test_draw_flops_match_sampler_accounting(self, factors):
         sampler = KRPTreeSampler(factors, 0)
-        assert sampler.draw_flops(17) == tree_draw_flops(SHAPE, RANK, 0, 17)
+        assert sampler.draw_flops(17) == tree_draw_cost(SHAPE[1:], RANK, 17)[0]
 
     def test_build_flops_and_draw_words_positive(self):
-        assert tree_build_flops(SHAPE, RANK, 0) == 2 * (5 + 4) * RANK * RANK
-        assert tree_draw_words(SHAPE, RANK, 0, 3) == 3 * (3 + 2) * RANK * RANK
-
-    def test_tree_crossover_survives_where_score_read_closes_it(self):
-        """The tree keeps a crossover window where read-every-score closes it.
-
-        On a small-output-mode problem the ``J R`` score-read setup alone
-        exceeds the exact blocked algorithm's entire word count — exact
-        leverage sampling by materialization can *never* win there — while
-        the factor-linear tree setup leaves a positive crossover.
-        """
-        from repro.costmodel.sequential_model import blocked_cost_simplified
-
-        shape, rank, memory = (2, 256, 256), 8, 2**10
-        exact = blocked_cost_simplified(shape, rank, memory)
-        score_fixed = shape[0] * rank + exact_leverage_setup_words(shape, rank, 0)
-        assert score_fixed > exact  # no window via materialized scores
-        assert tree_sampling_setup_words(shape, rank, 0) < exact
-        assert tree_crossover_sample_count(shape, rank, 0, memory) > 0.0
+        build = [sampler_build_cost(dim, RANK, TREE_DISTRIBUTION)[0] for dim in SHAPE[1:]]
+        assert sum(build) == 2 * (5 + 4) * RANK * RANK
+        assert tree_draw_cost(SHAPE[1:], RANK, 3)[1] == 3 * (3 + 2) * RANK * RANK
 
     def test_parallel_setup_words_closed_form(self):
         # one R x R Gram All-Reduce per input factor: 2 (P-1) ceil(R^2/P) each
-        assert parallel_tree_setup_words((8, 9, 10), 4, 0, 4) == 2 * 2 * 3 * 4
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            tree_draw_flops(SHAPE, RANK, 0, 0)
-        with pytest.raises(ParameterError):
-            parallel_tree_setup_words(SHAPE, RANK, 5, 4)
+        shape, rank = (8, 9, 10), 4
+        dist = StationaryDistribution(shape, rank, 0, ProcessorGrid((1, 2, 2)))
+        machine = SimulatedMachine(4)
+        factors = random_factors(shape, rank, seed=2)
+        charge_sampling_setup(machine, dist, factors, TREE_DISTRIBUTION)
+        assert np.all(machine.words_sent == 2 * 2 * 3 * 4)
+        assert np.all(machine.words_received == 2 * 2 * 3 * 4)
 
 
 class TestDegenerateFactors:

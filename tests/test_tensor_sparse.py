@@ -10,7 +10,6 @@ from repro.tensor.sparse import (
     SparseTensor,
     sparse_mttkrp,
     sparse_mttkrp_unchunked,
-    stationary_sparse_communication,
 )
 
 
@@ -107,28 +106,3 @@ class TestSparseMTTKRP:
             expected, st.coords[:, 0], st.values[:, None] * factor[st.coords[:, 1], :]
         )
         assert np.array_equal(sparse_mttkrp_unchunked(st, [None, factor], 0), expected)
-
-
-class TestSparseCommunicationEstimate:
-    def test_dense_pattern_matches_dense_accounting(self):
-        """With every entry present, each processor touches all rows of its sub-blocks."""
-        shape, rank, grid = (8, 8, 8), 2, (2, 2, 2)
-        dense = np.ones(shape)
-        st = SparseTensor.from_dense(dense)
-        words = stationary_sparse_communication(st, rank, grid)
-        assert len(words) == 8
-        # each processor touches 4 rows per mode, 3 modes, rank 2 -> 24 words
-        assert all(w == 3 * 4 * rank for w in words)
-
-    def test_sparser_tensor_needs_fewer_words(self):
-        shape, rank, grid = (16, 16, 16), 4, (2, 2, 2)
-        dense = SparseTensor.from_dense(np.ones(shape))
-        sparse = SparseTensor.random(shape, 0.01, seed=8)
-        dense_words = stationary_sparse_communication(dense, rank, grid)
-        sparse_words = stationary_sparse_communication(sparse, rank, grid)
-        assert max(sparse_words) <= max(dense_words)
-
-    def test_grid_arity_check(self):
-        st = SparseTensor.random((4, 4), 0.5, seed=9)
-        with pytest.raises(ParameterError):
-            stationary_sparse_communication(st, 2, (2, 2, 2))

@@ -1,5 +1,6 @@
 """Unit tests for repro.utils.indexing."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
@@ -8,35 +9,7 @@ from repro.utils.indexing import (
     block_starts,
     iter_block_multi_ranges,
     iter_multi_indices,
-    linear_index,
-    multi_index,
-    num_blocks,
 )
-
-
-class TestLinearMultiIndex:
-    def test_roundtrip(self):
-        shape = (3, 4, 5)
-        for lin in range(3 * 4 * 5):
-            assert linear_index(multi_index(lin, shape), shape) == lin
-
-    def test_row_major_order(self):
-        # last index varies fastest
-        assert linear_index((0, 0, 1), (2, 3, 4)) == 1
-        assert linear_index((0, 1, 0), (2, 3, 4)) == 4
-        assert linear_index((1, 0, 0), (2, 3, 4)) == 12
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ParameterError):
-            linear_index((0, 3), (2, 3))
-
-    def test_out_of_range_linear(self):
-        with pytest.raises(ParameterError):
-            multi_index(6, (2, 3))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            linear_index((0, 0), (2, 3, 4))
 
 
 class TestIterMultiIndices:
@@ -47,20 +20,19 @@ class TestIterMultiIndices:
         shape = (2, 3)
         indices = list(iter_multi_indices(shape))
         for lin, idx in enumerate(indices):
-            assert linear_index(idx, shape) == lin
+            assert np.ravel_multi_index(idx, shape) == lin
 
     def test_single_mode(self):
         assert list(iter_multi_indices((3,))) == [(0,), (1,), (2,)]
 
 
 class TestBlocks:
-    def test_num_blocks(self):
-        assert num_blocks(10, 3) == 4
-        assert num_blocks(9, 3) == 3
-        assert num_blocks(1, 5) == 1
-
     def test_block_starts(self):
         assert block_starts(10, 4) == [0, 4, 8]
+
+    def test_block_count_is_ceiling(self):
+        for extent, block in ((10, 3), (9, 3), (1, 5), (12, 1)):
+            assert len(block_starts(extent, block)) == -(-extent // block)
 
     def test_block_ranges_cover_extent(self):
         ranges = block_ranges(10, 4)

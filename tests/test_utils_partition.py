@@ -1,13 +1,6 @@
 """Unit tests for repro.utils.partition."""
 
-import numpy as np
-import pytest
-
-from repro.exceptions import ParameterError
 from repro.utils.partition import (
-    balanced_split,
-    block_partition,
-    owner_of_index,
     partition_bounds,
     partition_sizes,
     max_part_size,
@@ -43,32 +36,14 @@ class TestPartitionBounds:
         for (s0, e0), (s1, _) in zip(bounds, bounds[1:]):
             assert e0 == s1
 
-    def test_block_partition_arrays(self):
-        parts = block_partition(6, 2)
-        assert np.array_equal(parts[0], np.arange(3))
-        assert np.array_equal(parts[1], np.arange(3, 6))
-
-    def test_owner_of_index(self):
-        for index in range(10):
-            owner = owner_of_index(index, 10, 3)
-            start, stop = partition_bounds(10, 3)[owner]
-            assert start <= index < stop
-
-    def test_owner_out_of_range(self):
-        with pytest.raises(ParameterError):
-            owner_of_index(10, 10, 3)
+    def test_every_index_in_exactly_one_part(self):
+        for extent, parts in ((10, 3), (3, 5), (16, 4)):
+            bounds = partition_bounds(extent, parts)
+            assert len(bounds) == parts
+            for index in range(extent):
+                assert sum(start <= index < stop for start, stop in bounds) == 1
 
     def test_max_part_size(self):
         assert max_part_size(10, 3) == 4
         assert max_part_size(9, 3) == 3
         assert max_part_size(1, 4) == 1
-
-
-class TestBalancedSplit:
-    def test_splits_sequences(self):
-        chunks = balanced_split(list(range(7)), 3)
-        assert [len(c) for c in chunks] == [3, 2, 2]
-        assert sum(chunks, []) == list(range(7))
-
-    def test_single_part(self):
-        assert balanced_split([1, 2, 3], 1) == [[1, 2, 3]]

@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_factor_matrices,
     check_mode,
     check_positive_int,
-    check_probability_like,
     check_rank,
     check_shape,
 )
@@ -90,26 +89,6 @@ class TestCheckShape:
         assert check_rank(4) == 4
         with pytest.raises(ParameterError):
             check_rank(0)
-
-
-class TestCheckProbabilityLike:
-    def test_in_range(self):
-        assert check_probability_like(0.5, "p") == 0.5
-
-    def test_bounds_inclusive(self):
-        assert check_probability_like(0.0, "p") == 0.0
-        assert check_probability_like(1.0, "p") == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ParameterError):
-            check_probability_like(1.5, "p")
-
-    def test_custom_range(self):
-        assert check_probability_like(2.0, "p", minimum=1.0, maximum=3.0) == 2.0
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(ParameterError):
-            check_probability_like("half", "p")
 
 
 class TestCheckFactorMatrices:
