@@ -1,9 +1,10 @@
 """Benchmark / reproduction harness for experiment ``sketch-parallel``.
 
 Distributed sampled MTTKRP on the simulated machine: simulation throughput of
-the sampled kernel and the randomized parallel ALS driver, and the
-measured-words frontier (words measured / bound vs. relative error vs. ``P``)
-of the seeded coherent problem, recorded as deterministic JSON
+the sampled kernel and of sketched CP-ALS (``parallel_cp_als`` with
+``kernel="sampled"``), and the measured-words frontier (words measured /
+bound vs. relative error vs. ``P``) of the seeded coherent problem, recorded
+as deterministic JSON
 (``benchmarks/sketch_parallel_frontier.json``, override with the
 ``SKETCH_PARALLEL_FRONTIER_JSON`` environment variable).
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import emit
+from repro.cp.parallel_als import parallel_cp_als
 from repro.experiments.sketch_crossover import coherent_problem
 from repro.experiments.sketch_parallel import (
     format_sketch_parallel_table,
@@ -27,7 +29,6 @@ from repro.experiments.sketch_parallel import (
 )
 from repro.sketch.parallel import (
     ReconciledSampledRun,
-    parallel_randomized_cp_als,
     parallel_sampled_mttkrp,
     reconcile_sampled_mttkrp,
 )
@@ -69,22 +70,23 @@ def test_parallel_sampled_kernel_simulation(benchmark, problem, base_seed):
 
 
 def test_parallel_randomized_als_simulation(benchmark, problem, base_seed):
-    """Simulation throughput of distributed randomized CP-ALS with resampling."""
+    """Simulation throughput of distributed sketched CP-ALS with resampling."""
     tensor, _ = problem
 
     def run():
-        return parallel_randomized_cp_als(
+        return parallel_cp_als(
             tensor,
             TOY_RANK,
             TOY_PROCS,
+            kernel="sampled",
             n_samples=64,
-            seed=base_seed,
+            seed=np.random.default_rng(base_seed),
             n_iter_max=5,
             tol=0.0,
         )
 
     outcome = benchmark(run)
-    assert np.isfinite(outcome.exact_fit)
+    assert np.isfinite(outcome.als.model.fit(tensor))
     assert outcome.total_words > 0
 
 

@@ -49,9 +49,7 @@ from repro.tensor import (
 from repro.cp import cp_als, parallel_cp_als
 from repro.sketch import (
     draw_krp_samples,
-    parallel_randomized_cp_als,
     parallel_sampled_mttkrp,
-    randomized_cp_als,
     reconcile_sampled_mttkrp,
     sampled_mttkrp,
 )
@@ -79,9 +77,7 @@ __all__ = [
     "parallel_cp_als",
     "sampled_mttkrp",
     "draw_krp_samples",
-    "randomized_cp_als",
     "parallel_sampled_mttkrp",
-    "parallel_randomized_cp_als",
     "reconcile_sampled_mttkrp",
     "__version__",
 ]

@@ -444,13 +444,6 @@ class DimensionTree:
             root_reads=self.root_reads,
         )
 
-    def reset_counters(self) -> None:
-        """Zero the counters (the cache is left intact)."""
-        self.contractions = 0
-        self.flops = 0
-        self.words = 0
-        self.root_reads = 0
-
     def cached_words(self) -> int:
         """Words held by cached partials (the memory the tree trades for reuse)."""
         return sum(int(entry[0].size) for entry in self._cache.values())
@@ -473,16 +466,6 @@ class DimensionTree:
         consumer of the shared cache at once.
         """
         return self._versions[check_mode(mode, self._n)]
-
-    def staleness_bound(self, mode: int) -> float:
-        """Accumulated relative drift of factor ``mode`` since its last invalidation.
-
-        Always ``0.0`` under ``invalidation="exact"``; under ``"residual"``
-        it is the triangle-inequality bound on how far the factor consumed by
-        the dependent cached partials has strayed from the current one
-        (at most ``residual_tol`` by construction).
-        """
-        return self._gate.drift[check_mode(mode, self._n)]
 
     def update_factor(self, mode: int, factor: np.ndarray) -> None:
         """Explicitly register a factor replacement (identity detection also works).

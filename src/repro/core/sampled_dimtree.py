@@ -91,8 +91,8 @@ class FusedSweepCost:
     * **draws** (``draw_flops`` / ``draw_words``, tree-leverage only) — per
       draw per free mode: one ``2 R^2 + R`` node-mass evaluation per descent
       level plus the root and an ``R``-word conditioning update
-      (:meth:`repro.sketch.treesample.KRPTreeSampler.draw_flops`), reading
-      one ``R^2``-word node Gram per level;
+      (:func:`tree_draw_cost`), reading one ``R^2``-word node Gram per
+      level;
     * **estimator** (``eval_flops`` / ``eval_words``) — for ``U`` distinct
       rows: ``(|F| - 1) U R`` Khatri-Rao Hadamards, ``U R`` weighting, and
       the ``2 I_n U R`` rank-linked GEMM; words are the gathered partial
@@ -216,10 +216,11 @@ def tree_draw_cost(
 ) -> Tuple[int, int]:
     """(flops, words) of ``n_draws`` segment-tree descents over ``extents``.
 
-    Matches :meth:`repro.sketch.treesample.KRPTreeSampler.draw_flops` exactly:
-    ``(levels + 1)`` node-mass evaluations of ``2 R^2 + R`` flops plus an
-    ``R``-flop conditioning update per mode per draw, reading one ``R^2``-word
-    node Gram per descent level.
+    Each draw of :meth:`repro.sketch.treesample.KRPTreeSampler.draw_indices`
+    does ``(levels + 1)`` node-mass evaluations of ``2 R^2 + R`` flops plus an
+    ``R``-flop conditioning update per mode, reading one ``R^2``-word node
+    Gram per descent level.  The fused kernel and its replay both charge
+    draws through this one formula.
     """
     from repro.sketch.treesample import tree_descent_levels
 

@@ -138,12 +138,15 @@ def as_sweep_kernel(kernel) -> SweepKernel:
     """Coerce a kernel to the sweep-aware protocol.
 
     :class:`SweepKernel` instances pass through; any other callable is wrapped
-    in a :class:`PerCallKernel`.
+    in a :class:`PerCallKernel`, handed the callable's ``rng`` attribute when
+    it has one (the closures of
+    :func:`repro.sketch.sampled_mttkrp.make_sampled_kernel`), so a checkpoint
+    captures the draw stream's position.
     """
     if isinstance(kernel, SweepKernel):
         return kernel
     if callable(kernel):
-        return PerCallKernel(kernel)
+        return PerCallKernel(kernel, rng=getattr(kernel, "rng", None))
     raise ParameterError(f"not an MTTKRP kernel: {kernel!r}")
 
 

@@ -287,10 +287,9 @@ def _resolve_kernel(
         from repro.sketch.sampled_mttkrp import make_sampled_kernel
 
         distribution = "tree-leverage" if kernel == "sampled-tree" else "product-leverage"
-        fn = make_sampled_kernel(seed=_kernel_seed(seed), distribution=distribution)
-        # Hand the closure's generator to the adapter so checkpoint/restore
-        # can capture the bit-stream position (the closure's only state).
-        return PerCallKernel(fn, rng=fn.rng)
+        return as_sweep_kernel(
+            make_sampled_kernel(seed=_kernel_seed(seed), distribution=distribution)
+        )
     return PerCallKernel(_KERNELS[kernel])
 
 
@@ -327,7 +326,11 @@ def cp_als(
         ``"random"``, ``"svd"``, or an explicit list of initial factor
         matrices.
     seed:
-        Seed for random initialisation.
+        Seed for random initialisation and for the draws of the sampled
+        registry kernels.  An int gives the draws a separate stream spawned
+        from it, so they do not reuse the bits the initialisation reads; a
+        :class:`numpy.random.Generator` is one stream that the
+        initialisation reads first and the draws continue.
     kernel:
         Which MTTKRP kernel to use: a name from :data:`KERNEL_NAMES`, a
         per-call callable, or a :class:`~repro.core.sweep_kernel.SweepKernel`
@@ -369,7 +372,9 @@ def cp_als(
     resume_from:
         A previously captured checkpoint: the run resumes at sweep
         ``resume_from.iteration + 1``, bitwise identical to the uninterrupted
-        run for every registry kernel.  The ``init`` and ``seed`` of the
+        run for every registry kernel and for a fresh
+        :func:`~repro.sketch.sampled_mttkrp.make_sampled_kernel` closure
+        built as the original run's was.  The ``init`` and ``seed`` of the
         original run should be passed unchanged (they are ignored for state,
         but seed still feeds a fresh sampled kernel unless the kernel state
         overrides it — which the checkpoint does).

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.sweep_kernel import PerCallKernel, SweepKernel, check_kernel_name
-from repro.cp.als import check_als_arguments, cp_als, CPALSResult
+from repro.cp.als import _kernel_seed, check_als_arguments, cp_als, CPALSResult
 from repro.exceptions import DistributionError, ParameterError
 from repro.observe.tracer import trace
 from repro.parallel.dimtree import DistributedDimtreeKernel
@@ -69,23 +69,31 @@ PARALLEL_KERNEL_NAMES = (
 
 
 class _SweepWordCounter(SweepKernel):
-    """Forward the sweep protocol to the inner kernel; record per-sweep words."""
+    """Forward the sweep protocol to the inner kernel; record per-sweep words.
+
+    A sweep's entry is the largest growth of any one rank's
+    ``max(sent, received)`` since the sweep began, so it counts only that
+    sweep's words: not what the machine held before the run, not another
+    sweep's, and the same after a resume or an ``on_fault`` recompute.
+    """
 
     def __init__(
         self,
         inner: SweepKernel,
         machine: SimulatedMachine,
-        ndim: int,
         words_per_iteration: List[int],
     ) -> None:
         self.inner = inner
         self.machine = machine
-        self.ndim = ndim
         self.words_per_iteration = words_per_iteration
-        self._calls = 0
-        self._words_before = 0
+        self._sweep_start = np.zeros(machine.n_procs, dtype=np.int64)
+
+    def _per_rank_words(self) -> np.ndarray:
+        return np.maximum(self.machine.words_sent, self.machine.words_received)
 
     def begin_sweep(self, iteration: int) -> None:
+        self._sweep_start = self._per_rank_words()
+        self.words_per_iteration.append(0)
         self.inner.begin_sweep(iteration)
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
@@ -93,28 +101,17 @@ class _SweepWordCounter(SweepKernel):
 
     def mttkrp(self, tensor, factors, mode) -> np.ndarray:
         result = self.inner.mttkrp(tensor, factors, mode)
-        self._calls += 1
-        if self._calls % self.ndim == 0:
-            current = self.machine.max_words_communicated
-            self.words_per_iteration.append(current - self._words_before)
-            self._words_before = current
+        grown = self._per_rank_words() - self._sweep_start
+        self.words_per_iteration[-1] = int(grown.max())
         return result
 
-    # -- checkpoint/restore: forward, adding this counter's own call state.
+    # -- checkpoint/restore: forward; the counter keeps no cross-sweep state.
     def capture_state(self) -> Optional[dict]:
-        return {
-            "kind": "sweep-word-counter",
-            "calls": self._calls,
-            "inner": self.inner.capture_state(),
-        }
+        return {"kind": "sweep-word-counter", "inner": self.inner.capture_state()}
 
     def restore_state(self, state: Optional[dict]) -> None:
         if state is None:
             return
-        self._calls = int(state["calls"])
-        # Per-sweep deltas of the resumed run are measured from the resumed
-        # machine's current ledger, whatever it already accumulated.
-        self._words_before = self.machine.max_words_communicated
         self.inner.restore_state(state["inner"])
 
     def invalidate_caches(self) -> bool:
@@ -202,10 +199,11 @@ def parallel_cp_als(
         (``"sampled-tree"`` pins ``sample_distribution="tree-leverage"``),
         or ``"sampled-dimtree"`` — the fused kernel of
         :mod:`repro.sketch.parallel.sampled_dimtree` sampling each rank's
-        cached dimension-tree partials (see
-        :func:`repro.sketch.parallel.parallel_randomized_cp_als` for the full
-        randomized driver with an exact-solve fallback).  Every kernel but
-        ``"general"`` runs on the stationary grid of
+        cached dimension-tree partials.  A sampled run is sketched CP-ALS;
+        to polish its model exactly, run this driver again with an exact
+        kernel, the same ``machine`` and the sketched factors as ``init``
+        (weights folded into factor 0).  Every kernel but ``"general"``
+        runs on the stationary grid of
         :func:`~repro.parallel.grid_selection.choose_stationary_grid`.
     n_samples, sample_distribution:
         Draw count (``None`` or a positive int) and sampling distribution
@@ -214,8 +212,14 @@ def parallel_cp_als(
         (defaults mirror the sequential registry entry;
         ``sample_distribution`` is pinned to ``"tree-leverage"`` by the
         tree-backed kernels ``"sampled-tree"`` and ``"sampled-dimtree"``).
-    n_iter_max, tol, seed, init:
+    n_iter_max, tol, init:
         Passed to the ALS driver.
+    seed:
+        Seed for the initialisation and the sampled kernels' draws, as in
+        :func:`repro.cp.als.cp_als`: an int gives the draws a separate
+        stream spawned from it, while a :class:`numpy.random.Generator` is
+        one stream that the initialisation reads first and the draws
+        continue.
     invalidation, invalidation_tol:
         Cache-invalidation policy of the dimension-tree kernels
         (``"dimtree"``, the default, and ``"sampled-dimtree"``), mirroring
@@ -318,21 +322,15 @@ def parallel_cp_als(
         check_block_extents(data.shape, rank, grid)
 
     sampled_mttkrp_parallel = None
-    sample_rng: Union[None, np.random.SeedSequence, np.random.Generator] = None
+    sample_rng: Optional[np.random.Generator] = None
     if sampled or fused:
         if sampled:
             from repro.sketch.parallel.sampled_mttkrp import parallel_sampled_mttkrp
 
             sampled_mttkrp_parallel = parallel_sampled_mttkrp
-        if isinstance(seed, np.random.Generator):
-            sample_rng = seed
-        elif seed is None:
-            sample_rng = np.random.default_rng()
-        else:
-            # Mirror the sequential registry: spawn an independent stream so
-            # the kernel's draws are not the bit stream the initialisation
-            # consumes.
-            sample_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        # The sequential registry's draw stream: a Generator seed is shared
+        # with the initialisation, an int seed spawns a separate stream.
+        sample_rng = np.random.default_rng(_kernel_seed(seed))
 
     words_per_iteration: List[int] = []
 
@@ -395,7 +393,7 @@ def parallel_cp_als(
             tol=tol,
             seed=seed,
             init=init,
-            kernel=_SweepWordCounter(inner, machine, data.ndim, words_per_iteration),
+            kernel=_SweepWordCounter(inner, machine, words_per_iteration),
             on_fault=on_fault,
             checkpoint_store=checkpoint_store,
             resume_from=resume_from,

@@ -247,10 +247,6 @@ class StationaryDistribution:
         local_start, local_stop = partition_bounds(block_stop - block_start, len(group))[position]
         return np.arange(block_start + local_start, block_start + local_stop)
 
-    def factor_columns(self, rank_id: int) -> np.ndarray:  # noqa: ARG002 - uniform signature
-        """Columns owned (always the full ``range(R)`` for Algorithm 3)."""
-        return np.arange(self.rank)
-
     # -- scattering ---------------------------------------------------------------
     def distribute_tensor(self, tensor) -> Dict[int, LocalTensorBlock]:
         """Scatter the tensor: each rank owns its full sub-tensor (one copy overall).

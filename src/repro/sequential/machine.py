@@ -105,11 +105,6 @@ class TwoLevelMemory(IOCounter):
         """Words currently resident in fast memory."""
         return self._used
 
-    @property
-    def resident_keys(self):
-        """View of the keys currently resident (read-only)."""
-        return self._resident.keys()
-
     def is_resident(self, key: Hashable) -> bool:
         """Whether ``key`` currently resides in fast memory."""
         return key in self._resident

@@ -20,12 +20,15 @@ route around those bounds:
   sequential and per processor, parameterized by sample count, and the
   crossover sample count against the words of the paper's optimal blocked
   algorithm (Eq. (13));
-* :mod:`repro.sketch.randomized_als` — sketched CP-ALS with per-iteration
-  resampling and an exact-solve fallback;
-* :mod:`repro.sketch.parallel` — the distributed-memory subsystem: sampled
-  MTTKRP and randomized CP-ALS executed on the simulated machine of
-  :mod:`repro.parallel`, so sampled word counts are *measured* on per-rank
-  ledgers (and reconciled against this cost model) rather than modelled.
+* :mod:`repro.sketch.parallel` — the distributed-memory subsystem: the
+  sampled MTTKRP executed on the simulated machine of :mod:`repro.parallel`,
+  so sampled word counts are *measured* on per-rank ledgers (and reconciled
+  against this cost model) rather than modelled.
+
+Sketched CP-ALS (CP-ARLS-LEV in Bharadwaj et al.) is the ALS driver on a
+sampled kernel, resampled on every MTTKRP: ``cp_als(kernel="sampled")``,
+``"sampled-tree"`` or a :func:`make_sampled_kernel` closure, and
+``parallel_cp_als(kernel="sampled")`` on the simulated machine.
 
 Accuracy is a tunable resource here: every entry point exposes the sample
 count / sketch size that trades estimator variance against words moved.
@@ -59,15 +62,12 @@ from repro.sketch.costmodel import (
     sampled_mttkrp_words,
     sampling_setup_words,
 )
-from repro.sketch.randomized_als import RandomizedCPALSResult, randomized_cp_als
 from repro.sketch.parallel import (
     DistributedSampledDimtreeKernel,
-    ParallelRandomizedCPALSResult,
     ParallelSampledMTTKRPResult,
     ReconciledSampledRun,
     SampleAssignment,
     choose_sampled_grid,
-    parallel_randomized_cp_als,
     parallel_sampled_mttkrp,
     predicted_sampled_dimtree_ledger,
     predicted_sampled_ledger,
@@ -95,14 +95,10 @@ __all__ = [
     "parallel_sampled_words",
     "sampled_mttkrp_words",
     "sampling_setup_words",
-    "RandomizedCPALSResult",
-    "randomized_cp_als",
-    "ParallelRandomizedCPALSResult",
     "ParallelSampledMTTKRPResult",
     "ReconciledSampledRun",
     "SampleAssignment",
     "choose_sampled_grid",
-    "parallel_randomized_cp_als",
     "parallel_sampled_mttkrp",
     "predicted_sampled_ledger",
     "reconcile_sampled_mttkrp",

@@ -1,4 +1,4 @@
-"""Distributed-memory sampled MTTKRP and randomized CP-ALS, measured.
+"""Distributed-memory sampled MTTKRP, measured.
 
 PR 1's :mod:`repro.sketch` established the randomized route around the
 paper's communication lower bounds but only *modelled* the parallel savings;
@@ -14,9 +14,6 @@ charged to a per-rank ledger instead of a formula:
   factor-row blocks, local sampled GEMMs on owned fiber segments, and an
   output Reduce-Scatter, with rank-consistent seeding that reproduces the
   sequential kernel's draws bit for bit;
-* :mod:`repro.sketch.parallel.randomized_als` — distributed randomized
-  CP-ALS with per-iteration resampling and an Algorithm 3 exact-solve
-  fallback on the same ledger;
 * :mod:`repro.sketch.parallel.reconcile` — measured-vs-modelled
   reconciliation: ledger word counts against the exact collective-replay
   predictor, the closed-form sketch cost model, the measured exact
@@ -25,6 +22,9 @@ charged to a per-rank ledger instead of a formula:
   sampled-dimtree kernel: the dimtree kernel of :mod:`repro.parallel.dimtree`
   (a subclass of it) plus a Gram All-Reduce per factor gather and a sampled
   local step, with the dimtree ledger replay plus those All-Reduces.
+
+Distributed sketched CP-ALS is :func:`repro.cp.parallel_als.parallel_cp_als`
+with ``kernel="sampled"``, ``"sampled-tree"`` or ``"sampled-dimtree"``.
 """
 
 from repro.sketch.parallel.distribution import (
@@ -36,10 +36,6 @@ from repro.sketch.parallel.sampled_mttkrp import (
     ParallelSampledMTTKRPResult,
     charge_sampling_setup,
     parallel_sampled_mttkrp,
-)
-from repro.sketch.parallel.randomized_als import (
-    ParallelRandomizedCPALSResult,
-    parallel_randomized_cp_als,
 )
 from repro.sketch.parallel.reconcile import (
     ReconciledSampledRun,
@@ -58,8 +54,6 @@ __all__ = [
     "ParallelSampledMTTKRPResult",
     "charge_sampling_setup",
     "parallel_sampled_mttkrp",
-    "ParallelRandomizedCPALSResult",
-    "parallel_randomized_cp_als",
     "ReconciledSampledRun",
     "predicted_sampled_ledger",
     "reconcile_sampled_mttkrp",

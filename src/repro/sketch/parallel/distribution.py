@@ -88,14 +88,6 @@ class SampleAssignment:
         """
         return self.samples.in_block(self.dist.subtensor_ranges(rank))
 
-    def owned_count(self, rank: int) -> int:
-        """Number of distinct samples owned by ``rank``."""
-        return int(np.count_nonzero(self.owned_mask(rank)))
-
-    def max_owned_samples(self) -> int:
-        """Largest per-rank owned-sample count (the sampled load-balance quantity)."""
-        return max(self.owned_count(rank) for rank in range(self.grid.n_procs))
-
     # -- sampled factor rows ----------------------------------------------------
     def sampled_rows_in_block(self, k: int, pk: int) -> np.ndarray:
         """Ascending distinct sampled row indices of mode ``k`` within block ``p_k``.

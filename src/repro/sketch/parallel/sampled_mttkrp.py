@@ -62,7 +62,12 @@ from repro.sketch.sampled_mttkrp import (
 from repro.sketch.sampling import SampleSet, SeedLike, draw_krp_samples
 from repro.tensor.dense import as_ndarray
 from repro.tensor.sparse import SparseTensor
-from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
+from repro.utils.validation import (
+    check_factor_matrices,
+    check_mode,
+    check_positive_int,
+    infer_rank,
+)
 
 #: Trace-label prefixes used to separate the ledger into phases.
 SETUP_LABEL = "sketch-setup"
@@ -224,7 +229,7 @@ def parallel_sampled_mttkrp(
         The ``N``-way processor grid (see
         :func:`~repro.sketch.parallel.distribution.choose_sampled_grid`).
     n_samples:
-        Number of draws (default
+        Number of draws, ``None`` or a positive int (default
         :func:`~repro.sketch.sampled_mttkrp.default_sample_count`).
     distribution:
         Sampling distribution (see :mod:`repro.sketch.sampling`).
@@ -247,6 +252,8 @@ def parallel_sampled_mttkrp(
     -------
     ParallelSampledMTTKRPResult
     """
+    if n_samples is not None:
+        n_samples = check_positive_int(n_samples, "n_samples")
     is_sparse = isinstance(tensor, SparseTensor)
     if is_sparse:
         shape, ndim = tensor.shape, tensor.ndim

@@ -35,10 +35,21 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.sketch.sampling import SampleSet, SeedLike, _as_generator, draw_krp_samples
+from repro.sketch.sampling import (
+    SampleSet,
+    SeedLike,
+    _as_generator,
+    check_distribution,
+    draw_krp_samples,
+)
 from repro.tensor.dense import as_ndarray
 from repro.tensor.sparse import SparseTensor
-from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
+from repro.utils.validation import (
+    check_factor_matrices,
+    check_mode,
+    check_positive_int,
+    infer_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -176,7 +187,8 @@ def sampled_mttkrp(
     mode:
         Output mode.
     n_samples:
-        Number of draws (default :func:`default_sample_count`).
+        Number of draws, ``None`` or a positive int (default
+        :func:`default_sample_count`).
     distribution:
         Sampling distribution (see :mod:`repro.sketch.sampling`).
     seed:
@@ -189,6 +201,8 @@ def sampled_mttkrp(
         When ``True`` return a :class:`SampledMTTKRPReport` instead of only
         the estimate.
     """
+    if n_samples is not None:
+        n_samples = check_positive_int(n_samples, "n_samples")
     is_sparse = isinstance(tensor, SparseTensor)
     if is_sparse:
         shape, ndim = tensor.shape, tensor.ndim
@@ -245,7 +259,12 @@ def make_sampled_kernel(
     sweep (per-iteration resampling).  The default distribution is the
     product-of-factor-leverage approximation, the only one cheap enough to be
     the kernel default (it never materializes a length-``J`` vector).
+    ``n_samples`` (``None`` for :func:`default_sample_count`, or a positive
+    int) and ``distribution`` are checked here rather than in the first sweep.
     """
+    if n_samples is not None:
+        n_samples = check_positive_int(n_samples, "n_samples")
+    check_distribution(distribution)
     rng = _as_generator(seed)
 
     def kernel(tensor, factors: Sequence[Optional[np.ndarray]], mode: int) -> np.ndarray:

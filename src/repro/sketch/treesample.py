@@ -320,18 +320,6 @@ class KRPTreeSampler:
             )
         return scores / total
 
-    def draw_flops(self, n_draws: int) -> int:
-        """Arithmetic of ``n_draws`` draws: ``O(R^2 log I_k)`` per mode each.
-
-        Counts ``2 R^2 + R`` per node-mass evaluation (one per descent level
-        plus the root) and ``R`` per conditioning update — the flops of
-        :func:`repro.core.sampled_dimtree.tree_draw_cost`, which the fused
-        kernel and its replay charge.
-        """
-        per_node = 2 * self.rank * self.rank + self.rank
-        per_draw = sum((tree.levels + 1) * per_node + self.rank for tree in self.trees)
-        return int(n_draws) * per_draw
-
 
 def tree_joint_distribution(
     factors: Sequence[Optional[np.ndarray]], mode: int

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from repro.cp.als import cp_als
-from repro.cp.parallel_als import parallel_cp_als
+from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import DistributionError, ParameterError
 from repro.observe import tracing
-from repro.parallel.dimtree import predicted_dimtree_ledger, predicted_dimtree_sweep_words
+from repro.parallel.dimtree import (
+    DistributedDimtreeKernel,
+    predicted_dimtree_ledger,
+    predicted_dimtree_sweep_words,
+)
 from repro.parallel.grid_selection import choose_general_grid
 from repro.parallel.machine import SimulatedMachine
-from repro.resilience import CheckpointStore
+from repro.resilience import CheckpointStore, poison_kernel_cache
 from repro.tensor.random import noisy_low_rank_tensor, random_low_rank_tensor, random_tensor
 
 #: The kernels that run on a scattered tensor.
@@ -199,3 +203,73 @@ class TestDefaultKernel:
                 invalidation="residual", invalidation_tol=1e3,
             )
         assert session.metrics.counters()["factor_gate.keep"] > 0
+
+
+class _PoisonedSweepTwo(DistributedDimtreeKernel):
+    """The distributed tree with every cached partial poisoned after sweep 2's
+    second MTTKRP, so mode 2 is served a corrupted partial."""
+
+    def begin_sweep(self, iteration):
+        super().begin_sweep(iteration)
+        self._sweep, self._calls = iteration, 0
+
+    def mttkrp(self, tensor, factors, mode):
+        out = super().mttkrp(tensor, factors, mode)
+        self._calls += 1
+        if self._sweep == 2 and self._calls == 2:
+            assert poison_kernel_cache(self)
+        return out
+
+
+class TestSweepWords:
+    """``words_per_iteration`` holds each sweep's own max-per-rank words."""
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return random_low_rank_tensor((10, 9, 8), 3, seed=2)
+
+    @pytest.mark.parametrize("kernel", PARALLEL_KERNEL_NAMES)
+    def test_reused_machine_records_only_this_runs_words(self, tensor, kernel):
+        kwargs = dict(kernel=kernel, n_iter_max=3, tol=0.0, seed=1)
+        fresh = parallel_cp_als(tensor, 3, 4, **kwargs)
+        machine = SimulatedMachine(4)
+        parallel_cp_als(tensor, 3, 4, machine=machine, **kwargs)
+        second = parallel_cp_als(tensor, 3, 4, machine=machine, **kwargs)
+        assert second.words_per_iteration == fresh.words_per_iteration
+
+    def test_retry_recompute_stays_in_its_sweep(self, tensor, monkeypatch):
+        kwargs = dict(n_iter_max=5, tol=0.0, seed=1)
+        clean = parallel_cp_als(tensor, 3, 4, **kwargs)
+        monkeypatch.setattr(
+            "repro.cp.parallel_als.DistributedDimtreeKernel", _PoisonedSweepTwo
+        )
+        retried = parallel_cp_als(tensor, 3, 4, on_fault="retry", **kwargs)
+        assert retried.als.mttkrp_calls == 16
+        assert retried.als.fits == clean.als.fits
+        words, clean_words = retried.words_per_iteration, clean.words_per_iteration
+        # The recompute's re-gathers are charged to sweep 2 and to no other.
+        assert words[1] > clean_words[1]
+        assert words[:1] + words[2:] == clean_words[:1] + clean_words[2:]
+        assert sum(words) == retried.total_words
+
+    def test_each_sweep_records_its_own_max_per_rank_words(self, tensor):
+        """The oracle reruns sweep ``s`` alone, resumed onto a fresh machine."""
+        kwargs = dict(kernel="sampled-tree", n_samples=32, tol=0.0, seed=1)
+        store = CheckpointStore()
+        run = parallel_cp_als(tensor, 3, 4, n_iter_max=6, checkpoint_store=store, **kwargs)
+        alone = [parallel_cp_als(tensor, 3, 4, n_iter_max=1, **kwargs).total_words]
+        for sweep in range(2, 7):
+            resumed = parallel_cp_als(
+                tensor, 3, 4, n_iter_max=sweep, resume_from=store.at_sweep(sweep - 1),
+                **kwargs,
+            )
+            alone.append(resumed.total_words)
+        assert run.words_per_iteration == alone
+
+    def test_resume_records_the_uninterrupted_tail(self, tensor):
+        kwargs = dict(kernel="sampled-tree", n_samples=32, n_iter_max=5, tol=0.0, seed=5)
+        store = CheckpointStore()
+        run = parallel_cp_als(tensor, 3, 4, checkpoint_store=store, **kwargs)
+        resumed = parallel_cp_als(tensor, 3, 4, resume_from=store.at_sweep(2), **kwargs)
+        assert resumed.als.fits == run.als.fits
+        assert resumed.words_per_iteration == run.words_per_iteration[2:]

@@ -8,6 +8,10 @@ so code whose only callers are its own tests shows up here.  The unreached
 names must be exactly the pinned allowlist below, each kept for the reason
 it gives: new public code needs a caller, and a listed name that gains one
 leaves the list.
+
+Public methods of the top-level classes are held to a looser rule: some file
+under those directories or ``tests/`` must refer to the method's name.  A
+method that not even a test names has no reference at all.
 """
 
 import ast
@@ -17,6 +21,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Directories whose code counts as a caller.
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
+
+#: Directories whose code counts as a reference to a public method.
+METHOD_REFERENCE_DIRS = CALLER_DIRS + ("tests",)
 
 #: Public names that only tests call, each with why it stays.
 UNREACHED_ALLOWLIST = {
@@ -57,10 +64,24 @@ def public_definitions():
     return definitions
 
 
-def referenced_names():
-    """Every name, attribute and ``from`` import of the caller files."""
+def public_methods():
+    """``Class.method -> defining file`` of every public method of a top-level class."""
+    methods = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        methods[f"{node.name}.{item.name}"] = str(path.relative_to(ROOT))
+    return methods
+
+
+def referenced_names(directories=CALLER_DIRS):
+    """Every name, attribute and ``from`` import of the files in ``directories``."""
     names = set()
-    for directory in CALLER_DIRS:
+    for directory in directories:
         for path in sorted((ROOT / directory).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
@@ -82,3 +103,13 @@ def test_unreached_public_names_are_exactly_the_allowlist():
     assert not new, f"public code nothing runs; delete it or give it a caller: {new}"
     stale = sorted(set(UNREACHED_ALLOWLIST) - unreached)
     assert not stale, f"allowlisted names that are now reached or gone: {stale}"
+
+
+def test_every_public_method_is_referenced():
+    referenced = referenced_names(METHOD_REFERENCE_DIRS)
+    unreferenced = sorted(
+        f"{name} ({path})"
+        for name, path in public_methods().items()
+        if name.split(".", 1)[1] not in referenced
+    )
+    assert not unreferenced, f"public methods nothing refers to; delete them: {unreferenced}"

@@ -18,6 +18,7 @@ from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
 from repro.observe import tracing
 from repro.resilience import CheckpointState, CheckpointStore
+from repro.sketch.sampled_mttkrp import make_sampled_kernel
 from repro.tensor.random import noisy_low_rank_tensor
 
 SHAPE = (6, 5, 4)
@@ -156,6 +157,26 @@ def test_sequential_resume_bitwise_identical(kernel, stop_at):
 @pytest.mark.parametrize("stop_at", [1, 2])
 def test_parallel_resume_bitwise_identical(kernel, stop_at):
     _assert_parallel_resume_matches(kernel, seed=0, stop_at=stop_at)
+
+
+@pytest.mark.parametrize("stop_at", [1, 3])
+def test_kernel_factory_resume_bitwise_identical(stop_at):
+    """A ``make_sampled_kernel`` closure checkpoints its draw stream, so a
+    fresh closure resumes the uninterrupted run."""
+    tensor = _tensor(0)
+    kwargs = dict(n_iter_max=N_SWEEPS, tol=0.0, seed=0)
+    store = CheckpointStore()
+    full = cp_als(
+        tensor, RANK, kernel=make_sampled_kernel(64, seed=5), checkpoint_store=store,
+        **kwargs,
+    )
+    resumed = cp_als(
+        tensor, RANK, kernel=make_sampled_kernel(64, seed=5),
+        resume_from=store.at_sweep(stop_at), **kwargs,
+    )
+    assert resumed.fits == full.fits
+    for a, b in zip(resumed.model.factors, full.model.factors):
+        assert np.array_equal(a, b)
 
 
 @settings(

@@ -1,18 +1,22 @@
-"""Unit tests for distributed randomized CP-ALS and the parallel kernel registry."""
+"""Sketched CP-ALS on the two ALS drivers, and the parallel kernel registry.
+
+Sketched CP-ALS (CP-ARLS-LEV) is ``cp_als`` or ``parallel_cp_als`` on a
+sampled kernel, resampled on every MTTKRP.
+"""
 
 import numpy as np
 import pytest
 
 from repro.cp.als import cp_als
+from repro.cp.initialization import initialize_factors
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
-from repro.observe import tracing
-from repro.parallel.machine import SimulatedMachine
-from repro.parallel.stationary import stationary_mttkrp
-from repro.sketch.parallel import randomized_als as parallel_randomized_als
-from repro.sketch.parallel.randomized_als import parallel_randomized_cp_als
-from repro.sketch.randomized_als import _weighted_init, randomized_cp_als
+from repro.sketch.sampled_mttkrp import make_sampled_kernel
 from repro.tensor.random import random_low_rank_tensor
+
+
+#: The kernel names of both registries that draw samples.
+SAMPLED_KERNELS = ["sampled", "sampled-tree", "sampled-dimtree"]
 
 
 @pytest.fixture(scope="module")
@@ -20,140 +24,114 @@ def tensor():
     return random_low_rank_tensor((10, 9, 8), 3, seed=2)
 
 
-class TestParallelRandomizedCPALS:
-    def test_matches_sequential_randomized_fits(self, tensor):
-        """Same seed, same draws: the distributed sketched run reproduces the
-        sequential randomized driver's fit trajectory to machine precision."""
-        sequential = randomized_cp_als(
-            tensor, 3, n_samples=64, distribution="product-leverage",
-            seed=7, n_iter_max=5, tol=0.0,
+def _sketched(driver, tensor, kernel, **kwargs):
+    """The :class:`CPALSResult` of a five-sweep run of ``driver`` on ``kernel``."""
+    if driver == "cp_als":
+        return cp_als(tensor, 3, kernel=kernel, n_iter_max=5, tol=0.0, **kwargs)
+    return parallel_cp_als(
+        tensor, 3, 4, kernel=kernel, n_iter_max=5, tol=0.0, **kwargs
+    ).als
+
+
+def _weighted_factors(model):
+    """The model's factors with its weights folded into factor 0."""
+    factors = [f.copy() for f in model.factors]
+    factors[0] = factors[0] * model.weights[None, :]
+    return factors
+
+
+class TestSketchedCPALS:
+    @pytest.mark.parametrize("n_procs", [4, 6])
+    @pytest.mark.parametrize("kernel", ["sampled", "sampled-tree"])
+    def test_sequential_and_distributed_runs_agree(self, tensor, kernel, n_procs):
+        """Same seed, same draws: the distributed run retraces the sequential one."""
+        kwargs = dict(kernel=kernel, n_iter_max=5, tol=0.0, seed=7)
+        sequential = cp_als(tensor, 3, **kwargs)
+        parallel = parallel_cp_als(tensor, 3, n_procs, **kwargs).als
+        assert np.allclose(parallel.fits, sequential.fits, rtol=0.0, atol=1e-9)
+        for a, b in zip(parallel.model.factors, sequential.model.factors):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "leverage"])
+    def test_distributed_run_draws_the_named_distribution(self, tensor, distribution):
+        """``sample_distribution`` draws what the kernel factory draws."""
+        draws = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+        kernel = make_sampled_kernel(distribution=distribution, seed=draws)
+        sequential = cp_als(tensor, 3, kernel=kernel, n_iter_max=5, tol=0.0, seed=7)
+        parallel = parallel_cp_als(
+            tensor, 3, 6, kernel="sampled", sample_distribution=distribution,
+            n_iter_max=5, tol=0.0, seed=7,
+        ).als
+        assert np.allclose(parallel.fits, sequential.fits, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("kernel", SAMPLED_KERNELS)
+    @pytest.mark.parametrize("driver", ["cp_als", "parallel_cp_als"])
+    def test_generator_seed_is_one_stream(self, tensor, driver, kernel):
+        """The initialisation reads the generator first; the draws continue it."""
+        shared = _sketched(driver, tensor, kernel, seed=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        init = initialize_factors(tensor, 3, method="random", seed=rng)
+        continued = _sketched(driver, tensor, kernel, init=init, seed=rng)
+        assert shared.fits == continued.fits
+
+    @pytest.mark.parametrize("kernel", SAMPLED_KERNELS)
+    @pytest.mark.parametrize("driver", ["cp_als", "parallel_cp_als"])
+    def test_int_seed_spawns_a_separate_draw_stream(self, tensor, driver, kernel):
+        named = _sketched(driver, tensor, kernel, seed=7)
+        init = initialize_factors(tensor, 3, method="random", seed=7)
+        draws = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+        spelled = _sketched(driver, tensor, kernel, init=init, seed=draws)
+        assert named.fits == spelled.fits
+
+    @pytest.mark.parametrize("distribution", ["uniform", "leverage", "product-leverage"])
+    def test_every_distribution_runs_through_the_kernel_factory(self, tensor, distribution):
+        rng = np.random.default_rng(7)
+        kernel = make_sampled_kernel(512, distribution=distribution, seed=rng)
+        result = cp_als(tensor, 3, kernel=kernel, seed=rng, n_iter_max=5, tol=0.0)
+        assert result.mttkrp_calls == 15
+        assert result.model.fit(tensor) > 0.5
+
+    def test_recovers_low_rank_tensor(self):
+        data = random_low_rank_tensor((16, 14, 12), 3, seed=0)
+        rng = np.random.default_rng(1)
+        result = cp_als(
+            data, 3, kernel=make_sampled_kernel(2000, seed=rng), seed=rng,
+            n_iter_max=40, tol=1e-6,
         )
-        parallel = parallel_randomized_cp_als(
-            tensor, 3, 6, n_samples=64, distribution="product-leverage",
-            seed=7, n_iter_max=5, tol=0.0,
+        assert result.model.fit(data) > 0.9
+
+    def test_exact_polish_is_one_more_driver_call(self):
+        """Starved of draws, the sketched model is polished by exact sweeps
+        started from its factors, with the weights folded into factor 0."""
+        data = random_low_rank_tensor((16, 14, 12), 3, seed=0)
+        rng = np.random.default_rng(3)
+        sketched = cp_als(
+            data, 3, kernel=make_sampled_kernel(4, seed=rng), seed=rng,
+            n_iter_max=5, tol=1e-6,
         )
-        assert np.allclose(parallel.sketched.fits, sequential.sketched.fits, atol=1e-9)
-        assert parallel.used_fallback == sequential.used_fallback
-        assert np.isclose(parallel.exact_fit, sequential.exact_fit, atol=1e-9)
-
-    def test_seed_reproducibility(self, tensor):
-        a = parallel_randomized_cp_als(tensor, 3, 4, n_samples=32, seed=3, n_iter_max=4, tol=0.0)
-        b = parallel_randomized_cp_als(tensor, 3, 4, n_samples=32, seed=3, n_iter_max=4, tol=0.0)
-        assert a.sketched.fits == b.sketched.fits
-        assert a.total_words == b.total_words
-        assert a.words_per_iteration == b.words_per_iteration
-
-    def test_communication_recorded_per_sweep(self, tensor):
-        result = parallel_randomized_cp_als(
-            tensor, 3, 6, n_samples=32, seed=1, n_iter_max=3, tol=0.0
+        polished = cp_als(
+            data, 3, init=_weighted_factors(sketched.model), n_iter_max=30, tol=1e-6
         )
-        assert result.total_words > 0
-        assert len(result.words_per_iteration) == 3
-        assert all(w > 0 for w in result.words_per_iteration)
-        assert result.n_iterations == 3
-        assert result.mttkrp_calls == 9
+        assert polished.model.fit(data) > max(sketched.model.fit(data), 0.6)
 
-    def test_resampling_varies_words(self, tensor):
-        """Per-iteration resampling: sweeps may charge different word counts
-        (sample spread differs draw to draw), unlike the exact driver."""
-        result = parallel_randomized_cp_als(
-            tensor, 3, 6, n_samples=16, distribution="uniform",
-            seed=0, n_iter_max=4, tol=0.0, charge_setup=False,
+    def test_distributed_polish_charges_the_same_machine(self, tensor):
+        sketched = parallel_cp_als(
+            tensor, 3, 6, kernel="sampled", n_samples=16, seed=7, n_iter_max=2, tol=0.0
         )
-        assert len(result.words_per_iteration) == 4
-
-    def test_fallback_polishes_on_same_machine(self, tensor):
-        result = parallel_randomized_cp_als(
-            tensor, 3, 6, n_samples=16, seed=7, n_iter_max=2, tol=0.0,
-            min_fit=1.01, fallback_sweeps=3,
+        sketched_sent = sketched.machine.words_sent.copy()
+        polished = parallel_cp_als(
+            tensor, 3, 6, kernel="exact", machine=sketched.machine,
+            init=_weighted_factors(sketched.als.model), n_iter_max=3, tol=0.0,
         )
-        assert result.used_fallback
-        assert result.fallback is not None
-        assert result.fallback_words > 0
-        assert result.exact_fit > 0.5
-        assert result.n_iterations == 2 + result.fallback.n_iterations
-
-    def test_fallback_scatters_once_and_matches_per_call_algorithm_3(self, tensor):
-        """The fallback's sweep kernel equals per-call stationary_mttkrp bitwise."""
-        with tracing() as session:
-            result = parallel_randomized_cp_als(
-                tensor, 3, 6, n_samples=16, seed=7, n_iter_max=2, tol=0.0,
-                min_fit=1.01, fallback_sweeps=3,
-            )
-        assert session.metrics.counters()["parallel.tensor_scatter"] == 1
-        machine = SimulatedMachine(6)
-
-        def per_call(local_tensor, factors, mode):
-            return stationary_mttkrp(
-                local_tensor, factors, mode, result.grid, machine=machine
-            ).assemble()
-
-        reference = cp_als(
-            tensor, 3, n_iter_max=3, tol=0.0,
-            init=_weighted_init(result.sketched.model), kernel=per_call,
+        alone = parallel_cp_als(
+            tensor, 3, 6, kernel="exact",
+            init=_weighted_factors(sketched.als.model), n_iter_max=3, tol=0.0,
         )
-        assert result.fallback.fits == reference.fits
-        for a, b in zip(result.fallback.model.factors, reference.model.factors):
-            assert np.array_equal(a, b)
-        assert result.fallback_words == machine.max_words_communicated
-
-    def test_no_fallback_when_fit_reached(self, tensor):
-        result = parallel_randomized_cp_als(
-            tensor, 3, 4, n_samples=128, seed=7, n_iter_max=10, tol=0.0,
-            min_fit=-1.0, fallback_sweeps=3,
+        assert polished.als.fits == alone.als.fits
+        assert polished.words_per_iteration == alone.words_per_iteration
+        assert np.array_equal(
+            polished.machine.words_sent, sketched_sent + alone.machine.words_sent
         )
-        assert not result.used_fallback
-        assert result.fallback is None
-        assert result.fallback_words == 0
-
-    def test_explicit_grid(self, tensor):
-        result = parallel_randomized_cp_als(
-            tensor, 3, 6, n_samples=16, seed=1, n_iter_max=2, tol=0.0,
-            grid_dims=(6, 1, 1),
-        )
-        assert result.grid == (6, 1, 1)
-
-    def test_invalid_distribution(self, tensor):
-        with pytest.raises(ParameterError):
-            parallel_randomized_cp_als(tensor, 3, 4, distribution="importance")
-
-    @pytest.mark.parametrize(
-        "options,name",
-        [
-            ({"min_fit": 0.999, "fallback_sweeps": -1}, "fallback_sweeps"),
-            ({"min_fit": 0.999, "fallback_sweeps": 2.5}, "fallback_sweeps"),
-            ({"min_fit": float("nan")}, "min_fit"),
-            ({"min_fit": "0.5"}, "min_fit"),
-            ({"n_samples": 0}, "n_samples"),
-            ({"n_samples": 2.5}, "n_samples"),
-            ({"min_fit": True}, "min_fit"),
-            ({"min_fit": float("inf")}, "min_fit"),
-            ({"min_fit": 0.5, "fallback_sweeps": None}, "fallback_sweeps"),
-        ],
-    )
-    def test_bad_options_fail_before_the_sketched_run(self, tensor, monkeypatch, options, name):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sketched run started")
-
-        monkeypatch.setattr(parallel_randomized_als, "cp_als", no_sweep)
-        with pytest.raises(ParameterError, match=name):
-            parallel_randomized_cp_als(tensor, 3, 4, n_iter_max=3, seed=0, **options)
-
-    @pytest.mark.parametrize(
-        "options,used_fallback",
-        [
-            ({"n_samples": np.int64(40)}, False),
-            ({"min_fit": 0}, False),
-            ({"min_fit": np.float64(1.1), "fallback_sweeps": np.int64(2)}, True),
-        ],
-    )
-    def test_numpy_and_int_options_accepted(self, tensor, options, used_fallback):
-        result = parallel_randomized_cp_als(tensor, 3, 4, n_iter_max=3, seed=0, **options)
-        assert result.used_fallback is used_fallback
-        if "n_samples" in options:
-            assert result.n_samples == 40
-        if used_fallback:
-            assert result.fallback.n_iterations <= 2
 
 
 class TestParallelKernelRegistry:

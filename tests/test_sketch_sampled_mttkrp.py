@@ -12,6 +12,7 @@ from repro.sketch.sampled_mttkrp import (
     make_sampled_kernel,
     sampled_mttkrp,
 )
+from repro.sketch.parallel import parallel_sampled_mttkrp
 from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.khatri_rao import implicit_krp_column_count
 from repro.tensor.random import random_factors, random_low_rank_tensor, random_tensor
@@ -21,11 +22,46 @@ SHAPE = (6, 5, 4)
 RANK = 3
 
 
+#: The sampled entry points that take a draw count, each called with ``n``.
+DRAW_COUNT_ENTRY_POINTS = {
+    "sampled_mttkrp": lambda tensor, factors, n: sampled_mttkrp(
+        tensor, factors, 0, n_samples=n, seed=0
+    ),
+    "parallel_sampled_mttkrp": lambda tensor, factors, n: parallel_sampled_mttkrp(
+        tensor, factors, 0, (2, 1, 1), n_samples=n, seed=0
+    ),
+    "make_sampled_kernel": lambda tensor, factors, n: make_sampled_kernel(n, seed=0),
+}
+
+
 @pytest.fixture()
 def problem():
     tensor = random_tensor(SHAPE, seed=0)
     factors = random_factors(SHAPE, RANK, seed=1)
     return tensor, factors
+
+
+@pytest.mark.parametrize("entry", sorted(DRAW_COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "n_samples, message",
+    [
+        (0, "n_samples must be >= 1"),
+        (2.5, "n_samples must be an integer"),
+        (True, "n_samples must be an integer"),
+    ],
+)
+def test_bad_draw_count_is_named_n_samples(problem, entry, n_samples, message):
+    """Checked under the caller's name, and by the kernel factory when built."""
+    tensor, factors = problem
+    with pytest.raises(ParameterError, match=message):
+        DRAW_COUNT_ENTRY_POINTS[entry](tensor, factors, n_samples)
+
+
+@pytest.mark.parametrize("entry", sorted(DRAW_COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("n_samples", [None, np.int64(16)])
+def test_default_and_numpy_draw_counts_accepted(problem, entry, n_samples):
+    tensor, factors = problem
+    assert DRAW_COUNT_ENTRY_POINTS[entry](tensor, factors, n_samples) is not None
 
 
 class TestEstimator:
@@ -165,6 +201,10 @@ class TestKernelIntegration:
         assert result.mttkrp_calls > 0
         # The sampled kernel drives a real fit improvement on a low-rank target.
         assert result.model.fit(tensor) > 0.5
+
+    def test_kernel_factory_rejects_unknown_distribution_when_built(self):
+        with pytest.raises(ParameterError, match="unknown sampling distribution 'bogus'"):
+            make_sampled_kernel(64, distribution="bogus")
 
     def test_unknown_kernel_message_lists_sampled(self):
         with pytest.raises(ParameterError, match="sampled"):

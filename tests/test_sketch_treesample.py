@@ -28,13 +28,11 @@ from repro.parallel.distribution import StationaryDistribution
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.machine import SimulatedMachine
 from repro.sketch.parallel import (
-    parallel_randomized_cp_als,
     parallel_sampled_mttkrp,
     predicted_sampled_ledger,
     reconcile_sampled_mttkrp,
 )
 from repro.sketch.parallel.sampled_mttkrp import SETUP_LABEL, charge_sampling_setup
-from repro.sketch.randomized_als import randomized_cp_als
 from repro.sketch.sampled_mttkrp import sampled_mttkrp
 from repro.sketch.sampling import (
     DISTRIBUTIONS,
@@ -321,15 +319,6 @@ class TestSampledKernelIntegration:
         assert rel < 0.1
         assert report.distinct_rows <= 20
 
-    def test_randomized_cp_als_tree(self):
-        tensor = random_tensor(SHAPE, seed=1)
-        outcome = randomized_cp_als(
-            tensor, 2, n_samples=48, distribution=TREE_DISTRIBUTION,
-            n_iter_max=3, seed=0,
-        )
-        assert outcome.distribution == TREE_DISTRIBUTION
-        assert np.isfinite(outcome.exact_fit)
-
     def test_cp_als_sampled_tree_kernel(self):
         tensor = random_tensor(SHAPE, seed=2)
         result = cp_als(tensor, 2, n_iter_max=3, seed=0, kernel="sampled-tree")
@@ -342,15 +331,6 @@ class TestSampledKernelIntegration:
             tensor, 2, 4, kernel="sampled-tree", n_samples=24, n_iter_max=2, seed=0
         )
         assert result.total_words > 0
-
-    def test_parallel_randomized_cp_als_tree(self):
-        tensor = random_tensor(SHAPE, seed=6)
-        outcome = parallel_randomized_cp_als(
-            tensor, 2, 4, n_samples=24, distribution=TREE_DISTRIBUTION,
-            n_iter_max=2, seed=0,
-        )
-        assert outcome.distribution == TREE_DISTRIBUTION
-        assert outcome.total_words > 0
 
 
 class TestDistributedTree:
@@ -444,10 +424,6 @@ class TestTreeCostModel:
         # and h-update terms), and the count is linear in the draw count.
         assert base < wider < 2 * base
         assert tree_draw_cost((64, 64), 4, 10)[0] == 10 * base
-
-    def test_draw_flops_match_sampler_accounting(self, factors):
-        sampler = KRPTreeSampler(factors, 0)
-        assert sampler.draw_flops(17) == tree_draw_cost(SHAPE[1:], RANK, 17)[0]
 
     def test_build_flops_and_draw_words_positive(self):
         build = [sampler_build_cost(dim, RANK, TREE_DISTRIBUTION)[0] for dim in SHAPE[1:]]
