@@ -25,7 +25,7 @@ import pytest
 
 from conftest import emit
 from repro.bounds.parallel import combined_parallel_lower_bound
-from repro.core.dimtree import DimensionTreeKernel, split_chain
+from repro.core.dimtree import DimensionTreeKernel
 from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.costmodel import (
     dimtree_crossover_rank,
@@ -130,7 +130,7 @@ def _sequential_row(shape, rank, seed):
     tree_run = cp_als(
         tensor, rank, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1, kernel=tree_kernel
     )
-    chain_kernel = DimensionTreeKernel(split=split_chain, cache=False)
+    chain_kernel = DimensionTreeKernel(cache=False)
     cp_als(
         tensor, rank, n_iter_max=FRONTIER_SWEEPS, tol=0.0, seed=seed + 1, kernel=chain_kernel
     )

@@ -41,8 +41,6 @@ from repro.core.dimtree import (
     FactorGate,
     SweepCost,
     dimtree_sweep_cost,
-    split_chain,
-    split_half,
 )
 from repro.core.sampled_dimtree import (
     FusedSamplerCache,
@@ -70,8 +68,6 @@ __all__ = [
     "FactorGate",
     "SweepCost",
     "dimtree_sweep_cost",
-    "split_chain",
-    "split_half",
     "FusedSamplerCache",
     "FusedSweepCost",
     "SampledDimtreeKernel",

@@ -11,12 +11,15 @@ across calls*, invalidates exactly the nodes that depend on a factor matrix
 the driver has replaced, and serves every mode's MTTKRP from the deepest
 still-valid ancestor.
 
-Under the ALS update order (modes ``0, 1, ..., N-1``, each factor replaced
-right after its solve) the default half-split tree recomputes each internal
-node exactly once per sweep: the full tensor is contracted only at the two
-root children, so per-sweep MTTKRP flops and tensor reads drop from ``N``
-full contractions to ``2`` (plus lower-order subtree work) — the classic
-order-``N/2`` ALS speedup.
+Every node splits its mode set in half.  Under the ALS update order (modes
+``0, 1, ..., N-1``, each factor replaced right after its solve) the tree
+recomputes each non-root node exactly once per sweep, the cold first sweep
+included: the full tensor is contracted only at the two root children, so
+per-sweep MTTKRP flops and tensor reads drop from ``N`` full contractions to
+``2`` (plus lower-order subtree work) — the classic order-``N/2`` ALS
+speedup.  With the cache off the tree is the comb instead (each node peels
+off its last mode), and every call runs its own root-to-leaf chain: the
+``N`` independent single-mode kernels the tree is measured against.
 
 Each root child is built with :func:`repro.core.kernels.gemm_mttkrp`, one
 BLAS GEMM between a free reshape of the tensor and the Khatri-Rao product of
@@ -32,7 +35,7 @@ charges every node recomputation as that single-mode chain (flops, words
 moved in a flat read-everything model, root-tensor reads) whichever way it
 ran, so the GEMM step is counted as the chain it replaces and the
 paper-facing frontiers keep their numbers.  :func:`dimtree_sweep_cost`
-replays the same caching schedule symbolically, so the modelled per-sweep
+sums the same per-node charges over the tree, so the modelled per-sweep
 cost equals the counted ledger exactly — the tests assert ``==``, not
 ``<=``.  Counting conventions (shared by executor and model):
 
@@ -53,7 +56,7 @@ and replaces only the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,33 +66,6 @@ from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, inc as observe_inc
 from repro.tensor.dense import as_ndarray
 from repro.utils.validation import check_factor_matrices, check_mode, check_rank, check_shape
-
-#: A split rule: mode subset (sorted tuple) -> (left, right) non-empty partition.
-ModeSplit = Callable[[Tuple[int, ...]], Tuple[Sequence[int], Sequence[int]]]
-
-#: Sweeps the symbolic replay runs before reading off the steady-state cost
-#: (the cache-validity pattern is periodic with period one sweep from the
-#: second sweep on; two extra sweeps are simulated as margin).
-_STEADY_SWEEPS = 4
-
-
-def split_half(modes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Default split rule: first half / second half of the (sorted) mode set."""
-    half = len(modes) // 2
-    return modes[:half], modes[half:]
-
-
-def split_chain(modes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Comb split: peel the last mode off at every level.
-
-    The root-to-leaf path for mode ``m`` then contracts the complement modes
-    one at a time in descending order — with ``cache=False`` this is exactly
-    the contraction chain of ``N`` *independent* single-mode kernels, which
-    is the baseline the cost model and the benchmark frontier compare the
-    (cached, half-split) tree against.
-    """
-    return modes[:-1], modes[-1:]
-
 
 @dataclass(frozen=True)
 class SweepCost:
@@ -141,29 +117,25 @@ class SweepCost:
 
 
 # ---------------------------------------------------------------------------
-# tree structure (shared by the executor and the symbolic cost replay)
+# tree structure (shared by the executor and the cost model)
 # ---------------------------------------------------------------------------
 
-def _checked_split(split: ModeSplit, modes: Tuple[int, ...]):
-    left, right = split(modes)
-    left = tuple(sorted(int(m) for m in left))
-    right = tuple(sorted(int(m) for m in right))
-    if not left or not right or set(left) & set(right) or set(left) | set(right) != set(modes):
-        raise ParameterError(
-            f"split rule must partition {modes} into two non-empty halves, "
-            f"got {left} / {right}"
-        )
-    return left, right
+def _build_parents(
+    n_modes: int, *, chain: bool = False
+) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """Map each non-root node (sorted mode tuple) to its parent node.
 
-
-def _build_parents(n_modes: int, split: ModeSplit) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """Map each non-root node (sorted mode tuple) to its parent node."""
+    Every node splits its modes in half, or with ``chain`` peels off its
+    last mode (the comb, whose root-to-leaf paths contract the other modes
+    one at a time in descending order).
+    """
     parents: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     def recurse(modes: Tuple[int, ...]) -> None:
         if len(modes) == 1:
             return
-        for child in _checked_split(split, modes):
+        cut = len(modes) - 1 if chain else len(modes) // 2
+        for child in (modes[:cut], modes[cut:]):
             parents[child] = modes
             recurse(child)
 
@@ -349,15 +321,11 @@ class DimensionTree:
     ----------
     tensor:
         Dense ``N``-way tensor (``N >= 2``); the tree is bound to it.
-    split:
-        Optional split rule (default :func:`split_half`).  Any rule that
-        partitions each node's mode set into two non-empty halves yields the
-        same MTTKRP values up to floating-point association — only the
-        reuse pattern (and hence the counted cost) changes.
     cache:
-        When ``False``, no partial is ever stored: every call recomputes the
-        root-to-leaf contraction chain, which is exactly the per-mode
-        independent-kernel baseline under identical counting conventions.
+        When ``False``, no partial is ever stored and the tree is the comb:
+        every call recomputes its root-to-leaf chain, which contracts the
+        other modes one at a time — exactly the per-mode independent-kernel
+        baseline under identical counting conventions.
     invalidation:
         ``"exact"`` (default) invalidates every dependent cached node as soon
         as a factor is replaced.  ``"residual"`` gates the invalidation on
@@ -387,14 +355,13 @@ class DimensionTree:
     of a C-contiguous tensor and ``R`` is at most both the kept and the
     removed extent products; otherwise it runs the single-mode chain, as
     every other node does.  The counters charge the chain either way, so
-    the ledger equals :func:`dimtree_sweep_cost_sequence` on both paths.
+    the ledger equals :func:`dimtree_sweep_cost` on both paths.
     """
 
     def __init__(
         self,
         tensor,
         *,
-        split: Optional[ModeSplit] = None,
         cache: bool = True,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
@@ -407,12 +374,11 @@ class DimensionTree:
                 f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
             )
         self._n = self._data.ndim
-        self._split = split if split is not None else split_half
         self._cache_enabled = bool(cache)
         self._gate = FactorGate(
             self._n, invalidation=invalidation, residual_tol=residual_tol
         )
-        self._parents = _build_parents(self._n, self._split)
+        self._parents = _build_parents(self._n, chain=not cache)
         self._root_key = tuple(range(self._n))
         # Aliases of the gate's state: the gate mutates, the tree reads.
         self._factors = self._gate.factors
@@ -625,98 +591,32 @@ class DimensionTree:
 
 
 # ---------------------------------------------------------------------------
-# symbolic replay: the exact cost model of one ALS sweep
+# the exact cost model of an ALS sweep
 # ---------------------------------------------------------------------------
 
-def dimtree_sweep_cost_sequence(
-    shape: Sequence[int],
-    rank: int,
-    n_sweeps: int,
-    *,
-    split: Optional[ModeSplit] = None,
-    cache: bool = True,
-) -> List[SweepCost]:
-    """Per-sweep counted costs of the first ``n_sweeps`` ALS sweeps, replayed.
+def dimtree_sweep_cost(shape: Sequence[int], rank: int, *, cache: bool = True) -> SweepCost:
+    """Counted cost of every ALS sweep of the dimension-tree engine.
 
-    Replays the caching/invalidation schedule of :class:`DimensionTree` under
-    the ALS update order (mode ``0..N-1``, factor replaced after each solve)
-    *symbolically* — same tree, same lazy recomputation, same per-step cost
-    formulas — and snapshots the ledger at every sweep boundary, so entry
-    ``i`` equals the engine's counted ledger of sweep ``i`` exactly,
-    including the cold-cache first sweep and any schedule transient.  This
-    per-sweep form is what the runtime drift detector
-    (:func:`repro.observe.drift.dimtree_drift`) holds traced spans against.
+    Under the ALS update order (mode ``0..N-1``, factor replaced after each
+    solve) the cached tree recomputes each non-root node once per sweep,
+    the cold first sweep included, so a sweep costs the sum of the nodes'
+    recomputations and the engine's counted ledger of each sweep equals it
+    exactly.  ``cache=False`` costs the comb with no cache: each call
+    recomputes every node on its root-to-leaf path, so a node of ``m``
+    modes is recomputed ``m`` times per sweep — the ``N`` independent
+    per-mode chains.
     """
     shape = check_shape(shape, min_ndim=2)
     rank = check_rank(rank)
-    n_sweeps = int(n_sweeps)
-    if n_sweeps < 1:
-        raise ParameterError(f"n_sweeps must be at least 1, got {n_sweeps}")
-    n_modes = len(shape)
-    split = split if split is not None else split_half
-    parents = _build_parents(n_modes, split)
-    root_key = tuple(range(n_modes))
-
-    versions = [0] * n_modes
-    cached: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    total = SweepCost()
-
-    def node_cost(key: Tuple[int, ...]) -> None:
-        """Ensure ``key`` is valid, charging any recomputation (recursive)."""
-        nonlocal total
-        if key == root_key:
-            return
-        complement = [k for k in range(n_modes) if k not in key]
-        snapshot = tuple(versions[k] for k in complement)
-        if cached.get(key) == snapshot:
-            return
-        parent_key = parents[key]
-        node_cost(parent_key)
-        total = total + _recompute_cost(shape, parent_key, key, rank)
-        if cache:
-            cached[key] = snapshot
-
-    per_sweep: List[SweepCost] = []
-    for _ in range(n_sweeps):
-        start = total
-        for mode in range(n_modes):
-            node_cost((mode,))
-            versions[mode] += 1
-        per_sweep.append(total - start)
-    return per_sweep
-
-
-def dimtree_sweep_cost(
-    shape: Sequence[int],
-    rank: int,
-    *,
-    split: Optional[ModeSplit] = None,
-    cache: bool = True,
-    first_sweep: bool = False,
-) -> SweepCost:
-    """Counted cost of one ALS sweep of the dimension-tree engine, replayed.
-
-    The single-sweep view of :func:`dimtree_sweep_cost_sequence`.
-
-    Parameters
-    ----------
-    shape, rank:
-        Problem dimensions.
-    split:
-        Tree split rule (default :func:`split_half`).
-    cache:
-        ``False`` replays the cache-disabled engine: ``N`` independent
-        root-to-leaf chains, the per-mode-kernel baseline.
-    first_sweep:
-        Return the cold-cache first sweep instead of the steady state (they
-        coincide for the default half split; an adversarial split can make
-        the first sweep cheaper because late-sweep invalidations have not
-        happened yet).
-    """
-    n_sweeps = 1 if first_sweep else _STEADY_SWEEPS
-    return dimtree_sweep_cost_sequence(
-        shape, rank, n_sweeps, split=split, cache=cache
-    )[-1]
+    parents = _build_parents(len(shape), chain=not cache)
+    return sum(
+        (
+            _recompute_cost(shape, parent, key, rank)
+            for key, parent in parents.items()
+            for _ in range(1 if cache else len(key))
+        ),
+        SweepCost(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +647,10 @@ class DimensionTreeKernel(SweepKernel):
     def __init__(
         self,
         *,
-        split: Optional[ModeSplit] = None,
         cache: bool = True,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
     ) -> None:
-        self._split = split
         self._cache = bool(cache)
         self._invalidation = invalidation
         self._residual_tol = float(residual_tol)
@@ -794,7 +692,6 @@ class DimensionTreeKernel(SweepKernel):
         if rebuild:
             self.tree = DimensionTree(
                 data,
-                split=self._split,
                 cache=self._cache,
                 invalidation=self._invalidation,
                 residual_tol=self._residual_tol,

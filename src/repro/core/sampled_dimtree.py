@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dimtree import DimensionTreeKernel, ModeSplit
+from repro.core.dimtree import DimensionTreeKernel
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, annotate, inc as observe_inc
 from repro.tensor.dense import as_ndarray
@@ -386,9 +386,6 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         Seed or generator for all draws; a fixed seed makes the whole run
         (draws included) reproducible, and the distributed kernel under the
         same seed takes bitwise-identical draws.
-    split:
-        Tree split rule, forwarded to the
-        :class:`~repro.core.dimtree.DimensionTree`.
     cache:
         ``False`` degenerates to the plain per-call sampled kernel on the raw
         tensor — under the same seed its generator consumption, draws, and
@@ -408,7 +405,6 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         *,
         distribution: str = "tree-leverage",
         seed=None,
-        split: Optional[ModeSplit] = None,
         cache: bool = True,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
@@ -423,9 +419,7 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         if n_samples is not None:
             n_samples = check_positive_int(n_samples, "n_samples")
         rng = _as_generator(seed)
-        super().__init__(
-            split=split, cache=cache, invalidation=invalidation, residual_tol=residual_tol
-        )
+        super().__init__(cache=cache, invalidation=invalidation, residual_tol=residual_tol)
         self._n_samples = n_samples
         self._distribution = distribution
         self._rng = rng

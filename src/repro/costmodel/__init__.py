@@ -37,8 +37,6 @@ from repro.costmodel.fused_model import (
     three_way_crossover,
 )
 from repro.costmodel.dimtree_model import (
-    dimtree_sweep_flops,
-    dimtree_sweep_words,
     dimtree_crossover_rank,
     dimtree_vs_independent,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "matmul_regime",
     "strong_scaling_series",
     "StrongScalingPoint",
-    "dimtree_sweep_flops",
-    "dimtree_sweep_words",
     "dimtree_crossover_rank",
     "dimtree_vs_independent",
     "expected_distinct_rows",

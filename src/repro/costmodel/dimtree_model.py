@@ -1,12 +1,12 @@
-"""Cost model of the dimension-tree ALS engine (per-sweep terms + crossover).
+"""Rank crossover of the dimension-tree ALS engine against independent kernels.
 
-The engine of :mod:`repro.core.dimtree` counts every contraction it performs;
-this module exposes the *modelled* per-sweep costs — obtained by replaying
-the same caching schedule symbolically — together with the per-mode
-independent-kernel baseline and the rank crossover between them.  Because the
-model replays the implementation's schedule exactly, "modelled" and
-"counted" agree to the word (the tests assert ``==``, continuing the
-measured-vs-modelled discipline of the sketch subsystems).
+The engine of :mod:`repro.core.dimtree` counts every contraction it performs,
+and :func:`repro.core.dimtree.dimtree_sweep_cost` sums the same per-node
+charges over the tree, so "modelled" and "counted" agree to the word (the
+tests assert ``==``, continuing the measured-vs-modelled discipline of the
+sketch subsystems).  This module sets that per-sweep cost beside the
+per-mode independent-kernel baseline (the uncached comb) and finds the rank
+crossover between them.
 
 Both per-sweep word costs are *affine in the rank* ``R`` (every partial
 carries at most one rank axis), which gives the crossover in closed form:
@@ -22,55 +22,31 @@ wins at every rank, as it does for cubic shapes).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.dimtree import ModeSplit, dimtree_sweep_cost, split_chain
-from repro.parallel.dimtree import (
-    predicted_dimtree_ledger,
-    predicted_dimtree_sweep_words,
-)
+from repro.core.dimtree import dimtree_sweep_cost
 from repro.utils.validation import check_rank, check_shape
 
 __all__ = [
-    "dimtree_sweep_flops",
-    "dimtree_sweep_words",
     "dimtree_crossover_rank",
     "dimtree_vs_independent",
-    "predicted_dimtree_ledger",
-    "predicted_dimtree_sweep_words",
 ]
 
 
-def dimtree_sweep_flops(
-    shape: Sequence[int], rank: int, *, split: Optional[ModeSplit] = None
-) -> int:
-    """Counted flops of one steady-state ALS sweep of the dimension tree."""
-    return dimtree_sweep_cost(shape, rank, split=split).flops
-
-
-def dimtree_sweep_words(
-    shape: Sequence[int], rank: int, *, split: Optional[ModeSplit] = None
-) -> int:
-    """Counted words of one steady-state ALS sweep of the dimension tree."""
-    return dimtree_sweep_cost(shape, rank, split=split).words
-
-
-def _affine_words(shape: Sequence[int], cache: bool, split: Optional[ModeSplit]):
+def _affine_words(shape: Sequence[int], cache: bool):
     """Coefficients ``(a, b)`` of the affine-in-rank sweep words ``a + b R``.
 
     The caching schedule is rank-independent and every partial carries at
-    most one rank axis, so evaluating the exact replay at ``R = 1, 2``
+    most one rank axis, so evaluating the exact cost at ``R = 1, 2``
     determines the whole line.
     """
-    w1 = dimtree_sweep_cost(shape, 1, split=split, cache=cache).words
-    w2 = dimtree_sweep_cost(shape, 2, split=split, cache=cache).words
+    w1 = dimtree_sweep_cost(shape, 1, cache=cache).words
+    w2 = dimtree_sweep_cost(shape, 2, cache=cache).words
     slope = w2 - w1
     return w1 - slope, slope
 
 
-def dimtree_crossover_rank(
-    shape: Sequence[int], *, split: Optional[ModeSplit] = None
-) -> float:
+def dimtree_crossover_rank(shape: Sequence[int]) -> float:
     """Rank above which the tree's per-sweep words exceed the independent kernels'.
 
     Both word models are exactly affine in ``R`` (the caching schedule does
@@ -82,26 +58,24 @@ def dimtree_crossover_rank(
     lines are identical — equality is not "exceeding").
     """
     shape = check_shape(shape, min_ndim=2)
-    a_tree, b_tree = _affine_words(shape, True, split)
-    a_ind, b_ind = _affine_words(shape, False, split_chain)
+    a_tree, b_tree = _affine_words(shape, True)
+    a_ind, b_ind = _affine_words(shape, False)
     if b_tree <= b_ind:
         return math.inf
     crossover = (a_ind - a_tree) / (b_tree - b_ind)
     return max(crossover, 0.0)
 
 
-def dimtree_vs_independent(
-    shape: Sequence[int], rank: int, *, split: Optional[ModeSplit] = None
-) -> dict:
+def dimtree_vs_independent(shape: Sequence[int], rank: int) -> dict:
     """Side-by-side per-sweep comparison (used by the benchmark frontier)."""
     shape = check_shape(shape, min_ndim=2)
     rank = check_rank(rank)
-    tree = dimtree_sweep_cost(shape, rank, split=split)
-    independent = dimtree_sweep_cost(shape, rank, split=split_chain, cache=False)
+    tree = dimtree_sweep_cost(shape, rank)
+    independent = dimtree_sweep_cost(shape, rank, cache=False)
     return {
         "dimtree": tree.to_dict(),
         "independent": independent.to_dict(),
         "flop_speedup": independent.flops / max(tree.flops, 1),
         "word_ratio": tree.words / max(independent.words, 1),
-        "crossover_rank": dimtree_crossover_rank(shape, split=split),
+        "crossover_rank": dimtree_crossover_rank(shape),
     }

@@ -13,8 +13,8 @@ the caller passes in (taken from the kernel's
 :class:`~repro.core.sampled_dimtree.FusedDrawRecord` log for reconciliation,
 or capped at the draw count for a priori modelling).  Everything else —
 which partials are recomputed, which sampler trees rebuild, how many node
-Grams each descent reads — is determined by ``(shape, rank, split,
-n_draws)`` alone.
+Grams each descent reads — is determined by ``(shape, rank, n_draws)``
+alone.
 
 :func:`three_way_crossover` puts the three sweep engines side by side —
 exact ``"dimtree"``, per-call ``"sampled-tree"``, and the fused
@@ -28,22 +28,15 @@ distinct draw count stays below the free-mode extent it replaces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.core.dimtree import (
-    _STEADY_SWEEPS,
-    ModeSplit,
-    _build_parents,
-    _recompute_cost,
-    split_half,
-)
+from repro.core.dimtree import SweepCost, _build_parents, _recompute_cost, dimtree_sweep_cost
 from repro.core.sampled_dimtree import (
     FusedSweepCost,
     estimator_cost,
     sampler_build_cost,
     tree_draw_cost,
 )
-from repro.costmodel.dimtree_model import dimtree_sweep_flops, dimtree_sweep_words
 from repro.exceptions import ParameterError
 from repro.utils.validation import check_positive_int, check_rank, check_shape
 
@@ -53,6 +46,11 @@ __all__ = [
     "expected_distinct_rows",
     "three_way_crossover",
 ]
+
+#: Sweeps the sampler-rebuild replay runs before reading off the steady
+#: state (the rebuild schedule is periodic from the second sweep on; two
+#: more sweeps are replayed as margin).
+_STEADY_SWEEPS = 4
 
 
 def _check_distinct(distinct_rows: Sequence[int], n_modes: int) -> List[int]:
@@ -74,7 +72,6 @@ def sampled_dimtree_sweep_cost(
     distinct_rows: Sequence[int],
     *,
     distribution: str = "tree-leverage",
-    split: Optional[ModeSplit] = None,
     first_sweep: bool = False,
 ) -> FusedSweepCost:
     """Counted cost of one ALS sweep of the fused kernel, replayed symbolically.
@@ -82,11 +79,13 @@ def sampled_dimtree_sweep_cost(
     Replays the exact schedule of
     :class:`~repro.core.sampled_dimtree.SampledDimtreeKernel` under the ALS
     update order (mode ``0..N-1``, each factor replaced and exact-invalidated
-    after its solve): the lazy maintenance of each leaf's *parent* node, the
-    per-factor sampler rebuilds, and the per-call draw and estimator terms.
-    ``distinct_rows[m]`` is the distinct draw count of mode ``m``'s call in
-    the costed sweep (from the kernel's draw log, or a model cap); all other
-    terms are schedule-determined, so the result equals the kernel's counted
+    after its solve).  The kernel reads only the leaf parents, so every
+    sweep recomputes each internal non-root node once, the first sweep
+    included.  The per-factor sampler rebuilds are replayed sweep by sweep,
+    and the per-call draw and estimator terms added.  ``distinct_rows[m]``
+    is the distinct draw count of mode ``m``'s call in the costed sweep
+    (from the kernel's draw log, or a model cap); all other terms are
+    schedule-determined, so the result equals the kernel's counted
     steady-state (or ``first_sweep``) per-sweep ledger exactly.
     """
     shape = check_shape(shape, min_ndim=2)
@@ -94,54 +93,31 @@ def sampled_dimtree_sweep_cost(
     n_draws = check_positive_int(n_draws, "n_draws")
     n_modes = len(shape)
     distinct = _check_distinct(distinct_rows, n_modes)
-    split = split if split is not None else split_half
-    parents = _build_parents(n_modes, split)
+    parents = _build_parents(n_modes)
     root_key = tuple(range(n_modes))
 
-    versions = [0] * n_modes
-    cached: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    built_at: Dict[int, int] = {}
-    cost = {
-        "contractions": 0,
-        "tree_flops": 0,
-        "tree_words": 0,
-        "root_reads": 0,
-        "build_flops": 0,
-        "build_words": 0,
-    }
+    tree = sum(
+        (
+            _recompute_cost(shape, parent, key, rank)
+            for key, parent in parents.items()
+            if len(key) > 1
+        ),
+        SweepCost(),
+    )
 
-    def node_cost(key: Tuple[int, ...]) -> None:
-        """Ensure node ``key`` is valid, charging any recomputation (recursive)."""
-        if key == root_key:
-            return
-        complement = [k for k in range(n_modes) if k not in key]
-        snapshot = tuple(versions[k] for k in complement)
-        if cached.get(key) == snapshot:
-            return
-        parent_key = parents[key]
-        node_cost(parent_key)
-        chain = _recompute_cost(shape, parent_key, key, rank)
-        cost["contractions"] += chain.contractions
-        cost["tree_flops"] += chain.flops
-        cost["tree_words"] += chain.words
-        cost["root_reads"] += chain.root_reads
-        cached[key] = snapshot
-
+    # The sampler cache stays warm across sweeps: keep the last replayed
+    # sweep's rebuilds.
     n_sweeps = 1 if first_sweep else _STEADY_SWEEPS
-    for sweep in range(n_sweeps):
-        if sweep == n_sweeps - 1:
-            cost = {name: 0 for name in cost}
+    versions = [0] * n_modes
+    built_at: Dict[int, int] = {}
+    for _ in range(n_sweeps):
+        build_flops = build_words = 0
         for mode in range(n_modes):
-            parent_key = parents[(mode,)]
-            if parent_key != root_key:
-                node_cost(parent_key)
-            for k in parent_key:
-                if k == mode:
-                    continue
-                if built_at.get(k) != versions[k]:
+            for k in parents[(mode,)]:
+                if k != mode and built_at.get(k) != versions[k]:
                     flops, words = sampler_build_cost(shape[k], rank, distribution)
-                    cost["build_flops"] += flops
-                    cost["build_words"] += words
+                    build_flops += flops
+                    build_words += words
                     built_at[k] = versions[k]
             versions[mode] += 1
 
@@ -149,7 +125,6 @@ def sampled_dimtree_sweep_cost(
     draw_words = 0
     eval_flops = 0
     eval_words = 0
-    total_distinct = 0
     for mode in range(n_modes):
         parent_key = parents[(mode,)]
         free = tuple(k for k in parent_key if k != mode)
@@ -163,21 +138,20 @@ def sampled_dimtree_sweep_cost(
         )
         eval_flops += flops
         eval_words += words
-        total_distinct += distinct[mode]
 
     return FusedSweepCost(
-        contractions=cost["contractions"],
-        tree_flops=cost["tree_flops"],
-        tree_words=cost["tree_words"],
-        root_reads=cost["root_reads"],
-        build_flops=cost["build_flops"],
-        build_words=cost["build_words"],
+        contractions=tree.contractions,
+        tree_flops=tree.flops,
+        tree_words=tree.words,
+        root_reads=tree.root_reads,
+        build_flops=build_flops,
+        build_words=build_words,
         draw_flops=draw_flops,
         draw_words=draw_words,
         eval_flops=eval_flops,
         eval_words=eval_words,
         n_draws=n_modes * n_draws,
-        distinct_rows=total_distinct,
+        distinct_rows=sum(distinct),
     )
 
 
@@ -186,16 +160,13 @@ def sampled_tree_sweep_cost(
     rank: int,
     n_draws: int,
     distinct_rows: Sequence[int],
-    *,
-    distribution: str = "tree-leverage",
 ) -> FusedSweepCost:
-    """Counted cost of one ALS sweep of the *per-call* sampled kernel.
+    """Counted cost of one ALS sweep of the *per-call* tree-leverage kernel.
 
     The baseline column of the fused frontier: every mode rebuilds all
-    ``N - 1`` factors' sampling state, draws over all ``N - 1`` modes, and
-    gathers raw (rank-free) tensor fibers — exactly the
-    ``cache=False`` degenerate mode of the fused kernel (and, under
-    ``distribution="tree-leverage"``, the counted shape of the registry
+    ``N - 1`` factors' segment trees, draws over all ``N - 1`` modes, and
+    gathers raw (rank-free) tensor fibers — exactly the ``cache=False``
+    degenerate mode of the fused kernel (the counted shape of the registry
     kernel ``"sampled-tree"``), so the replay equals that kernel's counted
     per-sweep ledger under the shared conventions.
     """
@@ -214,13 +185,12 @@ def sampled_tree_sweep_cost(
     for mode in range(n_modes):
         free = tuple(k for k in range(n_modes) if k != mode)
         for k in free:
-            flops, words = sampler_build_cost(shape[k], rank, distribution)
+            flops, words = sampler_build_cost(shape[k], rank, "tree-leverage")
             build_flops += flops
             build_words += words
-        if distribution == "tree-leverage":
-            flops, words = tree_draw_cost([shape[k] for k in free], rank, n_draws)
-            draw_flops += flops
-            draw_words += words
+        flops, words = tree_draw_cost([shape[k] for k in free], rank, n_draws)
+        draw_flops += flops
+        draw_words += words
         flops, words = estimator_cost(
             int(shape[mode]), rank, len(free), distinct[mode], has_rank=False
         )
@@ -239,9 +209,7 @@ def sampled_tree_sweep_cost(
     )
 
 
-def expected_distinct_rows(
-    shape: Sequence[int], n_draws: int, *, fused: bool, split: Optional[ModeSplit] = None
-) -> List[int]:
+def expected_distinct_rows(shape: Sequence[int], n_draws: int, *, fused: bool) -> List[int]:
     """Deterministic distinct-count cap per mode: ``min(draws, row space)``.
 
     The a priori modelling convention of :func:`three_way_crossover`: a draw
@@ -251,7 +219,7 @@ def expected_distinct_rows(
     """
     shape = check_shape(shape, min_ndim=2)
     n_modes = len(shape)
-    parents = _build_parents(n_modes, split if split is not None else split_half)
+    parents = _build_parents(n_modes)
     caps: List[int] = []
     for mode in range(n_modes):
         if fused:
@@ -269,8 +237,6 @@ def three_way_crossover(
     shape: Sequence[int],
     ranks: Sequence[int],
     draw_counts: Sequence[int],
-    *,
-    split: Optional[ModeSplit] = None,
 ) -> List[dict]:
     """Modelled per-sweep flops/words of the three engines over (rank, draws).
 
@@ -287,15 +253,10 @@ def three_way_crossover(
     rows: List[dict] = []
     for rank in ranks:
         rank = check_rank(rank)
-        exact_flops = dimtree_sweep_flops(shape, rank, split=split)
-        exact_words = dimtree_sweep_words(shape, rank, split=split)
+        exact = dimtree_sweep_cost(shape, rank)
         for n_draws in draw_counts:
             fused = sampled_dimtree_sweep_cost(
-                shape,
-                rank,
-                n_draws,
-                expected_distinct_rows(shape, n_draws, fused=True, split=split),
-                split=split,
+                shape, rank, n_draws, expected_distinct_rows(shape, n_draws, fused=True)
             )
             baseline = sampled_tree_sweep_cost(
                 shape,
@@ -304,12 +265,12 @@ def three_way_crossover(
                 expected_distinct_rows(shape, n_draws, fused=False),
             )
             costs_f = {
-                "dimtree": exact_flops,
+                "dimtree": exact.flops,
                 "sampled-tree": baseline.flops,
                 "sampled-dimtree": fused.flops,
             }
             costs_w = {
-                "dimtree": exact_words,
+                "dimtree": exact.words,
                 "sampled-tree": baseline.words,
                 "sampled-dimtree": fused.words,
             }

@@ -131,7 +131,8 @@ class ParallelCPALSResult:
     words_per_iteration:
         Max-per-rank words communicated in each ALS sweep.
     grids:
-        The processor grid used for each mode's MTTKRP.
+        A one-element list holding the run's processor grid: every kernel
+        runs all of a run's MTTKRPs on one grid.
     algorithm:
         ``"general"`` for ``kernel="general"`` (Algorithm 4's distribution),
         ``"stationary"`` for every other kernel.
@@ -309,14 +310,12 @@ def parallel_cp_als(
         raise DistributionError(
             f"machine has {machine.n_procs} processors but n_procs={n_procs}"
         )
-    grids: List[Sequence[int]] = []
     if kernel == "general":
         algorithm = "general"
         grid = choose_general_grid(data.shape, rank, n_procs)
     else:
         algorithm = "stationary"
         grid = choose_stationary_grid(data.shape, rank, n_procs)
-    grids.append(grid)
     if not sampled:
         # The per-call sampled kernels run on empty blocks; the others cannot.
         check_block_extents(data.shape, rank, grid)
@@ -402,6 +401,6 @@ def parallel_cp_als(
         als=als_result,
         machine=machine,
         words_per_iteration=words_per_iteration,
-        grids=grids,
+        grids=[grid],
         algorithm=algorithm,
     )

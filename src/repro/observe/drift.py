@@ -7,7 +7,7 @@ any traced run, generalizing the reconciliation pattern of
 :mod:`repro.sketch.parallel.reconcile`:
 
 * :func:`dimtree_drift` — per-sweep traced flops/words of the exact
-  dimension-tree kernel vs :func:`repro.core.dimtree.dimtree_sweep_cost_sequence`;
+  dimension-tree kernel vs :func:`repro.core.dimtree.dimtree_sweep_cost`;
 * :func:`fused_drift` — per-sweep traced flops/words of the fused sampled
   kernel vs :func:`repro.costmodel.fused_model.sampled_dimtree_sweep_cost`,
   fed the per-mode ``n_draws`` / ``distinct_rows`` the kernel annotated onto
@@ -24,7 +24,7 @@ stays a dependency leaf importable from anywhere in the stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.observe.tracer import SpanRecord, TraceSession
 
@@ -121,51 +121,29 @@ def _sweep_spans(session: TraceSession) -> List[SpanRecord]:
     return sorted(session.spans_named("sweep"), key=lambda span: span.span_id)
 
 
-def dimtree_drift(
-    session: TraceSession,
-    shape: Sequence[int],
-    rank: int,
-    *,
-    split=None,
-    cache: bool = True,
-) -> DriftReport:
-    """Per-sweep flops/words of a traced exact dimtree run vs the replay.
+def dimtree_drift(session: TraceSession, shape: Sequence[int], rank: int) -> DriftReport:
+    """Per-sweep flops/words of a traced exact dimtree run vs the model.
 
-    Every ``"sweep"`` span's accrued flops and words are held against the
-    symbolic replay of the same sweep index
-    (:func:`repro.core.dimtree.dimtree_sweep_cost_sequence`), so cold-cache
-    first sweeps and any schedule transient are modelled exactly — zero
-    drift is the expected outcome on every sweep, not just steady state.
+    Every ``"sweep"`` span's accrued flops and words are held against
+    :func:`repro.core.dimtree.dimtree_sweep_cost`, the cost of every sweep,
+    the cold-cache first one included — zero drift is the expected outcome
+    on every sweep of a run under the default ``invalidation="exact"``, not
+    just steady state.  A residual-gated run skips recomputations the model
+    charges, so it shows as drift.
     """
-    from repro.core.dimtree import dimtree_sweep_cost_sequence
+    from repro.core.dimtree import dimtree_sweep_cost
 
-    sweeps = _sweep_spans(session)
     report = DriftReport(kernel="dimtree")
-    if not sweeps:
-        return report
-    modelled = dimtree_sweep_cost_sequence(
-        shape, rank, len(sweeps), split=split, cache=cache
-    )
-    for index, (span, model) in enumerate(zip(sweeps, modelled)):
+    model = dimtree_sweep_cost(shape, rank)
+    for index, span in enumerate(_sweep_spans(session)):
         phase = f"sweep[{index}]"
-        report.records.append(
-            DriftRecord(phase, "flops", span.flops, model.flops)
-        )
-        report.records.append(
-            DriftRecord(phase, "words", span.words, model.words)
-        )
+        report.records.append(DriftRecord(phase, "flops", span.flops, model.flops))
+        report.records.append(DriftRecord(phase, "words", span.words, model.words))
     return report
 
 
-def fused_drift(
-    session: TraceSession,
-    shape: Sequence[int],
-    rank: int,
-    *,
-    distribution: str = "tree-leverage",
-    split=None,
-) -> DriftReport:
-    """Per-sweep flops/words of a traced fused sampled run vs the replay.
+def fused_drift(session: TraceSession, shape: Sequence[int], rank: int) -> DriftReport:
+    """Per-sweep flops/words of a traced tree-leverage fused run vs the replay.
 
     The fused kernel annotates each ``"mode"`` span with the ``n_draws`` and
     ``distinct_rows`` of its call — the only data-dependent sizes of the
@@ -201,13 +179,7 @@ def fused_drift(
                 f"sweep[{index}] mode spans lack distinct_rows annotations"
             )
         model = sampled_dimtree_sweep_cost(
-            shape,
-            rank,
-            draws.pop(),
-            distinct,
-            distribution=distribution,
-            split=split,
-            first_sweep=index == 0,
+            shape, rank, draws.pop(), distinct, first_sweep=index == 0
         )
         phase = f"sweep[{index}]"
         report.records.append(DriftRecord(phase, "flops", span.flops, model.flops))

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dimtree import DimensionTree, FactorGate, ModeSplit
+from repro.core.dimtree import DimensionTree, FactorGate
 from repro.parallel.collectives import (
     all_gather,
     bucket_all_gather_cost,
@@ -79,8 +79,6 @@ class DistributedDimtreeKernel(DistributedKernel):
     machine:
         Optional pre-existing :class:`SimulatedMachine` accumulating the run's
         communication; a fresh one is created otherwise.
-    split:
-        Split rule forwarded to every rank's :class:`DimensionTree`.
     invalidation, residual_tol:
         Staleness policy of the kernel-level
         :class:`~repro.core.dimtree.FactorGate` that governs the gather
@@ -105,12 +103,10 @@ class DistributedDimtreeKernel(DistributedKernel):
         grid_dims: Sequence[int],
         *,
         machine: Optional[SimulatedMachine] = None,
-        split: Optional[ModeSplit] = None,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
     ) -> None:
         super().__init__(grid_dims, machine=machine)
-        self._split = split
         self._invalidation = invalidation
         self._residual_tol = float(residual_tol)
         self.gate: Optional[FactorGate] = None
@@ -175,10 +171,7 @@ class DistributedDimtreeKernel(DistributedKernel):
         # A new problem: rebuild the trees, gate, and gather cache.
         self._gathered.clear()
         self._gathered_version.clear()
-        self._trees = {
-            r: DimensionTree(block.data, split=self._split)
-            for r, block in self.tensor_blocks.items()
-        }
+        self._trees = {r: DimensionTree(block.data) for r, block in self.tensor_blocks.items()}
         self.gate = FactorGate(
             data.ndim,
             invalidation=self._invalidation,

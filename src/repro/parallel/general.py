@@ -44,7 +44,7 @@ class GeneralKernel(DistributedKernel):
         The ``(N+1)``-way processor grid ``(P_0, P_1, ..., P_N)``; dimension 0
         partitions the rank dimension.  With ``P_0 = 1`` the algorithm
         performs exactly the same communication as Algorithm 3.
-    machine, count_local_flops, threads:
+    machine, threads:
         As for :class:`~repro.parallel.stationary.StationaryKernel`: results
         and counted ledgers are bitwise identical for every thread count.
     """
@@ -56,11 +56,9 @@ class GeneralKernel(DistributedKernel):
         grid_dims: Sequence[int],
         *,
         machine: Optional[SimulatedMachine] = None,
-        count_local_flops: bool = True,
         threads: Optional[int] = None,
     ) -> None:
         super().__init__(grid_dims, machine=machine)
-        self.count_local_flops = count_local_flops
         # An explicit count is checked here, before any collective is charged.
         self.threads = None if threads is None else resolve_threads(threads)
 
@@ -120,7 +118,7 @@ class GeneralKernel(DistributedKernel):
         for rank in range(grid.n_procs):
             local_tensor = gathered_tensors[rank]
             cols = len(dist.rank_columns(rank))
-            flops = mttkrp_flops(local_tensor.shape, cols) if self.count_local_flops else 0
+            flops = mttkrp_flops(local_tensor.shape, cols)
             self._charge_local(rank, flops, local_tensor, rank_factors[rank], local_outputs[rank])
 
         # -- Line 8: Reduce-Scatter within each (p_0, p_n) slice.
@@ -153,7 +151,6 @@ def general_mttkrp(
     grid_dims: Sequence[int],
     *,
     machine: Optional[SimulatedMachine] = None,
-    count_local_flops: bool = True,
     threads: Optional[int] = None,
 ) -> ParallelMTTKRPResult:
     """Run Algorithm 4 once on a simulated machine.
@@ -171,14 +168,12 @@ def general_mttkrp(
         Output mode ``n``.
     grid_dims:
         The ``(N+1)``-way processor grid ``(P_0, P_1, ..., P_N)``.
-    machine, count_local_flops, threads:
+    machine, threads:
         As for :class:`GeneralKernel`.
 
     Returns
     -------
     ParallelMTTKRPResult
     """
-    kernel = GeneralKernel(
-        grid_dims, machine=machine, count_local_flops=count_local_flops, threads=threads
-    )
+    kernel = GeneralKernel(grid_dims, machine=machine, threads=threads)
     return kernel.run(tensor, factors, mode)

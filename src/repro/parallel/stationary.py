@@ -73,9 +73,6 @@ class StationaryKernel(DistributedKernel):
     machine:
         Optional pre-existing :class:`SimulatedMachine` (must have
         ``prod(grid_dims)`` processors); a fresh one is created otherwise.
-    count_local_flops:
-        Charge the atomic-multiply arithmetic cost of the local MTTKRPs to the
-        machine's per-rank flop counters.
     threads:
         Thread count for the per-rank local MTTKRPs (``None`` consults
         ``REPRO_THREADS``, default 1).  Each simulated rank's local kernel
@@ -89,11 +86,9 @@ class StationaryKernel(DistributedKernel):
         grid_dims: Sequence[int],
         *,
         machine: Optional[SimulatedMachine] = None,
-        count_local_flops: bool = True,
         threads: Optional[int] = None,
     ) -> None:
         super().__init__(grid_dims, machine=machine)
-        self.count_local_flops = count_local_flops
         # An explicit count is checked here, before any collective is charged.
         self.threads = None if threads is None else resolve_threads(threads)
 
@@ -135,7 +130,7 @@ class StationaryKernel(DistributedKernel):
         local_outputs: Dict[int, np.ndarray] = dict(enumerate(results))
         for rank in range(grid.n_procs):
             block = self.tensor_blocks[rank].data
-            flops = mttkrp_flops(block.shape, dist.rank) if self.count_local_flops else 0
+            flops = mttkrp_flops(block.shape, dist.rank)
             self._charge_local(rank, flops, block, rank_factors[rank], local_outputs[rank])
 
         # -- Line 7: Reduce-Scatter within each mode-n hyperslice.
@@ -151,7 +146,6 @@ def stationary_mttkrp(
     grid_dims: Sequence[int],
     *,
     machine: Optional[SimulatedMachine] = None,
-    count_local_flops: bool = True,
     threads: Optional[int] = None,
 ) -> ParallelMTTKRPResult:
     """Run Algorithm 3 once on a simulated machine.
@@ -171,14 +165,12 @@ def stationary_mttkrp(
         Output mode ``n``.
     grid_dims:
         The ``N``-way processor grid ``(P_1, ..., P_N)``.
-    machine, count_local_flops, threads:
+    machine, threads:
         As for :class:`StationaryKernel`.
 
     Returns
     -------
     ParallelMTTKRPResult
     """
-    kernel = StationaryKernel(
-        grid_dims, machine=machine, count_local_flops=count_local_flops, threads=threads
-    )
+    kernel = StationaryKernel(grid_dims, machine=machine, threads=threads)
     return kernel.run(tensor, factors, mode)

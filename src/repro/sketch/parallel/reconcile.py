@@ -58,8 +58,6 @@ def predicted_sampled_ledger(
     mode: int,
     grid_dims: Sequence[int],
     samples: SampleSet,
-    *,
-    charge_setup: bool = True,
 ) -> np.ndarray:
     """Per-rank words sent (= received) the sampled kernel will charge.
 
@@ -77,7 +75,7 @@ def predicted_sampled_ledger(
     n_procs = grid.n_procs
     ndim = len(dist.shape)
 
-    if charge_setup and samples.distribution != "uniform":
+    if samples.distribution != "uniform":
         group = list(range(n_procs))
         for k in range(ndim):
             if k == mode:
@@ -119,8 +117,8 @@ class ReconciledSampledRun:
     distribution, n_draws, distinct_rows:
         The draw (costs scale with ``distinct_rows``).
     measured_words:
-        Max per-rank ``max(sent, received)`` of the sampled run (setup
-        included when it was charged).
+        Max per-rank ``max(sent, received)`` of the sampled run, setup
+        included.
     measured_setup_words, measured_kernel_words:
         The same total split into the distribution-setup phase and the
         gather/reduce kernel phase (per-rank, from the trace).
@@ -188,7 +186,6 @@ def reconcile_sampled_mttkrp(
     distribution: str = "uniform",
     seed: SeedLike = None,
     grid_dims: Optional[Sequence[int]] = None,
-    charge_setup: bool = True,
 ) -> ReconciledSampledRun:
     """Run the distributed sampled MTTKRP and reconcile its ledger.
 
@@ -203,9 +200,6 @@ def reconcile_sampled_mttkrp(
     grid_dims:
         Explicit sampled grid; default
         :func:`~repro.sketch.parallel.distribution.choose_sampled_grid`.
-    charge_setup:
-        Whether the sampled run charges the distribution-setup collectives
-        (included in ``measured_words`` when it does).
 
     Returns
     -------
@@ -230,7 +224,6 @@ def reconcile_sampled_mttkrp(
         n_samples=n_samples,
         distribution=distribution,
         seed=seed,
-        charge_setup=charge_setup,
     )
     machine = run.machine
     measured = machine.max_words_communicated
@@ -243,11 +236,7 @@ def reconcile_sampled_mttkrp(
     kernel_per_rank = np.maximum(machine.words_sent, machine.words_received) - setup_per_rank
     measured_kernel = int(kernel_per_rank.max())
 
-    predicted = int(
-        predicted_sampled_ledger(
-            shape, rank, mode, grid_dims, run.samples, charge_setup=charge_setup
-        ).max()
-    )
+    predicted = int(predicted_sampled_ledger(shape, rank, mode, grid_dims, run.samples).max())
 
     exact_grid = choose_stationary_grid(shape, rank, n_procs)
     exact_dense = tensor.to_dense() if is_sparse else tensor

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dimtree import ModeSplit
 from repro.core.sampled_dimtree import (
     FusedSamplerCache,
     estimator_cost,
@@ -85,8 +84,6 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         Shared seed/generator of the replicated draw; the same seed given to
         the sequential :class:`~repro.core.sampled_dimtree.SampledDimtreeKernel`
         reproduces its draws bit for bit.
-    split:
-        Tree split rule, forwarded to every rank's tree.
     invalidation, residual_tol:
         The kernel-level :class:`~repro.core.dimtree.FactorGate` options; the
         gate governs re-gathers, Gram All-Reduces, *and* sampler rebuilds at
@@ -105,16 +102,11 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         n_samples: Optional[int] = None,
         distribution: str = "tree-leverage",
         seed: SeedLike = None,
-        split: Optional[ModeSplit] = None,
         invalidation: str = "exact",
         residual_tol: float = 1e-2,
     ) -> None:
         super().__init__(
-            grid_dims,
-            machine=machine,
-            split=split,
-            invalidation=invalidation,
-            residual_tol=residual_tol,
+            grid_dims, machine=machine, invalidation=invalidation, residual_tol=residual_tol
         )
         if n_samples is not None:
             n_samples = check_positive_int(n_samples, "n_samples")

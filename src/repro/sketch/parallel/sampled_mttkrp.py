@@ -209,8 +209,6 @@ def parallel_sampled_mttkrp(
     seed: SeedLike = None,
     samples: Optional[SampleSet] = None,
     machine: Optional[SimulatedMachine] = None,
-    count_local_flops: bool = True,
-    charge_setup: bool = True,
 ) -> ParallelSampledMTTKRPResult:
     """Run the distributed sampled MTTKRP on a simulated machine.
 
@@ -241,12 +239,6 @@ def parallel_sampled_mttkrp(
         ``distribution`` / ``seed``).
     machine:
         Optional pre-existing machine (must match the grid size).
-    count_local_flops:
-        Charge the local sampled-GEMM arithmetic to the per-rank counters.
-    charge_setup:
-        Execute (and charge) the distribution-setup collectives of
-        :func:`charge_sampling_setup`; disable to measure the kernel phase
-        alone against a reused draw.
 
     Returns
     -------
@@ -293,8 +285,7 @@ def parallel_sampled_mttkrp(
             "provided SampleSet does not match the tensor shape and mode"
         )
     assignment = SampleAssignment(dist, samples)
-    if charge_setup:
-        charge_sampling_setup(machine, dist, factors, samples.distribution)
+    charge_sampling_setup(machine, dist, factors, samples.distribution)
 
     # -- Phase 2: All-Gather only the sampled factor rows within each hyperslice.
     gathered: Dict[int, List[Optional[Tuple[np.ndarray, np.ndarray]]]] = {
@@ -348,13 +339,12 @@ def parallel_sampled_mttkrp(
         partial = np.ascontiguousarray(estimator_gemm(fibers, weighted))
         local_outputs[r] = partial
         owned = int(np.count_nonzero(mask))
-        if count_local_flops:
-            machine.charge_flops(
-                r,
-                (len(samples.modes) - 1) * owned * rank  # Khatri-Rao rows
-                + owned * rank  # estimator weighting
-                + 2 * partial.shape[0] * owned * rank,  # sampled GEMM
-            )
+        machine.charge_flops(
+            r,
+            (len(samples.modes) - 1) * owned * rank  # Khatri-Rao rows
+            + owned * rank  # estimator weighting
+            + 2 * partial.shape[0] * owned * rank,  # sampled GEMM
+        )
         storage = tensor_words + int(weighted.size) + int(partial.size)
         for entry in gathered[r]:
             if entry is not None:

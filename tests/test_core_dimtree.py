@@ -4,17 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.core.dimtree import (
-    DimensionTree,
-    DimensionTreeKernel,
-    SweepCost,
-    dimtree_sweep_cost,
-    split_chain,
-    split_half,
-)
+from repro.core.dimtree import DimensionTree, DimensionTreeKernel, SweepCost, dimtree_sweep_cost
+from repro.core.kernels import gemm_mttkrp
 from repro.core.reference import mttkrp_reference
 from repro.core.sweep_kernel import PerCallKernel, SweepKernel, as_sweep_kernel, check_kernel_name
 from repro.cp.als import cp_als
@@ -63,17 +55,6 @@ def als_sweep(kernel, tensor, factors):
     for mode in range(len(factors)):
         kernel.mttkrp(tensor, factors, mode)
         factors[mode] = 0.5 * factors[mode]
-
-
-def make_rng_split(seed):
-    """A deterministic but non-trivial split rule driven by a seeded stream."""
-    rng = np.random.default_rng(seed)
-
-    def split(modes):
-        cut = int(rng.integers(1, len(modes)))
-        return modes[:cut], modes[cut:]
-
-    return split
 
 
 class TestDimensionTreeCorrectness:
@@ -132,20 +113,9 @@ class TestDimensionTreeCorrectness:
             ref = mttkrp_reference(tensor, factors, mode)
             assert np.allclose(tree.mttkrp(factors, mode), ref, atol=1e-10)
 
-    def test_chain_split_matches_reference(self):
-        tensor, factors = problem((2, 3, 4, 3), 2, seed=8)
-        tree = DimensionTree(tensor, split=split_chain)
-        for mode in range(4):
-            ref = mttkrp_reference(tensor, factors, mode)
-            assert np.allclose(tree.mttkrp(factors, mode), ref, atol=1e-10)
-
     def test_rejects_one_way_tensor(self):
         with pytest.raises(ParameterError):
             DimensionTree(np.ones(4))
-
-    def test_rejects_bad_split(self):
-        with pytest.raises(ParameterError):
-            DimensionTree(random_tensor((3, 3, 3), seed=0), split=lambda modes: (modes, ()))
 
     def test_missing_factor_rejected(self):
         tensor, factors = problem((3, 4, 5), 2, seed=9)
@@ -156,29 +126,39 @@ class TestDimensionTreeCorrectness:
             tree.mttkrp(factors, 0)
 
 
-class TestCountersMatchModel:
-    @pytest.mark.parametrize("shape,rank", [((3, 4, 5), 2), ((3, 2, 4, 2), 3), ((2, 3, 2, 2, 3), 2)])
-    def test_als_sweep_counters_equal_replay(self, shape, rank):
-        """The counted per-sweep ledger equals the symbolic replay exactly."""
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=10)
-        kernel = DimensionTreeKernel()
-        cp_als(tensor, rank, n_iter_max=4, tol=0.0, seed=11, kernel=kernel)
-        per_sweep = kernel.per_sweep_costs()
-        assert len(per_sweep) == 4
-        model = dimtree_sweep_cost(shape, rank)
-        assert per_sweep[-1] == model
-        assert per_sweep[-2] == model
-        # half split: the cold first sweep already has the steady-state cost
-        assert per_sweep[0] == dimtree_sweep_cost(shape, rank, first_sweep=True)
+#: ``(shape, rank)`` of the 3-, 4- and 5-way ledger checks.
+COUNTED_CASES = [((3, 4, 5), 2), ((3, 2, 4, 2), 3), ((2, 3, 2, 2, 3), 2)]
 
-    def test_uncached_chain_counters_equal_independent_replay(self):
-        shape, rank = (3, 2, 4, 2), 3
+
+class TestCountersMatchModel:
+    @pytest.mark.parametrize(
+        "shape,rank,order",
+        [pytest.param(shape, rank, "C", id=f"{len(shape)}way") for shape, rank in COUNTED_CASES]
+        + GUARD_CASES,
+    )
+    def test_als_sweep_counters_equal_replay(self, shape, rank, order):
+        """Every counted sweep, the cold first one and the resumed ones
+        included, equals the modelled sweep cost exactly."""
+        tensor = in_order(noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=10), order)
+        model = dimtree_sweep_cost(shape, rank)
+        kernel = DimensionTreeKernel()
+        store = CheckpointStore()
+        kwargs = dict(n_iter_max=4, tol=0.0, seed=11)
+        cp_als(tensor, rank, kernel=kernel, checkpoint_store=store, **kwargs)
+        assert kernel.per_sweep_costs() == [model] * 4
+        resumed = DimensionTreeKernel()
+        cp_als(tensor, rank, kernel=resumed, resume_from=store.at_sweep(2), **kwargs)
+        assert resumed.per_sweep_costs() == [model] * 2
+
+    @pytest.mark.parametrize("shape,rank", COUNTED_CASES)
+    def test_uncached_chain_counters_equal_independent_replay(self, shape, rank):
+        """cache=False reads the tensor N times a sweep: the N modelled chains."""
         tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=12)
-        kernel = DimensionTreeKernel(split=split_chain, cache=False)
+        kernel = DimensionTreeKernel(cache=False)
         cp_als(tensor, rank, n_iter_max=3, tol=0.0, seed=13, kernel=kernel)
-        model = dimtree_sweep_cost(shape, rank, split=split_chain, cache=False)
-        for sweep in kernel.per_sweep_costs():
-            assert sweep == model
+        model = dimtree_sweep_cost(shape, rank, cache=False)
+        assert model.root_reads == len(shape)
+        assert kernel.per_sweep_costs() == [model] * 3
 
     def test_tree_touches_tensor_twice_per_sweep(self):
         shape, rank = (4, 4, 4, 4), 2
@@ -187,7 +167,7 @@ class TestCountersMatchModel:
         cp_als(tensor, rank, n_iter_max=3, tol=0.0, seed=15, kernel=kernel)
         steady = kernel.per_sweep_costs()[-1]
         assert steady.root_reads == 2
-        independent = dimtree_sweep_cost(shape, rank, split=split_chain, cache=False)
+        independent = dimtree_sweep_cost(shape, rank, cache=False)
         assert independent.root_reads == len(shape)
         assert steady.flops < independent.flops
 
@@ -198,10 +178,19 @@ class TestCountersMatchModel:
 
 
 class TestDimtreeKernelInALS:
-    @pytest.mark.parametrize("shape,rank", [((10, 9, 8), 3), ((6, 5, 4, 5), 2), ((4, 3, 4, 3, 4), 2)])
-    def test_fit_trajectory_matches_einsum(self, shape, rank):
-        """Acceptance: the dimtree kernel's ALS fits equal einsum's to 1e-10."""
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=16)
+    @pytest.mark.parametrize(
+        "shape,rank,order",
+        [
+            pytest.param((10, 9, 8), 3, "C", id="3way"),
+            pytest.param((6, 5, 4, 5), 2, "C", id="4way"),
+            pytest.param((4, 3, 4, 3, 4), 2, "C", id="5way"),
+        ]
+        + GUARD_CASES,
+    )
+    def test_fit_trajectory_matches_einsum(self, shape, rank, order):
+        """Acceptance: the dimtree kernel's ALS fits equal einsum's to 1e-10,
+        on both sides of the root-GEMM guard."""
+        tensor = in_order(noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=16), order)
         a = cp_als(tensor, rank, n_iter_max=12, tol=0.0, seed=17, kernel="einsum")
         b = cp_als(tensor, rank, n_iter_max=12, tol=0.0, seed=17, kernel="dimtree")
         assert np.allclose(a.fits, b.fits, atol=1e-10)
@@ -286,56 +275,6 @@ class TestSweepKernelProtocol:
             check_kernel_name("c", ("a", "b"), registry="parallel", allow_callable=False)
 
 
-class TestSplitInvariance:
-    """Hypothesis sweep: ALS results do not depend on the tree split choice."""
-
-    @pytest.mark.parametrize(
-        "shape,rank,order",
-        [
-            pytest.param((4, 3, 5), 2, "C", id="3way"),
-            pytest.param((4, 3, 5, 2), 2, "C", id="4way"),
-            pytest.param((4, 3, 5, 2, 3), 2, "C", id="5way"),
-        ]
-        + GUARD_CASES,
-    )
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        split_seed=st.integers(min_value=0, max_value=2**31 - 1),
-        problem_seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_sweep_results_invariant_to_split(self, shape, rank, order, split_seed, problem_seed):
-        tensor = in_order(
-            noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=problem_seed), order
-        )
-        reference = cp_als(
-            tensor, rank, n_iter_max=5, tol=0.0, seed=problem_seed + 1, kernel="einsum"
-        )
-        kernel = DimensionTreeKernel(split=make_rng_split(split_seed))
-        result = cp_als(tensor, rank, n_iter_max=5, tol=0.0, seed=problem_seed + 1, kernel=kernel)
-        assert np.allclose(result.fits, reference.fits, atol=1e-10)
-        # and the engine itself: every mode equals the reference MTTKRP
-        factors = random_factors(shape, rank, seed=problem_seed + 2)
-        tree = DimensionTree(tensor, split=make_rng_split(split_seed + 1))
-        assert_matches_reference(tree, tensor, factors)
-
-    @pytest.mark.parametrize(
-        "shape,rank,order", [pytest.param((3, 2, 4, 2), 2, "C", id="4way")] + GUARD_CASES
-    )
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(split_seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_counted_cost_matches_replay_for_any_split(self, shape, rank, order, split_seed):
-        """Counted ledger == symbolic replay for arbitrary split rules too."""
-        tensor = in_order(noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=22), order)
-        kernel = DimensionTreeKernel(split=make_rng_split(split_seed))
-        cp_als(tensor, rank, n_iter_max=5, tol=0.0, seed=23, kernel=kernel)
-        model = dimtree_sweep_cost(shape, rank, split=make_rng_split(split_seed))
-        assert kernel.per_sweep_costs()[-1] == model
-
-
 class TestRootGemm:
     """The root children's one-GEMM step, its guard, and its memory."""
 
@@ -359,18 +298,17 @@ class TestRootGemm:
         assert session.metrics.counter(f"dimtree.root.{path}") == 2
         assert session.metrics.counter(f"dimtree.root.{other}") == 0
 
-    def test_interleaved_split_runs_the_chain(self):
-        """Removed modes that are no leading or trailing block take the chain."""
-        shape, rank = (12, 4, 4, 3), 4
-
-        def interleaved(modes):
-            return (modes[::2], modes[1::2]) if len(modes) == 4 else split_half(modes)
-
-        tensor, factors = problem(shape, rank, seed=31)
-        with tracing() as session:
-            assert_matches_reference(DimensionTree(tensor, split=interleaved), tensor, factors)
-        assert session.metrics.counter("dimtree.root.chain") == 2
-        assert session.metrics.counter("dimtree.root.gemm") == 0
+    @pytest.mark.parametrize("kept", [(1,), (0, 2), (1, 2), (0, 1, 3)])
+    def test_gemm_declines_a_kept_set_inside_the_modes(self, kept):
+        """A kept set that is neither a leading nor a trailing block has no
+        free unfolding: the GEMM returns ``None``, though it takes the
+        leading and the trailing block of the same size."""
+        tensor, factors = problem((12, 4, 4, 3), 3, seed=31)
+        data = as_ndarray(tensor)
+        assert gemm_mttkrp(data, factors, kept, 3) is None
+        size = len(kept)
+        for block in (tuple(range(size)), tuple(range(4 - size, 4))):
+            assert gemm_mttkrp(data, factors, block, 3) is not None
 
     def test_steady_sweep_peak_stays_below_tensor_bytes(self):
         """Regression: the chain's first partial of this shape is R / I_3 = 1.33x

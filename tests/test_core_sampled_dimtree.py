@@ -232,6 +232,24 @@ class TestCountedEqualsReplay:
         )
         assert counted.to_dict() == replay.to_dict()
 
+    @pytest.mark.parametrize("shape,rank,draws", [
+        pytest.param((6, 7, 5, 6), 2, 32, id="4way"),
+        pytest.param((5, 4, 6, 5, 3), 2, 8, id="5way"),
+    ])
+    def test_every_sweep_counted_equals_replay(self, shape, rank, draws):
+        """Every sweep, the cold first one included, recomputes each internal
+        node once: the counted ledger equals the replay on all of them."""
+        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=0)
+        kernel = SampledDimtreeKernel(n_samples=draws, seed=3)
+        fixed_sweeps(tensor, rank, kernel)
+        n_modes = len(shape)
+        for sweep, counted in enumerate(kernel.per_sweep_costs()):
+            log = kernel.draw_log[sweep * n_modes : (sweep + 1) * n_modes]
+            replay = sampled_dimtree_sweep_cost(
+                shape, rank, draws, [r.n_distinct for r in log], first_sweep=sweep == 0
+            )
+            assert counted.to_dict() == replay.to_dict()
+
     def test_degenerate_sweep_counted_equals_baseline_replay(self):
         shape, rank, draws = (8, 9, 10), 3, 16
         tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=0)

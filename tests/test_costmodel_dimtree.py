@@ -2,21 +2,22 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.core.dimtree import dimtree_sweep_cost, split_chain
-from repro.costmodel import (
-    dimtree_crossover_rank,
-    dimtree_sweep_flops,
-    dimtree_sweep_words,
-    dimtree_vs_independent,
-)
+from repro.core.dimtree import DimensionTreeKernel, dimtree_sweep_cost
+from repro.costmodel import dimtree_crossover_rank, dimtree_vs_independent
+from repro.cp.als import cp_als
+from repro.tensor.random import noisy_low_rank_tensor
+
+
+def tree(shape, rank):
+    """One sweep of the cached half-split tree."""
+    return dimtree_sweep_cost(shape, rank)
 
 
 def independent(shape, rank):
-    """``N`` independent per-mode chains: the cache-disabled comb-split engine."""
-    return dimtree_sweep_cost(shape, rank, split=split_chain, cache=False)
+    """``N`` independent per-mode chains: the cache-disabled comb."""
+    return dimtree_sweep_cost(shape, rank, cache=False)
 
 
 class TestSweepTerms:
@@ -26,16 +27,14 @@ class TestSweepTerms:
     )
     def test_tree_flops_strictly_below_independent(self, shape, rank):
         """Acceptance: per-sweep flops strictly below N independent kernels (N >= 3)."""
-        assert dimtree_sweep_flops(shape, rank) < independent(shape, rank).flops
+        assert tree(shape, rank).flops < independent(shape, rank).flops
 
     def test_two_way_schedules_coincide(self):
         """N = 2 has no shareable partials: tree == independent exactly."""
-        assert dimtree_sweep_flops((9, 7), 3) == independent((9, 7), 3).flops
-        assert dimtree_sweep_words((9, 7), 3) == independent((9, 7), 3).words
+        assert tree((9, 7), 3) == independent((9, 7), 3)
 
     def test_root_reads_two_vs_n(self):
-        tree = dimtree_sweep_cost((6, 6, 6, 6), 3)
-        assert tree.root_reads == 2
+        assert tree((6, 6, 6, 6), 3).root_reads == 2
         assert independent((6, 6, 6, 6), 3).root_reads == 4
 
     def test_speedup_approaches_n_over_2_for_cubic(self):
@@ -51,16 +50,12 @@ class TestAffinityAndCrossover:
     @pytest.mark.parametrize("cache", [True, False])
     def test_words_are_affine_in_rank(self, shape, cache):
         """The crossover derivation relies on exact affinity: check at R = 3, 7."""
-        split = None if cache else split_chain
-        w1 = dimtree_sweep_cost(shape, 1, split=split, cache=cache).words
-        w2 = dimtree_sweep_cost(shape, 2, split=split, cache=cache).words
+        w1 = dimtree_sweep_cost(shape, 1, cache=cache).words
+        w2 = dimtree_sweep_cost(shape, 2, cache=cache).words
         slope = w2 - w1
         intercept = w1 - slope
         for rank in (3, 7):
-            assert (
-                dimtree_sweep_cost(shape, rank, split=split, cache=cache).words
-                == intercept + slope * rank
-            )
+            assert dimtree_sweep_cost(shape, rank, cache=cache).words == intercept + slope * rank
 
     def test_cubic_shapes_never_cross(self):
         assert dimtree_crossover_rank((10, 10, 10)) == math.inf
@@ -76,15 +71,15 @@ class TestAffinityAndCrossover:
         below = max(int(math.floor(crossover)), 1)
         above = int(math.ceil(crossover)) + 1
         if below <= crossover:
-            assert dimtree_sweep_words(shape, below) <= independent(shape, below).words
-        assert dimtree_sweep_words(shape, above) > independent(shape, above).words
+            assert tree(shape, below).words <= independent(shape, below).words
+        assert tree(shape, above).words > independent(shape, above).words
 
     def test_flops_still_win_past_the_word_crossover(self):
         """The trade is words-for-flops: even above the word crossover the
         tree performs strictly less arithmetic."""
         shape = (2, 4, 100)
         rank = int(math.ceil(dimtree_crossover_rank(shape))) + 5
-        assert dimtree_sweep_flops(shape, rank) < independent(shape, rank).flops
+        assert tree(shape, rank).flops < independent(shape, rank).flops
 
     def test_two_way_crossover_is_inf(self):
         assert dimtree_crossover_rank((6, 8)) == math.inf
@@ -101,8 +96,12 @@ class TestComparisonDict:
         assert 0 < out["word_ratio"] < 1.0
 
     def test_counted_equals_modelled_is_exact(self):
-        """Belt and braces: the model functions are the replay, so the two
+        """Belt and braces: the model is the engine's schedule, so the two
         bench columns (counted vs modelled) can only agree exactly."""
         shape, rank = (5, 4, 6, 3), 2
-        assert dimtree_sweep_flops(shape, rank) == dimtree_sweep_cost(shape, rank).flops
-        assert dimtree_sweep_words(shape, rank) == dimtree_sweep_cost(shape, rank).words
+        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=0)
+        out = dimtree_vs_independent(shape, rank)
+        for column, cache in (("dimtree", True), ("independent", False)):
+            kernel = DimensionTreeKernel(cache=cache)
+            cp_als(tensor, rank, n_iter_max=2, tol=0.0, seed=1, kernel=kernel)
+            assert [sweep.to_dict() for sweep in kernel.per_sweep_costs()] == [out[column]] * 2

@@ -11,16 +11,10 @@ sweep), the fused sampled-dimtree kernel (driven by the ``n_draws`` /
 
 import pytest
 
-from repro.core.dimtree import (
-    _STEADY_SWEEPS,
-    DimensionTreeKernel,
-    dimtree_sweep_cost,
-    dimtree_sweep_cost_sequence,
-)
+from repro.core.dimtree import DimensionTreeKernel, dimtree_sweep_cost
 from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import parallel_cp_als
-from repro.exceptions import ParameterError
 from repro.observe import (
     DriftRecord,
     DriftReport,
@@ -82,14 +76,8 @@ class TestDriftRecords:
         assert payload["records"][0]["quantity"] == "q"
 
 
-class TestSweepCostSequence:
-    def test_sequence_endpoints_match_the_named_models(self):
-        sequence = dimtree_sweep_cost_sequence(SHAPE, RANK, _STEADY_SWEEPS)
-        assert sequence[0] == dimtree_sweep_cost(SHAPE, RANK, first_sweep=True)
-        assert sequence[-1] == dimtree_sweep_cost(SHAPE, RANK)
-        assert len(sequence) == _STEADY_SWEEPS
-
-    def test_sequence_matches_counted_kernel_per_sweep(self):
+class TestSweepCost:
+    def test_model_matches_counted_kernel_per_sweep(self):
         tensor = noisy_low_rank_tensor(SHAPE, RANK, noise_level=0.05, seed=0)
         kernel = DimensionTreeKernel()
         cp_als(
@@ -101,11 +89,7 @@ class TestSweepCostSequence:
             kernel=kernel,
             warn_on_nonconvergence=False,
         )
-        assert kernel.per_sweep_costs() == dimtree_sweep_cost_sequence(SHAPE, RANK, SWEEPS)
-
-    def test_sequence_rejects_bad_sweep_count(self):
-        with pytest.raises(ParameterError):
-            dimtree_sweep_cost_sequence(SHAPE, RANK, 0)
+        assert kernel.per_sweep_costs() == [dimtree_sweep_cost(SHAPE, RANK)] * SWEEPS
 
 
 class TestSequentialDrift:
@@ -124,6 +108,28 @@ class TestSequentialDrift:
         assert report.kernel == "sampled-dimtree"
         assert report.ok, report.to_dict()
         assert report.max_abs_drift == 0
+
+    @pytest.mark.parametrize(
+        "make_kernel,drift",
+        [
+            pytest.param(DimensionTreeKernel, dimtree_drift, id="dimtree"),
+            pytest.param(
+                lambda: SampledDimtreeKernel(n_samples=32, seed=3),
+                fused_drift,
+                id="sampled-dimtree",
+            ),
+        ],
+    )
+    def test_five_way_spans_match_model_exactly(self, make_kernel, drift):
+        """A 5-way tree has internal nodes below the root's children: every
+        sweep, the cold first one included, still matches the model."""
+        shape = (6, 5, 4, 3, 4)
+        tensor = noisy_low_rank_tensor(shape, RANK, noise_level=0.05, seed=0)
+        with tracing() as session:
+            cp_als(tensor, RANK, n_iter_max=SWEEPS, tol=0.0, seed=1, kernel=make_kernel())
+        report = drift(session, shape, RANK)
+        assert len(report.records) == 2 * SWEEPS
+        assert report.ok, report.to_dict()
 
     def test_drift_is_detected_when_spans_are_tampered(self):
         session = traced_sequential(DimensionTreeKernel())
