@@ -382,7 +382,7 @@ def _traced_timing_row(kernel_name, shape, rank, seed):
     with tracing() as session:
         cp_als(
             tensor, rank, n_iter_max=TIMING_SWEEPS, tol=0.0, seed=seed + 1,
-            kernel=kernel, warn_on_nonconvergence=False,
+            kernel=kernel,
         )
     counters = session.metrics.counters()
     latency = session.metrics.histogram_summary("span.sweep.seconds")

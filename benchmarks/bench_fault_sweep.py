@@ -27,7 +27,7 @@ from repro.experiments.fault_sweep import (
     format_fault_sweep_table,
     FaultSweepRow,
 )
-from repro.resilience import CheckpointStore, FaultSchedule
+from repro.resilience import CheckpointStore, FaultSchedule, FaultyMachine
 
 #: The acceptance toy problem: 8 x 8 x 6, R = 3, P = 4.
 TOY_SHAPE = (8, 8, 6)
@@ -55,7 +55,7 @@ def test_faulted_als_simulation(benchmark, base_seed):
             n_iter_max=4,
             tol=0.0,
             seed=base_seed,
-            fault_schedule=schedule,
+            machine=FaultyMachine(TOY_PROCS, schedule),
             on_fault="retry",
         )
 

@@ -55,6 +55,7 @@ and replaces only the step.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -185,6 +186,23 @@ def _recompute_cost(
 # distributed kernels' gather caches)
 # ---------------------------------------------------------------------------
 
+def _check_gate_options(invalidation: str, residual_tol) -> float:
+    """Reject a bad gate policy or tolerance; return the tolerance as a float."""
+    if invalidation not in ("exact", "residual"):
+        raise ParameterError(
+            f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
+        )
+    if (
+        isinstance(residual_tol, bool)
+        or not isinstance(residual_tol, numbers.Real)
+        or not residual_tol >= 0
+    ):
+        raise ParameterError(
+            f"residual_tol must be a non-negative number, got {residual_tol!r}"
+        )
+    return float(residual_tol)
+
+
 class FactorGate:
     """Per-factor staleness gate: identity detection + optional residual gating.
 
@@ -206,12 +224,8 @@ class FactorGate:
     def __init__(
         self, n_modes: int, *, invalidation: str = "exact", residual_tol: float = 1e-2
     ) -> None:
-        if invalidation not in ("exact", "residual"):
-            raise ParameterError(
-                f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
-            )
+        self.residual_tol = _check_gate_options(invalidation, residual_tol)
         self.invalidation = invalidation
-        self.residual_tol = float(residual_tol)
         self.factors: List[Optional[np.ndarray]] = [None] * int(n_modes)
         self.versions: List[int] = [0] * int(n_modes)
         self.drift: List[float] = [0.0] * int(n_modes)
@@ -340,7 +354,9 @@ class DimensionTree:
         recomputation (and its two full-tensor contractions per sweep) for
         bounded staleness on nearly-converged ALS runs.
     residual_tol:
-        Accumulated relative-drift tolerance of ``invalidation="residual"``.
+        Accumulated relative-drift tolerance of ``invalidation="residual"``:
+        a non-negative number, checked (with ``invalidation``) when the gate
+        is built.
 
     Notes
     -----
@@ -369,10 +385,6 @@ class DimensionTree:
         self._data = as_ndarray(tensor)
         if self._data.ndim < 2:
             raise ParameterError("DimensionTree requires a tensor with at least 2 modes")
-        if invalidation not in ("exact", "residual"):
-            raise ParameterError(
-                f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
-            )
         self._n = self._data.ndim
         self._cache_enabled = bool(cache)
         self._gate = FactorGate(
@@ -652,8 +664,8 @@ class DimensionTreeKernel(SweepKernel):
         residual_tol: float = 1e-2,
     ) -> None:
         self._cache = bool(cache)
+        self._residual_tol = _check_gate_options(invalidation, residual_tol)
         self._invalidation = invalidation
-        self._residual_tol = float(residual_tol)
         self.tree: Optional[DimensionTree] = None
         self._sweep_marks: List[SweepCost] = []
         self._pending_state: Optional[dict] = None

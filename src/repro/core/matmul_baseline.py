@@ -15,7 +15,6 @@ I/O accounting); the analytic parallel cost model of the baseline lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,34 +22,10 @@ import numpy as np
 from repro.tensor.dense import as_ndarray
 from repro.tensor.khatri_rao import khatri_rao_excluding
 from repro.tensor.matricization import unfold
-from repro.utils.validation import check_factor_matrices, check_mode
+from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
 
 
-@dataclass(frozen=True)
-class MatmulBaselineReport:
-    """Byproducts of the matmul baseline useful for cost accounting.
-
-    Attributes
-    ----------
-    result:
-        The MTTKRP output ``B`` (``I_n x R``).
-    krp_rows:
-        Number of rows of the explicit Khatri-Rao product (``prod_{k != n} I_k``).
-    krp_entries:
-        Number of entries of the explicit Khatri-Rao product.
-    gemm_flops:
-        Classical flop count ``2 * I * R`` of the matrix multiplication.
-    """
-
-    result: np.ndarray
-    krp_rows: int
-    krp_entries: int
-    gemm_flops: int
-
-
-def mttkrp_via_matmul(
-    tensor, factors: Sequence[Optional[np.ndarray]], mode: int, *, return_report: bool = False
-):
+def mttkrp_via_matmul(tensor, factors: Sequence[Optional[np.ndarray]], mode: int):
     """MTTKRP computed as (unfolding) x (explicit Khatri-Rao product).
 
     Parameters
@@ -61,10 +36,6 @@ def mttkrp_via_matmul(
         One factor matrix per mode; entry for ``mode`` ignored.
     mode:
         Output mode.
-    return_report:
-        When ``True``, return a :class:`MatmulBaselineReport` with the result
-        and the sizes needed for cost accounting; otherwise return only the
-        result matrix.
 
     Notes
     -----
@@ -76,24 +47,6 @@ def mttkrp_via_matmul(
     """
     data = as_ndarray(tensor)
     mode = check_mode(mode, data.ndim)
-    rank = None
-    for k, f in enumerate(factors):
-        if k != mode and f is not None:
-            rank = int(np.asarray(f).shape[1])
-            break
-    if rank is None:
-        raise ValueError("at least one input factor matrix is required")
+    rank = infer_rank(factors, mode)
     check_factor_matrices(factors, data.shape, rank, skip_mode=mode)
-
-    unfolding = unfold(data, mode)
-    krp = khatri_rao_excluding(factors, mode)
-    result = unfolding @ krp
-    if not return_report:
-        return result
-    report = MatmulBaselineReport(
-        result=result,
-        krp_rows=int(krp.shape[0]),
-        krp_entries=int(krp.size),
-        gemm_flops=2 * int(data.size) * rank,
-    )
-    return report
+    return unfold(data, mode) @ khatri_rao_excluding(factors, mode)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.tensor.dense import as_ndarray
 from repro.tensor.khatri_rao import khatri_rao_row
 from repro.utils.indexing import iter_multi_indices
-from repro.utils.validation import check_factor_matrices, check_mode
+from repro.utils.validation import check_factor_matrices, check_mode, infer_rank
 
 
 def mttkrp_reference(
@@ -41,13 +41,7 @@ def mttkrp_reference(
     """
     data = as_ndarray(tensor)
     mode = check_mode(mode, data.ndim)
-    rank = None
-    for k, f in enumerate(factors):
-        if k != mode and f is not None:
-            rank = np.asarray(f).shape[1]
-            break
-    if rank is None:
-        raise ValueError("at least one input factor matrix is required")
+    rank = infer_rank(factors, mode)
     check_factor_matrices(factors, data.shape, rank, skip_mode=mode)
 
     other_modes = [k for k in range(data.ndim) if k != mode]

@@ -7,8 +7,8 @@ the free one via the normal equations:
     ``A^(n) <- MTTKRP(X, {A^(k)}, n) @ pinv( hadamard_{k != n} A^(k)T A^(k) )``
 
 The MTTKRP dominates the cost; which kernel evaluates it is selectable so the
-same driver exercises the vectorised kernel, the matmul baseline, or a
-user-supplied (e.g. counted) kernel.  A caller who names no kernel gets the
+same driver exercises a registered kernel or a user-supplied (e.g. counted)
+one, such as the matmul baseline.  A caller who names no kernel gets the
 dimension tree (``kernel="dimtree"``), which shares partial contractions
 across the modes of a sweep (Section VII): it reads the tensor twice per
 sweep instead of ``N`` times.  ``"einsum"`` stays registered by name as the
@@ -18,7 +18,6 @@ reference kernel and is the ``on_fault`` fallback.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +27,6 @@ from repro.backend.parallel import resolve_threads
 from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.core.dimtree import DimensionTreeKernel
 from repro.core.kernels import dense_mttkrp, mttkrp
-from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.sweep_kernel import (
     PerCallKernel,
     SweepKernel,
@@ -36,7 +34,7 @@ from repro.core.sweep_kernel import (
     check_kernel_name,
 )
 from repro.cp.initialization import initialize_factors
-from repro.exceptions import ConvergenceWarning, FaultError, ParameterError
+from repro.exceptions import FaultError, ParameterError
 from repro.observe.instrument import inc as observe_inc
 from repro.observe.tracer import trace
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
@@ -49,7 +47,6 @@ MTTKRPKernel = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.nd
 
 _KERNELS = {
     "einsum": mttkrp,
-    "matmul": mttkrp_via_matmul,
     "auto": dense_mttkrp,
 }
 
@@ -67,7 +64,6 @@ _KERNELS = {
 #: everywhere else).
 KERNEL_NAMES = (
     "einsum",
-    "matmul",
     "blocked",
     "auto",
     "dimtree",
@@ -78,9 +74,6 @@ KERNEL_NAMES = (
 
 #: Graceful-degradation policies for a poisoned (non-finite) MTTKRP output.
 FAULT_POLICIES = ("raise", "retry", "degrade")
-
-#: Cache-invalidation policies of the dimension-tree kernels.
-INVALIDATION_POLICIES = ("exact", "residual")
 
 
 def _check_finite(name: str, array: np.ndarray) -> None:
@@ -101,8 +94,6 @@ def check_als_arguments(
     n_iter_max: int,
     tol: float,
     init: Union[str, Sequence[np.ndarray]],
-    invalidation: str,
-    invalidation_tol: float,
     threads: Optional[int],
 ) -> None:
     """Reject bad ALS driver arguments before any initialisation or kernel work.
@@ -110,18 +101,12 @@ def check_als_arguments(
     The one argument check of :func:`cp_als` and
     :func:`repro.cp.parallel_als.parallel_cp_als`: every value is checked
     whichever kernel the run would use, so an argument that a kernel
-    ignores (``invalidation`` for a per-call kernel, ``threads`` for
-    ``"einsum"``) still fails with :class:`ParameterError` when it is
-    invalid.  An explicit ``init`` must hold one finite ``(I_k, rank)``
-    matrix per mode.
+    ignores (``threads`` for ``"einsum"``) still fails with
+    :class:`ParameterError` when it is invalid.  An explicit ``init`` must
+    hold one finite ``(I_k, rank)`` matrix per mode.
     """
     check_positive_int(n_iter_max, "n_iter_max")
     _check_tolerance(tol, "tol")
-    _check_tolerance(invalidation_tol, "invalidation_tol")
-    if invalidation not in INVALIDATION_POLICIES:
-        raise ParameterError(
-            f"invalidation must be one of {INVALIDATION_POLICIES}, got {invalidation!r}"
-        )
     if threads is not None:
         resolve_threads(threads)
     if isinstance(init, str):
@@ -248,8 +233,6 @@ def _kernel_seed(
 def _resolve_kernel(
     kernel: Union[str, MTTKRPKernel, SweepKernel],
     seed: Union[None, int, np.random.Generator] = None,
-    invalidation: str = "exact",
-    invalidation_tol: float = 1e-2,
     threads: Optional[int] = None,
 ) -> SweepKernel:
     if isinstance(kernel, SweepKernel) or callable(kernel):
@@ -258,18 +241,14 @@ def _resolve_kernel(
     if kernel == "dimtree":
         # A fresh engine per run: the tree binds to the run's tensor on the
         # first call and caches partial contractions across the whole run.
-        return DimensionTreeKernel(invalidation=invalidation, residual_tol=invalidation_tol)
+        return DimensionTreeKernel()
     if kernel == "sampled-dimtree":
         # The fused engine: leverage draws served from the dimension tree's
         # cached partial contractions (lazy import for the same layering
         # reason as the plain sampled kernels below).
         from repro.core.sampled_dimtree import SampledDimtreeKernel
 
-        return SampledDimtreeKernel(
-            seed=_kernel_seed(seed),
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
-        )
+        return SampledDimtreeKernel(seed=_kernel_seed(seed))
     if kernel == "blocked":
         return PerCallKernel(
             lambda tensor, factors, mode: blocked_mttkrp(
@@ -302,10 +281,7 @@ def cp_als(
     init: Union[str, Sequence[np.ndarray]] = "random",
     seed: Union[None, int, np.random.Generator] = None,
     kernel: Union[str, MTTKRPKernel] = "dimtree",
-    invalidation: str = "exact",
-    invalidation_tol: float = 1e-2,
     threads: Optional[int] = None,
-    warn_on_nonconvergence: bool = False,
     on_fault: str = "raise",
     checkpoint_store: Optional[CheckpointStore] = None,
     resume_from: Optional[CheckpointState] = None,
@@ -339,25 +315,15 @@ def cp_als(
         contractions across the sweep via
         :class:`~repro.core.dimtree.DimensionTreeKernel`, and a checkpoint
         of it carries the cached partials; ``"einsum"`` is the reference
-        kernel.
-    invalidation, invalidation_tol:
-        Cache-invalidation policy of the dimension-tree kernels (the
-        default ``"dimtree"`` and ``"sampled-dimtree"``): the default
-        ``"exact"`` invalidates dependent cached partials on every factor
-        replacement; ``"residual"`` keeps them while the factor's
-        accumulated relative drift stays within ``invalidation_tol`` (see
-        :class:`~repro.core.dimtree.FactorGate`), so it applies when no
-        kernel is named.  Ignored by the per-call kernels and by explicitly
-        constructed kernel instances.
+        kernel.  Residual gating of the cached partials (see
+        :class:`~repro.core.dimtree.FactorGate`) is an option of a kernel
+        instance, e.g. ``DimensionTreeKernel(invalidation="residual")``.
     threads:
         Thread count of the ``"blocked"`` kernel's tile tasks on the shared
         thread executor (``None`` consults the ``REPRO_THREADS`` environment
         variable, default 1).  Results are bitwise identical for every
         value — the blocked kernel parallelises only over disjoint
         output-row tiles.  Ignored by the other kernels.
-    warn_on_nonconvergence:
-        Emit a :class:`~repro.exceptions.ConvergenceWarning` when the loop
-        exhausts ``n_iter_max`` without meeting ``tol``.
     on_fault:
         Policy for a poisoned (non-finite) MTTKRP output
         (:data:`FAULT_POLICIES`): ``"raise"`` (default) raises
@@ -397,8 +363,6 @@ def cp_als(
         n_iter_max=n_iter_max,
         tol=tol,
         init=init,
-        invalidation=invalidation,
-        invalidation_tol=invalidation_tol,
         threads=threads,
     )
     # One read of the tensor before sweep 1: its norm is NaN or Inf whenever
@@ -406,7 +370,7 @@ def cp_als(
     norm_x = float(np.linalg.norm(data.ravel()))
     if not np.isfinite(norm_x):
         _check_finite("tensor", data)
-    sweep_kernel = _resolve_kernel(kernel, seed, invalidation, invalidation_tol, threads)
+    sweep_kernel = _resolve_kernel(kernel, seed, threads)
 
     if isinstance(init, str):
         factors = initialize_factors(data, rank, method=init, seed=seed)
@@ -506,11 +470,6 @@ def cp_als(
                 )
             )
             observe_inc("checkpoint.saved")
-
-    if not converged and warn_on_nonconvergence:
-        warnings.warn(
-            f"CP-ALS did not converge within {n_iter_max} iterations", ConvergenceWarning
-        )
 
     model = KruskalTensor([f.copy() for f in factors], weights.copy()).arrange()
     return CPALSResult(

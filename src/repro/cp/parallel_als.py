@@ -12,10 +12,12 @@ run by name (``kernel="exact"``,
 :class:`~repro.parallel.stationary.StationaryKernel`, and
 ``kernel="general"``, :class:`~repro.parallel.general.GeneralKernel`).
 Every exact kernel scatters the tensor once per run, as the paper's
-stationary tensor implies.  The small dense linear algebra of the normal
-equations (R x R solves and Gram updates) is treated as replicated — its
-communication is lower order, exactly as in the paper's discussion of the
-CP-ALS context (Section VII).
+stationary tensor implies.  The sampled kernels draw from the distribution
+their sequential registry names draw from, and faults are injected by
+passing a :class:`~repro.resilience.machine.FaultyMachine` as ``machine``.
+The small dense linear algebra of the normal equations (R x R solves and
+Gram updates) is treated as replicated — its communication is lower order,
+exactly as in the paper's discussion of the CP-ALS context (Section VII).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.core.sweep_kernel import PerCallKernel, SweepKernel, check_kernel_name
 from repro.cp.als import _kernel_seed, check_als_arguments, cp_als, CPALSResult
-from repro.exceptions import DistributionError, ParameterError
+from repro.exceptions import DistributionError
 from repro.observe.tracer import trace
 from repro.parallel.dimtree import DistributedDimtreeKernel
 from repro.parallel.distribution import check_block_extents
@@ -47,10 +49,11 @@ from repro.utils.validation import check_positive_int, check_rank
 #: (gathers each factor once per update instead of once per mode, local
 #: trees reuse partial contractions);
 #: ``"sampled"`` the distributed sampled kernel of
-#: :mod:`repro.sketch.parallel` with a caller-chosen distribution,
-#: ``"sampled-tree"`` the same kernel pinned to the segment-tree exact
-#: leverage sampler (``distribution="tree-leverage"``, Gram-All-Reduce-only
-#: setup), and ``"sampled-dimtree"`` the fused kernel of
+#: :mod:`repro.sketch.parallel` drawing from the product-of-factor-leverage
+#: distribution, ``"sampled-tree"`` the same kernel drawing from the
+#: segment-tree exact leverage sampler (``distribution="tree-leverage"``,
+#: Gram-All-Reduce-only setup), as in the sequential registry, and
+#: ``"sampled-dimtree"`` the fused kernel of
 #: :mod:`repro.sketch.parallel.sampled_dimtree` (cached per-update factor
 #: All-Gathers plus a per-update Gram All-Reduce only; draws bitwise equal
 #: to the sequential fused kernel).  Every name but ``"general"`` runs on the
@@ -157,16 +160,12 @@ def parallel_cp_als(
     *,
     kernel: str = "dimtree",
     n_samples: Optional[int] = None,
-    sample_distribution: str = "product-leverage",
     n_iter_max: int = 20,
     tol: float = 1e-7,
     seed: Union[None, int, np.random.Generator] = 0,
     init: Union[str, Sequence[np.ndarray]] = "random",
-    invalidation: str = "exact",
-    invalidation_tol: float = 1e-2,
     threads: Optional[int] = None,
     machine: Optional[SimulatedMachine] = None,
-    fault_schedule=None,
     on_fault: str = "raise",
     checkpoint_store: Optional[CheckpointStore] = None,
     resume_from: Optional[CheckpointState] = None,
@@ -196,23 +195,21 @@ def parallel_cp_als(
         the grid :func:`~repro.parallel.grid_selection.choose_general_grid`
         picks), both with the tensor scattered once per run,
         ``"sampled"`` or ``"sampled-tree"`` — the distributed sampled MTTKRP
-        of :mod:`repro.sketch.parallel`, resampled on every invocation
-        (``"sampled-tree"`` pins ``sample_distribution="tree-leverage"``),
-        or ``"sampled-dimtree"`` — the fused kernel of
+        of :mod:`repro.sketch.parallel`, resampled on every invocation from
+        the product-of-factor-leverage and the tree-leverage distribution
+        respectively, as in the sequential registry — or
+        ``"sampled-dimtree"`` — the fused kernel of
         :mod:`repro.sketch.parallel.sampled_dimtree` sampling each rank's
-        cached dimension-tree partials.  A sampled run is sketched CP-ALS;
-        to polish its model exactly, run this driver again with an exact
-        kernel, the same ``machine`` and the sketched factors as ``init``
-        (weights folded into factor 0).  Every kernel but ``"general"``
+        cached dimension-tree partials by tree leverage.  A sampled run is
+        sketched CP-ALS; to polish its model exactly, run this driver again
+        with an exact kernel, the same ``machine`` and the sketched factors
+        as ``init`` (weights folded into factor 0).  Every kernel but ``"general"``
         runs on the stationary grid of
         :func:`~repro.parallel.grid_selection.choose_stationary_grid`.
-    n_samples, sample_distribution:
-        Draw count (``None`` or a positive int) and sampling distribution
-        (one of :data:`~repro.sketch.sampling.DISTRIBUTIONS`) for the
-        sampled kernels, both checked whichever kernel runs
-        (defaults mirror the sequential registry entry;
-        ``sample_distribution`` is pinned to ``"tree-leverage"`` by the
-        tree-backed kernels ``"sampled-tree"`` and ``"sampled-dimtree"``).
+    n_samples:
+        Draw count of the sampled kernels (``None`` for
+        :func:`~repro.sketch.sampled_mttkrp.default_sample_count`, or a
+        positive int), checked whichever kernel runs.
     n_iter_max, tol, init:
         Passed to the ALS driver.
     seed:
@@ -221,14 +218,6 @@ def parallel_cp_als(
         stream spawned from it, while a :class:`numpy.random.Generator` is
         one stream that the initialisation reads first and the draws
         continue.
-    invalidation, invalidation_tol:
-        Cache-invalidation policy of the dimension-tree kernels
-        (``"dimtree"``, the default, and ``"sampled-dimtree"``), mirroring
-        :func:`repro.cp.als.cp_als`: ``"residual"`` gates re-gathers, Gram
-        All-Reduces, and cached partials on the factor's accumulated
-        relative drift instead of invalidating on every replacement.  It
-        therefore applies when no kernel is named; ``"exact"`` and
-        ``"general"`` ignore it.
     threads:
         Thread count for the per-rank local MTTKRPs of ``"exact"`` and
         ``"general"`` (``None`` consults ``REPRO_THREADS``, default 1);
@@ -238,17 +227,14 @@ def parallel_cp_als(
         MTTKRPs the threads share are most of such a sweep's time.  The
         other kernels, the default included, ignore it.
     machine:
-        A pre-existing :class:`SimulatedMachine` (or
-        :class:`~repro.resilience.machine.FaultyMachine`) to accumulate the
-        run's communication; a fresh one is created otherwise.  Must have
-        exactly ``n_procs`` ranks.
-    fault_schedule:
-        A :class:`~repro.resilience.faults.FaultSchedule`: the run executes
-        on a :class:`~repro.resilience.machine.FaultyMachine` injecting the
-        scheduled faults into every collective (mutually exclusive with an
-        explicit ``machine``).  Dropped/corrupted attempts are re-driven
-        with exponential backoff and charged to the machine's retry ledgers
-        — delivered payloads are never corrupted, so fits and factors stay
+        A pre-existing :class:`SimulatedMachine` to accumulate the run's
+        communication; a fresh one is created otherwise.  Must have exactly
+        ``n_procs`` ranks.  Pass a
+        :class:`~repro.resilience.machine.FaultyMachine` to inject a
+        :class:`~repro.resilience.faults.FaultSchedule` into every
+        collective: dropped/corrupted attempts are re-driven with
+        exponential backoff and charged to the machine's retry ledgers —
+        delivered payloads are never corrupted, so fits and factors stay
         bitwise those of the fault-free run.
     on_fault, checkpoint_store, resume_from:
         Forwarded to :func:`repro.cp.als.cp_als` — the poisoned-MTTKRP
@@ -273,39 +259,15 @@ def parallel_cp_als(
         n_iter_max=n_iter_max,
         tol=tol,
         init=init,
-        invalidation=invalidation,
-        invalidation_tol=invalidation_tol,
         threads=threads,
     )
     if n_samples is not None:
         n_samples = check_positive_int(n_samples, "n_samples")
-    # Lazy import, like the sampled kernels below: repro.sketch layers on
-    # this driver.
-    from repro.sketch.sampling import check_distribution
-
-    check_distribution(sample_distribution)
     sampled = kernel in ("sampled", "sampled-tree")
     fused = kernel == "sampled-dimtree"
-    if kernel in ("sampled-tree", "sampled-dimtree"):
-        # Both tree-backed kernels pin the draw distribution: exact leverage
-        # via cached segment trees, matching the sequential registry entry
-        # (construct DistributedSampledDimtreeKernel directly for the other
-        # fused distributions).
-        sample_distribution = "tree-leverage"
 
-    if machine is not None and fault_schedule is not None:
-        raise ParameterError(
-            "pass either a pre-built machine or a fault_schedule, not both "
-            "(build a FaultyMachine yourself to combine them)"
-        )
     if machine is None:
-        if fault_schedule is not None:
-            # Lazy import: repro.resilience layers on the parallel machine.
-            from repro.resilience.machine import FaultyMachine
-
-            machine = FaultyMachine(n_procs, fault_schedule)
-        else:
-            machine = SimulatedMachine(n_procs)
+        machine = SimulatedMachine(n_procs)
     elif machine.n_procs != n_procs:
         raise DistributionError(
             f"machine has {machine.n_procs} processors but n_procs={n_procs}"
@@ -335,29 +297,22 @@ def parallel_cp_als(
 
     inner: SweepKernel
     if kernel == "dimtree":
-        inner = DistributedDimtreeKernel(
-            grid,
-            machine=machine,
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
-        )
+        inner = DistributedDimtreeKernel(grid, machine=machine)
     elif fused:
         # Lazy import, like the sampled kernels: the fused distributed kernel
-        # lives in the sketch subsystem, which layers on this driver.
+        # lives in the sketch subsystem, which layers on this driver.  It
+        # draws exact leverage via cached segment trees, as in the sequential
+        # registry (construct it directly for the other fused distributions).
         from repro.sketch.parallel.sampled_dimtree import (
             DistributedSampledDimtreeKernel,
         )
 
         inner = DistributedSampledDimtreeKernel(
-            grid,
-            machine=machine,
-            n_samples=n_samples,
-            distribution=sample_distribution,
-            seed=sample_rng,
-            invalidation=invalidation,
-            residual_tol=invalidation_tol,
+            grid, machine=machine, n_samples=n_samples, seed=sample_rng
         )
     elif sampled:
+        # The sequential registry's distributions.
+        distribution = "tree-leverage" if kernel == "sampled-tree" else "product-leverage"
 
         def sampled_kernel(local_tensor, factors, mode):
             return sampled_mttkrp_parallel(
@@ -366,7 +321,7 @@ def parallel_cp_als(
                 mode,
                 grid,
                 n_samples=n_samples,
-                distribution=sample_distribution,
+                distribution=distribution,
                 seed=sample_rng,
                 machine=machine,
             ).assemble()

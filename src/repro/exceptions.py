@@ -46,7 +46,3 @@ class RankFailureError(FaultError):
 
 class RetryExhaustedError(FaultError):
     """A collective kept failing past the machine's retry budget."""
-
-
-class ConvergenceWarning(UserWarning):
-    """An iterative method (e.g. CP-ALS) stopped before reaching tolerance."""

@@ -32,6 +32,7 @@ from repro.cp.parallel_als import parallel_cp_als
 from repro.experiments.report import format_table
 from repro.observe.drift import retry_ledger_drift
 from repro.resilience.faults import FaultSchedule
+from repro.resilience.machine import FaultyMachine
 from repro.utils.validation import check_positive_int, check_rank, check_shape
 
 #: Default seeded problem (small: every point runs two full simulated runs).
@@ -138,7 +139,7 @@ def fault_sweep_rows(
                 n_iter_max=int(n_sweeps),
                 tol=0.0,
                 seed=seed,
-                fault_schedule=schedule,
+                machine=FaultyMachine(n_procs, schedule),
                 on_fault="retry",
             )
             report = retry_ledger_drift(faulted.machine, baseline.machine)

@@ -116,7 +116,6 @@ def _traced_run(args):
                 tol=0.0,
                 seed=args.seed + 1,
                 kernel=args.kernel,
-                warn_on_nonconvergence=False,
             )
             grid = None
     return session, grid

@@ -79,15 +79,11 @@ class DistributedDimtreeKernel(DistributedKernel):
     machine:
         Optional pre-existing :class:`SimulatedMachine` accumulating the run's
         communication; a fresh one is created otherwise.
-    invalidation, residual_tol:
-        Staleness policy of the kernel-level
-        :class:`~repro.core.dimtree.FactorGate` that governs the gather
-        cache: ``"residual"`` skips the re-gather (and hence every
-        dependent rank's tree invalidation, which follows the gathered
-        blocks' identity) while a factor's accumulated relative drift stays
-        within tolerance.  The default ``"exact"`` reproduces plain array
-        identity, so the ledger still matches
-        :func:`predicted_dimtree_ledger` word for word.
+
+    A kernel-level :class:`~repro.core.dimtree.FactorGate` governs the
+    gather cache by array identity: a factor is re-gathered exactly when the
+    driver has replaced it, so the ledger matches
+    :func:`predicted_dimtree_ledger` word for word.
 
     Subclasses name their collectives through :attr:`gather_label` and
     :attr:`reduce_label`, may add a collective after each factor gather
@@ -103,12 +99,8 @@ class DistributedDimtreeKernel(DistributedKernel):
         grid_dims: Sequence[int],
         *,
         machine: Optional[SimulatedMachine] = None,
-        invalidation: str = "exact",
-        residual_tol: float = 1e-2,
     ) -> None:
         super().__init__(grid_dims, machine=machine)
-        self._invalidation = invalidation
-        self._residual_tol = float(residual_tol)
         self.gate: Optional[FactorGate] = None
         self._trees: Dict[int, DimensionTree] = {}
         self._gathered: Dict[int, Dict[int, np.ndarray]] = {}
@@ -172,11 +164,7 @@ class DistributedDimtreeKernel(DistributedKernel):
         self._gathered.clear()
         self._gathered_version.clear()
         self._trees = {r: DimensionTree(block.data) for r, block in self.tensor_blocks.items()}
-        self.gate = FactorGate(
-            data.ndim,
-            invalidation=self._invalidation,
-            residual_tol=self._residual_tol,
-        )
+        self.gate = FactorGate(data.ndim)
         return True
 
     def _gather_factor(self, k: int, factor: np.ndarray) -> None:
@@ -229,8 +217,8 @@ class DistributedDimtreeKernel(DistributedKernel):
         if self._pending_state is not None:
             self._apply_pending(factors)
 
-        # -- re-gather only the factors the gate declares stale (under the
-        #    default exact policy: exactly the ones the driver has replaced).
+        # -- re-gather only the factors the gate declares stale: exactly the
+        #    ones the driver has replaced.
         for k in range(len(self.grid.dims)):
             if k == mode:
                 continue

@@ -107,46 +107,38 @@ def general_grid_cost(shape: Sequence[int], rank: int, grid_dims: Sequence[int])
 # integer grid selection
 # ---------------------------------------------------------------------------
 
-def choose_stationary_grid(
-    shape: Sequence[int], rank: int, n_procs: int, *, require_fit: bool = True
-) -> Tuple[int, ...]:
+def choose_stationary_grid(shape: Sequence[int], rank: int, n_procs: int) -> Tuple[int, ...]:
     """Best integer ``N``-way grid for Algorithm 3 on ``n_procs`` processors.
 
-    Parameters
-    ----------
-    require_fit:
-        When ``True`` (default), candidate grids with ``P_k > I_k`` are
-        rejected unless no candidate fits, so no grid dimension exceeds its
-        tensor dimension.
+    Candidate grids with ``P_k > I_k`` are rejected unless no candidate
+    fits, so no grid dimension exceeds its tensor dimension when one can.
     """
     shape = check_shape(shape)
     rank = check_rank(rank)
     n_procs = check_positive_int(n_procs, "n_procs")
     candidates = factorizations(n_procs, len(shape))
-    if require_fit:
-        fitting = [c for c in candidates if all(p <= d for p, d in zip(c, shape))]
-        if fitting:
-            candidates = fitting
+    fitting = [c for c in candidates if all(p <= d for p, d in zip(c, shape))]
+    if fitting:
+        candidates = fitting
     best = min(candidates, key=lambda c: (stationary_grid_cost(shape, rank, c), c))
     return tuple(best)
 
 
-def choose_general_grid(
-    shape: Sequence[int], rank: int, n_procs: int, *, require_fit: bool = True
-) -> Tuple[int, ...]:
-    """Best integer ``(N+1)``-way grid for Algorithm 4 on ``n_procs`` processors."""
+def choose_general_grid(shape: Sequence[int], rank: int, n_procs: int) -> Tuple[int, ...]:
+    """Best integer ``(N+1)``-way grid for Algorithm 4 on ``n_procs`` processors.
+
+    Candidate grids with ``P_0 > R`` or ``P_k > I_k`` are rejected unless no
+    candidate fits.
+    """
     shape = check_shape(shape)
     rank = check_rank(rank)
     n_procs = check_positive_int(n_procs, "n_procs")
     candidates = factorizations(n_procs, len(shape) + 1)
-    if require_fit:
-        fitting = [
-            c
-            for c in candidates
-            if c[0] <= rank and all(p <= d for p, d in zip(c[1:], shape))
-        ]
-        if fitting:
-            candidates = fitting
+    fitting = [
+        c for c in candidates if c[0] <= rank and all(p <= d for p, d in zip(c[1:], shape))
+    ]
+    if fitting:
+        candidates = fitting
     best = min(candidates, key=lambda c: (general_grid_cost(shape, rank, c), c))
     return tuple(best)
 

@@ -16,7 +16,6 @@ every kernel in both registries.
 from repro.resilience.checkpoint import CheckpointState, CheckpointStore
 from repro.resilience.faults import (
     FAULT_KINDS,
-    FAULT_SEED_ENV,
     FaultSchedule,
     FaultSpec,
     InjectedFault,
@@ -26,7 +25,6 @@ from repro.resilience.machine import FaultyMachine
 
 __all__ = [
     "FAULT_KINDS",
-    "FAULT_SEED_ENV",
     "CheckpointState",
     "CheckpointStore",
     "FaultSchedule",

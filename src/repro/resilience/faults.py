@@ -32,7 +32,6 @@ Fault kinds and their collective-layer semantics
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -43,10 +42,6 @@ from repro.parallel.collectives import COLLECTIVE_KINDS
 
 #: Injectable fault kinds.
 FAULT_KINDS = ("drop", "corrupt", "delay", "rank-failure")
-
-#: Environment variable the CI fault-injection leg seeds schedules from.
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -204,24 +199,6 @@ class FaultSchedule:
             else:
                 specs.append(FaultSpec(kind, step=step))
         return cls(specs)
-
-    @classmethod
-    def from_env(cls, env: str = FAULT_SEED_ENV, **kwargs) -> Optional["FaultSchedule"]:
-        """Seeded schedule from the ``REPRO_FAULT_SEED`` environment variable.
-
-        Returns ``None`` when the variable is unset or empty (no injection);
-        raises :class:`~repro.exceptions.ParameterError` on a non-integer
-        value.  Keyword arguments are forwarded to :meth:`seeded` — the CI
-        leg's knob for schedule density.
-        """
-        raw = os.environ.get(env, "").strip()
-        if not raw:
-            return None
-        try:
-            seed = int(raw)
-        except ValueError as exc:
-            raise ParameterError(f"{env} must be an integer, got {raw!r}") from exc
-        return cls.seeded(seed, **kwargs)
 
 
 def poison_kernel_cache(kernel, value: float = np.nan) -> bool:

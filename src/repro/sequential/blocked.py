@@ -27,7 +27,7 @@ from repro.sequential.machine import IOCounter
 from repro.sequential.unblocked import SequentialResult
 from repro.tensor.dense import as_ndarray
 from repro.utils.indexing import iter_block_multi_ranges
-from repro.utils.validation import check_mode, check_positive_int
+from repro.utils.validation import check_mode, check_positive_int, infer_rank
 
 
 def blocked_io_cost(shape: Sequence[int], rank: int, mode: int, block: int) -> int:
@@ -104,13 +104,7 @@ def sequential_blocked_mttkrp(
     if counter is None:
         counter = IOCounter()
 
-    rank = None
-    for k, f in enumerate(factors):
-        if k != mode and f is not None:
-            rank = int(np.asarray(f).shape[1])
-            break
-    if rank is None:
-        raise ValueError("at least one input factor matrix is required")
+    rank = infer_rank(factors, mode)
 
     result = np.zeros((data.shape[mode], rank), dtype=np.float64)
     for ranges in iter_block_multi_ranges(data.shape, [block] * n_modes):

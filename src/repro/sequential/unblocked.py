@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.kernels import mttkrp
 from repro.sequential.machine import IOCounter
 from repro.tensor.dense import as_ndarray
-from repro.utils.validation import check_mode
+from repro.utils.validation import check_mode, infer_rank
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,6 @@ class SequentialResult:
     def words_moved(self) -> int:
         """Total loads + stores."""
         return self.counter.words_moved
-
-
-def unblocked_io_cost(shape: Sequence[int], rank: int) -> int:
-    """Exact loads + stores issued by Algorithm 1: ``I + I*R*(N+1)``.
-
-    Per tensor element: one tensor load; per (element, r) pair: ``N - 1``
-    factor loads + 1 output load + 1 output store = ``N + 1`` words.
-    """
-    total = 1
-    for dim in shape:
-        total *= int(dim)
-    n_modes = len(shape)
-    return total + total * int(rank) * (n_modes + 1)
 
 
 def sequential_unblocked_mttkrp(
@@ -96,13 +83,7 @@ def sequential_unblocked_mttkrp(
     if counter is None:
         counter = IOCounter()
 
-    rank = None
-    for k, f in enumerate(factors):
-        if k != mode and f is not None:
-            rank = int(np.asarray(f).shape[1])
-            break
-    if rank is None:
-        raise ValueError("at least one input factor matrix is required")
+    rank = infer_rank(factors, mode)
 
     result = mttkrp(data, factors, mode)
 

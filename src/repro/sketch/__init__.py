@@ -8,9 +8,9 @@ route around those bounds:
   Khatri-Rao product (uniform, exact leverage scores, and the
   product-of-factor-leverage approximation of Bharadwaj et al., 2023);
 * :mod:`repro.sketch.sampled_mttkrp` — the sampled MTTKRP kernel, which
-  materializes only the distinct drawn Khatri-Rao rows and matching tensor
-  fibers (dense or COO sparse), plus a closure factory conforming to the
-  CP-ALS ``MTTKRPKernel`` signature;
+  materializes only the distinct drawn Khatri-Rao rows and matching fibers
+  of a dense tensor, plus a closure factory conforming to the CP-ALS
+  ``MTTKRPKernel`` signature;
 * :mod:`repro.sketch.treesample` — the segment-tree exact Khatri-Rao
   leverage sampler of Bharadwaj et al. (``distribution="tree-leverage"``):
   exact leverage draws in ``O(R^2 log I_k)`` per draw without materializing

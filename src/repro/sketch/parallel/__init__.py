@@ -8,9 +8,9 @@ charged to a per-rank ledger instead of a formula:
 
 * :mod:`repro.sketch.parallel.distribution` — the sample-index layer: which
   ranks own which drawn Khatri-Rao rows under the stationary grid/block
-  distribution, one rank's COO-sparse share, and sampled-grid selection;
+  distribution, and sampled-grid selection;
 * :mod:`repro.sketch.parallel.sampled_mttkrp` — the distributed sampled
-  MTTKRP (dense + COO sparse): bucket All-Gathers of only the *sampled*
+  MTTKRP of a dense tensor: bucket All-Gathers of only the *sampled*
   factor-row blocks, local sampled GEMMs on owned fiber segments, and an
   output Reduce-Scatter, with rank-consistent seeding that reproduces the
   sequential kernel's draws bit for bit;

@@ -14,10 +14,6 @@ This module provides the sample-index layer of that algorithm:
   distinct samples (a sample is owned by the ``P_n`` ranks whose sub-tensor
   blocks contain its fiber segments), which sampled factor rows fall in each
   grid block, and what each rank contributes to the sampled-row All-Gathers;
-* :func:`sparse_share` — one rank's nonzeros of a COO tensor under the
-  stationary distribution (the nonzeros its block ranges contain), the
-  COO-sparse analogue of one block of
-  ``StationaryDistribution.distribute_tensor``;
 * :func:`choose_sampled_grid` / :func:`sampled_grid_cost` — integer grid
   selection minimising the estimated bucket-collective cost of the *sampled*
   algorithm (small sample counts push processors onto the output mode, where
@@ -33,7 +29,6 @@ import numpy as np
 from repro.exceptions import DistributionError
 from repro.parallel.distribution import StationaryDistribution
 from repro.sketch.sampling import SampleSet
-from repro.tensor.sparse import SparseTensor
 from repro.utils.partition import max_part_size
 from repro.utils.validation import check_mode, check_positive_int, check_rank, check_shape
 
@@ -121,26 +116,6 @@ class SampleAssignment:
         return sampled[lo:hi]
 
 
-def sparse_share(
-    dist: StationaryDistribution, tensor: SparseTensor, rank: int
-) -> SparseTensor:
-    """The nonzeros of a COO tensor that ``rank``'s sub-tensor block contains.
-
-    Each nonzero is owned by exactly the rank whose sub-tensor block ranges
-    contain its coordinates.  The share keeps *global* coordinates (the
-    kernels offset them against the block ranges), so its relative nonzero
-    order matches the global tensor — duplicate coordinates are therefore
-    accumulated in the same order as a sequential kernel would, keeping the
-    local fiber gathers bitwise reproducible.
-    """
-    mask = np.ones(tensor.nnz, dtype=bool)
-    for k, (start, stop) in enumerate(dist.subtensor_ranges(rank)):
-        mask &= (tensor.coords[:, k] >= start) & (tensor.coords[:, k] < stop)
-    return SparseTensor(
-        shape=tensor.shape, coords=tensor.coords[mask], values=tensor.values[mask]
-    )
-
-
 # ---------------------------------------------------------------------------
 # grid selection for the sampled algorithm
 # ---------------------------------------------------------------------------
@@ -190,14 +165,13 @@ def choose_sampled_grid(
     mode: int,
     n_samples: int,
     n_procs: int,
-    *,
-    require_fit: bool = True,
 ) -> Tuple[int, ...]:
     """Best integer ``N``-way grid for the distributed sampled MTTKRP.
 
     Enumerates every ordered factorization of ``n_procs`` (like
-    :func:`repro.parallel.grid_selection.choose_stationary_grid`) and picks
-    the one minimising :func:`sampled_grid_cost`.  For sample counts well
+    :func:`repro.parallel.grid_selection.choose_stationary_grid`, keeping
+    only the grids with ``P_k <= I_k`` unless none fits) and picks the one
+    minimising :func:`sampled_grid_cost`.  For sample counts well
     below the crossover this concentrates processors on the output mode —
     the sampled factor gathers are tiny, so splitting the output
     Reduce-Scatter is what pays.
@@ -209,10 +183,9 @@ def choose_sampled_grid(
     mode = check_mode(mode, len(shape))
     n_procs = check_positive_int(n_procs, "n_procs")
     candidates: List[Tuple[int, ...]] = factorizations(n_procs, len(shape))
-    if require_fit:
-        fitting = [c for c in candidates if all(p <= d for p, d in zip(c, shape))]
-        if fitting:
-            candidates = fitting
+    fitting = [c for c in candidates if all(p <= d for p, d in zip(c, shape))]
+    if fitting:
+        candidates = fitting
     best = min(
         candidates, key=lambda c: (sampled_grid_cost(shape, rank, mode, n_samples, c), c)
     )

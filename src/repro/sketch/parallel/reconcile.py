@@ -48,7 +48,6 @@ from repro.sketch.parallel.sampled_mttkrp import (
 from repro.sketch.sampled_mttkrp import default_sample_count
 from repro.sketch.sampling import SampleSet, SeedLike
 from repro.tensor.dense import as_ndarray
-from repro.tensor.sparse import SparseTensor, sparse_mttkrp
 from repro.utils.validation import check_mode, infer_rank
 
 
@@ -192,7 +191,7 @@ def reconcile_sampled_mttkrp(
     Parameters
     ----------
     tensor, factors, mode:
-        The MTTKRP instance (dense or COO sparse).
+        The MTTKRP instance (a dense tensor).
     n_procs:
         Number of simulated processors ``P``.
     n_samples, distribution, seed:
@@ -205,9 +204,7 @@ def reconcile_sampled_mttkrp(
     -------
     ReconciledSampledRun
     """
-    is_sparse = isinstance(tensor, SparseTensor)
-    if not is_sparse:
-        tensor = as_ndarray(tensor)
+    tensor = as_ndarray(tensor)
     shape = tensor.shape
     mode = check_mode(mode, len(shape))
     rank = infer_rank(factors, mode)
@@ -239,14 +236,11 @@ def reconcile_sampled_mttkrp(
     predicted = int(predicted_sampled_ledger(shape, rank, mode, grid_dims, run.samples).max())
 
     exact_grid = choose_stationary_grid(shape, rank, n_procs)
-    exact_dense = tensor.to_dense() if is_sparse else tensor
-    exact_run = stationary_mttkrp(exact_dense, factors, mode, exact_grid)
+    exact_run = stationary_mttkrp(tensor, factors, mode, exact_grid)
     exact_measured = exact_run.max_words_communicated
     exact_modelled = stationary_grid_cost(shape, rank, exact_grid)
 
-    reference = (
-        sparse_mttkrp(tensor, factors, mode) if is_sparse else mttkrp(tensor, factors, mode)
-    )
+    reference = mttkrp(tensor, factors, mode)
     estimate = run.assemble()
     norm = float(np.linalg.norm(reference))
     rel_error = float(np.linalg.norm(estimate - reference)) / max(norm, 1e-12)

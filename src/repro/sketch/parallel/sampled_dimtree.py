@@ -6,9 +6,9 @@ distributed dimtree kernel
 All-Reduce per factor gather and a sampled local step.  The subclass inherits
 everything else — the stationary distribution, per-rank trees, the
 :class:`~repro.core.dimtree.FactorGate` and its gather cache (one All-Gather
-per factor update; under ``invalidation="residual"`` even those are gated),
-checkpoint and cache invalidation, and the output Reduce-Scatter per mode
-hyperslice, unchanged from Algorithm 3.  It adds two things:
+per factor update), checkpoint and cache invalidation, and the output
+Reduce-Scatter per mode hyperslice, unchanged from Algorithm 3.  It adds two
+things:
 
 * **the tree sampler's Gram All-Reduce only** — each gathered factor
   additionally All-Reduces its ``R x R`` block Gram (the reduced Gram is what
@@ -84,11 +84,11 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         Shared seed/generator of the replicated draw; the same seed given to
         the sequential :class:`~repro.core.sampled_dimtree.SampledDimtreeKernel`
         reproduces its draws bit for bit.
-    invalidation, residual_tol:
-        The kernel-level :class:`~repro.core.dimtree.FactorGate` options; the
-        gate governs re-gathers, Gram All-Reduces, *and* sampler rebuilds at
-        once (per-rank trees invalidate through the gathered blocks'
-        identity, so they follow the same schedule).
+
+    The kernel-level :class:`~repro.core.dimtree.FactorGate` governs
+    re-gathers, Gram All-Reduces, *and* sampler rebuilds at once (per-rank
+    trees invalidate through the gathered blocks' identity, so they follow
+    the same schedule).
     """
 
     gather_label = GATHER_LABEL
@@ -102,12 +102,8 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         n_samples: Optional[int] = None,
         distribution: str = "tree-leverage",
         seed: SeedLike = None,
-        invalidation: str = "exact",
-        residual_tol: float = 1e-2,
     ) -> None:
-        super().__init__(
-            grid_dims, machine=machine, invalidation=invalidation, residual_tol=residual_tol
-        )
+        super().__init__(grid_dims, machine=machine)
         if n_samples is not None:
             n_samples = check_positive_int(n_samples, "n_samples")
         self._n_samples = n_samples

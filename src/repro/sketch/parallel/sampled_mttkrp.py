@@ -21,12 +21,10 @@ ledger:
    sampled blocks), instead of Algorithm 3's full block rows;
 3. *local sampled MTTKRP* — each rank forms the Khatri-Rao rows of the
    samples its sub-tensor owns, gathers the matching local fiber segments,
-   and multiplies.  A dense tensor stays where it is, as Algorithm 3's
+   and multiplies.  The tensor stays where it is, as Algorithm 3's
    stationary tensor does: each rank reads its block as a view, so a call
-   copies no block (a COO tensor's nonzeros are selected for one rank at a
-   time, so a call holds one rank's share).  The fibers come from the
-   sequential kernel's gathers, given the rank's block ranges and the mask
-   of the samples it owns;
+   copies no block.  The fibers come from the sequential kernel's gather,
+   given the rank's block ranges and the mask of the samples it owns;
 4. *output Reduce-Scatter* — Algorithm 3's Line 7
    (:func:`~repro.parallel.stationary.reduce_scatter_output`): partial
    outputs are summed and redistributed within each output-mode hyperslice,
@@ -52,16 +50,14 @@ from repro.parallel.distribution import DistributedMTTKRPOutput, StationaryDistr
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.machine import SimulatedMachine
 from repro.parallel.stationary import reduce_scatter_output
-from repro.sketch.parallel.distribution import SampleAssignment, sparse_share
+from repro.sketch.parallel.distribution import SampleAssignment
 from repro.sketch.sampled_mttkrp import (
     _gather_fibers_dense,
-    _gather_fibers_sparse,
     default_sample_count,
     estimator_gemm,
 )
 from repro.sketch.sampling import SampleSet, SeedLike, draw_krp_samples
 from repro.tensor.dense import as_ndarray
-from repro.tensor.sparse import SparseTensor
 from repro.utils.validation import (
     check_factor_matrices,
     check_mode,
@@ -216,9 +212,7 @@ def parallel_sampled_mttkrp(
     ----------
     tensor:
         Dense ``N``-way tensor (array-like / ``DenseTensor``), whose blocks
-        the ranks read in place, or a
-        :class:`~repro.tensor.sparse.SparseTensor`, whose nonzeros are split
-        among the ranks.
+        the ranks read in place.
     factors:
         One factor matrix per mode; entry for ``mode`` ignored.
     mode:
@@ -246,13 +240,8 @@ def parallel_sampled_mttkrp(
     """
     if n_samples is not None:
         n_samples = check_positive_int(n_samples, "n_samples")
-    is_sparse = isinstance(tensor, SparseTensor)
-    if is_sparse:
-        shape, ndim = tensor.shape, tensor.ndim
-        data = None
-    else:
-        data = as_ndarray(tensor)
-        shape, ndim = data.shape, data.ndim
+    data = as_ndarray(tensor)
+    shape, ndim = data.shape, data.ndim
     mode = check_mode(mode, ndim)
     rank = infer_rank(factors, mode)
     check_factor_matrices(factors, shape, rank, skip_mode=mode)
@@ -311,9 +300,8 @@ def parallel_sampled_mttkrp(
             for r in group:
                 gathered[r][k] = (block_rows, result[r])
 
-    # -- Phase 3: local sampled MTTKRP on each rank's owned samples.  A dense
-    #    rank reads its block in place; a sparse rank's share of the nonzeros
-    #    is built when its turn comes, so one share is alive at a time.
+    # -- Phase 3: local sampled MTTKRP on each rank's owned samples; each
+    #    rank reads its block in place.
     weights = samples.weights
     local_outputs: Dict[int, np.ndarray] = {}
     for r in range(grid.n_procs):
@@ -328,14 +316,8 @@ def parallel_sampled_mttkrp(
         if krp is None:  # pragma: no cover - unreachable, ndim >= 2 enforced
             raise ParameterError("sampled MTTKRP requires at least two modes")
         weighted = krp * weights[mask][:, None]
-        if is_sparse:
-            share = sparse_share(dist, tensor, r)
-            fibers = _gather_fibers_sparse(share, mode, samples, mask, ranges)
-            tensor_words = share.nnz * (ndim + 1)
-        else:
-            block = data[tuple(slice(start, stop) for start, stop in ranges)]
-            fibers = _gather_fibers_dense(block, mode, samples, mask, ranges)
-            tensor_words = int(block.size)
+        block = data[tuple(slice(start, stop) for start, stop in ranges)]
+        fibers = _gather_fibers_dense(block, mode, samples, mask, ranges)
         partial = np.ascontiguousarray(estimator_gemm(fibers, weighted))
         local_outputs[r] = partial
         owned = int(np.count_nonzero(mask))
@@ -345,7 +327,7 @@ def parallel_sampled_mttkrp(
             + owned * rank  # estimator weighting
             + 2 * partial.shape[0] * owned * rank,  # sampled GEMM
         )
-        storage = tensor_words + int(weighted.size) + int(partial.size)
+        storage = int(block.size) + int(weighted.size) + int(partial.size)
         for entry in gathered[r]:
             if entry is not None:
                 storage += int(entry[1].size)

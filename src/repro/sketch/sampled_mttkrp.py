@@ -19,9 +19,8 @@ which assume every entry of the iteration space is touched.
 :data:`repro.cp.als.MTTKRPKernel` signature, resampling on every call, so the
 existing CP-ALS driver can run sketched (``kernel="sampled"``).
 
-The fiber gathers, :func:`_gather_fibers_dense` and
-:func:`_gather_fibers_sparse`, serve every sampled kernel: this one on the
-whole tensor, the fused kernel of :mod:`repro.core.sampled_dimtree` on a
+The fiber gather, :func:`_gather_fibers_dense`, serves every sampled
+kernel: this one on the whole tensor, the fused kernel of :mod:`repro.core.sampled_dimtree` on a
 dimension-tree partial, and the distributed kernels of
 :mod:`repro.sketch.parallel` on each rank's block, which they name by its
 index ranges together with a mask of the samples the rank owns.
@@ -43,7 +42,6 @@ from repro.sketch.sampling import (
     draw_krp_samples,
 )
 from repro.tensor.dense import as_ndarray
-from repro.tensor.sparse import SparseTensor
 from repro.utils.validation import (
     check_factor_matrices,
     check_mode,
@@ -129,41 +127,6 @@ def _gather_fibers_dense(
     return moved[(slice(None),) + picker]
 
 
-def _gather_fibers_sparse(
-    tensor: SparseTensor,
-    mode: int,
-    samples: SampleSet,
-    mask: Optional[np.ndarray] = None,
-    ranges: Optional[Sequence[Tuple[int, int]]] = None,
-) -> np.ndarray:
-    """Sparse analogue of :func:`_gather_fibers_dense` (duplicates are summed).
-
-    With ``ranges`` the tensor is one block's share of the nonzeros, at
-    global coordinates, and the output holds that block's rows of ``mode``.
-    Duplicate coordinates accumulate in nonzero order, so a share that keeps
-    the global order gathers each cell bitwise as the whole tensor does.
-    """
-    start, stop = (0, tensor.shape[mode]) if ranges is None else ranges[mode]
-    sample_keys = samples.linear_rows() if mask is None else samples.linear_rows()[mask]
-    output = np.zeros((stop - start, sample_keys.shape[0]))
-    if tensor.nnz == 0 or sample_keys.shape[0] == 0:
-        return output
-    nnz_keys = np.ravel_multi_index(
-        tuple(tensor.coords[:, k] for k in samples.modes), samples.dims, order="F"
-    )
-    order = np.argsort(sample_keys)
-    sorted_keys = sample_keys[order]
-    positions = np.searchsorted(sorted_keys, nnz_keys)
-    positions = np.clip(positions, 0, sorted_keys.shape[0] - 1)
-    matched = sorted_keys[positions] == nnz_keys
-    np.add.at(
-        output,
-        (tensor.coords[matched, mode] - start, order[positions[matched]]),
-        tensor.values[matched],
-    )
-    return output
-
-
 def sampled_mttkrp(
     tensor,
     factors: Sequence[Optional[np.ndarray]],
@@ -180,8 +143,7 @@ def sampled_mttkrp(
     Parameters
     ----------
     tensor:
-        Dense ``N``-way tensor (array-like / ``DenseTensor``) or a
-        :class:`~repro.tensor.sparse.SparseTensor`.
+        Dense ``N``-way tensor (array-like / ``DenseTensor``).
     factors:
         One factor matrix per mode; entry for ``mode`` ignored.
     mode:
@@ -203,13 +165,8 @@ def sampled_mttkrp(
     """
     if n_samples is not None:
         n_samples = check_positive_int(n_samples, "n_samples")
-    is_sparse = isinstance(tensor, SparseTensor)
-    if is_sparse:
-        shape, ndim = tensor.shape, tensor.ndim
-        data = None
-    else:
-        data = as_ndarray(tensor)
-        shape, ndim = data.shape, data.ndim
+    data = as_ndarray(tensor)
+    shape, ndim = data.shape, data.ndim
     mode = check_mode(mode, ndim)
     rank = infer_rank(factors, mode)
     check_factor_matrices(factors, shape, rank, skip_mode=mode)
@@ -228,10 +185,7 @@ def sampled_mttkrp(
 
     krp_rows = samples.krp_rows(factors)
     weighted = krp_rows * samples.weights[:, None]
-    if is_sparse:
-        fibers = _gather_fibers_sparse(tensor, mode, samples)
-    else:
-        fibers = _gather_fibers_dense(data, mode, samples)
+    fibers = _gather_fibers_dense(data, mode, samples)
     result = np.ascontiguousarray(estimator_gemm(fibers, weighted))
 
     if not return_report:

@@ -8,8 +8,10 @@ import pytest
 from repro.core.kernels import _PATH_CACHE, mttkrp, mttkrp_flops, local_mttkrp
 from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.reference import mttkrp_reference
-from repro.exceptions import ShapeError
+from repro.exceptions import ParameterError, ShapeError
 from repro.observe import tracing
+from repro.sequential.blocked import sequential_blocked_mttkrp
+from repro.sequential.unblocked import sequential_unblocked_mttkrp
 from repro.tensor.dense import DenseTensor
 from repro.tensor.khatri_rao import khatri_rao_excluding
 from repro.tensor.kruskal import KruskalTensor
@@ -166,20 +168,23 @@ class TestKernelErrors:
         with pytest.raises(ValueError):
             mttkrp_reference(tensor, [None, None], 0)
 
-
-class TestMatmulBaselineReport:
-    def test_report_fields(self):
-        tensor, factors = problem((3, 4, 5), 2)
-        report = mttkrp_via_matmul(tensor, factors, 0, return_report=True)
-        assert report.result.shape == (3, 2)
-        assert report.krp_rows == 4 * 5
-        assert report.krp_entries == 4 * 5 * 2
-        assert report.gemm_flops == 2 * 60 * 2
-
-    def test_report_matches_plain_result(self):
-        tensor, factors = problem((3, 4, 5), 2)
-        report = mttkrp_via_matmul(tensor, factors, 1, return_report=True)
-        assert np.allclose(report.result, mttkrp_via_matmul(tensor, factors, 1))
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            mttkrp_reference,
+            mttkrp_via_matmul,
+            sequential_unblocked_mttkrp,
+            lambda tensor, factors, mode: sequential_blocked_mttkrp(
+                tensor, factors, mode, block=2
+            ),
+        ],
+        ids=["reference", "matmul", "unblocked", "blocked"],
+    )
+    def test_rank_inference_error_is_shared(self, kernel):
+        """Every entry point infers the rank through ``infer_rank``."""
+        tensor, _ = problem((3, 4, 5), 2)
+        with pytest.raises(ParameterError, match="at least one input factor matrix"):
+            kernel(tensor, [None, None, None], 1)
 
 
 class TestFlopCounts:

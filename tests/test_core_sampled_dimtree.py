@@ -29,6 +29,15 @@ def fixed_sweeps(tensor, rank, kernel, sweeps=4, seed=1, **kwargs):
     )
 
 
+#: Every owner of a residual gate, built with the given gate options.
+GATE_OWNERS = {
+    "FactorGate": lambda **gate: FactorGate(3, **gate),
+    "DimensionTree": lambda **gate: DimensionTree(np.ones((2, 3, 4)), **gate),
+    "DimensionTreeKernel": DimensionTreeKernel,
+    "SampledDimtreeKernel": SampledDimtreeKernel,
+}
+
+
 class TestFactorGate:
     def test_exact_mode_is_pure_identity(self):
         gate = FactorGate(2)
@@ -76,6 +85,29 @@ class TestFactorGate:
             FactorGate(2, invalidation="lazy")
         with pytest.raises(ParameterError):
             DimensionTree(np.ones((2, 2)), invalidation="lazy")
+
+    @pytest.mark.parametrize("owner", sorted(GATE_OWNERS))
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            ({"invalidation": "bogus"}, "invalidation"),
+            ({"residual_tol": -1}, "residual_tol"),
+            ({"residual_tol": float("nan")}, "residual_tol"),
+            ({"residual_tol": "0.1"}, "residual_tol"),
+        ],
+        ids=["policy", "negative", "nan", "string"],
+    )
+    def test_bad_gate_options_rejected_at_construction(self, owner, bad, name):
+        """A kernel instance is the only way to ask for residual gating, so
+        its constructor checks the options before any MTTKRP runs."""
+        gate = {"invalidation": "residual", **bad}
+        with pytest.raises(ParameterError, match=name):
+            GATE_OWNERS[owner](**gate)
+
+    @pytest.mark.parametrize("owner", sorted(GATE_OWNERS))
+    def test_any_non_negative_tolerance_accepted(self, owner):
+        for tol in (0, 0.0, np.float64(0.5), float("inf")):
+            GATE_OWNERS[owner](invalidation="residual", residual_tol=tol)
 
     def test_force_invalidates_same_object(self):
         gate = FactorGate(1)
@@ -378,7 +410,7 @@ class TestResidualGatedALS:
         assert gated_kernel.tree.skipped_invalidations > 0
         assert abs(gated.final_fit - exact.final_fit) <= tol
 
-    def test_driver_threads_invalidation_knob(self):
+    def test_huge_tolerance_freezes_the_cache(self):
         shape, rank = (10, 10, 10), 3
         tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.01, seed=0)
         run = cp_als(
@@ -387,9 +419,7 @@ class TestResidualGatedALS:
             n_iter_max=15,
             tol=0.0,
             seed=1,
-            kernel="dimtree",
-            invalidation="residual",
-            invalidation_tol=1e9,
+            kernel=DimensionTreeKernel(invalidation="residual", residual_tol=1e9),
         )
         # With an absurd tolerance the cache freezes after the first sweep,
         # so the fits stop moving once the served MTTKRPs go stale.
@@ -407,7 +437,6 @@ class TestResidualGatedALS:
             n_iter_max=5,
             tol=0.0,
             seed=1,
-            kernel="dimtree",
-            invalidation="exact",
+            kernel=DimensionTreeKernel(invalidation="exact"),
         )
         assert a.fits == b.fits

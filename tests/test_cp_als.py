@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import mttkrp
+from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.cp.als import cp_als
 from repro.cp.initialization import initialize_factors
 from repro.exceptions import ParameterError
@@ -20,9 +21,6 @@ BAD_DRIVER_ARGUMENTS = [
     ({"n_iter_max": 2.5}, "n_iter_max"),
     ({"tol": float("nan")}, "tol"),
     ({"tol": -1e-3}, "tol"),
-    ({"invalidation_tol": -1}, "invalidation_tol"),
-    ({"invalidation_tol": float("nan")}, "invalidation_tol"),
-    ({"invalidation": "bogus"}, "invalidation"),
     ({"threads": 0}, "threads"),
     ({"threads": 1.5}, "threads"),
     # One tile covers the tensor, so the blocked kernel never reads threads.
@@ -98,7 +96,7 @@ class TestCPALSOptions:
     def test_kernel_choices_agree(self):
         tensor = random_low_rank_tensor((6, 5, 4), 2, seed=12)
         a = cp_als(tensor, 2, n_iter_max=10, seed=13, kernel="einsum")
-        b = cp_als(tensor, 2, n_iter_max=10, seed=13, kernel="matmul")
+        b = cp_als(tensor, 2, n_iter_max=10, seed=13, kernel=mttkrp_via_matmul)
         assert np.allclose(a.fits, b.fits, atol=1e-10)
 
     def test_dimtree_kernel_matches_einsum_trajectory(self):
@@ -194,11 +192,6 @@ class TestCPALSOptions:
         not_converged = cp_als(tensor, 1, n_iter_max=1, tol=1e-15, seed=21)
         assert not not_converged.converged
 
-    def test_nonconvergence_warning(self):
-        tensor = random_tensor((5, 5, 5), seed=22)
-        with pytest.warns(UserWarning):
-            cp_als(tensor, 2, n_iter_max=1, tol=1e-15, seed=23, warn_on_nonconvergence=True)
-
     def test_rejects_one_way_tensor(self):
         with pytest.raises(ParameterError):
             cp_als(np.ones(5), 2)
@@ -236,17 +229,3 @@ class TestDefaultKernel:
         assert default.model.weights.tobytes() == named.model.weights.tobytes()
         for a, b in zip(default.model.factors, named.model.factors):
             assert a.tobytes() == b.tobytes()
-
-    def test_residual_invalidation_applies_by_default(self):
-        """``invalidation`` reaches the default kernel; einsum ignores it."""
-        tensor = DEFAULT_KERNEL_INPUTS["3way"]
-        kwargs = dict(n_iter_max=6, tol=0.0, seed=55)
-        residual = dict(invalidation="residual", invalidation_tol=10.0)
-        with tracing() as session:
-            kept = cp_als(tensor, 3, **kwargs, **residual)
-        assert session.metrics.counter("factor_gate.keep") > 0
-        assert kept.fits != cp_als(tensor, 3, **kwargs).fits
-        with tracing() as session:
-            einsum = cp_als(tensor, 3, kernel="einsum", **kwargs, **residual)
-        assert session.metrics.counter("factor_gate.keep") == 0
-        assert einsum.fits == cp_als(tensor, 3, kernel="einsum", **kwargs).fits

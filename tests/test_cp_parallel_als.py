@@ -67,8 +67,6 @@ class TestParallelCPALS:
         [
             ({"n_iter_max": -1}, "n_iter_max"),
             ({"tol": float("nan")}, "tol"),
-            ({"invalidation_tol": -1}, "invalidation_tol"),
-            ({"invalidation": "bogus"}, "invalidation"),
             ({"threads": 0}, "threads"),
             ({"init": [np.ones((7, 2)), np.ones((5, 2)), np.ones((4, 2))]}, "mode 0"),
             ({"init": [np.ones((6, 2)), np.ones((5, 2)), np.ones((4, 3))]}, "mode 2"),
@@ -194,15 +192,6 @@ class TestDefaultKernel:
         assert result.grids == [choose_general_grid(shape, rank, n_procs)]
         assert result.grids[0][0] > 1  # the rank dimension is split
         assert any(r.label == "all_gather X fiber" for r in result.machine.records)
-
-    def test_residual_invalidation_applies_by_default(self):
-        data = noisy_low_rank_tensor((12, 10, 8), 3, noise_level=0.01, seed=7)
-        with tracing() as session:
-            parallel_cp_als(
-                data, 3, 8, n_iter_max=4, tol=0.0, seed=8,
-                invalidation="residual", invalidation_tol=1e3,
-            )
-        assert session.metrics.counters()["factor_gate.keep"] > 0
 
 
 class _PoisonedSweepTwo(DistributedDimtreeKernel):

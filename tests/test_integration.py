@@ -90,7 +90,7 @@ class TestCPALSWorkload:
     def test_cp_als_with_every_kernel_path(self):
         tensor = random_low_rank_tensor((8, 7, 6), 2, seed=8)
         einsum_run = cp_als(tensor, 2, n_iter_max=15, seed=9, kernel="einsum")
-        matmul_run = cp_als(tensor, 2, n_iter_max=15, seed=9, kernel="matmul")
+        matmul_run = cp_als(tensor, 2, n_iter_max=15, seed=9, kernel=mttkrp_via_matmul)
         assert einsum_run.final_fit > 0.98
         assert np.isclose(einsum_run.final_fit, matmul_run.final_fit, atol=1e-8)
 

@@ -16,8 +16,8 @@ from repro.tensor.random import noisy_low_rank_tensor
 #: Parallel names with no same-named sequential registry entry, and why:
 #: ``"exact"`` and ``"general"`` select the distributed Algorithm 3 and 4
 #: pipelines, whose sequential-quality arithmetic is the per-call
-#: ``"einsum"`` / ``"matmul"`` kernels of the sequential registry.
-DOCUMENTED_EXCEPTIONS = {"exact": ("einsum", "matmul"), "general": ("einsum", "matmul")}
+#: ``"einsum"`` kernel of the sequential registry.
+DOCUMENTED_EXCEPTIONS = {"exact": ("einsum",), "general": ("einsum",)}
 
 
 class TestRegistryConsistency:
@@ -57,6 +57,11 @@ class TestErrorMessagesListRegistryVerbatim:
         for name in KERNEL_NAMES:
             assert name in message
         assert "or a callable" in message
+
+    def test_matmul_baseline_is_not_a_registry_name(self, tensor):
+        """The matmul baseline is called directly (or passed as a callable)."""
+        with pytest.raises(ParameterError, match="unknown MTTKRP kernel 'matmul'"):
+            cp_als(tensor, 2, kernel="matmul")
 
     def test_parallel_driver_lists_its_names(self, tensor):
         with pytest.raises(ParameterError) as excinfo:

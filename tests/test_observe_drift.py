@@ -40,7 +40,6 @@ def traced_sequential(kernel):
             tol=0.0,
             seed=1,
             kernel=kernel,
-            warn_on_nonconvergence=False,
         )
     return session
 
@@ -87,7 +86,6 @@ class TestSweepCost:
             tol=0.0,
             seed=1,
             kernel=kernel,
-            warn_on_nonconvergence=False,
         )
         assert kernel.per_sweep_costs() == [dimtree_sweep_cost(SHAPE, RANK)] * SWEEPS
 

@@ -36,7 +36,6 @@ def _sequential(kernel_factory):
         tol=0.0,
         seed=1,
         kernel=kernel,
-        warn_on_nonconvergence=False,
     )
     return result, kernel
 

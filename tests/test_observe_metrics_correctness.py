@@ -43,7 +43,6 @@ def traced_sweeps(kernel, sweeps):
             tol=0.0,
             seed=1,
             kernel=kernel,
-            warn_on_nonconvergence=False,
         )
     return session
 

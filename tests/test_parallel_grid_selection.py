@@ -74,14 +74,20 @@ class TestChooseGrids:
 
     def test_stationary_is_optimal_over_factorizations(self):
         shape, rank, p = (16, 8, 4), 4, 16
-        chosen = choose_stationary_grid(shape, rank, p, require_fit=False)
-        best = min(stationary_grid_cost(shape, rank, c) for c in factorizations(p, 3))
+        chosen = choose_stationary_grid(shape, rank, p)
+        fitting = [c for c in factorizations(p, 3) if all(q <= d for q, d in zip(c, shape))]
+        best = min(stationary_grid_cost(shape, rank, c) for c in fitting)
         assert stationary_grid_cost(shape, rank, chosen) == best
 
     def test_general_is_optimal_over_factorizations(self):
         shape, rank, p = (8, 8, 8), 16, 16
-        chosen = choose_general_grid(shape, rank, p, require_fit=False)
-        best = min(general_grid_cost(shape, rank, c) for c in factorizations(p, 4))
+        chosen = choose_general_grid(shape, rank, p)
+        fitting = [
+            c
+            for c in factorizations(p, 4)
+            if c[0] <= rank and all(q <= d for q, d in zip(c[1:], shape))
+        ]
+        best = min(general_grid_cost(shape, rank, c) for c in fitting)
         assert general_grid_cost(shape, rank, chosen) == best
 
     def test_cubical_tensor_gets_balanced_grid(self):
@@ -92,7 +98,7 @@ class TestChooseGrids:
         grid = choose_stationary_grid((64, 4, 4), 4, 16)
         assert grid[0] >= 4  # most processors go to the long mode
 
-    def test_require_fit_respects_dimensions(self):
+    def test_grid_fits_the_dimensions(self):
         grid = choose_stationary_grid((2, 2, 64), 4, 16)
         assert grid[0] <= 2 and grid[1] <= 2
 

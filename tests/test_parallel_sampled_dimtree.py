@@ -126,17 +126,12 @@ class TestSubclassContract:
     def test_measured_collectives_are_dimtree_plus_gram(self, shape, rank, n_procs):
         """Without its Gram All-Reduces, a sampled-dimtree run issues the exact
         dimtree run's collectives one for one: same label, group and words.
-
-        Holds under ``invalidation="exact"`` only.  Under ``"residual"`` the
-        two runs follow different factors (sampled versus exact MTTKRPs), so
-        their gates absorb different updates and gather on different
-        schedules.
         """
         tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=0)
         runs = {
             kernel: parallel_cp_als(
                 tensor, rank, n_procs, kernel=kernel, n_samples=16,
-                n_iter_max=SWEEPS, tol=0.0, seed=5, invalidation="exact",
+                n_iter_max=SWEEPS, tol=0.0, seed=5,
             )
             for kernel in ("dimtree", "sampled-dimtree")
         }
@@ -202,18 +197,3 @@ class TestSequentialEquivalence:
 class TestDriverIntegration:
     def test_registered_in_parallel_registry(self):
         assert "sampled-dimtree" in PARALLEL_KERNEL_NAMES
-
-    def test_residual_gating_reduces_communication(self):
-        """Residual-gated gathers move strictly fewer words than the exact
-        predictor on a converging run."""
-        shape, rank, n_procs = (16, 16, 16), 4, 8
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.01, seed=0)
-        gated = parallel_cp_als(
-            tensor, rank, n_procs, kernel="dimtree", n_iter_max=16, tol=0.0,
-            seed=1, invalidation="residual", invalidation_tol=1e-2,
-        )
-        exact = parallel_cp_als(
-            tensor, rank, n_procs, kernel="dimtree", n_iter_max=16, tol=0.0, seed=1,
-        )
-        assert gated.total_words < exact.total_words
-        assert abs(gated.als.final_fit - exact.als.final_fit) <= 1e-2

@@ -38,7 +38,6 @@ UNREACHED_ALLOWLIST = {
     "ideal_stationary_grid": "the real-valued grid rule of Section V-C3",
     "ideal_general_grid": "the real-valued grid rule of Section V-D3",
     "minimum_memory_for_block": "the fast memory Eq. (11) asks of a block size",
-    "unblocked_io_cost": "Algorithm 1's exact loads and stores",
     "matmul_regime_boundaries": "the processor counts where the matmul baseline changes regime",
     # A test oracle.
     "sparse_chunk_working_set_words": "the working set the sparse chunk tests hold the kernel to",

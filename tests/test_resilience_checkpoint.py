@@ -13,7 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cp.als import KERNEL_NAMES, cp_als
+from repro.core.dimtree import DimensionTreeKernel
+from repro.core.matmul_baseline import mttkrp_via_matmul
+from repro.core.sampled_dimtree import SampledDimtreeKernel
+from repro.cp.als import KERNEL_NAMES, _kernel_seed, cp_als
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
 from repro.observe import tracing
@@ -153,6 +156,13 @@ def test_sequential_resume_bitwise_identical(kernel, stop_at):
     _assert_sequential_resume_matches(kernel, seed=0, stop_at=stop_at)
 
 
+@pytest.mark.parametrize("stop_at", [1, 3])
+def test_callable_kernel_resume_bitwise_identical(stop_at):
+    """A plain per-call kernel (the matmul baseline) has no state to
+    checkpoint, and resumes the uninterrupted run bitwise."""
+    _assert_sequential_resume_matches(mttkrp_via_matmul, seed=0, stop_at=stop_at)
+
+
 @pytest.mark.parametrize("kernel", PARALLEL_KERNEL_NAMES)
 @pytest.mark.parametrize("stop_at", [1, 2])
 def test_parallel_resume_bitwise_identical(kernel, stop_at):
@@ -211,13 +221,20 @@ def test_residual_gate_resume_bitwise_identical(kernel, stop_at):
     a restored partial must keep its memory layout for the einsums that
     consume it to sum in the uninterrupted run's order."""
     tensor = noisy_low_rank_tensor((5, 6, 40, 30), RANK, noise_level=0.1, seed=1)
-    kwargs = dict(
-        n_iter_max=N_SWEEPS, tol=0.0, seed=1, kernel=kernel,
-        invalidation="residual", invalidation_tol=1e-2,
-    )
+    gate = dict(invalidation="residual", residual_tol=1e-2)
+
+    def gated_kernel():
+        # A fresh instance per run, its draws seeded as the registry seeds them.
+        if kernel == "dimtree":
+            return DimensionTreeKernel(**gate)
+        return SampledDimtreeKernel(seed=_kernel_seed(1), **gate)
+
+    kwargs = dict(n_iter_max=N_SWEEPS, tol=0.0, seed=1)
     store = CheckpointStore()
-    full = cp_als(tensor, RANK, checkpoint_store=store, **kwargs)
-    resumed = cp_als(tensor, RANK, resume_from=store.at_sweep(stop_at), **kwargs)
+    full = cp_als(tensor, RANK, kernel=gated_kernel(), checkpoint_store=store, **kwargs)
+    resumed = cp_als(
+        tensor, RANK, kernel=gated_kernel(), resume_from=store.at_sweep(stop_at), **kwargs
+    )
     assert resumed.fits == full.fits
     for a, b in zip(resumed.model.factors, full.model.factors):
         assert np.array_equal(a, b)

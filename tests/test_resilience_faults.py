@@ -20,7 +20,6 @@ from repro.parallel.collectives import (
 from repro.parallel.machine import SimulatedMachine
 from repro.resilience import (
     FAULT_KINDS,
-    FAULT_SEED_ENV,
     FaultSchedule,
     FaultSpec,
     FaultyMachine,
@@ -113,23 +112,6 @@ class TestFaultSchedule:
             FaultSchedule.seeded(1, n_faults=-1)
         with pytest.raises(ParameterError, match="unknown fault kind"):
             FaultSchedule.seeded(1, kinds=("drop", "typo"))
-
-    def test_from_env_unset_or_empty_is_none(self, monkeypatch):
-        monkeypatch.delenv(FAULT_SEED_ENV, raising=False)
-        assert FaultSchedule.from_env() is None
-        monkeypatch.setenv(FAULT_SEED_ENV, "   ")
-        assert FaultSchedule.from_env() is None
-
-    def test_from_env_seeds_a_schedule(self, monkeypatch):
-        monkeypatch.setenv(FAULT_SEED_ENV, "42")
-        schedule = FaultSchedule.from_env(n_faults=4)
-        assert schedule is not None
-        assert schedule.specs == FaultSchedule.seeded(42, n_faults=4).specs
-
-    def test_from_env_rejects_non_integer(self, monkeypatch):
-        monkeypatch.setenv(FAULT_SEED_ENV, "not-a-seed")
-        with pytest.raises(ParameterError, match="must be an integer"):
-            FaultSchedule.from_env()
 
 
 class TestFaultyMachine:

@@ -26,7 +26,6 @@ from repro.observe import tracing
 from repro.observe.drift import retry_ledger_drift
 from repro.parallel.machine import SimulatedMachine
 from repro.resilience import (
-    FAULT_SEED_ENV,
     FaultSchedule,
     FaultyMachine,
     poison_kernel_cache,
@@ -180,8 +179,8 @@ class TestInjectedFaultExactness:
         baseline = parallel_cp_als(tensor, RANK, N_PROCS, **kwargs)
         schedule = FaultSchedule.seeded(17, n_faults=5)
         faulted = parallel_cp_als(
-            tensor, RANK, N_PROCS, fault_schedule=schedule, on_fault="retry",
-            **kwargs,
+            tensor, RANK, N_PROCS, machine=FaultyMachine(N_PROCS, schedule),
+            on_fault="retry", **kwargs,
         )
         assert faulted.machine.injected
         assert faulted.als.fits == baseline.als.fits
@@ -189,42 +188,31 @@ class TestInjectedFaultExactness:
             assert np.array_equal(a, b)
         retry_ledger_drift(faulted.machine, baseline.machine).raise_on_drift()
 
-    def test_machine_and_schedule_are_mutually_exclusive(self):
-        with pytest.raises(ParameterError, match="not both"):
-            parallel_cp_als(
-                _tensor(), RANK, N_PROCS, n_iter_max=2, seed=0,
-                machine=FaultyMachine(N_PROCS),
-                fault_schedule=FaultSchedule.seeded(1),
-            )
-
     def test_injection_counter_traced(self):
         schedule = FaultSchedule.seeded(17, n_faults=5)
         with tracing() as session:
             outcome = parallel_cp_als(
                 _tensor(3), RANK, N_PROCS, n_iter_max=4, tol=0.0, seed=3,
-                kernel="dimtree", fault_schedule=schedule, on_fault="retry",
+                kernel="dimtree", machine=FaultyMachine(N_PROCS, schedule),
+                on_fault="retry",
             )
         assert session.metrics.counters()["fault.injected"] == len(
             outcome.machine.injected
         )
 
     @pytest.mark.parametrize("kernel", ["exact", "general", "dimtree"])
-    def test_env_seeded_harness(self, monkeypatch, kernel):
-        """The CI leg's wiring: REPRO_FAULT_SEED seeds a schedule from_env."""
-        monkeypatch.setenv(FAULT_SEED_ENV, "23")
-        schedule = FaultSchedule.from_env(n_faults=4)
+    def test_seeded_schedule_harness(self, kernel):
+        """A seeded schedule on a FaultyMachine recovers exactly per kernel."""
+        schedule = FaultSchedule.seeded(23, n_faults=4)
         tensor = _tensor(4)
         kwargs = dict(n_iter_max=3, tol=0.0, seed=4, kernel=kernel)
         baseline = parallel_cp_als(tensor, RANK, N_PROCS, **kwargs)
         faulted = parallel_cp_als(
-            tensor, RANK, N_PROCS, fault_schedule=schedule, on_fault="retry",
-            **kwargs,
+            tensor, RANK, N_PROCS, machine=FaultyMachine(N_PROCS, schedule),
+            on_fault="retry", **kwargs,
         )
         assert faulted.als.fits == baseline.als.fits
         retry_ledger_drift(faulted.machine, baseline.machine).raise_on_drift()
-        # Unset, the harness injects nothing and runs on the base machine.
-        monkeypatch.delenv(FAULT_SEED_ENV)
-        assert FaultSchedule.from_env() is None
 
 
 class TestSolveEscalationAndValidation:

@@ -9,7 +9,7 @@ from repro.costmodel.sequential_model import blocked_cost_upper_bound, unblocked
 from repro.exceptions import ParameterError
 from repro.sequential.blocked import blocked_io_cost, sequential_blocked_mttkrp
 from repro.sequential.machine import IOCounter
-from repro.sequential.unblocked import sequential_unblocked_mttkrp, unblocked_io_cost
+from repro.sequential.unblocked import sequential_unblocked_mttkrp
 from repro.tensor.random import random_factors, random_tensor
 
 
@@ -28,7 +28,6 @@ class TestUnblockedAlgorithm:
         shape, rank = (8, 9, 10), 4
         tensor, factors = problem(shape, rank)
         result = sequential_unblocked_mttkrp(tensor, factors, 0)
-        assert result.words_moved == unblocked_io_cost(shape, rank)
         assert result.words_moved == unblocked_cost(shape, rank)
 
     def test_io_count_independent_of_mode(self):

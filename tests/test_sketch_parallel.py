@@ -19,7 +19,6 @@ from repro.sketch.parallel.distribution import (
     SampleAssignment,
     choose_sampled_grid,
     sampled_grid_cost,
-    sparse_share,
 )
 from repro.sketch.parallel.reconcile import (
     predicted_sampled_ledger,
@@ -50,8 +49,10 @@ def dense_problem():
 
 
 @pytest.fixture(scope="module")
-def sparse_problem():
-    tensor = SparseTensor.random(SHAPE, density=0.15, seed=2)
+def mostly_zero_problem():
+    """The dense array of a 15%-dense COO tensor: most sampled fibers are
+    all zero, and some ranks' blocks hold only a few nonzeros."""
+    tensor = SparseTensor.random(SHAPE, density=0.15, seed=2).to_dense()
     factors = random_factors(SHAPE, RANK, seed=3)
     return tensor, factors
 
@@ -101,31 +102,6 @@ class TestSampleAssignment:
             SampleAssignment(other, samples)
 
 
-class TestSparseScatter:
-    def test_partition_of_nonzeros(self, sparse_problem):
-        tensor, _ = sparse_problem
-        dist = StationaryDistribution(SHAPE, RANK, 0, ProcessorGrid((2, 3, 1)))
-        blocks = [sparse_share(dist, tensor, rank) for rank in range(dist.grid.n_procs)]
-        assert sum(b.nnz for b in blocks) == tensor.nnz
-        assert np.allclose(sum(b.to_dense() for b in blocks), tensor.to_dense())
-
-    def test_share_keeps_global_coordinates_in_order(self, sparse_problem):
-        """Each share holds only its block's nonzeros, at their global
-        coordinates and in the global tensor's order."""
-        tensor, _ = sparse_problem
-        dist = StationaryDistribution(SHAPE, RANK, 0, ProcessorGrid((2, 3, 1)))
-        position = {tuple(c): i for i, c in enumerate(tensor.coords.tolist())}
-        assert len(position) == tensor.nnz  # no duplicate coordinates here
-        for rank in range(dist.grid.n_procs):
-            share = sparse_share(dist, tensor, rank)
-            assert share.shape == tensor.shape
-            for k, (start, stop) in enumerate(dist.subtensor_ranges(rank)):
-                assert np.all((share.coords[:, k] >= start) & (share.coords[:, k] < stop))
-            order = [position[tuple(c)] for c in share.coords.tolist()]
-            assert order == sorted(order)
-            assert np.array_equal(share.values, tensor.values[order])
-
-
 class TestSeedEquivalence:
     """Distributed == sequential sampled MTTKRP under the same seed."""
 
@@ -155,8 +131,10 @@ class TestSeedEquivalence:
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("grid", [(1, 6, 1), (3, 2, 1), (1, 3, 2), (1, 1, 1)])
-    def test_sparse_matches_sequential(self, sparse_problem, distribution, grid):
-        tensor, factors = sparse_problem
+    def test_mostly_zero_tensor_matches_sequential(
+        self, mostly_zero_problem, distribution, grid
+    ):
+        tensor, factors = mostly_zero_problem
         run = parallel_sampled_mttkrp(
             tensor, factors, 1, grid, n_samples=24, distribution=distribution, seed=11
         )
@@ -174,15 +152,17 @@ class TestSeedEquivalence:
         assert np.allclose(run.assemble(), report.result, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_output_mode_only_grid_is_bitwise(self, dense_problem, sparse_problem, distribution, sparse):
+    @pytest.mark.parametrize("mostly_zero", [False, True])
+    def test_output_mode_only_grid_is_bitwise(
+        self, dense_problem, mostly_zero_problem, distribution, mostly_zero
+    ):
         """A grid splitting only the output mode never reorders a single sum.
 
         Every rank's GEMM is then a row slice of the sequential GEMM over the
         identical sample columns, so the assembled output is bitwise equal for
-        every sampling strategy, dense and sparse.
+        every sampling strategy, on a Gaussian and on a mostly-zero tensor.
         """
-        tensor, factors = sparse_problem if sparse else dense_problem
+        tensor, factors = mostly_zero_problem if mostly_zero else dense_problem
         run = parallel_sampled_mttkrp(
             tensor, factors, 0, (6, 1, 1), n_samples=24,
             distribution=distribution, seed=9,
@@ -204,13 +184,13 @@ class TestSeedEquivalence:
 class TestCallerSampleSets:
     """A caller's SampleSet may list its rows in any order."""
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("half_zero", [False, True], ids=["gaussian", "half-zero"])
     @pytest.mark.parametrize("grid", [(1, 2, 3), (2, 1, 3), (6, 1, 1)], ids=str)
     @pytest.mark.parametrize("reverse", [False, True], ids=["drawn", "reversed"])
-    def test_matches_sequential(self, sparse, grid, reverse):
+    def test_matches_sequential(self, half_zero, grid, reverse):
         tensor = (
-            SparseTensor.random(SHAPE, density=0.5, seed=2)
-            if sparse
+            SparseTensor.random(SHAPE, density=0.5, seed=2).to_dense()
+            if half_zero
             else random_tensor(SHAPE, seed=0)
         )
         factors = random_factors(SHAPE, 3, seed=1)
@@ -246,25 +226,6 @@ def test_dense_blocks_read_in_place():
     assert peak < as_ndarray(tensor).nbytes / 2
     # The storage charge still holds each rank's whole block.
     assert run.machine.storage_high_water.min() >= 20 * 20 * 40
-
-
-def test_sparse_shares_built_one_rank_at_a_time():
-    """A call holds one rank's share of a COO tensor's nonzeros, not all of them."""
-    shape = (40, 40, 40)
-    tensor = SparseTensor.random(shape, 0.2, seed=0)
-    factors = random_factors(shape, 4, seed=1)
-
-    def call():
-        return parallel_sampled_mttkrp(tensor, factors, 0, (2, 2, 1), n_samples=64, seed=2)
-
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < tensor.coords.nbytes + tensor.values.nbytes
 
 
 class TestLedger:
@@ -361,7 +322,7 @@ class TestGridSelection:
         with pytest.raises(DistributionError):
             sampled_grid_cost(SHAPE, RANK, 0, 16, (1, 2))
 
-    def test_require_fit(self):
+    def test_grid_fits_the_dimensions(self):
         grid = choose_sampled_grid((2, 2, 64), 2, 2, 4, 16)
         assert all(p <= d for p, d in zip(grid, (2, 2, 64)))
 
@@ -392,8 +353,8 @@ class TestReconcile:
         assert run.measured_setup_words + run.measured_kernel_words >= run.measured_words
         assert run.measured_words == run.predicted_words
 
-    def test_sparse_reconcile(self, sparse_problem):
-        tensor, factors = sparse_problem
+    def test_mostly_zero_reconcile(self, mostly_zero_problem):
+        tensor, factors = mostly_zero_problem
         run = reconcile_sampled_mttkrp(
             tensor, factors, 0, 4, n_samples=8, distribution="uniform", seed=1
         )

@@ -52,15 +52,18 @@ class TestSketchedCPALS:
         for a, b in zip(parallel.model.factors, sequential.model.factors):
             assert np.allclose(a, b, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("distribution", ["uniform", "leverage"])
-    def test_distributed_run_draws_the_named_distribution(self, tensor, distribution):
-        """``sample_distribution`` draws what the kernel factory draws."""
+    @pytest.mark.parametrize(
+        "kernel, distribution",
+        [("sampled", "product-leverage"), ("sampled-tree", "tree-leverage")],
+    )
+    def test_distributed_run_draws_the_named_distribution(self, tensor, kernel, distribution):
+        """Each distributed kernel name draws what the kernel factory draws
+        under the distribution that the same name picks in ``cp_als``."""
         draws = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
-        kernel = make_sampled_kernel(distribution=distribution, seed=draws)
-        sequential = cp_als(tensor, 3, kernel=kernel, n_iter_max=5, tol=0.0, seed=7)
+        factory = make_sampled_kernel(distribution=distribution, seed=draws)
+        sequential = cp_als(tensor, 3, kernel=factory, n_iter_max=5, tol=0.0, seed=7)
         parallel = parallel_cp_als(
-            tensor, 3, 6, kernel="sampled", sample_distribution=distribution,
-            n_iter_max=5, tol=0.0, seed=7,
+            tensor, 3, 6, kernel=kernel, n_iter_max=5, tol=0.0, seed=7
         ).als
         assert np.allclose(parallel.fits, sequential.fits, rtol=0.0, atol=1e-9)
 
@@ -165,13 +168,6 @@ class TestParallelKernelRegistry:
     def test_unknown_kernel_rejected(self, tensor):
         with pytest.raises(ParameterError):
             parallel_cp_als(tensor, 3, n_procs=4, kernel="sketchy")
-
-    @pytest.mark.parametrize("kernel", PARALLEL_KERNEL_NAMES)
-    def test_unknown_sample_distribution_rejected_by_every_kernel(self, tensor, kernel):
-        with pytest.raises(ParameterError, match="unknown sampling distribution 'bogus'"):
-            parallel_cp_als(
-                tensor, 3, n_procs=4, kernel=kernel, sample_distribution="bogus", n_iter_max=2
-            )
 
     def test_exact_kernel_unchanged(self, tensor):
         """Algorithm 3 is byte-compatible with the pre-registry driver."""

@@ -7,12 +7,13 @@ from repro.core.kernels import mttkrp
 from repro.cp.als import cp_als
 from repro.exceptions import ParameterError
 from repro.experiments.sketch_crossover import coherent_problem
+from repro.parallel.machine import SimulatedMachine
 from repro.sketch.sampled_mttkrp import (
     default_sample_count,
     make_sampled_kernel,
     sampled_mttkrp,
 )
-from repro.sketch.parallel import parallel_sampled_mttkrp
+from repro.sketch.parallel import parallel_sampled_mttkrp, reconcile_sampled_mttkrp
 from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.khatri_rao import implicit_krp_column_count
 from repro.tensor.random import random_factors, random_low_rank_tensor, random_tensor
@@ -151,36 +152,60 @@ class TestEstimator:
             sampled_mttkrp(tensor, [None, None, None], 0, n_samples=8)
 
 
-class TestSparseInteraction:
-    def test_dense_sparse_agreement(self, problem):
-        tensor, factors = problem
-        sparse = SparseTensor.from_dense(tensor.data)
-        samples = draw_krp_samples(factors, 0, 100, distribution="leverage", seed=6)
-        dense_est = sampled_mttkrp(tensor, factors, 0, samples=samples)
-        sparse_est = sampled_mttkrp(sparse, factors, 0, samples=samples)
-        assert np.allclose(dense_est, sparse_est)
+#: The sampled MTTKRP entry points, each called on mode 0 by ``_call_sampled``.
+SAMPLED_ENTRY_POINTS = ["sampled_mttkrp", "parallel_sampled_mttkrp", "reconcile_sampled_mttkrp"]
 
-    def test_duplicate_coordinates_are_summed(self, problem):
-        """Duplicate COO entries must contribute their sum, as in to_dense()."""
-        _, factors = problem
-        rng = np.random.default_rng(8)
-        coords = rng.integers(0, (6, 5, 4), size=(30, 3))
-        coords = np.vstack([coords, coords[:10]])  # duplicate the first ten
-        values = rng.standard_normal(coords.shape[0])
-        sparse = SparseTensor(shape=SHAPE, coords=coords, values=values)
-        samples = draw_krp_samples(factors, 1, 200, distribution="uniform", seed=9)
-        from_sparse = sampled_mttkrp(sparse, factors, 1, samples=samples)
-        from_dense = sampled_mttkrp(sparse.to_dense(), factors, 1, samples=samples)
-        assert np.allclose(from_sparse, from_dense)
 
-    def test_empty_sparse_tensor(self, problem):
-        _, factors = problem
-        empty = SparseTensor(
-            shape=SHAPE, coords=np.zeros((0, 3), dtype=np.int64), values=np.zeros(0)
+def _call_sampled(entry, tensor, factors, rng, machine, **options):
+    if entry == "sampled_mttkrp":
+        return sampled_mttkrp(tensor, factors, 0, seed=rng, **options)
+    if entry == "parallel_sampled_mttkrp":
+        return parallel_sampled_mttkrp(
+            tensor, factors, 0, (2, 1, 1), seed=rng, machine=machine, **options
         )
-        result = sampled_mttkrp(empty, factors, 0, n_samples=16, seed=10)
-        assert result.shape == (SHAPE[0], RANK)
-        assert np.all(result == 0.0)
+    return reconcile_sampled_mttkrp(tensor, factors, 0, 2, seed=rng, **options)
+
+
+@pytest.mark.parametrize("entry", SAMPLED_ENTRY_POINTS)
+def test_sparse_tensor_rejected_before_any_draw_or_collective(problem, entry):
+    """The sampled kernels take dense tensors: a COO tensor fails up front,
+    pointing to the sparse kernel, before a draw is taken or a word moves."""
+    tensor, factors = problem
+    sparse = SparseTensor.from_dense(tensor.data)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    machine = SimulatedMachine(2)
+    with pytest.raises(ParameterError, match="sparse_mttkrp"):
+        _call_sampled(entry, sparse, factors, rng, machine)
+    assert rng.bit_generator.state == before
+    assert machine.records == []
+
+
+@pytest.mark.parametrize("entry", SAMPLED_ENTRY_POINTS)
+def test_unknown_distribution_rejected_before_any_draw_or_collective(problem, entry):
+    tensor, factors = problem
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    machine = SimulatedMachine(2)
+    with pytest.raises(ParameterError, match="unknown sampling distribution 'bogus'"):
+        _call_sampled(entry, tensor, factors, rng, machine, distribution="bogus")
+    assert rng.bit_generator.state == before
+    assert machine.records == []
+
+
+@pytest.mark.parametrize("entry", SAMPLED_ENTRY_POINTS)
+def test_zero_tensor_gives_zero_estimate(problem, entry):
+    _, factors = problem
+    zero = np.zeros(SHAPE)
+    run = _call_sampled(
+        entry, zero, factors, np.random.default_rng(10), SimulatedMachine(2), n_samples=16
+    )
+    if entry == "reconcile_sampled_mttkrp":
+        assert run.rel_error == 0.0
+        return
+    estimate = run if entry == "sampled_mttkrp" else run.assemble()
+    assert estimate.shape == (SHAPE[0], RANK)
+    assert np.all(estimate == 0.0)
 
 
 class TestKernelIntegration:
