@@ -64,7 +64,13 @@ def test_sampled_kernel_throughput(benchmark, problem, base_seed, n_draws):
     tensor, factors = problem
     rng = np.random.default_rng(base_seed + 6)
     result = benchmark(
-        sampled_mttkrp, tensor, factors, 0, n_samples=n_draws, seed=rng
+        sampled_mttkrp,
+        tensor,
+        factors,
+        0,
+        n_samples=n_draws,
+        distribution="leverage",
+        seed=rng,
     )
     assert result.shape == (DEFAULT_SHAPE[0], factors[0].shape[1])
 

@@ -6,7 +6,8 @@ Each lemma is implemented twice:
   paper's proof, and
 * a *numeric* function that solves the same optimisation problem with
   :mod:`scipy.optimize` (``linprog`` for the LP, ``minimize`` for the
-  nonlinear problems).
+  nonlinear problems).  scipy is imported inside these functions only, so
+  importing the package needs numpy alone.
 
 The test-suite cross-checks the two on randomised instances; the bound
 formulas in :mod:`repro.bounds.sequential` / :mod:`repro.bounds.parallel` use
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ParameterError
 from repro.utils.validation import check_positive_int
@@ -82,6 +82,8 @@ def solve_mttkrp_lp_numeric(n_modes: int) -> LPSolution:
     n_modes = check_positive_int(n_modes, "n_modes", minimum=2)
     delta = mttkrp_constraint_matrix(n_modes)
     m = n_modes + 1
+    from scipy import optimize
+
     # linprog solves min c^T x s.t. A_ub x <= b_ub; our constraint Δ s >= 1
     # becomes -Δ s <= -1.
     result = optimize.linprog(
@@ -149,6 +151,8 @@ def max_product_given_sum_numeric(s: Sequence[float], budget: float) -> float:
     start = np.full(m, budget / m)
     constraints = [{"type": "ineq", "fun": lambda x: budget - np.sum(x)}]
     bounds = [(1e-12 * budget, budget)] * m
+    from scipy import optimize
+
     result = optimize.minimize(
         neg_log_objective, start, bounds=bounds, constraints=constraints, method="SLSQP"
     )
@@ -207,6 +211,8 @@ def min_sum_given_product_numeric(s: Sequence[float], floor: float) -> float:
     start = min_sum_given_product_argmin(s, floor) * 1.3 + 1e-6
     constraints = [{"type": "ineq", "fun": constraint}]
     bounds = [(1e-12, None)] * m
+    from scipy import optimize
+
     result = optimize.minimize(
         objective, start, bounds=bounds, constraints=constraints, method="SLSQP"
     )

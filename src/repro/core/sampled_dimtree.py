@@ -399,6 +399,8 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         while a factor's accumulated drift stays within tolerance).
     """
 
+    exact = False
+
     def __init__(
         self,
         n_samples: Optional[int] = None,

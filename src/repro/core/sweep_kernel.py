@@ -45,6 +45,11 @@ class SweepKernel:
     callable with the historical ``(tensor, factors, mode)`` signature.
     """
 
+    #: Whether :meth:`mttkrp` returns the exact MTTKRP.  The sampled kernels
+    #: set it to ``False``: the fit ``cp_als`` derives from an estimated
+    #: MTTKRP is itself an estimate, so ``cp_als`` never stops on it.
+    exact: bool = True
+
     def begin_sweep(self, iteration: int) -> None:  # noqa: B027 - optional hook
         """Hook: ALS sweep ``iteration`` (1-based) is about to start."""
 
@@ -105,7 +110,9 @@ class PerCallKernel(SweepKernel):
     sweep hooks are no-ops.  When the callable owns a
     :class:`numpy.random.Generator` (the sampled kernels), pass it as
     ``rng`` so checkpoint/restore can capture the bit-stream position — the
-    only cross-call state a per-call kernel can have.
+    only cross-call state a per-call kernel can have.  The adapter is
+    :attr:`~SweepKernel.exact` unless the callable carries ``exact = False``,
+    as the sampled closures do.
     """
 
     def __init__(self, fn: MTTKRPCallable, *, rng: Optional[np.random.Generator] = None) -> None:
@@ -113,6 +120,7 @@ class PerCallKernel(SweepKernel):
             raise ParameterError("PerCallKernel requires a callable MTTKRP kernel")
         self.fn = fn
         self.rng = rng
+        self.exact = getattr(fn, "exact", True)
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
@@ -141,7 +149,8 @@ def as_sweep_kernel(kernel) -> SweepKernel:
     in a :class:`PerCallKernel`, handed the callable's ``rng`` attribute when
     it has one (the closures of
     :func:`repro.sketch.sampled_mttkrp.make_sampled_kernel`), so a checkpoint
-    captures the draw stream's position.
+    captures the draw stream's position, and marked inexact when the callable
+    carries ``exact = False``.
     """
     if isinstance(kernel, SweepKernel):
         return kernel

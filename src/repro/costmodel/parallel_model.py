@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ParameterError
 from repro.utils.validation import check_rank, check_shape
@@ -197,7 +196,11 @@ def general_costs(
         if upper <= 1.0:
             p0 = 1.0
         else:
-            # 1-D minimisation over log(P_0); the objective is smooth and unimodal.
+            # 1-D minimisation over log(P_0); the objective is smooth and
+            # unimodal.  scipy is imported here only, so that importing the
+            # package needs numpy alone.
+            from scipy import optimize
+
             result = optimize.minimize_scalar(
                 lambda log_p0: _general_cost_given_p0(shape, rank, p, math.exp(log_p0))[0],
                 bounds=(0.0, math.log(upper)),

@@ -200,11 +200,17 @@ class CPALSResult:
     model:
         The fitted :class:`~repro.tensor.kruskal.KruskalTensor` (normalised).
     fits:
-        Fit value ``1 - ||X - X_hat|| / ||X||`` after each iteration.
+        Fit value ``1 - ||X - X_hat|| / ||X||`` after each iteration, computed
+        from the sweep's last MTTKRP.  Under a kernel that is not
+        :attr:`~repro.core.sweep_kernel.SweepKernel.exact` (the sampled
+        kernels) that MTTKRP is an estimate, and so is each fit; use
+        ``model.fit(tensor)`` for the exact fit.
     n_iterations:
         Number of completed ALS sweeps.
     converged:
         Whether the fit change dropped below the tolerance before ``max_iter``.
+        Always ``False`` under a kernel that is not exact: an estimated fit
+        never stops the run, so it completes ``n_iter_max`` sweeps.
     mttkrp_calls:
         Total number of MTTKRP invocations performed.
     """
@@ -297,7 +303,10 @@ def cp_als(
     n_iter_max:
         Maximum number of ALS sweeps (each sweep updates every mode once).
     tol:
-        Convergence tolerance on the change in fit between sweeps.
+        Convergence tolerance on the change in fit between sweeps.  It
+        applies only when the kernel is exact
+        (:attr:`~repro.core.sweep_kernel.SweepKernel.exact`); a sampled
+        kernel's fits are estimates, so its run goes to ``n_iter_max``.
     init:
         ``"random"``, ``"svd"``, or an explicit list of initial factor
         matrices.
@@ -450,7 +459,7 @@ def cp_als(
             fit = 1.0 - np.sqrt(residual_sq) / norm_x if norm_x > 0 else 1.0
             fits.append(float(fit))
 
-        if abs(fit - previous_fit) < tol:
+        if sweep_kernel.exact and abs(fit - previous_fit) < tol:
             converged = True
             break
         previous_fit = fit

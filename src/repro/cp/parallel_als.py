@@ -87,6 +87,7 @@ class _SweepWordCounter(SweepKernel):
         words_per_iteration: List[int],
     ) -> None:
         self.inner = inner
+        self.exact = inner.exact
         self.machine = machine
         self.words_per_iteration = words_per_iteration
         self._sweep_start = np.zeros(machine.n_procs, dtype=np.int64)
@@ -326,6 +327,8 @@ def parallel_cp_als(
                 machine=machine,
             ).assemble()
 
+        # Its MTTKRPs are estimates, so cp_als must not stop on their fits.
+        sampled_kernel.exact = False
         # The shared draw generator is the closure's only cross-call state;
         # hand it to the adapter so checkpoints capture the stream position.
         inner = PerCallKernel(sampled_kernel, rng=sample_rng)

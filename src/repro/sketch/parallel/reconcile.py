@@ -182,7 +182,7 @@ def reconcile_sampled_mttkrp(
     n_procs: int,
     *,
     n_samples: Optional[int] = None,
-    distribution: str = "uniform",
+    distribution: str = "product-leverage",
     seed: SeedLike = None,
     grid_dims: Optional[Sequence[int]] = None,
 ) -> ReconciledSampledRun:
@@ -195,7 +195,10 @@ def reconcile_sampled_mttkrp(
     n_procs:
         Number of simulated processors ``P``.
     n_samples, distribution, seed:
-        The draw (defaults mirror the sampled kernel's).
+        The draw, with the defaults of
+        :func:`~repro.sketch.parallel.sampled_mttkrp.parallel_sampled_mttkrp`:
+        :func:`~repro.sketch.sampled_mttkrp.default_sample_count` draws from
+        ``"product-leverage"``.
     grid_dims:
         Explicit sampled grid; default
         :func:`~repro.sketch.parallel.distribution.choose_sampled_grid`.

@@ -91,6 +91,7 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
     the same schedule).
     """
 
+    exact = False
     gather_label = GATHER_LABEL
     reduce_label = REDUCE_LABEL
 

@@ -133,7 +133,7 @@ def sampled_mttkrp(
     mode: int,
     *,
     n_samples: Optional[int] = None,
-    distribution: str = "leverage",
+    distribution: str = "product-leverage",
     seed: SeedLike = None,
     samples: Optional[SampleSet] = None,
     return_report: bool = False,
@@ -152,7 +152,9 @@ def sampled_mttkrp(
         Number of draws, ``None`` or a positive int (default
         :func:`default_sample_count`).
     distribution:
-        Sampling distribution (see :mod:`repro.sketch.sampling`).
+        Sampling distribution (see :mod:`repro.sketch.sampling`); the
+        default, ``"product-leverage"``, is the default of every sampled
+        entry point and of ``cp_als(kernel="sampled")``.
     seed:
         Seed or generator for the draws.
     samples:
@@ -235,4 +237,6 @@ def make_sampled_kernel(
     # The owned generator is the closure's only cross-call state; expose it so
     # PerCallKernel can capture/restore the bit-stream position (ISSUE 10).
     kernel.rng = rng
+    # Its MTTKRPs are estimates, so cp_als must not stop on their fits.
+    kernel.exact = False
     return kernel

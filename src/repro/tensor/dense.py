@@ -24,8 +24,11 @@ class DenseTensor:
     Parameters
     ----------
     data:
-        Array-like of at least 1 dimension.  The data is converted to a
-        floating-point numpy array (C-contiguous) unless it already is one.
+        Array-like of at least 1 dimension.  A floating-point numpy array is
+        used as it is, without a copy and in its own memory layout; other
+        numeric data is converted to ``float64``.  The data is not made
+        C-contiguous, and the dimension tree runs its root GEMM only on
+        C-contiguous data.
 
     Attributes
     ----------

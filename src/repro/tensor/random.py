@@ -80,8 +80,15 @@ def random_kruskal_tensor(
 def random_low_rank_tensor(
     shape: Sequence[int], rank: int, *, seed: SeedLike = None
 ) -> DenseTensor:
-    """Dense tensor that is *exactly* rank ``rank`` (the CP-ALS recovery target)."""
-    return random_kruskal_tensor(shape, rank, seed=seed).full()
+    """Dense tensor that is *exactly* rank ``rank`` (the CP-ALS recovery target).
+
+    The data is C-contiguous.  :meth:`~repro.tensor.kruskal.KruskalTensor.full`
+    returns a strided fold of its mode-0 unfolding, on which the dimension
+    tree's root children cannot run their GEMM; one copy here puts the
+    tensor in the layout the kernels read fastest, with the same values.
+    """
+    full = random_kruskal_tensor(shape, rank, seed=seed).full().data
+    return DenseTensor(np.ascontiguousarray(full))
 
 
 def noisy_low_rank_tensor(
@@ -96,6 +103,10 @@ def noisy_low_rank_tensor(
     The noise tensor is scaled so that ``||noise|| = noise_level * ||signal||``,
     which is the customary way of specifying the signal-to-noise ratio for CP
     recovery experiments.
+
+    The data is C-contiguous.  The noise is scaled in place and the signal
+    added into it, so at most two tensor-sized arrays, the signal and the
+    noise, are alive at once.
     """
     rng = _rng(seed)
     signal = random_low_rank_tensor(shape, rank, seed=rng).data
@@ -103,5 +114,6 @@ def noisy_low_rank_tensor(
     noise_norm = np.linalg.norm(noise.ravel())
     signal_norm = np.linalg.norm(signal.ravel())
     if noise_norm > 0 and signal_norm > 0:
-        noise = noise * (noise_level * signal_norm / noise_norm)
-    return DenseTensor(signal + noise)
+        noise *= noise_level * signal_norm / noise_norm
+    noise += signal
+    return DenseTensor(noise)

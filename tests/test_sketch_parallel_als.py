@@ -86,6 +86,31 @@ class TestSketchedCPALS:
         spelled = _sketched(driver, tensor, kernel, init=init, seed=draws)
         assert named.fits == spelled.fits
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sampled_run_never_stops_on_its_estimated_fit(self, tensor, seed):
+        """A sampled sweep's fit is an estimate, often exactly 1.0, so ``tol``
+        does not stop the run: it completes ``n_iter_max`` sweeps."""
+        result = cp_als(tensor, 3, kernel="sampled", seed=seed, tol=1e-6)
+        assert (result.converged, result.n_iterations) == (False, 50)
+
+    @pytest.mark.parametrize("kernel", [*SAMPLED_KERNELS, "dimtree"])
+    @pytest.mark.parametrize("driver", ["cp_als", "parallel_cp_als"])
+    def test_tol_stops_exact_kernels_only(self, tensor, driver, kernel):
+        """``tol=1`` stops an exact run after sweep 2; a sampled run goes on."""
+        options = dict(kernel=kernel, n_iter_max=4, tol=1.0, seed=7)
+        if driver == "cp_als":
+            result = cp_als(tensor, 3, **options)
+        else:
+            result = parallel_cp_als(tensor, 3, 4, **options).als
+        expected = (True, 2) if kernel == "dimtree" else (False, 4)
+        assert (result.converged, result.n_iterations) == expected
+
+    def test_kernel_factory_closure_is_not_exact(self, tensor):
+        kernel = make_sampled_kernel(64, seed=0)
+        assert kernel.exact is False
+        result = cp_als(tensor, 3, kernel=kernel, n_iter_max=4, tol=1.0, seed=7)
+        assert (result.converged, result.n_iterations) == (False, 4)
+
     @pytest.mark.parametrize("distribution", ["uniform", "leverage", "product-leverage"])
     def test_every_distribution_runs_through_the_kernel_factory(self, tensor, distribution):
         rng = np.random.default_rng(7)

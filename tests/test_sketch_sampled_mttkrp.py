@@ -1,5 +1,7 @@
 """Tests for the sampled MTTKRP kernel (repro.sketch.sampled_mttkrp)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,22 @@ def _call_sampled(entry, tensor, factors, rng, machine, **options):
             tensor, factors, 0, (2, 1, 1), seed=rng, machine=machine, **options
         )
     return reconcile_sampled_mttkrp(tensor, factors, 0, 2, seed=rng, **options)
+
+
+def test_sampled_entry_points_share_one_default_distribution():
+    """The same call moved between the sequential kernel, the distributed
+    one, its reconciliation or the kernel factory draws from one distribution."""
+    entry_points = [
+        sampled_mttkrp,
+        parallel_sampled_mttkrp,
+        reconcile_sampled_mttkrp,
+        make_sampled_kernel,
+    ]
+    defaults = {
+        fn.__name__: inspect.signature(fn).parameters["distribution"].default
+        for fn in entry_points
+    }
+    assert defaults == dict.fromkeys(defaults, "product-leverage")
 
 
 @pytest.mark.parametrize("entry", SAMPLED_ENTRY_POINTS)

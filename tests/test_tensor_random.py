@@ -1,8 +1,12 @@
 """Unit tests for the random tensor / factor generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.cp.als import cp_als
+from repro.observe import tracing
 from repro.tensor.random import (
     noisy_low_rank_tensor,
     random_factors,
@@ -84,3 +88,62 @@ class TestLowRankGenerators:
         from repro.tensor.matricization import unfold
 
         assert np.linalg.matrix_rank(unfold(noisy.data, 0), tol=1e-8) <= 2
+
+
+def _three_tensor_noisy_low_rank(shape, rank, noise_level, seed):
+    """Reference: the out-of-place generator, which keeps the strided fold of
+    the Kruskal reconstruction and holds signal, noise and scaled noise at once."""
+    rng = np.random.default_rng(seed)
+    signal = random_kruskal_tensor(shape, rank, seed=rng).full().data
+    noise = rng.standard_normal(signal.shape)
+    noise_norm = np.linalg.norm(noise.ravel())
+    signal_norm = np.linalg.norm(signal.ravel())
+    if noise_norm > 0 and signal_norm > 0:
+        noise = noise * (noise_level * signal_norm / noise_norm)
+    return signal + noise
+
+
+class TestGeneratorLayoutAndMemory:
+    """The generators return C-ordered data and hold at most two tensors."""
+
+    @pytest.mark.parametrize(
+        "shape,rank,noise_level",
+        [
+            ((12, 10), 3, 0.02),
+            ((12, 12, 12), 3, 0.1),
+            ((12, 12, 12, 12), 3, 0.1),
+            ((9, 8, 7), 3, 0.02),
+            ((6, 5, 4, 3), 3, 0.02),
+            ((60, 50, 40), 3, 1e-2),
+            ((4, 4, 4), 2, 0.0),
+        ],
+    )
+    def test_noisy_low_rank_is_bitwise_the_out_of_place_sum(self, shape, rank, noise_level):
+        got = noisy_low_rank_tensor(shape, rank, noise_level=noise_level, seed=11).data
+        want = _three_tensor_noisy_low_rank(shape, rank, noise_level, 11)
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_noisy_low_rank_peak_is_two_tensors(self):
+        tracemalloc.start()
+        try:
+            data = noisy_low_rank_tensor((60, 50, 40), 3, seed=0).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * data.nbytes
+
+    @pytest.mark.parametrize("shape", [(12, 10), (9, 8, 7), (6, 5, 4, 3)])
+    def test_low_rank_is_c_ordered_with_the_reconstruction_values(self, shape):
+        data = random_low_rank_tensor(shape, 3, seed=4).data
+        assert data.flags["C_CONTIGUOUS"]
+        full = random_kruskal_tensor(shape, 3, seed=4).full().data
+        assert np.array_equal(data, full)
+
+    def test_default_tree_runs_its_root_gemm_on_low_rank_input(self):
+        tensor = random_low_rank_tensor((9, 8, 7), 3, seed=5)
+        with tracing() as session:
+            cp_als(tensor, 3, n_iter_max=3, tol=0.0, seed=6)
+        assert session.metrics.counter("dimtree.root.gemm") > 0
+        assert session.metrics.counter("dimtree.root.chain") == 0
