@@ -23,8 +23,12 @@ sequential blocking argument at wall-clock scale.
 
 For CP-ALS workloads, :mod:`repro.core.dimtree` provides the sweep-aware
 dimension-tree engine (:class:`DimensionTreeKernel`, kernel ``"dimtree"``)
-that caches partial contractions across mode updates, and
-:mod:`repro.core.sweep_kernel` the kernel protocol the ALS drivers speak.
+that caches partial contractions across mode updates, and its multi-sweep
+schedule (:class:`MultiSweepTreeKernel`, kernel ``"msdt"``, the ``cp_als``
+default), which on a 3-way tensor lets one tensor read serve two
+consecutive updates, across sweep boundaries too.
+:mod:`repro.core.sweep_kernel` holds the kernel protocol the ALS drivers
+speak.
 
 The communication-counting variants (sequential Algorithms 1 & 2, parallel
 Algorithms 3 & 4) live in :mod:`repro.sequential` and :mod:`repro.parallel`.
@@ -39,8 +43,10 @@ from repro.core.dimtree import (
     DimensionTree,
     DimensionTreeKernel,
     FactorGate,
+    MultiSweepTreeKernel,
     SweepCost,
     dimtree_sweep_cost,
+    multisweep_sweep_costs,
 )
 from repro.core.sampled_dimtree import (
     FusedSamplerCache,
@@ -66,8 +72,10 @@ __all__ = [
     "DimensionTree",
     "DimensionTreeKernel",
     "FactorGate",
+    "MultiSweepTreeKernel",
     "SweepCost",
     "dimtree_sweep_cost",
+    "multisweep_sweep_costs",
     "FusedSamplerCache",
     "FusedSweepCost",
     "SampledDimtreeKernel",

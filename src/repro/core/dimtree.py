@@ -25,9 +25,9 @@ Each root child is built with :func:`repro.core.kernels.gemm_mttkrp`, one
 BLAS GEMM between a free reshape of the tensor and the Khatri-Rao product of
 the modes it removes (the fast-gradient form of Phan, Tichavský and
 Cichocki, arXiv 1204.1586, that Tensor Toolbox's ``mttkrp`` uses), when the
-removed modes are a leading or trailing block of a C-contiguous tensor and
-``R`` is at most both the kept and the removed extent products; every other
-node contracts one mode at a time.  :func:`repro.core.kernels.dense_mttkrp`
+removed modes are one contiguous block of a C-contiguous tensor and ``R`` is
+at most both the kept and the removed extent products; every other node
+contracts one mode at a time.  :func:`repro.core.kernels.dense_mttkrp`
 (``kernel="auto"`` and the local step of the blocked and parallel
 algorithms) runs a single MTTKRP with the same GEMM where einsum's path
 would copy the tensor.  The ledger
@@ -48,9 +48,13 @@ cost equals the counted ledger exactly — the tests assert ``==``, not
 
 :class:`DimensionTreeKernel` runs the tree as the sweep kernel ``"dimtree"``:
 it builds the tree on a run's tensor, marks the sweeps and restores a
-checkpoint lazily.  The fused sampled kernel of
-:mod:`repro.core.sampled_dimtree` is a subclass that keeps that lifecycle
-and replaces only the step.
+checkpoint lazily.  Two subclasses keep that lifecycle.  The fused sampled
+kernel of :mod:`repro.core.sampled_dimtree` replaces only the step.
+:class:`MultiSweepTreeKernel`, ``"msdt"`` and the ``cp_als`` default, also
+reuses partials *across* sweeps on a 3-way tensor: each tensor read builds
+a two-mode node that serves two consecutive updates, which may belong to
+two sweeps, so a sweep reads the tensor ``3/2`` times on average instead of
+``2``; :func:`multisweep_sweep_costs` is its replay.
 """
 
 from __future__ import annotations
@@ -66,7 +70,13 @@ from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import ParameterError
 from repro.observe.instrument import add_cost, inc as observe_inc
 from repro.tensor.dense import as_ndarray
-from repro.utils.validation import check_factor_matrices, check_mode, check_rank, check_shape
+from repro.utils.validation import (
+    check_factor_matrices,
+    check_mode,
+    check_positive_int,
+    check_rank,
+    check_shape,
+)
 
 @dataclass(frozen=True)
 class SweepCost:
@@ -555,18 +565,15 @@ class DimensionTree:
         value, _, _ = self._value((mode,))
         return np.ascontiguousarray(value).copy()
 
-    # -- internals -----------------------------------------------------------
-    def _value(self, key: Tuple[int, ...]):
-        if key == self._root_key:
-            return self._data, self._root_key, False
-        complement = [k for k in range(self._n) if k not in key]
-        versions = tuple(self._versions[k] for k in complement)
-        entry = self._cache.get(key)
-        if entry is not None and entry[3] == versions:
-            observe_inc("dimtree.partial.hit")
-            return entry[0], entry[1], entry[2]
-        observe_inc("dimtree.partial.stale" if entry is not None else "dimtree.partial.miss")
-        parent_key = self._parents[key]
+    def derive(self, key: Tuple[int, ...], parent_key: Tuple[int, ...]) -> np.ndarray:
+        """Contract node ``key`` out of ``parent_key`` and charge the step.
+
+        ``parent_key`` is the root or a node, whose partial is served from
+        the cache when valid and otherwise recomputed and cached; the
+        result itself is not cached.  Both keys are sorted mode tuples, and
+        a node outside the halving tree hangs off the root: the multi-sweep
+        kernel serves its two-mode nodes this way.
+        """
         data, modes, has_rank = self._value(parent_key)
         removed = [k for k in parent_key if k not in key]
         rank = int(np.asarray(self._factors[removed[0]]).shape[1])
@@ -578,6 +585,24 @@ class DimensionTree:
             out = self._contract_chain(data, modes, removed, has_rank)
         # A GEMM step is charged as the single-mode chain it replaces.
         self._charge(_recompute_cost(self._data.shape, parent_key, key, rank))
+        return out
+
+    def drop_partials(self) -> None:
+        """Drop every cached partial; the factor versions stay as they are."""
+        self._cache.clear()
+
+    # -- internals -----------------------------------------------------------
+    def _value(self, key: Tuple[int, ...]):
+        if key == self._root_key:
+            return self._data, self._root_key, False
+        complement = [k for k in range(self._n) if k not in key]
+        versions = tuple(self._versions[k] for k in complement)
+        entry = self._cache.get(key)
+        if entry is not None and entry[3] == versions:
+            observe_inc("dimtree.partial.hit")
+            return entry[0], entry[1], entry[2]
+        observe_inc("dimtree.partial.stale" if entry is not None else "dimtree.partial.miss")
+        out = self.derive(key, self._parents.get(key, self._root_key))
         if self._cache_enabled:
             self._cache[key] = (out, key, True, versions)
         return out, key, True
@@ -649,9 +674,10 @@ class DimensionTreeKernel(SweepKernel):
     baseline the benchmarks compare the tree against.
 
     The fused sampled kernel
-    (:class:`~repro.core.sampled_dimtree.SampledDimtreeKernel`) is a
-    subclass: it keeps the tree lifecycle defined here — the (re)build on a
-    new tensor, the sweep marks, the lazy checkpoint restore — and extends
+    (:class:`~repro.core.sampled_dimtree.SampledDimtreeKernel`) and the
+    multi-sweep kernel (:class:`MultiSweepTreeKernel`) are subclasses: they
+    keep the tree lifecycle defined here — the (re)build on a new tensor,
+    the sweep marks, the lazy checkpoint restore.  The fused kernel extends
     :meth:`counters`, :meth:`_reset_run_state` and :meth:`_apply_pending`
     with its own state.
     """
@@ -745,3 +771,119 @@ class DimensionTreeKernel(SweepKernel):
             return []
         marks = self._sweep_marks + [self.counters()]
         return [later - earlier for earlier, later in zip(marks, marks[1:])]
+
+
+# ---------------------------------------------------------------------------
+# the multi-sweep dimension tree of a 3-way tensor
+# ---------------------------------------------------------------------------
+
+#: The root of a 3-way tensor, off which the multi-sweep nodes hang.
+_ROOT_3WAY = (0, 1, 2)
+
+
+def _runs_multisweep(shape: Sequence[int], rank: int) -> bool:
+    """Whether the multi-sweep schedule serves a tensor of ``shape`` at ``rank``.
+
+    A node that removes an extent below ``R`` is larger than the tensor, so
+    serving two updates from it costs more than a second tensor read: at
+    600x600x12, R=16 a steady sweep took 119 ms against the halving tree's
+    16 ms (one BLAS thread on a 2-CPU host).
+    """
+    return len(shape) == 3 and rank <= min(shape)
+
+
+def _multisweep_node(update: int) -> Optional[Tuple[int, ...]]:
+    """The two-mode node that serves ``update``, or ``None`` for update 0.
+
+    Odd update ``t`` builds node ``{t mod 3, (t + 1) mod 3}`` and is served
+    from it, and so is update ``t + 1``; update 0 reads the tensor itself.
+    """
+    if update == 0:
+        return None
+    first = update if update % 2 else update - 1
+    return tuple(sorted((first % 3, (first + 1) % 3)))
+
+
+def multisweep_sweep_costs(shape: Sequence[int], rank: int, n_sweeps: int) -> List[SweepCost]:
+    """Counted cost of each of the first ``n_sweeps`` sweeps of ``"msdt"``.
+
+    The replay of :class:`MultiSweepTreeKernel`, with the same per-step
+    charges as :func:`dimtree_sweep_cost`: on a 3-way shape with ``R`` at
+    most every extent sweep 1 costs what a halving-tree sweep costs, and
+    from sweep 2 on the sweeps alternate two full-tensor reads and one.  A
+    shape the schedule declines costs :func:`dimtree_sweep_cost` every
+    sweep.  The kernel's counted ledger equals this list exactly, whatever
+    the tensor's layout.
+    """
+    shape = check_shape(shape, min_ndim=2)
+    rank = check_rank(rank)
+    n_sweeps = check_positive_int(n_sweeps, "n_sweeps", minimum=0)
+    if not _runs_multisweep(shape, rank):
+        return [dimtree_sweep_cost(shape, rank)] * n_sweeps
+    costs = []
+    for sweep in range(n_sweeps):
+        cost = SweepCost()
+        for mode in range(3):
+            update = 3 * sweep + mode
+            node = _multisweep_node(update)
+            if node is None:
+                cost += _recompute_cost(shape, _ROOT_3WAY, (mode,), rank)
+                continue
+            if update % 2:
+                cost += _recompute_cost(shape, _ROOT_3WAY, node, rank)
+            cost += _recompute_cost(shape, node, (mode,), rank)
+        costs.append(cost)
+    return costs
+
+
+class MultiSweepTreeKernel(DimensionTreeKernel):
+    """The multi-sweep dimension tree: ``kernel="msdt"``, the ``cp_als`` default.
+
+    The schedule of Ma and Solomonik ("Efficient parallel CP decomposition
+    with pairwise perturbation and multi-sweep dimension tree", IPDPS 2021)
+    on a 3-way tensor.  Update ``t = 3 (s - 1) + m`` is mode ``m`` of sweep
+    ``s`` (from :meth:`begin_sweep`).  Update 0 reads its leaf off the
+    tensor, as the halving tree does.  Every odd update ``t`` contracts the
+    tensor with the factor that update ``t - 1`` has just replaced, into the
+    two-mode node ``{t mod 3, (t + 1) mod 3}``, and serves updates ``t`` and
+    ``t + 1`` from it with one single-mode step each; then the node is
+    dropped.  So one tensor read serves two updates: sweep 1 is bitwise the
+    halving tree's, and from sweep 2 on the sweeps alternate two tensor
+    reads and one, against two every sweep for ``"dimtree"``.  The node is
+    picked by position, never by what happens to be cached, so a retry after
+    :meth:`invalidate_caches`, or a resume, rebuilds the node the
+    uninterrupted run used.  At most one node is cached at a time.
+
+    The schedule runs on a 3-way tensor with ``R`` at most every extent, in
+    any layout: each of its tensor reads is one
+    :func:`repro.core.kernels.gemm_mttkrp` on a C-ordered tensor and a
+    one-mode contraction on any other, and both are charged alike.  Every
+    other input, and a call outside a sweep, runs the inherited halving
+    tree, bitwise equal to ``"dimtree"``.  :func:`multisweep_sweep_costs`
+    replays the counted ledger.  The kernel takes no options.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._sweep = 0
+
+    def begin_sweep(self, iteration: int) -> None:
+        super().begin_sweep(iteration)
+        self._sweep = int(iteration)
+
+    def mttkrp(
+        self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
+    ) -> np.ndarray:
+        data = as_ndarray(tensor)
+        self._bind(data, factors)
+        tree = self.tree
+        mode = check_mode(mode, data.ndim)
+        rank = tree.register_factors(factors, mode)
+        if not (self._sweep and _runs_multisweep(data.shape, rank)):
+            return tree.mttkrp(factors, mode)
+        update = 3 * (self._sweep - 1) + mode
+        node = _multisweep_node(update)
+        out = tree.derive((mode,), _ROOT_3WAY if node is None else node)
+        if update % 2 == 0:
+            tree.drop_partials()
+        return np.ascontiguousarray(out)

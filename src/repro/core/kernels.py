@@ -5,15 +5,17 @@ contraction as a single ``einsum`` with an optimised contraction path; the
 *result* is identical to the atomic N-ary-multiply definition (Definition
 2.1), only the association of the arithmetic differs.
 
-:func:`gemm_mttkrp` is the partial MTTKRP that keeps a leading or trailing
-block of modes, run as one BLAS GEMM between a free reshape of a C-contiguous
+:func:`gemm_mttkrp` is the partial MTTKRP that removes one contiguous block
+of modes, run as one BLAS GEMM between a free reshape of a C-contiguous
 tensor and the Khatri-Rao product of the removed modes' factors (Tensor
 Toolbox's ``mttkrp``, the fast-gradient form of Phan, Tichavský and
-Cichocki, arXiv 1204.1586).  It never permutes or copies the tensor, and it
+Cichocki, arXiv 1204.1586), or, for a block between kept modes, as one
+batched ``matmul``.  It never permutes or copies the tensor, and it
 declines (returns ``None``) whenever that is impossible or the Khatri-Rao
-product or the output would outgrow the tensor.  The dimension tree builds
-its root children with it; :func:`contract_mode_step`, which contracts one
-mode of a partial against its factor, builds every other node.
+product or the output would outgrow the tensor.  The dimension trees build
+every node they read off the tensor with it; :func:`contract_mode_step`,
+which contracts one mode of a partial against its factor, builds every
+other node.
 
 :func:`dense_mttkrp` is the one dense dispatch rule, shared by
 ``kernel="auto"`` and by :func:`local_mttkrp`.  A call runs as one
@@ -205,45 +207,49 @@ def gemm_mttkrp(
 ) -> Optional[np.ndarray]:
     """Partial MTTKRP keeping the modes ``kept``, as one GEMM, or ``None``.
 
-    Every mode not in ``kept`` (ascending) is contracted with its factor:
-    ``(KRP.T @ X_removed).T``, where ``KRP`` is the Khatri-Rao product of
-    the removed modes' factors (first mode slowest) and ``X_removed`` the
-    unfolding with the removed modes as rows: ``X.reshape(kept, -1).T`` when
-    ``kept`` leads and ``X.reshape(-1, kept)`` when it trails.  One BLAS
-    call, with no copy of a tensor in the factors' dtype and no rank-wide
-    partial of it; the
-    result, of shape ``(I_k for k in kept) + (R,)``, is a rank-major view,
-    the layout in which both this GEMM and the einsums that contract it
-    further run fastest.
+    Every mode not in ``kept`` (ascending) is contracted with its factor.
+    ``KRP`` is the Khatri-Rao product of the removed modes' factors (first
+    mode slowest).  When ``kept`` leads or trails, the result is
+    ``(KRP.T @ X_removed).T``, where ``X_removed`` is the unfolding with the
+    removed modes as rows: ``X.reshape(kept, -1).T`` when ``kept`` leads
+    and ``X.reshape(-1, kept)`` when it trails.  When the removed modes sit
+    between kept ones, it is ``matmul(KRP.T, X.reshape(left, removed,
+    right))``, one GEMM per index of the leading kept block.  Either way
+    there is no copy of a tensor in the factors' dtype and no rank-wide
+    partial of it; the result, of shape ``(I_k for k in kept) + (R,)``, is
+    a rank-major view, the layout in which both this product and the
+    einsums that contract it further run fastest.
 
-    ``kept`` must be a non-empty proper subset of the modes.  Returns
-    ``None``, and the caller contracts some other way, unless the guard
-    holds: ``data`` is C-contiguous (both unfoldings are free reshapes),
-    ``kept`` is a leading or trailing block of the modes, and ``R`` is at
-    most both the kept and the removed extent products, so that neither the
-    Khatri-Rao product nor the output outgrows the tensor.  The factors are
-    not checked here.
+    ``kept`` must be a non-empty proper subset of the modes, in ascending
+    order.  Returns ``None``, and the caller contracts some other way,
+    unless the guard holds: ``data`` is C-contiguous (every unfolding above
+    is a free reshape), the removed modes are one contiguous block, and
+    ``R`` is at most both the kept and the removed extent products, so that
+    neither the Khatri-Rao product nor the output outgrows the tensor.  The
+    factors are not checked here.
     """
     kept = tuple(kept)
     n_modes = data.ndim
     removed = [k for k in range(n_modes) if k not in kept]
     kept_size = math.prod(data.shape[k] for k in kept)
     removed_size = math.prod(data.shape[k] for k in removed)
-    leads = kept == tuple(range(len(kept)))
-    trails = kept == tuple(range(n_modes - len(kept), n_modes))
     if (
-        not (leads or trails)
+        removed != list(range(removed[0], removed[-1] + 1))
         or not data.flags.c_contiguous
         or rank > min(kept_size, removed_size)
     ):
         return None
     krp = khatri_rao([np.asarray(factors[k]) for k in removed])
-    if leads:
-        unfolding = data.reshape(kept_size, removed_size).T
+    kept_shape = tuple(data.shape[k] for k in kept)
+    if removed[-1] == n_modes - 1:  # kept leads
+        out = (krp.T @ data.reshape(kept_size, removed_size).T).T
+    elif removed[0] == 0:  # kept trails
+        out = (krp.T @ data.reshape(removed_size, kept_size)).T
     else:
-        unfolding = data.reshape(removed_size, kept_size)
-    out = (krp.T @ unfolding).T
-    return out.reshape(tuple(data.shape[k] for k in kept) + (rank,))
+        left = math.prod(data.shape[: removed[0]])
+        blocks = data.reshape(left, removed_size, kept_size // left)
+        out = np.matmul(krp.T, blocks).transpose(0, 2, 1)
+    return out.reshape(kept_shape + (rank,))
 
 
 def contract_mode_step(

@@ -9,10 +9,15 @@ the free one via the normal equations:
 The MTTKRP dominates the cost; which kernel evaluates it is selectable so the
 same driver exercises a registered kernel or a user-supplied (e.g. counted)
 one, such as the matmul baseline.  A caller who names no kernel gets the
-dimension tree (``kernel="dimtree"``), which shares partial contractions
-across the modes of a sweep (Section VII): it reads the tensor twice per
-sweep instead of ``N`` times.  ``"einsum"`` stays registered by name as the
-reference kernel and is the ``on_fault`` fallback.
+multi-sweep dimension tree (``kernel="msdt"``).  The dimension tree
+(``"dimtree"``) shares partial contractions across the modes of a sweep
+(Section VII), so it reads the tensor twice per sweep instead of ``N``
+times.  On a 3-way tensor with ``R`` at most every extent, the
+multi-sweep schedule also shares them across sweeps: after the first
+sweep, which is the tree's, sweeps read the tensor alternately twice and
+once.  Every other input runs the tree unchanged.  ``"einsum"`` stays
+registered by name as the reference kernel and is the ``on_fault``
+fallback.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from repro.backend.parallel import resolve_threads
 from repro.core.blocked_mttkrp import blocked_mttkrp
-from repro.core.dimtree import DimensionTreeKernel
+from repro.core.dimtree import DimensionTreeKernel, MultiSweepTreeKernel
 from repro.core.kernels import dense_mttkrp, mttkrp
 from repro.core.sweep_kernel import (
     PerCallKernel,
@@ -52,8 +57,9 @@ _KERNELS = {
 
 #: Kernel names resolvable by :func:`cp_als` (``"sampled"``, ``"sampled-tree"``
 #: and ``"sampled-dimtree"`` are registered lazily — see
-#: :func:`_resolve_kernel`; ``"dimtree"``, the default, is the sweep-aware
-#: dimension-tree engine of :mod:`repro.core.dimtree`; ``"einsum"`` is the
+#: :func:`_resolve_kernel`; ``"dimtree"`` is the sweep-aware dimension-tree
+#: engine of :mod:`repro.core.dimtree`, and ``"msdt"``, the default, its
+#: multi-sweep schedule on 3-way tensors; ``"einsum"`` is the
 #: reference kernel and the ``on_fault`` fallback; ``"sampled-dimtree"`` is
 #: the fused sampled engine of :mod:`repro.core.sampled_dimtree` that serves
 #: leverage draws from the tree's cached partial contractions; ``"blocked"``
@@ -66,6 +72,7 @@ KERNEL_NAMES = (
     "einsum",
     "blocked",
     "auto",
+    "msdt",
     "dimtree",
     "sampled",
     "sampled-tree",
@@ -244,10 +251,10 @@ def _resolve_kernel(
     if isinstance(kernel, SweepKernel) or callable(kernel):
         return as_sweep_kernel(kernel)
     check_kernel_name(kernel, KERNEL_NAMES)
-    if kernel == "dimtree":
+    if kernel in ("msdt", "dimtree"):
         # A fresh engine per run: the tree binds to the run's tensor on the
         # first call and caches partial contractions across the whole run.
-        return DimensionTreeKernel()
+        return MultiSweepTreeKernel() if kernel == "msdt" else DimensionTreeKernel()
     if kernel == "sampled-dimtree":
         # The fused engine: leverage draws served from the dimension tree's
         # cached partial contractions (lazy import for the same layering
@@ -286,7 +293,7 @@ def cp_als(
     tol: float = 1e-7,
     init: Union[str, Sequence[np.ndarray]] = "random",
     seed: Union[None, int, np.random.Generator] = None,
-    kernel: Union[str, MTTKRPKernel] = "dimtree",
+    kernel: Union[str, MTTKRPKernel] = "msdt",
     threads: Optional[int] = None,
     on_fault: str = "raise",
     checkpoint_store: Optional[CheckpointStore] = None,
@@ -320,10 +327,14 @@ def cp_als(
         Which MTTKRP kernel to use: a name from :data:`KERNEL_NAMES`, a
         per-call callable, or a :class:`~repro.core.sweep_kernel.SweepKernel`
         instance (the driver announces sweep starts and factor updates to
-        sweep-aware kernels).  The default ``"dimtree"`` caches partial
-        contractions across the sweep via
-        :class:`~repro.core.dimtree.DimensionTreeKernel`, and a checkpoint
-        of it carries the cached partials; ``"einsum"`` is the reference
+        sweep-aware kernels).  The default ``"msdt"``
+        (:class:`~repro.core.dimtree.MultiSweepTreeKernel`) contracts a
+        3-way tensor with ``R`` at most every extent once per two mode
+        updates, across sweep boundaries, and runs every other input
+        as ``"dimtree"``
+        (:class:`~repro.core.dimtree.DimensionTreeKernel`), which caches
+        partial contractions across the sweep.  A checkpoint of either
+        carries the cached partials; ``"einsum"`` is the reference
         kernel.  Residual gating of the cached partials (see
         :class:`~repro.core.dimtree.FactorGate`) is an option of a kernel
         instance, e.g. ``DimensionTreeKernel(invalidation="residual")``.
@@ -376,7 +387,7 @@ def cp_als(
     )
     # One read of the tensor before sweep 1: its norm is NaN or Inf whenever
     # an entry is, and only then does the full scan run (for the error).
-    norm_x = float(np.linalg.norm(data.ravel()))
+    norm_x = float(np.linalg.norm(data.ravel(order="K")))
     if not np.isfinite(norm_x):
         _check_finite("tensor", data)
     sweep_kernel = _resolve_kernel(kernel, seed, threads)

@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence
 from repro.experiments.report import format_table
 
 #: Kernels the traced run can exercise (`--procs 0` runs them sequentially,
-#: `--procs P` on the simulated machine).
-TRACE_KERNELS = ("dimtree", "sampled-dimtree")
+#: `--procs P` on the simulated machine; ``"msdt"`` has no distributed form).
+TRACE_KERNELS = ("dimtree", "msdt", "sampled-dimtree")
 
 
 def build_trace_report_parser() -> argparse.ArgumentParser:
@@ -174,8 +174,8 @@ def _check_drift(session, args, grid) -> "object":
         return parallel_words_drift(
             session, shape, args.rank, grid, kernel=args.kernel
         )
-    if args.kernel == "dimtree":
-        return dimtree_drift(session, shape, args.rank)
+    if args.kernel in ("dimtree", "msdt"):
+        return dimtree_drift(session, shape, args.rank, kernel=args.kernel)
     return fused_drift(session, shape, args.rank)
 
 
@@ -184,6 +184,9 @@ def trace_report_main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_trace_report_parser().parse_args(argv)
     if args.sweeps < 1:
         print("trace-report: --sweeps must be at least 1", file=sys.stderr)
+        return 2
+    if args.kernel == "msdt" and args.procs > 0:
+        print("trace-report: --kernel msdt runs sequentially only (--procs 0)", file=sys.stderr)
         return 2
     session, grid = _traced_run(args)
 

@@ -6,8 +6,10 @@ hand-written per-PR tests; this module turns it into a runtime check over
 any traced run, generalizing the reconciliation pattern of
 :mod:`repro.sketch.parallel.reconcile`:
 
-* :func:`dimtree_drift` — per-sweep traced flops/words of the exact
-  dimension-tree kernel vs :func:`repro.core.dimtree.dimtree_sweep_cost`;
+* :func:`dimtree_drift` — per-sweep traced flops/words of an exact
+  dimension-tree kernel vs its per-sweep replay:
+  :func:`repro.core.dimtree.dimtree_sweep_cost` for ``"dimtree"``,
+  :func:`repro.core.dimtree.multisweep_sweep_costs` for ``"msdt"``;
 * :func:`fused_drift` — per-sweep traced flops/words of the fused sampled
   kernel vs :func:`repro.costmodel.fused_model.sampled_dimtree_sweep_cost`,
   fed the per-mode ``n_draws`` / ``distinct_rows`` the kernel annotated onto
@@ -121,21 +123,33 @@ def _sweep_spans(session: TraceSession) -> List[SpanRecord]:
     return sorted(session.spans_named("sweep"), key=lambda span: span.span_id)
 
 
-def dimtree_drift(session: TraceSession, shape: Sequence[int], rank: int) -> DriftReport:
-    """Per-sweep flops/words of a traced exact dimtree run vs the model.
+def dimtree_drift(
+    session: TraceSession, shape: Sequence[int], rank: int, *, kernel: str = "dimtree"
+) -> DriftReport:
+    """Per-sweep flops/words of a traced exact tree run vs the model.
 
-    Every ``"sweep"`` span's accrued flops and words are held against
-    :func:`repro.core.dimtree.dimtree_sweep_cost`, the cost of every sweep,
-    the cold-cache first one included — zero drift is the expected outcome
-    on every sweep of a run under the default ``invalidation="exact"``, not
-    just steady state.  A residual-gated run skips recomputations the model
-    charges, so it shows as drift.
+    Every ``"sweep"`` span's accrued flops and words are held against the
+    same sweep of the kernel's replay, the cold-cache first one included:
+    :func:`repro.core.dimtree.dimtree_sweep_cost` for every sweep of
+    ``kernel="dimtree"``, and :func:`repro.core.dimtree.multisweep_sweep_costs`
+    for ``kernel="msdt"``, whose sweeps differ.  Zero drift is the expected
+    outcome on every sweep of a run under the default
+    ``invalidation="exact"``, not just steady state.  A residual-gated run
+    skips recomputations the model charges, so it shows as drift.
     """
-    from repro.core.dimtree import dimtree_sweep_cost
+    from repro.core.dimtree import dimtree_sweep_cost, multisweep_sweep_costs
 
-    report = DriftReport(kernel="dimtree")
-    model = dimtree_sweep_cost(shape, rank)
-    for index, span in enumerate(_sweep_spans(session)):
+    spans = _sweep_spans(session)
+    if kernel == "dimtree":
+        models = [dimtree_sweep_cost(shape, rank)] * len(spans)
+    elif kernel == "msdt":
+        models = multisweep_sweep_costs(shape, rank, len(spans))
+    else:
+        raise ValueError(
+            f"no sweep replay for kernel {kernel!r} (supported: 'dimtree', 'msdt')"
+        )
+    report = DriftReport(kernel=kernel)
+    for index, (span, model) in enumerate(zip(spans, models)):
         phase = f"sweep[{index}]"
         report.records.append(DriftRecord(phase, "flops", span.flops, model.flops))
         report.records.append(DriftRecord(phase, "words", span.words, model.words))

@@ -212,7 +212,10 @@ def poison_kernel_cache(kernel, value: float = np.nan) -> bool:
     sequential tree kernels) or per-rank trees (``kernel._trees``, the
     distributed ones); returns whether any partial was poisoned.  Poison
     after a sweep's first MTTKRP so at least one partial is *served* (not
-    recomputed) by the remaining mode updates.
+    recomputed) by the remaining mode updates.  The multi-sweep kernel
+    (``"msdt"``) holds a node only after an odd update: poison it after the
+    first MTTKRP of an even sweep, where the cached node is served next (in
+    sweep 1 and every later odd sweep its cache is empty at that point).
     """
     trees = []
     tree = getattr(kernel, "tree", None)

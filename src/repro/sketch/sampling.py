@@ -270,7 +270,7 @@ def draw_krp_samples(
     mode: int,
     n_draws: int,
     *,
-    distribution: str = "leverage",
+    distribution: str = "product-leverage",
     seed: SeedLike = None,
 ) -> SampleSet:
     """Draw ``n_draws`` Khatri-Rao rows i.i.d. and aggregate distinct rows.
@@ -284,13 +284,13 @@ def draw_krp_samples(
     n_draws:
         Number of draws with replacement.
     distribution:
-        ``"uniform"``, ``"leverage"`` (exact Khatri-Rao leverage scores,
-        drawn against the materialized length-``J`` score vector),
-        ``"product-leverage"`` (per-factor leverage scores, sampled
-        independently per mode — never materializes a length-``J`` vector),
-        or ``"tree-leverage"`` (the segment-tree sampler of
-        :mod:`repro.sketch.treesample` — exact leverage draws that also
-        never materialize a length-``J`` vector).
+        ``"product-leverage"`` (the default, as for every sampled entry
+        point: per-factor leverage scores, sampled independently per mode —
+        never materializes a length-``J`` vector), ``"uniform"``,
+        ``"leverage"`` (exact Khatri-Rao leverage scores, drawn against the
+        materialized length-``J`` score vector), or ``"tree-leverage"``
+        (the segment-tree sampler of :mod:`repro.sketch.treesample` — exact
+        leverage draws that also never materialize a length-``J`` vector).
     seed:
         Seed or generator for reproducibility.
     """

@@ -81,7 +81,7 @@ class DenseTensor:
     # -- numerics ---------------------------------------------------------
     def norm(self) -> float:
         """Frobenius norm of the tensor."""
-        return float(np.linalg.norm(self.data.ravel()))
+        return float(np.linalg.norm(self.data.ravel(order="K")))
 
     def copy(self) -> "DenseTensor":
         """Deep copy of the tensor."""

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.dimtree import DimensionTree, DimensionTreeKernel, SweepCost, dimtree_sweep_cost
+from repro.core.dimtree import (
+    DimensionTree,
+    DimensionTreeKernel,
+    MultiSweepTreeKernel,
+    SweepCost,
+    dimtree_sweep_cost,
+    multisweep_sweep_costs,
+)
 from repro.core.kernels import gemm_mttkrp
 from repro.core.reference import mttkrp_reference
 from repro.core.sweep_kernel import PerCallKernel, SweepKernel, as_sweep_kernel, check_kernel_name
@@ -298,17 +305,38 @@ class TestRootGemm:
         assert session.metrics.counter(f"dimtree.root.{path}") == 2
         assert session.metrics.counter(f"dimtree.root.{other}") == 0
 
-    @pytest.mark.parametrize("kept", [(1,), (0, 2), (1, 2), (0, 1, 3)])
-    def test_gemm_declines_a_kept_set_inside_the_modes(self, kept):
-        """A kept set that is neither a leading nor a trailing block has no
-        free unfolding: the GEMM returns ``None``, though it takes the
-        leading and the trailing block of the same size."""
+    @pytest.mark.parametrize("kept", [(1,), (0, 2), (1, 2)])
+    def test_gemm_declines_a_removed_set_in_two_pieces(self, kept):
+        """Removed modes on both sides of a kept one have no free unfolding:
+        the GEMM returns ``None``, though it takes the leading and the
+        trailing kept block of the same size."""
         tensor, factors = problem((12, 4, 4, 3), 3, seed=31)
         data = as_ndarray(tensor)
         assert gemm_mttkrp(data, factors, kept, 3) is None
         size = len(kept)
         for block in (tuple(range(size)), tuple(range(4 - size, 4))):
             assert gemm_mttkrp(data, factors, block, 3) is not None
+
+    @pytest.mark.parametrize(
+        "shape,kept",
+        [((12, 4, 4, 3), (0, 3)), ((12, 4, 4, 3), (0, 1, 3)), ((12, 4, 4, 3), (0, 2, 3)),
+         ((9, 8, 7), (0, 2))],
+    )
+    def test_gemm_takes_a_removed_block_between_kept_modes(self, shape, kept):
+        """A removed block between kept modes is taken, and the result
+        equals the einsum contraction."""
+        tensor, factors = problem(shape, 3, seed=31)
+        data = as_ndarray(tensor)
+        out = gemm_mttkrp(data, factors, kept, 3)
+        letters = "abcd"[: len(shape)]
+        removed = [k for k in range(len(shape)) if k not in kept]
+        spec = (
+            letters + "," + ",".join(letters[k] + "z" for k in removed)
+            + "->" + "".join(letters[k] for k in kept) + "z"
+        )
+        expected = np.einsum(spec, data, *[factors[k] for k in removed])
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     def test_steady_sweep_peak_stays_below_tensor_bytes(self):
         """Regression: the chain's first partial of this shape is R / I_3 = 1.33x
@@ -324,3 +352,101 @@ class TestRootGemm:
         finally:
             tracemalloc.stop()
         assert peak < as_ndarray(tensor).nbytes
+
+
+#: ``(shape, rank, memory order)`` inputs the multi-sweep schedule declines,
+#: each for one reason: four modes, two modes, and ``R`` above an extent.
+DECLINED_CASES = [
+    pytest.param((6, 5, 4, 3), 3, "C", id="4way"),
+    pytest.param((12, 10), 3, "C", id="2way"),
+    pytest.param((4, 5, 6), 5, "C", id="rank-above-extent"),
+]
+
+
+def run_als(kernel, shape, rank, sweeps, order="C", seed=60):
+    tensor = in_order(noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=seed), order)
+    return cp_als(tensor, rank, n_iter_max=sweeps, tol=0.0, seed=seed + 1, kernel=kernel)
+
+
+class TestMultiSweepTree:
+    """``kernel="msdt"``: one tensor read serves two updates on 3-way inputs."""
+
+    @pytest.mark.parametrize("shape,rank", [((9, 8, 7), 3), ((30, 40, 50), 4)])
+    @pytest.mark.parametrize("sweeps", range(1, 7))
+    def test_ledger_equals_the_replay(self, shape, rank, sweeps):
+        kernel = MultiSweepTreeKernel()
+        run_als(kernel, shape, rank, sweeps)
+        assert kernel.per_sweep_costs() == multisweep_sweep_costs(shape, rank, sweeps)
+
+    def test_root_reads_alternate_after_the_first_sweep(self):
+        kernel = MultiSweepTreeKernel()
+        run_als(kernel, (9, 8, 7), 3, 5)
+        assert [cost.root_reads for cost in kernel.per_sweep_costs()] == [2, 2, 1, 2, 1]
+        assert kernel.per_sweep_costs()[0] == dimtree_sweep_cost((9, 8, 7), 3)
+
+    def test_a_fortran_ordered_tensor_takes_the_schedule(self):
+        """The layout does not decide: every read runs one mode at a time,
+        and the ledger is the replay's, as on a C-ordered tensor."""
+        kernel = MultiSweepTreeKernel()
+        with tracing() as session:
+            run_als(kernel, (9, 8, 7), 3, 5, order="F")
+        assert kernel.per_sweep_costs() == multisweep_sweep_costs((9, 8, 7), 3, 5)
+        assert session.metrics.counter("dimtree.root.gemm") == 0
+        assert session.metrics.counter("dimtree.root.chain") == 8
+
+    @pytest.mark.parametrize("shape,rank,order", DECLINED_CASES)
+    def test_declined_inputs_run_the_halving_tree(self, shape, rank, order):
+        """Ledger, fits and factors of ``"dimtree"``, bit for bit."""
+        kernel = MultiSweepTreeKernel()
+        ours = run_als(kernel, shape, rank, 4, order)
+        theirs = run_als("dimtree", shape, rank, 4, order)
+        assert kernel.per_sweep_costs() == [dimtree_sweep_cost(shape, rank)] * 4
+        assert ours.fits == theirs.fits
+        for a, b in zip(ours.model.factors, theirs.model.factors):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape,rank", [((6, 5, 4, 3), 3), ((12, 10), 3), ((4, 5, 6), 5)])
+    def test_replay_of_a_declined_shape_is_the_halving_tree(self, shape, rank):
+        assert multisweep_sweep_costs(shape, rank, 3) == [dimtree_sweep_cost(shape, rank)] * 3
+        assert multisweep_sweep_costs(shape, rank, 0) == []
+
+    def test_at_most_one_two_mode_node_is_cached(self):
+        """After each update the cache holds the node the next update reads,
+        or nothing: update 0 and every even update leave it empty."""
+        shape, rank = (9, 8, 7), 3
+        kernel = MultiSweepTreeKernel()
+        held = []
+
+        class Watch(SweepKernel):
+            def begin_sweep(self, iteration):
+                kernel.begin_sweep(iteration)
+
+            def mttkrp(self, tensor, factors, mode):
+                out = kernel.mttkrp(tensor, factors, mode)
+                held.append(kernel.tree.cached_words())
+                return out
+
+        run_als(Watch(), shape, rank, 4)
+        node_words = {update: shape[update % 3] * shape[(update + 1) % 3] * rank
+                      for update in range(1, 12, 2)}
+        assert held == [node_words.get(update, 0) for update in range(12)]
+
+    def test_a_call_outside_a_sweep_runs_the_halving_tree(self):
+        tensor, factors = problem((9, 8, 7), 3, seed=62)
+        ours, theirs = MultiSweepTreeKernel(), DimensionTreeKernel()
+        for mode in range(3):
+            assert np.array_equal(
+                ours.mttkrp(tensor, factors, mode), theirs.mttkrp(tensor, factors, mode)
+            )
+        assert ours.counters() == theirs.counters()
+
+    def test_a_reused_instance_repeats_its_run(self):
+        """A second run on the same tensor starts over at update 0, though
+        the first run left the node of its next update cached."""
+        tensor = noisy_low_rank_tensor((9, 8, 7), 3, noise_level=0.02, seed=63)
+        kernel = MultiSweepTreeKernel()
+        first = cp_als(tensor, 3, n_iter_max=4, tol=0.0, seed=64, kernel=kernel)
+        assert kernel.tree.cached_words() > 0
+        second = cp_als(tensor, 3, n_iter_max=4, tol=0.0, seed=64, kernel=kernel)
+        assert first.fits == second.fits
+        assert kernel.per_sweep_costs()[4:] == multisweep_sweep_costs((9, 8, 7), 3, 4)

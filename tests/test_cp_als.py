@@ -1,6 +1,7 @@
 """Unit tests for the CP-ALS driver."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,8 +199,9 @@ class TestCPALSOptions:
 
 
 #: Inputs of the default-kernel checks: 3-, 4- and 2-way C-ordered tensors,
-#: whose root children the tree builds as one GEMM, and a Fortran-ordered
-#: one, whose root children take the one-mode-at-a-time chain.
+#: whose tensor reads run as one GEMM, and a Fortran-ordered 3-way one,
+#: whose reads take the one-mode-at-a-time chain.  ``3way`` and ``fortran``
+#: take the multi-sweep schedule; the others run the halving tree.
 DEFAULT_KERNEL_INPUTS = {
     "3way": noisy_low_rank_tensor((9, 8, 7), 3, noise_level=0.02, seed=50),
     "4way": noisy_low_rank_tensor((6, 5, 4, 3), 3, noise_level=0.02, seed=51),
@@ -210,22 +212,66 @@ DEFAULT_KERNEL_INPUTS = {
 }
 
 
-class TestDefaultKernel:
-    """``cp_als`` without ``kernel=`` runs the dimension tree."""
+def _assert_bitwise(ours, theirs):
+    assert ours.fits == theirs.fits
+    assert ours.mttkrp_calls == theirs.mttkrp_calls
+    assert ours.model.weights.tobytes() == theirs.model.weights.tobytes()
+    for a, b in zip(ours.model.factors, theirs.model.factors):
+        assert a.tobytes() == b.tobytes()
 
-    def test_default_is_dimtree(self):
-        assert inspect.signature(cp_als).parameters["kernel"].default == "dimtree"
+
+class TestDefaultKernel:
+    """``cp_als`` without ``kernel=`` runs the multi-sweep dimension tree."""
+
+    def test_default_is_msdt(self):
+        assert inspect.signature(cp_als).parameters["kernel"].default == "msdt"
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_KERNEL_INPUTS))
-    def test_default_is_bitwise_dimtree(self, name):
+    def test_default_against_dimtree(self, name):
+        """Bitwise ``"dimtree"`` wherever the schedule declines, and on the
+        first sweep of a 3-way input; after it, within 1e-12 relative."""
         tensor = DEFAULT_KERNEL_INPUTS[name]
         with tracing() as session:
             default = cp_als(tensor, 3, n_iter_max=6, tol=0.0, seed=54)
         named = cp_als(tensor, 3, n_iter_max=6, tol=0.0, seed=54, kernel="dimtree")
         root = "dimtree.root.chain" if name == "fortran" else "dimtree.root.gemm"
         assert session.metrics.counter(root) > 0
-        assert default.fits == named.fits
-        assert default.mttkrp_calls == named.mttkrp_calls
-        assert default.model.weights.tobytes() == named.model.weights.tobytes()
+        if name in ("2way", "4way"):
+            _assert_bitwise(default, named)
+            return
+        _assert_bitwise(
+            cp_als(tensor, 3, n_iter_max=1, tol=0.0, seed=54),
+            cp_als(tensor, 3, n_iter_max=1, tol=0.0, seed=54, kernel="dimtree"),
+        )
+        assert default.fits == pytest.approx(named.fits, rel=1e-12, abs=0)
         for a, b in zip(default.model.factors, named.model.factors):
-            assert a.tobytes() == b.tobytes()
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_tensor_reads_per_sweep(self):
+        """The default reads a 3-way tensor twice in sweeps 1 and 2, then
+        alternately once and twice: the ``dimtree.root.gemm`` counter."""
+        tensor = DEFAULT_KERNEL_INPUTS["3way"]
+        reads = []
+        for sweeps in range(1, 6):
+            with tracing() as session:
+                cp_als(tensor, 3, n_iter_max=sweeps, tol=0.0, seed=54)
+            reads.append(session.metrics.counter("dimtree.root.gemm"))
+        assert np.diff([0] + reads).tolist() == [2, 2, 1, 2, 1]
+
+
+def test_norm_of_a_fortran_ordered_tensor_copies_nothing():
+    """``||X||`` reads the tensor in memory order: a Fortran-ordered input is
+    not copied before sweep 1, so a sweep whose kernel allocates nothing
+    peaks below the tensor's bytes."""
+    tensor = np.asfortranarray(random_tensor((40, 30, 20), seed=55).data)
+
+    def stub(data, factors, mode):
+        return np.ones((data.shape[mode], 2))
+
+    tracemalloc.start()
+    try:
+        cp_als(tensor, 2, n_iter_max=1, tol=0.0, seed=56, kernel=stub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor.nbytes

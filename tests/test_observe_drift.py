@@ -9,9 +9,10 @@ sweep), the fused sampled-dimtree kernel (driven by the ``n_draws`` /
 (per-sweep collective words against the predicted machine ledgers).
 """
 
+import numpy as np
 import pytest
 
-from repro.core.dimtree import DimensionTreeKernel, dimtree_sweep_cost
+from repro.core.dimtree import DimensionTreeKernel, MultiSweepTreeKernel, dimtree_sweep_cost
 from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.cp.als import cp_als
 from repro.cp.parallel_als import parallel_cp_als
@@ -99,6 +100,32 @@ class TestSequentialDrift:
         assert len(report.records) == 2 * SWEEPS
         assert report.ok, report.to_dict()
         assert report.max_abs_drift == 0
+
+    @pytest.mark.parametrize(
+        "shape,order",
+        [(SHAPE, "C"), (SHAPE, "F"), ((6, 5, 4, 3), "C")],
+        ids=["3way", "3way-fortran", "4way-declined"],
+    )
+    def test_msdt_traced_spans_match_its_replay_sweep_by_sweep(self, shape, order):
+        """The multi-sweep sweeps differ from each other, and each matches
+        its own entry of the replay, in either layout; a declined shape
+        matches the halving tree's every sweep."""
+        tensor = noisy_low_rank_tensor(shape, RANK, noise_level=0.05, seed=0)
+        if order == "F":
+            tensor = np.asfortranarray(tensor.data)
+        with tracing() as session:
+            cp_als(tensor, RANK, n_iter_max=5, tol=0.0, seed=1, kernel=MultiSweepTreeKernel())
+        report = dimtree_drift(session, shape, RANK, kernel="msdt")
+        assert report.kernel == "msdt"
+        assert len(report.records) == 2 * 5
+        assert report.ok, report.to_dict()
+        halving = dimtree_drift(session, shape, RANK)
+        assert halving.ok == (len(shape) == 4)
+
+    def test_unknown_tree_kernel_rejected(self):
+        session = traced_sequential(DimensionTreeKernel())
+        with pytest.raises(ValueError, match="msdt"):
+            dimtree_drift(session, SHAPE, RANK, kernel="sampled-dimtree")
 
     def test_fused_traced_spans_match_model_exactly(self):
         session = traced_sequential(SampledDimtreeKernel(n_samples=32, seed=3))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.dimtree import DimensionTreeKernel
+from repro.core.dimtree import DimensionTreeKernel, MultiSweepTreeKernel
 from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.cp.als import KERNEL_NAMES, _kernel_seed, cp_als
@@ -187,6 +187,29 @@ def test_kernel_factory_resume_bitwise_identical(stop_at):
     assert resumed.fits == full.fits
     for a, b in zip(resumed.model.factors, full.model.factors):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("stop_at", range(1, 6))
+def test_msdt_resume_bitwise_after_every_sweep(stop_at):
+    """Under ``"msdt"`` a checkpoint after an even sweep holds the two-mode
+    node the next update is served from, and one after an odd sweep holds
+    none: a kill after each of sweeps 1-5 resumes the uninterrupted run
+    bitwise, and its ledger goes on where it stopped."""
+    tensor = _tensor(2)
+    kwargs = dict(n_iter_max=6, tol=0.0, seed=2)
+    store = CheckpointStore()
+    full_kernel = MultiSweepTreeKernel()
+    full = cp_als(tensor, RANK, kernel=full_kernel, checkpoint_store=store, **kwargs)
+    checkpoint = store.at_sweep(stop_at)
+    assert bool(checkpoint.kernel_state["tree"]["cache"]) == (stop_at % 2 == 0)
+    kernel = MultiSweepTreeKernel()
+    resumed = cp_als(tensor, RANK, kernel=kernel, resume_from=checkpoint, **kwargs)
+    assert resumed.fits == full.fits
+    assert np.array_equal(resumed.model.weights, full.model.weights)
+    for a, b in zip(resumed.model.factors, full.model.factors):
+        assert np.array_equal(a, b)
+    assert kernel.counters() == full_kernel.counters()
+    assert kernel.per_sweep_costs() == full_kernel.per_sweep_costs()[stop_at:]
 
 
 @settings(

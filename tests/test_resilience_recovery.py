@@ -16,7 +16,7 @@ Three recovery surfaces of the drivers:
 import numpy as np
 import pytest
 
-from repro.core.dimtree import DimensionTreeKernel
+from repro.core.dimtree import DimensionTreeKernel, MultiSweepTreeKernel
 from repro.core.kernels import mttkrp
 from repro.core.sweep_kernel import SweepKernel
 from repro.cp.als import cp_als
@@ -41,18 +41,20 @@ def _tensor(seed=0):
 
 
 class PoisoningKernel(SweepKernel):
-    """Dimtree kernel whose cache is silently corrupted mid-sweep.
+    """Tree kernel whose cache is silently corrupted mid-sweep.
 
-    Poisons every cached partial right after the target sweep's SECOND
-    MTTKRP — for the default 3-way split ``((0,), (1, 2))`` the ``(1, 2)``
-    partial is computed by mode 1's call and *served* to mode 2's, so the
-    corruption reaches a driver-visible output instead of being recomputed
-    over.
+    Poisons every cached partial right after the target sweep's
+    ``poison_call``-th MTTKRP.  By default that is the SECOND call of a
+    ``"dimtree"`` kernel: for the 3-way split ``((0,), (1, 2))`` the
+    ``(1, 2)`` partial is computed by mode 1's call and *served* to mode
+    2's, so the corruption reaches a driver-visible output instead of being
+    recomputed over.
     """
 
-    def __init__(self, poison_sweep=2):
-        self.inner = DimensionTreeKernel()
+    def __init__(self, poison_sweep=2, inner=None, poison_call=2):
+        self.inner = DimensionTreeKernel() if inner is None else inner
         self.poison_sweep = int(poison_sweep)
+        self.poison_call = int(poison_call)
         self.poisoned = False
         self._sweep = 0
         self._calls_in_sweep = 0
@@ -71,7 +73,7 @@ class PoisoningKernel(SweepKernel):
         if (
             not self.poisoned
             and self._sweep == self.poison_sweep
-            and self._calls_in_sweep == 2
+            and self._calls_in_sweep == self.poison_call
         ):
             self.poisoned = poison_kernel_cache(self.inner)
         return out
@@ -134,6 +136,25 @@ class TestOnFaultPolicies:
             assert counters["recovery.degraded"] >= 1
         spans = session.spans_named("recovery")
         assert spans and spans[0].attrs["policy"] == policy
+
+    def test_retry_rebuilds_the_poisoned_multisweep_node(self):
+        """Sweep 2's first update builds the two-mode node ``(0, 1)`` and
+        its second is served from it: poisoned between the two, the node is
+        rebuilt by position on the retry, and the recovered run is bitwise
+        the clean one."""
+        tensor = _tensor()
+        clean = cp_als(tensor, RANK, n_iter_max=4, tol=0.0, seed=0, kernel="msdt")
+        kernel = PoisoningKernel(inner=MultiSweepTreeKernel(), poison_call=1)
+        with tracing() as session:
+            recovered = cp_als(
+                tensor, RANK, n_iter_max=4, tol=0.0, seed=0, kernel=kernel,
+                on_fault="retry",
+            )
+        assert kernel.poisoned
+        assert session.metrics.counter("recovery.recovered") == 1
+        assert recovered.fits == clean.fits
+        for a, b in zip(recovered.model.factors, clean.model.factors):
+            assert np.array_equal(a, b)
 
     def test_retry_on_cacheless_kernel_degrades(self):
         """A per-call kernel has no cache to invalidate; retry falls through."""

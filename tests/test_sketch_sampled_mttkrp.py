@@ -170,12 +170,14 @@ def _call_sampled(entry, tensor, factors, rng, machine, **options):
 
 def test_sampled_entry_points_share_one_default_distribution():
     """The same call moved between the sequential kernel, the distributed
-    one, its reconciliation or the kernel factory draws from one distribution."""
+    one, its reconciliation, the kernel factory or the bare draw draws from
+    one distribution."""
     entry_points = [
         sampled_mttkrp,
         parallel_sampled_mttkrp,
         reconcile_sampled_mttkrp,
         make_sampled_kernel,
+        draw_krp_samples,
     ]
     defaults = {
         fn.__name__: inspect.signature(fn).parameters["distribution"].default

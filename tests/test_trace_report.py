@@ -93,6 +93,21 @@ class TestTraceReportCLI:
         out = capsys.readouterr().out
         assert "drift check (parallel-dimtree, parallel words): OK" in out
 
+    @pytest.mark.parametrize("shape", [["8", "9", "10"], ["12", "4", "4", "3"]])
+    def test_msdt_drift_check(self, shape, capsys):
+        """The multi-sweep kernel is held to its own replay, on a shape it
+        serves and on one it declines."""
+        code = main(
+            ["trace-report", "--kernel", "msdt", "--shape", *shape, "--rank", "3",
+             "--sweeps", "5", "--check-drift"]
+        )
+        assert code == 0
+        assert "drift check (msdt, flops/words): OK" in capsys.readouterr().out
+
+    def test_msdt_on_the_machine_exits_2(self, capsys):
+        assert main(["trace-report", "--kernel", "msdt", "--procs", "4"]) == 2
+        assert "--kernel msdt" in capsys.readouterr().err
+
     def test_bad_sweep_count_exits_2(self, capsys):
         assert main(["trace-report", "--sweeps", "0"]) == 2
         assert "--sweeps" in capsys.readouterr().err
