@@ -1,40 +1,37 @@
-"""Timed MTTKRP kernel races: sparse chunked vs. legacy, dense einsum vs. blocked vs. auto.
+"""Timed dense MTTKRP kernel races: einsum vs. blocked vs. auto.
 
 Records ``benchmarks/BENCH_kernels_timed.json`` (a *timed* record like
 ``als_dimtree_timing.json``: wall-clock numbers vary run to run, so the file
-is gitignored and never byte-checked in CI).  Sparse rows race the unchunked
-reference kernel against the chunked kernel (for the threaded rows, at every
-requested thread count); dense rows race, in every mode, the monolithic
-einsum kernel, the cache-blocked tiled GEMM of
+is gitignored and never byte-checked in CI).  Each row races, in every mode,
+the monolithic einsum kernel, the cache-blocked tiled GEMM of
 :mod:`repro.core.blocked_mttkrp` (at every requested thread count) and the
 ``kernel="auto"`` rule :func:`repro.core.kernels.dense_mttkrp`, recording one
 entry per (row, mode).  Every candidate takes the median of at least three
 repetitions (:func:`repro.observe.median_time`) with per-repetition p50/p99
 sourced from the tracer's span histograms.  No wall-clock model predicts
-these winners: the chunk and tile sizes come from the machine model of
+these winners: the tile sizes come from the machine model of
 :mod:`repro.sequential.block_size`, and ``auto`` is a fixed rule of shape,
 mode, rank and memory layout.  The run asserts:
 
-* at least one sparse row has the chunked kernel beating ``np.add.at``,
-* at least one dense entry has the blocked kernel beating einsum,
+* at least one entry has the blocked kernel beating einsum,
 * ``auto`` counts its GEMM in mode 0 and einsum in every other mode (on
-  both dense rows einsum's path copies the tensor in mode 0 only), and
-  beats einsum in mode 0 of ``dense-large-lowR``, where that copy is the
-  whole tensor transposed, and
-* on a multi-core machine, at least one row has a threaded candidate
-  beating serial execution.  On a single-core machine a threaded candidate
-  can never genuinely win, so no threaded row is asserted there; rows that
-  *need* real parallelism to be decisive are skipped and recorded with a
-  reason.
+  every row einsum's path copies the tensor in mode 0 only), and beats
+  einsum in mode 0 of ``dense-large-lowR``, where that copy is the whole
+  tensor transposed, and
+* when some raced row ran a thread count above 1, at least one such row has
+  a threaded candidate beating serial execution.  Only ``dense-threaded``
+  races threads, and it needs two cores to be decisive, so on a
+  single-core machine it is skipped and recorded with a reason, and in
+  quick mode it is not run.
 
-The summary printed before the assertions reports the outcome of each dense
+The summary printed before the assertions reports the outcome of each
 claim.
 
 Environment knobs (CI-friendly, mirroring the other benchmarks' style):
 
 ``BENCH_KERNELS_QUICK=1``
-    Run only the decisive quick rows (sparse chunked/unchunked wins, the two
-    serial dense rows, one threaded-overhead row).
+    Run only the two serial quick rows, ``dense-large-lowR`` and
+    ``dense-tiny-tiles``.
 ``BENCH_KERNELS_TIMED_JSON=/path/to.json``
     Output path override.
 """
@@ -53,43 +50,8 @@ from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.core.kernels import dense_mttkrp, mttkrp
 from repro.observe.tracer import median_time, trace, tracing
 from repro.tensor.random import random_factors
-from repro.tensor.sparse import SparseTensor, sparse_mttkrp, sparse_mttkrp_unchunked
 
 REPEATS = 3
-
-#: Timing-table label of the legacy single-pass sparse kernel.
-UNCHUNKED_LABEL = "unchunked"
-
-
-def chunked_label(threads: int) -> str:
-    """Timing-table label of the chunked sparse kernel at ``threads``."""
-    return f"chunked:numpy:t{threads}" if threads > 1 else "chunked:numpy"
-
-
-#: name, shape, nnz, rank, forced (nzchunk, rchunk) or None for the machine
-#: model's choice, thread counts to race, minimum cores the row needs to be
-#: decisive, and (in the comments) the regime the row demonstrates.
-SPARSE_CASES = [
-    # Large nonzero count at full rank: the dense (nnz, R) temporary of the
-    # legacy path spills fast memory and buffered np.add.at crawls — the
-    # regime the chunked kernel exists for.
-    ("large-3way", (200, 200, 200), 200_000, 32, None, (1,), 1),
-    # Tiny problem with deliberately tiny forced chunks: per-chunk Python
-    # overhead dominates and the single-pass path wins.
-    ("tiny-forced-chunks", (60, 60, 60), 2_000, 8, (64, 2), (1,), 1),
-    # Wider-than-cache mid-rank sweep and a 4-way tensor, both on the machine
-    # model's default chunks (full mode only).
-    ("wide-3way", (300, 300, 300), 400_000, 16, None, (1,), 1),
-    ("4way", (40, 40, 40, 40), 100_000, 24, None, (1,), 1),
-    # Forced tiny chunks with 2 threads: hundreds of tasks, each paying
-    # dispatch plus a zeroed-and-folded partial accumulator.  On one core
-    # the serial chunked path wins decisively; with real cores the compute
-    # halves and t2 may take the row.
-    ("threaded-tiny-chunks", (200, 200, 200), 200_000, 32, (2_000, 8), (1, 2), 1),
-    # Default chunks with 2 threads: only ~20 fat tasks, so the serial/t2
-    # margin is pure parallel speedup — decisive only with real cores.
-    ("threaded-large", (200, 200, 200), 200_000, 32, None, (1, 2), 2),
-]
 
 #: name, shape, rank, forced tiles (int or None for the machine model's
 #: choice), blocked-kernel thread counts to race, minimum cores the row needs.
@@ -107,27 +69,10 @@ DENSE_CASES = [
     ("dense-threaded", (300, 300, 300), 16, None, (1, 2), 2),
 ]
 
-QUICK_CASE_NAMES = (
-    "large-3way",
-    "tiny-forced-chunks",
-    "threaded-tiny-chunks",
-    "dense-large-lowR",
-    "dense-tiny-tiles",
-)
+QUICK_CASE_NAMES = ("dense-large-lowR", "dense-tiny-tiles")
 
 
-def _sparse_problem(shape, nnz, rank, seed):
-    rng = np.random.default_rng(seed)
-    coords = np.stack(
-        [rng.integers(0, dim, size=nnz) for dim in shape], axis=1
-    )
-    values = rng.standard_normal(nnz)
-    tensor = SparseTensor(shape=shape, coords=coords, values=values)
-    factors = random_factors(shape, rank, seed=seed + 1)
-    return tensor, factors
-
-
-def _race(candidates, rtol=0.0, atol=1e-12):
+def _race(candidates, rtol, atol):
     """Median-time every candidate once warmed; cross-check the results."""
     measured = {}
     percentiles = {}
@@ -151,33 +96,6 @@ def _race(candidates, rtol=0.0, atol=1e-12):
             summary = session.metrics.histogram_summary(f"span.{label}.seconds")
             percentiles[label] = {"p50": summary["p50"], "p99": summary["p99"]}
     return measured, percentiles
-
-
-def _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed):
-    tensor, factors = _sparse_problem(shape, nnz, rank, seed)
-    nzchunk, rchunk = forced if forced else (None, None)
-    mode = 0
-
-    candidates = {UNCHUNKED_LABEL: lambda: sparse_mttkrp_unchunked(tensor, factors, mode)}
-    for threads in threads_options:
-        candidates[chunked_label(threads)] = lambda t=threads: sparse_mttkrp(
-            tensor, factors, mode, nzchunk=nzchunk, rchunk=rchunk, threads=t
-        )
-
-    measured, percentiles = _race(candidates)
-    return {
-        "kind": "sparse",
-        "case": name,
-        "shape": list(shape),
-        "nnz": nnz,
-        "rank": rank,
-        "nzchunk": nzchunk,
-        "rchunk": rchunk,
-        "threads_options": list(threads_options),
-        "median_seconds": measured,
-        "span_percentiles": percentiles,
-        "measured_winner": min(measured, key=measured.get),
-    }
 
 
 def _race_dense_row(name, shape, rank, tiles, threads_options, seed):
@@ -239,17 +157,6 @@ def test_bench_kernels_timed_json():
 
     rows = []
     skipped_rows = []
-    for name, shape, nnz, rank, forced, threads_options, min_cores in SPARSE_CASES:
-        if quick and name not in QUICK_CASE_NAMES:
-            continue
-        if cores < min_cores:
-            skipped_rows.append(
-                {"case": name, "reason": f"needs >= {min_cores} cores, have {cores}"}
-            )
-            continue
-        rows.append(
-            _race_sparse_row(name, shape, nnz, rank, forced, threads_options, seed=5)
-        )
     for name, shape, rank, tiles, threads_options, min_cores in DENSE_CASES:
         if quick and name not in QUICK_CASE_NAMES:
             continue
@@ -278,11 +185,9 @@ def test_bench_kernels_timed_json():
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    sparse_rows = [row for row in rows if row["kind"] == "sparse"]
-    dense_rows = [row for row in rows if row["kind"] == "dense"]
     blocked_wins = [
         f"{row['case']}/mode{row['mode']}"
-        for row in dense_rows
+        for row in rows
         if min(
             seconds
             for label, seconds in row["median_seconds"].items()
@@ -291,22 +196,20 @@ def test_bench_kernels_timed_json():
         < row["median_seconds"]["einsum"]
     ]
     low_rank_mode0 = next(
-        row for row in dense_rows if row["case"] == "dense-large-lowR" and row["mode"] == 0
+        row for row in rows if row["case"] == "dense-large-lowR" and row["mode"] == 0
     )
+    threaded_rows = [row for row in rows if max(row["threads_options"]) > 1]
 
     lines = []
     for row in rows:
         timing = "  ".join(
             f"{label} {seconds * 1e3:9.3f}ms" for label, seconds in row["median_seconds"].items()
         )
-        if row["kind"] == "sparse":
-            lines.append(f"  {row['case']:>20} {timing}  winner={row['measured_winner']}")
-        else:
-            auto_path = "gemm" if row["auto_dispatch"]["gemm"] else "einsum"
-            lines.append(
-                f"  {row['case'] + '/mode' + str(row['mode']):>20} {timing}"
-                f"  winner={row['measured_winner']} (auto ran {auto_path})"
-            )
+        auto_path = "gemm" if row["auto_dispatch"]["gemm"] else "einsum"
+        lines.append(
+            f"  {row['case'] + '/mode' + str(row['mode']):>20} {timing}"
+            f"  winner={row['measured_winner']} (auto ran {auto_path})"
+        )
     for row in skipped_rows:
         lines.append(f"  {row['case']:>20} skipped: {row['reason']}")
     lines.append(f"  blocked beats einsum on: {', '.join(blocked_wins) or 'no dense entry'}")
@@ -316,22 +219,18 @@ def test_bench_kernels_timed_json():
     )
     emit("timed MTTKRP kernel races", "\n".join(lines))
 
-    # The chunked kernel must demonstrably beat the legacy np.add.at path
-    # somewhere, and the blocked dense kernel must beat einsum somewhere.
-    assert any(
-        row["measured_winner"] != UNCHUNKED_LABEL for row in sparse_rows
-    ), "no recorded configuration where the chunked kernel wins"
+    # The blocked dense kernel must beat einsum somewhere.
     assert blocked_wins, "no recorded configuration where the blocked dense kernel wins"
     # auto runs its GEMM in mode 0 only, and there it beats einsum.
-    for row in dense_rows:
+    for row in rows:
         expected = {"gemm": 1, "einsum": 0} if row["mode"] == 0 else {"gemm": 0, "einsum": 1}
         assert row["auto_dispatch"] == expected, (row["case"], row["mode"])
     assert (
         low_rank_mode0["median_seconds"]["auto"] < low_rank_mode0["median_seconds"]["einsum"]
     ), "auto does not beat einsum in mode 0 of dense-large-lowR"
-    # Threaded candidates can only genuinely win with real cores; on a
-    # single-core machine serial execution keeps every row.
-    if cores > 1:
+    # Only a row that raced a threaded candidate can show threads winning;
+    # the one such row is skipped on a single core and not run in quick mode.
+    if threaded_rows:
         assert any(
-            _winner_threads(row["measured_winner"]) > 1 for row in rows
-        ), "multi-core machine but no recorded row where threads > 1 wins"
+            _winner_threads(row["measured_winner"]) > 1 for row in threaded_rows
+        ), "no recorded row where threads > 1 wins"

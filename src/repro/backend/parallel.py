@@ -1,11 +1,10 @@
-"""Thread-parallel task executor shared by the chunked and distributed kernels.
+"""Thread-parallel task executor shared by the blocked and distributed kernels.
 
-Four kernels decompose their work into *independent* tasks and run them
+Three kernels decompose their work into *independent* tasks and run them
 through :func:`parallel_map`: the blocked dense MTTKRP of
-:mod:`repro.core.blocked_mttkrp` (one task per output-row tile), the chunked
-sparse MTTKRP of :mod:`repro.tensor.sparse` (one task per nonzero block),
-and Algorithms 3 and 4 of :mod:`repro.parallel` (one task per simulated
-rank's local MTTKRP).  The executor's contract is deliberately stronger
+:mod:`repro.core.blocked_mttkrp` (one task per output-row tile), and
+Algorithms 3 and 4 of :mod:`repro.parallel` (one task per simulated rank's
+local MTTKRP).  The executor's contract is deliberately stronger
 than "runs things concurrently":
 
 * **Results are returned in task-index order**, whatever order the tasks
@@ -13,11 +12,8 @@ than "runs things concurrently":
 * **The arithmetic performed is identical for every thread count** (including
   the inline ``threads=1`` path): a task computes the same values no matter
   which worker runs it, and any cross-task accumulation happens on the
-  calling thread, in task order.  The sparse kernel folds its per-task
-  partials that way: adding a partial onto a fresh zero buffer is exact in
-  IEEE-754, so the fold replays the serial left-to-right accumulation bit
-  for bit and the threaded kernels are bitwise equal to their serial
-  counterparts for any thread count.
+  calling thread, in task order, so the threaded kernels are bitwise equal
+  to their serial counterparts for any thread count.
 
 Thread counts resolve through :func:`resolve_threads`: an explicit argument
 wins, otherwise the ``REPRO_THREADS`` environment variable, otherwise 1

@@ -6,8 +6,7 @@ the contraction path materializes an intermediate of roughly
 ``prod(shape) * R / max_extent`` words and streams it through slow memory,
 which is exactly the regime the paper's sequential lower bound (Section IV)
 says a blocked schedule avoids.  This module is the executable form of that
-argument, the dense sibling of the chunked sparse kernel
-(:func:`repro.tensor.sparse.sparse_mttkrp`):
+argument:
 
 * the tensor is cut into tiles whose working set fits fast memory
   (:func:`repro.sequential.block_size.choose_dense_tiles` — tile sizes from
@@ -27,8 +26,7 @@ argument, the dense sibling of the chunked sparse kernel
   each task, in fixed lexicographic order).
 
 When one tile covers the whole tensor the kernel dispatches to the einsum
-path verbatim — the same bitwise single-chunk fallback contract the sparse
-kernel keeps with :func:`repro.tensor.sparse.sparse_mttkrp_unchunked`.
+path verbatim, so a covering tile returns einsum's bytes.
 
 ``kernel="auto"`` does not run this kernel.  Its MTTKRP,
 :func:`repro.core.kernels.dense_mttkrp` (one GEMM of the free unfolding
@@ -163,8 +161,7 @@ def blocked_mttkrp(
     if all(t >= dim for t, dim in zip(tiles, data.shape)):
         # One tile covers the tensor: the tiled loop would perform the same
         # contraction with extra copies, so dispatch to the einsum path
-        # verbatim (bitwise), mirroring the sparse kernel's single-chunk
-        # fallback.
+        # verbatim (bitwise).
         observe_inc("blocked_mttkrp.fallback")
         return mttkrp(data, factors, mode)
 

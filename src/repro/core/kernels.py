@@ -241,6 +241,13 @@ def gemm_mttkrp(
         return None
     krp = khatri_rao([np.asarray(factors[k]) for k in removed])
     kept_shape = tuple(data.shape[k] for k in kept)
+    # The kept-trailing read is the fastest of the three: at 300^3, R=16 on
+    # one OpenBLAS thread it takes about 37 ms, against 52-57 ms kept-leading
+    # and 47-51 ms for a middle block.  No other layout of those two reads
+    # was faster: X.reshape(kept, -1) @ krp, 1,024- or 4,096-row blocks with
+    # out=, a reused output buffer, a split of the contracted index, a
+    # per-slab loop and per-slab transposes all ran as slow or slower, so
+    # each case keeps its one GEMM.
     if removed[-1] == n_modes - 1:  # kept leads
         out = (krp.T @ data.reshape(kept_size, removed_size).T).T
     elif removed[0] == 0:  # kept trails

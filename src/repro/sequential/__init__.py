@@ -18,15 +18,12 @@ Three executable algorithms are provided:
 from repro.sequential.machine import TwoLevelMemory, IOCounter
 from repro.sequential.block_size import (
     DEFAULT_DENSE_TILE_MEMORY_WORDS,
-    DEFAULT_SPARSE_CHUNK_MEMORY_WORDS,
     max_block_size,
     block_size_is_valid,
     choose_block_size,
     choose_dense_tiles,
-    choose_sparse_chunks,
     dense_tile_working_set_words,
     minimum_memory_for_block,
-    sparse_chunk_working_set_words,
 )
 from repro.sequential.unblocked import sequential_unblocked_mttkrp
 from repro.sequential.blocked import sequential_blocked_mttkrp
@@ -40,11 +37,8 @@ __all__ = [
     "block_size_is_valid",
     "choose_block_size",
     "choose_dense_tiles",
-    "choose_sparse_chunks",
     "dense_tile_working_set_words",
-    "sparse_chunk_working_set_words",
     "DEFAULT_DENSE_TILE_MEMORY_WORDS",
-    "DEFAULT_SPARSE_CHUNK_MEMORY_WORDS",
     "minimum_memory_for_block",
     "sequential_unblocked_mttkrp",
     "sequential_blocked_mttkrp",

@@ -59,77 +59,11 @@ def max_block_size(n_modes: int, memory_words: int) -> int:
     return best
 
 
-#: Default fast-memory budget (words) for the sparse chunk chooser: the same
-#: two-level-model quantity ``M`` as the dense block chooser, sized at 2^20
-#: words (8 MiB of float64) — last-level-cache scale, where the chunked COO
-#: kernel's working set must live for the blocking to pay off.  The resulting
-#: defaults land at the proven Tensor Toolbox v3.3 magnitudes (nzchunk ~1e4,
-#: rchunk ~10-32).
-DEFAULT_SPARSE_CHUNK_MEMORY_WORDS = 1 << 20
-
-#: Largest rank-column chunk the chooser hands out: past ~32 columns the
-#: per-column accumulation calls are already amortised and wider chunks only
-#: grow the working set.
-MAX_RCHUNK = 32
-
-
-def sparse_chunk_working_set_words(nzchunk: int, rchunk: int, n_modes: int) -> int:
-    """Fast-memory words one chunk iteration of the sparse kernel touches.
-
-    One ``(nzchunk, rchunk)`` contribution block, up to ``N - 1`` gathered
-    factor-row blocks of the same shape, and the chunk's ``N`` index columns:
-    ``N * nzchunk * rchunk + N * nzchunk`` — the sparse analogue of
-    :func:`working_set_words`'s ``b^N + N b``.
-    """
-    nzchunk = check_positive_int(nzchunk, "nzchunk")
-    rchunk = check_positive_int(rchunk, "rchunk")
-    n_modes = check_positive_int(n_modes, "n_modes", minimum=2)
-    return n_modes * nzchunk * rchunk + n_modes * nzchunk
-
-
-def choose_sparse_chunks(
-    n_modes: int,
-    rank: int,
-    memory_words: int = DEFAULT_SPARSE_CHUNK_MEMORY_WORDS,
-    *,
-    alpha: float = 0.99,
-) -> Tuple[int, int]:
-    """Chunk sizes ``(nzchunk, rchunk)`` for the chunked COO sparse MTTKRP.
-
-    The machine-model analogue of :func:`choose_block_size` for the sparse
-    kernel of :func:`repro.tensor.sparse.sparse_mttkrp`: the rank chunk takes
-    every column up to :data:`MAX_RCHUNK`, then the nonzero chunk takes the
-    rest of the budget so one chunk iteration's working set
-    (:func:`sparse_chunk_working_set_words`) fits in ``alpha * memory_words``.
-
-    Parameters
-    ----------
-    n_modes:
-        Number of tensor modes ``N``.
-    rank:
-        Total rank ``R`` (the chunk never exceeds it).
-    memory_words:
-        Fast-memory budget ``M`` in words (default: last-level-cache scale).
-    alpha:
-        Fraction of ``M`` the chunk may fill, as in Theorem 6.1's
-        ``b = floor((alpha * M)^(1/N))``.
-    """
-    n_modes = check_positive_int(n_modes, "n_modes", minimum=2)
-    rank = check_positive_int(rank, "rank")
-    memory_words = check_positive_int(memory_words, "memory_words")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    rchunk = min(rank, MAX_RCHUNK)
-    nzchunk = int((alpha * memory_words) // (n_modes * rchunk + n_modes))
-    nzchunk = max(nzchunk, 1)
-    return nzchunk, rchunk
-
-
-#: Fast-memory budget (words) for the dense tile chooser — the same
-#: last-level-cache-scale quantity ``M`` as the sparse chunk chooser: the
-#: blocked dense kernel's tile working set must live at cache scale for the
+#: Fast-memory budget (words) for the dense tile chooser: the two-level-model
+#: quantity ``M`` sized at 2^20 words (8 MiB of float64), last-level-cache
+#: scale, where the blocked dense kernel's tile working set must live for the
 #: tiling to beat the monolithic einsum contraction.
-DEFAULT_DENSE_TILE_MEMORY_WORDS = DEFAULT_SPARSE_CHUNK_MEMORY_WORDS
+DEFAULT_DENSE_TILE_MEMORY_WORDS = 1 << 20
 
 
 def dense_tile_working_set_words(
@@ -172,8 +106,7 @@ def choose_dense_tiles(
     the largest uniform tile edge ``b`` (clamped per mode to the tensor
     extents, so a short mode frees budget for the long ones) whose working
     set (:func:`dense_tile_working_set_words`) fits in ``alpha * M``.  Always
-    valid — the all-ones tiling is the floor, exactly like the sparse
-    chooser's ``nzchunk >= 1``.
+    valid: the all-ones tiling is the floor.
 
     Parameters
     ----------

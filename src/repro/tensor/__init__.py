@@ -24,12 +24,8 @@ from repro.tensor.random import (
     random_low_rank_tensor,
     noisy_low_rank_tensor,
 )
-from repro.tensor.sparse import SparseTensor, sparse_mttkrp, sparse_mttkrp_unchunked
 
 __all__ = [
-    "SparseTensor",
-    "sparse_mttkrp",
-    "sparse_mttkrp_unchunked",
     "unfold",
     "fold",
     "mode_product_shape",

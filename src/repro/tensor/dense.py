@@ -157,20 +157,13 @@ def _numeric_array(tensor) -> np.ndarray:
 
     Object, string, complex, and other non-numeric dtypes raise
     :class:`~repro.exceptions.ParameterError` naming the input's type and
-    dtype, instead of failing later with a misleading shape error (a
-    :class:`~repro.tensor.sparse.SparseTensor` converts to a 0-d object
-    array) or silently dropping an imaginary part.
+    dtype, instead of failing later with a misleading shape error (any
+    object that is not array-like converts to a 0-d object array) or
+    silently dropping an imaginary part.
     """
     arr = np.asarray(tensor)
     if arr.dtype.kind in _NUMERIC_KINDS:
         return arr
-    from repro.tensor.sparse import SparseTensor  # deferred: error path only
-
-    if isinstance(tensor, SparseTensor):
-        raise ParameterError(
-            "this entry point takes a dense tensor, got SparseTensor; "
-            "use repro.tensor.sparse.sparse_mttkrp for a sparse MTTKRP"
-        )
     raise ParameterError(
         "expected a tensor of bool, int, uint or float dtype, got "
         f"{type(tensor).__name__} with dtype {arr.dtype}"

@@ -16,7 +16,6 @@ import numpy as np
 from repro.exceptions import ShapeError
 from repro.tensor.dense import DenseTensor, as_ndarray
 from repro.tensor.khatri_rao import hadamard_all, khatri_rao_excluding
-from repro.tensor.matricization import fold
 
 
 class KruskalTensor:
@@ -78,11 +77,24 @@ class KruskalTensor:
 
     # -- reconstruction and norms -------------------------------------------
     def full(self) -> DenseTensor:
-        """Reconstruct the dense tensor represented by this Kruskal tensor."""
-        mode = 0
-        krp = khatri_rao_excluding(self.factors, mode)
-        unfolding = (self.factors[mode] * self.weights[None, :]) @ krp.T
-        return DenseTensor(fold(unfolding, mode, self.shape))
+        """Reconstruct the dense tensor represented by this Kruskal tensor.
+
+        The data is C-contiguous, written by one GEMM.  The Khatri-Rao
+        product keeps the reverse mode order of the mode-0 MTTKRP, whose
+        products fix the rounding of every entry; only its rows are permuted
+        (a copy of ``I / I_0 * R`` words) to run over modes ``1..N-1`` with
+        the last fastest, so the GEMM's output is the tensor in C order.
+        """
+        shape = self.shape
+        krp = khatri_rao_excluding(self.factors, 0)
+        n_rest = len(shape) - 1
+        krp = (
+            krp.reshape(shape[:0:-1] + (self.rank,))
+            .transpose(tuple(range(n_rest - 1, -1, -1)) + (n_rest,))
+            .reshape(-1, self.rank)
+        )
+        data = (self.factors[0] * self.weights[None, :]) @ krp.T
+        return DenseTensor(data.reshape(shape))
 
     def norm(self) -> float:
         """Frobenius norm, computed without forming the dense tensor.

@@ -7,10 +7,13 @@ global numpy random state.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.exceptions import ParameterError
 from repro.tensor.dense import DenseTensor
 from repro.tensor.kruskal import KruskalTensor
 from repro.utils.validation import check_rank, check_shape
@@ -82,13 +85,10 @@ def random_low_rank_tensor(
 ) -> DenseTensor:
     """Dense tensor that is *exactly* rank ``rank`` (the CP-ALS recovery target).
 
-    The data is C-contiguous.  :meth:`~repro.tensor.kruskal.KruskalTensor.full`
-    returns a strided fold of its mode-0 unfolding, on which the dimension
-    tree's root children cannot run their GEMM; one copy here puts the
-    tensor in the layout the kernels read fastest, with the same values.
+    The data is C-contiguous, the layout the kernels read fastest, as
+    :meth:`~repro.tensor.kruskal.KruskalTensor.full` writes it.
     """
-    full = random_kruskal_tensor(shape, rank, seed=seed).full().data
-    return DenseTensor(np.ascontiguousarray(full))
+    return random_kruskal_tensor(shape, rank, seed=seed).full()
 
 
 def noisy_low_rank_tensor(
@@ -102,12 +102,22 @@ def noisy_low_rank_tensor(
 
     The noise tensor is scaled so that ``||noise|| = noise_level * ||signal||``,
     which is the customary way of specifying the signal-to-noise ratio for CP
-    recovery experiments.
+    recovery experiments.  A ``noise_level`` that is not a finite,
+    non-negative real number (a bool included) raises
+    :class:`~repro.exceptions.ParameterError` before any draw.
 
     The data is C-contiguous.  The noise is scaled in place and the signal
     added into it, so at most two tensor-sized arrays, the signal and the
     noise, are alive at once.
     """
+    if (
+        isinstance(noise_level, bool)
+        or not isinstance(noise_level, numbers.Real)
+        or not (math.isfinite(noise_level) and noise_level >= 0)
+    ):
+        raise ParameterError(
+            f"noise_level must be a finite non-negative number, got {noise_level!r}"
+        )
     rng = _rng(seed)
     signal = random_low_rank_tensor(shape, rank, seed=rng).data
     noise = rng.standard_normal(signal.shape)

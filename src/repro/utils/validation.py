@@ -19,7 +19,7 @@ def infer_rank(factors: Sequence, mode: int) -> int:
     """Rank deduced from the first available input factor matrix.
 
     The one shared rank-inference helper: every MTTKRP entry point (dense
-    einsum, sparse chunked, elementwise, sampled, parallel) that accepts
+    einsum, blocked, elementwise, sampled, parallel) that accepts
     ``None`` for the output mode's factor routes through here, so the error
     type (:class:`~repro.exceptions.ParameterError`, a :class:`ValueError`
     subclass) and message are identical everywhere.

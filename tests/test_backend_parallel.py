@@ -1,11 +1,11 @@
-"""Contract tests for the shared thread executor of the chunked kernels.
+"""Contract tests for the shared thread executor of the threaded kernels.
 
 The executor's promises are stronger than "runs concurrently": results come
 back in task-index order regardless of completion order, thread-count
 resolution is explicit-arg > ``REPRO_THREADS`` > 1, an explicit count that
-is not an integer is rejected by every kernel that takes one, and errors
-propagate after all tasks settle — the properties the bitwise-determinism
-claims of the blocked/chunked kernels rest on.
+is not an integer is rejected by every kernel and driver that takes one, and
+errors propagate after all tasks settle — the properties the
+bitwise-determinism claims of the blocked and distributed kernels rest on.
 """
 
 import re
@@ -23,11 +23,12 @@ from repro.backend.parallel import (
     resolve_threads,
 )
 from repro.core.blocked_mttkrp import blocked_mttkrp
+from repro.cp.als import cp_als
+from repro.cp.parallel_als import parallel_cp_als
 from repro.exceptions import ParameterError
 from repro.parallel.general import GeneralKernel, general_mttkrp
 from repro.parallel.stationary import StationaryKernel, stationary_mttkrp
 from repro.tensor.random import random_factors, random_tensor
-from repro.tensor.sparse import SparseTensor, sparse_mttkrp
 
 
 class TestResolveThreads:
@@ -66,12 +67,12 @@ class TestResolveThreads:
 _SHAPE = (4, 6, 5)
 _TENSOR = random_tensor(_SHAPE, seed=0)
 _FACTORS = random_factors(_SHAPE, 2, seed=1)
-_SPARSE = SparseTensor.from_dense(_TENSOR.data)
 
-#: Every kernel that takes ``threads=``, run on a small problem whose
-#: chunking, tiling and grids would otherwise succeed.
+#: Every kernel and driver that takes ``threads=``, run on a small problem
+#: whose tiling and grids would otherwise succeed.
 THREADED_ENTRY_POINTS = {
-    "sparse_mttkrp": lambda t: sparse_mttkrp(_SPARSE, _FACTORS, 0, nzchunk=16, threads=t),
+    "cp_als": lambda t: cp_als(_TENSOR, 2, n_iter_max=1, threads=t),
+    "parallel_cp_als": lambda t: parallel_cp_als(_TENSOR, 2, 2, n_iter_max=1, threads=t),
     "blocked_mttkrp": lambda t: blocked_mttkrp(_TENSOR, _FACTORS, 0, tiles=2, threads=t),
     "stationary_mttkrp": lambda t: stationary_mttkrp(_TENSOR, _FACTORS, 0, (2, 1, 1), threads=t),
     "general_mttkrp": lambda t: general_mttkrp(_TENSOR, _FACTORS, 0, (1, 2, 1, 1), threads=t),

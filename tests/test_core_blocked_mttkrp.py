@@ -1,26 +1,28 @@
-"""Parity, fallback, threading, and dispatch tests for the dense MTTKRPs.
+"""Parity, fallback, threading, memory and dispatch tests for the dense MTTKRPs.
 
-The load-bearing contract mirrors the sparse chunked kernel's: for *every*
-tiling — including tiles of 1, tiles covering the tensor, and every output
-mode — the blocked kernel agrees with the einsum kernel.  The parity sweep
-runs on integer-valued float64 data, where every partial sum is an exactly
-representable integer, so reassociating the per-row sums over non-output
-tiles cannot change a bit and the comparison is *exact* (``atol=0``), not
-approximate.  Covering tiles must dispatch to the einsum path verbatim
-(bitwise on arbitrary real data), and threads must never change a bit
-(tasks own disjoint output rows).  ``dense_mttkrp`` (``kernel="auto"``
+The load-bearing contract: for *every* tiling — including tiles of 1, tiles
+covering the tensor, and every output mode — the blocked kernel agrees with
+the einsum kernel.  The parity sweep runs on integer-valued float64 data,
+where every partial sum is an exactly representable integer, so
+reassociating the per-row sums over non-output tiles cannot change a bit and
+the comparison is *exact* (``atol=0``), not approximate.  Covering tiles
+must dispatch to the einsum path verbatim (bitwise on arbitrary real data),
+threads must never change a bit (tasks own disjoint output rows), and the
+temporaries must scale with a tile, not the tensor.  ``dense_mttkrp`` (``kernel="auto"``
 and the local step of the blocked and parallel algorithms) must run one
 GEMM where einsum's planned path copies the tensor and the GEMM's guard
 holds, and return the einsum kernel's bytes in every other case.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.backend.parallel import THREADS_ENV_VAR
 from repro.core.blocked_mttkrp import blocked_mttkrp, dense_mttkrp
 from repro.core.kernels import _mttkrp_path, _path_copies_tensor, mttkrp
 from repro.exceptions import ParameterError
@@ -178,6 +180,42 @@ class TestThreadsBitwise:
         assert session.metrics.counter("blocked_mttkrp.threads") == 3
         # 3 output-row tiles x (3 x 3) non-output combos
         assert session.metrics.counter("blocked_mttkrp.tiles") == 3 * 9
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_threads_bitwise_with_default_tiles(self, mode):
+        """The machine model's tiles for a small budget split every mode."""
+        data, factors = _real_problem((24, 23, 22), 6, seed=5)
+        with tracing() as session:
+            serial = blocked_mttkrp(data, factors, mode, memory_words=1 << 12, threads=1)
+            threaded = blocked_mttkrp(data, factors, mode, memory_words=1 << 12, threads=3)
+        assert threaded.tobytes() == serial.tobytes()
+        assert session.metrics.counter("blocked_mttkrp.fallback") == 0
+
+    def test_env_var_resolves_thread_count(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "3")
+        data, factors = _real_problem((12, 11, 10), 3, seed=8)
+        with tracing() as session:
+            from_env = blocked_mttkrp(data, factors, 1, tiles=4)
+        assert session.metrics.counter("blocked_mttkrp.threads") == 3
+        serial = blocked_mttkrp(data, factors, 1, tiles=4, threads=1)
+        assert from_env.tobytes() == serial.tobytes()
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_peak_is_bounded_by_the_tile_not_the_tensor(self, mode):
+        """A tile-row task allocates tile-sized buffers once; nothing scales
+        with the tensor.  The einsum reference allocates at least the full
+        Khatri-Rao product here (8000 x 4 words or more, over twice the bound)."""
+        data, factors = _real_problem((120, 100, 80), 4, seed=6)
+        blocked_mttkrp(data, factors, mode, tiles=8, threads=1)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            result = blocked_mttkrp(data, factors, mode, tiles=8, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes < data.nbytes // 64
 
 
 class TestDenseDispatch:

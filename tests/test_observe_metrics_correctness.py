@@ -207,23 +207,6 @@ class TestThreadedKernelCounters:
         assert sum(serial[0].values()) > 0 and serial[1] > 0
         assert self._worker_counts(run, threads=2) == serial
 
-    def test_sparse_thread_and_chunk_counters_are_exact(self):
-        from repro.tensor.sparse import SparseTensor, sparse_mttkrp
-
-        rng = np.random.default_rng(3)
-        nnz, shape, rank = 90, (9, 8, 7), 6
-        coords = np.stack([rng.integers(0, d, size=nnz) for d in shape], axis=1)
-        tensor = SparseTensor(shape=shape, coords=coords, values=rng.standard_normal(nnz))
-        factors = random_factors(shape, rank, seed=4)
-        with tracing() as session:
-            sparse_mttkrp(tensor, factors, 0, nzchunk=40, rchunk=4, threads=2)
-            sparse_mttkrp(tensor, factors, 0, nzchunk=40, rchunk=4, threads=1)
-        counters = session.metrics.counters()
-        # ceil(90/40) * ceil(6/4) = 3 * 2 chunks per call, two calls.
-        assert counters["sparse_mttkrp.chunks"] == 12
-        # One bulk increment of the resolved count per call: 2 + 1.
-        assert counters["sparse_mttkrp.threads"] == 3
-
     def test_blocked_dense_counters_are_exact(self):
         from repro.core.blocked_mttkrp import blocked_mttkrp
 

@@ -39,8 +39,6 @@ UNREACHED_ALLOWLIST = {
     "ideal_general_grid": "the real-valued grid rule of Section V-D3",
     "minimum_memory_for_block": "the fast memory Eq. (11) asks of a block size",
     "matmul_regime_boundaries": "the processor counts where the matmul baseline changes regime",
-    # A test oracle.
-    "sparse_chunk_working_set_words": "the working set the sparse chunk tests hold the kernel to",
     # A fault injector.
     "poison_kernel_cache": "injects the cache corruption the on_fault recovery tests undo",
     # Tracing helpers kept for the timed spans below the mode level.

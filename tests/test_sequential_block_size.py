@@ -1,17 +1,16 @@
-"""Unit tests for block-size selection (Eq. (11)/(22))."""
+"""Unit tests for block-size selection (Eq. (11)/(22)) and the dense tile chooser."""
 
 import pytest
 
 from repro.exceptions import ParameterError
 from repro.sequential.block_size import (
-    DEFAULT_SPARSE_CHUNK_MEMORY_WORDS,
-    MAX_RCHUNK,
+    DEFAULT_DENSE_TILE_MEMORY_WORDS,
     block_size_is_valid,
     choose_block_size,
-    choose_sparse_chunks,
+    choose_dense_tiles,
+    dense_tile_working_set_words,
     max_block_size,
     minimum_memory_for_block,
-    sparse_chunk_working_set_words,
     working_set_words,
 )
 
@@ -81,46 +80,94 @@ class TestChooseBlockSize:
         assert choose_block_size(4, 5) == 1
 
 
-class TestSparseChunkWorkingSet:
+class TestDenseTileWorkingSet:
     def test_formula(self):
-        # N * nzchunk * rchunk + N * nzchunk
-        assert sparse_chunk_working_set_words(100, 4, 3) == 3 * 100 * 4 + 3 * 100
-        assert sparse_chunk_working_set_words(1, 1, 2) == 2 + 2
+        # prod(tiles) + prod(tiles) / tiles[mode] * R + sum(tiles) * R
+        assert dense_tile_working_set_words((4, 2, 3), 5, 0) == 24 + 6 * 5 + 9 * 5
+        assert dense_tile_working_set_words((1, 1), 1, 1) == 1 + 1 + 2
 
-    def test_rejects_nonpositive(self):
+    def test_output_tile_carries_no_krp_block(self):
+        """Only the Khatri-Rao term depends on the output mode."""
+        words = [dense_tile_working_set_words((4, 2, 3), 5, mode) for mode in range(3)]
+        assert words == [99, 129, 109]
+
+    @pytest.mark.parametrize(
+        "tiles,rank,mode",
+        [
+            pytest.param((0, 2, 3), 5, 0, id="zero-tile"),
+            pytest.param((4, 2, 3), 0, 0, id="zero-rank"),
+            pytest.param((4,), 5, 0, id="one-mode"),
+            pytest.param((4, 2, 3), 5, 3, id="mode-past-end"),
+            pytest.param((4, 2, 3), 5, -1, id="negative-mode"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, tiles, rank, mode):
         with pytest.raises(ParameterError):
-            sparse_chunk_working_set_words(0, 4, 3)
+            dense_tile_working_set_words(tiles, rank, mode)
 
 
-class TestChooseSparseChunks:
-    def test_working_set_fits_budget(self):
-        for n_modes in (2, 3, 4, 5):
-            for rank in (1, 8, 32, 100):
-                nzchunk, rchunk = choose_sparse_chunks(n_modes, rank)
-                assert (
-                    sparse_chunk_working_set_words(nzchunk, rchunk, n_modes)
-                    <= DEFAULT_SPARSE_CHUNK_MEMORY_WORDS
-                )
+class TestChooseDenseTiles:
+    def test_default_budget_is_two_to_the_twenty_words(self):
+        """The blocked kernel's default tiles, and so its bytes, rest on this."""
+        assert DEFAULT_DENSE_TILE_MEMORY_WORDS == 1 << 20
+        assert choose_dense_tiles((300, 300, 300), 16, 0) == choose_dense_tiles(
+            (300, 300, 300), 16, 0, 1 << 20
+        )
 
-    def test_rchunk_capped_at_max_and_rank(self):
-        assert choose_sparse_chunks(3, 4)[1] == 4
-        assert choose_sparse_chunks(3, 100)[1] == MAX_RCHUNK
+    @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
+    def test_working_set_fits_budget(self, n_modes):
+        shape = (40,) * n_modes
+        for memory in (1 << 10, 1 << 14, 1 << 20):
+            for rank in (1, 8, 32):
+                for mode in range(n_modes):
+                    tiles = choose_dense_tiles(shape, rank, mode, memory)
+                    assert len(tiles) == n_modes
+                    assert all(1 <= t <= dim for t, dim in zip(tiles, shape))
+                    if tiles != (1,) * n_modes:
+                        words = dense_tile_working_set_words(tiles, rank, mode)
+                        assert words <= 0.99 * memory
 
-    def test_nzchunk_grows_with_memory(self):
-        small = choose_sparse_chunks(3, 16, 1 << 14)[0]
-        large = choose_sparse_chunks(3, 16, 1 << 22)[0]
-        assert large > small
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_edge_is_the_largest_that_fits(self, mode):
+        """One more unit of uniform edge would overflow ``alpha * M``."""
+        shape, rank, memory = (50, 60, 70), 8, 1 << 14
+        tiles = choose_dense_tiles(shape, rank, mode, memory)
+        edge = max(tiles)
+        assert tiles == tuple(min(edge, dim) for dim in shape)
+        grown = tuple(min(edge + 1, dim) for dim in shape)
+        assert dense_tile_working_set_words(grown, rank, mode) > 0.99 * memory
 
-    def test_tiny_memory_still_positive(self):
-        nzchunk, rchunk = choose_sparse_chunks(3, 32, 8)
-        assert nzchunk >= 1 and rchunk >= 1
+    def test_large_budget_covers_the_tensor(self):
+        assert choose_dense_tiles((5, 4, 3), 2, 0) == (5, 4, 3)
 
-    def test_default_magnitudes_match_toolbox(self):
-        """The defaults land at the Tensor Toolbox v3.3 magnitudes."""
-        nzchunk, rchunk = choose_sparse_chunks(3, 32)
-        assert 1_000 <= nzchunk <= 100_000
-        assert rchunk == 32
+    def test_short_mode_frees_budget_for_the_long_ones(self):
+        """Tiles clamp to the extents, and the output mode splits differently."""
+        assert choose_dense_tiles((2, 1000, 1000), 4, 0) == (2, 415, 415)
+        assert choose_dense_tiles((1000, 1000, 2), 4, 0) == (716, 716, 2)
 
-    def test_invalid_alpha(self):
+    def test_edge_grows_with_memory(self):
+        small = choose_dense_tiles((50, 50, 50), 8, 0, 1 << 10)
+        large = choose_dense_tiles((50, 50, 50), 8, 0, 1 << 14)
+        assert small == (7, 7, 7) and large == (22, 22, 22)
+
+    def test_tiny_memory_floors_at_ones(self):
+        assert choose_dense_tiles((5, 4, 3), 2, 0, 8) == (1, 1, 1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5])
+    def test_invalid_alpha(self, alpha):
+        with pytest.raises(ParameterError, match="alpha"):
+            choose_dense_tiles((8, 8, 8), 4, 0, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "shape,rank,mode,memory",
+        [
+            pytest.param((8,), 4, 0, 1 << 10, id="one-mode"),
+            pytest.param((8, 0, 8), 4, 0, 1 << 10, id="zero-extent"),
+            pytest.param((8, 8, 8), 0, 0, 1 << 10, id="zero-rank"),
+            pytest.param((8, 8, 8), 4, 3, 1 << 10, id="mode-past-end"),
+            pytest.param((8, 8, 8), 4, 0, 0, id="zero-memory"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, shape, rank, mode, memory):
         with pytest.raises(ParameterError):
-            choose_sparse_chunks(3, 8, alpha=1.0)
+            choose_dense_tiles(shape, rank, mode, memory)

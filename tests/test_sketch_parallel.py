@@ -34,11 +34,20 @@ from repro.sketch.sampled_mttkrp import sampled_mttkrp
 from repro.sketch.sampling import DISTRIBUTIONS, draw_krp_samples
 from repro.tensor.dense import as_ndarray
 from repro.tensor.random import random_factors, random_tensor
-from repro.tensor.sparse import SparseTensor
 
 SHAPE = (8, 9, 10)
 RANK = 4
 GRIDS = [(6, 1, 1), (1, 2, 3), (2, 3, 1), (1, 1, 1)]
+
+
+def _mostly_zero(density, seed):
+    """A dense ``SHAPE`` array with ``round(density * size)`` random entries set."""
+    rng = np.random.default_rng(seed)
+    data = np.zeros(SHAPE)
+    n = round(density * data.size)
+    entries = rng.choice(data.size, n, replace=False)  # drawn before the values
+    data.flat[entries] = rng.standard_normal(n)
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +59,9 @@ def dense_problem():
 
 @pytest.fixture(scope="module")
 def mostly_zero_problem():
-    """The dense array of a 15%-dense COO tensor: most sampled fibers are
-    all zero, and some ranks' blocks hold only a few nonzeros."""
-    tensor = SparseTensor.random(SHAPE, density=0.15, seed=2).to_dense()
+    """A 15%-dense array: most sampled fibers are all zero, and some ranks'
+    blocks hold only a few nonzeros."""
+    tensor = _mostly_zero(0.15, seed=2)
     factors = random_factors(SHAPE, RANK, seed=3)
     return tensor, factors
 
@@ -189,7 +198,7 @@ class TestCallerSampleSets:
     @pytest.mark.parametrize("reverse", [False, True], ids=["drawn", "reversed"])
     def test_matches_sequential(self, half_zero, grid, reverse):
         tensor = (
-            SparseTensor.random(SHAPE, density=0.5, seed=2).to_dense()
+            _mostly_zero(0.5, seed=2)
             if half_zero
             else random_tensor(SHAPE, seed=0)
         )

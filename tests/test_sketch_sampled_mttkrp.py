@@ -19,7 +19,6 @@ from repro.sketch.parallel import parallel_sampled_mttkrp, reconcile_sampled_mtt
 from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.khatri_rao import implicit_krp_column_count
 from repro.tensor.random import random_factors, random_low_rank_tensor, random_tensor
-from repro.tensor.sparse import SparseTensor
 
 SHAPE = (6, 5, 4)
 RANK = 3
@@ -187,16 +186,16 @@ def test_sampled_entry_points_share_one_default_distribution():
 
 
 @pytest.mark.parametrize("entry", SAMPLED_ENTRY_POINTS)
-def test_sparse_tensor_rejected_before_any_draw_or_collective(problem, entry):
-    """The sampled kernels take dense tensors: a COO tensor fails up front,
-    pointing to the sparse kernel, before a draw is taken or a word moves."""
-    tensor, factors = problem
-    sparse = SparseTensor.from_dense(tensor.data)
+def test_non_array_tensor_rejected_before_any_draw_or_collective(problem, entry):
+    """The sampled kernels take dense tensors: an object that is not
+    array-like fails up front, naming its type, before a draw is taken or a
+    word moves."""
+    _, factors = problem
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     machine = SimulatedMachine(2)
-    with pytest.raises(ParameterError, match="sparse_mttkrp"):
-        _call_sampled(entry, sparse, factors, rng, machine)
+    with pytest.raises(ParameterError, match="object with dtype object"):
+        _call_sampled(entry, object(), factors, rng, machine)
     assert rng.bit_generator.state == before
     assert machine.records == []
 

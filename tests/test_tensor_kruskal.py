@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
+from repro.tensor.khatri_rao import khatri_rao_excluding
 from repro.tensor.kruskal import KruskalTensor
+from repro.tensor.matricization import fold
 from repro.tensor.random import random_kruskal_tensor
 
 
@@ -61,6 +63,32 @@ class TestReconstruction:
                 "i,j,k->ijk", kt.factors[0][:, r], kt.factors[1][:, r], kt.factors[2][:, r]
             )
         assert np.allclose(full, expected)
+
+
+def _folded_unfolding(kt):
+    """Reference: the mode-0 unfolding ``(A_0 w) @ krp.T`` folded back, a
+    strided view of the GEMM's output."""
+    krp = khatri_rao_excluding(kt.factors, 0)
+    unfolding = (kt.factors[0] * kt.weights[None, :]) @ krp.T
+    return fold(unfolding, 0, kt.shape)
+
+
+class TestReconstructionLayout:
+    """``full()`` writes C order from one GEMM, with the folded unfolding's bits."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(12, 10), (9, 8, 7), (7, 1, 6), (6, 5, 4, 3), (1, 5, 4, 3), (5, 4, 3, 2, 3)],
+        ids=str,
+    )
+    def test_c_ordered_and_bitwise_the_folded_unfolding(self, shape):
+        rng = np.random.default_rng(12)
+        kt = random_kruskal_tensor(shape, 4, seed=rng, weights=rng.standard_normal(4))
+        got = kt.full().data
+        want = _folded_unfolding(kt)
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestNormsAndFit:

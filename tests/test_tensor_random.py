@@ -1,11 +1,13 @@
 """Unit tests for the random tensor / factor generators."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repro.cp.als import cp_als
+from repro.exceptions import ParameterError
 from repro.observe import tracing
 from repro.tensor.random import (
     noisy_low_rank_tensor,
@@ -89,10 +91,35 @@ class TestLowRankGenerators:
 
         assert np.linalg.matrix_rank(unfold(noisy.data, 0), tol=1e-8) <= 2
 
+    @pytest.mark.parametrize(
+        "noise_level", [float("nan"), float("inf"), -0.1, "0.1", True], ids=repr
+    )
+    def test_bad_noise_level_rejected_before_any_draw(self, noise_level):
+        """No all-NaN or non-finite tensor, no silently flipped noise, no
+        TypeError from the arithmetic and no bool run as 1.0."""
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="noise_level"):
+            noisy_low_rank_tensor((4, 4, 4), 2, noise_level=noise_level, seed=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "noise_level",
+        [0, np.int64(1), np.float32(0.25), np.float64(0.1), Fraction(1, 10)],
+        ids=repr,
+    )
+    def test_real_noise_levels_keep_the_norm_ratio(self, noise_level):
+        """Integers, numpy scalars and fractions pass the check, and the
+        noise's norm is ``noise_level`` times the signal's."""
+        clean = random_low_rank_tensor((6, 7, 8), 2, seed=3).data
+        noisy = noisy_low_rank_tensor((6, 7, 8), 2, noise_level=noise_level, seed=3).data
+        ratio = np.linalg.norm(noisy - clean) / np.linalg.norm(clean)
+        assert ratio == pytest.approx(float(noise_level), rel=1e-9, abs=1e-15)
+
 
 def _three_tensor_noisy_low_rank(shape, rank, noise_level, seed):
-    """Reference: the out-of-place generator, which keeps the strided fold of
-    the Kruskal reconstruction and holds signal, noise and scaled noise at once."""
+    """Reference: the out-of-place generator, which holds signal, noise and
+    scaled noise at once and returns the sum as a new tensor."""
     rng = np.random.default_rng(seed)
     signal = random_kruskal_tensor(shape, rank, seed=rng).full().data
     noise = rng.standard_normal(signal.shape)
@@ -133,6 +160,17 @@ class TestGeneratorLayoutAndMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * data.nbytes
+
+    def test_low_rank_peak_is_its_output(self):
+        """The reconstruction is written in C order by its GEMM: no second
+        tensor-sized copy."""
+        tracemalloc.start()
+        try:
+            data = random_low_rank_tensor((60, 50, 40), 3, seed=0).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * data.nbytes
 
     @pytest.mark.parametrize("shape", [(12, 10), (9, 8, 7), (6, 5, 4, 3)])
     def test_low_rank_is_c_ordered_with_the_reconstruction_values(self, shape):
