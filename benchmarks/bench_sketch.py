@@ -23,6 +23,7 @@ import pytest
 
 from conftest import emit
 from repro.core.kernels import mttkrp
+from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.cp.als import cp_als
 from repro.experiments.sketch_crossover import (
     DEFAULT_SHAPE,
@@ -31,7 +32,7 @@ from repro.experiments.sketch_crossover import (
     format_sketch_crossover_table,
     sketch_frontier,
 )
-from repro.sketch.sampled_mttkrp import make_sampled_kernel, sampled_mttkrp
+from repro.sketch.sampled_mttkrp import sampled_mttkrp
 from repro.sketch.treesample import KRPTreeSampler
 from repro.tensor.khatri_rao import implicit_krp_column_count
 
@@ -98,7 +99,9 @@ def test_randomized_als_throughput(benchmark, base_seed):
         return cp_als(
             tensor,
             4,
-            kernel=make_sampled_kernel(512, seed=rng),
+            kernel=SampledDimtreeKernel(
+                512, distribution="product-leverage", cache=False, seed=rng
+            ),
             seed=rng,
             n_iter_max=10,
             tol=1e-6,

@@ -229,6 +229,11 @@ class FactorGate:
     (the drift keeps accumulating — a triangle-inequality bound on how far
     the cached consumers' input has strayed), and the factor invalidates
     only once the bound crosses the tolerance.
+
+    The gate stores factor *objects*, and a checkpoint keeps them so:
+    :meth:`capture_state` hands over references, and the checkpoint's one
+    deep copy keeps a factor the gate shares with the driver one object.
+    No factor is ever matched by value.
     """
 
     def __init__(
@@ -295,43 +300,31 @@ class FactorGate:
             observe_inc("factor_gate.invalidate")
 
     def capture_state(self) -> dict:
-        """Version/drift snapshot plus *value* copies of the stored factors.
+        """The version/drift stamps and the stored factor objects, by reference.
 
-        On restore the caller offers the resumed run's live factor objects
-        (:meth:`restore_state`'s ``factors``); each mode whose offered value
-        equals the captured one bitwise is rebound to the live object, so
-        identity-based staleness keeps producing hits for version stamps
-        taken before the checkpoint — the key to bitwise resume.  A mode
-        whose value moved (a gate that had not yet seen the newest factor,
-        e.g. the distributed kernel's lazily-registered gate) keeps the
-        captured copy instead, so the next ``register`` bumps it exactly as
-        the uninterrupted run would have.
+        The checkpoint copies them in one deep copy with the driver's
+        factors, so a stored factor that is the driver's stays one object
+        with it, and identity-based staleness keeps producing hits for
+        version stamps taken before the checkpoint — the key to bitwise
+        resume.  A stored factor the driver has since replaced (a gate that
+        had not yet seen the newest factor, e.g. the distributed kernel's
+        lazily-registered gate) stays a distinct object, so the next
+        ``register`` bumps it exactly as the uninterrupted run would have,
+        even when the replacement equals it in value.
         """
         return {
-            "versions": list(self.versions),
-            "drift": list(self.drift),
+            "versions": self.versions,
+            "drift": self.drift,
             "skipped": self.skipped,
-            "factors": [
-                None if f is None else np.array(f, copy=True) for f in self.factors
-            ],
+            "factors": self.factors,
         }
 
-    def restore_state(
-        self, state: dict, factors: Optional[Sequence[Optional[np.ndarray]]] = None
-    ) -> None:
-        """Adopt a snapshot; rebind stored factors to value-equal live objects."""
-        self.versions[:] = [int(v) for v in state["versions"]]
-        self.drift[:] = [float(d) for d in state["drift"]]
-        self.skipped = int(state["skipped"])
-        for mode, captured in enumerate(state["factors"]):
-            offered = factors[mode] if factors is not None else None
-            if captured is None:
-                if offered is not None:
-                    self.factors[mode] = offered
-            elif offered is not None and np.array_equal(offered, captured):
-                self.factors[mode] = offered
-            else:
-                self.factors[mode] = captured
+    def restore_state(self, state: dict) -> None:
+        """Adopt a snapshot, in place: the tree reads these lists through aliases."""
+        self.versions[:] = state["versions"]
+        self.drift[:] = state["drift"]
+        self.skipped = state["skipped"]
+        self.factors[:] = state["factors"]
 
 
 # ---------------------------------------------------------------------------
@@ -506,36 +499,23 @@ class DimensionTree:
         observe_inc("recovery.invalidate")
 
     def capture_state(self) -> dict:
-        """Snapshot the cache, gate stamps, and counters for bitwise resume."""
+        """The cache, gate stamps, and counters for bitwise resume, by reference.
+
+        The checkpoint's deep copy keeps each partial's memory layout (a
+        trailing root child is a transposed GEMM product), so the einsums
+        that consume it after a resume sum in the same order as before.
+        """
         return {
-            # order="K" keeps each partial's memory layout (a trailing root
-            # child is a transposed GEMM product), so the einsums that
-            # consume it after a resume sum in the same order as before.
-            "cache": {
-                key: (entry[0].copy(order="K"), entry[1], entry[2], entry[3])
-                for key, entry in self._cache.items()
-            },
+            "cache": self._cache,
             "gate": self._gate.capture_state(),
             "counters": (self.contractions, self.flops, self.words, self.root_reads),
         }
 
-    def restore_state(
-        self, state: dict, factors: Optional[Sequence[Optional[np.ndarray]]] = None
-    ) -> None:
-        """Adopt a snapshot; ``factors`` rebinds the gate to live objects.
-
-        Passing the resumed driver's factor list makes the subsequent
-        identity checks hit (the values are bitwise those the stamps were
-        taken against), so restored partials are served exactly as the
-        uninterrupted run would have served its cached ones.
-        """
-        self._cache.clear()
-        for key, entry in state["cache"].items():
-            self._cache[key] = (entry[0].copy(order="K"), entry[1], entry[2], entry[3])
-        self._gate.restore_state(state["gate"], factors)
-        self.contractions, self.flops, self.words, self.root_reads = (
-            int(v) for v in state["counters"]
-        )
+    def restore_state(self, state: dict) -> None:
+        """Adopt a snapshot: its partials, gate stamps, factors and counters."""
+        self._cache = state["cache"]
+        self._gate.restore_state(state["gate"])
+        self.contractions, self.flops, self.words, self.root_reads = state["counters"]
 
     def leaf_parent(self, mode: int) -> Tuple[int, ...]:
         """Mode set of the parent node of leaf ``(mode,)`` (the root for ``N = 2``)."""
@@ -708,14 +688,16 @@ class DimensionTreeKernel(SweepKernel):
         """Tree cache + gate stamps + counters (``None`` before the first call)."""
         if self.tree is None:
             return None
-        return {"kind": "dimtree", "tree": self.tree.capture_state()}
+        return {"kind": self.state_kind, "tree": self.tree.capture_state()}
 
     def restore_state(self, state: Optional[dict]) -> None:
-        """Stash a snapshot; applied inside the next :meth:`mttkrp` call.
+        """Check and stash a snapshot; applied inside the next :meth:`mttkrp` call.
 
-        The application is lazy because the gate must be rebound to the
-        resumed driver's factor objects — which only arrive with the call.
+        The application is lazy because the tree is built on the tensor,
+        which only arrives with the call.
         """
+        if state is not None:
+            self.check_state(state)
         self._pending_state = state
 
     def invalidate_caches(self) -> bool:
@@ -724,7 +706,7 @@ class DimensionTreeKernel(SweepKernel):
         self.tree.invalidate_all()
         return True
 
-    def _bind(self, data: np.ndarray, factors: Sequence[Optional[np.ndarray]]) -> None:
+    def _bind(self, data: np.ndarray) -> None:
         """Build the tree on ``data`` unless bound to it; apply a stashed snapshot."""
         rebuild = self.tree is None or self.tree.tensor is not data
         if rebuild:
@@ -739,7 +721,7 @@ class DimensionTreeKernel(SweepKernel):
         if restore:
             # Applied whether or not the tree was rebuilt, so a resume on the
             # instance still bound to this tensor restarts from the snapshot.
-            self._apply_pending(factors)
+            self._apply_pending()
             self._pending_state = None
         if rebuild or restore:
             # A new counter stream: marks taken against the earlier totals
@@ -751,14 +733,14 @@ class DimensionTreeKernel(SweepKernel):
     def _reset_run_state(self) -> None:
         """Restart whatever a subclass keeps beside the tree (a new tree, a new run)."""
 
-    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
+    def _apply_pending(self) -> None:
         """Adopt the stashed snapshot into the freshly built tree."""
-        self.tree.restore_state(self._pending_state["tree"], factors)
+        self.tree.restore_state(self._pending_state["tree"])
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> np.ndarray:
-        self._bind(as_ndarray(tensor), factors)
+        self._bind(as_ndarray(tensor))
         return self.tree.mttkrp(factors, mode)
 
     def counters(self) -> SweepCost:
@@ -875,7 +857,7 @@ class MultiSweepTreeKernel(DimensionTreeKernel):
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> np.ndarray:
         data = as_ndarray(tensor)
-        self._bind(data, factors)
+        self._bind(data)
         tree = self.tree
         mode = check_mode(mode, data.ndim)
         rank = tree.register_factors(factors, mode)

@@ -33,9 +33,9 @@ from the *raw tensor* on every draw of every call.  This module fuses them:
 
 With ``cache=False`` the kernel degenerates to the plain per-call sampled
 kernel (:func:`repro.sketch.sampled_mttkrp.sampled_mttkrp` on the raw
-tensor, same generator consumption — fits are bitwise those of the
-``"sampled"`` / ``"sampled-tree"`` registry kernels under the same seed),
-which doubles as the counted baseline the fused frontier compares against.
+tensor, one call per MTTKRP from one generator): it is what ``cp_als``
+builds for the ``"sampled"`` and ``"sampled-tree"`` registry names, and it
+doubles as the counted baseline the fused frontier compares against.
 
 The kernel extends the code it builds on rather than copying it:
 :class:`SampledDimtreeKernel` subclasses
@@ -54,7 +54,6 @@ measured-vs-modelled discipline of PRs 2-4.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -270,36 +269,6 @@ class FusedSamplerCache:
         self._cache.clear()
         return had_entries
 
-    def capture_state(self) -> dict:
-        """Version-stamped snapshots, derived samplers, and counters."""
-        return {
-            "cache": {
-                k: (version, snapshot.copy(), copy.deepcopy(state))
-                for k, (version, snapshot, state) in self._cache.items()
-            },
-            "counters": (
-                self.build_flops,
-                self.build_words,
-                self.draw_flops,
-                self.draw_words,
-                self.rebuilds,
-            ),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`capture_state` snapshot (stamps and counters included)."""
-        self._cache = {
-            k: (version, snapshot.copy(), copy.deepcopy(derived))
-            for k, (version, snapshot, derived) in state["cache"].items()
-        }
-        (
-            self.build_flops,
-            self.build_words,
-            self.draw_flops,
-            self.draw_words,
-            self.rebuilds,
-        ) = state["counters"]
-
     def _refresh(self, k: int, factor: np.ndarray, version: int) -> None:
         entry = self._cache.get(k)
         if entry is not None and entry[0] == version:
@@ -371,7 +340,12 @@ class SampledDimtreeKernel(DimensionTreeKernel):
     lifecycle is inherited: the (re)build on a new tensor, the re-opened
     sweep mark, the lazy checkpoint restore, :meth:`factor_updated` and
     :meth:`per_sweep_costs`.  This class adds the RNG, the sampler cache,
-    the draw log and the sampling counters.
+    the draw log and the sampling counters; a checkpoint holds the RNG's
+    position and the :class:`FusedSamplerCache` object itself.  All three
+    sampled names of ``cp_als`` build this class: ``"sampled-dimtree"``
+    with the defaults, ``"sampled"`` and ``"sampled-tree"`` with
+    ``cache=False`` and the ``"product-leverage"`` and ``"tree-leverage"``
+    distributions.
 
     Parameters
     ----------
@@ -388,11 +362,11 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         same seed takes bitwise-identical draws.
     cache:
         ``False`` degenerates to the plain per-call sampled kernel on the raw
-        tensor — under the same seed its generator consumption, draws, and
-        estimates are bitwise those of the registry kernels ``"sampled"``
-        (``distribution="product-leverage"``) / ``"sampled-tree"``
-        (``"tree-leverage"``), which makes it both the equivalence oracle and
-        the counted baseline of the fused frontier.
+        tensor: :func:`~repro.sketch.sampled_mttkrp.sampled_mttkrp` on every
+        call, drawing from ``seed``'s stream, which is the registry kernels
+        ``"sampled"`` (``distribution="product-leverage"``) and
+        ``"sampled-tree"`` (``"tree-leverage"``) and the counted baseline of
+        the fused frontier.
     invalidation, residual_tol:
         Forwarded to the shared :class:`~repro.core.dimtree.FactorGate`
         (``"residual"`` keeps cached partials *and* cached sampler trees
@@ -436,21 +410,26 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         self.total_distinct = 0
 
     # -- checkpoint/restore: the RNG, sampler cache and draw log on top -------
+    @property
+    def state_kind(self) -> str:
+        """The class with its distribution and cache flag, which tell the
+        three sampled registry names apart."""
+        return f"{type(self).__name__}({self._distribution}, cache={self._cache})"
+
     def capture_state(self) -> dict:
-        """RNG bit-stream position + tree/sampler caches + counters."""
-        state = super().capture_state() or {"tree": None}
+        """RNG bit-stream position + tree and sampler caches + counters."""
+        state = super().capture_state() or {"kind": self.state_kind, "tree": None}
         state.update(
-            kind="sampled-dimtree",
-            rng=copy.deepcopy(self._rng.bit_generator.state),
-            samplers=self.samplers.capture_state(),
-            draw_log=list(self.draw_log),
+            rng=self._rng.bit_generator.state,
+            samplers=self.samplers,
+            draw_log=self.draw_log,
             eval=(self.eval_flops, self.eval_words, self.total_draws, self.total_distinct),
         )
         return state
 
     def _restore_sampling(self, state: dict) -> None:
-        self.samplers.restore_state(state["samplers"])
-        self.draw_log = list(state["draw_log"])
+        self.samplers = state["samplers"]
+        self.draw_log = state["draw_log"]
         self.eval_flops, self.eval_words, self.total_draws, self.total_distinct = state["eval"]
 
     def restore_state(self, state: Optional[dict]) -> None:
@@ -458,21 +437,19 @@ class SampledDimtreeKernel(DimensionTreeKernel):
 
         The RNG position applies immediately — the ``cache=False`` degenerate
         path consumes it without ever building a tree.  When the snapshot
-        holds a tree, its caches/counters are applied inside the next
-        :meth:`mttkrp` (after the rebuild that would otherwise reset them),
-        where the gate can be rebound to the resumed driver's factors.
+        holds a tree, it and the sampling state are adopted inside the next
+        :meth:`mttkrp`, after the rebuild that would otherwise reset them.
         """
-        self._pending_state = None
+        super().restore_state(state)
         if state is None:
             return
-        self._rng.bit_generator.state = copy.deepcopy(state["rng"])
+        self._rng.bit_generator.state = state["rng"]
         if state["tree"] is None:
+            self._pending_state = None
             self._restore_sampling(state)
-        else:
-            self._pending_state = state
 
-    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
-        super()._apply_pending(factors)
+    def _apply_pending(self) -> None:
+        super()._apply_pending()
         self._restore_sampling(self._pending_state)
 
     def invalidate_caches(self) -> bool:
@@ -581,7 +558,7 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         data = as_ndarray(tensor)
         if not self._cache:
             return self._degenerate_mttkrp(data, factors, mode)
-        self._bind(data, factors)
+        self._bind(data)
         rank = self.tree.register_factors(factors, mode)
         n_draws = self._default_draws(rank)
 

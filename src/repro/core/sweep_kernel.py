@@ -19,14 +19,16 @@ The protocol is deliberately tiny:
 
 Existing per-call kernels are adapted with :class:`PerCallKernel` /
 :func:`as_sweep_kernel`, so every kernel the drivers see speaks the same
-protocol.  The module also hosts :func:`check_kernel_name`, the single
+protocol.  Cross-call state lives only in :class:`SweepKernel` objects,
+which a checkpoint captures by reference
+(:meth:`SweepKernel.capture_state`) and copies once, with the driver's
+factors.  The module also hosts :func:`check_kernel_name`, the single
 kernel-registry validator shared by :func:`repro.cp.als.cp_als` and
 :func:`repro.cp.parallel_als.parallel_cp_als`.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,8 +43,7 @@ class SweepKernel:
     """Base class of the sweep-aware MTTKRP kernel protocol.
 
     Subclasses must implement :meth:`mttkrp`; the sweep hooks default to
-    no-ops so per-call kernels adapt trivially.  Instances are also directly
-    callable with the historical ``(tensor, factors, mode)`` signature.
+    no-ops so per-call kernels adapt trivially.
     """
 
     #: Whether :meth:`mttkrp` returns the exact MTTKRP.  The sampled kernels
@@ -62,26 +63,53 @@ class SweepKernel:
         """Compute the mode-``mode`` MTTKRP ``B`` of shape ``(I_mode, R)``."""
         raise NotImplementedError
 
-    # -- checkpoint/restore protocol (ISSUE 10) ------------------------------
+    # -- checkpoint/restore protocol ----------------------------------------
+    @property
+    def state_kind(self) -> str:
+        """The writer a checkpoint of this kernel names: its class.
+
+        A distributed kernel adds its processor grid, and the sampled
+        kernels their distribution (the sequential one also its cache flag),
+        so a checkpoint resumes only under the kernel and the grid that
+        wrote it.
+        """
+        return type(self).__name__
+
     def capture_state(self) -> Optional[dict]:
-        """Snapshot of every cross-call state the kernel holds, or ``None``.
+        """Every cross-call state the kernel holds, by reference, or ``None``.
 
         The contract with :meth:`restore_state`: a fresh kernel instance
         (same constructor arguments) restored from this snapshot serves the
         remaining ALS sweeps *bitwise identical* to this instance — cached
         partials, staleness versions, RNG bit-stream position, everything.
-        Stateless kernels return ``None`` (the default).
+        The snapshot holds the live objects and records :attr:`state_kind`
+        under ``"kind"``; the one copy is the checkpoint's
+        (:meth:`~repro.resilience.checkpoint.CheckpointState.copy`), taken
+        with the driver's factors so that a factor the kernel shares with
+        the driver stays one object.  Stateless kernels return ``None`` (the
+        default).
         """
         return None
 
-    def restore_state(self, state: Optional[dict]) -> None:  # noqa: B027
-        """Adopt a :meth:`capture_state` snapshot (no-op for stateless kernels).
+    def restore_state(self, state: Optional[dict]) -> None:
+        """Adopt a :meth:`capture_state` snapshot's objects as the kernel's own.
 
-        Kernels whose caches key staleness on factor *identity* apply the
-        snapshot lazily inside the next :meth:`mttkrp` call, rebinding their
-        gate to the resumed driver's factor objects so the restored version
-        stamps keep producing cache hits.
+        A kernel that keeps no state (the default) accepts only ``None``:
+        any snapshot was written by another kernel.
         """
+        if state is not None:
+            raise ParameterError(
+                f"{self.state_kind} keeps no state; cannot resume the kernel "
+                f"state written by {state.get('kind')}"
+            )
+
+    def check_state(self, state: dict) -> None:
+        """Raise unless ``state`` was captured by a kernel of this kind."""
+        if state.get("kind") != self.state_kind:
+            raise ParameterError(
+                f"cannot resume the kernel state written by {state.get('kind')} "
+                f"under {self.state_kind}"
+            )
 
     def invalidate_caches(self) -> bool:
         """Drop every cached/derived value (graceful-degradation hook).
@@ -96,66 +124,39 @@ class SweepKernel:
         """
         return False
 
-    def __call__(
-        self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
-    ) -> np.ndarray:
-        return self.mttkrp(tensor, factors, mode)
-
 
 class PerCallKernel(SweepKernel):
     """Adapter presenting a per-call kernel under the sweep-aware protocol.
 
     The wrapped callable is re-invoked from scratch on every call (the
     historical behaviour of every kernel before the protocol existed); the
-    sweep hooks are no-ops.  When the callable owns a
-    :class:`numpy.random.Generator` (the sampled kernels), pass it as
-    ``rng`` so checkpoint/restore can capture the bit-stream position — the
-    only cross-call state a per-call kernel can have.  The adapter is
-    :attr:`~SweepKernel.exact` unless the callable carries ``exact = False``,
-    as the sampled closures do.
+    sweep hooks are no-ops.  The adapter keeps no state, so a checkpoint
+    carries none for it, and it is :attr:`~SweepKernel.exact`: a kernel
+    with cross-call state or inexact output — a draw stream, a cache — is a
+    :class:`SweepKernel` of its own.
     """
 
-    def __init__(self, fn: MTTKRPCallable, *, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, fn: MTTKRPCallable) -> None:
         if not callable(fn):
             raise ParameterError("PerCallKernel requires a callable MTTKRP kernel")
         self.fn = fn
-        self.rng = rng
-        self.exact = getattr(fn, "exact", True)
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> np.ndarray:
         return self.fn(tensor, factors, mode)
 
-    def capture_state(self) -> Optional[dict]:
-        if self.rng is None:
-            return None
-        return {"kind": "per-call", "rng": copy.deepcopy(self.rng.bit_generator.state)}
-
-    def restore_state(self, state: Optional[dict]) -> None:
-        if state is None:
-            return
-        if self.rng is None:
-            raise ParameterError(
-                "cannot restore an RNG state into a PerCallKernel built without rng"
-            )
-        self.rng.bit_generator.state = copy.deepcopy(state["rng"])
-
 
 def as_sweep_kernel(kernel) -> SweepKernel:
     """Coerce a kernel to the sweep-aware protocol.
 
     :class:`SweepKernel` instances pass through; any other callable is wrapped
-    in a :class:`PerCallKernel`, handed the callable's ``rng`` attribute when
-    it has one (the closures of
-    :func:`repro.sketch.sampled_mttkrp.make_sampled_kernel`), so a checkpoint
-    captures the draw stream's position, and marked inexact when the callable
-    carries ``exact = False``.
+    in a :class:`PerCallKernel`.
     """
     if isinstance(kernel, SweepKernel):
         return kernel
     if callable(kernel):
-        return PerCallKernel(kernel, rng=getattr(kernel, "rng", None))
+        return PerCallKernel(kernel)
     raise ParameterError(f"not an MTTKRP kernel: {kernel!r}")
 
 

@@ -56,7 +56,8 @@ _KERNELS = {
 }
 
 #: Kernel names resolvable by :func:`cp_als` (``"sampled"``, ``"sampled-tree"``
-#: and ``"sampled-dimtree"`` are registered lazily — see
+#: and ``"sampled-dimtree"`` are registered lazily, all three as
+#: :class:`~repro.core.sampled_dimtree.SampledDimtreeKernel` — see
 #: :func:`_resolve_kernel`; ``"dimtree"`` is the sweep-aware dimension-tree
 #: engine of :mod:`repro.core.dimtree`, and ``"msdt"``, the default, its
 #: multi-sweep schedule on 3-way tensors; ``"einsum"`` is the
@@ -255,32 +256,27 @@ def _resolve_kernel(
         # A fresh engine per run: the tree binds to the run's tensor on the
         # first call and caches partial contractions across the whole run.
         return MultiSweepTreeKernel() if kernel == "msdt" else DimensionTreeKernel()
-    if kernel == "sampled-dimtree":
-        # The fused engine: leverage draws served from the dimension tree's
-        # cached partial contractions (lazy import for the same layering
-        # reason as the plain sampled kernels below).
+    if kernel.startswith("sampled"):
+        # One class, built fresh per run so that an explicit seed makes the
+        # whole ALS run reproducible (imported lazily: its draws come from
+        # repro.sketch, which layers on this driver).  "sampled-dimtree"
+        # serves tree-leverage draws from the dimension tree's cached
+        # partial contractions; "sampled" and "sampled-tree" run with
+        # cache=False and resample the raw tensor on every call, from the
+        # product-of-factor-leverage distribution and from the exact
+        # Khatri-Rao leverage distribution via the segment-tree sampler.
         from repro.core.sampled_dimtree import SampledDimtreeKernel
 
-        return SampledDimtreeKernel(seed=_kernel_seed(seed))
+        return SampledDimtreeKernel(
+            distribution="product-leverage" if kernel == "sampled" else "tree-leverage",
+            seed=_kernel_seed(seed),
+            cache=kernel == "sampled-dimtree",
+        )
     if kernel == "blocked":
         return PerCallKernel(
             lambda tensor, factors, mode: blocked_mttkrp(
                 tensor, factors, mode, threads=threads
             )
-        )
-    if kernel in ("sampled", "sampled-tree"):
-        # Imported lazily: repro.sketch layers on this driver, so a module-level
-        # import would be circular.  A fresh kernel is built per run so that an
-        # explicit seed makes the whole ALS run reproducible; it resamples on
-        # every call — "sampled" from the product-of-factor-leverage
-        # distribution, "sampled-tree" from the exact Khatri-Rao leverage
-        # distribution via the segment-tree sampler (both never materialize a
-        # length-J vector).
-        from repro.sketch.sampled_mttkrp import make_sampled_kernel
-
-        distribution = "tree-leverage" if kernel == "sampled-tree" else "product-leverage"
-        return as_sweep_kernel(
-            make_sampled_kernel(seed=_kernel_seed(seed), distribution=distribution)
         )
     return PerCallKernel(_KERNELS[kernel])
 
@@ -358,12 +354,16 @@ def cp_als(
     resume_from:
         A previously captured checkpoint: the run resumes at sweep
         ``resume_from.iteration + 1``, bitwise identical to the uninterrupted
-        run for every registry kernel and for a fresh
-        :func:`~repro.sketch.sampled_mttkrp.make_sampled_kernel` closure
-        built as the original run's was.  The ``init`` and ``seed`` of the
-        original run should be passed unchanged (they are ignored for state,
-        but seed still feeds a fresh sampled kernel unless the kernel state
-        overrides it — which the checkpoint does).
+        run for every registry kernel and for a fresh kernel instance built
+        as the original run's was (say
+        ``SampledDimtreeKernel(64, cache=False, seed=5)``).  The resume
+        takes one deep copy of the checkpoint, and the kernel adopts its
+        state from that copy; a checkpoint written by another kernel class,
+        or by a distributed kernel on another grid, raises
+        :class:`~repro.exceptions.ParameterError`.  The ``init`` and
+        ``seed`` of the original run should be passed unchanged (they are
+        ignored for state, but seed still feeds a fresh sampled kernel
+        unless the kernel state overrides it — which the checkpoint does).
 
     Returns
     -------

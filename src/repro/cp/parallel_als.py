@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.sweep_kernel import PerCallKernel, SweepKernel, check_kernel_name
+from repro.core.sweep_kernel import SweepKernel, check_kernel_name
 from repro.cp.als import _kernel_seed, check_als_arguments, cp_als, CPALSResult
 from repro.exceptions import DistributionError
 from repro.observe.tracer import trace
@@ -111,12 +111,10 @@ class _SweepWordCounter(SweepKernel):
 
     # -- checkpoint/restore: forward; the counter keeps no cross-sweep state.
     def capture_state(self) -> Optional[dict]:
-        return {"kind": "sweep-word-counter", "inner": self.inner.capture_state()}
+        return self.inner.capture_state()
 
     def restore_state(self, state: Optional[dict]) -> None:
-        if state is None:
-            return
-        self.inner.restore_state(state["inner"])
+        self.inner.restore_state(state)
 
     def invalidate_caches(self) -> bool:
         return self.inner.invalidate_caches()
@@ -283,55 +281,28 @@ def parallel_cp_als(
         # The per-call sampled kernels run on empty blocks; the others cannot.
         check_block_extents(data.shape, rank, grid)
 
-    sampled_mttkrp_parallel = None
-    sample_rng: Optional[np.random.Generator] = None
-    if sampled or fused:
-        if sampled:
-            from repro.sketch.parallel.sampled_mttkrp import parallel_sampled_mttkrp
-
-            sampled_mttkrp_parallel = parallel_sampled_mttkrp
-        # The sequential registry's draw stream: a Generator seed is shared
-        # with the initialisation, an int seed spawns a separate stream.
-        sample_rng = np.random.default_rng(_kernel_seed(seed))
-
     words_per_iteration: List[int] = []
 
     inner: SweepKernel
     if kernel == "dimtree":
         inner = DistributedDimtreeKernel(grid, machine=machine)
-    elif fused:
-        # Lazy import, like the sampled kernels: the fused distributed kernel
-        # lives in the sketch subsystem, which layers on this driver.  It
-        # draws exact leverage via cached segment trees, as in the sequential
-        # registry (construct it directly for the other fused distributions).
-        from repro.sketch.parallel.sampled_dimtree import (
-            DistributedSampledDimtreeKernel,
+    elif sampled or fused:
+        # Lazy imports: the sampled kernels live in the sketch subsystem,
+        # which layers on this driver.  They draw from the sequential
+        # registry's stream (a Generator seed is shared with the
+        # initialisation, an int seed spawns a separate stream) and from its
+        # distributions; construct the fused kernel directly for the others.
+        from repro.sketch.parallel.sampled_dimtree import DistributedSampledDimtreeKernel
+        from repro.sketch.parallel.sampled_mttkrp import ParallelSampledKernel
+
+        sampled_kernel = DistributedSampledDimtreeKernel if fused else ParallelSampledKernel
+        inner = sampled_kernel(
+            grid,
+            machine=machine,
+            n_samples=n_samples,
+            distribution="product-leverage" if kernel == "sampled" else "tree-leverage",
+            seed=_kernel_seed(seed),
         )
-
-        inner = DistributedSampledDimtreeKernel(
-            grid, machine=machine, n_samples=n_samples, seed=sample_rng
-        )
-    elif sampled:
-        # The sequential registry's distributions.
-        distribution = "tree-leverage" if kernel == "sampled-tree" else "product-leverage"
-
-        def sampled_kernel(local_tensor, factors, mode):
-            return sampled_mttkrp_parallel(
-                local_tensor,
-                factors,
-                mode,
-                grid,
-                n_samples=n_samples,
-                distribution=distribution,
-                seed=sample_rng,
-                machine=machine,
-            ).assemble()
-
-        # Its MTTKRPs are estimates, so cp_als must not stop on their fits.
-        sampled_kernel.exact = False
-        # The shared draw generator is the closure's only cross-call state;
-        # hand it to the adapter so checkpoints capture the stream position.
-        inner = PerCallKernel(sampled_kernel, rng=sample_rng)
     else:
         exact_kernel = GeneralKernel if kernel == "general" else StationaryKernel
         inner = exact_kernel(grid, machine=machine, threads=threads)

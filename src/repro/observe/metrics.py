@@ -81,11 +81,6 @@ class MetricsRegistry:
         with self._lock:
             return dict(sorted(self._counters.items()))
 
-    def histogram(self, name: str) -> List[float]:
-        """The raw observations of histogram ``name`` (empty if absent)."""
-        with self._lock:
-            return list(self._histograms.get(name, []))
-
     def histogram_summary(self, name: str) -> Dict[str, float]:
         """Count/sum/min/max/p50/p99 summary of histogram ``name``."""
         with self._lock:

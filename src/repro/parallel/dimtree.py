@@ -109,22 +109,26 @@ class DistributedDimtreeKernel(DistributedKernel):
 
     # -- checkpoint/restore ---------------------------------------------------
     def capture_state(self) -> Optional[dict]:
-        """Gate stamps, gathered blocks, and per-rank tree caches."""
+        """Gate stamps, gathered blocks, and per-rank tree caches, by reference.
+
+        Each per-rank tree's gate holds the gathered blocks themselves, so
+        the checkpoint's one deep copy keeps them one object each and the
+        restored trees keep hitting.
+        """
         if self.gate is None:
             return None
         return {
-            "kind": "parallel-dimtree",
+            "kind": self.state_kind,
             "gate": self.gate.capture_state(),
-            "gathered": {
-                k: {r: block.copy() for r, block in blocks.items()}
-                for k, blocks in self._gathered.items()
-            },
-            "gathered_version": dict(self._gathered_version),
+            "gathered": self._gathered,
+            "gathered_version": self._gathered_version,
             "trees": {r: tree.capture_state() for r, tree in self._trees.items()},
         }
 
     def restore_state(self, state: Optional[dict]) -> None:
-        """Stash a snapshot; applied inside the next :meth:`mttkrp` call."""
+        """Check and stash a snapshot; applied inside the next :meth:`mttkrp` call."""
+        if state is not None:
+            self.check_state(state)
         self._pending_state = state
 
     def invalidate_caches(self) -> bool:
@@ -137,25 +141,14 @@ class DistributedDimtreeKernel(DistributedKernel):
         self.gate.invalidate_all()
         return True
 
-    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
+    def _apply_pending(self) -> None:
         state = self._pending_state
         self._pending_state = None
-        self.gate.restore_state(state["gate"], factors)
-        self._gathered = {
-            k: {r: block.copy() for r, block in blocks.items()}
-            for k, blocks in state["gathered"].items()
-        }
-        self._gathered_version = dict(state["gathered_version"])
-        ndim = len(self.grid.dims)
+        self.gate.restore_state(state["gate"])
+        self._gathered = state["gathered"]
+        self._gathered_version = state["gathered_version"]
         for r, tree in self._trees.items():
-            # Per-rank trees key staleness on the gathered blocks' identity:
-            # rebind each tree's gate to the restored blocks so its cached
-            # partials keep hitting.
-            local = [
-                self._gathered[k][r] if k in self._gathered else None
-                for k in range(ndim)
-            ]
-            tree.restore_state(state["trees"][r], local)
+            tree.restore_state(state["trees"][r])
 
     def setup(self, data: np.ndarray, rank: int, mode: int = 0) -> bool:
         if not super().setup(data, rank, mode):
@@ -215,7 +208,7 @@ class DistributedDimtreeKernel(DistributedKernel):
         self, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> DistributedMTTKRPOutput:
         if self._pending_state is not None:
-            self._apply_pending(factors)
+            self._apply_pending()
 
         # -- re-gather only the factors the gate declares stale: exactly the
         #    ones the driver has replaced.
@@ -237,10 +230,6 @@ class DistributedDimtreeKernel(DistributedKernel):
             mode,
             lambda pn: f"{self.reduce_label} B mode {mode} p_{mode}={pn}",
         )
-
-    def local_flops(self) -> int:
-        """Max over ranks of the counted local contraction flops."""
-        return max((tree.flops for tree in self._trees.values()), default=0)
 
 
 def output_reduce_scatter_words(dist: StationaryDistribution, mode: int) -> np.ndarray:

@@ -500,6 +500,10 @@ class DistributedKernel(SweepKernel):
         self.tensor_blocks: Dict[int, LocalTensorBlock] = {}
         self._tensor: Optional[np.ndarray] = None
 
+    @property
+    def state_kind(self) -> str:
+        return f"{type(self).__name__} on grid {self.grid.dims}"
+
     def setup(self, data: np.ndarray, rank: int, mode: int = 0) -> bool:
         """Scatter ``data`` for ``rank`` unless done; return whether it (re)built."""
         if self.dist is not None and self._tensor is data and self.dist.rank == rank:

@@ -14,17 +14,29 @@ checkpoint holds everything the sweep loop and the kernel read:
 * kernel state — whatever the kernel's
   :meth:`~repro.core.sweep_kernel.SweepKernel.capture_state` returned:
   dimension-tree partials with their :class:`~repro.core.dimtree.FactorGate`
-  version/drift stamps, fused-sampler snapshots and segment trees, gathered
-  factor blocks of the distributed kernels, and the exact
-  ``numpy.random.Generator`` bit-stream position of the sampled kernels.
+  version/drift stamps and stored factors, the fused kernels' sampler cache,
+  gathered factor blocks of the distributed kernels, and the exact
+  ``numpy.random.Generator`` bit-stream position of the sampled kernels,
+  under a ``"kind"`` key naming the kernel's class (with a distributed
+  kernel's grid and a sampled kernel's distribution): another kernel
+  refuses the state on resume.
 
-Checkpoint format: :attr:`CheckpointState.kernel_state` is a plain
-``dict``-of-arrays tree (kernel-specific keys documented on each kernel's
-``capture_state``), so a state can be persisted with ``numpy`` tooling if a
-caller needs durability beyond the in-memory store.
+A kernel captures its state by reference.  :meth:`CheckpointState.copy`,
+one ``copy.deepcopy`` of the whole checkpoint, is the only copy a save
+(:meth:`CheckpointStore.save`) or a resume takes, so an array held by both
+the driver and the kernel — a factor the kernel's gate compares by
+identity — is copied once and stays one object: after a resume the gate
+hits where the uninterrupted run's did and invalidates where it did, and a
+distributed run's word ledger splits additively at the kill point.  The copy
+never reaches the tensor, whose blocks the kernels derive again on resume.
 
-This module is a dependency leaf (numpy + exceptions only) so both drivers
-can import it without layering concerns.
+Checkpoint format: :attr:`CheckpointState.kernel_state` is a tree of
+dicts, tuples and arrays, with the fused kernels' sampler cache object in
+it (kernel-specific keys documented on each kernel's ``capture_state``);
+it pickles, if a caller needs durability beyond the in-memory store.
+
+This module is a dependency leaf (numpy, exceptions and validation only) so
+both drivers can import it without layering concerns.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -73,18 +86,14 @@ class CheckpointState:
     rank: int
 
     def copy(self) -> "CheckpointState":
-        """Deep copy (so a stored checkpoint cannot alias live driver arrays)."""
-        return CheckpointState(
-            iteration=self.iteration,
-            factors=[np.array(f, copy=True) for f in self.factors],
-            weights=np.array(self.weights, copy=True),
-            fits=list(self.fits),
-            previous_fit=self.previous_fit,
-            mttkrp_calls=self.mttkrp_calls,
-            kernel_state=copy.deepcopy(self.kernel_state),
-            shape=tuple(self.shape),
-            rank=self.rank,
-        )
+        """One deep copy of the whole checkpoint, driver and kernel state together.
+
+        It is the only copy a save or a resume takes: the kernel's snapshot
+        holds live objects, and an array it shares with the driver (a factor
+        its staleness gate compares by identity) stays one array in the
+        copy, so identity checks keep hitting after a resume.
+        """
+        return copy.deepcopy(self)
 
     def check_problem(self, shape: Sequence[int], rank: int) -> None:
         """Raise unless this checkpoint belongs to the given problem."""
@@ -114,11 +123,9 @@ class CheckpointStore:
     states: List[CheckpointState] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.every = int(self.every)
-        if self.every < 1:
-            raise ParameterError("checkpoint cadence 'every' must be at least 1")
-        if self.keep_last is not None and int(self.keep_last) < 1:
-            raise ParameterError("keep_last must be at least 1")
+        self.every = check_positive_int(self.every, "checkpoint cadence 'every'")
+        if self.keep_last is not None:
+            self.keep_last = check_positive_int(self.keep_last, "keep_last")
 
     def wants(self, iteration: int) -> bool:
         """Whether the driver should checkpoint after this sweep."""
@@ -127,8 +134,8 @@ class CheckpointStore:
     def save(self, state: CheckpointState) -> None:
         """Store a deep copy of ``state``."""
         self.states.append(state.copy())
-        if self.keep_last is not None and len(self.states) > int(self.keep_last):
-            del self.states[: len(self.states) - int(self.keep_last)]
+        if self.keep_last is not None and len(self.states) > self.keep_last:
+            del self.states[: len(self.states) - self.keep_last]
 
     def latest(self) -> Optional[CheckpointState]:
         """The most recent checkpoint, or ``None``."""

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.parallel.collectives import COLLECTIVE_KINDS
+from repro.utils.validation import check_positive_int
 
 #: Injectable fault kinds.
 FAULT_KINDS = ("drop", "corrupt", "delay", "rank-failure")
@@ -170,10 +171,15 @@ class FaultSchedule:
         Draws ``n_faults`` specs with independent step targets in
         ``[0, max_step)`` and kinds from ``kinds`` (default: the recoverable
         three — rank failures abort the run and are opted into explicitly).
-        The same seed always yields the same schedule.
+        The same seed always yields the same schedule.  ``n_faults`` must be
+        a non-negative integer, ``max_step`` and ``max_failures`` positive
+        integers, and ``kinds`` non-empty.
         """
-        if n_faults < 0:
-            raise ParameterError("n_faults cannot be negative")
+        n_faults = check_positive_int(n_faults, "n_faults", minimum=0)
+        max_step = check_positive_int(max_step, "max_step")
+        max_failures = check_positive_int(max_failures, "max_failures")
+        if not kinds:
+            raise ParameterError("kinds must name at least one fault kind")
         for kind in kinds:
             if kind not in FAULT_KINDS:
                 raise ParameterError(
@@ -181,15 +187,15 @@ class FaultSchedule:
                 )
         rng = np.random.default_rng(seed)
         specs: List[FaultSpec] = []
-        for _ in range(int(n_faults)):
+        for _ in range(n_faults):
             kind = str(kinds[int(rng.integers(0, len(kinds)))])
-            step = int(rng.integers(0, int(max_step)))
+            step = int(rng.integers(0, max_step))
             if kind in ("drop", "corrupt"):
                 specs.append(
                     FaultSpec(
                         kind,
                         step=step,
-                        n_failures=int(rng.integers(1, int(max_failures) + 1)),
+                        n_failures=int(rng.integers(1, max_failures + 1)),
                     )
                 )
             elif kind == "delay":

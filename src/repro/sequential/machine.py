@@ -20,7 +20,7 @@ Two levels of fidelity are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from repro.exceptions import MemoryModelError, ParameterError
@@ -105,10 +105,6 @@ class TwoLevelMemory(IOCounter):
         """Words currently resident in fast memory."""
         return self._used
 
-    def is_resident(self, key: Hashable) -> bool:
-        """Whether ``key`` currently resides in fast memory."""
-        return key in self._resident
-
     def _check_capacity(self, extra: int) -> None:
         if self.capacity is not None and self._used + extra > self.capacity:
             raise MemoryModelError(
@@ -131,17 +127,6 @@ class TwoLevelMemory(IOCounter):
             self._dirty[key] = False
             self._used += size
         self.load(size)
-
-    def allocate(self, key: Hashable, size: int = 1) -> None:
-        """Reserve fast-memory space for a value created in place (no communication)."""
-        if size < 1:
-            raise ParameterError("size must be >= 1")
-        if key in self._resident:
-            return
-        self._check_capacity(size)
-        self._resident[key] = size
-        self._dirty[key] = False
-        self._used += size
 
     def touch(self, key: Hashable) -> None:
         """Mark a resident value as modified (dirty) without communication."""
@@ -169,13 +154,3 @@ class TwoLevelMemory(IOCounter):
             raise MemoryModelError(f"cannot evict dirty value {key!r} without storing it")
         self._used -= self._resident.pop(key)
         self._dirty.pop(key, None)
-
-    def evict_all(self) -> None:
-        """Discard every resident value (all must be clean)."""
-        for key in list(self._resident):
-            self.evict(key)
-
-    def store_and_evict(self, key: Hashable) -> None:
-        """Convenience: store a value then evict it."""
-        self.store_value(key)
-        self.evict(key)

@@ -9,8 +9,7 @@ route around those bounds:
   product-of-factor-leverage approximation of Bharadwaj et al., 2023);
 * :mod:`repro.sketch.sampled_mttkrp` — the sampled MTTKRP kernel, which
   materializes only the distinct drawn Khatri-Rao rows and matching fibers
-  of a dense tensor, plus a closure factory conforming to the CP-ALS
-  ``MTTKRPKernel`` signature;
+  of a dense tensor (the per-call step of sketched CP-ALS);
 * :mod:`repro.sketch.treesample` — the segment-tree exact Khatri-Rao
   leverage sampler of Bharadwaj et al. (``distribution="tree-leverage"``):
   exact leverage draws in ``O(R^2 log I_k)`` per draw without materializing
@@ -26,9 +25,12 @@ route around those bounds:
   against this cost model) rather than modelled.
 
 Sketched CP-ALS (CP-ARLS-LEV in Bharadwaj et al.) is the ALS driver on a
-sampled kernel, resampled on every MTTKRP: ``cp_als(kernel="sampled")``,
-``"sampled-tree"`` or a :func:`make_sampled_kernel` closure, and
-``parallel_cp_als(kernel="sampled")`` on the simulated machine.
+sampled kernel, resampled on every MTTKRP: ``cp_als(kernel="sampled")`` or
+``"sampled-tree"``, which build
+:class:`~repro.core.sampled_dimtree.SampledDimtreeKernel` with
+``cache=False`` (construct one directly for another draw count or
+distribution), and ``parallel_cp_als(kernel="sampled")`` on the simulated
+machine.
 
 Accuracy is a tunable resource here: every entry point exposes the sample
 count / sketch size that trades estimator variance against words moved.
@@ -46,7 +48,6 @@ from repro.sketch.sampling import (
 from repro.sketch.sampled_mttkrp import (
     SampledMTTKRPReport,
     default_sample_count,
-    make_sampled_kernel,
     sampled_mttkrp,
 )
 from repro.sketch.treesample import (
@@ -84,7 +85,6 @@ __all__ = [
     "leverage_scores",
     "SampledMTTKRPReport",
     "default_sample_count",
-    "make_sampled_kernel",
     "sampled_mttkrp",
     "TREE_DISTRIBUTION",
     "GramSegmentTree",

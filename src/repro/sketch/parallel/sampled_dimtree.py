@@ -35,7 +35,6 @@ All-Reduce per gather event, so the machine ledger matches it word for word
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -116,33 +115,31 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
     # -- checkpoint/restore: the RNG, sampler cache and draw log on top -------
     def capture_state(self) -> dict:
         """RNG position + sampler cache + draw log + the base snapshot."""
-        state = super().capture_state() or {"gate": None}
+        state = super().capture_state() or {"kind": self.state_kind, "gate": None}
         state.update(
-            kind="parallel-sampled-dimtree",
-            rng=copy.deepcopy(self._rng.bit_generator.state),
-            samplers=self.samplers.capture_state(),
-            draw_log=list(self.draw_log),
+            rng=self._rng.bit_generator.state,
+            samplers=self.samplers,
+            draw_log=self.draw_log,
         )
         return state
 
     def restore_state(self, state: Optional[dict]) -> None:
         """Adopt the RNG now; the caches with the next mttkrp (or now, if none)."""
-        self._pending_state = None
+        super().restore_state(state)
         if state is None:
             return
-        self._rng.bit_generator.state = copy.deepcopy(state["rng"])
+        self._rng.bit_generator.state = state["rng"]
         if state["gate"] is None:
+            self._pending_state = None
             self._restore_sampling(state)
-        else:
-            self._pending_state = state
 
     def _restore_sampling(self, state: dict) -> None:
-        self.samplers.restore_state(state["samplers"])
-        self.draw_log = list(state["draw_log"])
+        self.samplers = state["samplers"]
+        self.draw_log = state["draw_log"]
 
-    def _apply_pending(self, factors: Sequence[Optional[np.ndarray]]) -> None:
+    def _apply_pending(self) -> None:
         self._restore_sampling(self._pending_state)
-        super()._apply_pending(factors)
+        super()._apply_pending()
 
     def invalidate_caches(self) -> bool:
         sampled = self.samplers.invalidate_all()

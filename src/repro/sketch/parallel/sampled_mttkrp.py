@@ -35,6 +35,9 @@ weights, fiber segments) is bitwise identical to the corresponding slice of
 the sequential kernel's operands; the only divergence channel is the
 floating-point summation order when a grid splits the sample space, which the
 tests bound at machine precision.
+
+:class:`ParallelSampledKernel` runs one such MTTKRP per call as the sweep
+kernel of ``parallel_cp_als(kernel="sampled")`` and ``"sampled-tree"``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.sweep_kernel import SweepKernel
 from repro.exceptions import DistributionError, ParameterError
 from repro.parallel.collectives import all_gather, all_reduce
 from repro.parallel.distribution import DistributedMTTKRPOutput, StationaryDistribution
@@ -56,7 +60,7 @@ from repro.sketch.sampled_mttkrp import (
     default_sample_count,
     estimator_gemm,
 )
-from repro.sketch.sampling import SampleSet, SeedLike, draw_krp_samples
+from repro.sketch.sampling import SampleSet, SeedLike, _as_generator, draw_krp_samples
 from repro.tensor.dense import as_ndarray
 from repro.utils.validation import (
     check_factor_matrices,
@@ -108,21 +112,6 @@ class ParallelSampledMTTKRPResult:
     def assemble(self) -> np.ndarray:
         """Assemble the global output estimate."""
         return self.output.assemble()
-
-    def phase_words(self) -> Dict[str, int]:
-        """Per-rank-summed words charged by each phase (from the trace labels).
-
-        Returns a mapping ``phase -> words per participating rank summed over
-        that phase's collectives`` for the setup, sampled-gather, and output
-        phases (labels :data:`SETUP_LABEL`, :data:`GATHER_LABEL`,
-        :data:`OUTPUT_LABEL`).
-        """
-        totals = {SETUP_LABEL: 0, GATHER_LABEL: 0, OUTPUT_LABEL: 0}
-        for record in self.machine.records:
-            for phase in totals:
-                if record.label.startswith(phase):
-                    totals[phase] += record.words_per_rank
-        return totals
 
 
 def charge_sampling_setup(
@@ -347,3 +336,56 @@ def parallel_sampled_mttkrp(
         assignment=assignment,
         grid_dims=tuple(grid.dims),
     )
+
+
+class ParallelSampledKernel(SweepKernel):
+    """Sweep kernel of ``parallel_cp_als(kernel="sampled")`` and ``"sampled-tree"``.
+
+    Every call runs :func:`parallel_sampled_mttkrp` on ``grid_dims`` and the
+    run's ``machine``, drawing afresh from one stream: the sequential
+    registry's draws, resampled per MTTKRP.  The stream's position is the
+    kernel's only cross-call state, and a checkpoint carries it.
+    """
+
+    exact = False
+
+    def __init__(
+        self,
+        grid_dims: Sequence[int],
+        *,
+        machine: SimulatedMachine,
+        n_samples: Optional[int] = None,
+        distribution: str = "product-leverage",
+        seed: SeedLike = None,
+    ) -> None:
+        self.grid_dims = tuple(grid_dims)
+        self.machine = machine
+        self.n_samples = n_samples
+        self.distribution = distribution
+        self.rng = _as_generator(seed)
+
+    @property
+    def state_kind(self) -> str:
+        return f"{type(self).__name__}({self.distribution}) on grid {self.grid_dims}"
+
+    def mttkrp(
+        self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
+    ) -> np.ndarray:
+        return parallel_sampled_mttkrp(
+            tensor,
+            factors,
+            mode,
+            self.grid_dims,
+            n_samples=self.n_samples,
+            distribution=self.distribution,
+            seed=self.rng,
+            machine=self.machine,
+        ).assemble()
+
+    def capture_state(self) -> dict:
+        return {"kind": self.state_kind, "rng": self.rng.bit_generator.state}
+
+    def restore_state(self, state: Optional[dict]) -> None:
+        if state is not None:
+            self.check_state(state)
+            self.rng.bit_generator.state = state["rng"]

@@ -15,9 +15,11 @@ the kernel scale with the number of *distinct* samples rather than with
 ``J`` — the randomized route around the paper's communication lower bounds,
 which assume every entry of the iteration space is touched.
 
-:func:`make_sampled_kernel` wraps the estimator in a closure conforming to the
-:data:`repro.cp.als.MTTKRPKernel` signature, resampling on every call, so the
-existing CP-ALS driver can run sketched (``kernel="sampled"``).
+Sketched CP-ALS runs this estimator through the drivers' registry:
+``cp_als(kernel="sampled")`` and ``"sampled-tree"`` build a
+:class:`~repro.core.sampled_dimtree.SampledDimtreeKernel` with
+``cache=False``, which calls :func:`sampled_mttkrp` on the whole tensor on
+every MTTKRP, resampling from one draw stream.
 
 The fiber gather, :func:`_gather_fibers_dense`, serves every sampled
 kernel: this one on the whole tensor, the fused kernel of :mod:`repro.core.sampled_dimtree` on a
@@ -37,8 +39,6 @@ from repro.exceptions import ParameterError
 from repro.sketch.sampling import (
     SampleSet,
     SeedLike,
-    _as_generator,
-    check_distribution,
     draw_krp_samples,
 )
 from repro.tensor.dense import as_ndarray
@@ -153,8 +153,13 @@ def sampled_mttkrp(
         :func:`default_sample_count`).
     distribution:
         Sampling distribution (see :mod:`repro.sketch.sampling`); the
-        default, ``"product-leverage"``, is the default of every sampled
-        entry point and of ``cp_als(kernel="sampled")``.
+        default, ``"product-leverage"``, is the default of the other
+        sampled MTTKRP entry points and the distribution of
+        ``cp_als(kernel="sampled")``, which calls this function on every
+        MTTKRP through
+        :class:`~repro.core.sampled_dimtree.SampledDimtreeKernel` with
+        ``cache=False``.  The materialized ``"leverage"`` distribution is
+        served here only: the sweep kernels draw from the per-factor ones.
     seed:
         Seed or generator for the draws.
     samples:
@@ -201,42 +206,3 @@ def sampled_mttkrp(
         samples=samples,
     )
 
-
-def make_sampled_kernel(
-    n_samples: Optional[int] = None,
-    *,
-    distribution: str = "product-leverage",
-    seed: SeedLike = None,
-):
-    """Build an ``MTTKRPKernel``-conforming closure around :func:`sampled_mttkrp`.
-
-    The closure owns a :class:`numpy.random.Generator`, so every invocation
-    resamples — inside CP-ALS this gives fresh draws for every mode of every
-    sweep (per-iteration resampling).  The default distribution is the
-    product-of-factor-leverage approximation, the only one cheap enough to be
-    the kernel default (it never materializes a length-``J`` vector).
-    ``n_samples`` (``None`` for :func:`default_sample_count`, or a positive
-    int) and ``distribution`` are checked here rather than in the first sweep.
-    """
-    if n_samples is not None:
-        n_samples = check_positive_int(n_samples, "n_samples")
-    check_distribution(distribution)
-    rng = _as_generator(seed)
-
-    def kernel(tensor, factors: Sequence[Optional[np.ndarray]], mode: int) -> np.ndarray:
-        return sampled_mttkrp(
-            tensor,
-            factors,
-            mode,
-            n_samples=n_samples,
-            distribution=distribution,
-            seed=rng,
-        )
-
-    kernel.__name__ = f"sampled_mttkrp_kernel[{distribution}]"
-    # The owned generator is the closure's only cross-call state; expose it so
-    # PerCallKernel can capture/restore the bit-stream position (ISSUE 10).
-    kernel.rng = rng
-    # Its MTTKRPs are estimates, so cp_als must not stop on their fits.
-    kernel.exact = False
-    return kernel

@@ -1,10 +1,9 @@
 """A thin dense-tensor wrapper with the operations MTTKRP algorithms need.
 
 ``DenseTensor`` wraps a numpy array and exposes the operations the paper's
-algorithms use — mode-``n`` unfolding, norms, sub-tensor extraction for the
-blocked/parallel data distributions — without hiding the underlying array
-(``.data`` is always available and most functions in the package accept raw
-arrays as well).
+algorithms use — mode-``n`` unfolding and norms — without hiding the
+underlying array (``.data`` is always available and most functions in the
+package accept raw arrays as well).
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ParameterError, ShapeError
-from repro.tensor.matricization import fold, unfold
-from repro.utils.validation import check_mode, check_shape
+from repro.tensor.matricization import unfold
+from repro.utils.validation import check_shape
 
 
 class DenseTensor:
@@ -91,60 +90,11 @@ class DenseTensor:
         """Mode-``mode`` matricization (see :func:`repro.tensor.unfold`)."""
         return unfold(self.data, mode)
 
-    @classmethod
-    def from_unfolding(cls, matrix: np.ndarray, mode: int, shape: Sequence[int]) -> "DenseTensor":
-        """Rebuild a tensor from one of its unfoldings."""
-        return cls(fold(matrix, mode, shape))
-
-    # -- sub-tensor extraction (for blocked / distributed algorithms) ------
-    def subtensor(self, ranges: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Extract the sub-tensor given per-mode half-open ranges.
-
-        Parameters
-        ----------
-        ranges:
-            One ``(start, stop)`` pair per mode.
-
-        Returns
-        -------
-        numpy.ndarray
-            A *copy* of the sub-tensor (the blocked and parallel algorithms
-            treat the extraction as a data movement, so aliasing would make
-            the communication accounting misleading).
-        """
-        if len(ranges) != self.ndim:
-            raise ShapeError(
-                f"expected {self.ndim} ranges (one per mode), got {len(ranges)}"
-            )
-        slices = []
-        for k, (start, stop) in enumerate(ranges):
-            if not 0 <= start <= stop <= self.shape[k]:
-                raise ShapeError(
-                    f"range {(start, stop)} invalid for mode {k} of extent {self.shape[k]}"
-                )
-            slices.append(slice(start, stop))
-        return self.data[tuple(slices)].copy()
-
-    def mode_dims_except(self, mode: int) -> Tuple[int, ...]:
-        """Dimensions of all modes except ``mode`` (in increasing mode order)."""
-        mode = check_mode(mode, self.ndim)
-        return tuple(dim for k, dim in enumerate(self.shape) if k != mode)
-
     # -- constructors ------------------------------------------------------
     @classmethod
     def zeros(cls, shape: Sequence[int], dtype=np.float64) -> "DenseTensor":
         """All-zero tensor of the given shape."""
         return cls(np.zeros(check_shape(shape), dtype=dtype))
-
-    @classmethod
-    def from_function(cls, shape: Sequence[int], fn) -> "DenseTensor":
-        """Tensor whose entry at multi-index ``i`` is ``fn(i)`` (for tests/examples)."""
-        shape = check_shape(shape)
-        out = np.empty(shape, dtype=np.float64)
-        it = np.nditer(out, flags=["multi_index"], op_flags=["writeonly"])
-        for cell in it:
-            cell[...] = fn(it.multi_index)
-        return cls(out)
 
 
 #: dtype kinds the real-valued kernels accept: bool, signed and unsigned

@@ -251,7 +251,7 @@ class TestDimtreeKernelInALS:
 
 
 class TestSweepKernelProtocol:
-    def test_per_call_adapter_and_call_syntax(self):
+    def test_per_call_adapter(self):
         calls = []
 
         def fn(tensor, factors, mode):
@@ -262,9 +262,12 @@ class TestSweepKernelProtocol:
         assert isinstance(kernel, PerCallKernel)
         kernel.begin_sweep(1)  # no-op hooks must exist
         kernel.factor_updated(0, np.zeros((3, 2)))
-        out = kernel(np.zeros((3, 4)), [None, np.zeros((4, 2))], 0)
+        out = kernel.mttkrp(np.zeros((3, 4)), [None, np.zeros((4, 2))], 0)
         assert out.shape == (3, 2)
         assert calls == [0]
+        assert kernel.exact
+        assert kernel.capture_state() is None
+        kernel.restore_state(None)
 
     def test_sweep_kernel_passthrough(self):
         kernel = DimensionTreeKernel()

@@ -100,7 +100,7 @@ class TestSpans:
         assert span.start == 1.0
         assert span.duration == 1.0
         # Closing a span feeds the per-name latency histogram.
-        assert session.metrics.histogram("span.a.seconds") == [1.0]
+        assert session.metrics.histogram_summary("span.a.seconds")["sum"] == 1.0
 
     def test_span_survives_exception(self):
         with tracing() as session:
@@ -181,7 +181,6 @@ class TestMetrics:
         registry.observe("lat", 1.0)
         assert registry.counter("hits") == 5
         assert registry.counter("never") == 0
-        assert registry.histogram("lat") == [2.0, 1.0]
         summary = registry.histogram_summary("lat")
         assert summary["count"] == 2
         assert summary["min"] == 1.0 and summary["max"] == 2.0

@@ -113,6 +113,23 @@ class TestFaultSchedule:
         with pytest.raises(ParameterError, match="unknown fault kind"):
             FaultSchedule.seeded(1, kinds=("drop", "typo"))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_faults", 2.5),
+            ("n_faults", True),
+            ("max_step", 0),
+            ("max_step", 2.5),
+            ("max_failures", 0),
+            ("kinds", ()),
+        ],
+    )
+    def test_seeded_rejects_bad_arguments_up_front(self, name, value):
+        """Each is named before any draw: numpy's own errors, a silent
+        truncation to an integer, or an empty kind list never reach a run."""
+        with pytest.raises(ParameterError, match=name):
+            FaultSchedule.seeded(1, **{name: value})
+
 
 class TestFaultyMachine:
     def test_empty_schedule_behaves_like_base_machine(self):

@@ -47,10 +47,8 @@ class TestTwoLevelMemoryResidency:
     def test_load_and_evict(self):
         mem = TwoLevelMemory(capacity=4)
         mem.load_value("a")
-        assert mem.is_resident("a")
         assert mem.used == 1
         mem.evict("a")
-        assert not mem.is_resident("a")
         assert mem.used == 0
         assert mem.loads == 1
 
@@ -74,12 +72,6 @@ class TestTwoLevelMemoryResidency:
         mem.load_value("a")
         assert mem.loads == 2
         assert mem.used == 1
-
-    def test_allocate_charges_no_communication(self):
-        mem = TwoLevelMemory(capacity=2)
-        mem.allocate("tmp")
-        assert mem.used == 1
-        assert mem.words_moved == 0
 
     def test_unbounded_capacity(self):
         mem = TwoLevelMemory()
@@ -109,25 +101,10 @@ class TestTwoLevelMemoryDirtyTracking:
         mem.evict("b")  # no error
         assert mem.stores == 1
 
-    def test_store_and_evict_helper(self):
-        mem = TwoLevelMemory(capacity=1)
-        mem.load_value("b")
-        mem.touch("b")
-        mem.store_and_evict("b")
-        assert mem.used == 0
-        assert mem.stores == 1
-
     def test_touch_requires_residency(self):
         mem = TwoLevelMemory()
         with pytest.raises(MemoryModelError):
             mem.touch("nope")
-
-    def test_evict_all(self):
-        mem = TwoLevelMemory()
-        mem.load_value("a")
-        mem.load_value("b")
-        mem.evict_all()
-        assert mem.used == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ParameterError):

@@ -7,11 +7,11 @@ sampled kernel, resampled on every MTTKRP.
 import numpy as np
 import pytest
 
+from repro.core.sampled_dimtree import FUSED_DISTRIBUTIONS, SampledDimtreeKernel
 from repro.cp.als import cp_als
 from repro.cp.initialization import initialize_factors
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
-from repro.sketch.sampled_mttkrp import make_sampled_kernel
 from repro.tensor.random import random_low_rank_tensor
 
 
@@ -31,6 +31,13 @@ def _sketched(driver, tensor, kernel, **kwargs):
     return parallel_cp_als(
         tensor, 3, 4, kernel=kernel, n_iter_max=5, tol=0.0, **kwargs
     ).als
+
+
+def _per_call(n_samples, rng):
+    """The per-call product-leverage kernel that ``kernel="sampled"`` builds."""
+    return SampledDimtreeKernel(
+        n_samples, distribution="product-leverage", cache=False, seed=rng
+    )
 
 
 def _weighted_factors(model):
@@ -57,11 +64,11 @@ class TestSketchedCPALS:
         [("sampled", "product-leverage"), ("sampled-tree", "tree-leverage")],
     )
     def test_distributed_run_draws_the_named_distribution(self, tensor, kernel, distribution):
-        """Each distributed kernel name draws what the kernel factory draws
-        under the distribution that the same name picks in ``cp_als``."""
+        """Each distributed kernel name draws what a per-call sampled kernel
+        draws under the distribution that the same name picks in ``cp_als``."""
         draws = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
-        factory = make_sampled_kernel(distribution=distribution, seed=draws)
-        sequential = cp_als(tensor, 3, kernel=factory, n_iter_max=5, tol=0.0, seed=7)
+        per_call = SampledDimtreeKernel(distribution=distribution, cache=False, seed=draws)
+        sequential = cp_als(tensor, 3, kernel=per_call, n_iter_max=5, tol=0.0, seed=7)
         parallel = parallel_cp_als(
             tensor, 3, 6, kernel=kernel, n_iter_max=5, tol=0.0, seed=7
         ).als
@@ -105,16 +112,16 @@ class TestSketchedCPALS:
         expected = (True, 2) if kernel == "dimtree" else (False, 4)
         assert (result.converged, result.n_iterations) == expected
 
-    def test_kernel_factory_closure_is_not_exact(self, tensor):
-        kernel = make_sampled_kernel(64, seed=0)
+    def test_per_call_sampled_kernel_is_not_exact(self, tensor):
+        kernel = SampledDimtreeKernel(64, cache=False, seed=0)
         assert kernel.exact is False
         result = cp_als(tensor, 3, kernel=kernel, n_iter_max=4, tol=1.0, seed=7)
         assert (result.converged, result.n_iterations) == (False, 4)
 
-    @pytest.mark.parametrize("distribution", ["uniform", "leverage", "product-leverage"])
-    def test_every_distribution_runs_through_the_kernel_factory(self, tensor, distribution):
+    @pytest.mark.parametrize("distribution", FUSED_DISTRIBUTIONS)
+    def test_every_distribution_runs_through_the_per_call_kernel(self, tensor, distribution):
         rng = np.random.default_rng(7)
-        kernel = make_sampled_kernel(512, distribution=distribution, seed=rng)
+        kernel = SampledDimtreeKernel(512, distribution=distribution, cache=False, seed=rng)
         result = cp_als(tensor, 3, kernel=kernel, seed=rng, n_iter_max=5, tol=0.0)
         assert result.mttkrp_calls == 15
         assert result.model.fit(tensor) > 0.5
@@ -123,7 +130,7 @@ class TestSketchedCPALS:
         data = random_low_rank_tensor((16, 14, 12), 3, seed=0)
         rng = np.random.default_rng(1)
         result = cp_als(
-            data, 3, kernel=make_sampled_kernel(2000, seed=rng), seed=rng,
+            data, 3, kernel=_per_call(2000, rng), seed=rng,
             n_iter_max=40, tol=1e-6,
         )
         assert result.model.fit(data) > 0.9
@@ -134,7 +141,7 @@ class TestSketchedCPALS:
         data = random_low_rank_tensor((16, 14, 12), 3, seed=0)
         rng = np.random.default_rng(3)
         sketched = cp_als(
-            data, 3, kernel=make_sampled_kernel(4, seed=rng), seed=rng,
+            data, 3, kernel=_per_call(4, rng), seed=rng,
             n_iter_max=5, tol=1e-6,
         )
         polished = cp_als(

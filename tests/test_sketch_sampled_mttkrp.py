@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import mttkrp
+from repro.core.sampled_dimtree import SampledDimtreeKernel
 from repro.cp.als import cp_als
 from repro.exceptions import ParameterError
 from repro.experiments.sketch_crossover import coherent_problem
 from repro.parallel.machine import SimulatedMachine
-from repro.sketch.sampled_mttkrp import (
-    default_sample_count,
-    make_sampled_kernel,
-    sampled_mttkrp,
-)
+from repro.sketch.sampled_mttkrp import default_sample_count, sampled_mttkrp
 from repro.sketch.parallel import parallel_sampled_mttkrp, reconcile_sampled_mttkrp
 from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.khatri_rao import implicit_krp_column_count
@@ -32,7 +29,7 @@ DRAW_COUNT_ENTRY_POINTS = {
     "parallel_sampled_mttkrp": lambda tensor, factors, n: parallel_sampled_mttkrp(
         tensor, factors, 0, (2, 1, 1), n_samples=n, seed=0
     ),
-    "make_sampled_kernel": lambda tensor, factors, n: make_sampled_kernel(n, seed=0),
+    "SampledDimtreeKernel": lambda tensor, factors, n: SampledDimtreeKernel(n, seed=0),
 }
 
 
@@ -53,7 +50,7 @@ def problem():
     ],
 )
 def test_bad_draw_count_is_named_n_samples(problem, entry, n_samples, message):
-    """Checked under the caller's name, and by the kernel factory when built."""
+    """Checked under the caller's name, and by the sampled kernel when built."""
     tensor, factors = problem
     with pytest.raises(ParameterError, match=message):
         DRAW_COUNT_ENTRY_POINTS[entry](tensor, factors, n_samples)
@@ -169,13 +166,11 @@ def _call_sampled(entry, tensor, factors, rng, machine, **options):
 
 def test_sampled_entry_points_share_one_default_distribution():
     """The same call moved between the sequential kernel, the distributed
-    one, its reconciliation, the kernel factory or the bare draw draws from
-    one distribution."""
+    one, its reconciliation or the bare draw draws from one distribution."""
     entry_points = [
         sampled_mttkrp,
         parallel_sampled_mttkrp,
         reconcile_sampled_mttkrp,
-        make_sampled_kernel,
         draw_krp_samples,
     ]
     defaults = {
@@ -228,16 +223,17 @@ def test_zero_tensor_gives_zero_estimate(problem, entry):
 
 
 class TestKernelIntegration:
-    def test_make_sampled_kernel_signature(self, problem):
+    def test_per_call_kernel_output_shape(self, problem):
         tensor, factors = problem
-        kernel = make_sampled_kernel(128, seed=11)
-        result = kernel(tensor, factors, 0)
+        kernel = SampledDimtreeKernel(128, cache=False, seed=11)
+        result = kernel.mttkrp(tensor, factors, 0)
         assert result.shape == (SHAPE[0], RANK)
 
     def test_kernel_resamples_each_call(self, problem):
         tensor, factors = problem
-        kernel = make_sampled_kernel(64, seed=12)
-        assert not np.array_equal(kernel(tensor, factors, 0), kernel(tensor, factors, 0))
+        kernel = SampledDimtreeKernel(64, cache=False, seed=12)
+        first = kernel.mttkrp(tensor, factors, 0)
+        assert not np.array_equal(first, kernel.mttkrp(tensor, factors, 0))
 
     def test_cp_als_accepts_sampled_kernel_name(self):
         tensor = random_low_rank_tensor((12, 10, 8), 3, seed=13)
@@ -246,9 +242,9 @@ class TestKernelIntegration:
         # The sampled kernel drives a real fit improvement on a low-rank target.
         assert result.model.fit(tensor) > 0.5
 
-    def test_kernel_factory_rejects_unknown_distribution_when_built(self):
-        with pytest.raises(ParameterError, match="unknown sampling distribution 'bogus'"):
-            make_sampled_kernel(64, distribution="bogus")
+    def test_per_call_kernel_rejects_unknown_distribution_when_built(self):
+        with pytest.raises(ParameterError, match="sampling distribution 'bogus'"):
+            SampledDimtreeKernel(64, distribution="bogus", cache=False)
 
     def test_unknown_kernel_message_lists_sampled(self):
         with pytest.raises(ParameterError, match="sampled"):

@@ -8,6 +8,7 @@ from repro.core.kernels import mttkrp
 from repro.cp import cp_als, parallel_cp_als
 from repro.exceptions import ParameterError, ShapeError
 from repro.tensor.dense import DenseTensor, as_ndarray
+from repro.tensor.matricization import fold
 from repro.tensor.random import random_factors
 
 
@@ -35,10 +36,6 @@ class TestConstruction:
         assert t.shape == (2, 3, 4)
         assert t.norm() == 0.0
 
-    def test_from_function(self):
-        t = DenseTensor.from_function((2, 3), lambda idx: idx[0] * 10 + idx[1])
-        assert t.data[1, 2] == 12
-
 
 class TestOperations:
     def setup_method(self):
@@ -55,8 +52,7 @@ class TestOperations:
 
     def test_unfold_roundtrip(self):
         u = self.t.unfold(1)
-        back = DenseTensor.from_unfolding(u, 1, self.t.shape)
-        assert np.allclose(back.data, self.t.data)
+        assert np.array_equal(fold(u, 1, self.t.shape), self.t.data)
 
     def test_equality(self):
         assert self.t == self.t.copy()
@@ -65,32 +61,6 @@ class TestOperations:
     def test_not_hashable(self):
         with pytest.raises(TypeError):
             hash(self.t)
-
-    def test_mode_dims_except(self):
-        assert self.t.mode_dims_except(1) == (3, 5)
-
-
-class TestSubtensor:
-    def setup_method(self):
-        self.t = DenseTensor(np.arange(24, dtype=float).reshape(2, 3, 4))
-
-    def test_extract(self):
-        sub = self.t.subtensor([(0, 2), (1, 3), (0, 2)])
-        assert sub.shape == (2, 2, 2)
-        assert np.array_equal(sub, self.t.data[0:2, 1:3, 0:2])
-
-    def test_extract_is_a_copy(self):
-        sub = self.t.subtensor([(0, 1), (0, 1), (0, 1)])
-        sub[0, 0, 0] = -1.0
-        assert self.t.data[0, 0, 0] == 0.0
-
-    def test_wrong_number_of_ranges(self):
-        with pytest.raises(ShapeError):
-            self.t.subtensor([(0, 1), (0, 1)])
-
-    def test_out_of_bounds_range(self):
-        with pytest.raises(ShapeError):
-            self.t.subtensor([(0, 3), (0, 1), (0, 1)])
 
 
 class TestAsNdarray:
