@@ -1,20 +1,20 @@
-"""Timed dense MTTKRP kernel races: einsum vs. blocked vs. auto.
+"""Timed dense MTTKRP kernel races: einsum vs. blocked vs. dense.
 
 Records ``benchmarks/BENCH_kernels_timed.json`` (a *timed* record like
 ``als_dimtree_timing.json``: wall-clock numbers vary run to run, so the file
 is gitignored and never byte-checked in CI).  Each row races, in every mode,
 the monolithic einsum kernel, the cache-blocked tiled GEMM of
 :mod:`repro.core.blocked_mttkrp` (at every requested thread count) and the
-``kernel="auto"`` rule :func:`repro.core.kernels.dense_mttkrp`, recording one
-entry per (row, mode).  Every candidate takes the median of at least three
+dense rule :func:`repro.core.kernels.dense_mttkrp` (``dense``, the local step
+of Algorithms 2-4), recording one entry per (row, mode).  Every candidate takes the median of at least three
 repetitions (:func:`repro.observe.median_time`) with per-repetition p50/p99
 sourced from the tracer's span histograms.  No wall-clock model predicts
 these winners: the tile sizes come from the machine model of
-:mod:`repro.sequential.block_size`, and ``auto`` is a fixed rule of shape,
+:mod:`repro.sequential.block_size`, and ``dense`` is a fixed rule of shape,
 mode, rank and memory layout.  The run asserts:
 
 * at least one entry has the blocked kernel beating einsum,
-* ``auto`` counts its GEMM in mode 0 and einsum in every other mode (on
+* ``dense`` counts its GEMM in mode 0 and einsum in every other mode (on
   every row einsum's path copies the tensor in mode 0 only), and beats
   einsum in mode 0 of ``dense-large-lowR``, where that copy is the whole
   tensor transposed, and
@@ -57,9 +57,9 @@ REPEATS = 3
 #: choice), blocked-kernel thread counts to race, minimum cores the row needs.
 DENSE_CASES = [
     # Big tensor at low rank: in mode 0 the einsum path copies the whole
-    # tensor transposed, and auto's one GEMM of the free unfolding (and the
+    # tensor transposed, and dense's one GEMM of the free unfolding (and the
     # tiled GEMM) beat it; in modes 1 and 2 einsum starts with a GEMM
-    # against mode 0 and auto returns its bytes.
+    # against mode 0 and dense returns its bytes.
     ("dense-large-lowR", (300, 300, 300), 16, None, (1,), 1),
     # Deliberately tiny forced tiles: a thousand tile iterations of Python
     # overhead — the blocked kernel loses every mode decisively.
@@ -99,7 +99,7 @@ def _race(candidates, rtol, atol):
 
 
 def _race_dense_row(name, shape, rank, tiles, threads_options, seed):
-    """One entry per mode: einsum, blocked at each thread count, and auto."""
+    """One entry per mode: einsum, blocked at each thread count, and dense."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(shape)
     factors = random_factors(shape, rank, seed=seed + 1)
@@ -113,9 +113,9 @@ def _race_dense_row(name, shape, rank, tiles, threads_options, seed):
                     data, factors, m, tiles=tiles, threads=t
                 )
             )
-        candidates["auto"] = lambda m=mode: dense_mttkrp(data, factors, m)
+        candidates["dense"] = lambda m=mode: dense_mttkrp(data, factors, m)
 
-        # The blocked kernel and auto's GEMM reassociate the sums, so
+        # The blocked kernel and dense's GEMM reassociate the sums, so
         # cross-check with a reassociation-sized tolerance (the bitwise
         # contracts are covered by the unit tests).
         measured, percentiles = _race(candidates, rtol=1e-9, atol=1e-8)
@@ -137,7 +137,7 @@ def _race_dense_row(name, shape, rank, tiles, threads_options, seed):
                 "median_seconds": measured,
                 "span_percentiles": percentiles,
                 "measured_winner": min(measured, key=measured.get),
-                "auto_dispatch": dispatch,
+                "dense_dispatch": dispatch,
             }
         )
     return entries
@@ -205,29 +205,29 @@ def test_bench_kernels_timed_json():
         timing = "  ".join(
             f"{label} {seconds * 1e3:9.3f}ms" for label, seconds in row["median_seconds"].items()
         )
-        auto_path = "gemm" if row["auto_dispatch"]["gemm"] else "einsum"
+        dense_path = "gemm" if row["dense_dispatch"]["gemm"] else "einsum"
         lines.append(
             f"  {row['case'] + '/mode' + str(row['mode']):>20} {timing}"
-            f"  winner={row['measured_winner']} (auto ran {auto_path})"
+            f"  winner={row['measured_winner']} (dense ran {dense_path})"
         )
     for row in skipped_rows:
         lines.append(f"  {row['case']:>20} skipped: {row['reason']}")
     lines.append(f"  blocked beats einsum on: {', '.join(blocked_wins) or 'no dense entry'}")
     lines.append(
-        "  auto beats einsum in dense-large-lowR/mode0: "
-        f"{low_rank_mode0['median_seconds']['auto'] < low_rank_mode0['median_seconds']['einsum']}"
+        "  dense beats einsum in dense-large-lowR/mode0: "
+        f"{low_rank_mode0['median_seconds']['dense'] < low_rank_mode0['median_seconds']['einsum']}"
     )
     emit("timed MTTKRP kernel races", "\n".join(lines))
 
     # The blocked dense kernel must beat einsum somewhere.
     assert blocked_wins, "no recorded configuration where the blocked dense kernel wins"
-    # auto runs its GEMM in mode 0 only, and there it beats einsum.
+    # dense runs its GEMM in mode 0 only, and there it beats einsum.
     for row in rows:
         expected = {"gemm": 1, "einsum": 0} if row["mode"] == 0 else {"gemm": 0, "einsum": 1}
-        assert row["auto_dispatch"] == expected, (row["case"], row["mode"])
+        assert row["dense_dispatch"] == expected, (row["case"], row["mode"])
     assert (
-        low_rank_mode0["median_seconds"]["auto"] < low_rank_mode0["median_seconds"]["einsum"]
-    ), "auto does not beat einsum in mode 0 of dense-large-lowR"
+        low_rank_mode0["median_seconds"]["dense"] < low_rank_mode0["median_seconds"]["einsum"]
+    ), "dense does not beat einsum in mode 0 of dense-large-lowR"
     # Only a row that raced a threaded candidate can show threads winning;
     # the one such row is skipped on a single core and not run in quick mode.
     if threaded_rows:

@@ -10,13 +10,13 @@ Three single-node kernels are provided:
   baseline of Section III-B: explicit mode-n unfolding, explicit Khatri-Rao
   product, then a single GEMM.
 
-:func:`dense_mttkrp` is the one dense dispatch rule, run by
-``kernel="auto"`` and, as :func:`local_mttkrp`, as the local computation
-inside the blocked and parallel algorithms.  Where einsum's planned path
-would copy the tensor (its first step contracts the tensor with the factor
-of a middle mode) it runs one GEMM of the free unfolding against the other
-modes' Khatri-Rao product (:func:`repro.core.kernels.gemm_mttkrp`);
-everywhere else it returns :func:`mttkrp`'s bytes.
+:func:`dense_mttkrp` is the one dense dispatch rule, run as
+:func:`local_mttkrp`, the local computation inside the blocked and parallel
+algorithms.  Where einsum's planned path would copy the tensor (its first
+step contracts the tensor with the factor of a middle mode) it runs one
+GEMM of the free unfolding against the other modes' Khatri-Rao product
+(:func:`repro.core.kernels.gemm_mttkrp`); everywhere else it returns
+:func:`mttkrp`'s bytes.
 :mod:`repro.core.blocked_mttkrp` adds the cache-blocked
 tiled-GEMM kernel (:func:`blocked_mttkrp`) — the executable form of the
 sequential blocking argument at wall-clock scale.
@@ -24,9 +24,9 @@ sequential blocking argument at wall-clock scale.
 For CP-ALS workloads, :mod:`repro.core.dimtree` provides the sweep-aware
 dimension-tree engine (:class:`DimensionTreeKernel`, kernel ``"dimtree"``)
 that caches partial contractions across mode updates, and its multi-sweep
-schedule (:class:`MultiSweepTreeKernel`, kernel ``"msdt"``, the ``cp_als``
-default), which on a 3-way tensor lets one tensor read serve two
-consecutive updates, across sweep boundaries too.
+schedule (:class:`MultiSweepTreeKernel`, kernel ``"msdt"`` or ``"auto"``,
+the ``cp_als`` default), which on a 3-way tensor lets one tensor read serve
+two consecutive updates, across sweep boundaries too.
 :mod:`repro.core.sweep_kernel` holds the kernel protocol the ALS drivers
 speak.
 

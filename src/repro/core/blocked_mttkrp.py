@@ -28,11 +28,10 @@ argument:
 When one tile covers the whole tensor the kernel dispatches to the einsum
 path verbatim, so a covering tile returns einsum's bytes.
 
-``kernel="auto"`` does not run this kernel.  Its MTTKRP,
-:func:`repro.core.kernels.dense_mttkrp` (one GEMM of the free unfolding
-where einsum's path would copy the tensor, einsum everywhere else), is
-re-exported here because the sweep benchmark (``bench/layers.py``) imports
-both kernels from this module.
+:func:`repro.core.kernels.dense_mttkrp`, the local step of Algorithms 2-4
+(one GEMM of the free unfolding where einsum's path would copy the tensor,
+einsum everywhere else), is re-exported here because the sweep benchmark
+(``bench/layers.py``) imports both kernels from this module.
 """
 
 from __future__ import annotations

@@ -28,12 +28,11 @@ Cichocki, arXiv 1204.1586, that Tensor Toolbox's ``mttkrp`` uses), when the
 removed modes are one contiguous block of a C-contiguous tensor and ``R`` is
 at most both the kept and the removed extent products; every other node
 contracts one mode at a time.  :func:`repro.core.kernels.dense_mttkrp`
-(``kernel="auto"`` and the local step of the blocked and parallel
-algorithms) runs a single MTTKRP with the same GEMM where einsum's path
-would copy the tensor.  The ledger
-charges every node recomputation as that single-mode chain (flops, words
-moved in a flat read-everything model, root-tensor reads) whichever way it
-ran, so the GEMM step is counted as the chain it replaces and the
+(the local step of the blocked and parallel algorithms) runs a single
+MTTKRP with the same GEMM where einsum's path would copy the tensor.  The
+ledger charges every node recomputation as that single-mode chain (flops,
+words moved in a flat read-everything model, root-tensor reads) whichever
+way it ran, so the GEMM step is counted as the chain it replaces and the
 paper-facing frontiers keep their numbers.  :func:`dimtree_sweep_cost`
 sums the same per-node charges over the tree, so the modelled per-sweep
 cost equals the counted ledger exactly — the tests assert ``==``, not
@@ -50,11 +49,12 @@ cost equals the counted ledger exactly — the tests assert ``==``, not
 it builds the tree on a run's tensor, marks the sweeps and restores a
 checkpoint lazily.  Two subclasses keep that lifecycle.  The fused sampled
 kernel of :mod:`repro.core.sampled_dimtree` replaces only the step.
-:class:`MultiSweepTreeKernel`, ``"msdt"`` and the ``cp_als`` default, also
-reuses partials *across* sweeps on a 3-way tensor: each tensor read builds
-a two-mode node that serves two consecutive updates, which may belong to
-two sweeps, so a sweep reads the tensor ``3/2`` times on average instead of
-``2``; :func:`multisweep_sweep_costs` is its replay.
+:class:`MultiSweepTreeKernel`, ``"msdt"`` (also named ``"auto"``) and the
+``cp_als`` default, also reuses partials *across* sweeps on a 3-way
+tensor: each tensor read builds a two-mode node that serves two
+consecutive updates, which may belong to two sweeps, so a sweep reads the
+tensor ``3/2`` times on average instead of ``2``;
+:func:`multisweep_sweep_costs` is its replay.
 """
 
 from __future__ import annotations
@@ -567,9 +567,13 @@ class DimensionTree:
         self._charge(_recompute_cost(self._data.shape, parent_key, key, rank))
         return out
 
-    def drop_partials(self) -> None:
-        """Drop every cached partial; the factor versions stay as they are."""
-        self._cache.clear()
+    def drop_partials(self, lacking: Optional[int] = None) -> None:
+        """Drop every cached partial, or only those whose key lacks mode ``lacking``.
+
+        The factor versions stay as they are.
+        """
+        for key in [key for key in self._cache if lacking is None or lacking not in key]:
+            del self._cache[key]
 
     # -- internals -----------------------------------------------------------
     def _value(self, key: Tuple[int, ...]):
@@ -675,9 +679,12 @@ class DimensionTreeKernel(SweepKernel):
         self.tree: Optional[DimensionTree] = None
         self._sweep_marks: List[SweepCost] = []
         self._pending_state: Optional[dict] = None
+        #: The sweep the driver last announced (0 before the first).
+        self._sweep = 0
 
     def begin_sweep(self, iteration: int) -> None:
         self._sweep_marks.append(self.counters())
+        self._sweep = int(iteration)
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
         if self.tree is not None:
@@ -740,7 +747,18 @@ class DimensionTreeKernel(SweepKernel):
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> np.ndarray:
-        self._bind(as_ndarray(tensor))
+        """The halving tree's MTTKRP of ``mode``.
+
+        Inside a sweep under exact invalidation the driver replaces factor
+        ``mode`` right after this read, which stales every cached node
+        whose key lacks ``mode``.  No such node lies on the leaf's path, so
+        they are dropped before the read rather than held through it.
+        """
+        data = as_ndarray(tensor)
+        self._bind(data)
+        mode = check_mode(mode, data.ndim)
+        if self._sweep and self._invalidation == "exact":
+            self.tree.drop_partials(lacking=mode)
         return self.tree.mttkrp(factors, mode)
 
     def counters(self) -> SweepCost:
@@ -847,11 +865,6 @@ class MultiSweepTreeKernel(DimensionTreeKernel):
 
     def __init__(self) -> None:
         super().__init__()
-        self._sweep = 0
-
-    def begin_sweep(self, iteration: int) -> None:
-        super().begin_sweep(iteration)
-        self._sweep = int(iteration)
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
@@ -862,7 +875,7 @@ class MultiSweepTreeKernel(DimensionTreeKernel):
         mode = check_mode(mode, data.ndim)
         rank = tree.register_factors(factors, mode)
         if not (self._sweep and _runs_multisweep(data.shape, rank)):
-            return tree.mttkrp(factors, mode)
+            return super().mttkrp(data, factors, mode)
         update = 3 * (self._sweep - 1) + mode
         node = _multisweep_node(update)
         out = tree.derive((mode,), _ROOT_3WAY if node is None else node)

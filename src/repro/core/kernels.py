@@ -17,15 +17,15 @@ every node they read off the tensor with it; :func:`contract_mode_step`,
 which contracts one mode of a partial against its factor, builds every
 other node.
 
-:func:`dense_mttkrp` is the one dense dispatch rule, shared by
-``kernel="auto"`` and by :func:`local_mttkrp`.  A call runs as one
-:func:`gemm_mttkrp` of the free unfolding exactly where einsum's planned
-path would copy the tensor: its first step contracts the tensor with the
-factor of a middle mode, which numpy can only run on a transposed copy of
-the whole tensor.  Every other call returns :func:`mttkrp`'s bytes from the
-same cached path; a first step against the leading or the trailing mode
-reshapes the tensor for free.  The rule reads only shape, mode, rank and
-memory layout, so its results never depend on a thread count or a timing.
+:func:`dense_mttkrp` is the one dense dispatch rule, which
+:func:`local_mttkrp` runs.  A call runs as one :func:`gemm_mttkrp` of the
+free unfolding exactly where einsum's planned path would copy the tensor:
+its first step contracts the tensor with the factor of a middle mode, which
+numpy can only run on a transposed copy of the whole tensor.  Every other
+call returns :func:`mttkrp`'s bytes from the same cached path; a first step
+against the leading or the trailing mode reshapes the tensor for free.  The
+rule reads only shape, mode, rank and memory layout, so its results never
+depend on a thread count or a timing.
 
 :func:`local_mttkrp` is :func:`dense_mttkrp` under the name the blocked and
 parallel algorithms use for their local step (the block step of Algorithm

@@ -9,15 +9,15 @@ the free one via the normal equations:
 The MTTKRP dominates the cost; which kernel evaluates it is selectable so the
 same driver exercises a registered kernel or a user-supplied (e.g. counted)
 one, such as the matmul baseline.  A caller who names no kernel gets the
-multi-sweep dimension tree (``kernel="msdt"``).  The dimension tree
-(``"dimtree"``) shares partial contractions across the modes of a sweep
-(Section VII), so it reads the tensor twice per sweep instead of ``N``
-times.  On a 3-way tensor with ``R`` at most every extent, the
-multi-sweep schedule also shares them across sweeps: after the first
-sweep, which is the tree's, sweeps read the tensor alternately twice and
-once.  Every other input runs the tree unchanged.  ``"einsum"`` stays
-registered by name as the reference kernel and is the ``on_fault``
-fallback.
+multi-sweep dimension tree (``kernel="msdt"``), and so does a caller who
+names ``"auto"``.  The dimension tree (``"dimtree"``) shares partial
+contractions across the modes of a sweep (Section VII), so it reads the
+tensor twice per sweep instead of ``N`` times.  On a 3-way tensor with
+``R`` at most every extent, the multi-sweep schedule also shares them
+across sweeps: after the first sweep, which is the tree's, sweeps read
+the tensor alternately twice and once.  Every other input runs the tree
+unchanged.  ``"einsum"`` stays registered by name as the reference kernel
+and is the ``on_fault`` fallback.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from repro.backend.parallel import resolve_threads
 from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.core.dimtree import DimensionTreeKernel, MultiSweepTreeKernel
-from repro.core.kernels import dense_mttkrp, mttkrp
+from repro.core.kernels import mttkrp
 from repro.core.sweep_kernel import (
     PerCallKernel,
     SweepKernel,
@@ -50,25 +50,17 @@ from repro.utils.validation import check_positive_int, check_rank
 #: Signature of a pluggable MTTKRP kernel: (tensor, factors, mode) -> (I_mode, R) array.
 MTTKRPKernel = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.ndarray]
 
-_KERNELS = {
-    "einsum": mttkrp,
-    "auto": dense_mttkrp,
-}
-
 #: Kernel names resolvable by :func:`cp_als` (``"sampled"``, ``"sampled-tree"``
 #: and ``"sampled-dimtree"`` are registered lazily, all three as
 #: :class:`~repro.core.sampled_dimtree.SampledDimtreeKernel` — see
 #: :func:`_resolve_kernel`; ``"dimtree"`` is the sweep-aware dimension-tree
 #: engine of :mod:`repro.core.dimtree`, and ``"msdt"``, the default, its
-#: multi-sweep schedule on 3-way tensors; ``"einsum"`` is the
-#: reference kernel and the ``on_fault`` fallback; ``"sampled-dimtree"`` is
-#: the fused sampled engine of :mod:`repro.core.sampled_dimtree` that serves
-#: leverage draws from the tree's cached partial contractions; ``"blocked"``
-#: is the cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp`,
-#: and ``"auto"`` is :func:`repro.core.kernels.dense_mttkrp`, the dense rule
-#: the blocked and parallel algorithms also run as their local step: one GEMM
-#: of the free unfolding where einsum's path would copy the tensor, einsum
-#: everywhere else).
+#: multi-sweep schedule on 3-way tensors; ``"auto"`` is a second name of the
+#: default, bitwise ``"msdt"``; ``"einsum"`` is the reference kernel and the
+#: ``on_fault`` fallback; ``"sampled-dimtree"`` is the fused sampled engine
+#: of :mod:`repro.core.sampled_dimtree` that serves leverage draws from the
+#: tree's cached partial contractions; and ``"blocked"`` is the
+#: cache-blocked tiled-GEMM kernel of :mod:`repro.core.blocked_mttkrp`).
 KERNEL_NAMES = (
     "einsum",
     "blocked",
@@ -252,10 +244,10 @@ def _resolve_kernel(
     if isinstance(kernel, SweepKernel) or callable(kernel):
         return as_sweep_kernel(kernel)
     check_kernel_name(kernel, KERNEL_NAMES)
-    if kernel in ("msdt", "dimtree"):
+    if kernel in ("msdt", "auto", "dimtree"):
         # A fresh engine per run: the tree binds to the run's tensor on the
         # first call and caches partial contractions across the whole run.
-        return MultiSweepTreeKernel() if kernel == "msdt" else DimensionTreeKernel()
+        return DimensionTreeKernel() if kernel == "dimtree" else MultiSweepTreeKernel()
     if kernel.startswith("sampled"):
         # One class, built fresh per run so that an explicit seed makes the
         # whole ALS run reproducible (imported lazily: its draws come from
@@ -278,7 +270,7 @@ def _resolve_kernel(
                 tensor, factors, mode, threads=threads
             )
         )
-    return PerCallKernel(_KERNELS[kernel])
+    return PerCallKernel(mttkrp)
 
 
 def cp_als(
@@ -324,10 +316,10 @@ def cp_als(
         per-call callable, or a :class:`~repro.core.sweep_kernel.SweepKernel`
         instance (the driver announces sweep starts and factor updates to
         sweep-aware kernels).  The default ``"msdt"``
-        (:class:`~repro.core.dimtree.MultiSweepTreeKernel`) contracts a
-        3-way tensor with ``R`` at most every extent once per two mode
-        updates, across sweep boundaries, and runs every other input
-        as ``"dimtree"``
+        (:class:`~repro.core.dimtree.MultiSweepTreeKernel`, also named
+        ``"auto"``) contracts a 3-way tensor with ``R`` at most every
+        extent once per two mode updates, across sweep boundaries, and
+        runs every other input as ``"dimtree"``
         (:class:`~repro.core.dimtree.DimensionTreeKernel`), which caches
         partial contractions across the sweep.  A checkpoint of either
         carries the cached partials; ``"einsum"`` is the reference

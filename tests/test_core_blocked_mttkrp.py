@@ -8,10 +8,10 @@ reassociating the per-row sums over non-output tiles cannot change a bit and
 the comparison is *exact* (``atol=0``), not approximate.  Covering tiles
 must dispatch to the einsum path verbatim (bitwise on arbitrary real data),
 threads must never change a bit (tasks own disjoint output rows), and the
-temporaries must scale with a tile, not the tensor.  ``dense_mttkrp`` (``kernel="auto"``
-and the local step of the blocked and parallel algorithms) must run one
-GEMM where einsum's planned path copies the tensor and the GEMM's guard
-holds, and return the einsum kernel's bytes in every other case.
+temporaries must scale with a tile, not the tensor.  ``dense_mttkrp`` (the
+local step of the blocked and parallel algorithms) must run one GEMM where
+einsum's planned path copies the tensor and the GEMM's guard holds, and
+return the einsum kernel's bytes in every other case.
 """
 
 import math

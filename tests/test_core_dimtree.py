@@ -357,6 +357,74 @@ class TestRootGemm:
         assert peak < as_ndarray(tensor).nbytes
 
 
+class TestStaleNodeDrop:
+    """Inside a sweep, under exact invalidation, ``DimensionTreeKernel``
+    drops the cached nodes that mode ``m``'s update stales (every node whose
+    key lacks ``m``) before mode ``m``'s read."""
+
+    def test_steady_sweep_peak_holds_no_stale_node(self):
+        """At 100³, R=16 a steady sweep peaked at 2.17 node sizes (100·100·16
+        words) while the stale ``(1, 2)`` node stayed cached through mode 0's
+        read beside the leaf's Khatri-Rao product; now it peaks near 1.14."""
+        shape, rank = (100, 100, 100), 16
+        tensor, factors = problem(shape, rank, seed=33)
+        kernel = DimensionTreeKernel()
+        tracemalloc.start()
+        try:
+            for sweep in (1, 2):
+                kernel.begin_sweep(sweep)
+                tracemalloc.reset_peak()
+                als_sweep(kernel, tensor, factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * shape[1] * shape[2] * rank * 8
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_drop_keeps_the_outputs_and_the_ledger(self, shape):
+        """A kernel inside sweeps and one called outside any sweep, which
+        keeps every node, serve the same bytes and charge the same ledger;
+        the first only caches less."""
+        tensor, factors = problem(shape, 3, seed=34)
+        dropping, keeping = DimensionTreeKernel(), DimensionTreeKernel()
+        for sweep in (1, 2, 3):
+            dropping.begin_sweep(sweep)
+            for mode in range(len(shape)):
+                ours = dropping.mttkrp(tensor, factors, mode)
+                assert ours.tobytes() == keeping.mttkrp(tensor, factors, mode).tobytes()
+                assert all(mode in key for key in dropping.tree.capture_state()["cache"])
+                factors[mode] = 0.5 * factors[mode]
+        assert dropping.counters() == keeping.counters()
+        assert dropping.tree.cached_words() < keeping.tree.cached_words()
+
+    def test_residual_gate_keeps_its_nodes(self):
+        """The residual gate may keep a node valid through an update, so
+        nothing is dropped under it."""
+        tensor, factors = problem((3, 4, 5), 3, seed=35)
+        kernel = DimensionTreeKernel(invalidation="residual", residual_tol=1e9)
+        kernel.begin_sweep(1)
+        als_sweep(kernel, tensor, factors)
+        assert sorted(kernel.tree.capture_state()["cache"]) == [(0,), (1,), (1, 2), (2,)]
+
+    @pytest.mark.parametrize("stop_at", [1, 2, 3])
+    def test_resume_is_bitwise(self, stop_at):
+        """A checkpoint holds only nodes that contain the last mode, and a
+        resume from it repeats the uninterrupted run and its ledger."""
+        tensor = noisy_low_rank_tensor((6, 5, 4, 3), 3, noise_level=0.02, seed=36)
+        kwargs = dict(n_iter_max=4, tol=0.0, seed=37)
+        store = CheckpointStore()
+        full_kernel = DimensionTreeKernel()
+        full = cp_als(tensor, 3, kernel=full_kernel, checkpoint_store=store, **kwargs)
+        checkpoint = store.at_sweep(stop_at)
+        assert all(3 in key for key in checkpoint.kernel_state["tree"]["cache"])
+        kernel = DimensionTreeKernel()
+        resumed = cp_als(tensor, 3, kernel=kernel, resume_from=checkpoint, **kwargs)
+        assert resumed.fits == full.fits
+        for a, b in zip(resumed.model.factors, full.model.factors):
+            assert a.tobytes() == b.tobytes()
+        assert kernel.per_sweep_costs() == full_kernel.per_sweep_costs()[stop_at:]
+
+
 #: ``(shape, rank, memory order)`` inputs the multi-sweep schedule declines,
 #: each for one reason: four modes, two modes, and ``R`` above an extent.
 DECLINED_CASES = [

@@ -118,14 +118,11 @@ class TestCPALSOptions:
     def test_blocked_kernel_threads_do_not_change_the_trajectory(self, kernel):
         """Thread counts change scheduling, never fits — bitwise contract.
 
-        On this shape ``auto`` runs every mode-0 MTTKRP as one GEMM.
+        ``auto`` runs the multi-sweep tree, which reads no thread count.
         """
         tensor = noisy_low_rank_tensor((10, 9, 8), 3, noise_level=0.02, seed=32)
         serial = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel=kernel, threads=1)
-        with tracing() as session:
-            threaded = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel=kernel, threads=3)
-        if kernel == "auto":
-            assert session.metrics.counter("dense_dispatch.gemm") == 8
+        threaded = cp_als(tensor, 3, n_iter_max=8, tol=0.0, seed=33, kernel=kernel, threads=3)
         assert np.array_equal(serial.fits, threaded.fits)
         for a, b in zip(serial.model.factors, threaded.model.factors):
             assert a.tobytes() == b.tobytes()
@@ -247,16 +244,49 @@ class TestDefaultKernel:
         for a, b in zip(default.model.factors, named.model.factors):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-    def test_tensor_reads_per_sweep(self):
-        """The default reads a 3-way tensor twice in sweeps 1 and 2, then
-        alternately once and twice: the ``dimtree.root.gemm`` counter."""
+    @pytest.mark.parametrize("kernel", [{}, {"kernel": "auto"}], ids=["default", "auto"])
+    def test_tensor_reads_per_sweep(self, kernel):
+        """The default, and ``kernel="auto"`` with it, reads a 3-way tensor
+        twice in sweeps 1 and 2, then alternately once and twice: the
+        ``dimtree.root.gemm`` counter."""
         tensor = DEFAULT_KERNEL_INPUTS["3way"]
         reads = []
         for sweeps in range(1, 6):
             with tracing() as session:
-                cp_als(tensor, 3, n_iter_max=sweeps, tol=0.0, seed=54)
+                cp_als(tensor, 3, n_iter_max=sweeps, tol=0.0, seed=54, **kernel)
             reads.append(session.metrics.counter("dimtree.root.gemm"))
         assert np.diff([0] + reads).tolist() == [2, 2, 1, 2, 1]
+
+
+#: The default-kernel inputs and one whose rank exceeds an extent, which the
+#: multi-sweep schedule declines.
+AUTO_KERNEL_INPUTS = {
+    **DEFAULT_KERNEL_INPUTS,
+    "rank-above-extent": noisy_low_rank_tensor((2, 9, 8), 3, noise_level=0.02, seed=57),
+}
+
+
+def _traced_run(tensor, **kernel):
+    """A 5-sweep run; its result, each sweep's counted (flops, words) and tree counters."""
+    with tracing() as session:
+        result = cp_als(tensor, 3, n_iter_max=5, tol=0.0, seed=58, **kernel)
+    sweeps = [(span.flops, span.words) for span in session.spans_named("sweep")]
+    tree = {k: v for k, v in session.metrics.counters().items() if k.startswith("dimtree.")}
+    return result, sweeps, tree
+
+
+class TestAutoKernel:
+    """``kernel="auto"`` is a second name of the default, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(AUTO_KERNEL_INPUTS))
+    def test_auto_is_the_default(self, name):
+        """Fits, factors, MTTKRP calls and the counted ledger of every sweep."""
+        tensor = AUTO_KERNEL_INPUTS[name]
+        ours, our_sweeps, our_tree = _traced_run(tensor, kernel="auto")
+        theirs, their_sweeps, their_tree = _traced_run(tensor)
+        _assert_bitwise(ours, theirs)
+        assert len(our_sweeps) == 5 and our_sweeps == their_sweeps
+        assert our_tree and our_tree == their_tree
 
 
 def test_norm_of_a_fortran_ordered_tensor_copies_nothing():

@@ -7,8 +7,8 @@ the observable signature of the caching design (ISSUE 6, satellite 3).  For
 the seeded 3-mode problem with the default half split and exact
 invalidation:
 
-* dimtree, ``S`` sweeps: ``partial.hit = S``, ``partial.miss = 4``,
-  ``partial.stale = 4 (S - 1)``, ``factor_gate.invalidate = 2 + 3 S``;
+* dimtree, ``S`` sweeps: ``partial.hit = S``, ``partial.miss = 4 S``,
+  ``partial.stale = 0``, ``factor_gate.invalidate = 2 + 3 S``;
 * fused cached, ``S`` sweeps: ``sampler_cache.hit = 2 S - 1``,
   ``sampler_cache.rebuild = 2 S + 1``, tree ``partial.hit = S`` /
   ``miss = 1`` / ``stale = S - 1``;
@@ -53,12 +53,13 @@ class TestDimtreeCounters:
         session = traced_sweeps(DimensionTreeKernel(), sweeps)
         counters = session.metrics.counters()
         # One cached-partial reuse per sweep (the root split shares one
-        # subtree between the two modes it serves), four subtree builds to
-        # populate the cache, and every populated entry going stale once per
-        # subsequent sweep under exact invalidation.
+        # subtree between the two modes it serves) and four subtree builds
+        # per sweep.  Under exact invalidation the kernel drops every node
+        # an update is about to stale before that update's read, so no
+        # entry is ever found stale: each rebuild is a miss.
         assert counters["dimtree.partial.hit"] == sweeps
-        assert counters["dimtree.partial.miss"] == 4
-        assert counters["dimtree.partial.stale"] == 4 * (sweeps - 1)
+        assert counters["dimtree.partial.miss"] == 4 * sweeps
+        assert session.metrics.counter("dimtree.partial.stale") == 0
         assert counters["factor_gate.invalidate"] == 2 + 3 * sweeps
         assert session.metrics.counter("factor_gate.keep") == 0
 
