@@ -200,21 +200,15 @@ FUSED_CASES = [
     ((24, 20, 16), 4, 96),
 ]
 
-#: Sweeps per fused run: enough for the residual gate to see converged
-#: factors on the winning cases.
+#: Sweeps per fused run; each row records the last sweep's counts.
 FUSED_SWEEPS = 12
-
-#: Residual-gate tolerance of the recorded gated runs.
-FUSED_RESIDUAL_TOL = 0.05
 
 
 def _fused_engine_sweep(tensor, rank, draws, seed, **kernel_kwargs):
-    """Last-sweep counted cost (and run) of one fused-kernel configuration."""
+    """The kernel and last-sweep counted cost of one fused-kernel configuration."""
     kernel = SampledDimtreeKernel(n_samples=draws, seed=seed + 17, **kernel_kwargs)
-    run = cp_als(
-        tensor, rank, n_iter_max=FUSED_SWEEPS, tol=0.0, seed=seed + 1, kernel=kernel
-    )
-    return kernel, run, kernel.per_sweep_costs()[-1]
+    cp_als(tensor, rank, n_iter_max=FUSED_SWEEPS, tol=0.0, seed=seed + 1, kernel=kernel)
+    return kernel, kernel.per_sweep_costs()[-1]
 
 
 def _fused_row(shape, rank, draws, seed):
@@ -222,35 +216,13 @@ def _fused_row(shape, rank, draws, seed):
     n_modes = len(shape)
 
     tree_kernel = DimensionTreeKernel()
-    exact_run = cp_als(
+    cp_als(
         tensor, rank, n_iter_max=FUSED_SWEEPS, tol=0.0, seed=seed + 1,
         kernel=tree_kernel,
     )
     dimtree = tree_kernel.per_sweep_costs()[-1]
 
-    # The residual-gated *exact* engine on the same converging run: the
-    # ISSUE-5 witness that gating drops full-tensor contractions per sweep
-    # below 2 without degrading the final fit beyond the tolerance.
-    gated_kernel = DimensionTreeKernel(
-        invalidation="residual", residual_tol=FUSED_RESIDUAL_TOL
-    )
-    gated_run = cp_als(
-        tensor, rank, n_iter_max=FUSED_SWEEPS, tol=0.0, seed=seed + 1,
-        kernel=gated_kernel,
-    )
-    gated_roots = [s.root_reads for s in gated_kernel.per_sweep_costs()]
-    dimtree_residual = {
-        "root_reads_per_sweep": gated_roots,
-        "skipped_invalidations": int(gated_kernel.tree.skipped_invalidations),
-        "late_sweeps_below_two": bool(
-            min(gated_roots[FUSED_SWEEPS // 2 :]) < 2
-        ),
-        "fit_gap_within_tol": bool(
-            abs(gated_run.final_fit - exact_run.final_fit) <= FUSED_RESIDUAL_TOL
-        ),
-    }
-
-    base_kernel, _, baseline = _fused_engine_sweep(
+    base_kernel, baseline = _fused_engine_sweep(
         tensor, rank, draws, seed, cache=False
     )
     base_distinct = [r.n_distinct for r in base_kernel.draw_log[-n_modes:]]
@@ -263,18 +235,13 @@ def _fused_row(shape, rank, draws, seed):
     for label, kwargs in (
         ("tree-leverage", {}),
         ("product-leverage", {"distribution": "product-leverage"}),
-        (
-            "tree-leverage-residual",
-            {"invalidation": "residual", "residual_tol": FUSED_RESIDUAL_TOL},
-        ),
     ):
-        kernel, run, sweep = _fused_engine_sweep(tensor, rank, draws, seed, **kwargs)
-        if "residual" not in label:
-            distinct = [r.n_distinct for r in kernel.draw_log[-n_modes:]]
-            assert sweep.to_dict() == sampled_dimtree_sweep_cost(
-                shape, rank, draws, distinct,
-                distribution=kwargs.get("distribution", "tree-leverage"),
-            ).to_dict()
+        kernel, sweep = _fused_engine_sweep(tensor, rank, draws, seed, **kwargs)
+        distinct = [r.n_distinct for r in kernel.draw_log[-n_modes:]]
+        assert sweep.to_dict() == sampled_dimtree_sweep_cost(
+            shape, rank, draws, distinct,
+            distribution=kwargs.get("distribution", "tree-leverage"),
+        ).to_dict()
         fused_rows[label] = {
             "flops": sweep.flops,
             "words": sweep.words,
@@ -287,19 +254,11 @@ def _fused_row(shape, rank, draws, seed):
                 sweep.flops < baseline.flops and sweep.words < baseline.words
             ),
         }
-        if "residual" in label:
-            fused_rows[label]["root_reads_per_sweep"] = [
-                s.root_reads for s in kernel.per_sweep_costs()
-            ]
-            fused_rows[label]["skipped_invalidations"] = int(
-                kernel.tree.skipped_invalidations
-            )
     return {
         "shape": list(shape),
         "rank": rank,
         "n_draws": draws,
         "dimtree_sweep": {"flops": dimtree.flops, "words": dimtree.words},
-        "dimtree_residual": dimtree_residual,
         "sampled_tree_sweep": {"flops": baseline.flops, "words": baseline.words},
         "fused": fused_rows,
     }
@@ -352,7 +311,6 @@ def dimtree_frontier(request):
         "rows": rows,
         "parallel_rows": parallel_rows,
         "fused_sweeps_per_run": FUSED_SWEEPS,
-        "fused_residual_tol": FUSED_RESIDUAL_TOL,
         "fused_rows": fused_rows,
         "fused_parallel_rows": fused_parallel_rows,
         "fused_model_crossover": fused_model,
@@ -526,9 +484,9 @@ def test_fused_frontier_acceptance(dimtree_frontier):
 
     At least one (N, I, R, draws) row's fused sweep counts strictly below
     *both* the exact ``"dimtree"`` sweep and the per-call ``"sampled-tree"``
-    sweep on flops and words at once; every exact-mode fused row's counted
-    ledger matched its symbolic replay (asserted at record time); and every
-    fused parallel ledger met the collective-replay predictor word for word.
+    sweep on flops and words at once; every fused row's counted ledger
+    matched its symbolic replay (asserted at record time); and every fused
+    parallel ledger met the collective-replay predictor word for word.
     """
     rows = dimtree_frontier["fused_rows"]
     assert rows, "fused frontier recorded no rows"
@@ -539,16 +497,5 @@ def test_fused_frontier_acceptance(dimtree_frontier):
         if variant["beats_dimtree"] and variant["beats_sampled_tree"]
     ]
     assert wins, "no fused row beat both engines on flops and words"
-    # the residual-gated exact engine drops full-tensor contractions per
-    # sweep below 2 on a converging run (late sweeps, where the factors have
-    # settled) without degrading the final fit beyond the tolerance
-    gated_witnesses = [
-        row
-        for row in rows
-        if row["dimtree_residual"]["late_sweeps_below_two"]
-        and row["dimtree_residual"]["fit_gap_within_tol"]
-        and row["dimtree_residual"]["skipped_invalidations"] > 0
-    ]
-    assert gated_witnesses, "no row witnessed residual gating below 2 roots/sweep"
     for row in dimtree_frontier["fused_parallel_rows"]:
         assert row["measured_total_words"] == row["predicted_total_words"]

@@ -38,7 +38,6 @@ from repro.core.reference import mttkrp_reference
 from repro.core.kernels import mttkrp, local_mttkrp, dense_mttkrp
 from repro.core.blocked_mttkrp import blocked_mttkrp
 from repro.core.matmul_baseline import mttkrp_via_matmul
-from repro.core.multi_mode import multi_mode_mttkrp, MultiModeResult
 from repro.core.dimtree import (
     DimensionTree,
     DimensionTreeKernel,
@@ -67,8 +66,6 @@ __all__ = [
     "blocked_mttkrp",
     "dense_mttkrp",
     "mttkrp_via_matmul",
-    "multi_mode_mttkrp",
-    "MultiModeResult",
     "DimensionTree",
     "DimensionTreeKernel",
     "FactorGate",

@@ -1,15 +1,16 @@
 """Dimension-tree MTTKRP engine: cached partial contractions across ALS sweeps.
 
-The one dimension tree of the package.  With *fixed* factor matrices it
-computes several mode MTTKRPs sharing their partial contractions, which is
-all :func:`repro.core.multi_mode.multi_mode_mttkrp` asks of it.  Inside
+The one dimension tree of the package, and it serves the ALS sweep.  Inside
 CP-ALS the factors change between mode updates (Section VII of the paper
-leaves that scheduling as future work), and :class:`DimensionTree` handles
-that too: it keeps the tree's internal nodes — partial contractions of the
-tensor with the Khatri-Rao product of an excluded mode subset — *cached
-across calls*, invalidates exactly the nodes that depend on a factor matrix
-the driver has replaced, and serves every mode's MTTKRP from the deepest
-still-valid ancestor.
+leaves the scheduling of that cross-mode reuse as future work), and
+:class:`DimensionTree` keeps the tree's internal nodes — partial
+contractions of the tensor with the Khatri-Rao product of an excluded mode
+subset — *cached across calls*, invalidates exactly the nodes that depend
+on a factor matrix the driver has replaced, and serves every mode's MTTKRP
+from the deepest still-valid ancestor.  Before it serves mode ``m`` it drops
+every cached node whose key lacks ``m``: the update that follows the read
+replaces factor ``m`` and so stales those nodes, and none of them lies on
+the leaf's path.
 
 Every node splits its mode set in half.  Under the ALS update order (modes
 ``0, 1, ..., N-1``, each factor replaced right after its solve) the tree
@@ -59,7 +60,6 @@ tensor ``3/2`` times on average instead of ``2``;
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -196,39 +196,16 @@ def _recompute_cost(
 # distributed kernels' gather caches)
 # ---------------------------------------------------------------------------
 
-def _check_gate_options(invalidation: str, residual_tol) -> float:
-    """Reject a bad gate policy or tolerance; return the tolerance as a float."""
-    if invalidation not in ("exact", "residual"):
-        raise ParameterError(
-            f"invalidation must be 'exact' or 'residual', got {invalidation!r}"
-        )
-    if (
-        isinstance(residual_tol, bool)
-        or not isinstance(residual_tol, numbers.Real)
-        or not residual_tol >= 0
-    ):
-        raise ParameterError(
-            f"residual_tol must be a non-negative number, got {residual_tol!r}"
-        )
-    return float(residual_tol)
-
-
 class FactorGate:
-    """Per-factor staleness gate: identity detection + optional residual gating.
+    """Per-factor staleness gate: array identity, plus ``force`` for in-place edits.
 
     One gate instance is the single invalidation authority for every cache
     keyed on a factor list: :class:`DimensionTree` partials, the fused
     kernel's sampler trees, and the distributed kernels' gathered factor
-    blocks all read the same ``versions`` counters, so the residual gate
-    (when enabled) holds *all* dependent caches together.
+    blocks all read the same ``versions`` counters.
 
     ``register`` stores the replacement and returns whether dependent caches
-    must invalidate.  Under ``invalidation="exact"`` any new array object
-    invalidates; under ``"residual"`` a replacement whose *accumulated*
-    relative Frobenius drift stays at or below ``residual_tol`` is absorbed
-    (the drift keeps accumulating — a triangle-inequality bound on how far
-    the cached consumers' input has strayed), and the factor invalidates
-    only once the bound crosses the tolerance.
+    must invalidate, which they must for any new array object.
 
     The gate stores factor *objects*, and a checkpoint keeps them so:
     :meth:`capture_state` hands over references, and the checkpoint's one
@@ -236,15 +213,9 @@ class FactorGate:
     No factor is ever matched by value.
     """
 
-    def __init__(
-        self, n_modes: int, *, invalidation: str = "exact", residual_tol: float = 1e-2
-    ) -> None:
-        self.residual_tol = _check_gate_options(invalidation, residual_tol)
-        self.invalidation = invalidation
+    def __init__(self, n_modes: int) -> None:
         self.factors: List[Optional[np.ndarray]] = [None] * int(n_modes)
         self.versions: List[int] = [0] * int(n_modes)
-        self.drift: List[float] = [0.0] * int(n_modes)
-        self.skipped = 0
 
     def register(
         self, mode: int, factor: Optional[np.ndarray], *, force: bool = False
@@ -252,37 +223,13 @@ class FactorGate:
         """Store a (possibly) replaced factor; return ``True`` on invalidation.
 
         ``force`` invalidates even when ``factor`` is the *same object* as
-        the stored one — the escape hatch for in-place mutation, where no
-        pre-mutation copy exists to measure drift against.
+        the stored one — the escape hatch for in-place mutation, which the
+        identity check cannot see.
         """
-        old = self.factors[mode]
-        if factor is old:
-            if not force:
-                return False
-            self.versions[mode] += 1
-            self.drift[mode] = 0.0
-            observe_inc("factor_gate.invalidate")
-            return True
+        if factor is self.factors[mode] and not force:
+            return False
         self.factors[mode] = factor
-        new_arr = None if factor is None else np.asarray(factor)
-        old_arr = None if old is None else np.asarray(old)
-        if (
-            self.invalidation == "residual"
-            and new_arr is not None
-            and old_arr is not None
-            and new_arr.shape == old_arr.shape
-        ):
-            denom = float(np.linalg.norm(old_arr))
-            delta = (
-                float(np.linalg.norm(new_arr - old_arr)) / denom if denom > 0 else np.inf
-            )
-            self.drift[mode] += delta
-            if self.drift[mode] <= self.residual_tol:
-                self.skipped += 1
-                observe_inc("factor_gate.keep")
-                return False
         self.versions[mode] += 1
-        self.drift[mode] = 0.0
         observe_inc("factor_gate.invalidate")
         return True
 
@@ -296,11 +243,10 @@ class FactorGate:
         """
         for mode in range(len(self.versions)):
             self.versions[mode] += 1
-            self.drift[mode] = 0.0
             observe_inc("factor_gate.invalidate")
 
     def capture_state(self) -> dict:
-        """The version/drift stamps and the stored factor objects, by reference.
+        """The version stamps and the stored factor objects, by reference.
 
         The checkpoint copies them in one deep copy with the driver's
         factors, so a stored factor that is the driver's stays one object
@@ -312,18 +258,11 @@ class FactorGate:
         ``register`` bumps it exactly as the uninterrupted run would have,
         even when the replacement equals it in value.
         """
-        return {
-            "versions": self.versions,
-            "drift": self.drift,
-            "skipped": self.skipped,
-            "factors": self.factors,
-        }
+        return {"versions": self.versions, "factors": self.factors}
 
     def restore_state(self, state: dict) -> None:
         """Adopt a snapshot, in place: the tree reads these lists through aliases."""
         self.versions[:] = state["versions"]
-        self.drift[:] = state["drift"]
-        self.skipped = state["skipped"]
         self.factors[:] = state["factors"]
 
 
@@ -343,23 +282,6 @@ class DimensionTree:
         every call recomputes its root-to-leaf chain, which contracts the
         other modes one at a time — exactly the per-mode independent-kernel
         baseline under identical counting conventions.
-    invalidation:
-        ``"exact"`` (default) invalidates every dependent cached node as soon
-        as a factor is replaced.  ``"residual"`` gates the invalidation on
-        the factor's movement: a replacement whose relative Frobenius change
-        ``||new - old|| / ||old||`` leaves the factor's *accumulated* drift
-        at or below ``residual_tol`` keeps the dependent nodes (the drift
-        keeps accumulating — a triangle-inequality bound on how far the
-        cached partials' inputs have strayed); once the accumulated drift
-        exceeds the tolerance the factor invalidates as usual and its drift
-        resets.  Served MTTKRPs are then approximate, with the factor-input
-        error bounded by ``residual_tol`` per factor — the knob trades exact
-        recomputation (and its two full-tensor contractions per sweep) for
-        bounded staleness on nearly-converged ALS runs.
-    residual_tol:
-        Accumulated relative-drift tolerance of ``invalidation="residual"``:
-        a non-negative number, checked (with ``invalidation``) when the gate
-        is built.
 
     Notes
     -----
@@ -369,6 +291,12 @@ class DimensionTree:
     therefore replace factor matrices (as CP-ALS does) rather than mutate
     them in place.
 
+    The tree serves the ALS update order, where factor ``m`` is replaced
+    right after mode ``m``'s read, so :meth:`mttkrp` drops every cached node
+    whose key lacks ``m`` before that read.  A caller that serves several
+    modes from unchanged factors gets the same bytes, but recomputes the
+    dropped nodes.
+
     Each child of the root runs as one GEMM against the Khatri-Rao product
     of the modes it removes when those modes are a leading or trailing block
     of a C-contiguous tensor and ``R`` is at most both the kept and the
@@ -377,22 +305,13 @@ class DimensionTree:
     the ledger equals :func:`dimtree_sweep_cost` on both paths.
     """
 
-    def __init__(
-        self,
-        tensor,
-        *,
-        cache: bool = True,
-        invalidation: str = "exact",
-        residual_tol: float = 1e-2,
-    ) -> None:
+    def __init__(self, tensor, *, cache: bool = True) -> None:
         self._data = as_ndarray(tensor)
         if self._data.ndim < 2:
             raise ParameterError("DimensionTree requires a tensor with at least 2 modes")
         self._n = self._data.ndim
         self._cache_enabled = bool(cache)
-        self._gate = FactorGate(
-            self._n, invalidation=invalidation, residual_tol=residual_tol
-        )
+        self._gate = FactorGate(self._n)
         self._parents = _build_parents(self._n, chain=not cache)
         self._root_key = tuple(range(self._n))
         # Aliases of the gate's state: the gate mutates, the tree reads.
@@ -434,17 +353,12 @@ class DimensionTree:
         """The tree's staleness gate (share it to co-invalidate other caches)."""
         return self._gate
 
-    @property
-    def skipped_invalidations(self) -> int:
-        """Factor replacements absorbed by the residual gate (0 under exact)."""
-        return self._gate.skipped
-
     def factor_version(self, mode: int) -> int:
         """Invalidation version of factor ``mode`` (bumped on each invalidation).
 
         Other per-factor caches (the fused kernel's sampler trees) key their
-        own staleness on this counter so the residual gate governs every
-        consumer of the shared cache at once.
+        own staleness on this counter, so one gate governs every consumer of
+        the shared cache at once.
         """
         return self._versions[check_mode(mode, self._n)]
 
@@ -454,7 +368,7 @@ class DimensionTree:
         Unlike the implicit detection, passing the *same array object* here
         still invalidates (``force``): an explicit call is the caller saying
         the contents changed — e.g. after an in-place mutation the identity
-        check cannot see and the residual gate cannot measure.
+        check cannot see.
         """
         mode = check_mode(mode, self._n)
         self._gate.register(
@@ -467,8 +381,8 @@ class DimensionTree:
         """Validate the factor list for ``mode`` and sync the staleness state.
 
         Shared entry point of :meth:`mttkrp` and the fused sampled kernel:
-        checks shapes, detects replaced factors by array identity, applies
-        the invalidation policy, and returns the rank.
+        checks shapes, detects replaced factors by array identity, and
+        returns the rank.
         """
         mode = check_mode(mode, self._n)
         if len(factors) != self._n:
@@ -539,9 +453,17 @@ class DimensionTree:
 
     # -- the kernel ----------------------------------------------------------
     def mttkrp(self, factors: Sequence[Optional[np.ndarray]], mode: int) -> np.ndarray:
-        """MTTKRP for ``mode`` with the given factors, reusing valid partials."""
+        """MTTKRP for ``mode`` with the given factors, reusing valid partials.
+
+        The update that follows the read replaces factor ``mode``, which
+        stales every cached node whose key lacks ``mode``.  No such node
+        lies on the leaf's path, so they are dropped before the read rather
+        than held through it.
+        """
         mode = check_mode(mode, self._n)
         self.register_factors(factors, mode)
+        for key in [key for key in self._cache if mode not in key]:
+            del self._cache[key]
         value, _, _ = self._value((mode,))
         return np.ascontiguousarray(value).copy()
 
@@ -567,13 +489,9 @@ class DimensionTree:
         self._charge(_recompute_cost(self._data.shape, parent_key, key, rank))
         return out
 
-    def drop_partials(self, lacking: Optional[int] = None) -> None:
-        """Drop every cached partial, or only those whose key lacks mode ``lacking``.
-
-        The factor versions stay as they are.
-        """
-        for key in [key for key in self._cache if lacking is None or lacking not in key]:
-            del self._cache[key]
+    def drop_partials(self) -> None:
+        """Drop every cached partial; the factor versions stay as they are."""
+        self._cache.clear()
 
     # -- internals -----------------------------------------------------------
     def _value(self, key: Tuple[int, ...]):
@@ -651,7 +569,9 @@ class DimensionTreeKernel(SweepKernel):
     tree is built lazily on the first call and rebuilt if a different tensor
     object is passed (one kernel instance serves one ALS run at a time).
     Factor staleness is detected by array identity, so the kernel is correct
-    even under a driver that never calls :meth:`factor_updated`.
+    even under a driver that never calls :meth:`factor_updated`.  Each read
+    of mode ``m`` is :meth:`DimensionTree.mttkrp`, which first drops the
+    cached nodes that the update of factor ``m`` stales.
 
     With ``cache=False`` the kernel degenerates to ``N`` independent
     per-mode contraction chains with identical counting — the measured
@@ -666,25 +586,14 @@ class DimensionTreeKernel(SweepKernel):
     with its own state.
     """
 
-    def __init__(
-        self,
-        *,
-        cache: bool = True,
-        invalidation: str = "exact",
-        residual_tol: float = 1e-2,
-    ) -> None:
+    def __init__(self, *, cache: bool = True) -> None:
         self._cache = bool(cache)
-        self._residual_tol = _check_gate_options(invalidation, residual_tol)
-        self._invalidation = invalidation
         self.tree: Optional[DimensionTree] = None
         self._sweep_marks: List[SweepCost] = []
         self._pending_state: Optional[dict] = None
-        #: The sweep the driver last announced (0 before the first).
-        self._sweep = 0
 
     def begin_sweep(self, iteration: int) -> None:
         self._sweep_marks.append(self.counters())
-        self._sweep = int(iteration)
 
     def factor_updated(self, mode: int, factor: np.ndarray) -> None:
         if self.tree is not None:
@@ -717,12 +626,7 @@ class DimensionTreeKernel(SweepKernel):
         """Build the tree on ``data`` unless bound to it; apply a stashed snapshot."""
         rebuild = self.tree is None or self.tree.tensor is not data
         if rebuild:
-            self.tree = DimensionTree(
-                data,
-                cache=self._cache,
-                invalidation=self._invalidation,
-                residual_tol=self._residual_tol,
-            )
+            self.tree = DimensionTree(data, cache=self._cache)
             self._reset_run_state()
         restore = self._pending_state is not None
         if restore:
@@ -747,18 +651,9 @@ class DimensionTreeKernel(SweepKernel):
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> np.ndarray:
-        """The halving tree's MTTKRP of ``mode``.
-
-        Inside a sweep under exact invalidation the driver replaces factor
-        ``mode`` right after this read, which stales every cached node
-        whose key lacks ``mode``.  No such node lies on the leaf's path, so
-        they are dropped before the read rather than held through it.
-        """
+        """The halving tree's MTTKRP of ``mode``."""
         data = as_ndarray(tensor)
         self._bind(data)
-        mode = check_mode(mode, data.ndim)
-        if self._sweep and self._invalidation == "exact":
-            self.tree.drop_partials(lacking=mode)
         return self.tree.mttkrp(factors, mode)
 
     def counters(self) -> SweepCost:
@@ -865,6 +760,12 @@ class MultiSweepTreeKernel(DimensionTreeKernel):
 
     def __init__(self) -> None:
         super().__init__()
+        #: The sweep the driver last announced (0 before the first).
+        self._sweep = 0
+
+    def begin_sweep(self, iteration: int) -> None:
+        super().begin_sweep(iteration)
+        self._sweep = int(iteration)
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int

@@ -29,7 +29,7 @@ from the *raw tensor* on every draw of every call.  This module fuses them:
   :mod:`repro.sketch.treesample`; :class:`FusedSamplerCache` rebuilds a
   factor's tree only when that factor's :class:`~repro.core.dimtree.FactorGate`
   version changes, so the sampler and the dimension tree ride *one* shared
-  invalidation authority (residual gating holds both down together).
+  invalidation authority.
 
 With ``cache=False`` the kernel degenerates to the plain per-call sampled
 kernel (:func:`repro.sketch.sampled_mttkrp.sampled_mttkrp` on the raw
@@ -242,10 +242,9 @@ class FusedSamplerCache:
     :class:`~repro.sketch.treesample.GramSegmentTree` (``"tree-leverage"``)
     or a normalized per-row leverage distribution (``"product-leverage"``) —
     rebuilt only when the gate bumped that factor's version.  Draws and
-    importance probabilities are both produced from the *snapshot*, so a
-    residual-gated (stale) sampler still yields exactly self-consistent
-    importance weights: the estimator stays unbiased for whatever partials
-    it is paired with, only the variance reflects the drift.
+    importance probabilities are both produced from the same *snapshot*, so
+    the importance weights are exactly those of the distribution the
+    indices were drawn from.
     """
 
     def __init__(self, distribution: str = "tree-leverage") -> None:
@@ -261,7 +260,6 @@ class FusedSamplerCache:
         self.build_words = 0
         self.draw_flops = 0
         self.draw_words = 0
-        self.rebuilds = 0
 
     def invalidate_all(self) -> bool:
         """Drop every cached snapshot/sampler; return whether any were held."""
@@ -288,7 +286,6 @@ class FusedSamplerCache:
         flops, words = sampler_build_cost(snapshot.shape[0], rank, self.distribution)
         self.build_flops += flops
         self.build_words += words
-        self.rebuilds += 1
         observe_inc("sampler_cache.rebuild")
         add_cost(flops=flops, words=words)
         self._cache[k] = (version, snapshot, state)
@@ -336,8 +333,11 @@ class SampledDimtreeKernel(DimensionTreeKernel):
     """Sweep-aware fused sampled MTTKRP kernel (registry name ``"sampled-dimtree"``).
 
     A :class:`~repro.core.dimtree.DimensionTreeKernel` whose step samples the
-    leaf-parent partial instead of contracting it.  The exact kernel's tree
-    lifecycle is inherited: the (re)build on a new tensor, the re-opened
+    leaf-parent partial instead of contracting it.  It reads that partial
+    through :meth:`~repro.core.dimtree.DimensionTree.node_value`, never
+    through :meth:`~repro.core.dimtree.DimensionTree.mttkrp`, so the tree
+    drops no node before a read.  The exact kernel's tree lifecycle is
+    inherited: the (re)build on a new tensor, the re-opened
     sweep mark, the lazy checkpoint restore, :meth:`factor_updated` and
     :meth:`per_sweep_costs`.  This class adds the RNG, the sampler cache,
     the draw log and the sampling counters; a checkpoint holds the RNG's
@@ -366,11 +366,8 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         call, drawing from ``seed``'s stream, which is the registry kernels
         ``"sampled"`` (``distribution="product-leverage"``) and
         ``"sampled-tree"`` (``"tree-leverage"``) and the counted baseline of
-        the fused frontier.
-    invalidation, residual_tol:
-        Forwarded to the shared :class:`~repro.core.dimtree.FactorGate`
-        (``"residual"`` keeps cached partials *and* cached sampler trees
-        while a factor's accumulated drift stays within tolerance).
+        the fused frontier.  It keeps no sampler cache, so it counts no
+        ``sampler_cache`` events.
     """
 
     exact = False
@@ -382,8 +379,6 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         distribution: str = "tree-leverage",
         seed=None,
         cache: bool = True,
-        invalidation: str = "exact",
-        residual_tol: float = 1e-2,
     ) -> None:
         from repro.sketch.sampling import _as_generator
 
@@ -395,7 +390,7 @@ class SampledDimtreeKernel(DimensionTreeKernel):
         if n_samples is not None:
             n_samples = check_positive_int(n_samples, "n_samples")
         rng = _as_generator(seed)
-        super().__init__(cache=cache, invalidation=invalidation, residual_tol=residual_tol)
+        super().__init__(cache=cache)
         self._n_samples = n_samples
         self._distribution = distribution
         self._rng = rng
@@ -525,8 +520,8 @@ class SampledDimtreeKernel(DimensionTreeKernel):
             return_report=True,
         )
         free = tuple(k for k in range(data.ndim) if k != mode)
-        # The per-call kernel rebuilds every factor's sampling state and
-        # gathers raw (rank-free) fibers; count it under the shared
+        # The per-call kernel builds every factor's sampling state afresh
+        # and gathers raw (rank-free) fibers; count it under the shared
         # conventions so the degenerate kernel is the fused frontier's
         # baseline column.
         for k in free:
@@ -535,8 +530,6 @@ class SampledDimtreeKernel(DimensionTreeKernel):
             )
             self.samplers.build_flops += flops
             self.samplers.build_words += words
-            self.samplers.rebuilds += 1
-            observe_inc("sampler_cache.rebuild")
             add_cost(flops=flops, words=words)
         if self._distribution == "tree-leverage":
             flops, words = tree_draw_cost(

@@ -321,11 +321,9 @@ def cp_als(
         extent once per two mode updates, across sweep boundaries, and
         runs every other input as ``"dimtree"``
         (:class:`~repro.core.dimtree.DimensionTreeKernel`), which caches
-        partial contractions across the sweep.  A checkpoint of either
-        carries the cached partials; ``"einsum"`` is the reference
-        kernel.  Residual gating of the cached partials (see
-        :class:`~repro.core.dimtree.FactorGate`) is an option of a kernel
-        instance, e.g. ``DimensionTreeKernel(invalidation="residual")``.
+        partial contractions across the sweep and drops each one the next
+        update stales.  A checkpoint of either carries the cached partials;
+        ``"einsum"`` is the reference kernel.
     threads:
         Thread count of the ``"blocked"`` kernel's tile tasks on the shared
         thread executor (``None`` consults the ``REPRO_THREADS`` environment

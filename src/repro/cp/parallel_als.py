@@ -241,7 +241,7 @@ def parallel_cp_als(
         the distributed kernels.  Under the default kernel,
         ``on_fault="retry"`` recovers by invalidating the per-rank trees and
         the gather cache, and a checkpoint carries the gathered factor
-        blocks and the per-rank cached partials (7.9 MiB per checkpoint at
+        blocks and the per-rank cached partials (7.4 MiB per checkpoint at
         240^3, R=16, P=4, against 0.09 MiB under ``"exact"``).
 
     Returns

@@ -5,7 +5,7 @@ The observability layer of the reproduction: a context-var span tracer
 :func:`~repro.observe.tracer.tracing`) that attributes wall-clock time *and*
 the counted flop/word/message ledgers to named phases, a
 :class:`~repro.observe.metrics.MetricsRegistry` of counters and histograms
-fed by the hot paths (dimtree partial-contraction cache, residual gate,
+fed by the hot paths (dimtree partial-contraction cache, factor gate,
 fused sampler cache, einsum path cache, samplers, simulated collectives),
 Chrome trace-event / metrics-snapshot exporters, and drift detectors that
 hold traced spans against the symbolic cost models at runtime.

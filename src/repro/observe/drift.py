@@ -133,9 +133,7 @@ def dimtree_drift(
     :func:`repro.core.dimtree.dimtree_sweep_cost` for every sweep of
     ``kernel="dimtree"``, and :func:`repro.core.dimtree.multisweep_sweep_costs`
     for ``kernel="msdt"``, whose sweeps differ.  Zero drift is the expected
-    outcome on every sweep of a run under the default
-    ``invalidation="exact"``, not just steady state.  A residual-gated run
-    skips recomputations the model charges, so it shows as drift.
+    outcome on every sweep of a run, not just steady state.
     """
     from repro.core.dimtree import dimtree_sweep_cost, multisweep_sweep_costs
 

@@ -16,7 +16,9 @@ exploits both redundancies at once:
   :class:`~repro.core.dimtree.DimensionTree` over its stationary sub-tensor,
   so local partial contractions are reused across the sweep's mode updates
   and the counted local flops drop by the same ``~N/2`` factor as in the
-  sequential engine.
+  sequential engine.  Each tree drops, before it serves mode ``m``, the
+  cached nodes that the update of factor ``m`` stales, so the storage
+  charge counts only nodes that this update leaves valid.
 
 The output Reduce-Scatter per mode is Algorithm 3's
 (:func:`~repro.parallel.stationary.reduce_scatter_output`: the output rows

@@ -14,7 +14,7 @@ checkpoint holds everything the sweep loop and the kernel read:
 * kernel state — whatever the kernel's
   :meth:`~repro.core.sweep_kernel.SweepKernel.capture_state` returned:
   dimension-tree partials with their :class:`~repro.core.dimtree.FactorGate`
-  version/drift stamps and stored factors, the fused kernels' sampler cache,
+  version stamps and stored factors, the fused kernels' sampler cache,
   gathered factor blocks of the distributed kernels, and the exact
   ``numpy.random.Generator`` bit-stream position of the sampled kernels,
   under a ``"kind"`` key naming the kernel's class (with a distributed

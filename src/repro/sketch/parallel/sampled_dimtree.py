@@ -23,7 +23,10 @@ things:
 * **the sampled local step** — one draw from the shared stream per call;
   each rank serves the leaf-parent partial from its tree cache and evaluates
   exactly the draws whose free-mode indices fall inside its block ranges,
-  gathering their fibers with the sequential sampled kernel's gather.
+  gathering their fibers with the sequential sampled kernel's gather.  The
+  partial comes from ``DimensionTree.node_value``, not from
+  ``DimensionTree.mttkrp``, so these trees drop no node before a read, as
+  in the sequential fused kernel.
 
 Under the same seed the shared :class:`~repro.core.sampled_dimtree.FusedSamplerCache`
 walks the same rebuild schedule as the sequential kernel over the same

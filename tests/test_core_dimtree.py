@@ -13,11 +13,11 @@ from repro.core.dimtree import (
     dimtree_sweep_cost,
     multisweep_sweep_costs,
 )
-from repro.core.kernels import gemm_mttkrp
+from repro.core.kernels import gemm_mttkrp, mttkrp
 from repro.core.reference import mttkrp_reference
 from repro.core.sweep_kernel import PerCallKernel, SweepKernel, as_sweep_kernel, check_kernel_name
 from repro.cp.als import cp_als
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, ShapeError
 from repro.observe import tracing
 from repro.resilience import CheckpointStore
 from repro.tensor.dense import as_ndarray
@@ -78,13 +78,11 @@ class TestDimensionTreeCorrectness:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_cached_second_call_matches(self, shape):
+        """A second pass over unchanged factors serves the same bytes."""
         tensor, factors = problem(shape, 2, seed=3)
         tree = DimensionTree(tensor)
         first = [tree.mttkrp(factors, m) for m in range(len(shape))]
-        steps_after_first = tree.contractions
         second = [tree.mttkrp(factors, m) for m in range(len(shape))]
-        # identical factors: all partials valid, no new contractions at all
-        assert tree.contractions == steps_after_first
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
@@ -131,6 +129,143 @@ class TestDimensionTreeCorrectness:
         factors[1] = None
         with pytest.raises(ParameterError):
             tree.mttkrp(factors, 0)
+
+    def test_served_mode_factor_may_be_missing(self):
+        """The read of mode ``m`` never touches factor ``m``."""
+        tensor, factors = problem((3, 4, 5), 2, seed=9)
+        tree = DimensionTree(tensor)
+        for mode in range(3):
+            given = list(factors)
+            given[mode] = None
+            expected = mttkrp(tensor, factors, mode)
+            assert np.allclose(tree.mttkrp(given, mode), expected, atol=1e-10)
+
+    def test_wrong_factor_count_rejected(self):
+        tensor, factors = problem((3, 4, 5), 2, seed=9)
+        with pytest.raises(ParameterError, match="expected 3 factor matrices"):
+            DimensionTree(tensor).mttkrp(list(factors)[:2], 0)
+
+    @pytest.mark.parametrize(
+        "mode,bad_shape", [(1, (6, 2)), (2, (5, 3))], ids=["rows", "rank"]
+    )
+    def test_wrong_factor_shape_rejected(self, mode, bad_shape):
+        tensor, factors = problem((3, 4, 5), 2, seed=9)
+        factors = list(factors)
+        factors[mode] = np.zeros(bad_shape)
+        with pytest.raises(ShapeError, match=f"mode {mode}"):
+            DimensionTree(tensor).mttkrp(factors, 0)
+
+    @pytest.mark.parametrize("mode", [3, -4, 1.0])
+    def test_bad_mode_rejected(self, mode):
+        tensor, factors = problem((3, 4, 5), 2, seed=9)
+        with pytest.raises(ParameterError, match="mode must be"):
+            DimensionTree(tensor).mttkrp(factors, mode)
+
+    def test_negative_mode_counts_from_the_last(self):
+        tensor, factors = problem((3, 4, 5), 2, seed=9)
+        last = DimensionTree(tensor).mttkrp(factors, 2)
+        assert DimensionTree(tensor).mttkrp(factors, -1).tobytes() == last.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape,parents",
+        [
+            ((4, 5), [(0, 1), (0, 1)]),
+            ((3, 4, 5), [(0, 1, 2), (1, 2), (1, 2)]),
+            ((3, 2, 4, 2), [(0, 1), (0, 1), (2, 3), (2, 3)]),
+        ],
+        ids=["2way", "3way", "4way"],
+    )
+    def test_leaf_parents_split_in_half(self, shape, parents):
+        tree = DimensionTree(random_tensor(shape, seed=0))
+        assert [tree.leaf_parent(mode) for mode in range(len(shape))] == parents
+
+    @pytest.mark.parametrize("key", [(0, 2), (0, 1), (3,)])
+    def test_node_value_rejects_a_key_outside_the_tree(self, key):
+        """The halving tree of a 3-way tensor has the nodes (0,), (1, 2),
+        (1,) and (2,) below the root, and no others."""
+        tree = DimensionTree(random_tensor((3, 4, 5), seed=0))
+        with pytest.raises(ParameterError, match="not a node"):
+            tree.node_value(key)
+
+
+#: Shapes of the fixed-factor reads: 2- to 5-way.
+FIXED_SHAPES = [(4, 5), (3, 4, 5), (3, 4, 2, 5), (2, 3, 2, 3, 2)]
+
+
+class TestFixedFactorReads:
+    """A bare tree read with unchanged factors, in any mode order: the same
+    bytes as the per-mode kernel, and a pass in ALS order builds each node on
+    the paths to the modes read exactly once."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    @pytest.mark.parametrize("shape", FIXED_SHAPES)
+    def test_every_mode_matches_the_per_mode_kernel(self, shape, order):
+        tensor, factors = problem(shape, 3)
+        tree = DimensionTree(tensor)
+        modes = range(len(shape)) if order == "ascending" else reversed(range(len(shape)))
+        for mode in modes:
+            got = tree.mttkrp(factors, mode)
+            assert got.shape == (shape[mode], 3)
+            assert np.allclose(got, mttkrp(tensor, factors, mode), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape,modes,steps",
+        [
+            ((4, 5), None, 2),
+            ((3, 4, 5), None, 5),
+            ((3, 4, 2, 5), None, 8),
+            ((2, 3, 2, 3, 2), None, 12),
+            ((3,) * 6, None, 16),
+            ((4, 5, 6), [0, 2], 4),
+            ((4, 5, 6), [1], 2),
+            ((4, 5, 6), [], 0),
+        ],
+    )
+    def test_cold_pass_step_counts(self, shape, modes, steps):
+        """Half-split counts; only the paths to the modes read are built."""
+        tensor, factors = problem(shape, 2, seed=10)
+        tree = DimensionTree(tensor)
+        for mode in range(len(shape)) if modes is None else modes:
+            tree.mttkrp(factors, mode)
+        assert tree.contractions == steps
+        if modes is None:
+            assert tree.counters() == dimtree_sweep_cost(shape, 2)
+
+    @pytest.mark.parametrize("n_modes", [3, 4, 5, 6])
+    def test_fewer_contractions_than_the_comb(self, n_modes):
+        """The cached tree against ``cache=False``, which runs each mode's
+        ``N - 1`` single-mode contractions from the tensor."""
+        shape = (3,) * n_modes
+        tensor, factors = problem(shape, 2, seed=n_modes)
+        tree, comb = DimensionTree(tensor), DimensionTree(tensor, cache=False)
+        for mode in range(n_modes):
+            tree.mttkrp(factors, mode)
+            comb.mttkrp(factors, mode)
+        assert comb.contractions == n_modes * (n_modes - 1)
+        assert comb.root_reads == n_modes
+        assert tree.contractions < comb.contractions
+        assert tree.root_reads == 2
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_second_pass_recomputes_the_dropped_nodes(self, shape):
+        """Each read drops the nodes the ALS update after it would stale, so
+        a second pass over unchanged factors charges the first one's ledger."""
+        tensor, factors = problem(shape, 2, seed=3)
+        tree = DimensionTree(tensor)
+        for _ in range(2):
+            for mode in range(len(shape)):
+                tree.mttkrp(factors, mode)
+        assert tree.counters() == dimtree_sweep_cost(shape, 2) + dimtree_sweep_cost(shape, 2)
+
+    def test_a_repeated_read_is_served_from_its_leaf(self):
+        """No node a read of mode ``m`` holds lacks ``m``, so reading ``m``
+        again with unchanged factors contracts nothing."""
+        tensor, factors = problem((4, 5, 6), 2, seed=10)
+        tree = DimensionTree(tensor)
+        first = tree.mttkrp(factors, 1)
+        charged = tree.counters()
+        assert tree.mttkrp(factors, 1).tobytes() == first.tobytes()
+        assert tree.counters() == charged
 
 
 #: ``(shape, rank)`` of the 3-, 4- and 5-way ledger checks.
@@ -358,9 +493,22 @@ class TestRootGemm:
 
 
 class TestStaleNodeDrop:
-    """Inside a sweep, under exact invalidation, ``DimensionTreeKernel``
-    drops the cached nodes that mode ``m``'s update stales (every node whose
-    key lacks ``m``) before mode ``m``'s read."""
+    """Before it serves mode ``m``, ``DimensionTree.mttkrp`` drops the cached
+    nodes that mode ``m``'s update stales: every node whose key lacks ``m``."""
+
+    @pytest.mark.parametrize("replace", [True, False], ids=["als-order", "fixed-factors"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bare_tree_holds_only_nodes_with_the_mode_served(self, shape, replace):
+        """No kernel and no sweep marks: the tree itself drops the nodes."""
+        tensor, factors = problem(shape, 3, seed=35)
+        tree = DimensionTree(tensor)
+        for _ in range(2):
+            for mode in range(len(shape)):
+                tree.mttkrp(factors, mode)
+                cached = tree.capture_state()["cache"]
+                assert cached and all(mode in key for key in cached)
+                if replace:
+                    factors[mode] = 0.5 * factors[mode]
 
     def test_steady_sweep_peak_holds_no_stale_node(self):
         """At 100³, R=16 a steady sweep peaked at 2.17 node sizes (100·100·16
@@ -382,29 +530,19 @@ class TestStaleNodeDrop:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_drop_keeps_the_outputs_and_the_ledger(self, shape):
-        """A kernel inside sweeps and one called outside any sweep, which
-        keeps every node, serve the same bytes and charge the same ledger;
-        the first only caches less."""
+        """Each read equals a cold tree's bitwise, and every sweep charges
+        the modelled cost: a dropped node is one the next read would have
+        found stale."""
         tensor, factors = problem(shape, 3, seed=34)
-        dropping, keeping = DimensionTreeKernel(), DimensionTreeKernel()
+        kernel = DimensionTreeKernel()
         for sweep in (1, 2, 3):
-            dropping.begin_sweep(sweep)
+            kernel.begin_sweep(sweep)
             for mode in range(len(shape)):
-                ours = dropping.mttkrp(tensor, factors, mode)
-                assert ours.tobytes() == keeping.mttkrp(tensor, factors, mode).tobytes()
-                assert all(mode in key for key in dropping.tree.capture_state()["cache"])
+                ours = kernel.mttkrp(tensor, factors, mode)
+                cold = DimensionTree(tensor).mttkrp(factors, mode)
+                assert ours.tobytes() == cold.tobytes()
                 factors[mode] = 0.5 * factors[mode]
-        assert dropping.counters() == keeping.counters()
-        assert dropping.tree.cached_words() < keeping.tree.cached_words()
-
-    def test_residual_gate_keeps_its_nodes(self):
-        """The residual gate may keep a node valid through an update, so
-        nothing is dropped under it."""
-        tensor, factors = problem((3, 4, 5), 3, seed=35)
-        kernel = DimensionTreeKernel(invalidation="residual", residual_tol=1e9)
-        kernel.begin_sweep(1)
-        als_sweep(kernel, tensor, factors)
-        assert sorted(kernel.tree.capture_state()["cache"]) == [(0,), (1,), (1, 2), (2,)]
+        assert kernel.per_sweep_costs() == [dimtree_sweep_cost(shape, 3)] * 3
 
     @pytest.mark.parametrize("stop_at", [1, 2, 3])
     def test_resume_is_bitwise(self, stop_at):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dimtree import DimensionTree, DimensionTreeKernel, FactorGate
+from repro.core.dimtree import DimensionTree, FactorGate
 from repro.core.kernels import mttkrp
 from repro.core.sampled_dimtree import (
     FUSED_DISTRIBUTIONS,
@@ -29,15 +29,6 @@ def fixed_sweeps(tensor, rank, kernel, sweeps=4, seed=1, **kwargs):
     )
 
 
-#: Every owner of a residual gate, built with the given gate options.
-GATE_OWNERS = {
-    "FactorGate": lambda **gate: FactorGate(3, **gate),
-    "DimensionTree": lambda **gate: DimensionTree(np.ones((2, 3, 4)), **gate),
-    "DimensionTreeKernel": DimensionTreeKernel,
-    "SampledDimtreeKernel": SampledDimtreeKernel,
-}
-
-
 class TestFactorGate:
     def test_exact_mode_is_pure_identity(self):
         gate = FactorGate(2)
@@ -46,68 +37,6 @@ class TestFactorGate:
         assert not gate.register(0, a)  # same object: no change
         assert gate.register(0, a.copy())  # new object: invalidates
         assert gate.versions[0] == 2
-        assert gate.skipped == 0
-
-    def test_residual_mode_absorbs_small_drift(self):
-        gate = FactorGate(1, invalidation="residual", residual_tol=0.5)
-        a = np.ones((4, 2))
-        gate.register(0, a)
-        v = gate.versions[0]
-        small = a + 1e-3
-        assert not gate.register(0, small)  # drift ~5e-4 absorbed
-        assert gate.versions[0] == v
-        assert gate.skipped == 1
-        assert 0.0 < gate.drift[0] < 0.5
-
-    def test_residual_mode_accumulates_until_tolerance(self):
-        gate = FactorGate(1, invalidation="residual", residual_tol=0.1)
-        a = np.ones((4, 2))
-        gate.register(0, a)
-        v = gate.versions[0]
-        current = a
-        invalidated = False
-        for _ in range(100):
-            current = current * 1.02  # ~2% relative drift per step
-            if gate.register(0, current):
-                invalidated = True
-                break
-        assert invalidated
-        assert gate.versions[0] == v + 1
-        assert gate.drift[0] == 0.0  # drift resets on invalidation
-
-    def test_residual_mode_shape_change_invalidates(self):
-        gate = FactorGate(1, invalidation="residual", residual_tol=10.0)
-        gate.register(0, np.ones((4, 2)))
-        assert gate.register(0, np.ones((5, 2)))
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ParameterError):
-            FactorGate(2, invalidation="lazy")
-        with pytest.raises(ParameterError):
-            DimensionTree(np.ones((2, 2)), invalidation="lazy")
-
-    @pytest.mark.parametrize("owner", sorted(GATE_OWNERS))
-    @pytest.mark.parametrize(
-        "bad, name",
-        [
-            ({"invalidation": "bogus"}, "invalidation"),
-            ({"residual_tol": -1}, "residual_tol"),
-            ({"residual_tol": float("nan")}, "residual_tol"),
-            ({"residual_tol": "0.1"}, "residual_tol"),
-        ],
-        ids=["policy", "negative", "nan", "string"],
-    )
-    def test_bad_gate_options_rejected_at_construction(self, owner, bad, name):
-        """A kernel instance is the only way to ask for residual gating, so
-        its constructor checks the options before any MTTKRP runs."""
-        gate = {"invalidation": "residual", **bad}
-        with pytest.raises(ParameterError, match=name):
-            GATE_OWNERS[owner](**gate)
-
-    @pytest.mark.parametrize("owner", sorted(GATE_OWNERS))
-    def test_any_non_negative_tolerance_accepted(self, owner):
-        for tol in (0, 0.0, np.float64(0.5), float("inf")):
-            GATE_OWNERS[owner](invalidation="residual", residual_tol=tol)
 
     def test_force_invalidates_same_object(self):
         gate = FactorGate(1)
@@ -133,6 +62,38 @@ class TestFactorGate:
         tree.update_factor(1, factors[1])
         result = tree.mttkrp(factors, 0)
         assert np.allclose(result, mttkrp_reference(tensor, factors, 0), atol=1e-10)
+
+    def test_invalidate_all_bumps_every_version_and_keeps_the_factors(self):
+        gate = FactorGate(3)
+        stored = [np.ones((2, 2)), None, np.zeros((4, 2))]
+        for mode, factor in enumerate(stored):
+            gate.register(mode, factor)
+        before = list(gate.versions)
+        gate.invalidate_all()
+        assert gate.versions == [v + 1 for v in before]
+        assert all(a is b for a, b in zip(gate.factors, stored))
+        assert not gate.register(0, stored[0])  # the kept object still hits
+
+    def test_capture_state_hands_over_references(self):
+        gate = FactorGate(2)
+        a = np.ones((3, 2))
+        gate.register(1, a)
+        state = gate.capture_state()
+        assert state["factors"][1] is a
+        assert state["versions"] is gate.versions
+
+    def test_restored_tree_serves_its_cached_nodes(self):
+        """A snapshot is adopted in place, through the aliases the tree reads:
+        a fresh tree restored from it reads the cached leaf and contracts
+        nothing, with the same bytes."""
+        tensor = random_tensor((4, 5, 6), seed=3)
+        factors = random_factors((4, 5, 6), 2, seed=4)
+        tree = DimensionTree(tensor)
+        served = tree.mttkrp(factors, 2)
+        restored = DimensionTree(tensor)
+        restored.restore_state(tree.capture_state())
+        assert restored.mttkrp(factors, 2).tobytes() == served.tobytes()
+        assert restored.counters() == tree.counters()
 
 
 class TestDegenerateEquivalence:
@@ -317,21 +278,6 @@ class TestSamplerCacheSharing:
         steady = costs[-1].build_flops
         assert steady == per_factor[1] + per_factor[2]
 
-    def test_residual_gate_holds_sampler_and_tree_together(self):
-        shape, rank = (8, 9, 10), 3
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.0, seed=0)
-        # Huge tolerance: after the first registration nothing ever
-        # invalidates, so no partial is recomputed and no sampler rebuilt.
-        kernel = SampledDimtreeKernel(
-            n_samples=8, seed=2, invalidation="residual", residual_tol=1e9
-        )
-        fixed_sweeps(tensor, rank, kernel, sweeps=4)
-        for sweep in kernel.per_sweep_costs()[1:]:
-            assert sweep.root_reads == 0
-            assert sweep.tree_flops == 0
-            assert sweep.build_flops == 0
-        assert kernel.tree.skipped_invalidations > 0
-
     @pytest.mark.parametrize("distribution", ["uniform", "product-leverage"])
     def test_cache_draws_like_a_fresh_draw(self, distribution):
         """The cache and ``draw_krp_samples`` share one draw path.
@@ -387,56 +333,3 @@ class TestSamplerCacheSharing:
         assert kernel.draw_log == fresh.draw_log
         assert kernel.per_sweep_costs() == fresh.per_sweep_costs()
         assert kernel.counters() == fresh.counters()
-
-
-class TestResidualGatedALS:
-    def test_dimtree_residual_cuts_root_reads_without_degrading_fit(self):
-        """ISSUE 5 acceptance: residual gating brings full-tensor contractions
-        per sweep below 2 on a converging run, with the final fit within the
-        tolerance of the exact-invalidation run."""
-        shape, rank, sweeps, tol = (16, 16, 16), 4, 20, 1e-2
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.01, seed=0)
-        exact = cp_als(
-            tensor, rank, n_iter_max=sweeps, tol=0.0, seed=1, kernel="dimtree"
-        )
-        gated_kernel = DimensionTreeKernel(invalidation="residual", residual_tol=tol)
-        gated = cp_als(
-            tensor, rank, n_iter_max=sweeps, tol=0.0, seed=1, kernel=gated_kernel
-        )
-        late = gated_kernel.per_sweep_costs()[sweeps // 2 :]
-        mean_roots = sum(s.root_reads for s in late) / len(late)
-        assert mean_roots < 2.0
-        assert min(s.root_reads for s in late) < 2
-        assert gated_kernel.tree.skipped_invalidations > 0
-        assert abs(gated.final_fit - exact.final_fit) <= tol
-
-    def test_huge_tolerance_freezes_the_cache(self):
-        shape, rank = (10, 10, 10), 3
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.01, seed=0)
-        run = cp_als(
-            tensor,
-            rank,
-            n_iter_max=15,
-            tol=0.0,
-            seed=1,
-            kernel=DimensionTreeKernel(invalidation="residual", residual_tol=1e9),
-        )
-        # With an absurd tolerance the cache freezes after the first sweep,
-        # so the fits stop moving once the served MTTKRPs go stale.
-        assert len(run.fits) == 15
-        exact = cp_als(tensor, rank, n_iter_max=15, tol=0.0, seed=1, kernel="dimtree")
-        assert run.fits != exact.fits
-
-    def test_exact_default_matches_plain_dimtree(self):
-        shape, rank = (8, 9, 10), 3
-        tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=0)
-        a = cp_als(tensor, rank, n_iter_max=5, tol=0.0, seed=1, kernel="dimtree")
-        b = cp_als(
-            tensor,
-            rank,
-            n_iter_max=5,
-            tol=0.0,
-            seed=1,
-            kernel=DimensionTreeKernel(invalidation="exact"),
-        )
-        assert a.fits == b.fits

@@ -74,10 +74,9 @@ class TestThreeWayCrossover:
             assert set(row["flops"]) == {"dimtree", "sampled-tree", "sampled-dimtree"}
 
     def test_baseline_wins_flops_at_small_draws_exact_mode(self):
-        """In exact-invalidation modelling the per-call sampled kernel keeps
-        the flop lead at small draw counts (it never contracts the full
-        tensor) — the fused win comes from measured runs with residual
-        gating or saturated dedup, which the frontier records."""
+        """In the model the per-call sampled kernel keeps the flop lead at
+        small draw counts (it never contracts the full tensor) — the fused
+        wins come from measured runs, which the frontier records."""
         row = three_way_crossover((20, 20, 20), [4], [8])[0]
         assert row["flops"]["sampled-tree"] < row["flops"]["dimtree"]
         assert row["flops"]["sampled-dimtree"] < row["flops"]["dimtree"]

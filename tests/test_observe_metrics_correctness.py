@@ -4,16 +4,16 @@ The counter assertions are deliberately exact (not ``>=``): the dimension
 tree's hit/miss/stale pattern and the fused sampler's rebuild cadence are
 deterministic functions of the sweep count, and the closed forms below are
 the observable signature of the caching design (ISSUE 6, satellite 3).  For
-the seeded 3-mode problem with the default half split and exact
-invalidation:
+the seeded 3-mode problem with the default half split:
 
 * dimtree, ``S`` sweeps: ``partial.hit = S``, ``partial.miss = 4 S``,
   ``partial.stale = 0``, ``factor_gate.invalidate = 2 + 3 S``;
 * fused cached, ``S`` sweeps: ``sampler_cache.hit = 2 S - 1``,
   ``sampler_cache.rebuild = 2 S + 1``, tree ``partial.hit = S`` /
   ``miss = 1`` / ``stale = S - 1``;
-* fused ``cache=False``: zero sampler-cache hits and ``6 S`` rebuilds — the
-  per-mode path rebuilds both non-target sampler factors on every call.
+* fused ``cache=False``: no sampler-cache hits and no rebuilds, for it keeps
+  no sampler cache; the per-call path builds both non-target sampler trees
+  on every call, ``6 S`` tree builds.
 """
 
 import numpy as np
@@ -54,22 +54,13 @@ class TestDimtreeCounters:
         counters = session.metrics.counters()
         # One cached-partial reuse per sweep (the root split shares one
         # subtree between the two modes it serves) and four subtree builds
-        # per sweep.  Under exact invalidation the kernel drops every node
-        # an update is about to stale before that update's read, so no
-        # entry is ever found stale: each rebuild is a miss.
+        # per sweep.  The tree drops every node an update is about to stale
+        # before that update's read, so no entry is ever found stale: each
+        # rebuild is a miss.
         assert counters["dimtree.partial.hit"] == sweeps
         assert counters["dimtree.partial.miss"] == 4 * sweeps
         assert session.metrics.counter("dimtree.partial.stale") == 0
         assert counters["factor_gate.invalidate"] == 2 + 3 * sweeps
-        assert session.metrics.counter("factor_gate.keep") == 0
-
-    def test_residual_gate_keeps_are_counted(self):
-        kernel = DimensionTreeKernel(invalidation="residual", residual_tol=1e9)
-        session = traced_sweeps(kernel, 3)
-        # An absurdly loose residual tolerance never invalidates after the
-        # initial registration, so every re-registration is a gated keep.
-        assert session.metrics.counter("factor_gate.keep") > 0
-        assert session.metrics.counter("dimtree.partial.stale") == 0
 
 
 class TestFusedSamplerCounters:
@@ -96,11 +87,25 @@ class TestFusedSamplerCounters:
         counters = session.metrics.counters()
         assert session.metrics.counter("sampler_cache.hit") == 0
         assert "sampler_cache.hit" not in counters
-        # Degenerate path: both non-target sampler factors rebuilt per call.
-        assert counters["sampler_cache.rebuild"] == 6 * 3
+        # Degenerate path: no sampler cache, so no rebuild of one is counted;
+        # both non-target sampler trees are built afresh per call.
+        assert session.metrics.counter("sampler_cache.rebuild") == 0
         assert counters["treesample.tree_builds"] == 6 * 3
         assert counters["sampler.draws"] == 3 * 3 * 16
         assert counters["treesample.draws"] == 3 * 3 * 16
+
+    @pytest.mark.parametrize(
+        "kernel,tree_builds", [("sampled", 0), ("sampled-tree", 6 * 3)]
+    )
+    def test_per_call_registry_kernels_count_no_sampler_cache(self, kernel, tree_builds):
+        """The registry's per-call sampled kernels keep no sampler cache, so
+        they count neither hits nor rebuilds of one; only the tree-leverage
+        draws build segment trees, two per call."""
+        session = traced_sweeps(kernel, 3)
+        counters = session.metrics.counters()
+        assert not any(name.startswith("sampler_cache.") for name in counters)
+        assert session.metrics.counter("treesample.tree_builds") == tree_builds
+        assert counters["sampler.draws"] > 0
 
 
 class TestKernelAndSamplerCounters:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.dimtree import DimensionTree
 from repro.core.kernels import mttkrp
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
@@ -124,6 +125,66 @@ class TestParallelALSDimtree:
         assert resumed.fits == expected.fits
         assert np.array_equal(kernel.machine.words_sent - words_before, fresh.machine.words_sent)
         assert np.array_equal(kernel.machine.flops - flops_before, fresh.machine.flops)
+
+
+class _KeepingTree(DimensionTree):
+    """A tree that keeps every node it builds: the reference that the
+    per-rank drop is held against."""
+
+    def mttkrp(self, factors, mode):
+        self.register_factors(factors, mode)
+        data, _, _ = self.node_value((mode,))
+        return np.ascontiguousarray(data).copy()
+
+
+#: ``(shape, rank)`` of the per-rank drop checks, on four simulated ranks:
+#: 3-, 4-, 5- and 2-way.
+DROP_CASES = [((12, 10, 8), 3), ((6, 5, 4, 5), 2), ((4, 3, 4, 3, 4), 2), ((12, 10), 3)]
+
+
+class TestPerRankStaleNodeDrop:
+    """``parallel_cp_als``'s default: before it serves mode ``m``, each
+    per-rank tree drops the cached nodes whose key lacks ``m``."""
+
+    @pytest.mark.parametrize("shape,rank", DROP_CASES)
+    def test_trees_hold_only_nodes_with_the_mode_served(self, shape, rank, monkeypatch):
+        held = []
+
+        class Watched(DistributedDimtreeKernel):
+            def _local_outputs(self, factors, mode):
+                outputs = super()._local_outputs(factors, mode)
+                held.extend(
+                    (mode, list(tree.capture_state()["cache"])) for tree in self._trees.values()
+                )
+                return outputs
+
+        monkeypatch.setattr("repro.cp.parallel_als.DistributedDimtreeKernel", Watched)
+        data = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=7)
+        parallel_cp_als(data, rank, 4, n_iter_max=3, tol=0.0, seed=8)
+        assert len(held) == 3 * len(shape) * 4
+        for mode, keys in held:
+            assert keys and all(mode in key for key in keys)
+
+    @pytest.mark.parametrize("shape,rank", DROP_CASES)
+    def test_the_drop_moves_only_the_storage_charge(self, shape, rank, monkeypatch):
+        """Against trees that keep every node: the same fits, factors, words
+        and flops, and a lower storage high-water mark on every rank."""
+        data = noisy_low_rank_tensor(shape, rank, noise_level=0.05, seed=7)
+        kwargs = dict(n_iter_max=4, tol=0.0, seed=8)
+        dropping = parallel_cp_als(data, rank, 4, **kwargs)
+        monkeypatch.setattr("repro.parallel.dimtree.DimensionTree", _KeepingTree)
+        keeping = parallel_cp_als(data, rank, 4, **kwargs)
+        assert dropping.als.fits == keeping.als.fits
+        for a, b in zip(dropping.als.model.factors, keeping.als.model.factors):
+            assert a.tobytes() == b.tobytes()
+        assert dropping.words_per_iteration == keeping.words_per_iteration
+        for field in ("words_sent", "words_received", "flops"):
+            np.testing.assert_array_equal(
+                getattr(dropping.machine, field), getattr(keeping.machine, field)
+            )
+        assert np.all(
+            dropping.machine.storage_high_water < keeping.machine.storage_high_water
+        )
 
 
 class TestPredictor:

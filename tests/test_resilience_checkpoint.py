@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.dimtree import DimensionTreeKernel, MultiSweepTreeKernel
 from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.sampled_dimtree import SampledDimtreeKernel
-from repro.cp.als import KERNEL_NAMES, _kernel_seed, cp_als
+from repro.cp.als import KERNEL_NAMES, cp_als
 from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
 from repro.observe import tracing
@@ -172,6 +172,21 @@ def test_sequential_resume_bitwise_identical(kernel, stop_at):
     _assert_sequential_resume_matches(kernel, seed=0, stop_at=stop_at)
 
 
+@pytest.mark.parametrize("kernel", ["dimtree", "sampled-dimtree"])
+@pytest.mark.parametrize("stop_at", [1, 3])
+def test_four_way_resume_bitwise_identical(kernel, stop_at):
+    """On this 4-way tensor both root children run as one GEMM, and the
+    checkpoint holds the trailing one as a transposed (non-C-contiguous)
+    GEMM product: the copy keeps its layout, and the resume is bitwise."""
+    tensor = noisy_low_rank_tensor((5, 6, 40, 30), RANK, noise_level=0.1, seed=1)
+    store = CheckpointStore()
+    cp_als(tensor, RANK, n_iter_max=stop_at, tol=0.0, seed=1, kernel=kernel,
+           checkpoint_store=store)
+    node = store.latest().kernel_state["tree"]["cache"][(2, 3)][0]
+    assert not node.flags["C_CONTIGUOUS"]
+    _assert_sequential_resume_matches(kernel, seed=1, stop_at=stop_at, tensor=tensor)
+
+
 @pytest.mark.parametrize("stop_at", [1, 3])
 def test_callable_kernel_resume_bitwise_identical(stop_at):
     """A plain per-call kernel (the matmul baseline) has no state to
@@ -254,32 +269,6 @@ def test_resume_bitwise_identical_random_seeds(seed, stop_at, kernel):
 )
 def test_parallel_resume_bitwise_identical_random_seeds(seed, stop_at, kernel):
     _assert_parallel_resume_matches(kernel, seed=seed, stop_at=stop_at)
-
-
-@pytest.mark.parametrize("kernel", ("dimtree", "sampled-dimtree"))
-@pytest.mark.parametrize("stop_at", [1, 3])
-def test_residual_gate_resume_bitwise_identical(kernel, stop_at):
-    """Regression: the residual gate serves cached partials across sweeps, so
-    a restored partial must keep its memory layout for the einsums that
-    consume it to sum in the uninterrupted run's order."""
-    tensor = noisy_low_rank_tensor((5, 6, 40, 30), RANK, noise_level=0.1, seed=1)
-    gate = dict(invalidation="residual", residual_tol=1e-2)
-
-    def gated_kernel():
-        # A fresh instance per run, its draws seeded as the registry seeds them.
-        if kernel == "dimtree":
-            return DimensionTreeKernel(**gate)
-        return SampledDimtreeKernel(seed=_kernel_seed(1), **gate)
-
-    kwargs = dict(n_iter_max=N_SWEEPS, tol=0.0, seed=1)
-    store = CheckpointStore()
-    full = cp_als(tensor, RANK, kernel=gated_kernel(), checkpoint_store=store, **kwargs)
-    resumed = cp_als(
-        tensor, RANK, kernel=gated_kernel(), resume_from=store.at_sweep(stop_at), **kwargs
-    )
-    assert resumed.fits == full.fits
-    for a, b in zip(resumed.model.factors, full.model.factors):
-        assert np.array_equal(a, b)
 
 
 def test_checkpoint_counters_traced():
