@@ -359,7 +359,7 @@ def _traced_timing_row(kernel_name, shape, rank, seed):
         "cache_counters": {
             name: value
             for name, value in counters.items()
-            if name.startswith(("dimtree.partial", "factor_gate", "sampler_cache"))
+            if name.startswith(("dimtree.partial", "sampler_cache"))
         },
     }
     if kernel_name == "sampled-dimtree":

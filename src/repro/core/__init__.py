@@ -41,7 +41,6 @@ from repro.core.matmul_baseline import mttkrp_via_matmul
 from repro.core.dimtree import (
     DimensionTree,
     DimensionTreeKernel,
-    FactorGate,
     MultiSweepTreeKernel,
     SweepCost,
     dimtree_sweep_cost,
@@ -68,7 +67,6 @@ __all__ = [
     "mttkrp_via_matmul",
     "DimensionTree",
     "DimensionTreeKernel",
-    "FactorGate",
     "MultiSweepTreeKernel",
     "SweepCost",
     "dimtree_sweep_cost",

@@ -5,9 +5,13 @@ CP-ALS the factors change between mode updates (Section VII of the paper
 leaves the scheduling of that cross-mode reuse as future work), and
 :class:`DimensionTree` keeps the tree's internal nodes — partial
 contractions of the tensor with the Khatri-Rao product of an excluded mode
-subset — *cached across calls*, invalidates exactly the nodes that depend
-on a factor matrix the driver has replaced, and serves every mode's MTTKRP
-from the deepest still-valid ancestor.  Before it serves mode ``m`` it drops
+subset — *cached across calls* and serves every mode's MTTKRP from the
+deepest still-valid ancestor.  A node keeps the factor arrays it was built
+from and is valid exactly while the call passes those same objects, so it
+goes stale when the driver replaces a factor it consumed: array identity
+is the one staleness rule of every factor-dependent cache in the package
+(the fused kernels' sampler caches and the distributed kernels' gathered
+blocks follow it too).  Before it serves mode ``m`` it drops
 every cached node whose key lacks ``m``: the update that follows the read
 replaces factor ``m`` and so stales those nodes, and none of them lies on
 the leaf's path.
@@ -192,81 +196,6 @@ def _recompute_cost(
 
 
 # ---------------------------------------------------------------------------
-# staleness detection (shared by the tree, the fused sampler cache, and the
-# distributed kernels' gather caches)
-# ---------------------------------------------------------------------------
-
-class FactorGate:
-    """Per-factor staleness gate: array identity, plus ``force`` for in-place edits.
-
-    One gate instance is the single invalidation authority for every cache
-    keyed on a factor list: :class:`DimensionTree` partials, the fused
-    kernel's sampler trees, and the distributed kernels' gathered factor
-    blocks all read the same ``versions`` counters.
-
-    ``register`` stores the replacement and returns whether dependent caches
-    must invalidate, which they must for any new array object.
-
-    The gate stores factor *objects*, and a checkpoint keeps them so:
-    :meth:`capture_state` hands over references, and the checkpoint's one
-    deep copy keeps a factor the gate shares with the driver one object.
-    No factor is ever matched by value.
-    """
-
-    def __init__(self, n_modes: int) -> None:
-        self.factors: List[Optional[np.ndarray]] = [None] * int(n_modes)
-        self.versions: List[int] = [0] * int(n_modes)
-
-    def register(
-        self, mode: int, factor: Optional[np.ndarray], *, force: bool = False
-    ) -> bool:
-        """Store a (possibly) replaced factor; return ``True`` on invalidation.
-
-        ``force`` invalidates even when ``factor`` is the *same object* as
-        the stored one — the escape hatch for in-place mutation, which the
-        identity check cannot see.
-        """
-        if factor is self.factors[mode] and not force:
-            return False
-        self.factors[mode] = factor
-        self.versions[mode] += 1
-        observe_inc("factor_gate.invalidate")
-        return True
-
-    def invalidate_all(self) -> None:
-        """Bump every factor's version (fault recovery: poisoned-cache purge).
-
-        Every cache keyed on the gate's version counters — tree partials,
-        sampler trees, gathered blocks — sees its stamps go stale at once;
-        the stored factor objects are kept, so the next consumer recomputes
-        from current values rather than re-registering.
-        """
-        for mode in range(len(self.versions)):
-            self.versions[mode] += 1
-            observe_inc("factor_gate.invalidate")
-
-    def capture_state(self) -> dict:
-        """The version stamps and the stored factor objects, by reference.
-
-        The checkpoint copies them in one deep copy with the driver's
-        factors, so a stored factor that is the driver's stays one object
-        with it, and identity-based staleness keeps producing hits for
-        version stamps taken before the checkpoint — the key to bitwise
-        resume.  A stored factor the driver has since replaced (a gate that
-        had not yet seen the newest factor, e.g. the distributed kernel's
-        lazily-registered gate) stays a distinct object, so the next
-        ``register`` bumps it exactly as the uninterrupted run would have,
-        even when the replacement equals it in value.
-        """
-        return {"versions": self.versions, "factors": self.factors}
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a snapshot, in place: the tree reads these lists through aliases."""
-        self.versions[:] = state["versions"]
-        self.factors[:] = state["factors"]
-
-
-# ---------------------------------------------------------------------------
 # the executable engine
 # ---------------------------------------------------------------------------
 
@@ -285,11 +214,13 @@ class DimensionTree:
 
     Notes
     -----
-    Staleness is detected by *array identity*: a factor matrix passed to
-    :meth:`mttkrp` that is not the same object as the one seen previously
-    invalidates every cached partial that consumed it.  Callers must
-    therefore replace factor matrices (as CP-ALS does) rather than mutate
-    them in place.
+    Staleness is *array identity*, the one rule of every factor-dependent
+    cache in the package: each cached node keeps the factor arrays of the
+    modes it has contracted, and it is served exactly while the call passes
+    those same objects.  A new array stales every node built from its
+    predecessor, even when the two are equal in value; an array changed in
+    place is not seen, so callers replace factor matrices (as CP-ALS does)
+    rather than mutate them.  :meth:`invalidate_all` drops every node.
 
     The tree serves the ALS update order, where factor ``m`` is replaced
     right after mode ``m``'s read, so :meth:`mttkrp` drops every cached node
@@ -311,14 +242,12 @@ class DimensionTree:
             raise ParameterError("DimensionTree requires a tensor with at least 2 modes")
         self._n = self._data.ndim
         self._cache_enabled = bool(cache)
-        self._gate = FactorGate(self._n)
         self._parents = _build_parents(self._n, chain=not cache)
         self._root_key = tuple(range(self._n))
-        # Aliases of the gate's state: the gate mutates, the tree reads.
-        self._factors = self._gate.factors
-        self._versions = self._gate.versions
-        #: node key -> (data, modes, has_rank, complement-version snapshot)
-        self._cache: Dict[Tuple[int, ...], Tuple[np.ndarray, Tuple[int, ...], bool, Tuple[int, ...]]] = {}
+        #: The factor arrays of the latest call, which cached nodes must match.
+        self._factors: List[Optional[np.ndarray]] = [None] * self._n
+        #: node key -> (data, modes, has_rank, the complement's factor arrays)
+        self._cache: Dict[Tuple[int, ...], Tuple[np.ndarray, Tuple[int, ...], bool, tuple]] = {}
         self.contractions = 0
         self.flops = 0
         self.words = 0
@@ -348,41 +277,14 @@ class DimensionTree:
         """Words held by cached partials (the memory the tree trades for reuse)."""
         return sum(int(entry[0].size) for entry in self._cache.values())
 
-    @property
-    def gate(self) -> FactorGate:
-        """The tree's staleness gate (share it to co-invalidate other caches)."""
-        return self._gate
-
-    def factor_version(self, mode: int) -> int:
-        """Invalidation version of factor ``mode`` (bumped on each invalidation).
-
-        Other per-factor caches (the fused kernel's sampler trees) key their
-        own staleness on this counter, so one gate governs every consumer of
-        the shared cache at once.
-        """
-        return self._versions[check_mode(mode, self._n)]
-
-    def update_factor(self, mode: int, factor: np.ndarray) -> None:
-        """Explicitly register a factor replacement (identity detection also works).
-
-        Unlike the implicit detection, passing the *same array object* here
-        still invalidates (``force``): an explicit call is the caller saying
-        the contents changed — e.g. after an in-place mutation the identity
-        check cannot see.
-        """
-        mode = check_mode(mode, self._n)
-        self._gate.register(
-            mode, None if factor is None else np.asarray(factor), force=True
-        )
-
     def register_factors(
         self, factors: Sequence[Optional[np.ndarray]], mode: int
     ) -> int:
-        """Validate the factor list for ``mode`` and sync the staleness state.
+        """Validate the factor list for ``mode``, keep it, and return the rank.
 
-        Shared entry point of :meth:`mttkrp` and the fused sampled kernel:
-        checks shapes, detects replaced factors by array identity, and
-        returns the rank.
+        Shared entry point of :meth:`mttkrp` and the fused sampled kernels:
+        checks shapes and takes the factor arrays the cached nodes are
+        compared with.
         """
         mode = check_mode(mode, self._n)
         if len(factors) != self._n:
@@ -401,34 +303,34 @@ class DimensionTree:
             raise ParameterError("at least one input factor matrix is required")
         check_factor_matrices(factors, self._data.shape, rank, skip_mode=mode)
         for k in range(self._n):
-            if k == mode:
-                continue
-            self._gate.register(k, factors[k])
+            if k != mode:
+                self._factors[k] = factors[k]
         return rank
 
     def invalidate_all(self) -> None:
-        """Drop every cached partial and stale every version (fault recovery)."""
+        """Drop every cached partial (fault recovery)."""
         self._cache.clear()
-        self._gate.invalidate_all()
         observe_inc("recovery.invalidate")
 
     def capture_state(self) -> dict:
-        """The cache, gate stamps, and counters for bitwise resume, by reference.
+        """The cache and the counters for bitwise resume, by reference.
 
-        The checkpoint's deep copy keeps each partial's memory layout (a
-        trailing root child is a transposed GEMM product), so the einsums
-        that consume it after a resume sum in the same order as before.
+        Each cached node holds the factor arrays it was built from, and the
+        checkpoint copies them in one deep copy with the driver's factors,
+        so a node built from the driver's current factors still hits after
+        a resume and one built from a since-replaced factor still misses.
+        The copy also keeps each partial's memory layout (a trailing root
+        child is a transposed GEMM product), so the einsums that consume it
+        after a resume sum in the same order as before.
         """
         return {
             "cache": self._cache,
-            "gate": self._gate.capture_state(),
             "counters": (self.contractions, self.flops, self.words, self.root_reads),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt a snapshot: its partials, gate stamps, factors and counters."""
+        """Adopt a snapshot: its partials and counters."""
         self._cache = state["cache"]
-        self._gate.restore_state(state["gate"])
         self.contractions, self.flops, self.words, self.root_reads = state["counters"]
 
     def leaf_parent(self, mode: int) -> Tuple[int, ...]:
@@ -443,8 +345,8 @@ class DimensionTree:
 
         Returns ``(data, modes, has_rank)`` exactly as the internal walk
         does; for the root this is the raw tensor with no rank axis.  The
-        node's complement factors must have been registered
-        (:meth:`register_factors` / :meth:`update_factor`) beforehand.
+        node's complement factors must have been passed to
+        :meth:`register_factors` beforehand.
         """
         key = tuple(sorted(int(k) for k in key))
         if key != self._root_key and key not in self._parents:
@@ -465,7 +367,7 @@ class DimensionTree:
         for key in [key for key in self._cache if mode not in key]:
             del self._cache[key]
         value, _, _ = self._value((mode,))
-        return np.ascontiguousarray(value).copy()
+        return value.copy()  # one copy, C-ordered whatever the leaf's layout
 
     def derive(self, key: Tuple[int, ...], parent_key: Tuple[int, ...]) -> np.ndarray:
         """Contract node ``key`` out of ``parent_key`` and charge the step.
@@ -490,23 +392,22 @@ class DimensionTree:
         return out
 
     def drop_partials(self) -> None:
-        """Drop every cached partial; the factor versions stay as they are."""
+        """Drop every cached partial (the multi-sweep kernel's per-node drop)."""
         self._cache.clear()
 
     # -- internals -----------------------------------------------------------
     def _value(self, key: Tuple[int, ...]):
         if key == self._root_key:
             return self._data, self._root_key, False
-        complement = [k for k in range(self._n) if k not in key]
-        versions = tuple(self._versions[k] for k in complement)
+        built_from = tuple(self._factors[k] for k in range(self._n) if k not in key)
         entry = self._cache.get(key)
-        if entry is not None and entry[3] == versions:
+        if entry is not None and all(a is b for a, b in zip(entry[3], built_from)):
             observe_inc("dimtree.partial.hit")
             return entry[0], entry[1], entry[2]
         observe_inc("dimtree.partial.stale" if entry is not None else "dimtree.partial.miss")
         out = self.derive(key, self._parents.get(key, self._root_key))
         if self._cache_enabled:
-            self._cache[key] = (out, key, True, versions)
+            self._cache[key] = (out, key, True, built_from)
         return out, key, True
 
     def _contract_chain(
@@ -568,10 +469,10 @@ class DimensionTreeKernel(SweepKernel):
     Registered in :data:`repro.cp.als.KERNEL_NAMES` as ``"dimtree"``.  The
     tree is built lazily on the first call and rebuilt if a different tensor
     object is passed (one kernel instance serves one ALS run at a time).
-    Factor staleness is detected by array identity, so the kernel is correct
-    even under a driver that never calls :meth:`factor_updated`.  Each read
-    of mode ``m`` is :meth:`DimensionTree.mttkrp`, which first drops the
-    cached nodes that the update of factor ``m`` stales.
+    The tree's nodes go stale by array identity alone, so the kernel needs
+    no word from the driver about replaced factors.  Each read of mode ``m``
+    is :meth:`DimensionTree.mttkrp`, which first drops the cached nodes
+    that the update of factor ``m`` stales.
 
     With ``cache=False`` the kernel degenerates to ``N`` independent
     per-mode contraction chains with identical counting — the measured
@@ -595,13 +496,9 @@ class DimensionTreeKernel(SweepKernel):
     def begin_sweep(self, iteration: int) -> None:
         self._sweep_marks.append(self.counters())
 
-    def factor_updated(self, mode: int, factor: np.ndarray) -> None:
-        if self.tree is not None:
-            self.tree.update_factor(mode, factor)
-
     # -- checkpoint/restore ---------------------------------------------------
     def capture_state(self) -> Optional[dict]:
-        """Tree cache + gate stamps + counters (``None`` before the first call)."""
+        """Tree cache + counters (``None`` before the first call)."""
         if self.tree is None:
             return None
         return {"kind": self.state_kind, "tree": self.tree.capture_state()}

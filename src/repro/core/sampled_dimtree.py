@@ -26,10 +26,10 @@ from the *raw tensor* on every draw of every call.  This module fuses them:
 
 * **serving the draws from cached partial Grams.**  The exact free-mode
   leverage draws use the segment trees of partial Gram matrices from
-  :mod:`repro.sketch.treesample`; :class:`FusedSamplerCache` rebuilds a
-  factor's tree only when that factor's :class:`~repro.core.dimtree.FactorGate`
-  version changes, so the sampler and the dimension tree ride *one* shared
-  invalidation authority.
+  :mod:`repro.sketch.treesample`; :class:`FusedSamplerCache` keeps each
+  factor's tree with the factor array it was built from and rebuilds it
+  only when the call passes another array, so the sampler goes stale under
+  the dimension tree's own rule, array identity.
 
 With ``cache=False`` the kernel degenerates to the plain per-call sampled
 kernel (:func:`repro.sketch.sampled_mttkrp.sampled_mttkrp` on the raw
@@ -236,15 +236,16 @@ def tree_draw_cost(
 class FusedSamplerCache:
     """Per-factor sampling state cached across mode updates and sweeps.
 
-    The second consumer of the shared :class:`~repro.core.dimtree.FactorGate`
-    versions: for each factor the cache holds a version-stamped snapshot and
-    its derived sampling state — a
+    For each factor the cache holds the factor array it was built from, a
+    float64 snapshot of it and the derived sampling state — a
     :class:`~repro.sketch.treesample.GramSegmentTree` (``"tree-leverage"``)
-    or a normalized per-row leverage distribution (``"product-leverage"``) —
-    rebuilt only when the gate bumped that factor's version.  Draws and
-    importance probabilities are both produced from the same *snapshot*, so
-    the importance weights are exactly those of the distribution the
-    indices were drawn from.
+    or a normalized per-row leverage distribution (``"product-leverage"``).
+    An entry serves while the call passes that same array and is rebuilt
+    when it passes another, even one equal in value: the staleness rule of
+    the dimension tree's nodes.  :meth:`invalidate_all` drops every entry.
+    Draws and importance probabilities are both produced from the same
+    *snapshot*, so the importance weights are exactly those of the
+    distribution the indices were drawn from.
     """
 
     def __init__(self, distribution: str = "tree-leverage") -> None:
@@ -254,8 +255,8 @@ class FusedSamplerCache:
                 f"use one of {FUSED_DISTRIBUTIONS}"
             )
         self.distribution = distribution
-        #: mode -> (gate version, factor snapshot, derived sampling state)
-        self._cache: Dict[int, Tuple[int, np.ndarray, object]] = {}
+        #: mode -> (factor array, float64 snapshot, derived sampling state)
+        self._cache: Dict[int, Tuple[np.ndarray, np.ndarray, object]] = {}
         self.build_flops = 0
         self.build_words = 0
         self.draw_flops = 0
@@ -267,9 +268,9 @@ class FusedSamplerCache:
         self._cache.clear()
         return had_entries
 
-    def _refresh(self, k: int, factor: np.ndarray, version: int) -> None:
+    def _refresh(self, k: int, factor: np.ndarray) -> None:
         entry = self._cache.get(k)
-        if entry is not None and entry[0] == version:
+        if entry is not None and entry[0] is factor:
             observe_inc("sampler_cache.hit")
             return
         snapshot = np.asarray(factor, dtype=np.float64)
@@ -288,7 +289,7 @@ class FusedSamplerCache:
         self.build_words += words
         observe_inc("sampler_cache.rebuild")
         add_cost(flops=flops, words=words)
-        self._cache[k] = (version, snapshot, state)
+        self._cache[k] = (factor, snapshot, state)
 
     def draw(
         self,
@@ -297,13 +298,11 @@ class FusedSamplerCache:
         mode: int,
         n_draws: int,
         rng: np.random.Generator,
-        versions: Sequence[int],
     ):
         """Draw ``n_draws`` free-KRP rows; return a deduplicated ``SampleSet``.
 
-        ``versions`` carries the gate version of each free factor, in
-        ``free_modes`` order; a mismatch with the cached stamp triggers a
-        rebuild from the *current* factor (counted).  Probabilities come from
+        A free factor passed as another array than its entry was built from
+        is rebuilt from that array first (counted).  Probabilities come from
         the same cached snapshot the indices were drawn from.
         """
         from repro.sketch.sampling import _draw_sample_set
@@ -312,8 +311,8 @@ class FusedSamplerCache:
         if not free_modes:
             raise ParameterError("fused sampling requires at least one free mode")
         n_draws = check_positive_int(n_draws, "n_draws")
-        for k, version in zip(free_modes, versions):
-            self._refresh(k, factors[k], version)
+        for k in free_modes:
+            self._refresh(k, factors[k])
         snapshots = [self._cache[k][1] for k in free_modes]
         dims = tuple(int(s.shape[0]) for s in snapshots)
         # The cached per-factor states: leverage distributions or segment trees.
@@ -337,11 +336,11 @@ class SampledDimtreeKernel(DimensionTreeKernel):
     through :meth:`~repro.core.dimtree.DimensionTree.node_value`, never
     through :meth:`~repro.core.dimtree.DimensionTree.mttkrp`, so the tree
     drops no node before a read.  The exact kernel's tree lifecycle is
-    inherited: the (re)build on a new tensor, the re-opened
-    sweep mark, the lazy checkpoint restore, :meth:`factor_updated` and
-    :meth:`per_sweep_costs`.  This class adds the RNG, the sampler cache,
-    the draw log and the sampling counters; a checkpoint holds the RNG's
-    position and the :class:`FusedSamplerCache` object itself.  All three
+    inherited: the (re)build on a new tensor, the re-opened sweep mark, the
+    lazy checkpoint restore and :meth:`per_sweep_costs`.  This class adds
+    the RNG, the sampler cache, the draw log and the sampling counters; a
+    checkpoint holds the RNG's position and the :class:`FusedSamplerCache`
+    object itself.  All three
     sampled names of ``cp_als`` build this class: ``"sampled-dimtree"``
     with the defaults, ``"sampled"`` and ``"sampled-tree"`` with
     ``cache=False`` and the ``"product-leverage"`` and ``"tree-leverage"``
@@ -561,14 +560,7 @@ class SampledDimtreeKernel(DimensionTreeKernel):
             raise ParameterError("leaf parent holds no free modes")
         data_p, modes_p, has_rank = self.tree.node_value(parent)
 
-        samples = self.samplers.draw(
-            factors,
-            free,
-            mode,
-            n_draws,
-            self._rng,
-            [self.tree.factor_version(k) for k in free],
-        )
+        samples = self.samplers.draw(factors, free, mode, n_draws, self._rng)
         weighted = samples.krp_rows(factors) * samples.weights[:, None]
         fibers = _gather_fibers_dense(data_p, modes_p.index(mode), samples)
         gemm = fused_estimator_gemm if has_rank else estimator_gemm

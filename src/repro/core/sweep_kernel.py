@@ -1,21 +1,22 @@
 """Sweep-aware MTTKRP kernel protocol shared by the CP-ALS drivers.
 
 CP-ALS invokes one MTTKRP per mode per sweep, and between invocations it
-*updates* the factor matrix of the mode just solved.  A plain per-call kernel
-(``(tensor, factors, mode) -> B``) cannot exploit that structure; a
-*sweep-aware* kernel can: the drivers announce the start of every sweep and
-every factor update, so a kernel may cache work across mode updates — the
+*replaces* the factor matrix of the mode just solved with a new array.  A
+plain per-call kernel (``(tensor, factors, mode) -> B``) cannot exploit that
+structure; a *sweep-aware* kernel can cache work across mode updates — the
 dimension-tree engine of :mod:`repro.core.dimtree` caches partial
-contractions, the distributed kernel of :mod:`repro.parallel.dimtree` caches
-gathered factor blocks.
+contractions, the fused kernels cache samplers, the distributed kernel of
+:mod:`repro.parallel.dimtree` caches gathered factor blocks.  Every such
+cache follows one staleness rule, array identity: it keeps the factor
+arrays it was built from and stays valid exactly while the calls pass those
+same objects, and :meth:`SweepKernel.invalidate_caches` clears it.  The
+drivers never mutate a factor in place, so the kernels need no word from
+them about which factor changed.
 
 The protocol is deliberately tiny:
 
 * :meth:`SweepKernel.mttkrp` — compute the mode-``n`` MTTKRP (required);
-* :meth:`SweepKernel.begin_sweep` — a new ALS sweep starts (optional hook);
-* :meth:`SweepKernel.factor_updated` — the driver replaced one factor matrix
-  (optional hook; kernels that detect staleness by array identity, as both
-  dimension-tree kernels do, may ignore it).
+* :meth:`SweepKernel.begin_sweep` — a new ALS sweep starts (optional hook).
 
 Existing per-call kernels are adapted with :class:`PerCallKernel` /
 :func:`as_sweep_kernel`, so every kernel the drivers see speaks the same
@@ -42,8 +43,8 @@ MTTKRPCallable = Callable[[np.ndarray, Sequence[Optional[np.ndarray]], int], np.
 class SweepKernel:
     """Base class of the sweep-aware MTTKRP kernel protocol.
 
-    Subclasses must implement :meth:`mttkrp`; the sweep hooks default to
-    no-ops so per-call kernels adapt trivially.
+    Subclasses must implement :meth:`mttkrp`; the sweep hook defaults to a
+    no-op so per-call kernels adapt trivially.
     """
 
     #: Whether :meth:`mttkrp` returns the exact MTTKRP.  The sampled kernels
@@ -53,9 +54,6 @@ class SweepKernel:
 
     def begin_sweep(self, iteration: int) -> None:  # noqa: B027 - optional hook
         """Hook: ALS sweep ``iteration`` (1-based) is about to start."""
-
-    def factor_updated(self, mode: int, factor: np.ndarray) -> None:  # noqa: B027
-        """Hook: the driver replaced the factor matrix of ``mode``."""
 
     def mttkrp(
         self, tensor, factors: Sequence[Optional[np.ndarray]], mode: int
@@ -81,7 +79,8 @@ class SweepKernel:
         The contract with :meth:`restore_state`: a fresh kernel instance
         (same constructor arguments) restored from this snapshot serves the
         remaining ALS sweeps *bitwise identical* to this instance — cached
-        partials, staleness versions, RNG bit-stream position, everything.
+        partials with the factor arrays they were built from, RNG bit-stream
+        position, everything.
         The snapshot holds the live objects and records :attr:`state_kind`
         under ``"kind"``; the one copy is the checkpoint's
         (:meth:`~repro.resilience.checkpoint.CheckpointState.copy`), taken
@@ -115,12 +114,11 @@ class SweepKernel:
         """Drop every cached/derived value (graceful-degradation hook).
 
         Called by the drivers' ``on_fault="retry"`` policy when a served
-        MTTKRP looks poisoned (non-finite): the kernel must route the
-        invalidation through its staleness authority (the
-        :class:`~repro.core.dimtree.FactorGate` for the tree kernels) so
-        every dependent cache — partials, sampler trees, gathered blocks —
-        drops together.  Returns whether anything was invalidated (``False``
-        for cache-less kernels, where a retry cannot change the answer).
+        MTTKRP looks poisoned (non-finite): the kernel clears every cache it
+        keeps — partials, sampler trees, gathered blocks — so the retry
+        recomputes each from the current factors.  Returns whether anything
+        was invalidated (``False`` for cache-less kernels, where a retry
+        cannot change the answer).
         """
         return False
 
@@ -130,7 +128,7 @@ class PerCallKernel(SweepKernel):
 
     The wrapped callable is re-invoked from scratch on every call (the
     historical behaviour of every kernel before the protocol existed); the
-    sweep hooks are no-ops.  The adapter keeps no state, so a checkpoint
+    sweep hook is a no-op.  The adapter keeps no state, so a checkpoint
     carries none for it, and it is :attr:`~SweepKernel.exact`: a kernel
     with cross-call state or inexact output — a draw stream, a cache — is a
     :class:`SweepKernel` of its own.

@@ -159,8 +159,9 @@ def _recover_mttkrp(
     """Apply the ``on_fault`` policy to a poisoned (non-finite) MTTKRP.
 
     Returns the recovered MTTKRP and the number of extra kernel evaluations
-    performed.  ``"retry"`` invalidates the kernel's caches through its
-    staleness authority and recomputes; if that cannot help (cache-less
+    performed.  ``"retry"`` clears the kernel's caches
+    (:meth:`~repro.core.sweep_kernel.SweepKernel.invalidate_caches`) and
+    recomputes; if that cannot help (cache-less
     kernel, or the recompute is still poisoned) it degrades — like
     ``"degrade"`` — to the exact einsum kernel on the raw tensor.
     """
@@ -333,8 +334,8 @@ def cp_als(
     on_fault:
         Policy for a poisoned (non-finite) MTTKRP output
         (:data:`FAULT_POLICIES`): ``"raise"`` (default) raises
-        :class:`~repro.exceptions.FaultError`; ``"retry"`` invalidates the
-        kernel's caches through its staleness authority and recomputes,
+        :class:`~repro.exceptions.FaultError`; ``"retry"`` clears the
+        kernel's caches and recomputes,
         degrading to the exact einsum kernel if that cannot help;
         ``"degrade"`` goes straight to the exact kernel.
     checkpoint_store:
@@ -446,7 +447,6 @@ def cp_als(
                     weights = norms
                     factors[mode] = factor
                     grams[mode] = factor.T @ factor
-                    sweep_kernel.factor_updated(mode, factor)
                     prefix = prefix * grams[mode]
                     if mode == last_mode:
                         final_mttkrp = b

@@ -100,9 +100,6 @@ class _SweepWordCounter(SweepKernel):
         self.words_per_iteration.append(0)
         self.inner.begin_sweep(iteration)
 
-    def factor_updated(self, mode: int, factor: np.ndarray) -> None:
-        self.inner.factor_updated(mode, factor)
-
     def mttkrp(self, tensor, factors, mode) -> np.ndarray:
         result = self.inner.mttkrp(tensor, factors, mode)
         grown = self._per_rank_words() - self._sweep_start

@@ -8,10 +8,11 @@ only changes when its own mode is solved.  This module's
 :class:`DistributedDimtreeKernel` is the sweep-aware distributed kernel that
 exploits both redundancies at once:
 
-* **communication** — gathered factor block rows are cached per sweep and
-  re-gathered only when the driver has replaced that factor (detected by
-  array identity, exactly like the sequential engine), so the steady state
-  issues *one* All-Gather per mode update instead of ``N - 1``;
+* **communication** — gathered factor block rows are cached with the factor
+  array they were gathered from and re-gathered only when the driver passes
+  another array for that factor (array identity, the staleness rule of the
+  sequential engine), so the steady state issues *one* All-Gather per mode
+  update instead of ``N - 1``;
 * **computation** — each rank runs its own
   :class:`~repro.core.dimtree.DimensionTree` over its stationary sub-tensor,
   so local partial contractions are reused across the sweep's mode updates
@@ -25,7 +26,8 @@ The output Reduce-Scatter per mode is Algorithm 3's
 must still be summed and redistributed), and the setup — grid and machine
 checks, the one-buffer scatter once per run, the storage charge — is the one
 :class:`~repro.parallel.distribution.DistributedKernel` gives every
-distributed kernel; this kernel adds its per-rank trees and gate to it.
+distributed kernel; this kernel adds its per-rank trees and gather cache
+to it.
 
 The fused sampled kernel of :mod:`repro.sketch.parallel.sampled_dimtree` is a
 subclass: it keeps the setup, gather cache, checkpoint state and
@@ -44,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dimtree import DimensionTree, FactorGate
+from repro.core.dimtree import DimensionTree
 from repro.parallel.collectives import (
     all_gather,
     bucket_all_gather_cost,
@@ -82,13 +84,14 @@ class DistributedDimtreeKernel(DistributedKernel):
         Optional pre-existing :class:`SimulatedMachine` accumulating the run's
         communication; a fresh one is created otherwise.
 
-    A kernel-level :class:`~repro.core.dimtree.FactorGate` governs the
-    gather cache by array identity: a factor is re-gathered exactly when the
-    driver has replaced it, so the ledger matches
-    :func:`predicted_dimtree_ledger` word for word.
+    The gather cache keeps, per factor, the array it gathered and the
+    blocks: a factor is re-gathered exactly when the call passes another
+    array for it, so the ledger matches :func:`predicted_dimtree_ledger`
+    word for word.  The per-rank trees' nodes keep the gathered blocks they
+    were built from, so they go stale with the gather.
 
     Subclasses name their collectives through :attr:`gather_label` and
-    :attr:`reduce_label`, may add a collective after each factor gather
+    :attr:`reduce_label`, may add a collective to each factor gather
     (:meth:`_gather_factor`), and may replace the per-rank local step
     (:meth:`_local_outputs`).
     """
@@ -103,27 +106,26 @@ class DistributedDimtreeKernel(DistributedKernel):
         machine: Optional[SimulatedMachine] = None,
     ) -> None:
         super().__init__(grid_dims, machine=machine)
-        self.gate: Optional[FactorGate] = None
         self._trees: Dict[int, DimensionTree] = {}
-        self._gathered: Dict[int, Dict[int, np.ndarray]] = {}
-        self._gathered_version: Dict[int, int] = {}
+        #: factor mode -> (the array gathered, rank -> its gathered block)
+        self._gathered: Dict[int, Tuple[np.ndarray, Dict[int, np.ndarray]]] = {}
         self._pending_state: Optional[dict] = None
 
     # -- checkpoint/restore ---------------------------------------------------
     def capture_state(self) -> Optional[dict]:
-        """Gate stamps, gathered blocks, and per-rank tree caches, by reference.
+        """Gathered blocks and per-rank tree caches, by reference (``None`` before setup).
 
-        Each per-rank tree's gate holds the gathered blocks themselves, so
-        the checkpoint's one deep copy keeps them one object each and the
-        restored trees keep hitting.
+        The gather cache holds the driver's factor arrays and the per-rank
+        trees' nodes hold the gathered blocks, so the checkpoint's one deep
+        copy, taken with the driver's factors, keeps each of them one object
+        and the restored caches hit and miss where the uninterrupted run's
+        did.
         """
-        if self.gate is None:
+        if self.dist is None:
             return None
         return {
             "kind": self.state_kind,
-            "gate": self.gate.capture_state(),
             "gathered": self._gathered,
-            "gathered_version": self._gathered_version,
             "trees": {r: tree.capture_state() for r, tree in self._trees.items()},
         }
 
@@ -134,35 +136,29 @@ class DistributedDimtreeKernel(DistributedKernel):
         self._pending_state = state
 
     def invalidate_caches(self) -> bool:
-        if self.gate is None:
+        if self.dist is None:
             return False
         self._gathered.clear()
-        self._gathered_version.clear()
         for tree in self._trees.values():
             tree.invalidate_all()
-        self.gate.invalidate_all()
         return True
 
     def _apply_pending(self) -> None:
         state = self._pending_state
         self._pending_state = None
-        self.gate.restore_state(state["gate"])
         self._gathered = state["gathered"]
-        self._gathered_version = state["gathered_version"]
         for r, tree in self._trees.items():
             tree.restore_state(state["trees"][r])
 
     def setup(self, data: np.ndarray, rank: int, mode: int = 0) -> bool:
         if not super().setup(data, rank, mode):
             return False
-        # A new problem: rebuild the trees, gate, and gather cache.
+        # A new problem: rebuild the trees and the gather cache.
         self._gathered.clear()
-        self._gathered_version.clear()
         self._trees = {r: DimensionTree(block.data) for r, block in self.tensor_blocks.items()}
-        self.gate = FactorGate(data.ndim)
         return True
 
-    def _gather_factor(self, k: int, factor: np.ndarray) -> None:
+    def _gather_factor(self, k: int, factor: np.ndarray) -> Dict[int, np.ndarray]:
         """All-Gather factor ``k``'s block rows within each mode-``k`` hyperslice."""
         gathered: Dict[int, np.ndarray] = {}
         for pk in range(self.grid.dims[k]):
@@ -178,12 +174,12 @@ class DistributedDimtreeKernel(DistributedKernel):
                 label=f"{self.gather_label} A^({k}) p_{k}={pk}",
             )
             gathered.update(result)
-        self._gathered[k] = gathered
+        return gathered
 
     def _local_factors(self, r: int, mode: int) -> List[Optional[np.ndarray]]:
         """Rank ``r``'s gathered input blocks (``None`` at ``mode``)."""
         return [
-            None if k == mode else self._gathered[k][r]
+            None if k == mode else self._gathered[k][1][r]
             for k in range(len(self.grid.dims))
         ]
 
@@ -212,15 +208,11 @@ class DistributedDimtreeKernel(DistributedKernel):
         if self._pending_state is not None:
             self._apply_pending()
 
-        # -- re-gather only the factors the gate declares stale: exactly the
-        #    ones the driver has replaced.
+        # -- re-gather only the factors the driver has replaced: those
+        #    passed as another array than the one gathered.
         for k in range(len(self.grid.dims)):
-            if k == mode:
-                continue
-            self.gate.register(k, factors[k])
-            if self._gathered_version.get(k) != self.gate.versions[k]:
-                self._gather_factor(k, np.asarray(factors[k]))
-                self._gathered_version[k] = self.gate.versions[k]
+            if k != mode and (k not in self._gathered or self._gathered[k][0] is not factors[k]):
+                self._gathered[k] = (factors[k], self._gather_factor(k, np.asarray(factors[k])))
 
         local_outputs = self._local_outputs(factors, mode)
 

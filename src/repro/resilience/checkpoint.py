@@ -13,9 +13,9 @@ checkpoint holds everything the sweep loop and the kernel read:
   ``f.T @ f`` of bitwise-equal factors is bitwise equal);
 * kernel state — whatever the kernel's
   :meth:`~repro.core.sweep_kernel.SweepKernel.capture_state` returned:
-  dimension-tree partials with their :class:`~repro.core.dimtree.FactorGate`
-  version stamps and stored factors, the fused kernels' sampler cache,
-  gathered factor blocks of the distributed kernels, and the exact
+  dimension-tree partials, the fused kernels' sampler cache and the
+  distributed kernels' gathered factor blocks, each with the factor arrays
+  it was built from, and the exact
   ``numpy.random.Generator`` bit-stream position of the sampled kernels,
   under a ``"kind"`` key naming the kernel's class (with a distributed
   kernel's grid and a sampled kernel's distribution): another kernel
@@ -24,10 +24,11 @@ checkpoint holds everything the sweep loop and the kernel read:
 A kernel captures its state by reference.  :meth:`CheckpointState.copy`,
 one ``copy.deepcopy`` of the whole checkpoint, is the only copy a save
 (:meth:`CheckpointStore.save`) or a resume takes, so an array held by both
-the driver and the kernel — a factor the kernel's gate compares by
-identity — is copied once and stays one object: after a resume the gate
-hits where the uninterrupted run's did and invalidates where it did, and a
-distributed run's word ledger splits additively at the kill point.  The copy
+the driver and the kernel — a factor a cache was built from, which the
+cache compares by identity, the one staleness rule of every kernel cache —
+is copied once and stays one object: after a resume every cache hits where
+the uninterrupted run's did and misses where it did, and a distributed
+run's word ledger splits additively at the kill point.  The copy
 never reaches the tensor, whose blocks the kernels derive again on resume.
 
 Checkpoint format: :attr:`CheckpointState.kernel_state` is a tree of
@@ -90,8 +91,8 @@ class CheckpointState:
 
         It is the only copy a save or a resume takes: the kernel's snapshot
         holds live objects, and an array it shares with the driver (a factor
-        its staleness gate compares by identity) stays one array in the
-        copy, so identity checks keep hitting after a resume.
+        a cache compares by identity) stays one array in the copy, so
+        identity checks keep hitting after a resume.
         """
         return copy.deepcopy(self)
 

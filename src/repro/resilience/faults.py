@@ -212,8 +212,11 @@ def poison_kernel_cache(kernel, value: float = np.nan) -> bool:
 
     Simulates silent cache corruption — the failure mode the drivers'
     ``on_fault`` policies detect (non-finite MTTKRP output) and recover from
-    by invalidating through the shared
-    :class:`~repro.core.dimtree.FactorGate`.  Works on any kernel exposing a
+    with the kernel's
+    :meth:`~repro.core.sweep_kernel.SweepKernel.invalidate_caches`, which
+    drops every node.  Identity cannot see the poison: a poisoned node still
+    holds the factor arrays it was built from, so it is served until that
+    call.  Works on any kernel exposing a
     bound :class:`~repro.core.dimtree.DimensionTree` (``kernel.tree``, the
     sequential tree kernels) or per-rank trees (``kernel._trees``, the
     distributed ones); returns whether any partial was poisoned.  Poison

@@ -4,11 +4,10 @@ The distributed face of :mod:`repro.core.sampled_dimtree`: the exact
 distributed dimtree kernel
 (:class:`repro.parallel.dimtree.DistributedDimtreeKernel`) plus a Gram
 All-Reduce per factor gather and a sampled local step.  The subclass inherits
-everything else — the stationary distribution, per-rank trees, the
-:class:`~repro.core.dimtree.FactorGate` and its gather cache (one All-Gather
-per factor update), checkpoint and cache invalidation, and the output
-Reduce-Scatter per mode hyperslice, unchanged from Algorithm 3.  It adds two
-things:
+everything else — the stationary distribution, per-rank trees, the gather
+cache (one All-Gather per factor update), checkpoint and cache invalidation,
+and the output Reduce-Scatter per mode hyperslice, unchanged from
+Algorithm 3.  It adds two things:
 
 * **the tree sampler's Gram All-Reduce only** — each gathered factor
   additionally All-Reduces its ``R x R`` block Gram (the reduced Gram is what
@@ -30,7 +29,10 @@ things:
 
 Under the same seed the shared :class:`~repro.core.sampled_dimtree.FusedSamplerCache`
 walks the same rebuild schedule as the sequential kernel over the same
-global factors, so the draws are **bitwise identical to sequential**.
+global factor arrays (each entry is rebuilt when the call passes another
+array for its factor), so the draws are **bitwise identical to
+sequential**, and so is the :class:`~repro.core.sampled_dimtree.FusedDrawRecord`
+log.
 :func:`predicted_sampled_dimtree_ledger` is the dimtree replay plus one Gram
 All-Reduce per gather event, so the machine ledger matches it word for word
 (the tests assert ``==``).
@@ -43,6 +45,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.sampled_dimtree import (
+    FusedDrawRecord,
     FusedSamplerCache,
     estimator_cost,
     fused_estimator_gemm,
@@ -87,10 +90,9 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         the sequential :class:`~repro.core.sampled_dimtree.SampledDimtreeKernel`
         reproduces its draws bit for bit.
 
-    The kernel-level :class:`~repro.core.dimtree.FactorGate` governs
-    re-gathers, Gram All-Reduces, *and* sampler rebuilds at once (per-rank
-    trees invalidate through the gathered blocks' identity, so they follow
-    the same schedule).
+    One rule governs re-gathers, Gram All-Reduces, sampler rebuilds and the
+    per-rank trees at once: each cache is stale exactly when the call passes
+    another array for a factor it was built from.
     """
 
     exact = False
@@ -113,35 +115,29 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         self._distribution = distribution
         self._rng = _as_generator(seed)
         self.samplers = FusedSamplerCache(distribution)
-        self.draw_log: List[tuple] = []
+        self.draw_log: List[FusedDrawRecord] = []
 
     # -- checkpoint/restore: the RNG, sampler cache and draw log on top -------
-    def capture_state(self) -> dict:
-        """RNG position + sampler cache + draw log + the base snapshot."""
-        state = super().capture_state() or {"kind": self.state_kind, "gate": None}
-        state.update(
-            rng=self._rng.bit_generator.state,
-            samplers=self.samplers,
-            draw_log=self.draw_log,
-        )
+    def capture_state(self) -> Optional[dict]:
+        """RNG position + sampler cache + draw log + the base snapshot.
+
+        ``None`` before the first MTTKRP, as the base kernel's: a driver
+        saves a checkpoint only after a completed sweep.
+        """
+        state = super().capture_state()
+        if state is not None:
+            state.update(
+                rng=self._rng.bit_generator.state,
+                samplers=self.samplers,
+                draw_log=self.draw_log,
+            )
         return state
 
-    def restore_state(self, state: Optional[dict]) -> None:
-        """Adopt the RNG now; the caches with the next mttkrp (or now, if none)."""
-        super().restore_state(state)
-        if state is None:
-            return
+    def _apply_pending(self) -> None:
+        state = self._pending_state
         self._rng.bit_generator.state = state["rng"]
-        if state["gate"] is None:
-            self._pending_state = None
-            self._restore_sampling(state)
-
-    def _restore_sampling(self, state: dict) -> None:
         self.samplers = state["samplers"]
         self.draw_log = state["draw_log"]
-
-    def _apply_pending(self) -> None:
-        self._restore_sampling(self._pending_state)
         super()._apply_pending()
 
     def invalidate_caches(self) -> bool:
@@ -151,24 +147,16 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
     def setup(self, data: np.ndarray, rank: int, mode: int = 0) -> bool:
         if not super().setup(data, rank, mode):
             return False
-        # A new problem restarts the gate's version sequence at zero, so the
-        # sampler cache's version stamps (and factor snapshots) from an
-        # earlier problem must not be mistaken for fresh ones.
+        # A new problem starts with an empty sampler cache and draw log, as
+        # the sequential kernel's tree rebuild does.
         self.samplers = FusedSamplerCache(self._distribution)
         self.draw_log = []
         return True
 
-    def factor_updated(self, mode: int, factor: np.ndarray) -> None:
-        # force: an explicit update always invalidates even for the same
-        # array object (in-place mutation), matching the sequential kernel's
-        # update_factor so both gates walk identical version sequences.
-        if self.gate is not None:
-            self.gate.register(mode, np.asarray(factor), force=True)
-
     # -- the two additions ----------------------------------------------------
-    def _gather_factor(self, k: int, factor: np.ndarray) -> None:
+    def _gather_factor(self, k: int, factor: np.ndarray) -> Dict[int, np.ndarray]:
         """All-Gather factor ``k``'s block rows, then All-Reduce its Gram."""
-        super()._gather_factor(k, factor)
+        gathered = super()._gather_factor(k, factor)
         # The sampler-setup collective: every rank contributes its owned row
         # chunk's R x R Gram (each factor row is owned by exactly one rank,
         # so the sum is the full factor Gram the shared sampler cache needs).
@@ -178,6 +166,7 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
             block = factor[self.dist.factor_local_rows(k, r), :]
             grams[r] = block.T @ block
         all_reduce(self.machine, group, grams, label=f"{GRAM_LABEL} A^({k})")
+        return gathered
 
     def _local_outputs(
         self, factors: Sequence[Optional[np.ndarray]], mode: int
@@ -188,16 +177,13 @@ class DistributedSampledDimtreeKernel(DistributedDimtreeKernel):
         parent = self._trees[0].leaf_parent(mode)
         free = tuple(k for k in parent if k != mode)
         # The draw comes from the shared stream (bitwise == sequential).
-        samples = self.samplers.draw(
-            factors,
-            free,
-            mode,
-            n_draws,
-            self._rng,
-            [self.gate.versions[k] for k in free],
-        )
+        samples = self.samplers.draw(factors, free, mode, n_draws, self._rng)
         weighted = samples.krp_rows(factors) * samples.weights[:, None]
-        self.draw_log.append((mode, free, n_draws, samples.n_distinct))
+        self.draw_log.append(
+            FusedDrawRecord(
+                mode=mode, free_modes=free, n_draws=n_draws, n_distinct=samples.n_distinct
+            )
+        )
 
         outputs: Dict[int, np.ndarray] = {}
         for r, tree in self._trees.items():

@@ -101,16 +101,6 @@ class TestDimensionTreeCorrectness:
                 ref = mttkrp_reference(tensor, new_factors, mode)
                 assert np.allclose(tree.mttkrp(new_factors, mode), ref, atol=1e-10)
 
-    def test_explicit_update_factor(self):
-        tensor, factors = problem((3, 4, 5), 2, seed=5)
-        tree = DimensionTree(tensor)
-        tree.mttkrp(factors, 0)
-        new0 = np.random.default_rng(6).standard_normal(np.asarray(factors[0]).shape)
-        tree.update_factor(0, new0)
-        factors = [new0] + list(factors[1:])
-        ref = mttkrp_reference(tensor, factors, 1)
-        assert np.allclose(tree.mttkrp(factors, 1), ref, atol=1e-10)
-
     def test_uncached_engine_matches_reference(self):
         tensor, factors = problem((3, 4, 5), 3, seed=7)
         tree = DimensionTree(tensor, cache=False)
@@ -395,8 +385,7 @@ class TestSweepKernelProtocol:
 
         kernel = as_sweep_kernel(fn)
         assert isinstance(kernel, PerCallKernel)
-        kernel.begin_sweep(1)  # no-op hooks must exist
-        kernel.factor_updated(0, np.zeros((3, 2)))
+        kernel.begin_sweep(1)  # the no-op hook must exist
         out = kernel.mttkrp(np.zeros((3, 4)), [None, np.zeros((4, 2))], 0)
         assert out.shape == (3, 2)
         assert calls == [0]

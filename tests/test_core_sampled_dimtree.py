@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dimtree import DimensionTree, FactorGate
+from repro.core.dimtree import DimensionTree, DimensionTreeKernel
 from repro.core.kernels import mttkrp
 from repro.core.sampled_dimtree import (
     FUSED_DISTRIBUTIONS,
@@ -17,7 +17,9 @@ from repro.costmodel.fused_model import (
 )
 from repro.cp.als import KERNEL_NAMES, cp_als
 from repro.exceptions import ParameterError
-from repro.resilience import CheckpointStore
+from repro.observe import tracing
+from repro.parallel.dimtree import GATHER_LABEL, DistributedDimtreeKernel
+from repro.resilience import CheckpointState, CheckpointStore
 from repro.sketch.parallel.sampled_dimtree import DistributedSampledDimtreeKernel
 from repro.sketch.sampling import draw_krp_samples
 from repro.tensor.random import noisy_low_rank_tensor, random_factors, random_tensor
@@ -29,63 +31,91 @@ def fixed_sweeps(tensor, rank, kernel, sweeps=4, seed=1, **kwargs):
     )
 
 
-class TestFactorGate:
-    def test_exact_mode_is_pure_identity(self):
-        gate = FactorGate(2)
-        a = np.ones((3, 2))
-        assert gate.register(0, a)  # first registration invalidates
-        assert not gate.register(0, a)  # same object: no change
-        assert gate.register(0, a.copy())  # new object: invalidates
-        assert gate.versions[0] == 2
+def _gathers(counters):
+    """All-Gathers the distributed tree kernel issued, from a session's counters."""
+    return sum(
+        count
+        for name, count in counters.items()
+        if name.startswith(f"comm.label.{GATHER_LABEL}") and name.endswith(".calls")
+    )
 
-    def test_force_invalidates_same_object(self):
-        gate = FactorGate(1)
-        a = np.ones((3, 2))
-        gate.register(0, a)
-        v = gate.versions[0]
-        assert not gate.register(0, a)
-        assert gate.register(0, a, force=True)
-        assert gate.versions[0] == v + 1
 
-    def test_explicit_update_factor_sees_inplace_mutation(self):
-        """update_factor must invalidate even when handed the same array
-        object whose contents were mutated in place (regression: the gate's
-        identity short-circuit must not swallow explicit updates)."""
-        from repro.core.reference import mttkrp_reference
-        from repro.tensor.random import random_factors, random_tensor
+def _node_misses(counters):
+    return counters.get("dimtree.partial.miss", 0) + counters.get("dimtree.partial.stale", 0)
 
-        tensor = random_tensor((4, 5, 6), seed=3)
-        factors = [np.asarray(f) for f in random_factors((4, 5, 6), 2, seed=4)]
-        tree = DimensionTree(tensor)
-        tree.mttkrp(factors, 0)  # populate the cache
-        factors[1] *= 2.0  # in-place: identity detection cannot see this
-        tree.update_factor(1, factors[1])
-        result = tree.mttkrp(factors, 0)
-        assert np.allclose(result, mttkrp_reference(tensor, factors, 0), atol=1e-10)
 
-    def test_invalidate_all_bumps_every_version_and_keeps_the_factors(self):
-        gate = FactorGate(3)
-        stored = [np.ones((2, 2)), None, np.zeros((4, 2))]
-        for mode, factor in enumerate(stored):
-            gate.register(mode, factor)
-        before = list(gate.versions)
-        gate.invalidate_all()
-        assert gate.versions == [v + 1 for v in before]
-        assert all(a is b for a, b in zip(gate.factors, stored))
-        assert not gate.register(0, stored[0])  # the kept object still hits
+def _sampler_rebuilds(counters):
+    return counters.get("sampler_cache.rebuild", 0)
 
-    def test_capture_state_hands_over_references(self):
-        gate = FactorGate(2)
-        a = np.ones((3, 2))
-        gate.register(1, a)
-        state = gate.capture_state()
-        assert state["factors"][1] is a
-        assert state["versions"] is gate.versions
+
+#: Every factor-dependent cache, by the kernel that holds it, with the count
+#: of its misses among a traced call's counters.  The per-rank trees are
+#: built from the gathered blocks, so they go stale with the gather.
+IDENTITY_CACHES = {
+    "tree": (DimensionTreeKernel, _node_misses),
+    "sampler": (lambda: SampledDimtreeKernel(16, seed=3), _sampler_rebuilds),
+    "gather": (lambda: DistributedDimtreeKernel((2, 2, 1)), _gathers),
+    "rank-trees": (lambda: DistributedDimtreeKernel((2, 2, 1)), _node_misses),
+    "parallel-sampler": (
+        lambda: DistributedSampledDimtreeKernel((2, 2, 1), n_samples=16, seed=3),
+        _sampler_rebuilds,
+    ),
+}
+
+
+class TestIdentityStaleness:
+    """Array identity is the one staleness rule of every factor-dependent
+    cache: it serves exactly while the call passes the arrays it was built
+    from, and ``invalidate_caches()`` clears it."""
+
+    @staticmethod
+    def _misses(kernel, count, tensor, factors):
+        with tracing() as session:
+            kernel.mttkrp(tensor, factors, 0)
+        return count(session.metrics.counters())
+
+    def _assert_identity_rule(self, kernel, count, tensor, factors):
+        """The arrays the cache holds hit; equal new arrays miss, and then
+        hit; a call after ``invalidate_caches()`` misses.  Returns the arrays
+        the cache ends up built from."""
+        assert self._misses(kernel, count, tensor, factors) == 0
+        twins = [f.copy() for f in factors]
+        assert self._misses(kernel, count, tensor, twins) > 0
+        assert self._misses(kernel, count, tensor, twins) == 0
+        assert kernel.invalidate_caches()
+        assert self._misses(kernel, count, tensor, twins) > 0
+        return twins
+
+    @pytest.mark.parametrize("cache", sorted(IDENTITY_CACHES))
+    def test_a_cache_serves_exactly_the_arrays_it_was_built_from(self, cache):
+        make, count = IDENTITY_CACHES[cache]
+        shape, rank = (6, 5, 4), 3
+        rng = np.random.default_rng(4)
+        tensor = rng.standard_normal(shape)
+        factors = [rng.standard_normal((n, rank)) for n in shape]
+        kernel = make()
+        assert self._misses(kernel, count, tensor, factors) > 0  # cold
+        held = self._assert_identity_rule(kernel, count, tensor, factors)
+        # After a resume: the checkpoint's one copy keeps each held array
+        # one object with the driver's factor, so the rule holds unchanged.
+        checkpoint = CheckpointState(
+            iteration=1,
+            factors=held,
+            weights=np.ones(rank),
+            fits=[0.0],
+            previous_fit=0.0,
+            mttkrp_calls=0,
+            kernel_state=kernel.capture_state(),
+            shape=shape,
+            rank=rank,
+        ).copy()
+        resumed = make()
+        resumed.restore_state(checkpoint.kernel_state)
+        self._assert_identity_rule(resumed, count, tensor, checkpoint.factors)
 
     def test_restored_tree_serves_its_cached_nodes(self):
-        """A snapshot is adopted in place, through the aliases the tree reads:
-        a fresh tree restored from it reads the cached leaf and contracts
-        nothing, with the same bytes."""
+        """A fresh tree restored from another's snapshot reads the cached
+        leaf and contracts nothing, with the same bytes."""
         tensor = random_tensor((4, 5, 6), seed=3)
         factors = random_factors((4, 5, 6), 2, seed=4)
         tree = DimensionTree(tensor)
@@ -264,7 +294,7 @@ class TestCountedEqualsReplay:
 
 
 class TestSamplerCacheSharing:
-    def test_trees_rebuilt_only_on_version_bump(self):
+    def test_trees_rebuilt_only_on_a_replaced_factor(self):
         shape, rank = (8, 9, 10), 3
         tensor = noisy_low_rank_tensor(shape, rank, noise_level=0.02, seed=0)
         kernel = SampledDimtreeKernel(n_samples=8, seed=2)
@@ -287,7 +317,7 @@ class TestSamplerCacheSharing:
         """
         factors = random_factors((7, 8, 9), 3, seed=4)
         cached = FusedSamplerCache(distribution).draw(
-            factors, (1, 2), 0, 50, np.random.default_rng(6), [0, 0]
+            factors, (1, 2), 0, 50, np.random.default_rng(6)
         )
         fresh = draw_krp_samples(
             factors, 0, 50, distribution=distribution, seed=np.random.default_rng(6)

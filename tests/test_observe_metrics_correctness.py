@@ -7,7 +7,7 @@ the observable signature of the caching design (ISSUE 6, satellite 3).  For
 the seeded 3-mode problem with the default half split:
 
 * dimtree, ``S`` sweeps: ``partial.hit = S``, ``partial.miss = 4 S``,
-  ``partial.stale = 0``, ``factor_gate.invalidate = 2 + 3 S``;
+  ``partial.stale = 0``;
 * fused cached, ``S`` sweeps: ``sampler_cache.hit = 2 S - 1``,
   ``sampler_cache.rebuild = 2 S + 1``, tree ``partial.hit = S`` /
   ``miss = 1`` / ``stale = S - 1``;
@@ -49,7 +49,7 @@ def traced_sweeps(kernel, sweeps):
 
 class TestDimtreeCounters:
     @pytest.mark.parametrize("sweeps", [3, 5])
-    def test_partial_contraction_and_gate_counts(self, sweeps):
+    def test_partial_contraction_counts(self, sweeps):
         session = traced_sweeps(DimensionTreeKernel(), sweeps)
         counters = session.metrics.counters()
         # One cached-partial reuse per sweep (the root split shares one
@@ -60,7 +60,6 @@ class TestDimtreeCounters:
         assert counters["dimtree.partial.hit"] == sweeps
         assert counters["dimtree.partial.miss"] == 4 * sweeps
         assert session.metrics.counter("dimtree.partial.stale") == 0
-        assert counters["factor_gate.invalidate"] == 2 + 3 * sweeps
 
 
 class TestFusedSamplerCounters:

@@ -166,12 +166,9 @@ class TestSequentialEquivalence:
                     assert np.array_equal(a, b)
                 else:
                     assert np.allclose(a, b, atol=1e-12)
-                new = rng.standard_normal(factors[mode].shape)
-                factors[mode] = new
-                seq.factor_updated(mode, new)
-                par.factor_updated(mode, new)
+                factors[mode] = rng.standard_normal(factors[mode].shape)
         # identical draw schedule and identical generator consumption
-        assert [(r.mode, r.free_modes, r.n_draws, r.n_distinct) for r in seq.draw_log] == par.draw_log
+        assert seq.draw_log == par.draw_log
         assert (
             seq._rng.bit_generator.state == par._rng.bit_generator.state
         )

@@ -24,7 +24,7 @@ from repro.cp.parallel_als import PARALLEL_KERNEL_NAMES, parallel_cp_als
 from repro.exceptions import ParameterError
 from repro.observe import tracing
 from repro.resilience import CheckpointState, CheckpointStore
-from repro.tensor.random import noisy_low_rank_tensor
+from repro.tensor.random import noisy_low_rank_tensor, random_factors
 
 SHAPE = (6, 5, 4)
 RANK = 3
@@ -335,8 +335,8 @@ def _unit_problem():
     """``X = e1 o e1 o e1`` at 4x4x4 and unit-vector factors at R = 1.
 
     Every factor update reproduces its old value bitwise in a new array, so
-    a gate that matched factors by value would take a replaced factor for
-    the one it holds.
+    a cache that matched factors by value would take a replaced factor for
+    the one it was built from.
     """
     tensor = np.zeros((4, 4, 4))
     tensor[0, 0, 0] = 1.0
@@ -378,23 +378,23 @@ def test_value_reproducing_resume_continues_the_sweep_costs(make_kernel, stop_at
 @pytest.mark.parametrize("kernel", PARALLEL_KERNEL_NAMES)
 @pytest.mark.parametrize("stop_at", [1, 2])
 def test_value_reproducing_parallel_resume_splits_the_ledger(kernel, stop_at):
-    """The default kernel's gate registers lazily: after sweep 1 it still
-    holds the factor that mode 2's update replaced by an equal one, so the
-    resumed run must gather it again, as the uninterrupted run does."""
+    """The default kernel gathers lazily: after sweep 1 its gather cache
+    still holds the factor that mode 2's update replaced by an equal one, so
+    the resumed run must gather it again, as the uninterrupted run does."""
     tensor, init = _unit_problem()
     _assert_parallel_resume_matches(
         kernel, 0, stop_at, tensor=tensor, rank=1, n_sweeps=UNIT_SWEEPS, init=init
     )
 
 
-def test_resumed_gate_invalidates_on_an_equal_factor_it_never_registered():
-    """A factor the gate holds but the driver has replaced stays its own
-    object through the checkpoint's copy, so an equal replacement still
-    invalidates after a resume, as it does in the uninterrupted run."""
+def test_resumed_node_misses_on_an_equal_factor_it_was_not_built_from():
+    """A factor a cached node was built from, which the driver has replaced
+    by an equal array, stays its own object through the checkpoint's copy,
+    so the node goes stale after a resume, as in the uninterrupted run."""
     tensor = _tensor(0)
     factors = [np.random.default_rng(k).standard_normal((n, RANK)) for k, n in enumerate(SHAPE)]
     kernel = DimensionTreeKernel()
-    kernel.mttkrp(tensor, factors, 0)
+    kernel.mttkrp(tensor, factors, 1)  # caches node (1, 2), built from factor 0
     replaced = [f.copy() for f in factors]
     checkpoint = CheckpointState(
         iteration=1,
@@ -409,9 +409,12 @@ def test_resumed_gate_invalidates_on_an_equal_factor_it_never_registered():
     ).copy()
     resumed = DimensionTreeKernel()
     resumed.restore_state(checkpoint.kernel_state)
-    resumed.mttkrp(tensor, checkpoint.factors, 1)
-    kernel.mttkrp(tensor, replaced, 1)
-    assert resumed.tree.gate.versions == kernel.tree.gate.versions == [1, 1, 2]
+    for run, run_factors in ((resumed, checkpoint.factors), (kernel, replaced)):
+        with tracing() as session:
+            run.mttkrp(tensor, run_factors, 2)
+        assert session.metrics.counter("dimtree.partial.stale") == 1
+        assert session.metrics.counter("dimtree.partial.hit") == 0
+    assert resumed.counters() == kernel.counters()
 
 
 def test_one_save_copies_the_kernel_state_once():
@@ -419,20 +422,21 @@ def test_one_save_copies_the_kernel_state_once():
     bytes the store keeps, with no second copy of the cached partials."""
     rank = 8
     tensor = noisy_low_rank_tensor((60, 50, 40), rank, seed=1)
+    factors = random_factors(tensor.shape, rank, seed=2)
     kernel = DimensionTreeKernel()
-    result = cp_als(tensor, rank, kernel=kernel, n_iter_max=3, tol=0.0, seed=2)
-    factors = list(kernel.tree.gate.factors)
+    for mode in range(3):  # one sweep's reads, so the nodes hold these factors
+        kernel.mttkrp(tensor, factors, mode)
     store = CheckpointStore()
     tracemalloc.start()
     try:
         store.save(
             CheckpointState(
-                iteration=3,
+                iteration=1,
                 factors=factors,
                 weights=np.ones(rank),
-                fits=list(result.fits),
-                previous_fit=result.fits[-1],
-                mttkrp_calls=result.mttkrp_calls,
+                fits=[0.0],
+                previous_fit=0.0,
+                mttkrp_calls=3,
                 kernel_state=kernel.capture_state(),
                 shape=tensor.shape,
                 rank=rank,

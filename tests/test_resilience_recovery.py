@@ -4,8 +4,8 @@ Three recovery surfaces of the drivers:
 
 * ``on_fault`` policies against a *poisoned kernel cache* (silent corruption
   of a dimtree partial): ``"raise"`` surfaces a
-  :class:`~repro.exceptions.FaultError`, ``"retry"`` invalidates through the
-  :class:`~repro.core.dimtree.FactorGate` and recomputes exactly,
+  :class:`~repro.exceptions.FaultError`, ``"retry"`` clears the kernel's
+  caches (``invalidate_caches``) and recomputes exactly,
   ``"degrade"`` falls back to the exact einsum kernel;
 * *injected collective faults* under ``on_fault="retry"``: fits bitwise
   equal to the fault-free run, ledger reconciled exactly by
@@ -63,9 +63,6 @@ class PoisoningKernel(SweepKernel):
         self._sweep = int(iteration)
         self._calls_in_sweep = 0
         self.inner.begin_sweep(iteration)
-
-    def factor_updated(self, mode, factor):
-        self.inner.factor_updated(mode, factor)
 
     def mttkrp(self, tensor, factors, mode):
         out = self.inner.mttkrp(tensor, factors, mode)
