@@ -101,6 +101,20 @@ class TestDimensionTreeCorrectness:
                 ref = mttkrp_reference(tensor, new_factors, mode)
                 assert np.allclose(tree.mttkrp(new_factors, mode), ref, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inplace_change_is_seen_after_invalidate_all(self, shape):
+        """An in-place change keeps the array's identity, so the cached leaf
+        is served unchanged; after ``invalidate_all()`` every mode is
+        recomputed from the changed values."""
+        tensor, factors = problem(shape, 2, seed=5)
+        factors = [np.array(f) for f in factors]
+        tree = DimensionTree(tensor)
+        before = tree.mttkrp(factors, 0)
+        factors[1] *= 2.0
+        assert np.array_equal(tree.mttkrp(factors, 0), before)
+        tree.invalidate_all()
+        assert_matches_reference(tree, tensor, factors)
+
     def test_uncached_engine_matches_reference(self):
         tensor, factors = problem((3, 4, 5), 3, seed=7)
         tree = DimensionTree(tensor, cache=False)
